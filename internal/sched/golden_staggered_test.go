@@ -69,31 +69,7 @@ func TestGoldenStaggered(t *testing.T) {
 	if testing.Short() {
 		t.Skip("staggered golden sweep is not short")
 	}
-	got := staggeredGoldenDump(t, nil)
-	path := filepath.Join("testdata", "golden_staggered.txt")
-	if *updateGoldenStaggered {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden dump (run with -update-golden-staggered): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := range wantLines {
-		if i >= len(gotLines) || gotLines[i] != wantLines[i] {
-			t.Fatalf("result drift at line %d:\n  golden:  %s\n  current: %s", i+1, wantLines[i], gotLines[i])
-		}
-	}
-	t.Fatal("result dump differs from golden (extra lines)")
+	checkGoldenDump(t, "golden_staggered.txt", staggeredGoldenDump(t, nil), *updateGoldenStaggered, "update-golden-staggered")
 }
 
 // TestStaggeredDeterministic pins run-to-run reproducibility of the

@@ -3,8 +3,6 @@ package sched
 import (
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -119,29 +117,5 @@ func TestGoldenSweep(t *testing.T) {
 	if len(cfgs) != 52 {
 		t.Fatalf("golden sweep has %d configurations, want 52", len(cfgs))
 	}
-	path := filepath.Join("testdata", "golden_sweep.txt")
-	got := goldenDump(t)
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden dump (run with -update-golden): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := range wantLines {
-		if i >= len(gotLines) || gotLines[i] != wantLines[i] {
-			t.Fatalf("result drift at line %d:\n  golden:  %s\n  current: %s", i+1, wantLines[i], gotLines[i])
-		}
-	}
-	t.Fatal("result dump differs from golden (extra lines)")
+	checkGoldenDump(t, "golden_sweep.txt", goldenDump(t), *updateGolden, "update-golden")
 }

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"math/bits"
 
 	"github.com/mmsim/staggered/internal/core"
 	"github.com/mmsim/staggered/internal/fault"
@@ -140,7 +139,6 @@ type stripedTech struct {
 	vidScratch  []int
 	tsScratch   []int
 	zeroTs      []int
-	freeScratch []int
 	candScratch []int
 
 	// Tertiary state.
@@ -545,16 +543,6 @@ func (t *stripedTech) vdiskOf(f int) int {
 		v += t.cfg.D
 	}
 	return v
-}
-
-// physicalOf is the inverse map: virtual disk v to the physical disk
-// serving it this interval.
-func (t *stripedTech) physicalOf(v int) int {
-	f := v + t.rot
-	if f >= t.cfg.D {
-		f -= t.cfg.D
-	}
-	return f
 }
 
 // setVBusy transfers ownership of virtual disk v and maintains the
@@ -997,7 +985,8 @@ func (t *stripedTech) evictable(id int) bool {
 }
 
 // fragmentedAttemptsPerInterval bounds how many queued requests may
-// run the (O(free disks × M)) Algorithm-1 search in one interval.
+// run the (O(M · min(maxStartup, D/gcd(K, D)))) Algorithm-1 walk in
+// one interval.
 const fragmentedAttemptsPerInterval = 8
 
 // prepare runs the read-only half of the admission scan
@@ -1312,29 +1301,14 @@ func (t *stripedTech) tryAdmitAnn(r request, qi int, fragBudget *int) bool {
 	return t.tryFragmented(r, int(t.annFirst[qi]), m, fragBudget)
 }
 
-// tryFragmented runs the Algorithm-1 time-fragmented admission over
-// all currently free disks.
+// tryFragmented runs the Algorithm-1 time-fragmented admission: a
+// walk along each stream's stride orbit in virtual-disk space, on the
+// free bitset itself, bounded by the startup limit.
 func (t *stripedTech) tryFragmented(r request, first, m int, fragBudget *int) bool {
 	if !t.cfg.Fragmented || *fragBudget <= 0 {
 		return false
 	}
 	*fragBudget--
-	// Build the free-disk list from the free bitset: ascending virtual
-	// disk order, the same content and order the old O(D) vbusy walk
-	// produced, at a word of occupancy per 64 disks.
-	free := t.freeScratch[:0]
-	for w, word := range t.freeBits {
-		for word != 0 {
-			v := w*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			free = append(free, t.physicalOf(v))
-		}
-	}
-	t.freeScratch = free[:0]
-	a, ok := vdisk.ChooseVirtualDisks(t.cfg.D, t.cfg.K, first, m, free)
-	if !ok {
-		return false
-	}
 	maxStartup := t.cfg.MaxStartup
 	if maxStartup == 0 {
 		// Each interval of startup delay costs one buffered fragment
@@ -1344,16 +1318,15 @@ func (t *stripedTech) tryFragmented(r request, first, m int, fragBudget *int) bo
 		// nearly all of Algorithm 1's benefit.
 		maxStartup = 2 * m
 	}
-	if a.Tmax > maxStartup {
+	// Virtual disk v sits over physical disk v+rot, so the virtual disk
+	// over stream i's fragment is vdiskOf(first)+i and the walk yields
+	// global virtual disks directly.
+	vids, ts := t.vidScratch[:m], t.tsScratch[:m]
+	tmax, ok := vdisk.WalkOrbits(t.freeBits, t.cfg.D, t.cfg.K, t.vdiskOf(first), maxStartup, vids, ts)
+	if !ok {
 		return false
 	}
-	gvids := t.vidScratch[:m]
-	ts := t.tsScratch[:m]
-	for i, z := range a.Z {
-		gvids[i] = t.vdiskOf(z)
-		ts[i] = a.T[i]
-	}
-	t.start(r, first, gvids, ts, a.Tmax)
+	t.start(r, first, vids, ts, tmax)
 	return true
 }
 

@@ -25,7 +25,10 @@
 // shrinking the buffer requirement (Figure 6).
 package vdisk
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Physical returns the physical disk under virtual disk z at interval
 // t (t may be any non-negative integer).
@@ -172,34 +175,68 @@ func (a Assignment) Contiguous() bool {
 // for an object starting at physical disk first, greedily minimizing
 // each stream's alignment delay (and therefore buffering).  The free
 // slice lists physical disks that are idle at the admission interval
-// and will remain dedicated to this display.  It returns ok=false
-// when no feasible choice exists.
+// and will remain dedicated to this display; duplicates are harmless.
+// It returns ok=false when no feasible choice exists, and for invalid
+// input: d ≤ 0, k ≤ 0, m outside [1, d], first or a free entry
+// outside [0, d).
 func ChooseVirtualDisks(d, k, first, m int, free []int) (Assignment, bool) {
-	used := make(map[int]bool, m)
-	z := make([]int, m)
-	for i := 0; i < m; i++ {
-		best, bestT := -1, -1
-		for _, f := range free {
-			if used[f] {
-				continue
-			}
-			t, ok := FirstAlignment(f, (first+i)%d, k, d)
-			if !ok {
-				continue
-			}
-			if best < 0 || t < bestT {
-				best, bestT = f, t
-			}
-		}
-		if best < 0 {
-			return Assignment{}, false
-		}
-		used[best] = true
-		z[i] = best
-	}
-	a, err := NewAssignment(d, k, first, m, z)
-	if err != nil {
+	if d <= 0 || k <= 0 || m < 1 || m > d || first < 0 || first >= d {
 		return Assignment{}, false
 	}
+	set := make([]uint64, (d+63)/64)
+	for _, f := range free {
+		if f < 0 || f >= d {
+			return Assignment{}, false
+		}
+		set[f>>6] |= 1 << uint(f&63)
+	}
+	a := Assignment{D: d, K: k, First: first, M: m, Z: make([]int, m), T: make([]int, m)}
+	tmax, ok := WalkOrbits(set, d, k, first, d/gcd(k, d)-1, a.Z, a.T)
+	if !ok {
+		return Assignment{}, false
+	}
+	a.Tmax = tmax
 	return a, true
+}
+
+// WalkOrbits is the greedy of Algorithm 1 over a free bitset: bit p of
+// free (word p/64, bit p%64) marks position p idle at the admission
+// interval.  Stream i's fragment lies at position (base+i) mod d, and
+// the position that reaches it after t intervals is (base+i − k·t)
+// mod d.  Along that orbit of d/gcd(k, d) positions each t belongs to
+// exactly one position, so the greedy's minimum-delay choice is the
+// first free position, not taken by an earlier stream, that the walk
+// meets for t = 0, 1, ….  The walk stops at maxT (clamped to one
+// orbit); a stream with no free position within it refuses the whole
+// display, since its delay would exceed maxT.
+//
+// On success z[i] is stream i's position and t[i] its delay, for
+// len(z) streams, and tmax is the largest delay.  The caller
+// guarantees d, k > 0, 0 ≤ base < d, len(z) == len(t) ≤ d and a bitset
+// covering d positions.  The walk costs O(len(z)·min(maxT+1, d/g))
+// bit probes and allocates nothing.
+func WalkOrbits(free []uint64, d, k, base, maxT int, z, t []int) (tmax int, ok bool) {
+	if orbit := d / gcd(k, d); maxT > orbit-1 {
+		maxT = orbit - 1
+	}
+	step := k % d
+next:
+	for i := range z {
+		p := base + i
+		if p >= d {
+			p -= d
+		}
+		for ti := 0; ti <= maxT; ti++ {
+			if free[p>>6]>>uint(p&63)&1 != 0 && !slices.Contains(z[:i], p) {
+				z[i], t[i] = p, ti
+				tmax = max(tmax, ti)
+				continue next
+			}
+			if p -= step; p < 0 {
+				p += d
+			}
+		}
+		return 0, false
+	}
+	return tmax, true
 }

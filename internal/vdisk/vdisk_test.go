@@ -1,6 +1,10 @@
 package vdisk
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -144,6 +148,159 @@ func TestChooseVirtualDisksInfeasible(t *testing.T) {
 	// fragment 1 (odd residue).
 	if _, ok := ChooseVirtualDisks(10, 5, 0, 2, []int{0, 2, 4}); ok {
 		t.Error("chose misaligned virtual disks")
+	}
+}
+
+// TestChooseVirtualDisksInvalidInput pins the API boundary: malformed
+// geometry or free lists are refused with ok=false, never a panic.
+func TestChooseVirtualDisksInvalidInput(t *testing.T) {
+	free := []int{0, 1, 2, 3}
+	cases := []struct {
+		name           string
+		d, k, first, m int
+		free           []int
+	}{
+		{"zero D", 0, 1, 0, 1, free},
+		{"negative D", -8, 1, 0, 1, free},
+		{"zero k", 8, 0, 0, 1, free},
+		{"negative k", 8, -1, 0, 1, free},
+		{"zero m", 8, 1, 0, 0, free},
+		{"negative m", 8, 1, 0, -2, free},
+		{"m beyond D", 4, 1, 0, 5, free},
+		{"negative first", 8, 1, -1, 2, free},
+		{"first at D", 8, 1, 8, 2, free},
+		{"free entry negative", 8, 1, 0, 2, []int{0, 1, -1}},
+		{"free entry at D", 8, 1, 0, 2, []int{0, 1, 8}},
+	}
+	for _, c := range cases {
+		if a, ok := ChooseVirtualDisks(c.d, c.k, c.first, c.m, c.free); ok {
+			t.Errorf("%s: accepted, got %+v", c.name, a)
+		}
+	}
+}
+
+// oracleChoose is the per-candidate greedy ChooseVirtualDisks ran
+// before the orbit walk: for each stream, scan every free disk, solve
+// its alignment delay, and keep the strict minimum in free-list order.
+func oracleChoose(d, k, first, m int, free []int) (Assignment, bool) {
+	used := make(map[int]bool, m)
+	z := make([]int, m)
+	for i := 0; i < m; i++ {
+		best, bestT := -1, -1
+		for _, f := range free {
+			if used[f] {
+				continue
+			}
+			t, ok := FirstAlignment(f, (first+i)%d, k, d)
+			if !ok {
+				continue
+			}
+			if best < 0 || t < bestT {
+				best, bestT = f, t
+			}
+		}
+		if best < 0 {
+			return Assignment{}, false
+		}
+		used[best] = true
+		z[i] = best
+	}
+	a, err := NewAssignment(d, k, first, m, z)
+	return a, err == nil
+}
+
+// checkWalkAgainstOracle runs the orbit walk through
+// ChooseVirtualDisks (unbounded) and directly under each bound in
+// maxTs, and reports any difference from the oracle in (ok, Z, T,
+// Tmax).
+func checkWalkAgainstOracle(d, k, first, m int, free []int, maxTs ...int) error {
+	want, wantOK := oracleChoose(d, k, first, m, free)
+	got, gotOK := ChooseVirtualDisks(d, k, first, m, free)
+	if gotOK != wantOK || (wantOK && !reflect.DeepEqual(got, want)) {
+		return fmt.Errorf("ChooseVirtualDisks(%d,%d,%d,%d,%v) = %+v,%v; oracle %+v,%v",
+			d, k, first, m, free, got, gotOK, want, wantOK)
+	}
+	set := make([]uint64, (d+63)/64)
+	for _, f := range free {
+		set[f>>6] |= 1 << uint(f&63)
+	}
+	z, ts := make([]int, m), make([]int, m)
+	for _, maxT := range maxTs {
+		// Under a startup bound the engine refuses what the oracle
+		// chooses with a larger Tmax.
+		boundOK := wantOK && want.Tmax <= maxT
+		tmax, ok := WalkOrbits(set, d, k, first, maxT, z, ts)
+		if ok != boundOK || (ok && (tmax != want.Tmax || !slices.Equal(z, want.Z) || !slices.Equal(ts, want.T))) {
+			return fmt.Errorf("WalkOrbits(d=%d,k=%d,first=%d,m=%d,maxT=%d,free=%v) = Z%v T%v Tmax %d ok %v; oracle %+v,%v",
+				d, k, first, m, maxT, free, z, ts, tmax, ok, want, boundOK)
+		}
+	}
+	return nil
+}
+
+// TestWalkMatchesOracle is the differential property: over every
+// stride of small farms (gcd(k, D) > 1 included), random free subsets
+// with duplicates, and startup bounds below, at and above one orbit,
+// the walk returns exactly the oracle's (ok, Z, T, Tmax).
+func TestWalkMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	for d := 1; d <= 64; d++ {
+		for k := 1; k <= d; k++ {
+			orbit := d / gcd(k, d)
+			for trial := 0; trial < 4; trial++ {
+				m := 1 + r.IntN(d)
+				first := r.IntN(d)
+				free := make([]int, r.IntN(2*d+1))
+				for i := range free {
+					free[i] = r.IntN(d)
+				}
+				if err := checkWalkAgainstOracle(d, k, first, m, free,
+					0, orbit/2, orbit-2, orbit-1, orbit, 2*orbit); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// FuzzChooseVirtualDisks drives the same differential check from fuzz
+// input: geometry bytes plus a free list of one byte per entry.
+func FuzzChooseVirtualDisks(f *testing.F) {
+	f.Add(uint8(8), uint8(1), uint8(0), uint8(2), uint8(16), []byte{1, 6})
+	f.Add(uint8(10), uint8(5), uint8(0), uint8(2), uint8(1), []byte{0, 2, 4})
+	f.Add(uint8(50), uint8(4), uint8(7), uint8(5), uint8(10), []byte{3, 3, 9, 21, 40, 48})
+	f.Add(uint8(50), uint8(10), uint8(49), uint8(5), uint8(10), []byte{0, 10, 20, 30, 45})
+	f.Fuzz(func(t *testing.T, dRaw, kRaw, firstRaw, mRaw, maxT uint8, freeRaw []byte) {
+		d := int(dRaw%64) + 1
+		k := int(kRaw)%d + 1
+		first := int(firstRaw) % d
+		m := int(mRaw)%d + 1
+		free := make([]int, len(freeRaw))
+		for i, b := range freeRaw {
+			free[i] = int(b) % d
+		}
+		if err := checkWalkAgainstOracle(d, k, first, m, free, int(maxT)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestWalkOrbitsAllocates pins the admission path's walk at zero
+// allocations.
+func TestWalkOrbitsAllocates(t *testing.T) {
+	const d = 1000
+	set := make([]uint64, (d+63)/64)
+	for p := 0; p < d; p += 7 {
+		set[p>>6] |= 1 << uint(p&63)
+	}
+	z, ts := make([]int, 5), make([]int, 5)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := WalkOrbits(set, d, 1, 3, d, z, ts); !ok {
+			t.Fatal("infeasible")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("WalkOrbits allocated %v times per run, want 0", allocs)
 	}
 }
 

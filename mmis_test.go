@@ -104,6 +104,20 @@ func TestPublicDeliveryAPI(t *testing.T) {
 	}
 }
 
+// TestPublicChooseVirtualDisksRefusesInvalidInput pins the facade's
+// error contract: malformed input yields ok=false, not a panic.
+func TestPublicChooseVirtualDisksRefusesInvalidInput(t *testing.T) {
+	if _, ok := ChooseVirtualDisks(0, 1, 0, 1, []int{0}); ok {
+		t.Error("D = 0 accepted")
+	}
+	if _, ok := ChooseVirtualDisks(8, 0, 0, 1, []int{0}); ok {
+		t.Error("k = 0 accepted")
+	}
+	if _, ok := ChooseVirtualDisks(8, 1, 0, 2, []int{1, 6, 9}); ok {
+		t.Error("free disk beyond D accepted")
+	}
+}
+
 // TestPublicSimulationAPI runs a reduced end-to-end simulation through
 // the facade and checks the paper's headline result.
 func TestPublicSimulationAPI(t *testing.T) {

@@ -23,8 +23,11 @@ go test -bench 'BenchmarkFigure8a$|BenchmarkTable4$' -benchmem -benchtime 3x -ru
 echo "== kernel calendar microbenchmarks (short mode)"
 go test -bench 'BenchmarkCalendar' -benchmem -benchtime 100000x -run '^$' ./internal/sim
 
-echo "== golden dumps (52-config sweep + staggered strides, byte-identical)"
-go test -run 'TestGoldenSweep$|TestGoldenStaggered$|TestStaggeredKMMatchesSimpleGolden$' ./internal/sched
+echo "== golden dumps (52-config sweep + staggered strides + Algorithm 1 pin, byte-identical)"
+go test -run 'TestGoldenSweep$|TestGoldenStaggered$|TestStaggeredKMMatchesSimpleGolden$|TestGoldenAlgorithm1$' ./internal/sched
+
+echo "== fuzz: Algorithm 1 orbit walk against the per-candidate oracle"
+go test -run '^$' -fuzz FuzzChooseVirtualDisks -fuzztime 10s ./internal/vdisk
 
 echo "== sharded engine under the race detector (workers=4, 100x trajectory)"
 # GOMAXPROCS floor of 2: on a single-core CI box the pool would gate
