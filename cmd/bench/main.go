@@ -1,26 +1,21 @@
 // Command bench is the performance-regression harness: it runs the
 // simulation-heavy engine benchmarks and the kernel calendar
 // microbenchmarks through testing.Benchmark, runs the scale-mode
-// sweep trajectory (to 10000x: 500,000 disks, 200,000 stations) plus
-// a worker-count curve at the largest factor, runs the E19 cache-tier
+// sweep trajectory (to 10000x: 500,000 disks, 200,000 stations), runs
+// the E19 cache-tier
 // sweep (displays/hour, startup latency, and hit rate per cache
 // budget × skew × batch window cell), and writes a machine-readable
 // report (default BENCH_9.json) with ns/op, B/op, and allocs/op next
 // to the recorded baselines.  With -maxregress it exits nonzero when
 // any recorded bench regresses past the threshold against its
 // reference, so scripts/ci.sh fails on hot-path regressions instead
-// of logging them.  Requesting the worker curve on a single-CPU host
-// is an error (the wall clocks would measure scheduler interleaving,
-// not speedup) unless -forcecurve records it with the env.single_core
-// caveat.
+// of logging them.
 //
 // Usage:
 //
 //	bench                     # write BENCH_9.json in the current directory
 //	bench -out report.json
 //	bench -maxregress 0.20    # fail on >20% ns/op regression vs reference
-//	bench -workers 1,2,4,8    # worker curve measured at the largest factor
-//	bench -forcecurve         # record the curve even on one CPU
 package main
 
 import (
@@ -100,9 +95,8 @@ type Entry struct {
 	AllocRatio float64 `json:"alloc_ratio,omitempty"`
 }
 
-// Env records the machine the report was produced on: without it the
-// worker-curve numbers are uninterpretable (a single-core box cannot
-// show multi-worker speedup no matter how good the sharding is).
+// Env records the machine the report was produced on: ns/op numbers
+// are only comparable between reports from like machines.
 type Env struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
@@ -110,12 +104,9 @@ type Env struct {
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	// SingleCore flags reports produced on a one-CPU machine, where
-	// the worker curve cannot show speedup and nanosecond benches see
-	// scheduler steal time (see the stderr warning bench prints).
+	// nanosecond benches see scheduler steal time (see the stderr
+	// warning bench prints).
 	SingleCore bool `json:"single_core,omitempty"`
-	// Workers is the worker-count list the curve below was measured
-	// with.
-	Workers []int `json:"worker_curve,omitempty"`
 }
 
 // Report is the BENCH_9.json document.
@@ -127,10 +118,6 @@ type Report struct {
 	// Cache is the E19 memory-tier sweep: displays/hour, startup
 	// latency, and cache-hit rate per budget × skew × window cell.
 	Cache []experiment.E19Point `json:"cache_sweep,omitempty"`
-	// WorkerCurve re-runs the largest scale factor at each worker
-	// count: same simulation (identical displays), different
-	// wall-clock.  Speedup is only expected when GOMAXPROCS > 1.
-	WorkerCurve []experiment.ScalePoint `json:"worker_curve,omitempty"`
 }
 
 func benchFigure8(mean float64) func(b *testing.B) {
@@ -270,8 +257,6 @@ func run() int {
 	out := flag.String("out", "BENCH_9.json", "report file")
 	maxRegress := flag.Float64("maxregress", 0, "fail when any recorded bench's ns/op exceeds its reference by more than this fraction (0 = report only)")
 	scaleFactors := flag.String("scalefactors", "1,2,5,10,20,50,100,200,500,1000,2000,5000,10000", "comma-separated scale-sweep factors; empty = skip the sweep")
-	workersFlag := flag.String("workers", "1,2,4,8", "comma-separated worker counts for the curve at the largest scale factor; empty = skip the curve")
-	forceCurve := flag.Bool("forcecurve", false, "measure the worker curve even on a single-CPU host (the report's env.single_core records the caveat); without it, requesting a curve on one CPU is an error")
 	flag.Parse()
 
 	benches := []struct {
@@ -309,20 +294,6 @@ func run() int {
 	factors, err := parseFactors(*scaleFactors)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		return 2
-	}
-	workerCounts, err := parseFactors(*workersFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		return 2
-	}
-	// A one-CPU host cannot run pool workers concurrently, so a curve
-	// measured there compares scheduler interleavings, not speedups —
-	// recording it silently would poison cross-report comparisons.
-	// Fail loudly up front, before the benches burn minutes, unless the
-	// caller opted into the caveated record.
-	if len(workerCounts) > 0 && report.Env.SingleCore && !*forceCurve {
-		fmt.Fprintln(os.Stderr, "bench: ERROR: worker curve requested on a single-CPU host; its wall clocks cannot show parallel speedup. Pass -workers '' to skip the curve, or -forcecurve to record it anyway (env.single_core flags the caveat).")
 		return 2
 	}
 	failed := false
@@ -410,28 +381,6 @@ func run() int {
 					fmt.Printf("scale %4dx  REGRESSION: %.0f ns/display (ref %.0f, limit %.0f)\n",
 						scaleGateFactor, points[i].NsPerDisplay, scaleGateRefNs, limit)
 				}
-			}
-		}
-		// Worker curve: the largest factor re-run at each worker
-		// count, sequentially so every point's pool owns the machine.
-		// The displays column must not move — only the wall clock may.
-		if len(workerCounts) > 0 {
-			report.Env.Workers = workerCounts
-			maxf := factors[0]
-			for _, f := range factors {
-				if f > maxf {
-					maxf = f
-				}
-			}
-			for _, w := range workerCounts {
-				p, err := experiment.RunScalePointOpts(maxf, 1, experiment.ScaleOptions{Workers: w})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-					return 1
-				}
-				report.WorkerCurve = append(report.WorkerCurve, p)
-				fmt.Printf("curve %4dx  workers=%-2d shards=%-3d displays=%-7d  %8.3fs wall  %8.0f ns/display\n",
-					p.Factor, w, p.Shards, p.Displays, p.WallSeconds, p.NsPerDisplay)
 			}
 		}
 	}

@@ -10,7 +10,7 @@
 //	sweep -scale quick            # reduced scale (seconds instead of minutes)
 //	sweep -scale 10x              # scale-mode trajectory up to 10x quick geometry
 //	sweep -scale 100x             # scale-mode trajectory up to 100x quick geometry
-//	sweep -scale 1000x -workers 4 # 1000x trajectory, sharded multi-worker engine
+//	sweep -scale 1000x            # 1000x trajectory (50k disks, 20k stations)
 //	sweep -scale 10000x           # 10000x trajectory (500k disks, 200k stations)
 //	sweep -dist 20                # one distribution only
 //	sweep -stations 16,64,128,256 # restrict the station sweep
@@ -60,7 +60,6 @@ func run() (code int) {
 	stride := flag.Int("k", 0, "stride k for the staggered technique (0 = technique default)")
 	listTech := flag.Bool("list-techniques", false, "list registered techniques and exit")
 	faultsFlag := flag.String("faults", "", "fault plan injected into every run (e.g. 'fail:7@600; slow:3@100-400; tert@0-200; wear:0-9@mttf=500,mttr=50,until=3000')")
-	workersFlag := flag.Int("workers", 0, "intra-run worker count for sharded execution (0 or 1 = sequential; results are identical at any count, DESIGN.md §11)")
 	pressure := flag.Bool("pressure", false, "enable eviction pressure for exact-fit farms (DESIGN.md §10)")
 	e18Flag := flag.Bool("e18", false, "run the E18 availability experiment and exit")
 	e19Flag := flag.Bool("e19", false, "run the E19 cache-size sweep and exit")
@@ -130,10 +129,9 @@ func run() (code int) {
 
 	var opts *experiment.Options
 	cacheOn := *cacheMB > 0 || *batchWindow > 0
-	if *faultsFlag != "" || *pressure || *workersFlag > 1 || cacheOn || *zipfSkew > 0 || *arrivals > 0 {
+	if *faultsFlag != "" || *pressure || cacheOn || *zipfSkew > 0 || *arrivals > 0 {
 		opts = &experiment.Options{
 			EvictionPressure: *pressure,
-			Workers:          *workersFlag,
 			ZipfSkew:         *zipfSkew,
 			ArrivalsPerHour:  *arrivals,
 		}
@@ -174,7 +172,7 @@ func run() (code int) {
 	case "quick":
 		scale = experiment.Quick
 	case "10x", "100x", "1000x", "1000", "10000x":
-		return runScaleMode(*scaleFlag, *seed, *csv, *workersFlag)
+		return runScaleMode(*scaleFlag, *seed, *csv)
 	default:
 		fmt.Fprintf(os.Stderr, "sweep: unknown scale %q\n", *scaleFlag)
 		return 2
@@ -275,10 +273,7 @@ func runClusterGrid(serversFlag, dispatchFlag string, seed uint64, csv bool) int
 // runScaleMode runs the scale-mode trajectory instead of the paper
 // figures: quick-geometry configurations grown by successive factors
 // up to the requested ceiling, reporting wall-clock cost per point.
-// With workers > 1 every point runs on the sharded multi-worker
-// engine and the factors execute one at a time so each point's pool
-// owns the machine.
-func runScaleMode(mode string, seed uint64, csv bool, workers int) int {
+func runScaleMode(mode string, seed uint64, csv bool) int {
 	var factors []int
 	switch mode {
 	case "10x":
@@ -290,14 +285,14 @@ func runScaleMode(mode string, seed uint64, csv bool, workers int) int {
 	default: // 1000x
 		factors = []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
 	}
-	points, err := experiment.ScaleSweepOpts(factors, seed, experiment.ScaleOptions{Workers: workers})
+	points, err := experiment.ScaleSweep(factors, seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		return 1
 	}
 	if csv {
 		tbl := &metrics.Table{Header: []string{
-			"factor", "disks", "stations", "displays", "wall_seconds", "intervals_per_second", "ns_per_display", "workers", "shards", "heap_alloc_bytes",
+			"factor", "disks", "stations", "displays", "wall_seconds", "intervals_per_second", "ns_per_display", "heap_alloc_bytes",
 		}}
 		for _, p := range points {
 			tbl.AddRow(
@@ -308,19 +303,13 @@ func runScaleMode(mode string, seed uint64, csv bool, workers int) int {
 				fmt.Sprintf("%.4f", p.WallSeconds),
 				fmt.Sprintf("%.0f", p.IntervalsSec),
 				fmt.Sprintf("%.0f", p.NsPerDisplay),
-				fmt.Sprintf("%d", p.Workers),
-				fmt.Sprintf("%d", p.Shards),
 				fmt.Sprintf("%d", p.HeapAllocBytes),
 			)
 		}
 		fmt.Print(tbl.CSV())
 		return 0
 	}
-	fmt.Printf("Scale-mode trajectory (%s): quick geometry grown by factor", mode)
-	if workers > 1 {
-		fmt.Printf(" (sharded, %d workers)", workers)
-	}
-	fmt.Println()
+	fmt.Printf("Scale-mode trajectory (%s): quick geometry grown by factor\n", mode)
 	fmt.Printf("%7s %7s %9s %9s %9s %13s %13s\n", "factor", "disks", "stations", "displays", "wall(s)", "intervals/s", "ns/display")
 	for _, p := range points {
 		fmt.Printf("%7d %7d %9d %9d %9.4f %13.0f %13.0f\n",

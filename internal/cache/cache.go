@@ -13,8 +13,8 @@
 // baseline and the popularity-weighted variant with exponential decay.
 //
 // The tier itself is pure bookkeeping — it never touches engine state.
-// The engine consults it on the interval goroutine only, so no method
-// here needs synchronization even under sharded execution.
+// The engine consults it from its single interval loop, so no method
+// here needs synchronization.
 package cache
 
 import "fmt"

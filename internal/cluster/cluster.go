@@ -10,8 +10,7 @@
 //
 // The engines expose steppable primitives (Prime / StepOne /
 // ResetWindow / Snapshot) precisely so this driver can interleave
-// them; they share one worker pool (sched.Pool) because the driver
-// steps them sequentially, and they draw per-instance randomness from
+// them, and they draw per-instance randomness from
 // rng.NewStream(seed, server) splits so adding a server never
 // perturbs its siblings' trajectories.
 package cluster
@@ -154,7 +153,6 @@ type Result struct {
 type Sim struct {
 	cfg      Config
 	engines  []*sched.Engine
-	pool     *sched.Pool
 	dispatch Dispatch
 	dt       float64
 
@@ -324,11 +322,6 @@ func New(cfg Config) (*Sim, error) {
 		s.nextSampleAt = s.sampleSecs
 	}
 
-	// One worker pool for the whole cluster: the members are stepped
-	// sequentially, so N per-engine pools would only oversubscribe the
-	// machine.
-	s.pool = sched.NewPool(base.Workers)
-
 	s.engines = make([]*sched.Engine, cfg.Servers)
 	for i := range s.engines {
 		scfg := base
@@ -346,10 +339,8 @@ func New(cfg Config) (*Sim, error) {
 		}
 		e, err := ti.New(scfg)
 		if err != nil {
-			s.pool.Close()
 			return nil, fmt.Errorf("cluster: server %d: %w", i, err)
 		}
-		e.AttachPool(s.pool)
 		s.engines[i] = e
 	}
 	s.routed = make([]int, cfg.Servers)
@@ -556,12 +547,6 @@ func (s *Sim) Run() (Result, error) {
 		return Result{}, sched.ErrAlreadyRun
 	}
 	s.ran = true
-	defer func() {
-		for _, e := range s.engines {
-			e.Close()
-		}
-		s.pool.Close()
-	}()
 	for _, e := range s.engines {
 		e.Prime()
 	}

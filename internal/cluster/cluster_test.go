@@ -87,53 +87,19 @@ func TestOneServerMatchesEngineOpen(t *testing.T) {
 	}
 }
 
-// multiConfig is the shared 2-server configuration of the invariance
+// multiConfig is the shared 2-server configuration of the isolation
 // and determinism tests: open Zipf arrivals split across two members.
-func multiConfig(dispatch string, workers int) Config {
+func multiConfig(dispatch string) Config {
 	base := quickBase(32, 5)
 	base.ZipfSkew = 1.1
 	base.ArrivalsPerHour = 5000
-	base.Workers = workers
-	if workers > 1 {
-		base.Shards = 4
-	}
 	return Config{Servers: 2, Technique: "striped", Dispatch: dispatch, Base: base}
-}
-
-// TestWorkerInvariance pins that cluster Results are byte-identical at
-// any worker count: the shared pool changes only wall-clock, never the
-// science.  CI runs this under -race.
-func TestWorkerInvariance(t *testing.T) {
-	var ref Result
-	for i, workers := range []int{1, 2, 8} {
-		sim, err := New(multiConfig("leastloaded", workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			ref = res
-			if ref.Aggregate.Displays == 0 {
-				t.Fatal("reference cluster run delivered zero displays")
-			}
-			continue
-		}
-		if !reflect.DeepEqual(res.Aggregate, ref.Aggregate) || !reflect.DeepEqual(res.Servers, ref.Servers) {
-			t.Fatalf("workers=%d diverged from workers=1:\n got %+v\nwant %+v", workers, res.Aggregate, ref.Aggregate)
-		}
-		if !reflect.DeepEqual(res.Routed, ref.Routed) {
-			t.Fatalf("workers=%d routed %v, want %v", workers, res.Routed, ref.Routed)
-		}
-	}
 }
 
 // TestRunTwiceReturnsTypedError pins the double-Run contract at the
 // cluster level.
 func TestRunTwiceReturnsTypedError(t *testing.T) {
-	sim, err := New(multiConfig("roundrobin", 0))
+	sim, err := New(multiConfig("roundrobin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +119,7 @@ func TestRunTwiceReturnsTypedError(t *testing.T) {
 // independent.
 func TestChaosSiblingIsolation(t *testing.T) {
 	run := func(plans []*fault.Plan) Result {
-		cfg := multiConfig("roundrobin", 0)
+		cfg := multiConfig("roundrobin")
 		cfg.ServerFaults = plans
 		sim, err := New(cfg)
 		if err != nil {
@@ -191,7 +157,7 @@ func TestChaosSiblingIsolation(t *testing.T) {
 // materialization storms.
 func TestPopularityChurnReconverges(t *testing.T) {
 	run := func(flip bool) Result {
-		cfg := multiConfig("popularity", 0)
+		cfg := multiConfig("popularity")
 		cfg.Base.CapacityFragments = 63 // full catalog placed (see TestPopularityRoutesToHolders)
 		if flip {
 			cfg.Base.ZipfFlipInterval = cfg.Base.WarmupIntervals + cfg.Base.MeasureIntervals/2
@@ -265,7 +231,7 @@ func TestReplicaAssignments(t *testing.T) {
 // (40 slots, ladder needs 41), and a coldest-object fallback is
 // exactly what this test must distinguish from a routing bug.
 func TestPopularityRoutesToHolders(t *testing.T) {
-	cfg := multiConfig("popularity", 0)
+	cfg := multiConfig("popularity")
 	cfg.Base.CapacityFragments = 63
 	sim, err := New(cfg)
 	if err != nil {

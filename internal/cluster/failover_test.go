@@ -15,7 +15,7 @@ import (
 // members over a drained corpse reporting zero load, and an all-dead
 // cluster yields -1.
 func TestDispatchSkipsDeadMembers(t *testing.T) {
-	sim, err := New(multiConfig("popularity", 0))
+	sim, err := New(multiConfig("popularity"))
 	if err != nil {
 		t.Fatal(err)
 	}

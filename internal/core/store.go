@@ -15,7 +15,7 @@ type Store struct {
 	layout   Layout
 	capacity int // fragments per disk
 	used     []int32
-	free     int // total free fragments across the farm
+	free     int         // total free fragments across the farm
 	placed   []placedRec // indexed by object id; valid iff resident bit set
 	resident []uint64    // bitset, one bit per object id
 	ids      int         // logical table length: max id seen + 1

@@ -19,16 +19,11 @@ import (
 
 // Options extends a sweep beyond the paper's clean-room runs: a fault
 // plan injected into every configuration, the eviction-pressure
-// fallback for exact-fit farms, and the sharded intra-run execution
-// knobs (DESIGN.md §11).  The zero value is the paper's setup.
+// fallback for exact-fit farms, and the workload and cache-tier
+// extensions.  The zero value is the paper's setup.
 type Options struct {
 	Faults           *fault.Plan
 	EvictionPressure bool
-	// Workers and Shards turn on sharded intra-run execution for every
-	// run of the sweep.  Results are byte-identical at any worker
-	// count, so these only change wall-clock, never the science.
-	Workers int
-	Shards  int
 	// Cache turns the memory tier on for every run; ZipfSkew and
 	// ArrivalsPerHour reshape the workload (see sched.Config).
 	Cache           *cache.Spec
@@ -46,13 +41,6 @@ func (o *Options) apply(cfg *sched.Config) {
 	cfg.Cache = o.Cache
 	cfg.ZipfSkew = o.ZipfSkew
 	cfg.ArrivalsPerHour = o.ArrivalsPerHour
-	cfg.Workers = o.Workers
-	cfg.Shards = o.Shards
-	if o.Shards == 0 && o.Workers > 1 {
-		// Same default ScaleOptions uses: enough shards that the
-		// parallel phases have work to balance across the pool.
-		cfg.Shards = 4 * o.Workers
-	}
 }
 
 // Scale selects the experiment fidelity.

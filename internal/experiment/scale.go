@@ -12,9 +12,9 @@ import (
 
 // Scale-mode sweeps push the harness toward the ROADMAP north star —
 // configurations 10x–1000x the paper's Table 3 — to measure how
-// simulation cost grows with model size now that the engines (PR 1),
-// the event calendar (PR 4), and the per-interval station/admission
-// work (sharded execution, DESIGN.md §11) are all O(work).
+// simulation cost grows with model size now that the engines, the
+// event calendar, and the per-interval station/admission work are all
+// O(work).
 
 // ScaleConfig returns a configuration factor times the quick
 // geometry: factor×50 disks and factor×40 objects with a station
@@ -45,26 +45,6 @@ func ScaleConfig(factor int, seed uint64) sched.Config {
 	return cfg
 }
 
-// ScaleOptions selects how a scale point executes.  The zero value is
-// the legacy sequential run.
-type ScaleOptions struct {
-	// Workers is the intra-run worker count (sched.Config.Workers);
-	// 0 or 1 runs the sequential path.
-	Workers int
-	// Shards is the station shard count (sched.Config.Shards).  Zero
-	// with Workers > 1 derives 4×Workers so the parallel phases have
-	// work to balance.
-	Shards int
-}
-
-// shards returns the effective shard count for the options.
-func (o ScaleOptions) shards() int {
-	if o.Shards == 0 && o.Workers > 1 {
-		return 4 * o.Workers
-	}
-	return o.Shards
-}
-
 // ScalePoint is one scale-sweep measurement: how much wall-clock one
 // engine run costs at a given model size.
 type ScalePoint struct {
@@ -79,30 +59,16 @@ type ScalePoint struct {
 	// completed — the cost-per-unit-of-simulated-work trajectory
 	// BENCH_5.json tracks across factors.
 	NsPerDisplay float64 `json:"ns_per_display,omitempty"`
-	// Workers and Shards record how the point executed (0 = legacy
-	// sequential), so a report line is self-describing.
-	Workers int `json:"workers,omitempty"`
-	Shards  int `json:"shards,omitempty"`
 	// HeapAllocBytes is the live heap right after the run — the
 	// Store/placement-table footprint that dominates at 1000x
 	// (ROADMAP item 5), measured before it can be compacted away.
 	HeapAllocBytes uint64 `json:"heap_alloc_bytes,omitempty"`
 }
 
-// RunScalePoint executes one sequential striped run at the given
-// factor and times it.
+// RunScalePoint executes one striped run at the given factor and
+// times it.
 func RunScalePoint(factor int, seed uint64) (ScalePoint, error) {
-	return RunScalePointOpts(factor, seed, ScaleOptions{})
-}
-
-// RunScalePointOpts executes one striped run at the given factor with
-// the sharded-execution options applied and times it.  The Result is
-// byte-identical across worker counts (DESIGN.md §11); only the
-// wall-clock fields vary.
-func RunScalePointOpts(factor int, seed uint64, opts ScaleOptions) (ScalePoint, error) {
 	cfg := ScaleConfig(factor, seed)
-	cfg.Workers = opts.Workers
-	cfg.Shards = opts.shards()
 	e, err := sched.NewStriped(cfg)
 	if err != nil {
 		return ScalePoint{}, fmt.Errorf("scale %dx: %w", factor, err)
@@ -129,8 +95,6 @@ func RunScalePointOpts(factor int, seed uint64, opts ScaleOptions) (ScalePoint, 
 		Displays:    res.Displays,
 		WallSeconds: wall,
 		Intervals:   intervals,
-		Workers:     cfg.Workers,
-		Shards:      cfg.Shards,
 
 		HeapAllocBytes: ms.HeapAlloc,
 	}
@@ -143,33 +107,13 @@ func RunScalePointOpts(factor int, seed uint64, opts ScaleOptions) (ScalePoint, 
 	return p, nil
 }
 
-// ScaleSweep runs the trajectory of factors with the legacy
-// sequential engine and returns one point per factor, in factor
-// order.  Points execute concurrently on a GOMAXPROCS-sized pool
-// (the same harness runSweep uses): simulation results are
-// deterministic regardless, and the per-point wall clocks remain
-// comparable because every point still runs on one goroutine.
+// ScaleSweep runs the trajectory of factors and returns one point per
+// factor, in factor order.  Points execute concurrently on a
+// GOMAXPROCS-sized pool (the same harness runSweep uses): simulation
+// results are deterministic regardless, and the per-point wall clocks
+// remain comparable because every point still runs on one goroutine.
 func ScaleSweep(factors []int, seed uint64) ([]ScalePoint, error) {
-	return ScaleSweepOpts(factors, seed, ScaleOptions{})
-}
-
-// ScaleSweepOpts runs the trajectory with sharded-execution options.
-// When opts.Workers > 1 the factors run one at a time — each point's
-// worker pool should own the machine so its wall clock measures the
-// parallel speedup, not contention with neighbouring points.
-func ScaleSweepOpts(factors []int, seed uint64, opts ScaleOptions) ([]ScalePoint, error) {
 	points := make([]ScalePoint, len(factors))
-	if opts.Workers > 1 {
-		for i, f := range factors {
-			p, err := RunScalePointOpts(f, seed, opts)
-			if err != nil {
-				return nil, err
-			}
-			points[i] = p
-		}
-		return points, nil
-	}
-
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(factors) {
 		workers = len(factors)
@@ -192,7 +136,7 @@ func ScaleSweepOpts(factors []int, seed uint64, opts ScaleOptions) ([]ScalePoint
 				if i >= len(factors) {
 					return
 				}
-				p, err := RunScalePointOpts(factors[i], seed, opts)
+				p, err := RunScalePoint(factors[i], seed)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {

@@ -23,6 +23,9 @@ func TestScaleSweep100x(t *testing.T) {
 	if p.IntervalsSec <= 0 {
 		t.Fatalf("nonpositive simulation rate %v", p.IntervalsSec)
 	}
+	if p.NsPerDisplay <= 0 {
+		t.Fatalf("ns/display not recorded: %v", p.NsPerDisplay)
+	}
 	t.Logf("100x: %d displays, %.2fs wall, %.0f intervals/s", p.Displays, p.WallSeconds, p.IntervalsSec)
 }
 
@@ -48,8 +51,7 @@ func TestScaleSweepTrajectory(t *testing.T) {
 
 // TestScaleSweep1000xGeometry pins the 1000x point's shape without
 // paying for the run: 50,000 disks and 20,000 stations, the ROADMAP
-// scale ceiling.  The run itself is exercised by cmd/bench (and
-// TestScaleSweepWorkers at 10x below).
+// scale ceiling.  The run itself is exercised by cmd/bench.
 func TestScaleSweep1000xGeometry(t *testing.T) {
 	cfg := ScaleConfig(1000, 1)
 	if cfg.D != 50000 || cfg.Stations != 20000 || cfg.Objects != 40000 {
@@ -58,38 +60,6 @@ func TestScaleSweep1000xGeometry(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("1000x config does not validate: %v", err)
-	}
-}
-
-// TestScaleSweepWorkers runs one 10x point sequentially and once with
-// the sharded multi-worker engine: the simulation outcome (displays)
-// must be identical — workers change wall-clock, never the science —
-// and the execution metadata must be recorded on the point.
-func TestScaleSweepWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("worker comparison is not short")
-	}
-	seq, err := RunScalePoint(10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunScalePointOpts(10, 1, ScaleOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Displays != par.Displays {
-		t.Fatalf("worker count changed the simulation: sequential %d displays, workers=4 %d displays",
-			seq.Displays, par.Displays)
-	}
-	if par.Workers != 4 || par.Shards != 16 {
-		t.Fatalf("point metadata is workers=%d shards=%d, want 4/16 (Shards defaults to 4×Workers)",
-			par.Workers, par.Shards)
-	}
-	if seq.Workers != 0 || seq.Shards != 0 {
-		t.Fatalf("sequential point metadata is workers=%d shards=%d, want 0/0", seq.Workers, seq.Shards)
-	}
-	if seq.NsPerDisplay <= 0 || par.NsPerDisplay <= 0 {
-		t.Fatalf("ns/display not recorded: seq %v, par %v", seq.NsPerDisplay, par.NsPerDisplay)
 	}
 }
 

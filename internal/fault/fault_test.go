@@ -123,15 +123,15 @@ func TestParse(t *testing.T) {
 	}
 
 	bad := []string{
-		"fail:3",             // missing @AT
-		"fail:x@5",           // bad disk
-		"fail:3@9-5",         // window end before start
-		"slow:2@100",         // slow needs a window
-		"tert@100",           // outage needs a window
-		"wear:0-2@mttf=50",   // missing mttr/until
+		"fail:3",                           // missing @AT
+		"fail:x@5",                         // bad disk
+		"fail:3@9-5",                       // window end before start
+		"slow:2@100",                       // slow needs a window
+		"tert@100",                         // outage needs a window
+		"wear:0-2@mttf=50",                 // missing mttr/until
 		"wear:0-2@mttf=50,mttr=0,until=10", // non-positive mttr
-		"frob:1@2",           // unknown clause
-		"fail:1@2 extra",     // trailing junk inside the clause
+		"frob:1@2",                         // unknown clause
+		"fail:1@2 extra",                   // trailing junk inside the clause
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {
@@ -181,9 +181,9 @@ func TestParseServerClauses(t *testing.T) {
 	}
 
 	bad := []string{
-		"server:1",        // missing @AT
-		"server:x@5",      // bad member
-		"server:1@9-5",    // restart before kill
+		"server:1",                // missing @AT
+		"server:x@5",              // bad member
+		"server:1@9-5",            // restart before kill
 		"server:wear:0-2@mttf=50", // missing mttr/until
 	}
 	for _, s := range bad {

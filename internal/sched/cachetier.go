@@ -12,9 +12,8 @@ import (
 // hooks that route requests through the prefix cache and the
 // multicast/batching registries, follower display lifecycle, and the
 // open Poisson arrival process that the cache experiments drive the
-// engine with.  Every function here runs on the interval goroutine —
-// requests only reach the cache through the sequential record/admit
-// paths, so sharded execution stays worker-count invariant for free.
+// engine with.  Requests only reach the cache through the record and
+// admit paths of the interval loop.
 
 // followerRef identifies one scheduled follower completion on the
 // follower wheel; gen stales entries whose follower was detached.

@@ -67,63 +67,75 @@ func TestCacheDisabledCountersZero(t *testing.T) {
 	}
 }
 
-// TestCacheWorkerInvariance mirrors TestWorkerInvariance with the
-// memory tier on: all cache work happens on the sequential interval
-// goroutine (record, admit, follower wheel), so Results must stay
-// byte-identical for workers ∈ {1, 2, 8} across all three techniques.
-func TestCacheWorkerInvariance(t *testing.T) {
-	for name, tc := range shardedConfigs() {
+// techniqueConfigs are zero-think configurations spanning the three
+// techniques' hot paths: plain striping, staggered striping with
+// Algorithms 1+2, and the VDR baseline.
+func techniqueConfigs() map[string]struct {
+	key    string
+	stride int
+	cfg    Config
+} {
+	staggered := smallConfig(48, 20)
+	staggered.Fragmented = true
+	staggered.Coalescing = true
+	staggered.Seed = 3
+
+	return map[string]struct {
+		key    string
+		stride int
+		cfg    Config
+	}{
+		"striped":   {"striped", 0, smallConfig(64, 43.5)},
+		"staggered": {"staggered", 1, staggered},
+		"vdr":       {"vdr", 0, smallConfig(32, 10)},
+	}
+}
+
+// TestCacheDeterministic pins that a run with the memory tier on and
+// think time engaged is reproducible: the same configuration run twice
+// yields byte-identical Results, across all three techniques.
+func TestCacheDeterministic(t *testing.T) {
+	for name, tc := range techniqueConfigs() {
 		t.Run(name, func(t *testing.T) {
-			var results []Result
-			for _, workers := range []int{1, 2, 8} {
+			run := func() Result {
 				cfg := tc.cfg
 				cfg.ThinkMeanSeconds = 30
-				cfg.Shards = 4
-				cfg.Workers = workers
 				cfg.Cache = cacheSpec()
 				e, _, err := NewEngineFor(tc.key, cfg, tc.stride)
 				if err != nil {
 					t.Fatal(err)
 				}
-				results = append(results, e.Run())
+				return e.Run()
 			}
-			for i := 1; i < len(results); i++ {
-				if !reflect.DeepEqual(results[0], results[i]) {
-					t.Errorf("worker count changed the cached result:\n  workers=1: %+v\n  workers=%d: %+v",
-						results[0], []int{1, 2, 8}[i], results[i])
-				}
+			if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+				t.Errorf("same config, different cached results:\n  first:  %+v\n  second: %+v", a, b)
 			}
 		})
 	}
 }
 
-// TestCacheOpenArrivalsWorkerInvariance repeats the invariance check
-// for the open-system workload the cache experiments use (Poisson
-// arrivals + Zipf popularity), where the idle-station pool and the
-// arrival stream are additional state that must not see worker count.
-func TestCacheOpenArrivalsWorkerInvariance(t *testing.T) {
-	var results []Result
-	for _, workers := range []int{1, 2, 8} {
+// TestCacheOpenArrivalsDeterministic repeats the determinism check for
+// the open-system workload the cache experiments use (Poisson arrivals
+// + Zipf popularity), where the idle-station pool and the arrival
+// stream are additional state that must replay exactly.
+func TestCacheOpenArrivalsDeterministic(t *testing.T) {
+	run := func() Result {
 		cfg := smallConfig(64, 20)
 		cfg.ZipfSkew = 0.7
 		cfg.ArrivalsPerHour = 6000
-		cfg.Shards = 4
-		cfg.Workers = workers
 		cfg.Cache = cacheSpec()
 		e, err := NewStriped(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		results = append(results, e.Run())
+		return e.Run()
 	}
-	for i := 1; i < len(results); i++ {
-		if !reflect.DeepEqual(results[0], results[i]) {
-			t.Errorf("worker count changed the open-arrivals result:\n  workers=1: %+v\n  workers=%d: %+v",
-				results[0], []int{1, 2, 8}[i], results[i])
-		}
+	a, b := run(), run()
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("same config, different open-arrivals results:\n  first:  %+v\n  second: %+v", a, b)
 	}
-	if results[0].BatchedFollowers == 0 {
-		t.Error("open Zipf workload produced no batched followers; the invariance check exercised nothing")
+	if a.BatchedFollowers == 0 {
+		t.Error("open Zipf workload produced no batched followers; the determinism check exercised nothing")
 	}
 }
 
@@ -153,7 +165,7 @@ func checkCacheConservation(t *testing.T, e *Engine) {
 // TestCacheConservation runs the cached Zipf closed loop on all three
 // techniques and checks the accounting identities at the end.
 func TestCacheConservation(t *testing.T) {
-	for name, tc := range shardedConfigs() {
+	for name, tc := range techniqueConfigs() {
 		t.Run(name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.ZipfSkew = 1.1

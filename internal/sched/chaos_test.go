@@ -180,3 +180,58 @@ func TestChaosDeterministic(t *testing.T) {
 		t.Errorf("same seed, different faulted results:\n  first:  %+v\n  second: %+v", a, b)
 	}
 }
+
+// TestShardedChaos reruns a slice of the chaos harness with think
+// time on half the scenarios: the structural invariants of a degraded
+// run (display and station conservation, no mask drift) must hold
+// while stations sit out think time on the wake-up wheel. The name
+// dates from when this slice also ran a sharded engine; it is kept so
+// the test and its 81 cases stay under the names they always had.
+func TestShardedChaos(t *testing.T) {
+	techniques := []struct {
+		key    string
+		stride int
+	}{
+		{"striped", 0},
+		{"staggered", 2},
+		{"vdr", 0},
+	}
+	means := []float64{5, 10, 15}
+	for i := 0; i < 81; i++ {
+		i := i
+		tc := techniques[i%len(techniques)]
+		t.Run(fmt.Sprintf("%03d-%s-k%d", i, tc.key, tc.stride), func(t *testing.T) {
+			t.Parallel()
+			s := rng.NewSource(uint64(7000 + i)).Stream("chaos")
+			cfg := chaosConfig(2+s.Intn(10), means[s.Intn(len(means))], uint64(1+i))
+			cfg.EvictionPressure = s.Intn(2) == 1
+			cfg.Faults = chaosPlan(s, cfg.D, cfg.MeasureIntervals)
+			cfg.ThinkMeanSeconds = float64(s.Intn(2)) * 10 // half zero-think, half closed-loop
+			e, _, err := NewEngineFor(tc.key, cfg, tc.stride)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, runErr := e.RunChecked()
+			if runErr != nil {
+				if _, ok := runErr.(*StarvationError); !ok {
+					t.Fatalf("RunChecked: %v", runErr)
+				}
+			}
+			active := e.tech.activeDisplays()
+			if e.admittedTotal != e.completedTotal+e.abortedTotal+active {
+				t.Errorf("display conservation violated: admitted %d != completed %d + aborted %d + active %d",
+					e.admittedTotal, e.completedTotal, e.abortedTotal, active)
+			}
+			if e.downCount < 0 || e.slowCount < 0 {
+				t.Errorf("mask drift: downCount %d, slowCount %d", e.downCount, e.slowCount)
+			}
+			if cfg.ThinkMeanSeconds == 0 {
+				// Zero think: every station is queued or in delivery.
+				if got := len(e.queue) + active; got != cfg.Stations {
+					t.Errorf("station accounting: queue %d + active %d != stations %d",
+						len(e.queue), active, cfg.Stations)
+				}
+			}
+		})
+	}
+}

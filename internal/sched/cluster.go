@@ -1,39 +1,8 @@
 package sched
 
 // This file is the engine's cluster-facing surface (DESIGN.md §13):
-// an exported handle on the worker pool so N engines behind one clock
-// share one pool instead of oversubscribing the machine with N, the
-// load and residency probes the dispatch policies read, and the
+// the load and residency probes the dispatch policies read, and the
 // arrival injection point for externally dispatched requests.
-
-// Pool is a shareable worker pool for the engines' intra-interval
-// parallel phases.  A cluster driver creates one Pool sized for the
-// machine and attaches it to every member engine (Engine.AttachPool);
-// because the driver steps engines sequentially and a pool run is
-// synchronous, the members never contend for it.
-type Pool struct {
-	p *workerPool
-}
-
-// NewPool creates a pool applying the given total worker parallelism
-// (the stepping goroutine participates in every run, so workers-1
-// goroutines are spawned — the same accounting as Config.Workers).
-// workers <= 1 returns an empty Pool that AttachPool ignores.
-func NewPool(workers int) *Pool {
-	if workers <= 1 {
-		return &Pool{}
-	}
-	return &Pool{p: newWorkerPool(workers - 1)}
-}
-
-// Close retires the pool's goroutines.  No engine may step after its
-// shared pool closes.
-func (p *Pool) Close() {
-	if p != nil && p.p != nil {
-		p.p.close()
-		p.p = nil
-	}
-}
 
 // ActiveDisplays returns the number of displays currently in delivery,
 // including batched followers — the leastloaded dispatch signal.

@@ -162,22 +162,6 @@ type Config struct {
 	// popularity dispatch must re-converge under.  0 (the golden
 	// configuration) never flips.
 	ZipfFlipInterval int
-
-	// Shards partitions the stations into this many contiguous blocks,
-	// each with its own wake-up wheel, think-time stream (split via
-	// rng.NewStream(seed, shard)), and admission scratch, so the
-	// station-side work of an interval can run shard-parallel and merge
-	// in fixed shard order (DESIGN.md §11).  0 or 1 keeps the single
-	// sequential path that the golden dumps pin; the effective count is
-	// clamped to Stations.
-	Shards int
-
-	// Workers bounds the goroutines that process shards (and the
-	// striped engine's admission pre-pass) inside one interval.  0 or 1
-	// runs everything inline on the calling goroutine.  Results are
-	// byte-identical at any worker count for a fixed (Seed, Shards):
-	// all cross-shard state is merged sequentially in shard order.
-	Workers int
 }
 
 // DefaultPlaceRetryLimit is the materialization retry cap the
@@ -244,10 +228,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sched: think time must be non-negative")
 	case c.PlaceRetryLimit < 0:
 		return fmt.Errorf("sched: place retry limit must be non-negative")
-	case c.Shards < 0:
-		return fmt.Errorf("sched: shard count must be non-negative")
-	case c.Workers < 0:
-		return fmt.Errorf("sched: worker count must be non-negative")
 	case c.ZipfSkew < 0:
 		return fmt.Errorf("sched: zipf skew must be non-negative")
 	case c.ArrivalsPerHour < 0:

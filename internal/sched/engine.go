@@ -104,13 +104,9 @@ type Engine struct {
 	tman  *tertiary.Manager
 	gen   *workload.Generator
 	stn   *workload.Stations
-	think []rng.Stream // per-station think-time streams (dense, sequential path)
+	think []rng.Stream // per-station think-time streams
 
-	// Sharded execution (nil on the default sequential path).
-	shards  *shardSet
-	pool    *workerPool // live between Prime and Close when Workers > 1
-	ownPool bool        // pool created by Prime (vs attached by a cluster driver)
-	primed  bool        // Prime has run: stations seeded, pool live
+	primed bool // Prime has run: stations seeded
 
 	queue      []request
 	pinned     []int32             // object -> queued request count
@@ -154,9 +150,9 @@ type Engine struct {
 	diskSlow     []bool
 	slowCount    int
 	faultedDisks []int32 // sorted disks currently down or slow: the active set of the degraded scans
-	tertDown    bool
-	maskEpoch   int // bumped on every effective disk up/down flip
-	hiccupLimit int // consecutive degraded intervals before abort
+	tertDown     bool
+	maskEpoch    int // bumped on every effective disk up/down flip
+	hiccupLimit  int // consecutive degraded intervals before abort
 
 	// Counters (window handling in Run).
 	completed    int
@@ -228,10 +224,7 @@ func NewEngine(cfg Config, tech Technique) (*Engine, error) {
 		wakeups:     sim.NewTickWheel[int](),
 		phaseLabels: profiling.PhaseLabelsEnabled(),
 	}
-	if cfg.Shards > 1 {
-		e.shards = newShardSet(cfg.Seed, cfg.Stations, cfg.Shards)
-	}
-	if cfg.ThinkMeanSeconds > 0 && e.shards == nil {
+	if cfg.ThinkMeanSeconds > 0 {
 		src := rng.NewSource(cfg.Seed)
 		e.think = make([]rng.Stream, cfg.Stations)
 		for i := range e.think {
@@ -256,36 +249,13 @@ func NewEngine(cfg Config, tech Technique) (*Engine, error) {
 	return e, nil
 }
 
-// parallel runs fn(i) for every i in [0, n) — on the worker pool when
-// one is active, inline otherwise.  fn must only write state owned by
-// index i.  Techniques use it for read-only pre-passes (the striped
-// admission annotations, DESIGN.md §11) that fill per-index buffers a
-// sequential consumer then re-validates.
-func (e *Engine) parallel(n int, fn func(i int)) {
-	if e.pool != nil {
-		e.pool.run(n, fn)
-		return
-	}
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
-
 // labeled runs fn under a pprof "phase" label so -cpuprofile output
-// attributes interval time to admit/finishDue/merge/cache instead of
+// attributes interval time to admit/finishDue/cache instead of
 // one flat run frame.  Callers must branch on Engine.phaseLabels
 // first: the label machinery allocates, so the unprofiled hot path
 // never enters here.
 func labeled(name string, fn func()) {
 	pprof.Do(context.Background(), pprof.Labels("phase", name), func(context.Context) { fn() })
-}
-
-// workers returns the effective intra-run worker count.
-func (e *Engine) workers() int {
-	if e.cfg.Workers > 1 {
-		return e.cfg.Workers
-	}
-	return 1
 }
 
 // Config returns the configuration the engine runs.
@@ -301,9 +271,8 @@ func (e *Engine) enqueue(s int) {
 }
 
 // record admits a drawn reference into the engine: queue, pin count,
-// LFU touch, trace event, technique notification.  It is the merge
-// step of the sharded drain and the tail of the sequential enqueue,
-// and always runs on the interval goroutine.
+// LFU touch, trace event, technique notification.  It is the tail of
+// enqueue and of InjectArrival.
 func (e *Engine) record(req request) {
 	e.requests++
 	if e.cache != nil {
@@ -322,10 +291,8 @@ func (e *Engine) record(req request) {
 }
 
 // reissue starts station s's next request, after its think time when
-// one is configured.  In sharded mode the think draw comes from the
-// owning shard's stream and the wake-up lands on that shard's wheel;
-// reissue is only ever called from the sequential phases (merge,
-// interval), so the draw order per shard stream is deterministic.
+// one is configured.  The think draw comes from the station's own
+// stream, so the draw sequence per station is deterministic.
 func (e *Engine) reissue(s int) {
 	if e.open != nil {
 		// Open system: the station goes idle and waits for the next
@@ -335,16 +302,6 @@ func (e *Engine) reissue(s int) {
 	}
 	if e.cfg.ThinkMeanSeconds <= 0 {
 		e.enqueue(s)
-		return
-	}
-	if e.shards != nil {
-		sh := e.shards.shardOf[s]
-		secs := e.shards.think[sh].Exp(e.cfg.ThinkMeanSeconds)
-		delay := int(secs / e.cfg.IntervalSeconds())
-		if delay < 1 {
-			delay = 1
-		}
-		e.shards.wheels[sh].Add(e.now+delay, s)
 		return
 	}
 	secs := e.think[s].Exp(e.cfg.ThinkMeanSeconds)
@@ -362,8 +319,7 @@ func (e *Engine) reissue(s int) {
 func (e *Engine) step() {
 	if e.cfg.ZipfFlipInterval > 0 && e.now == e.cfg.ZipfFlipInterval {
 		// Popularity churn: rotate the catalog's rank→object mapping
-		// before this interval draws anything, on the interval
-		// goroutine — the shard drains below happen-after.
+		// before this interval draws anything.
 		e.gen.FlipHalf()
 	}
 	if e.faultEvents != nil {
@@ -379,51 +335,12 @@ func (e *Engine) step() {
 	if e.open != nil {
 		e.drawArrivals()
 	}
-	if e.shards != nil {
-		if e.phaseLabels {
-			labeled("merge", e.drainShards)
-		} else {
-			e.drainShards()
-		}
-	} else {
-		e.wakeupBuf = e.wakeups.Due(e.now, e.wakeupBuf[:0])
-		for _, st := range e.wakeupBuf {
-			e.enqueue(st)
-		}
+	e.wakeupBuf = e.wakeups.Due(e.now, e.wakeupBuf[:0])
+	for _, st := range e.wakeupBuf {
+		e.enqueue(st)
 	}
 	e.busyArea += float64(e.tech.interval())
 	e.now++
-}
-
-// drainShards runs the station-side work of the interval
-// shard-parallel — advance each shard's wake-up wheel and draw the
-// next reference of every woken station — then merges the issued
-// references into the engine in ascending shard order.  The drains
-// write only shard-local state (wheel, buffers, the woken stations'
-// busy flags and generator streams), so any worker interleaving
-// produces the same per-shard pend buffers and the sequential merge
-// makes the outcome worker-count independent.
-func (e *Engine) drainShards() {
-	if e.cfg.ThinkMeanSeconds <= 0 {
-		// Zero think time: reissue enqueues directly and the wheels
-		// never hold anything — skipping the drain keeps sharded
-		// zero-think runs decision-identical to the sequential path.
-		return
-	}
-	now := e.now
-	t := float64(now) * e.cfg.IntervalSeconds()
-	ss := e.shards
-	e.parallel(ss.n, func(s int) {
-		ss.drain(s, now, e.stn, t)
-	})
-	issued := 0
-	for s := 0; s < ss.n; s++ {
-		for _, r := range ss.pend[s] {
-			e.record(request{station: r.Station, object: r.Object, arrived: now})
-		}
-		issued += len(ss.pend[s])
-	}
-	e.stn.AddIssued(issued)
 }
 
 // applyFaults drains plan events due at or before the current
@@ -571,25 +488,20 @@ func (e *Engine) countStarved(object int) {
 // The steppable primitives below decompose Run into the pieces a
 // multi-engine driver needs (DESIGN.md §13): Prime seeds the run,
 // StepOne advances exactly one interval, ResetWindow starts a
-// measurement window, Snapshot assembles a Result from the counters as
-// they stand, and Close releases the worker pool.  Run is re-expressed
-// on top of them, so the primitives and the classic entry point cannot
-// drift apart — the golden dumps pin both.
+// measurement window, and Snapshot assembles a Result from the counters
+// as they stand.  Run is re-expressed on top of them, so the primitives
+// and the classic entry point cannot drift apart — the golden dumps pin
+// both.
 
-// Prime readies the engine to step: it brings up the worker pool (when
-// Config.Workers > 1 and no shared pool was attached) and seeds the
-// closed-loop stations' first references.  Idempotent; StepOne calls
-// it, so callers only need it explicitly when they want the setup cost
-// paid at a known point.
+// Prime readies the engine to step: it seeds the closed-loop
+// stations' first references.  Idempotent; StepOne calls it, so
+// callers only need it explicitly when they want the setup cost paid
+// at a known point.
 func (e *Engine) Prime() {
 	if e.primed {
 		return
 	}
 	e.primed = true
-	if w := e.workers(); w > 1 && e.pool == nil {
-		e.pool = newWorkerPool(w - 1) // the interval goroutine works too
-		e.ownPool = true
-	}
 	if e.open == nil {
 		for s := 0; s < e.cfg.Stations; s++ {
 			e.enqueue(s)
@@ -597,28 +509,9 @@ func (e *Engine) Prime() {
 	}
 }
 
-// AttachPool shares an external worker pool with the engine, instead
-// of the one Prime would create.  Must precede Prime; a nil or empty
-// pool is ignored.  Engines sharing one pool must be stepped from a
-// single goroutine (the pool's run call is synchronous, so sequential
-// stepping never overlaps two engines' parallel phases).
-func (e *Engine) AttachPool(p *Pool) {
-	if p == nil || p.p == nil || e.primed {
-		return
-	}
-	e.pool = p.p
-}
-
-// Close releases the engine's own worker pool, if Prime created one.
-// An attached shared pool is left to its owner.  Safe to call twice;
-// the engine must not be stepped afterwards.
-func (e *Engine) Close() {
-	if e.ownPool && e.pool != nil {
-		e.pool.close()
-		e.ownPool = false
-	}
-	e.pool = nil
-}
+// Close is a no-op kept for callers that pair Prime with Close: the
+// engine holds no goroutines or other resources to release.
+func (e *Engine) Close() {}
 
 // HasPendingWork reports whether the run's horizon (warm-up plus
 // measurement) has not been reached yet.  A dead engine has no work:
@@ -665,7 +558,6 @@ func (e *Engine) Run() Result {
 		panic("sched: Run called twice")
 	}
 	e.Prime()
-	defer e.Close()
 	for e.now < e.cfg.WarmupIntervals {
 		e.step()
 	}

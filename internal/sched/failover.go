@@ -102,13 +102,7 @@ func (e *Engine) Revive(at int) {
 	}
 	e.deadMeasured += e.deadSpan(e.diedAt, at)
 	e.now = at
-	if e.shards == nil {
-		e.wakeups.Reset(at - 1)
-	} else if e.cfg.ThinkMeanSeconds > 0 {
-		for _, w := range e.shards.wheels {
-			w.Reset(at - 1)
-		}
-	}
+	e.wakeups.Reset(at - 1)
 	if e.cache != nil {
 		e.followerWheel.Reset(at - 1)
 		e.cache.Flush()

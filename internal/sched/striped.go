@@ -55,20 +55,20 @@ type stripedTech struct {
 
 	// Display arena.  Slot s's stream i lives at s·stride+i in the
 	// stream arena; stride is the maximum degree of declustering.
-	dStation []int32
-	dObject  []int32
-	dFirst   []int32 // disk of the object's fragment (0,0)
-	dTau0    []int32 // admission interval
-	dTmax    []int32
-	dSeq     []int32 // admission sequence, monotone across slot reuse
-	dM       []int32 // stream count (the object's degree)
-	dDone    []bool  // delivery completed or aborted
-	dDeg     []int32 // consecutive degraded intervals
-	dDegAt   []int32 // last degraded interval, -2 = never
+	dStation  []int32
+	dObject   []int32
+	dFirst    []int32 // disk of the object's fragment (0,0)
+	dTau0     []int32 // admission interval
+	dTmax     []int32
+	dSeq      []int32 // admission sequence, monotone across slot reuse
+	dM        []int32 // stream count (the object's degree)
+	dDone     []bool  // delivery completed or aborted
+	dDeg      []int32 // consecutive degraded intervals
+	dDegAt    []int32 // last degraded interval, -2 = never
 	sVdisk    []int32 // stream -> serving virtual disk, -1 released
 	sT        []int32 // stream -> alignment delay T_i
 	stride    int
-	minDegree int // smallest degree any object needs; prepare's farm gate
+	minDegree int // smallest degree any object needs; admit's farm-full gate
 
 	nextSeq  int32
 	active   int     // displays currently in delivery
@@ -110,31 +110,6 @@ type stripedTech struct {
 	coalescing  []int32       // displays with a stream still to coalesce
 	pool        []int32       // recycled contiguous display slots
 
-	// Sharded finishDue partitioning (DESIGN.md §11), nil when the
-	// engine runs unsharded.  Release and completion buckets are kept
-	// per owning shard (indexed shard·horizon + interval%horizon) so
-	// the drain's sort half can run on the worker pool with no shared
-	// writes; the apply half merges shards by admission sequence,
-	// reproducing the unsharded processing order exactly — Results are
-	// byte-identical at any worker count.
-	relShards  [][]streamRef
-	compShards [][]int32
-	dShard     []int32 // display slot -> owning shard (arena column)
-	mergeHeads []int   // per-shard merge cursors (scratch)
-
-	// Admission pre-pass annotations (DESIGN.md §11): per queue index,
-	// computed worker-parallel by prepare at the top of admit and
-	// consulted by the sequential scan that follows.  Annotations are
-	// pure reads of state that cannot change between the two (queued
-	// objects are pin-protected from eviction; virtual-disk numbering
-	// is fixed within an interval); the scan still re-validates every
-	// occupancy and readiness check before committing.
-	annEpoch int // interval the annotations were computed at, -1 = none
-	annLen   int // annotated queue prefix length
-	ann      []int8
-	annFirst []int32
-	annVids  []int32 // qi·stride+j -> virtual disk of contiguous stream j
-
 	// Reusable scratch buffers (hot path, zero steady-state allocs).
 	vidScratch  []int
 	tsScratch   []int
@@ -154,15 +129,6 @@ type stripedTech struct {
 const (
 	freeSlot int32 = -1
 	matOwner int32 = -2
-)
-
-// Annotation states of the admission pre-pass.
-const (
-	annNone     int8 = iota // not annotated: inline path
-	annNotReady             // object not ready at prepare time
-	annOther                // ready but placement probe failed: inline path
-	annReady                // ready, placed, contiguous disks free; annFirst/annVids hold the probe
-	annBlocked              // ready, placed, but a contiguous disk is busy: only the fragmented fallback can start it
 )
 
 // Striped is the striping-family engine (simple striping is the
@@ -233,18 +199,12 @@ func (t *stripedTech) bind(e *Engine) error {
 	t.horizon = horizon
 	t.releases = make([][]streamRef, horizon)
 	t.completions = make([][]int32, horizon)
-	if e.shards != nil {
-		t.relShards = make([][]streamRef, e.shards.n*horizon)
-		t.compShards = make([][]int32, e.shards.n*horizon)
-		t.mergeHeads = make([]int, e.shards.n)
-	}
 	t.stride = maxDegree
 	t.minDegree = minDegree
 	t.vidScratch = make([]int, maxDegree)
 	t.tsScratch = make([]int, maxDegree)
 	t.zeroTs = make([]int, maxDegree)
 	t.matObject = -1
-	t.annEpoch = -1
 	for i := range t.vbusy {
 		t.vbusy[i] = freeSlot
 	}
@@ -429,7 +389,6 @@ func (t *stripedTech) killActive() {
 	}
 	t.coalescing = t.coalescing[:0]
 	t.coldQueued = 0
-	t.annEpoch = -1
 }
 
 // onRevive needs no ring surgery: every event scheduled before the
@@ -438,9 +397,7 @@ func (t *stripedTech) killActive() {
 // revalidate), so entries left in skipped slots are dropped the next
 // time their slot comes around.  The probe memo compares for interval
 // equality, so pre-kill values cannot false-hit either.
-func (t *stripedTech) onRevive() {
-	t.annEpoch = -1
-}
+func (t *stripedTech) onRevive() {}
 
 // adoptObject places a copy of id for the replica-healing pass without
 // consuming tertiary time — the cluster layer's per-window budget is
@@ -581,7 +538,6 @@ func (t *stripedTech) allocSlot() int32 {
 	t.dDone = append(t.dDone, false)
 	t.dDeg = append(t.dDeg, 0)
 	t.dDegAt = append(t.dDegAt, -2)
-	t.dShard = append(t.dShard, 0)
 	for i := 0; i < t.stride; i++ {
 		t.sVdisk = append(t.sVdisk, -1)
 		t.sT = append(t.sT, 0)
@@ -604,176 +560,54 @@ func sortReleases(refs []streamRef, dSeq []int32) {
 	}
 }
 
-// applyRelease frees the disk of one due stream release, revalidating
-// against the display's current state (entries go stale when a
-// coalescing move rescheduled the stream or a fault aborted the
-// display).
-func (t *stripedTech) applyRelease(ref streamRef) {
-	e := t.eng
-	d := ref.slot
-	si := int(d)*t.stride + int(ref.i)
-	v := t.sVdisk[si]
-	if v < 0 || e.now != int(t.dTau0[d])+int(t.sT[si])+t.cfg.Subobjects {
-		return // stale: already released or rescheduled
-	}
-	if t.vbusy[v] != d {
-		e.hiccups++
-	}
-	t.setVBusy(int(v), freeSlot)
-	t.sVdisk[si] = -1 // released
-}
-
-// applyCompletion settles one due display completion, appending the
-// station to reissue; aborted displays were settled by the abort path.
-func (t *stripedTech) applyCompletion(d int32, reissue []int) []int {
-	e := t.eng
-	if t.dDone[d] {
-		return reissue // aborted by a fault; the abort path settled it
-	}
-	t.dDone[d] = true
-	t.active--
-	e.completed++
-	e.completedTotal++
-	e.emit(EvComplete, int(t.dObject[d]), int(t.dStation[d]), "")
-	t.byObject[t.dObject[d]]--
-	e.stn.Complete(int(t.dStation[d]))
-	reissue = append(reissue, int(t.dStation[d]))
-	// Contiguous displays are unreachable once completed (all
-	// release refs fired earlier this interval or before, and
-	// they never join the coalescing list) — recycle the slot.
-	if t.dTmax[d] == 0 {
-		t.pool = append(t.pool, d)
-	}
-	return reissue
-}
-
 // finishDue releases stream disks whose reads end this interval and
 // completes displays whose delivery has ended; completed stations
 // immediately reissue (zero think time).  Both are bucket lookups:
 // only the streams and displays that actually fire now are touched.
-// Sharded engines keep the buckets partitioned by owning shard and
-// take the parallel drain below.
 func (t *stripedTech) finishDue() {
-	if t.relShards != nil {
-		t.finishDueSharded()
-		return
-	}
 	e := t.eng
 	slot := e.now % t.horizon
 	if refs := t.releases[slot]; len(refs) > 0 {
 		t.releases[slot] = refs[:0]
 		sortReleases(refs, t.dSeq)
 		for _, ref := range refs {
-			t.applyRelease(ref)
+			// Revalidate against the display's current state: entries go
+			// stale when a coalescing move rescheduled the stream or a
+			// fault aborted the display.
+			d := ref.slot
+			si := int(d)*t.stride + int(ref.i)
+			v := t.sVdisk[si]
+			if v < 0 || e.now != int(t.dTau0[d])+int(t.sT[si])+t.cfg.Subobjects {
+				continue // stale: already released or rescheduled
+			}
+			if t.vbusy[v] != d {
+				e.hiccups++
+			}
+			t.setVBusy(int(v), freeSlot)
+			t.sVdisk[si] = -1 // released
 		}
 	}
 	if ds := t.completions[slot]; len(ds) > 0 {
 		t.completions[slot] = ds[:0]
 		reissue := e.reissueBuf[:0]
 		for _, d := range ds {
-			reissue = t.applyCompletion(d, reissue)
-		}
-		for _, s := range reissue {
-			e.reissue(s)
-		}
-		e.reissueBuf = reissue[:0]
-	}
-}
-
-// finishDueSharded drains the per-shard release/completion buckets:
-// the sort half runs on the worker pool (shard buckets are disjoint
-// and sorting reads only the frozen dSeq column), then the apply half
-// k-way-merges the shards by admission sequence on the interval
-// goroutine.  The merged order equals the global (dSeq, stream) order
-// the unsharded drain produces, so Results are byte-identical at any
-// worker count — including worker count one.
-func (t *stripedTech) finishDueSharded() {
-	e := t.eng
-	nsh := e.shards.n
-	slot := e.now % t.horizon
-	work := 0
-	for s := 0; s < nsh; s++ {
-		work += len(t.relShards[s*t.horizon+slot])
-	}
-	// Sort each shard's release bucket by admission sequence.  The
-	// parallel path self-gates: it only pays when the pool's workers
-	// can actually run concurrently and the buckets hold enough refs.
-	if work > 0 {
-		sortShard := func(s int) {
-			sortReleases(t.relShards[s*t.horizon+slot], t.dSeq)
-		}
-		if e.pool != nil && e.pool.concurrent && work >= 64 {
-			e.parallel(nsh, sortShard)
-		} else {
-			for s := 0; s < nsh; s++ {
-				sortShard(s)
+			if t.dDone[d] {
+				continue // aborted by a fault; the abort path settled it
 			}
-		}
-		// Merge-apply in global (dSeq, stream) order.
-		heads := t.mergeHeads
-		for s := range heads {
-			heads[s] = 0
-		}
-		for {
-			best := -1
-			var bref streamRef
-			for s := 0; s < nsh; s++ {
-				b := t.relShards[s*t.horizon+slot]
-				if heads[s] >= len(b) {
-					continue
-				}
-				ref := b[heads[s]]
-				if best < 0 || t.dSeq[ref.slot] < t.dSeq[bref.slot] ||
-					(t.dSeq[ref.slot] == t.dSeq[bref.slot] && ref.i < bref.i) {
-					best, bref = s, ref
-				}
+			t.dDone[d] = true
+			t.active--
+			e.completed++
+			e.completedTotal++
+			e.emit(EvComplete, int(t.dObject[d]), int(t.dStation[d]), "")
+			t.byObject[t.dObject[d]]--
+			e.stn.Complete(int(t.dStation[d]))
+			reissue = append(reissue, int(t.dStation[d]))
+			// Contiguous displays are unreachable once completed (all
+			// release refs fired earlier this interval or before, and
+			// they never join the coalescing list) — recycle the slot.
+			if t.dTmax[d] == 0 {
+				t.pool = append(t.pool, d)
 			}
-			if best < 0 {
-				break
-			}
-			heads[best]++
-			t.applyRelease(bref)
-		}
-		for s := 0; s < nsh; s++ {
-			t.relShards[s*t.horizon+slot] = t.relShards[s*t.horizon+slot][:0]
-		}
-	}
-	// Completions: per-shard buckets are appended in admission order,
-	// so each is already ascending in dSeq — merge directly.
-	anyComp := false
-	for s := 0; s < nsh; s++ {
-		if len(t.compShards[s*t.horizon+slot]) > 0 {
-			anyComp = true
-			break
-		}
-	}
-	if anyComp {
-		heads := t.mergeHeads
-		for s := range heads {
-			heads[s] = 0
-		}
-		reissue := e.reissueBuf[:0]
-		for {
-			best := -1
-			var bd int32
-			for s := 0; s < nsh; s++ {
-				b := t.compShards[s*t.horizon+slot]
-				if heads[s] >= len(b) {
-					continue
-				}
-				d := b[heads[s]]
-				if best < 0 || t.dSeq[d] < t.dSeq[bd] {
-					best, bd = s, d
-				}
-			}
-			if best < 0 {
-				break
-			}
-			heads[best]++
-			reissue = t.applyCompletion(bd, reissue)
-		}
-		for s := 0; s < nsh; s++ {
-			t.compShards[s*t.horizon+slot] = t.compShards[s*t.horizon+slot][:0]
 		}
 		for _, s := range reissue {
 			e.reissue(s)
@@ -989,115 +823,12 @@ func (t *stripedTech) evictable(id int) bool {
 // one interval.
 const fragmentedAttemptsPerInterval = 8
 
-// prepare runs the read-only half of the admission scan
-// worker-parallel, invoked by admit after stream releases and the
-// tertiary step so it sees the interval's final occupancy and
-// readiness: per queued request, the ready check, the placement
-// lookup, and the virtual-disk numbers of a contiguous admission this
-// interval.  admit then only probes occupancy and commits.  The
-// annotations cannot go stale between prepare and the scan — a queued
-// object is pin-protected from eviction and re-placement, and vdiskOf
-// depends only on the interval number.  Two situations skip the
-// pre-pass and fall back to the inline scan: fault-active intervals
-// (playability would need the sequential memo) and a farm too full to
-// admit even the smallest object — the common case in a saturated
-// closed system, where annotating a 10k-entry queue nobody can join
-// would be pure overhead.
-func (t *stripedTech) prepare() {
-	e := t.eng
-	t.annEpoch = -1
-	// The pre-pass trades one sequential admission scan for a parallel
-	// annotation pass plus a cheaper scan — a win only when the chunks
-	// actually run concurrently.  On a single-proc run (pool.concurrent
-	// false) it is pure overhead, so skip it; the inline scan computes
-	// the identical decisions.
-	if e.pool == nil || !e.pool.concurrent || e.faultActive() || len(e.queue) == 0 {
-		return
-	}
-	free := t.cfg.D - t.busy
-	if free < t.minDegree {
-		return
-	}
-	q := e.queue
-	n := len(q)
-	if cap(t.ann) < n {
-		t.ann = make([]int8, n)
-		t.annFirst = make([]int32, n)
-		t.annVids = make([]int32, n*t.stride)
-	}
-	t.ann = t.ann[:n]
-	t.annFirst = t.annFirst[:n]
-	t.annVids = t.annVids[:n*t.stride]
-	// Over-chunk relative to the worker count so uneven entries (mixed
-	// degrees, cold objects) self-balance on the pool's shared cursor.
-	chunks := e.workers() * 4
-	if chunks > n {
-		chunks = n
-	}
-	per := (n + chunks - 1) / chunks
-	e.parallel(chunks, func(c int) {
-		lo := c * per
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		for qi := lo; qi < hi; qi++ {
-			r := q[qi]
-			if !t.ready[r.object] {
-				t.ann[qi] = annNotReady
-				continue
-			}
-			pFirst, ok := t.store.FirstDisk(r.object)
-			if !ok {
-				t.ann[qi] = annOther
-				continue
-			}
-			m := t.cfg.Degree(r.object)
-			if m > free {
-				// More streams than the farm has free at scan start:
-				// occupancy only shrinks during the scan, so this entry
-				// cannot be admitted — don't compute its disks.
-				t.ann[qi] = annOther
-				continue
-			}
-			// Run the contiguous probe here against the frozen occupancy,
-			// with the same early break the inline probe uses.  vbusy
-			// does not change until the sequential scan commits
-			// admissions, and the scan only makes disks busier — so a
-			// probe refuted now stays refuted, and annBlocked entries
-			// skip the re-probe entirely.
-			t.annFirst[qi] = int32(pFirst)
-			base := qi * t.stride
-			blocked := false
-			for j := 0; j < m; j++ {
-				v := t.vdiskOf((pFirst + j) % t.cfg.D)
-				if t.vbusy[v] != freeSlot {
-					blocked = true
-					break
-				}
-				t.annVids[base+j] = int32(v)
-			}
-			if blocked {
-				t.ann[qi] = annBlocked
-				continue
-			}
-			t.ann[qi] = annReady
-		}
-	})
-	t.annEpoch = e.now
-	t.annLen = n
-}
-
 // admit scans the queue in arrival order and starts every display
 // whose disks are free, per §3.1's use of idle time intervals for new
 // requests.  Non-resident objects are routed to the tertiary manager.
 // With FCFSStrict the scan stops at the first request that cannot
 // start (head-of-line blocking).  A request whose object needs more
 // disks than the whole farm has free is skipped without probing.
-// When prepare annotated the queue this interval, annotated entries
-// take the pre-computed fast path; entries past the annotated prefix
-// (enqueued by this interval's completions) and entries whose
-// annotation went stale run the original inline logic.
 func (t *stripedTech) admit() {
 	e := t.eng
 	if len(e.queue) == 0 {
@@ -1112,8 +843,6 @@ func (t *stripedTech) admit() {
 	if t.coldQueued == 0 && t.cfg.D-t.busy < t.minDegree && !e.faultActive() {
 		return
 	}
-	t.prepare()
-	annotated := t.annEpoch == e.now
 	kept := e.queue[:0]
 	fragBudget := fragmentedAttemptsPerInterval
 	// faultFree is loop-invariant: fault transitions apply before the
@@ -1121,57 +850,7 @@ func (t *stripedTech) admit() {
 	// one scan.
 	faultFree := !e.faultActive()
 	noFrag := !t.cfg.Fragmented
-scan:
 	for qi, r := range e.queue {
-		if annotated && qi < t.annLen {
-			switch t.ann[qi] {
-			case annNotReady:
-				if t.ready[r.object] {
-					break // defensive: annotation contradicts live state — go inline
-				}
-				e.tman.Request(r.object)
-				kept = append(kept, r)
-				if t.cfg.FCFSStrict {
-					kept = append(kept, e.queue[qi+1:]...)
-					break scan
-				}
-				continue
-			case annReady:
-				// Still ready and still at annFirst: queued objects are
-				// pin-protected from eviction, so only the occupancy
-				// probes need fresh answers.
-				if t.cfg.D-t.busy >= t.cfg.Degree(r.object) && t.tryAdmitAnn(r, qi, &fragBudget) {
-					e.pinned[r.object]--
-					continue
-				}
-				kept = append(kept, r)
-				if t.cfg.FCFSStrict {
-					kept = append(kept, e.queue[qi+1:]...)
-					break scan
-				}
-				continue
-			case annBlocked:
-				// The contiguous probe was refuted against the frozen
-				// occupancy and disks only get busier during the scan,
-				// so skip it; the fragmented fallback (which reads the
-				// live free set) is the only remaining way in — exactly
-				// what the inline probe would have reached.  The
-				// refutation also consumes the object's probe memo.
-				t.probeObj[r.object] = int32(e.now)
-				if t.cfg.D-t.busy >= t.cfg.Degree(r.object) &&
-					t.tryFragmented(r, int(t.annFirst[qi]), t.cfg.Degree(r.object), &fragBudget) {
-					e.pinned[r.object]--
-					continue
-				}
-				kept = append(kept, r)
-				if t.cfg.FCFSStrict {
-					kept = append(kept, e.queue[qi+1:]...)
-					break scan
-				}
-				continue
-			}
-			// annOther: fall through to the inline path.
-		}
 		if !t.ready[r.object] {
 			e.tman.Request(r.object)
 			kept = append(kept, r)
@@ -1274,33 +953,6 @@ func (t *stripedTech) tryAdmit(r request, first int, fragBudget *int) bool {
 	return t.tryFragmented(r, first, m, fragBudget)
 }
 
-// tryAdmitAnn is tryAdmit on a pre-annotated entry: the contiguous
-// virtual-disk numbers were computed by prepare, so only the vbusy
-// probes run here, in the same order with the same answers the inline
-// probe would produce.
-func (t *stripedTech) tryAdmitAnn(r request, qi int, fragBudget *int) bool {
-	m := t.cfg.Degree(r.object)
-	if t.contigConsumed(r.object) {
-		return t.tryFragmented(r, int(t.annFirst[qi]), m, fragBudget)
-	}
-	base := qi * t.stride
-	vids := t.vidScratch[:m]
-	okContig := true
-	for j := 0; j < m; j++ {
-		v := int(t.annVids[base+j])
-		if t.vbusy[v] != freeSlot {
-			okContig = false
-			break
-		}
-		vids[j] = v
-	}
-	if okContig {
-		t.start(r, int(t.annFirst[qi]), vids, t.zeroTs[:m], 0)
-		return true
-	}
-	return t.tryFragmented(r, int(t.annFirst[qi]), m, fragBudget)
-}
-
 // tryFragmented runs the Algorithm-1 time-fragmented admission: a
 // walk along each stream's stride orbit in virtual-disk space, on the
 // free bitset itself, bounded by the startup limit.
@@ -1347,11 +999,6 @@ func (t *stripedTech) start(r request, first int, vids, ts []int, tmax int) {
 	t.dDone[d] = false
 	t.dDeg[d] = 0
 	t.dDegAt[d] = -2 // never degraded: -2 is adjacent to no interval
-	ringOff := 0
-	if t.relShards != nil {
-		t.dShard[d] = e.shards.shardOf[r.station]
-		ringOff = int(t.dShard[d]) * t.horizon
-	}
 	base := int(d) * t.stride
 	for i := range vids {
 		if t.vbusy[vids[i]] != freeSlot {
@@ -1361,18 +1008,10 @@ func (t *stripedTech) start(r request, first int, vids, ts []int, tmax int) {
 		t.sVdisk[base+i] = int32(vids[i])
 		t.sT[base+i] = int32(ts[i])
 		slot := (e.now + ts[i] + n) % t.horizon
-		if t.relShards != nil {
-			t.relShards[ringOff+slot] = append(t.relShards[ringOff+slot], streamRef{slot: d, i: int32(i)})
-		} else {
-			t.releases[slot] = append(t.releases[slot], streamRef{slot: d, i: int32(i)})
-		}
+		t.releases[slot] = append(t.releases[slot], streamRef{slot: d, i: int32(i)})
 	}
 	slot := (e.now + tmax + n) % t.horizon // deliveryEnd + 1
-	if t.relShards != nil {
-		t.compShards[ringOff+slot] = append(t.compShards[ringOff+slot], d)
-	} else {
-		t.completions[slot] = append(t.completions[slot], d)
-	}
+	t.completions[slot] = append(t.completions[slot], d)
 	if tmax > 0 {
 		t.coalescing = append(t.coalescing, d)
 	}
@@ -1425,12 +1064,7 @@ func (t *stripedTech) coalesce() {
 			t.sVdisk[base+i] = int32(ideal)
 			t.sT[base+i] = int32(tmax)
 			slot := (tau0 + tmax + n) % t.horizon
-			if t.relShards != nil {
-				ringOff := int(t.dShard[d]) * t.horizon
-				t.relShards[ringOff+slot] = append(t.relShards[ringOff+slot], streamRef{slot: d, i: int32(i)})
-			} else {
-				t.releases[slot] = append(t.releases[slot], streamRef{slot: d, i: int32(i)})
-			}
+			t.releases[slot] = append(t.releases[slot], streamRef{slot: d, i: int32(i)})
 			e.coalescings++
 			if e.tracer != nil {
 				e.emit(EvCoalesce, int(t.dObject[d]), int(t.dStation[d]), fmt.Sprintf("fragment %d", i))

@@ -55,18 +55,8 @@ type vdrTech struct {
 	endings      *sim.TickWheel[int] // interval -> clusters whose job ends
 	endBuf       []int               // reused Due drain buffer
 
-	// Sharded endings partitioning (DESIGN.md §11), nil when the engine
-	// runs unsharded.  Cluster c's completions live on the wheel of
-	// shard c·nshards/clusters — a contiguous, monotone mapping — so
-	// the drain-and-sort half runs on the worker pool with no shared
-	// writes, and applying shards in ascending order reproduces the
-	// unsharded ascending-cluster order exactly.  All revalidation
-	// (stale entries, duplicate same-interval entries) stays in the
-	// sequential apply loop.
-	endShards []*sim.TickWheel[int]
-	endBufs   [][]int
-	copyTargets  []int               // object -> in-flight disk-to-disk copies
-	totalCopies  int                 // total in-flight disk-to-disk copies
+	copyTargets []int // object -> in-flight disk-to-disk copies
+	totalCopies int   // total in-flight disk-to-disk copies
 
 	objScratch  []int // eviction-plan candidate scratch
 	dropScratch []int // eviction-plan drop scratch
@@ -133,13 +123,6 @@ func (t *vdrTech) bind(e *Engine) error {
 	t.repl = repl
 	t.clusters = cfg.D / cfg.M
 	t.endings = sim.NewTickWheel[int]()
-	if e.shards != nil {
-		t.endShards = make([]*sim.TickWheel[int], e.shards.n)
-		for s := range t.endShards {
-			t.endShards[s] = sim.NewTickWheel[int]()
-		}
-		t.endBufs = make([][]int, e.shards.n)
-	}
 	t.copyTargets = make([]int, cfg.Objects)
 	t.replQueued = make([]bool, cfg.Objects)
 	t.matObject = -1
@@ -392,16 +375,12 @@ func (t *vdrTech) killActive() {
 	clear(t.replQueued)
 }
 
-// onRevive jumps the ending wheels across the dead window: every
+// onRevive jumps the ending wheel across the dead window: every
 // cluster is idle after killActive, so no scheduled ending survives,
-// and the wheels just need their cursors moved so the next Due call —
+// and the wheel just needs its cursor moved so the next Due call —
 // which asserts single-interval advancement — lands on now.
 func (t *vdrTech) onRevive() {
-	at := t.eng.now
-	t.endings.Reset(at - 1)
-	for _, w := range t.endShards {
-		w.Reset(at - 1)
-	}
+	t.endings.Reset(t.eng.now - 1)
 }
 
 // adoptObject places one replica of id for the replica-healing pass
@@ -454,11 +433,7 @@ func (t *vdrTech) setJob(c int, job clusterJob, object, until int) {
 	if t.jobDegraded != nil {
 		t.jobDegraded[c] = 0
 	}
-	if t.endShards != nil {
-		t.endShards[t.clusterShard(c)].Add(until, c)
-	} else {
-		t.endings.Add(until, c)
-	}
+	t.endings.Add(until, c)
 	switch job {
 	case jobDisplay:
 		t.displayJobs++
@@ -466,13 +441,6 @@ func (t *vdrTech) setJob(c int, job clusterJob, object, until int) {
 		t.copyTargets[object]++
 		t.totalCopies++
 	}
-}
-
-// clusterShard maps cluster c to its owning shard: a contiguous,
-// monotone partition, so concatenating per-shard ascending cluster
-// lists in shard order yields a globally ascending cluster list.
-func (t *vdrTech) clusterShard(c int) int {
-	return c * t.eng.shards.n / t.clusters
 }
 
 // clearJob returns cluster c to idle.
@@ -489,59 +457,10 @@ func (t *vdrTech) clearJob(c int) {
 	t.busyClusters--
 }
 
-// applyEnding settles one due cluster ending, revalidating against the
-// cluster's live state first: an entry is stale when a fault aborted
-// the job or a new job was set with a later deadline, and a cluster
-// aborted and re-occupied within one interval can appear twice in one
-// bucket (the first visit clears the job, the second skips on idle).
-func (t *vdrTech) applyEnding(c int, reissue []int) []int {
-	e := t.eng
-	if t.job[c] == jobIdle || e.now < int(t.busyUntil[c]) {
-		return reissue
-	}
-	switch t.job[c] {
-	case jobDisplay:
-		e.completed++
-		e.completedTotal++
-		e.stn.Complete(int(t.station[c]))
-		reissue = append(reissue, int(t.station[c]))
-	case jobCopyTarget:
-		if err := t.store.PlaceReplica(int(t.jobObject[c]), c, t.cfg.Subobjects); err != nil {
-			e.hiccups++
-		} else {
-			e.replications++
-		}
-	case jobCopySource:
-		// Released together with the target; nothing to record.
-	case jobMaterialize:
-		wasResident := t.store.Resident(t.matObject)
-		if err := t.store.PlaceReplica(t.matObject, c, t.cfg.Subobjects); err != nil {
-			e.hiccups++
-		} else if wasResident {
-			e.replications++
-		}
-		if t.matFromTman {
-			if _, err := e.tman.Finish(); err != nil {
-				e.hiccups++
-			}
-		}
-		e.materialized++
-		t.matObject = -1
-		t.matStarted = false
-	}
-	t.clearJob(c)
-	return reissue
-}
-
 // finishDue completes the cluster jobs ending now — a bucket lookup,
 // not a scan of all clusters.  Clusters are processed in ascending
-// index order, matching a full scan.  Sharded engines keep the wheel
-// partitioned by owning shard and take the parallel drain below.
+// index order, matching a full scan.
 func (t *vdrTech) finishDue() {
-	if t.endShards != nil {
-		t.finishDueSharded()
-		return
-	}
 	e := t.eng
 	t.endBuf = t.endings.Due(e.now, t.endBuf[:0])
 	ending := t.endBuf
@@ -551,42 +470,45 @@ func (t *vdrTech) finishDue() {
 	sort.Ints(ending)
 	reissue := e.reissueBuf[:0]
 	for _, c := range ending {
-		reissue = t.applyEnding(c, reissue)
-	}
-	for _, s := range reissue {
-		e.reissue(s)
-	}
-	e.reissueBuf = reissue[:0]
-}
-
-// finishDueSharded drains the per-shard ending wheels: the drain-and-
-// sort half runs on the worker pool (the wheels are disjoint and the
-// drain writes only its shard's buffer), then the apply half walks the
-// shards in ascending order on the interval goroutine.  Shard buckets
-// hold ascending cluster indexes after their sort and the shard map is
-// contiguous and monotone, so the concatenation equals the globally
-// sorted order the unsharded drain produces — Results are
-// byte-identical at any worker count, including worker count one.
-// All revalidation stays in applyEnding, exactly as unsharded.
-func (t *vdrTech) finishDueSharded() {
-	e := t.eng
-	nsh := e.shards.n
-	drain := func(s int) {
-		t.endBufs[s] = t.endShards[s].Due(e.now, t.endBufs[s][:0])
-		sort.Ints(t.endBufs[s])
-	}
-	if e.pool != nil && e.pool.concurrent {
-		e.parallel(nsh, drain)
-	} else {
-		for s := 0; s < nsh; s++ {
-			drain(s)
+		// Revalidate against the cluster's live state: an entry is stale
+		// when a fault aborted the job or a new job was set with a later
+		// deadline, and a cluster aborted and re-occupied within one
+		// interval can appear twice in one bucket (the first visit
+		// clears the job, the second skips on idle).
+		if t.job[c] == jobIdle || e.now < int(t.busyUntil[c]) {
+			continue
 		}
-	}
-	reissue := e.reissueBuf[:0]
-	for s := 0; s < nsh; s++ {
-		for _, c := range t.endBufs[s] {
-			reissue = t.applyEnding(c, reissue)
+		switch t.job[c] {
+		case jobDisplay:
+			e.completed++
+			e.completedTotal++
+			e.stn.Complete(int(t.station[c]))
+			reissue = append(reissue, int(t.station[c]))
+		case jobCopyTarget:
+			if err := t.store.PlaceReplica(int(t.jobObject[c]), c, t.cfg.Subobjects); err != nil {
+				e.hiccups++
+			} else {
+				e.replications++
+			}
+		case jobCopySource:
+			// Released together with the target; nothing to record.
+		case jobMaterialize:
+			wasResident := t.store.Resident(t.matObject)
+			if err := t.store.PlaceReplica(t.matObject, c, t.cfg.Subobjects); err != nil {
+				e.hiccups++
+			} else if wasResident {
+				e.replications++
+			}
+			if t.matFromTman {
+				if _, err := e.tman.Finish(); err != nil {
+					e.hiccups++
+				}
+			}
+			e.materialized++
+			t.matObject = -1
+			t.matStarted = false
 		}
+		t.clearJob(c)
 	}
 	for _, s := range reissue {
 		e.reissue(s)

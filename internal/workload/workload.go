@@ -176,24 +176,6 @@ func (s *Stations) IssueObject(station, object int, now float64) Request {
 	return Request{Station: station, Object: object, IssuedAt: now}
 }
 
-// IssueSharded is Issue without the shared total counter, for
-// shard-parallel drains: each station belongs to exactly one shard, so
-// busy and the per-station generator stream are touched by one
-// goroutine only, while total would be contended.  Callers account the
-// issued count afterwards with AddIssued.
-func (s *Stations) IssueSharded(station int, now float64) Request {
-	if s.busy[station] {
-		panic(fmt.Sprintf("workload: station %d already has an outstanding request", station))
-	}
-	s.busy[station] = true
-	return Request{Station: station, Object: s.gen.Draw(station), IssuedAt: now}
-}
-
-// AddIssued adds n requests to the issued total; the sequential merge
-// phase calls it once per interval after shard-parallel IssueSharded
-// calls.
-func (s *Stations) AddIssued(n int) { s.total += n }
-
 // Complete marks station s idle again (its display finished).
 func (s *Stations) Complete(station int) {
 	if !s.busy[station] {

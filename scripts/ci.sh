@@ -5,6 +5,14 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "== gofmt"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l reports unformatted files:"
+	echo "$unformatted"
+	exit 1
+fi
+
 echo "== go vet"
 go vet ./...
 
@@ -29,16 +37,8 @@ go test -run 'TestGoldenSweep$|TestGoldenStaggered$|TestStaggeredKMMatchesSimple
 echo "== fuzz: Algorithm 1 orbit walk against the per-candidate oracle"
 go test -run '^$' -fuzz FuzzChooseVirtualDisks -fuzztime 10s ./internal/vdisk
 
-echo "== sharded engine under the race detector (workers=4, 100x trajectory)"
-# GOMAXPROCS floor of 2: on a single-core CI box the pool would gate
-# itself off (pool.concurrent false) and the race detector would never
-# see the parallel drains actually interleave.
-ncpu=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
-if [ "$ncpu" -ge 2 ]; then
-	go run -race ./cmd/sweep -scale 100x -workers 4 -csv
-else
-	GOMAXPROCS=2 go run -race ./cmd/sweep -scale 100x -workers 4 -csv
-fi
+echo "== 100x scale trajectory under the race detector (points run concurrently)"
+go run -race ./cmd/sweep -scale 100x -csv
 
 echo "== cache-enabled quick sweep under the race detector (memory tier + open Zipf arrivals)"
 go run -race ./cmd/sweep -scale quick -technique striped -stations 64 -dist 20 -zipf 0.7 -arrivals 6000 -cachemb 256 -batchwindow 8 -csv
@@ -65,13 +65,6 @@ echo "-- technique: staggered (explicit stride k=1)"
 go run ./cmd/sweep -scale quick -technique staggered -k 1 -stations 1,8 -dist 20 -csv
 
 echo "== perf-regression report + gate (>20% ns/op over BENCH_8 reference fails)"
-# bench refuses the worker curve on a single-CPU host unless told the
-# caveat is acceptable; CI wants the curve recorded either way, with
-# env.single_core marking reports whose curve cannot show speedup.
-if [ "$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)" -ge 2 ]; then
-	go run ./cmd/bench -out BENCH_9.json -maxregress 0.20
-else
-	go run ./cmd/bench -out BENCH_9.json -maxregress 0.20 -forcecurve
-fi
+go run ./cmd/bench -out BENCH_9.json -maxregress 0.20
 
 echo "CI OK"
