@@ -34,7 +34,7 @@ func main() {
 	for _, layout := range []mmis.TapeLayout{mmis.TapeDiskMatched, mmis.TapeSequential} {
 		c := cfg
 		c.TapeLayout = layout
-		eng, err := mmis.NewStripedSimulation(c)
+		eng, err := mmis.NewSimulation(c, "striped")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func main() {
 
 	// The replacement policy at work: the farm holds 20 of 40 clips;
 	// uniform access keeps the least-frequently-used clips churning.
-	eng, err := mmis.NewStripedSimulation(cfg)
+	eng, err := mmis.NewSimulation(cfg, "striped")
 	if err != nil {
 		log.Fatal(err)
 	}

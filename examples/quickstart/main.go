@@ -47,12 +47,12 @@ func main() {
 	cfg.CapacityFragments, cfg.Objects, cfg.Subobjects = 60, 40, 30
 	cfg.WarmupIntervals, cfg.MeasureIntervals = 600, 3000
 
-	striped, err := mmis.NewStripedSimulation(cfg)
+	striped, err := mmis.NewSimulation(cfg, "striped")
 	if err != nil {
 		log.Fatal(err)
 	}
 	rs := striped.Run()
-	vdr, err := mmis.NewVDRSimulation(cfg)
+	vdr, err := mmis.NewSimulation(cfg, "vdr")
 	if err != nil {
 		log.Fatal(err)
 	}

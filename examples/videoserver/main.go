@@ -63,7 +63,7 @@ func main() {
 	cfg.Fragmented = true // Algorithm 1: admit on non-adjacent disks
 	cfg.Coalescing = true // Algorithm 2: coalesce when disks free up
 
-	eng, err := mmis.NewStripedSimulation(cfg)
+	eng, err := mmis.NewSimulation(cfg, "staggered")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func main() {
 	naive.Degrees = nil // every display occupies M_max = 4 disks
 	naive.K = 4
 	naive.Fragmented, naive.Coalescing = false, false
-	neng, err := mmis.NewStripedSimulation(naive)
+	neng, err := mmis.NewSimulation(naive, "striped")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,7 +28,6 @@ func quickBase(stations int, seed uint64) sched.Config {
 		Seed:              seed,
 		WarmupIntervals:   200,
 		MeasureIntervals:  1000,
-		PlaceRetryLimit:   sched.DefaultPlaceRetryLimit,
 	}
 }
 

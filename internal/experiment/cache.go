@@ -68,7 +68,7 @@ func E19Run(skew float64, budgetMB, window int, seed uint64) (E19Point, error) {
 			BatchWindow: window,
 		}
 	}
-	e, err := sched.NewStriped(cfg)
+	e, _, err := sched.NewEngineFor(TechStriped, cfg, 0)
 	if err != nil {
 		return E19Point{}, fmt.Errorf("e19 skew=%v mb=%d w=%d: %w", skew, budgetMB, window, err)
 	}

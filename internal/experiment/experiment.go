@@ -56,15 +56,10 @@ const (
 )
 
 // BaseConfig returns the simulation configuration for one run at the
-// given scale.  Experiment runs opt into the bounded Place-retry cap:
-// a configuration that cannot stage its catalog starves loudly (see
-// sched.StarvationError) instead of silently livelocking the way the
-// legacy zero-value configs do.
+// given scale.
 func BaseConfig(scale Scale, stations int, mean float64, seed uint64) sched.Config {
 	if scale == Full {
-		cfg := sched.Table3Config(stations, mean, seed)
-		cfg.PlaceRetryLimit = sched.DefaultPlaceRetryLimit
-		return cfg
+		return sched.Table3Config(stations, mean, seed)
 	}
 	return sched.Config{
 		D:                 50,
@@ -82,7 +77,6 @@ func BaseConfig(scale Scale, stations int, mean float64, seed uint64) sched.Conf
 		Seed:              seed,
 		WarmupIntervals:   600,
 		MeasureIntervals:  3000,
-		PlaceRetryLimit:   sched.DefaultPlaceRetryLimit,
 	}
 }
 

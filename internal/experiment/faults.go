@@ -52,7 +52,6 @@ func e18Config(k int, seed uint64) sched.Config {
 		WarmupIntervals:   0,
 		MeasureIntervals:  500,
 		PreloadTop:        40,
-		PlaceRetryLimit:   sched.DefaultPlaceRetryLimit,
 	}
 }
 

@@ -40,7 +40,6 @@ func ScaleConfig(factor int, seed uint64) sched.Config {
 		Seed:              seed,
 		WarmupIntervals:   200,
 		MeasureIntervals:  1000,
-		PlaceRetryLimit:   sched.DefaultPlaceRetryLimit,
 	}
 	return cfg
 }
@@ -69,7 +68,7 @@ type ScalePoint struct {
 // times it.
 func RunScalePoint(factor int, seed uint64) (ScalePoint, error) {
 	cfg := ScaleConfig(factor, seed)
-	e, err := sched.NewStriped(cfg)
+	e, _, err := sched.NewEngineFor(TechStriped, cfg, 0)
 	if err != nil {
 		return ScalePoint{}, fmt.Errorf("scale %dx: %w", factor, err)
 	}

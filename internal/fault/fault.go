@@ -12,6 +12,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/mmsim/staggered/internal/rng"
@@ -150,27 +151,7 @@ func (p *Plan) FailServerUntil(member, at, restartAt int) *Plan {
 // per-member "fault-server-wear" stream so server wear never perturbs
 // a coexisting disk wear process built from the same seed.
 func (p *Plan) ServerWearProcess(members []int, mttf, mttr float64, horizon int, seed uint64) *Plan {
-	if mttf <= 0 || mttr <= 0 {
-		panic("fault: ServerWearProcess means must be positive")
-	}
-	src := rng.NewSource(seed)
-	for _, m := range members {
-		s := src.StreamN("fault-server-wear", m)
-		t := 0
-		for {
-			t += atLeastOne(s.Exp(mttf))
-			if t >= horizon {
-				break
-			}
-			p.FailServer(m, t)
-			t += atLeastOne(s.Exp(mttr))
-			if t >= horizon {
-				break
-			}
-			p.events = append(p.events, Event{At: t, Kind: ServerRepair, Disk: m})
-		}
-	}
-	return p
+	return p.wear("fault-server-wear", ServerFail, ServerRepair, members, mttf, mttr, horizon, seed)
 }
 
 // WearProcess schedules an alternating failure/repair process on each
@@ -179,35 +160,47 @@ func (p *Plan) ServerWearProcess(members []int, mttf, mttr float64, horizon int,
 // intervals), drawn from a per-disk stream of the given seed.  The
 // last failure before the horizon may go unrepaired.
 func (p *Plan) WearProcess(disks []int, mttf, mttr float64, horizon int, seed uint64) *Plan {
-	if mttf <= 0 || mttr <= 0 {
-		panic("fault: WearProcess means must be positive")
+	return p.wear("fault-wear", DiskFail, DiskRepair, disks, mttf, mttr, horizon, seed)
+}
+
+// wear appends one alternating fail/repair process per target, each
+// drawn from its own substream of the named stream.  Both means must
+// be positive and finite.
+func (p *Plan) wear(stream string, fail, repair Kind, targets []int, mttf, mttr float64, horizon int, seed uint64) *Plan {
+	if !validMean(mttf) || !validMean(mttr) {
+		panic("fault: wear means must be positive and finite")
 	}
 	src := rng.NewSource(seed)
-	for _, d := range disks {
-		s := src.StreamN("fault-wear", d)
+	for _, id := range targets {
+		s := src.StreamN(stream, id)
 		t := 0
 		for {
-			t += atLeastOne(s.Exp(mttf))
-			if t >= horizon {
+			if t = advance(t, s.Exp(mttf), horizon); t >= horizon {
 				break
 			}
-			p.FailDisk(d, t)
-			t += atLeastOne(s.Exp(mttr))
-			if t >= horizon {
+			p.events = append(p.events, Event{At: t, Kind: fail, Disk: id})
+			if t = advance(t, s.Exp(mttr), horizon); t >= horizon {
 				break
 			}
-			p.events = append(p.events, Event{At: t, Kind: DiskRepair, Disk: d})
+			p.events = append(p.events, Event{At: t, Kind: repair, Disk: id})
 		}
 	}
 	return p
 }
 
-func atLeastOne(x float64) int {
-	n := int(x)
-	if n < 1 {
-		n = 1
+func validMean(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// advance moves t on by a drawn duration of at least one interval,
+// saturating at the horizon so a draw beyond the int range can neither
+// wrap nor overflow.
+func advance(t int, x float64, horizon int) int {
+	if x >= float64(horizon-t) {
+		return horizon
 	}
-	return n
+	if x < 1 {
+		return t + 1
+	}
+	return t + int(x)
 }
 
 // Events returns the schedule sorted by time (insertion order within a

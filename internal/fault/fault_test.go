@@ -132,12 +132,55 @@ func TestParse(t *testing.T) {
 		"wear:0-2@mttf=50,mttr=0,until=10", // non-positive mttr
 		"frob:1@2",                         // unknown clause
 		"fail:1@2 extra",                   // trailing junk inside the clause
+		"wear:0@mttf=NaN,mttr=1,until=10",  // non-finite means
+		"wear:0@mttf=1,mttr=NaN,until=10",
+		"wear:0@mttf=Inf,mttr=1,until=10",
+		"wear:0@mttf=1,mttr=+Inf,until=10",
+		"wear:0@mttf=-Inf,mttr=1,until=10",
+		"server:wear:0@mttf=NaN,mttr=1,until=10",
+		"server:wear:0@mttf=Inf,mttr=1,until=10",
+		"wear:0-999999999@mttf=50,mttr=10,until=10", // range would allocate gigabytes
+		"wear:0@mttf=1,mttr=1,until=999999999",      // ~1e9 events
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) should fail", s)
 		}
 	}
+}
+
+// FuzzParse: any string compiles to a plan or an error, never a panic
+// or a runaway allocation, and a plan's events come out time-sorted.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"",
+		"fail:3@500; fail:4@100-200; slow:7@200-400; tert@1000-1500",
+		"wear:0-2@mttf=50,mttr=10,until=1000,seed=7",
+		"server:1@2000; server:0@10-20; server:wear:0-3@mttf=500,mttr=50,until=3000",
+		"wear:0@mttf=NaN,mttr=1,until=10",
+		"wear:0@mttf=1e300,mttr=1,until=9223372036854775807",
+		"wear:0-999999999@mttf=50,mttr=10,until=10",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if (p == nil) == (err == nil) {
+			t.Fatalf("Parse(%q) = %v, %v: want exactly one of plan and error", s, p, err)
+		}
+		if err != nil {
+			return
+		}
+		evs := p.Events()
+		if len(evs) != p.Len() {
+			t.Fatalf("Events() has %d events, Len() %d", len(evs), p.Len())
+		}
+		for i := 1; i < len(evs); i++ {
+			if evs[i].At < evs[i-1].At {
+				t.Fatalf("events out of order at %d: %v", i, evs)
+			}
+		}
+	})
 }
 
 // TestParseServerClauses pins the server-scope grammar: one-shot

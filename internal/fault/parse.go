@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -129,6 +130,14 @@ func parseSpan(s string) (at, until int, ranged bool, err error) {
 	return
 }
 
+// Bounds on one wear clause, far above the largest farm the
+// simulator builds (500k disks) and any realistic failure schedule,
+// so a malformed clause errors instead of allocating gigabytes.
+const (
+	maxWearTargets = 1 << 20
+	maxWearEvents  = 1 << 22
+)
+
 // parseWear parses "LO-HI@mttf=F,mttr=R,until=H[,seed=S]"; server
 // selects the member-granularity process over the disk one.
 func parseWear(p *Plan, s string, server bool) error {
@@ -170,8 +179,17 @@ func parseWear(p *Plan, s string, server bool) error {
 			return fmt.Errorf("bad %s %q", key, val)
 		}
 	}
-	if mttf <= 0 || mttr <= 0 || horizon <= 0 {
-		return fmt.Errorf("wear needs mttf>0, mttr>0, until>0")
+	if !validMean(mttf) || !validMean(mttr) || horizon <= 0 {
+		return fmt.Errorf("wear needs finite mttf>0, mttr>0, and until>0")
+	}
+	if n := hi - lo + 1; n > maxWearTargets {
+		return fmt.Errorf("wear range of %d targets exceeds %d", n, maxWearTargets)
+	}
+	// One fail/repair cycle lasts at least two intervals, and about
+	// mttf+mttr on average.
+	cycle := math.Max(mttf, 1) + math.Max(mttr, 1)
+	if events := float64(hi-lo+1) * 2 * float64(horizon) / cycle; events > maxWearEvents {
+		return fmt.Errorf("wear clause would schedule about %.3g events, more than %d", events, maxWearEvents)
 	}
 	disks := make([]int, 0, hi-lo+1)
 	for d := lo; d <= hi; d++ {

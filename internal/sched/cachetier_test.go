@@ -34,7 +34,7 @@ func TestCacheDisabledGolden(t *testing.T) {
 		t.Fatalf("missing golden dump: %v", err)
 	}
 	if got != string(want) {
-		t.Error("52-config dump with a disabled cache spec differs from golden")
+		t.Error("51-config dump with a disabled cache spec differs from golden")
 	}
 
 	got = staggeredGoldenDump(t, withDisabledCache)
@@ -53,7 +53,7 @@ func TestCacheDisabledGolden(t *testing.T) {
 func TestCacheDisabledCountersZero(t *testing.T) {
 	cfg := smallConfig(8, 20)
 	cfg.Cache = &cache.Spec{}
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestCacheOpenArrivalsDeterministic(t *testing.T) {
 		cfg.ZipfSkew = 0.7
 		cfg.ArrivalsPerHour = 6000
 		cfg.Cache = cacheSpec()
-		e, err := NewStriped(cfg)
+		e, err := NewEngine(cfg, &stripedTech{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestCacheBeatsDisabled(t *testing.T) {
 	base := smallConfig(64, 20)
 	base.ZipfSkew = 1.1
 
-	disk, err := NewStriped(base)
+	disk, err := NewEngine(base, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestCacheBeatsDisabled(t *testing.T) {
 
 	cached := base
 	cached.Cache = cacheSpec()
-	eng, err := NewStriped(cached)
+	eng, err := NewEngine(cached, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestCacheBeatsDisabled(t *testing.T) {
 func TestOpenArrivalsDiskOnly(t *testing.T) {
 	cfg := smallConfig(16, 20)
 	cfg.ArrivalsPerHour = 20000 // deliberately overdriven: must reject
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}

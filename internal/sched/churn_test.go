@@ -17,7 +17,6 @@ func churnConfig(seed uint64) Config {
 	cfg.Seed = seed
 	cfg.WarmupIntervals = 400
 	cfg.MeasureIntervals = 3200
-	cfg.PlaceRetryLimit = DefaultPlaceRetryLimit
 	cfg.Cache = &cache.Spec{BudgetBytes: 256 << 20}
 	return cfg
 }
@@ -33,7 +32,7 @@ func TestZipfFlipReconverges(t *testing.T) {
 	cfg := churnConfig(3)
 	cfg.ZipfFlipInterval = cfg.WarmupIntervals + 2*window // flip as window 2 opens
 
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func TestRunCheckedAlreadyRun(t *testing.T) {
 	cfg := smallConfig(4, 10)
 	cfg.WarmupIntervals, cfg.MeasureIntervals = 10, 50
 
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +101,7 @@ func TestRunCheckedAlreadyRun(t *testing.T) {
 
 	// Prime idempotence: a double-primed engine steps identically to a
 	// Run (seeding stations twice would panic the workload layer).
-	a, err := NewStriped(cfg)
+	a, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestRunCheckedAlreadyRun(t *testing.T) {
 		t.Fatalf("RunChecked after stepping returned %v, want ErrAlreadyRun", err)
 	}
 
-	b, err := NewStriped(cfg)
+	b, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +137,7 @@ func TestZipfFlipOffIsByteIdentical(t *testing.T) {
 	cfg.MeasureIntervals = 800
 
 	run := func(cfg Config) Result {
-		e, err := NewStriped(cfg)
+		e, err := NewEngine(cfg, &stripedTech{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,30 +70,12 @@ type Config struct {
 	Coalescing bool
 	MaxStartup int
 
-	// ReplicationTheta tunes the VDR baseline's replication trigger
-	// (see policy.Replication); 0 selects the default.
-	ReplicationTheta float64
-
 	// ThinkMeanSeconds adds an exponentially distributed think time
 	// between a station's display completion and its next request, in
 	// both engines.  The paper uses zero think time "in order to
 	// stress the system"; non-zero values are an extension for
 	// sensitivity studies.
 	ThinkMeanSeconds float64
-
-	// FCFSStrict makes admission stop at the first queued request that
-	// cannot start (head-of-line blocking) instead of scanning the
-	// whole queue.  The paper's §5 leaves scheduling fairness to
-	// future work; this option quantifies the cost of the strictest
-	// policy.  Striped engine only.
-	FCFSStrict bool
-
-	// DiskToDiskCopy lets the VDR baseline create replicas by copying
-	// cluster-to-cluster at display bandwidth instead of staging them
-	// through the tertiary device.  [GS93]'s architecture materializes
-	// replicas from tertiary store (the default here); the disk-to-disk
-	// variant is offered as a more charitable ablation.
-	DiskToDiskCopy bool
 
 	// Faults is an optional deterministic fault plan injected through
 	// the engine's interval loop (DESIGN.md §10).  Nil or empty means a
@@ -102,22 +84,16 @@ type Config struct {
 
 	// PlaceRetryLimit caps how many times a materialization retries
 	// core.Store.Place before it is abandoned and counted as starved
-	// (with exponential backoff between attempts).  0 preserves the
-	// legacy retry-forever behavior, which can livelock a k < M
-	// exact-fit farm (DESIGN.md §9); DefaultPlaceRetryLimit is the
-	// recommended cap and what the experiment configs use.
+	// (with exponential backoff between attempts), so a k < M
+	// exact-fit farm that cannot stage its catalog fails loudly instead
+	// of livelocking (DESIGN.md §9).  0 selects DefaultPlaceRetryLimit.
 	PlaceRetryLimit int
 
 	// EvictionPressure lets a materialization that is about to exhaust
 	// its Place retries evict replaceable cold residents beyond the
 	// strict byte need, defragmenting an exact-fit farm instead of
-	// starving.  Only meaningful with PlaceRetryLimit > 0.
+	// starving.
 	EvictionPressure bool
-
-	// FaultHiccupLimit is how many consecutive degraded intervals a
-	// display rides out (hiccup-and-resync) before it is aborted.
-	// 0 selects the default of 2; negative aborts immediately.
-	FaultHiccupLimit int
 
 	// Cache configures the optional memory tier (DESIGN.md §12): a
 	// popularity-aware prefix cache plus multicast stream sharing.
@@ -164,10 +140,13 @@ type Config struct {
 	ZipfFlipInterval int
 }
 
-// DefaultPlaceRetryLimit is the materialization retry cap the
-// experiment layer opts into (Config zero value keeps the legacy
-// unlimited retries so pinned golden runs are untouched).
+// DefaultPlaceRetryLimit is the materialization retry cap a zero
+// Config.PlaceRetryLimit selects.
 const DefaultPlaceRetryLimit = 32
+
+// faultHiccupLimit is how many consecutive degraded intervals a
+// display rides out (hiccup-and-resync) before it is aborted.
+const faultHiccupLimit = 2
 
 // Table3Config returns the paper's §4.1 simulation configuration:
 // 1000 disks at 20 mbps, stride 5, 2000 objects of 3000 subobjects at
@@ -328,20 +307,6 @@ func (c Config) DefaultPreload() int {
 		n = c.Objects
 	}
 	return n
-}
-
-// faultHiccupLimitOrDefault resolves the configured hiccup tolerance:
-// 0 means the default of 2 consecutive degraded intervals, negative
-// means abort on the first one.
-func (c Config) faultHiccupLimitOrDefault() int {
-	switch {
-	case c.FaultHiccupLimit > 0:
-		return c.FaultHiccupLimit
-	case c.FaultHiccupLimit < 0:
-		return 0
-	default:
-		return 2
-	}
 }
 
 // Result is the outcome of one run.

@@ -22,7 +22,7 @@ func TestDESValidationAgreesWithIntervalEngine(t *testing.T) {
 		{32, 10},
 	} {
 		cfg := smallConfig(tc.stations, tc.mean)
-		ie, err := NewStriped(cfg)
+		ie, err := NewEngine(cfg, &stripedTech{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,9 +14,8 @@ import (
 // determinismConfigs covers the code paths with nontrivial
 // incremental state: plain striping, staggered striping with
 // Algorithm 1+2 (release rescheduling on coalescing moves), closed
-// loops with think time and strict FCFS (wakeup buckets), and the VDR
-// baseline with and without disk-to-disk copies (cluster job
-// buckets, copy counters).
+// loops with think time (wakeup buckets), and the VDR baseline
+// (cluster job buckets).
 func determinismConfigs() map[string]Config {
 	staggered := smallConfig(48, 20)
 	staggered.K = 1
@@ -26,29 +25,23 @@ func determinismConfigs() map[string]Config {
 
 	think := smallConfig(32, 10)
 	think.ThinkMeanSeconds = 30
-	think.FCFSStrict = true
 	think.Seed = 4
-
-	d2d := smallConfig(64, 10)
-	d2d.DiskToDiskCopy = true
-	d2d.Seed = 5
 
 	return map[string]Config{
 		"plain":     smallConfig(64, 43.5),
 		"staggered": staggered,
 		"think":     think,
-		"d2d":       d2d,
 	}
 }
 
 func TestStripedDeterministic(t *testing.T) {
 	for name, cfg := range determinismConfigs() {
 		t.Run(name, func(t *testing.T) {
-			first, err := NewStriped(cfg)
+			first, err := NewEngine(cfg, &stripedTech{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			second, err := NewStriped(cfg)
+			second, err := NewEngine(cfg, &stripedTech{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,11 +56,11 @@ func TestStripedDeterministic(t *testing.T) {
 func TestVDRDeterministic(t *testing.T) {
 	for name, cfg := range determinismConfigs() {
 		t.Run(name, func(t *testing.T) {
-			first, err := NewVDR(cfg)
+			first, err := NewEngine(cfg, &vdrTech{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			second, err := NewVDR(cfg)
+			second, err := NewEngine(cfg, &vdrTech{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -152,7 +152,6 @@ type Engine struct {
 	faultedDisks []int32 // sorted disks currently down or slow: the active set of the degraded scans
 	tertDown     bool
 	maskEpoch    int // bumped on every effective disk up/down flip
-	hiccupLimit  int // consecutive degraded intervals before abort
 
 	// Counters (window handling in Run).
 	completed    int
@@ -194,8 +193,8 @@ type Engine struct {
 }
 
 // NewEngine builds an engine running the given technique.  Most
-// callers should go through the registry (NewEngineFor) or the kept
-// NewStriped/NewVDR constructors instead.
+// callers should go through the registry (NewEngineFor or
+// TechniqueInfo.New) instead.
 func NewEngine(cfg Config, tech Technique) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -235,7 +234,6 @@ func NewEngine(cfg Config, tech Technique) (*Engine, error) {
 		e.faultEvents = cfg.Faults.Events()
 		e.diskDown = make([]bool, cfg.D)
 		e.diskSlow = make([]bool, cfg.D)
-		e.hiccupLimit = cfg.faultHiccupLimitOrDefault()
 	}
 	if cfg.Cache.Enabled() {
 		e.bindCache()

@@ -15,9 +15,8 @@ import (
 // complete.
 func TestDiskFailureDegradesStriped(t *testing.T) {
 	cfg := smallConfig(16, 10)
-	cfg.PlaceRetryLimit = DefaultPlaceRetryLimit
 	cfg.Faults = fault.NewPlan().FailDisk(7, cfg.WarmupIntervals+100)
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,6 @@ func TestDiskFailureDegradesStriped(t *testing.T) {
 // leaving it dead for the rest of the run.
 func TestDiskRepairRestoresService(t *testing.T) {
 	base := smallConfig(16, 10)
-	base.PlaceRetryLimit = DefaultPlaceRetryLimit
 	at := base.WarmupIntervals + 100
 
 	dead := base
@@ -47,7 +45,7 @@ func TestDiskRepairRestoresService(t *testing.T) {
 	repaired.Faults = fault.NewPlan().FailDiskUntil(7, at, at+200)
 
 	run := func(cfg Config) Result {
-		e, err := NewStriped(cfg)
+		e, err := NewEngine(cfg, &stripedTech{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +68,7 @@ func TestSlowDiskInflatesHiccupsOnly(t *testing.T) {
 	cfg := smallConfig(16, 10)
 	at := cfg.WarmupIntervals + 100
 	cfg.Faults = fault.NewPlan().SlowDisk(3, at, at+500)
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +87,7 @@ func TestSlowDiskInflatesHiccupsOnly(t *testing.T) {
 func TestVDRClusterFailure(t *testing.T) {
 	cfg := smallConfig(16, 10)
 	cfg.Faults = fault.NewPlan().FailDisk(2, cfg.WarmupIntervals+50)
-	e, err := NewVDR(cfg)
+	e, err := NewEngine(cfg, &vdrTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +109,7 @@ func TestTertiaryOutageStallsStaging(t *testing.T) {
 	out.Faults = fault.NewPlan().TertiaryOutage(base.WarmupIntervals, base.WarmupIntervals+base.MeasureIntervals/2)
 
 	run := func(cfg Config) Result {
-		e, err := NewStriped(cfg)
+		e, err := NewEngine(cfg, &stripedTech{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,15 +127,13 @@ func TestTertiaryOutageStallsStaging(t *testing.T) {
 
 // TestStarvationSurfacesTypedError pins the livelock fix: the k = 1
 // exact-fit configuration that silently delivered zero displays for
-// three PRs (DESIGN.md §9) must now fail loudly through RunChecked
-// when a retry cap is set.
+// three PRs (DESIGN.md §9) must now fail loudly through RunChecked.
 func TestStarvationSurfacesTypedError(t *testing.T) {
 	cfg := smallConfig(8, 20)
 	cfg.K = 1
 	cfg.Fragmented = true
 	cfg.Coalescing = true
-	cfg.PlaceRetryLimit = DefaultPlaceRetryLimit
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,25 +156,26 @@ func TestStarvationSurfacesTypedError(t *testing.T) {
 	}
 }
 
-// TestLegacyRetryForeverPreserved pins backward compatibility: with
-// the zero-value PlaceRetryLimit the same k = 1 run still livelocks
-// silently (the golden files depend on it), and RunChecked reports no
-// error.
-func TestLegacyRetryForeverPreserved(t *testing.T) {
+// TestZeroRetryLimitStarves pins that the zero-value PlaceRetryLimit
+// is the default cap, not a retry-forever mode: the same k = 1
+// exact-fit run must starve loudly instead of livelocking silently.
+func TestZeroRetryLimitStarves(t *testing.T) {
 	cfg := smallConfig(8, 20)
 	cfg.K = 1
 	cfg.Fragmented = true
 	cfg.Coalescing = true
-	e, err := NewStriped(cfg)
+	cfg.PlaceRetryLimit = 0
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, runErr := e.RunChecked()
-	if runErr != nil {
-		t.Fatalf("legacy unlimited-retry run errored: %v", runErr)
+	var sErr *StarvationError
+	if !errors.As(runErr, &sErr) {
+		t.Fatalf("RunChecked error is %v, want *StarvationError", runErr)
 	}
-	if res.StarvedMaterializations != 0 {
-		t.Errorf("legacy run counted starvations: %+v", res)
+	if res.StarvedMaterializations == 0 {
+		t.Errorf("zero-limit run counted no starvations in the window: %+v", res)
 	}
 }
 
@@ -192,9 +189,8 @@ func TestEvictionPressureRescuesExactFit(t *testing.T) {
 		cfg.K = 1
 		cfg.Fragmented = true
 		cfg.Coalescing = true
-		cfg.PlaceRetryLimit = DefaultPlaceRetryLimit
 		cfg.EvictionPressure = pressure
-		e, err := NewStriped(cfg)
+		e, err := NewEngine(cfg, &stripedTech{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +215,7 @@ func TestFaultTraceEvents(t *testing.T) {
 	cfg := smallConfig(16, 10)
 	at := cfg.WarmupIntervals + 100
 	cfg.Faults = fault.NewPlan().FailDiskUntil(7, at, at+300)
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}

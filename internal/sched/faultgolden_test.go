@@ -25,7 +25,7 @@ func TestEmptyFaultPlanGolden(t *testing.T) {
 		t.Fatalf("missing golden dump: %v", err)
 	}
 	if got != string(want) {
-		t.Error("52-config dump with an empty fault plan differs from golden")
+		t.Error("51-config dump with an empty fault plan differs from golden")
 	}
 
 	got = staggeredGoldenDump(t, withEmptyPlan)
@@ -44,7 +44,7 @@ func TestEmptyFaultPlanGolden(t *testing.T) {
 func TestEmptyFaultPlanCountersZero(t *testing.T) {
 	cfg := smallConfig(8, 20)
 	cfg.Faults = fault.NewPlan()
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}

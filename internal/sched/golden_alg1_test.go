@@ -33,7 +33,6 @@ func alg1GoldenConfigs() []alg1GoldenConfig {
 		for _, st := range []int{8, 32, 64} {
 			cfg := smallConfig(st, 20)
 			cfg.MaxStartup = c.maxStartup
-			cfg.PlaceRetryLimit = DefaultPlaceRetryLimit
 			cfg.EvictionPressure = true
 			out = append(out, alg1GoldenConfig{
 				fmt.Sprintf("alg1-k%d-maxstartup%d-st%d", c.k, c.maxStartup, st), cfg, c.k,

@@ -10,9 +10,9 @@ import (
 	"testing"
 )
 
-// Golden pin for the first-class staggered technique: strides the
-// registry path (Configure + generic Engine) cannot reach through the
-// kept NewStriped constructor.  Regenerate with:
+// Golden pin for the first-class staggered technique: small strides
+// built through the registry path (Configure + generic Engine), which
+// the 51-config sweep never reaches.  Regenerate with:
 //
 //	go test ./internal/sched -run TestGoldenStaggered -update-golden-staggered
 

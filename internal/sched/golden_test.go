@@ -9,7 +9,7 @@ import (
 
 // The calendar layer under the engines (event rings, tick wheels,
 // wakeup buckets) must never change the simulated outcome.  This test
-// pins the results of 52 configurations byte-for-byte: the dump was
+// pins the results of 51 configurations byte-for-byte: the dump was
 // generated with the pre-wheel engines (map-keyed buckets over the
 // binary-heap era kernel) and every later calendar swap has to
 // reproduce it exactly.
@@ -18,11 +18,10 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_sweep.txt from the current engines")
 
-// goldenConfigs enumerates the 52 pinned configurations: both engines
+// goldenConfigs enumerates the 51 pinned configurations: both engines
 // across the three paper distributions and a station sweep (48 runs),
 // plus the variants with nontrivial calendar traffic — staggered
-// striping with Algorithms 1+2, think time with strict FCFS, and VDR
-// disk-to-disk copies.
+// striping with Algorithms 1+2, and think time on both engines.
 func goldenConfigs() []struct {
 	name    string
 	cfg     Config
@@ -60,15 +59,9 @@ func goldenConfigs() []struct {
 
 	think := smallConfig(32, 10)
 	think.ThinkMeanSeconds = 30
-	think.FCFSStrict = true
 	think.Seed = 4
-	add("think-fcfs-striped", think, true)
+	add("think-striped", think, true)
 	add("think-vdr", think, false)
-
-	d2d := smallConfig(64, 10)
-	d2d.DiskToDiskCopy = true
-	d2d.Seed = 5
-	add("d2d-vdr", d2d, false)
 	return out
 }
 
@@ -76,7 +69,7 @@ func goldenDump(t *testing.T) string {
 	return goldenDumpWith(t, nil)
 }
 
-// goldenDumpWith renders the 52-config dump, optionally mutating each
+// goldenDumpWith renders the 51-config dump, optionally mutating each
 // configuration first — the hook TestEmptyFaultPlanGolden uses to
 // prove an empty fault plan changes nothing.
 func goldenDumpWith(t *testing.T, mutate func(*Config)) string {
@@ -86,36 +79,26 @@ func goldenDumpWith(t *testing.T, mutate func(*Config)) string {
 		if mutate != nil {
 			mutate(&gc.cfg)
 		}
-		var (
-			res Result
-			err error
-		)
+		var tech Technique = &vdrTech{}
 		if gc.striped {
-			var e *Striped
-			if e, err = NewStriped(gc.cfg); err == nil {
-				res = e.Run()
-			}
-		} else {
-			var e *VDR
-			if e, err = NewVDR(gc.cfg); err == nil {
-				res = e.Run()
-			}
+			tech = &stripedTech{}
 		}
+		e, err := NewEngine(gc.cfg, tech)
 		if err != nil {
 			t.Fatalf("%s: %v", gc.name, err)
 		}
-		fmt.Fprintf(&b, "%s: %+v\n", gc.name, legacyView(res))
+		fmt.Fprintf(&b, "%s: %+v\n", gc.name, legacyView(e.Run()))
 	}
 	return b.String()
 }
 
 func TestGoldenSweep(t *testing.T) {
 	if testing.Short() {
-		t.Skip("52-configuration sweep is not short")
+		t.Skip("51-configuration sweep is not short")
 	}
 	cfgs := goldenConfigs()
-	if len(cfgs) != 52 {
-		t.Fatalf("golden sweep has %d configurations, want 52", len(cfgs))
+	if len(cfgs) != 51 {
+		t.Fatalf("golden sweep has %d configurations, want 51", len(cfgs))
 	}
 	checkGoldenDump(t, "golden_sweep.txt", goldenDump(t), *updateGolden, "update-golden")
 }

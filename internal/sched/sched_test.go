@@ -86,7 +86,7 @@ func TestTable3ConfigNumbers(t *testing.T) {
 
 func TestStripedSingleStation(t *testing.T) {
 	cfg := smallConfig(1, 5)
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestStripedSingleStation(t *testing.T) {
 
 func TestStripedDeterminism(t *testing.T) {
 	run := func() Result {
-		e, err := NewStriped(smallConfig(8, 10))
+		e, err := NewEngine(smallConfig(8, 10), &stripedTech{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestStripedDeterminism(t *testing.T) {
 
 func TestVDRDeterminism(t *testing.T) {
 	run := func() Result {
-		e, err := NewVDR(smallConfig(8, 10))
+		e, err := NewEngine(smallConfig(8, 10), &vdrTech{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestStripedCapacityBound(t *testing.T) {
 	// Throughput can never exceed the farm's structural limit:
 	// (D/M) concurrent displays of Subobjects intervals each.
 	cfg := smallConfig(64, 10)
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestStripedCapacityBound(t *testing.T) {
 
 func TestVDRCapacityBound(t *testing.T) {
 	cfg := smallConfig(64, 10)
-	e, err := NewVDR(cfg)
+	e, err := NewEngine(cfg, &vdrTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +180,11 @@ func TestVDRCapacityBound(t *testing.T) {
 // striping outperforms virtual data replication.
 func TestStripedBeatsVDRUnderLoad(t *testing.T) {
 	cfg := smallConfig(32, 5)
-	st, err := NewStriped(cfg)
+	st, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vd, err := NewVDR(cfg)
+	vd, err := NewEngine(cfg, &vdrTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +202,11 @@ func TestStripedBeatsVDRUnderLoad(t *testing.T) {
 // same throughput."
 func TestLowLoadParity(t *testing.T) {
 	cfg := smallConfig(1, 5)
-	st, err := NewStriped(cfg)
+	st, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vd, err := NewVDR(cfg)
+	vd, err := NewEngine(cfg, &vdrTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestLowLoadParity(t *testing.T) {
 func TestStripedThroughputScalesWithLoad(t *testing.T) {
 	prev := -1.0
 	for _, n := range []int{1, 4, 8} {
-		e, err := NewStriped(smallConfig(n, 5))
+		e, err := NewEngine(smallConfig(n, 5), &stripedTech{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestStripedThroughputScalesWithLoad(t *testing.T) {
 func TestVDRReplicatesHotObjects(t *testing.T) {
 	// Extremely skewed load on many stations forces replication.
 	cfg := smallConfig(32, 2.000001)
-	e, err := NewVDR(cfg)
+	e, err := NewEngine(cfg, &vdrTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestStripedMaterializesMisses(t *testing.T) {
 	// slots must trigger materializations.
 	cfg := smallConfig(8, 40)
 	cfg.MeasureIntervals = 6000
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestStripedMaterializesMisses(t *testing.T) {
 }
 
 func TestStripedRunTwicePanics(t *testing.T) {
-	e, err := NewStriped(smallConfig(1, 5))
+	e, err := NewEngine(smallConfig(1, 5), &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestStripedRunTwicePanics(t *testing.T) {
 func TestVDRRejectsBadGeometry(t *testing.T) {
 	cfg := smallConfig(4, 10)
 	cfg.D = 52 // not divisible by M=5
-	if _, err := NewVDR(cfg); err == nil {
+	if _, err := NewEngine(cfg, &vdrTech{}); err == nil {
 		t.Fatal("non-divisible geometry accepted")
 	}
 }
@@ -300,7 +300,7 @@ func TestStaggeredStride1(t *testing.T) {
 	cfg.K = 1
 	cfg.Fragmented = true
 	cfg.Coalescing = true
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func BenchmarkStripedInterval(b *testing.B) {
 	cfg := smallConfig(32, 10)
 	cfg.WarmupIntervals = 0
 	cfg.MeasureIntervals = 1
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func BenchmarkStripedInterval(b *testing.B) {
 
 func BenchmarkVDRInterval(b *testing.B) {
 	cfg := smallConfig(32, 10)
-	e, err := NewVDR(cfg)
+	e, err := NewEngine(cfg, &vdrTech{})
 	if err != nil {
 		b.Fatal(err)
 	}

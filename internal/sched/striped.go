@@ -131,21 +131,6 @@ const (
 	matOwner int32 = -2
 )
 
-// Striped is the striping-family engine (simple striping is the
-// special case K = M, staggered striping any other stride).  It is a
-// thin wrapper over the generic Engine bound to the striped
-// technique, kept as a named type for compatibility.
-type Striped struct{ *Engine }
-
-// NewStriped builds a striped engine from the configuration.
-func NewStriped(cfg Config) (*Striped, error) {
-	e, err := NewEngine(cfg, &stripedTech{})
-	if err != nil {
-		return nil, err
-	}
-	return &Striped{e}, nil
-}
-
 // bind allocates the striped technique's state and preloads the farm.
 func (t *stripedTech) bind(e *Engine) error {
 	cfg := e.cfg
@@ -347,7 +332,7 @@ func (t *stripedTech) degradedScan() {
 		t.dDegAt[d] = int32(e.now)
 		t.dDeg[d]++
 		e.degHiccups++
-		if down && int(t.dDeg[d]) > e.hiccupLimit {
+		if down && int(t.dDeg[d]) > faultHiccupLimit {
 			t.abortDisplay(d)
 		}
 	}
@@ -680,8 +665,8 @@ func (t *stripedTech) stepTertiary() {
 }
 
 // tryPlace secures space (evicting cold residents as needed) and a
-// contiguous start for obj — the legacy staging step, factored out so
-// the bounded-retry path can reuse it after eviction pressure.
+// contiguous start for obj: the staging step, shared by the retry
+// path after eviction pressure and by replica healing.
 func (t *stripedTech) tryPlace(obj int) bool {
 	if !t.makeRoom(obj) {
 		return false
@@ -693,18 +678,16 @@ func (t *stripedTech) tryPlace(obj int) bool {
 	return true
 }
 
-// placeFailed handles one failed Place attempt.  With the legacy
-// unlimited-retry configuration (PlaceRetryLimit 0) it just leaves
-// the staging pending for the next interval — the DESIGN.md §9
-// livelock.  With a cap it backs off exponentially, fires the
-// one-shot eviction-pressure fallback at the limit when enabled, and
-// finally abandons the staging as starved so the run fails loudly
-// instead of delivering a silent zero-display sweep.
+// placeFailed handles one failed Place attempt: it backs off
+// exponentially, fires the one-shot eviction-pressure fallback at the
+// retry cap when enabled, and finally abandons the staging as starved
+// so the run fails loudly instead of retrying forever (the DESIGN.md
+// §9 livelock) or delivering a silent zero-display sweep.
 func (t *stripedTech) placeFailed(obj int) {
 	e := t.eng
 	limit := t.cfg.PlaceRetryLimit
 	if limit == 0 {
-		return // retry next interval, forever
+		limit = DefaultPlaceRetryLimit
 	}
 	t.matRetries++
 	if t.matRetries >= limit {
@@ -826,9 +809,8 @@ const fragmentedAttemptsPerInterval = 8
 // admit scans the queue in arrival order and starts every display
 // whose disks are free, per §3.1's use of idle time intervals for new
 // requests.  Non-resident objects are routed to the tertiary manager.
-// With FCFSStrict the scan stops at the first request that cannot
-// start (head-of-line blocking).  A request whose object needs more
-// disks than the whole farm has free is skipped without probing.
+// A request whose object needs more disks than the whole farm has free
+// is skipped without probing.
 func (t *stripedTech) admit() {
 	e := t.eng
 	if len(e.queue) == 0 {
@@ -850,14 +832,10 @@ func (t *stripedTech) admit() {
 	// one scan.
 	faultFree := !e.faultActive()
 	noFrag := !t.cfg.Fragmented
-	for qi, r := range e.queue {
+	for _, r := range e.queue {
 		if !t.ready[r.object] {
 			e.tman.Request(r.object)
 			kept = append(kept, r)
-			if t.cfg.FCFSStrict {
-				kept = append(kept, e.queue[qi+1:]...)
-				break
-			}
 			continue
 		}
 		// Memo fast path: the object's contiguous probe was already
@@ -868,10 +846,6 @@ func (t *stripedTech) admit() {
 		// either).  Skip the placement lookup and the probe entirely.
 		if faultFree && (noFrag || fragBudget <= 0) && t.probeObj[r.object] == int32(e.now) {
 			kept = append(kept, r)
-			if t.cfg.FCFSStrict {
-				kept = append(kept, e.queue[qi+1:]...)
-				break
-			}
 			continue
 		}
 		first, ok := t.store.FirstDisk(r.object)
@@ -879,10 +853,6 @@ func (t *stripedTech) admit() {
 			t.setReady(r.object, false)
 			e.tman.Request(r.object)
 			kept = append(kept, r)
-			if t.cfg.FCFSStrict {
-				kept = append(kept, e.queue[qi+1:]...)
-				break
-			}
 			continue
 		}
 		if !t.playable(r.object) {
@@ -899,10 +869,6 @@ func (t *stripedTech) admit() {
 			continue
 		}
 		kept = append(kept, r)
-		if t.cfg.FCFSStrict {
-			kept = append(kept, e.queue[qi+1:]...)
-			break
-		}
 	}
 	e.queue = kept
 	if len(t.rejectBuf) > 0 {

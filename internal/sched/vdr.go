@@ -19,8 +19,6 @@ type clusterJob int8
 const (
 	jobIdle clusterJob = iota
 	jobDisplay
-	jobCopySource
-	jobCopyTarget
 	jobMaterialize
 )
 
@@ -31,9 +29,9 @@ const (
 // granularity.  A cluster serves one display at a time.
 //
 // Per-interval work is event-driven: job completions live in
-// interval-keyed buckets, the busy-cluster count and per-object
-// copies-in-flight are maintained incrementally, so an interval costs
-// O(events that fire), not O(clusters + queue).
+// interval-keyed buckets and the busy-cluster count is maintained
+// incrementally, so an interval costs O(events that fire), not
+// O(clusters + queue).
 type vdrTech struct {
 	eng   *Engine
 	cfg   Config
@@ -54,9 +52,6 @@ type vdrTech struct {
 	displayJobs  int                 // clusters currently running a display
 	endings      *sim.TickWheel[int] // interval -> clusters whose job ends
 	endBuf       []int               // reused Due drain buffer
-
-	copyTargets []int // object -> in-flight disk-to-disk copies
-	totalCopies int   // total in-flight disk-to-disk copies
 
 	objScratch  []int // eviction-plan candidate scratch
 	dropScratch []int // eviction-plan drop scratch
@@ -84,23 +79,9 @@ type vdrTech struct {
 	matFromTman bool // current staging came from the miss queue
 }
 
-// VDR is the virtual-data-replication baseline engine, a thin wrapper
-// over the generic Engine bound to the VDR technique, kept as a named
-// type for compatibility.
-type VDR struct{ *Engine }
-
-// NewVDR builds the baseline engine from the configuration (the
-// stride field is ignored; every object is pinned to one cluster,
-// which is the k = D special case).
-func NewVDR(cfg Config) (*VDR, error) {
-	e, err := NewEngine(cfg, &vdrTech{})
-	if err != nil {
-		return nil, err
-	}
-	return &VDR{e}, nil
-}
-
 // bind allocates the VDR technique's state and warm-starts the farm.
+// The stride is ignored: every object is pinned to one cluster, which
+// is the k = D special case.
 func (t *vdrTech) bind(e *Engine) error {
 	cfg := e.cfg
 	if cfg.D%cfg.M != 0 {
@@ -110,20 +91,13 @@ func (t *vdrTech) bind(e *Engine) error {
 	if err != nil {
 		return err
 	}
-	repl := policy.Replication{Theta: cfg.ReplicationTheta}
-	if cfg.ReplicationTheta == 0 {
-		repl = policy.DefaultReplication()
-	}
-	if err := repl.Validate(); err != nil {
-		return err
-	}
+	repl := policy.DefaultReplication()
 	t.eng = e
 	t.cfg = cfg
 	t.store = store
 	t.repl = repl
 	t.clusters = cfg.D / cfg.M
 	t.endings = sim.NewTickWheel[int]()
-	t.copyTargets = make([]int, cfg.Objects)
 	t.replQueued = make([]bool, cfg.Objects)
 	t.matObject = -1
 	t.job = make([]clusterJob, t.clusters)
@@ -262,14 +236,13 @@ func (t *vdrTech) onFault(ev fault.Event) {
 // degradedScan visits each faulted cluster once per interval while any
 // fault is active: a display on a cluster with a down disk rides out
 // up to the hiccup limit of consecutive degraded intervals before
-// aborting (a slow disk only inflates the degraded-hiccup count);
-// copies and materializations touching a down disk are abandoned
-// immediately — their product would be unreadable anyway.  The scan
-// maps the engine's sorted faulted-disk active set to clusters: a
-// cluster's disks [c·M, (c+1)·M) are contiguous, so duplicates are
-// consecutive and the visit order is ascending cluster — the same
-// order the old all-clusters walk used — at O(faulted disks), not
-// O(clusters).
+// aborting (a slow disk only inflates the degraded-hiccup count); a
+// materialization touching a down disk is abandoned immediately — its
+// product would be unreadable anyway.  The scan maps the engine's
+// sorted faulted-disk active set to clusters: a cluster's disks
+// [c·M, (c+1)·M) are contiguous, so duplicates are consecutive and the
+// visit order is ascending cluster — the same order the old
+// all-clusters walk used — at O(faulted disks), not O(clusters).
 func (t *vdrTech) degradedScan() {
 	e := t.eng
 	lastC := -1
@@ -288,13 +261,9 @@ func (t *vdrTech) degradedScan() {
 			e.degHiccups++
 			if bad {
 				t.jobDegraded[c]++
-				if t.jobDegraded[c] > e.hiccupLimit {
+				if t.jobDegraded[c] > faultHiccupLimit {
 					t.abortDisplay(c)
 				}
-			}
-		case jobCopySource, jobCopyTarget:
-			if bad {
-				t.abortCopy(c)
 			}
 		case jobMaterialize:
 			if bad {
@@ -310,23 +279,6 @@ func (t *vdrTech) abortDisplay(c int) {
 	station, object := int(t.station[c]), int(t.jobObject[c])
 	t.clearJob(c)
 	t.eng.countAbort(station, object)
-}
-
-// abortCopy abandons a disk-to-disk copy from either end, releasing
-// the partner cluster too (copy pairs share object and end interval).
-func (t *vdrTech) abortCopy(c int) {
-	obj, until := t.jobObject[c], t.busyUntil[c]
-	other := jobCopySource
-	if t.job[c] == jobCopySource {
-		other = jobCopyTarget
-	}
-	t.clearJob(c)
-	for p := 0; p < t.clusters; p++ {
-		if t.job[p] == other && t.jobObject[p] == obj && t.busyUntil[p] == until {
-			t.clearJob(p)
-			return
-		}
-	}
 }
 
 // abortStaging abandons the pending or in-flight materialization; a
@@ -353,9 +305,7 @@ func (t *vdrTech) abortStaging() {
 // staging aborts first (a miss staging re-queues its batched
 // followers, and the engine drains the queue right after), then every
 // busy cluster's job aborts through the same typed paths the disk
-// faults use.  abortCopy clears both ends of a pair, so the second end
-// is seen idle when the walk reaches it.  The replication queue is
-// dropped outright — the trigger re-fires after restart if still
+// faults use.  The replication queue is dropped outright — the trigger re-fires after restart if still
 // warranted.
 func (t *vdrTech) killActive() {
 	if t.matObject >= 0 {
@@ -365,8 +315,6 @@ func (t *vdrTech) killActive() {
 		switch t.job[c] {
 		case jobDisplay:
 			t.abortDisplay(c)
-		case jobCopySource, jobCopyTarget:
-			t.abortCopy(c)
 		case jobMaterialize:
 			t.clearJob(c) // defensive: abortStaging above cleared it
 		}
@@ -392,7 +340,7 @@ func (t *vdrTech) adoptObject(id int) bool {
 	if id == t.matObject || t.eng.tman.Pending(id) || t.replQueued[id] {
 		return false
 	}
-	c, drop, _, ok := t.victimCluster(id)
+	c, drop, ok := t.victimCluster(id)
 	if !ok {
 		return false
 	}
@@ -423,8 +371,7 @@ func (t *vdrTech) uniqueResidents() int { return t.store.UniqueResident() }
 func (t *vdrTech) holdsObject(id int) bool { return len(t.store.Replicas(id)) > 0 }
 
 // setJob starts a job on cluster c until the given interval,
-// maintaining the busy count, the copy-in-flight counters, and the
-// completion bucket.
+// maintaining the busy and display counts and the completion bucket.
 func (t *vdrTech) setJob(c int, job clusterJob, object, until int) {
 	t.job[c] = job
 	t.jobObject[c] = int32(object)
@@ -434,23 +381,15 @@ func (t *vdrTech) setJob(c int, job clusterJob, object, until int) {
 		t.jobDegraded[c] = 0
 	}
 	t.endings.Add(until, c)
-	switch job {
-	case jobDisplay:
+	if job == jobDisplay {
 		t.displayJobs++
-	case jobCopyTarget:
-		t.copyTargets[object]++
-		t.totalCopies++
 	}
 }
 
 // clearJob returns cluster c to idle.
 func (t *vdrTech) clearJob(c int) {
-	switch t.job[c] {
-	case jobDisplay:
+	if t.job[c] == jobDisplay {
 		t.displayJobs--
-	case jobCopyTarget:
-		t.copyTargets[t.jobObject[c]]--
-		t.totalCopies--
 	}
 	t.job[c] = jobIdle
 	t.jobObject[c] = -1
@@ -484,14 +423,6 @@ func (t *vdrTech) finishDue() {
 			e.completedTotal++
 			e.stn.Complete(int(t.station[c]))
 			reissue = append(reissue, int(t.station[c]))
-		case jobCopyTarget:
-			if err := t.store.PlaceReplica(int(t.jobObject[c]), c, t.cfg.Subobjects); err != nil {
-				e.hiccups++
-			} else {
-				e.replications++
-			}
-		case jobCopySource:
-			// Released together with the target; nothing to record.
 		case jobMaterialize:
 			wasResident := t.store.Resident(t.matObject)
 			if err := t.store.PlaceReplica(t.matObject, c, t.cfg.Subobjects); err != nil {
@@ -541,7 +472,7 @@ func (t *vdrTech) stepTertiary() {
 			return
 		}
 	}
-	c, drop, _, ok := t.victimCluster(t.matObject)
+	c, drop, ok := t.victimCluster(t.matObject)
 	if !ok {
 		return // no evictable idle cluster; retry next interval
 	}
@@ -562,7 +493,7 @@ func (t *vdrTech) replicaEvictable(id int) bool {
 }
 
 // marginalValue estimates the cost of losing one replica of id: its
-// access frequency divided by its replica count (including copies in
+// access frequency divided by its replica count (including a copy in
 // flight).  Losing one of many replicas of a hot object costs less
 // than losing the only replica of a lukewarm one.
 func (t *vdrTech) marginalValue(id int) float64 {
@@ -630,10 +561,11 @@ func (t *vdrTech) evictionPlan(c, need, forObject int, buf []int) (drop []int, l
 	return nil, 0, false
 }
 
-// victimCluster picks the cheapest cluster that can hold a new
-// replica of size Subobjects, returning its eviction plan and loss.
-// The returned drop slice is valid until the next victimCluster call.
-func (t *vdrTech) victimCluster(forObject int) (cluster int, drop []int, loss float64, ok bool) {
+// victimCluster picks the cheapest cluster (least marginal value
+// lost) that can hold a new replica of size Subobjects, returning its
+// eviction plan.  The returned drop slice is valid until the next
+// victimCluster call.
+func (t *vdrTech) victimCluster(forObject int) (cluster int, drop []int, ok bool) {
 	best := -1
 	var bestDrop []int
 	bestLoss := 0.0
@@ -656,9 +588,9 @@ func (t *vdrTech) victimCluster(forObject int) (cluster int, drop []int, loss fl
 	}
 	t.dropScratch, t.dropBest = cur, spare
 	if best < 0 {
-		return 0, nil, 0, false
+		return 0, nil, false
 	}
-	return best, bestDrop, bestLoss, true
+	return best, bestDrop, true
 }
 
 // executePlan evicts the planned replicas from cluster c.
@@ -695,14 +627,7 @@ func (t *vdrTech) admit() {
 			t.rejectBuf = append(t.rejectBuf, r)
 			continue
 		}
-		// Replication takes priority over admission for a contended
-		// object: otherwise a permanently-busy sole replica could
-		// never be copied (the idle interval would always be consumed
-		// by the next waiting display).
-		if !e.tman.Pending(r.object) && t.maybeReplicate(r.object) {
-			kept = append(kept, r)
-			continue
-		}
+		t.maybeReplicate(r.object)
 		if c, ok := t.idleReplica(r.object); ok {
 			t.startDisplay(r, c)
 			continue
@@ -734,16 +659,14 @@ func (t *vdrTech) idleReplica(id int) (int, bool) {
 	return 0, false
 }
 
-// copiesInFlight returns the number of replicas of id currently being
-// created, by disk-to-disk copy or by a pending/in-flight tertiary
-// staging of an already-resident object.  Disk-to-disk copies are
-// counted incrementally (copyTargets), not by scanning clusters.
+// copiesInFlight returns 1 while a replica of the resident object id
+// is being created — a pending, queued, or in-flight tertiary staging
+// — and 0 otherwise.
 func (t *vdrTech) copiesInFlight(id int) int {
-	n := t.copyTargets[id]
 	if t.store.Resident(id) && (t.eng.tman.Pending(id) || t.replQueued[id] || t.matObject == id) {
-		n++
+		return 1
 	}
-	return n
+	return 0
 }
 
 // startDisplay occupies cluster c for one display of r.object.
@@ -755,78 +678,28 @@ func (t *vdrTech) startDisplay(r request, c int) {
 	e.noteAdmit(r, 0)
 }
 
-// maybeReplicate creates an additional replica of a contended object
+// maybeReplicate queues an additional replica of a contended object
 // when the policy's benefit test passes.  In the faithful [GS93]
-// architecture the replica is staged through the tertiary device —
-// it joins the same FCFS queue as misses, which is precisely why
-// replication cannot keep up under heavy load.  With
-// Config.DiskToDiskCopy the replica is instead copied cluster-to-
-// cluster at display bandwidth (a charitable ablation).  It reports
-// whether the admission scan should keep the request queued because
-// an exclusive disk-to-disk copy was just started.
-func (t *vdrTech) maybeReplicate(obj int) bool {
+// architecture the replica is staged through the tertiary device
+// behind all miss materializations, and the victim cluster is chosen
+// when the staging starts.  The device itself is the brake on
+// replication volume, which is precisely why replication cannot keep
+// up under heavy load.
+func (t *vdrTech) maybeReplicate(obj int) {
 	e := t.eng
-	replicas := len(t.store.Replicas(obj)) + t.copiesInFlight(obj)
+	if e.tman.Pending(obj) || t.replQueued[obj] || t.matObject == obj {
+		return
+	}
+	// Nothing is in flight for obj past the guard above, so the
+	// resident replicas are the whole count.
+	replicas := len(t.store.Replicas(obj))
 	share := 0.0
 	if t.totalRefs > 0 {
 		share = float64(e.lfu.Count(obj)) / float64(t.totalRefs)
 	}
 	target := t.repl.Target(share, t.cfg.Stations)
-	if !t.repl.ShouldReplicate(int(e.pinned[obj]), replicas, target) {
-		return false
+	if t.repl.ShouldReplicate(int(e.pinned[obj]), replicas, target) {
+		t.replQueued[obj] = true
+		t.replQueue = append(t.replQueue, obj)
 	}
-	if !t.cfg.DiskToDiskCopy {
-		// The replica is staged through the tertiary device behind
-		// all miss materializations; the victim is chosen when the
-		// staging starts.  The device itself is the brake on
-		// replication volume — exactly the [GS93] architecture's
-		// limit.
-		if !t.replQueued[obj] && !e.tman.Pending(obj) && t.matObject != obj {
-			t.replQueued[obj] = true
-			t.replQueue = append(t.replQueue, obj)
-		}
-		return false // replication is asynchronous; keep admitting
-	}
-	// Cost/benefit with hysteresis: the marginal value of the new
-	// replica must clearly exceed what the cheapest victim cluster
-	// gives up, or replication would churn replicas back and forth.
-	_, _, loss, ok := t.victimCluster(obj)
-	if !ok {
-		return false
-	}
-	gain := float64(e.lfu.Count(obj)) / float64(replicas+1)
-	if gain <= 1.2*loss {
-		return false
-	}
-	return t.diskToDiskCopy(obj, replicas)
-}
-
-// diskToDiskCopy starts a cluster-to-cluster copy of obj, used only
-// by the DiskToDiskCopy ablation.
-func (t *vdrTech) diskToDiskCopy(obj, replicas int) bool {
-	// Bound the copy traffic: a small fixed share of the farm may be
-	// copying at any instant, so replication can never starve
-	// displays (the storms an unbounded trigger produces under zero
-	// think time swamp the farm with 2-cluster copy jobs).
-	maxCopies := t.clusters / 16
-	if maxCopies < 1 {
-		maxCopies = 1
-	}
-	if t.totalCopies >= maxCopies {
-		return false
-	}
-	src, ok := t.idleReplica(obj)
-	if !ok {
-		return false
-	}
-	dst, drop, _, ok := t.victimCluster(obj)
-	if !ok || dst == src {
-		return false
-	}
-	if !t.executePlan(dst, drop) {
-		return false
-	}
-	t.setJob(src, jobCopySource, obj, t.eng.now+t.cfg.Subobjects)
-	t.setJob(dst, jobCopyTarget, obj, t.eng.now+t.cfg.Subobjects)
-	return true
 }

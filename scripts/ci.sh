@@ -31,11 +31,17 @@ go test -bench 'BenchmarkFigure8a$|BenchmarkTable4$' -benchmem -benchtime 3x -ru
 echo "== kernel calendar microbenchmarks (short mode)"
 go test -bench 'BenchmarkCalendar' -benchmem -benchtime 100000x -run '^$' ./internal/sim
 
-echo "== golden dumps (52-config sweep + staggered strides + Algorithm 1 pin, byte-identical)"
+echo "== golden dumps (51-config sweep + staggered strides + Algorithm 1 pin, byte-identical)"
 go test -run 'TestGoldenSweep$|TestGoldenStaggered$|TestStaggeredKMMatchesSimpleGolden$|TestGoldenAlgorithm1$' ./internal/sched
 
 echo "== fuzz: Algorithm 1 orbit walk against the per-candidate oracle"
 go test -run '^$' -fuzz FuzzChooseVirtualDisks -fuzztime 10s ./internal/vdisk
+
+echo "== fuzz: fault-plan parser (plan or error, never a panic or a runaway allocation)"
+go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/fault
+
+echo "== fuzz: Config -> Validate -> NewEngineFor -> short RunChecked (error or zero hiccups)"
+go test -run '^$' -fuzz FuzzEngineConfig -fuzztime 10s ./internal/sched
 
 echo "== 100x scale trajectory under the race detector (points run concurrently)"
 go run -race ./cmd/sweep -scale 100x -csv
