@@ -51,7 +51,9 @@ func TestScaleSweepTrajectory(t *testing.T) {
 
 // TestScaleSweep1000xGeometry pins the 1000x point's shape without
 // paying for the run: 50,000 disks and 20,000 stations, the ROADMAP
-// scale ceiling.  The run itself is exercised by cmd/bench.
+// scale ceiling.  The run itself is exercised by the perfbench
+// workload scale-zipf, which builds ScaleConfig(1000) with Zipf
+// popularity.
 func TestScaleSweep1000xGeometry(t *testing.T) {
 	cfg := ScaleConfig(1000, 1)
 	if cfg.D != 50000 || cfg.Stations != 20000 || cfg.Objects != 40000 {

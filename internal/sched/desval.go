@@ -120,7 +120,7 @@ func RunDESValidation(cfg Config) (int, error) {
 			for {
 				obj := e.gen.Draw(s)
 				e.lfu.Touch(obj)
-				done := e.k.NewSignal(fmt.Sprintf("done-%d", s))
+				done := e.k.NewSignal()
 				e.queue = append(e.queue, desreq{station: s, object: obj, done: done})
 				e.pinned[obj]++
 				p.Wait(done) // fires after the display's last subobject

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/mmsim/staggered/internal/diskmodel"
 	"github.com/mmsim/staggered/internal/rng"
@@ -41,8 +42,19 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 	if err := cfg.Disk.Validate(); err != nil {
 		return MicroResult{}, err
 	}
-	if cfg.M <= 0 || cfg.N <= 0 || cfg.FragmentBytes <= 0 {
-		return MicroResult{}, fmt.Errorf("sched: micro model needs positive M, N, fragment")
+	switch {
+	case cfg.M <= 0 || cfg.N <= 0:
+		return MicroResult{}, fmt.Errorf("sched: micro model needs positive M and N")
+	case !(cfg.FragmentBytes > 0) || math.IsInf(cfg.FragmentBytes, 1):
+		return MicroResult{}, fmt.Errorf("sched: micro model needs a positive finite fragment, got %v", cfg.FragmentBytes)
+	// Every read seeks to a random start cylinder that leaves room for
+	// the whole fragment, so it must span fewer cylinders than the disk
+	// has.  Counted in floats: CylinderCrossings overflows int for
+	// huge fragments.
+	case math.Ceil(cfg.FragmentBytes/cfg.Disk.CylinderBytes) >= float64(cfg.Disk.Cylinders):
+		return MicroResult{}, fmt.Errorf("sched: micro model fragment of %v bytes spans the whole %d-cylinder disk", cfg.FragmentBytes, cfg.Disk.Cylinders)
+	case !(cfg.IntervalSeconds >= 0) || math.IsInf(cfg.IntervalSeconds, 1):
+		return MicroResult{}, fmt.Errorf("sched: micro model interval %v must be zero or positive and finite", cfg.IntervalSeconds)
 	}
 	interval := cfg.IntervalSeconds
 	if interval == 0 {

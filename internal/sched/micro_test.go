@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
 	"github.com/mmsim/staggered/internal/diskmodel"
@@ -90,6 +91,26 @@ func TestMicroValidation(t *testing.T) {
 	}
 	if _, err := RunMicro(MicroConfig{Disk: diskmodel.Spec{}, FragmentBytes: 1, M: 1, N: 1}); err == nil {
 		t.Error("invalid disk spec accepted")
+	}
+	sabre := diskmodel.Sabre
+	for _, tc := range []struct {
+		name     string
+		fragment float64
+		interval float64
+	}{
+		{"fragment spanning the whole disk", float64(sabre.Cylinders+5) * sabre.CylinderBytes, 0},
+		{"fragment of exactly the disk's cylinders", float64(sabre.Cylinders) * sabre.CylinderBytes, 0},
+		{"fragment past int range", 1e300, 0},
+		{"infinite fragment", math.Inf(1), 0},
+		{"NaN fragment", math.NaN(), 0},
+		{"NaN interval", sabre.CylinderBytes, math.NaN()},
+		{"infinite interval", sabre.CylinderBytes, math.Inf(1)},
+		{"negative interval", sabre.CylinderBytes, -1},
+	} {
+		_, err := RunMicro(MicroConfig{Disk: sabre, FragmentBytes: tc.fragment, IntervalSeconds: tc.interval, M: 2, N: 3})
+		if err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

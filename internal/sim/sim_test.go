@@ -2,9 +2,10 @@ package sim
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -29,6 +30,27 @@ func TestFIFOTieBreak(t *testing.T) {
 	k.Run(Infinity)
 	if !sort.IntsAreSorted(order) {
 		t.Fatal("same-time events did not run in scheduling order")
+	}
+}
+
+// TestWheelSameTickFIFOAcrossLevels checks that an event scheduled for
+// an instant later on, from a nearer time, still fires after the events
+// scheduled for that instant before it. The name dates from the levelled
+// timing wheel the calendar once was, where the early and late events sat
+// on different levels; the (time, sequence) order must hold for any
+// calendar.
+func TestWheelSameTickFIFOAcrossLevels(t *testing.T) {
+	k := New()
+	const target = Time(1 << 14)
+	var order []int
+	k.At(target, func() { order = append(order, 1) })
+	k.At(target/2, func() {
+		k.At(target, func() { order = append(order, 3) })
+	})
+	k.At(target, func() { order = append(order, 2) })
+	k.Run(Infinity)
+	if !slices.Equal(order, []int{1, 2, 3}) {
+		t.Fatalf("same-time events scheduled at different times fired as %v, want [1 2 3]", order)
 	}
 }
 
@@ -64,17 +86,6 @@ func TestHorizon(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	k := New()
-	count := 0
-	k.At(1, func() { count++; k.Stop() })
-	k.At(2, func() { count++ })
-	k.Run(Infinity)
-	if count != 1 {
-		t.Fatalf("Stop did not halt the run: %d events ran", count)
-	}
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	k := New()
 	k.At(5, func() {
@@ -88,6 +99,26 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	k.Run(Infinity)
 }
 
+// TestNaNTimePanics pins that a NaN time or delay is rejected like a
+// past one: NaN compares false against everything, so it would
+// otherwise slip past the checks and corrupt the heap's ordering.
+func TestNaNTimePanics(t *testing.T) {
+	nan := Time(math.NaN())
+	for name, schedule := range map[string]func(k *Kernel){
+		"At":    func(k *Kernel) { k.At(nan, func() {}) },
+		"After": func(k *Kernel) { k.After(nan, func() {}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(NaN) did not panic", name)
+				}
+			}()
+			schedule(New())
+		}()
+	}
+}
+
 func TestNegativeDelayPanics(t *testing.T) {
 	k := New()
 	defer func() {
@@ -96,22 +127,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 		}
 	}()
 	k.After(-1, func() {})
-}
-
-func TestStep(t *testing.T) {
-	k := New()
-	n := 0
-	k.At(1, func() { n++ })
-	k.At(2, func() { n++ })
-	if !k.Step() || n != 1 {
-		t.Fatal("first Step failed")
-	}
-	if !k.Step() || n != 2 {
-		t.Fatal("second Step failed")
-	}
-	if k.Step() {
-		t.Fatal("Step on empty calendar returned true")
-	}
 }
 
 func TestProcessHold(t *testing.T) {
@@ -160,7 +175,7 @@ func TestProcessInterleaving(t *testing.T) {
 
 func TestSignalFireAll(t *testing.T) {
 	k := New()
-	s := k.NewSignal("cond")
+	s := k.NewSignal()
 	woken := 0
 	for i := 0; i < 5; i++ {
 		k.Spawn("waiter", func(p *Process) {
@@ -178,194 +193,159 @@ func TestSignalFireAll(t *testing.T) {
 	}
 }
 
-func TestSignalFireOneFIFO(t *testing.T) {
+// TestHorizonBoundary pins Run's boundary semantics: events exactly
+// at the horizon fire before Run returns; strictly later events wait.
+func TestHorizonBoundary(t *testing.T) {
 	k := New()
-	s := k.NewSignal("cond")
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
-		k.Spawn("waiter", func(p *Process) {
-			p.Hold(Time(i) * 0.001) // stagger arrival order
-			p.Wait(s)
-			order = append(order, i)
-		})
+	var ran []string
+	k.At(10, func() { ran = append(ran, "at-horizon") })
+	k.At(10.0000001, func() { ran = append(ran, "past-horizon") })
+	if end := k.Run(10); end != 10 {
+		t.Fatalf("Run(10) returned %v, want 10", end)
 	}
-	k.Spawn("firer", func(p *Process) {
-		for i := 0; i < 3; i++ {
-			p.Hold(1)
-			if !s.FireOne() {
-				t.Error("FireOne found no waiter")
-			}
-		}
-	})
+	if len(ran) != 1 || ran[0] != "at-horizon" {
+		t.Fatalf("events run by horizon 10: %v, want only the one exactly at 10", ran)
+	}
 	k.Run(Infinity)
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("FireOne order = %v, want FIFO", order)
-		}
+	if len(ran) != 2 {
+		t.Fatalf("later event did not survive the horizon cut: %v", ran)
 	}
 }
 
-func TestFireOneEmpty(t *testing.T) {
+// TestScheduleAtNow pins the schedule-at-now path: an event that
+// schedules more work at the current instant must see it run at the
+// same simulated time, after all previously scheduled same-time work,
+// and before anything later.
+func TestScheduleAtNow(t *testing.T) {
 	k := New()
-	s := k.NewSignal("cond")
-	if s.FireOne() {
-		t.Fatal("FireOne on empty signal returned true")
-	}
-}
-
-func TestFacilityMutualExclusion(t *testing.T) {
-	k := New()
-	f := k.NewFacility("disk", 1)
-	inside := 0
-	maxInside := 0
-	for i := 0; i < 10; i++ {
-		k.Spawn("user", func(p *Process) {
-			p.Request(f)
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			p.Hold(1)
-			inside--
-			p.Release(f)
-		})
-	}
+	var order []string
+	k.At(5, func() {
+		order = append(order, "a")
+		k.After(0, func() { order = append(order, "chain") })
+		k.At(k.Now(), func() { order = append(order, "at-now") })
+	})
+	k.At(5, func() { order = append(order, "b") })
+	k.At(6, func() { order = append(order, "later") })
 	end := k.Run(Infinity)
-	if maxInside != 1 {
-		t.Fatalf("facility with 1 server admitted %d concurrently", maxInside)
+	want := []string{"a", "b", "chain", "at-now", "later"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("ran %v, want %v", order, want)
 	}
-	if end != 10 {
-		t.Fatalf("10 serialized unit holds ended at %v, want 10", end)
-	}
-}
-
-func TestFacilityMultiServer(t *testing.T) {
-	k := New()
-	f := k.NewFacility("array", 3)
-	for i := 0; i < 9; i++ {
-		k.Spawn("user", func(p *Process) { p.Use(f, 1) })
-	}
-	end := k.Run(Infinity)
-	if end != 3 {
-		t.Fatalf("9 unit jobs on 3 servers ended at %v, want 3", end)
-	}
-	if got := f.Acquired(); got != 9 {
-		t.Fatalf("Acquired = %d, want 9", got)
+	if end != 6 {
+		t.Fatalf("final time %v, want 6", end)
 	}
 }
 
-func TestFacilityFIFO(t *testing.T) {
-	k := New()
-	f := k.NewFacility("disk", 1)
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		k.Spawn("user", func(p *Process) {
-			p.Hold(Time(i) * 0.001)
-			p.Request(f)
-			order = append(order, i)
-			p.Hold(1)
-			p.Release(f)
-		})
-	}
-	k.Run(Infinity)
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("facility service order = %v, want FIFO", order)
+// TestCalendarDrainsInStableTimeOrder is the calendar's property
+// test: any schedule — dense ties, sub-microsecond spacing, far jumps,
+// and a second batch scheduled after Run stopped at a horizon — must
+// drain in the order of a stable sort by time, so equal times keep
+// their scheduling order.
+func TestCalendarDrainsInStableTimeOrder(t *testing.T) {
+	for trial := 0; trial < 200; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		k := New()
+		type sched struct {
+			at Time
+			id int
 		}
-	}
-}
-
-func TestFacilityUtilization(t *testing.T) {
-	k := New()
-	f := k.NewFacility("disk", 1)
-	k.Spawn("user", func(p *Process) {
-		p.Use(f, 3)
-		p.Hold(1) // idle tail
-	})
-	k.Run(Infinity)
-	if u := f.Utilization(); math.Abs(u-0.75) > 1e-9 {
-		t.Fatalf("utilization = %v, want 0.75", u)
-	}
-}
-
-func TestReleaseIdlePanics(t *testing.T) {
-	k := New()
-	f := k.NewFacility("disk", 1)
-	k.Spawn("bad", func(p *Process) {
-		defer func() {
-			if recover() == nil {
-				t.Error("releasing idle facility did not panic")
+		var all []sched
+		var got []int
+		batch := func(from Time) {
+			n := 5 + rng.Intn(120)
+			for i := 0; i < n; i++ {
+				var at Time
+				switch rng.Intn(5) {
+				case 0: // a handful of shared instants: many ties
+					at = from + Time(rng.Intn(4))
+				case 1:
+					at = from + Time(rng.Float64())*1e-8
+				case 2:
+					at = from + Time(rng.Float64())*1e-3
+				case 3:
+					at = from + Time(rng.Float64())*1000
+				default:
+					at = from + Time(rng.Float64())*3e6
+				}
+				id := len(all)
+				all = append(all, sched{at, id})
+				k.At(at, func() { got = append(got, id) })
 			}
-		}()
-		p.Release(f)
-	})
-	k.Run(Infinity)
+		}
+		batch(0)
+		horizon := Time(rng.Intn(3))
+		k.Run(horizon)
+		batch(horizon)
+		k.Run(Infinity)
+
+		sort.SliceStable(all, func(i, j int) bool { return all[i].at < all[j].at })
+		want := make([]int, len(all))
+		for i, s := range all {
+			want[i] = s.id
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: drain order %v, want stable time order %v", trial, got, want)
+		}
+	}
 }
 
-func TestZeroServerFacilityPanics(t *testing.T) {
+// TestScheduleSteadyStateAllocs pins that the calendar stores events
+// by value: once the heap's backing array has grown, a schedule/fire
+// cycle allocates nothing.
+func TestScheduleSteadyStateAllocs(t *testing.T) {
 	k := New()
-	defer func() {
-		if recover() == nil {
-			t.Error("zero-server facility did not panic")
-		}
-	}()
-	k.NewFacility("bad", 0)
+	fn := func() {}
+	for i := 0; i < 64; i++ { // grow the heap's backing array
+		k.After(Time(i), fn)
+	}
+	k.Run(Infinity)
+	if got := testing.AllocsPerRun(100, func() {
+		k.After(1, fn)
+		k.Run(Infinity)
+	}); got != 0 {
+		t.Errorf("schedule+fire allocates %v/op in steady state, want 0", got)
+	}
 }
 
 // TestProcessesDeterministic checks that an entire mixed process/event
 // model replays identically: determinism is load-bearing for the
-// experiment harness.
+// experiment harness.  Workers hold, queue on a shared signal, and are
+// released in batches by a gate process, so the trace depends on both
+// the calendar's tie order and the signal's FIFO wakeups.
 func TestProcessesDeterministic(t *testing.T) {
-	run := func() []Time {
+	type step struct {
+		at Time
+		id int
+	}
+	run := func() []step {
 		k := New()
-		f := k.NewFacility("disk", 2)
-		var trace []Time
+		gate := k.NewSignal()
+		var trace []step
 		for i := 0; i < 6; i++ {
 			i := i
-			k.Spawn("u", func(p *Process) {
-				p.Hold(Time(i % 3))
-				p.Request(f)
-				trace = append(trace, p.Now())
-				p.Hold(1.5)
-				p.Release(f)
+			k.Spawn("worker", func(p *Process) {
+				for r := 0; r < 3; r++ {
+					p.Hold(Time(i%3) * 0.5)
+					p.Wait(gate)
+					trace = append(trace, step{p.Now(), i})
+				}
 			})
 		}
+		k.Spawn("gate", func(p *Process) {
+			for r := 0; r < 8; r++ {
+				p.Hold(1.5)
+				gate.Fire()
+			}
+		})
 		k.Run(Infinity)
 		return trace
 	}
 	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatal("replays differ in length")
+	if len(a) != 18 {
+		t.Fatalf("trace has %d wakeups, want 18: %v", len(a), a)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("replay diverged at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-// Property: for any set of job durations on a single-server facility,
-// the completion time equals the sum of the durations.
-func TestFacilityWorkConservation(t *testing.T) {
-	err := quick.Check(func(raw []uint8) bool {
-		if len(raw) == 0 || len(raw) > 50 {
-			return true
-		}
-		k := New()
-		f := k.NewFacility("disk", 1)
-		var sum Time
-		for _, r := range raw {
-			d := Time(r) / 16
-			sum += d
-			k.Spawn("job", func(p *Process) { p.Use(f, d) })
-		}
-		end := k.Run(Infinity)
-		return math.Abs(float64(end-sum)) < 1e-6
-	}, &quick.Config{MaxCount: 50})
-	if err != nil {
-		t.Fatal(err)
+	if !slices.Equal(a, b) {
+		t.Fatalf("replay diverged:\n%v\n%v", a, b)
 	}
 }
 

@@ -25,6 +25,14 @@ type TickWheel[P any] struct {
 	count    int
 }
 
+// Each level splits a tick index into levelBits-bit digits: slotCount
+// slots per level.
+const (
+	levelBits = 6
+	slotCount = 1 << levelBits // 64
+	slotMask  = slotCount - 1
+)
+
 // twLevels × 6 bits covers 64^6 ≈ 6.9e10 ticks of span — far past
 // any configured run length — with the overflow slice as the
 // correctness backstop.

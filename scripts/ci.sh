@@ -28,8 +28,8 @@ go test ./...
 echo "== short benchmarks (interval engines)"
 go test -bench 'BenchmarkFigure8a$|BenchmarkTable4$' -benchmem -benchtime 3x -run '^$' .
 
-echo "== kernel calendar microbenchmarks (short mode)"
-go test -bench 'BenchmarkCalendar' -benchmem -benchtime 100000x -run '^$' ./internal/sim
+echo "== DES kernel microbenchmarks (report only)"
+go test -bench 'BenchmarkEventCalendar|BenchmarkProcessSwitch' -benchmem -benchtime 100000x -run '^$' ./internal/sim
 
 echo "== golden dumps (51-config sweep + staggered strides + Algorithm 1 pin, byte-identical)"
 go test -run 'TestGoldenSweep$|TestGoldenStaggered$|TestStaggeredKMMatchesSimpleGolden$|TestGoldenAlgorithm1$' ./internal/sched
@@ -70,7 +70,7 @@ done
 echo "-- technique: staggered (explicit stride k=1)"
 go run ./cmd/sweep -scale quick -technique staggered -k 1 -stations 1,8 -dist 20 -csv
 
-echo "== perf-regression report + gate (>20% ns/op over BENCH_8 reference fails)"
-go run ./cmd/bench -out BENCH_9.json -maxregress 0.20
+echo "== same-host perfbench A/B against the base commit (BENCHMARK.json bounds)"
+go run ./cmd/bench
 
 echo "CI OK"
