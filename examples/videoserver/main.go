@@ -60,9 +60,9 @@ func main() {
 	cfg.CapacityFragments, cfg.Objects, cfg.Subobjects = 480, nObjects, 120
 	cfg.WarmupIntervals, cfg.MeasureIntervals = 600, 3000
 	cfg.Degrees = degrees
-	cfg.Fragmented = true // Algorithm 1: admit on non-adjacent disks
-	cfg.Coalescing = true // Algorithm 2: coalesce when disks free up
 
+	// The "staggered" technique runs Algorithm 1 (admit on
+	// non-adjacent disks) and Algorithm 2 (coalesce when disks free up).
 	eng, err := mmis.NewSimulation(cfg, "staggered")
 	if err != nil {
 		log.Fatal(err)
@@ -78,7 +78,6 @@ func main() {
 	naive := cfg
 	naive.Degrees = nil // every display occupies M_max = 4 disks
 	naive.K = 4
-	naive.Fragmented, naive.Coalescing = false, false
 	neng, err := mmis.NewSimulation(naive, "striped")
 	if err != nil {
 		log.Fatal(err)

@@ -225,6 +225,9 @@ func New(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := base.Validate(); err != nil {
+		return nil, err
+	}
 	disp, err := newDispatch(cfg.Dispatch)
 	if err != nil {
 		return nil, err
@@ -273,12 +276,6 @@ func New(cfg Config) (*Sim, error) {
 
 	if base.ArrivalsPerHour <= 0 {
 		return nil, fmt.Errorf("cluster: %d servers need an open workload (Base.ArrivalsPerHour > 0)", cfg.Servers)
-	}
-	if base.ExternalArrivals {
-		return nil, fmt.Errorf("cluster: Base.ExternalArrivals is set by the cluster itself")
-	}
-	if base.PreloadObjects != nil {
-		return nil, fmt.Errorf("cluster: Base.PreloadObjects is assigned by the cluster's replica placement")
 	}
 
 	// Cluster-owned workload streams.  The object distribution is the
@@ -330,14 +327,12 @@ func New(cfg Config) (*Sim, error) {
 		// never perturbs the existing ones.
 		scfg.Seed = rng.NewStream(base.Seed, uint64(i+1)).Uint64()
 		scfg.ArrivalsPerHour = 0
-		scfg.ExternalArrivals = true
 		scfg.ZipfFlipInterval = 0 // the flip applies to the cluster's shared draw
-		scfg.PreloadObjects = assignments[i]
 		scfg.Faults = base.Faults
 		if i < len(cfg.ServerFaults) {
 			scfg.Faults = cfg.ServerFaults[i]
 		}
-		e, err := ti.New(scfg)
+		e, err := ti.NewMember(scfg, assignments[i])
 		if err != nil {
 			return nil, fmt.Errorf("cluster: server %d: %w", i, err)
 		}
@@ -694,11 +689,6 @@ func anyTrue(bs []bool) bool {
 // capacity stay unplaced and materialize on demand.
 func replicaAssignments(objects, n, perServer, depth int) [][]int {
 	out := make([][]int, n)
-	for i := range out {
-		// Non-nil even when empty: a nil PreloadObjects would fall
-		// back to the engine's own default preload.
-		out[i] = []int{}
-	}
 	counts := make([]int, n)
 	for rank := 0; rank < objects; rank++ {
 		copies := (n * depth) >> bandOf(rank)

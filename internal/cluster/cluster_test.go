@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -107,6 +108,16 @@ func TestRunTwiceReturnsTypedError(t *testing.T) {
 	}
 	if _, err := sim.Run(); err != sched.ErrAlreadyRun {
 		t.Fatalf("second Run returned %v, want sched.ErrAlreadyRun", err)
+	}
+}
+
+// TestNonFiniteArrivalRateRejected pins that an infinite cluster-wide
+// arrival rate is a configuration error, not a zero-gap arrival stream.
+func TestNonFiniteArrivalRateRejected(t *testing.T) {
+	cfg := multiConfig("roundrobin")
+	cfg.Base.ArrivalsPerHour = math.Inf(1)
+	if _, err := New(cfg); err == nil {
+		t.Fatal("infinite arrival rate accepted")
 	}
 }
 

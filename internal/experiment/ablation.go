@@ -105,8 +105,6 @@ func MixedMediaAblation(stations int, mean float64, seed uint64) ([]MixedMediaRe
 
 	staggered := base
 	staggered.Degrees = degrees
-	staggered.Fragmented = true
-	staggered.Coalescing = true
 	es, _, err := sched.NewEngineFor(TechStaggered, staggered, staggered.K)
 	if err != nil {
 		return nil, err

@@ -332,12 +332,6 @@ func RunAll(scale Scale, stations []int, seed uint64) (map[float64][]Point, erro
 	return runSweep(scale, workload.PaperMeans, stations, seed, nil, nil)
 }
 
-// RunAllTechniques is RunAll for an arbitrary set of registered
-// techniques (nil means the paper's default pair).
-func RunAllTechniques(scale Scale, stations []int, seed uint64, specs []TechSpec) (map[float64][]Point, error) {
-	return runSweep(scale, workload.PaperMeans, stations, seed, specs, nil)
-}
-
 // Aggregate merges every run of a sweep's points into one Run
 // (metrics.Run.Merge semantics: counters add, utilizations
 // window-average) — the sweep-wide totals cmd/sweep reports from.

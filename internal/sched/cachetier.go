@@ -242,9 +242,9 @@ func newOpenArrivals(cfg Config) *openArrivals {
 	for i := range o.idle {
 		o.idle[i] = cfg.Stations - 1 - i
 	}
-	if cfg.ExternalArrivals {
-		// A cluster driver injects arrivals (Engine.InjectArrival);
-		// the engine's own stream never fires.
+	if cfg.ArrivalsPerHour == 0 {
+		// A cluster member: the cluster injects arrivals
+		// (Engine.InjectArrival); the engine's own stream never fires.
 		o.nextAt = math.Inf(1)
 		return o
 	}

@@ -34,7 +34,7 @@ func TestCacheDisabledGolden(t *testing.T) {
 		t.Fatalf("missing golden dump: %v", err)
 	}
 	if got != string(want) {
-		t.Error("51-config dump with a disabled cache spec differs from golden")
+		t.Error("49-config dump with a disabled cache spec differs from golden")
 	}
 
 	got = staggeredGoldenDump(t, withDisabledCache)
@@ -67,7 +67,7 @@ func TestCacheDisabledCountersZero(t *testing.T) {
 	}
 }
 
-// techniqueConfigs are zero-think configurations spanning the three
+// techniqueConfigs are configurations spanning the three
 // techniques' hot paths: plain striping, staggered striping with
 // Algorithms 1+2, and the VDR baseline.
 func techniqueConfigs() map[string]struct {
@@ -76,8 +76,6 @@ func techniqueConfigs() map[string]struct {
 	cfg    Config
 } {
 	staggered := smallConfig(48, 20)
-	staggered.Fragmented = true
-	staggered.Coalescing = true
 	staggered.Seed = 3
 
 	return map[string]struct {
@@ -91,15 +89,14 @@ func techniqueConfigs() map[string]struct {
 	}
 }
 
-// TestCacheDeterministic pins that a run with the memory tier on and
-// think time engaged is reproducible: the same configuration run twice
-// yields byte-identical Results, across all three techniques.
+// TestCacheDeterministic pins that a run with the memory tier on is
+// reproducible: the same configuration run twice yields byte-identical
+// Results, across all three techniques.
 func TestCacheDeterministic(t *testing.T) {
 	for name, tc := range techniqueConfigs() {
 		t.Run(name, func(t *testing.T) {
 			run := func() Result {
 				cfg := tc.cfg
-				cfg.ThinkMeanSeconds = 30
 				cfg.Cache = cacheSpec()
 				e, _, err := NewEngineFor(tc.key, cfg, tc.stride)
 				if err != nil {
@@ -150,7 +147,7 @@ func checkCacheConservation(t *testing.T, e *Engine) {
 		t.Errorf("admission conservation violated: admitted %d != completed %d + aborted %d + active %d + followers %d",
 			got, e.completedTotal, e.abortedTotal, active, e.activeFollowers)
 	}
-	if e.cfg.ThinkMeanSeconds == 0 && e.open == nil {
+	if e.open == nil {
 		total := len(e.queue) + active + e.activeFollowers + e.pendingFollowers
 		if total != e.cfg.Stations {
 			t.Errorf("station conservation violated: queue %d + active %d + followers %d + pending %d != stations %d",
@@ -269,15 +266,5 @@ func TestOpenArrivalsDiskOnly(t *testing.T) {
 	}
 	if res.ServedFromCache != 0 || res.BatchedFollowers != 0 {
 		t.Errorf("open mode without a cache spec touched the tier: %+v", res)
-	}
-}
-
-// TestOpenArrivalsThinkTimeExclusive pins the config contract.
-func TestOpenArrivalsThinkTimeExclusive(t *testing.T) {
-	cfg := smallConfig(8, 20)
-	cfg.ArrivalsPerHour = 100
-	cfg.ThinkMeanSeconds = 30
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("open arrivals + think time must not validate")
 	}
 }

@@ -142,8 +142,8 @@ func TestChaos(t *testing.T) {
 					res.Displays, e.completedTotal, res.AbortedDisplays, e.abortedTotal)
 			}
 
-			// Closed-loop station conservation: with zero think time
-			// every station is either queued or in delivery; none leak.
+			// Closed-loop station conservation: every station is either
+			// queued or in delivery; none leak.
 			if out := e.stn.Outstanding(); out != cfg.Stations {
 				t.Errorf("stuck stations: %d outstanding of %d", out, cfg.Stations)
 			}
@@ -181,10 +181,10 @@ func TestChaosDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedChaos reruns a slice of the chaos harness with think
-// time on half the scenarios: the structural invariants of a degraded
-// run (display and station conservation, no mask drift) must hold
-// while stations sit out think time on the wake-up wheel. The name
+// TestShardedChaos reruns a slice of the chaos harness across all
+// three techniques with eviction pressure on half the scenarios: the
+// structural invariants of a degraded run (display and station
+// conservation, no mask drift) must hold on every case.  The name
 // dates from when this slice also ran a sharded engine; it is kept so
 // the test and its 81 cases stay under the names they always had.
 func TestShardedChaos(t *testing.T) {
@@ -206,7 +206,6 @@ func TestShardedChaos(t *testing.T) {
 			cfg := chaosConfig(2+s.Intn(10), means[s.Intn(len(means))], uint64(1+i))
 			cfg.EvictionPressure = s.Intn(2) == 1
 			cfg.Faults = chaosPlan(s, cfg.D, cfg.MeasureIntervals)
-			cfg.ThinkMeanSeconds = float64(s.Intn(2)) * 10 // half zero-think, half closed-loop
 			e, _, err := NewEngineFor(tc.key, cfg, tc.stride)
 			if err != nil {
 				t.Fatal(err)
@@ -225,12 +224,10 @@ func TestShardedChaos(t *testing.T) {
 			if e.downCount < 0 || e.slowCount < 0 {
 				t.Errorf("mask drift: downCount %d, slowCount %d", e.downCount, e.slowCount)
 			}
-			if cfg.ThinkMeanSeconds == 0 {
-				// Zero think: every station is queued or in delivery.
-				if got := len(e.queue) + active; got != cfg.Stations {
-					t.Errorf("station accounting: queue %d + active %d != stations %d",
-						len(e.queue), active, cfg.Stations)
-				}
+			// Closed loop: every station is queued or in delivery.
+			if got := len(e.queue) + active; got != cfg.Stations {
+				t.Errorf("station accounting: queue %d + active %d != stations %d",
+					len(e.queue), active, cfg.Stations)
 			}
 		})
 	}

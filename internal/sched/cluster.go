@@ -1,8 +1,29 @@
 package sched
 
 // This file is the engine's cluster-facing surface (DESIGN.md §13):
-// the load and residency probes the dispatch policies read, and the
-// arrival injection point for externally dispatched requests.
+// the member constructor, the load and residency probes the dispatch
+// policies read, and the arrival injection point for externally
+// dispatched requests.
+
+import "fmt"
+
+// NewMember builds a cluster member running this technique on cfg.
+// The member draws no arrivals of its own — the cluster routes its
+// shared arrival stream in through InjectArrival, so
+// cfg.ArrivalsPerHour must be zero — and it pre-places exactly the
+// preload objects (best-effort, in slice order) instead of the most
+// popular ones; an empty preload leaves the farm cold.
+func (ti TechniqueInfo) NewMember(cfg Config, preload []int) (*Engine, error) {
+	if cfg.ArrivalsPerHour != 0 {
+		return nil, fmt.Errorf("sched: a cluster member draws no arrivals of its own (ArrivalsPerHour %v)", cfg.ArrivalsPerHour)
+	}
+	for _, id := range preload {
+		if id < 0 || id >= cfg.Objects {
+			return nil, fmt.Errorf("sched: preload object %d out of range [0, %d)", id, cfg.Objects)
+		}
+	}
+	return newEngine(cfg, ti.factory(), true, preload)
+}
 
 // ActiveDisplays returns the number of displays currently in delivery,
 // including batched followers — the leastloaded dispatch signal.
@@ -38,14 +59,14 @@ func (e *Engine) HoldsObject(id int) bool {
 
 // InjectArrival admits one externally dispatched request for the
 // object: the entry point a cluster driver routes its shared Poisson
-// arrival stream through (Config.ExternalArrivals).  The request
+// arrival stream through (TechniqueInfo.NewMember).  The request
 // occupies an idle station; with every station busy the arrival is
 // refused and counted in OpenRejected.  Must be called between
 // intervals on the stepping goroutine; the request is enqueued at the
 // engine's current interval.
 func (e *Engine) InjectArrival(object int) bool {
 	if e.open == nil {
-		panic("sched: InjectArrival on an engine without ExternalArrivals")
+		panic("sched: InjectArrival on a closed-loop engine")
 	}
 	if e.dead {
 		panic("sched: InjectArrival on a dead engine")

@@ -14,6 +14,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/mmsim/staggered/internal/cache"
 	"github.com/mmsim/staggered/internal/fault"
@@ -63,19 +64,10 @@ type Config struct {
 	// capacity; 0 derives the count from the capacity.
 	PreloadTop int
 
-	// Fragmented enables Algorithm-1 admission on non-adjacent virtual
-	// disks; Coalescing additionally enables Algorithm 2.  MaxStartup
-	// bounds the admission Tmax in intervals (0 = twice the degree).
-	Fragmented bool
-	Coalescing bool
+	// MaxStartup is the paper's Tmax: it bounds, in intervals, the
+	// startup delay the staggered technique's Algorithm-1 admission
+	// may accept (0 = twice the degree).
 	MaxStartup int
-
-	// ThinkMeanSeconds adds an exponentially distributed think time
-	// between a station's display completion and its next request, in
-	// both engines.  The paper uses zero think time "in order to
-	// stress the system"; non-zero values are an extension for
-	// sensitivity studies.
-	ThinkMeanSeconds float64
 
 	// Faults is an optional deterministic fault plan injected through
 	// the engine's interval loop (DESIGN.md §10).  Nil or empty means a
@@ -109,26 +101,15 @@ type Config struct {
 	// still validated/reported) when set.
 	ZipfSkew float64
 
-	// ArrivalsPerHour, when positive, switches the workload from the
-	// paper's closed system to an open one: requests arrive in a
-	// Poisson stream at this rate and each occupies an idle station for
-	// its display; arrivals finding no idle station are counted as
-	// OpenRejected.  Mutually exclusive with ThinkMeanSeconds.
+	// ArrivalsPerHour selects the workload.  Zero is the paper's
+	// closed system with zero think time: a station issues its next
+	// request the moment its display ends.  A positive rate switches to
+	// an open one: requests arrive in a Poisson stream at this rate and
+	// each occupies an idle station for its display; arrivals finding
+	// no idle station are counted as OpenRejected.  A cluster member
+	// (TechniqueInfo.NewMember) keeps it zero and is fed by the
+	// cluster's shared stream instead.
 	ArrivalsPerHour float64
-
-	// ExternalArrivals runs the engine as an open system whose
-	// arrivals are injected by an outside driver (Engine.InjectArrival)
-	// instead of drawn from the engine's own Poisson stream: the
-	// cluster layer owns one shared arrival process and dispatches each
-	// request to a member engine.  Mutually exclusive with
-	// ArrivalsPerHour and ThinkMeanSeconds.
-	ExternalArrivals bool
-
-	// PreloadObjects, when non-nil, pre-places exactly these objects
-	// (best-effort, in slice order) instead of the PreloadTop most
-	// popular — how the cluster layer spreads replicas across member
-	// servers by Zipf rank at build time.
-	PreloadObjects []int
 
 	// ZipfFlipInterval, when positive, rotates the object-popularity
 	// mapping by half the catalog at that absolute interval
@@ -191,39 +172,26 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sched: capacity must be positive")
 	case c.Objects <= 0 || c.Subobjects <= 0:
 		return fmt.Errorf("sched: database must be non-empty")
-	case c.BDisk <= 0:
-		return fmt.Errorf("sched: disk bandwidth must be positive")
-	case c.FragmentBytes <= 0:
-		return fmt.Errorf("sched: fragment size must be positive")
+	case !(c.BDisk > 0) || math.IsInf(c.BDisk, 1):
+		return fmt.Errorf("sched: disk bandwidth must be positive and finite")
+	case !(c.FragmentBytes > 0) || math.IsInf(c.FragmentBytes, 1):
+		return fmt.Errorf("sched: fragment size must be positive and finite")
 	case c.Stations <= 0:
 		return fmt.Errorf("sched: need at least one station")
-	case c.DistMean <= 1:
-		return fmt.Errorf("sched: distribution mean must exceed 1")
+	case !(c.DistMean > 1) || math.IsInf(c.DistMean, 1):
+		return fmt.Errorf("sched: distribution mean must be finite and exceed 1")
 	case c.MeasureIntervals <= 0:
 		return fmt.Errorf("sched: measurement window must be positive")
 	case c.WarmupIntervals < 0:
 		return fmt.Errorf("sched: warmup must be non-negative")
-	case c.ThinkMeanSeconds < 0:
-		return fmt.Errorf("sched: think time must be non-negative")
 	case c.PlaceRetryLimit < 0:
 		return fmt.Errorf("sched: place retry limit must be non-negative")
-	case c.ZipfSkew < 0:
-		return fmt.Errorf("sched: zipf skew must be non-negative")
-	case c.ArrivalsPerHour < 0:
-		return fmt.Errorf("sched: arrival rate must be non-negative")
-	case c.ArrivalsPerHour > 0 && c.ThinkMeanSeconds > 0:
-		return fmt.Errorf("sched: open arrivals and think time are mutually exclusive")
-	case c.ExternalArrivals && c.ArrivalsPerHour > 0:
-		return fmt.Errorf("sched: external arrivals and an own Poisson stream are mutually exclusive")
-	case c.ExternalArrivals && c.ThinkMeanSeconds > 0:
-		return fmt.Errorf("sched: external arrivals and think time are mutually exclusive")
+	case !(c.ZipfSkew >= 0) || math.IsInf(c.ZipfSkew, 1):
+		return fmt.Errorf("sched: zipf skew must be non-negative and finite")
+	case !(c.ArrivalsPerHour >= 0) || math.IsInf(c.ArrivalsPerHour, 1):
+		return fmt.Errorf("sched: arrival rate must be non-negative and finite")
 	case c.ZipfFlipInterval < 0:
 		return fmt.Errorf("sched: zipf flip interval must be non-negative")
-	}
-	for _, id := range c.PreloadObjects {
-		if id < 0 || id >= c.Objects {
-			return fmt.Errorf("sched: preload object %d out of range [0, %d)", id, c.Objects)
-		}
 	}
 	if err := c.Faults.Validate(c.D); err != nil {
 		return err

@@ -64,7 +64,7 @@ func RunDESValidation(cfg Config) (int, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
-	if cfg.Fragmented || cfg.Coalescing || cfg.Degrees != nil || cfg.ThinkMeanSeconds != 0 || !cfg.Faults.Empty() {
+	if cfg.Degrees != nil || !cfg.Faults.Empty() || cfg.ZipfSkew != 0 || cfg.ArrivalsPerHour != 0 || cfg.Cache.Enabled() || cfg.ZipfFlipInterval != 0 {
 		return 0, fmt.Errorf("sched: DES validation model supports the base Figure 8 configuration only")
 	}
 	layout, err := core.NewLayout(cfg.D, cfg.K)

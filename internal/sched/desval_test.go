@@ -77,21 +77,22 @@ func TestDESValidationAgreesWithGenericEngine(t *testing.T) {
 	}
 }
 
+// TestDESValidationRejectsUnsupported pins that the DES model refuses
+// every workload field it does not model instead of silently running
+// the closed geometric workload.
 func TestDESValidationRejectsUnsupported(t *testing.T) {
-	cfg := smallConfig(4, 5)
-	cfg.Fragmented = true
-	if _, err := RunDESValidation(cfg); err == nil {
-		t.Error("fragmented admission accepted")
-	}
-	cfg = smallConfig(4, 5)
-	cfg.ThinkMeanSeconds = 1
-	if _, err := RunDESValidation(cfg); err == nil {
-		t.Error("think time accepted")
-	}
-	cfg = smallConfig(4, 5)
-	cfg.Stations = 0
-	if _, err := RunDESValidation(cfg); err == nil {
-		t.Error("invalid config accepted")
+	for name, mutate := range map[string]func(*Config){
+		"zipf":       func(c *Config) { c.ZipfSkew = 1.1 },
+		"open":       func(c *Config) { c.ArrivalsPerHour = 3000 },
+		"cache":      func(c *Config) { c.Cache = cacheSpec() },
+		"zipf flip":  func(c *Config) { c.ZipfFlipInterval = 100 },
+		"no station": func(c *Config) { c.Stations = 0 },
+	} {
+		cfg := smallConfig(8, 10)
+		mutate(&cfg)
+		if _, err := RunDESValidation(cfg); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

@@ -12,36 +12,29 @@ import (
 // the exact same Result, field for field.
 
 // determinismConfigs covers the code paths with nontrivial
-// incremental state: plain striping, staggered striping with
-// Algorithm 1+2 (release rescheduling on coalescing moves), closed
-// loops with think time (wakeup buckets), and the VDR baseline
-// (cluster job buckets).
+// incremental state: plain striping, staggered striping (k = 1, where
+// the striped technique runs Algorithms 1+2: release rescheduling on
+// coalescing moves), and the VDR baseline (cluster job buckets).
 func determinismConfigs() map[string]Config {
 	staggered := smallConfig(48, 20)
 	staggered.K = 1
-	staggered.Fragmented = true
-	staggered.Coalescing = true
 	staggered.Seed = 3
-
-	think := smallConfig(32, 10)
-	think.ThinkMeanSeconds = 30
-	think.Seed = 4
 
 	return map[string]Config{
 		"plain":     smallConfig(64, 43.5),
 		"staggered": staggered,
-		"think":     think,
 	}
 }
 
 func TestStripedDeterministic(t *testing.T) {
 	for name, cfg := range determinismConfigs() {
 		t.Run(name, func(t *testing.T) {
-			first, err := NewEngine(cfg, &stripedTech{})
+			staggered := name == "staggered"
+			first, err := NewEngine(cfg, &stripedTech{staggered: staggered})
 			if err != nil {
 				t.Fatal(err)
 			}
-			second, err := NewEngine(cfg, &stripedTech{})
+			second, err := NewEngine(cfg, &stripedTech{staggered: staggered})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,8 +26,8 @@ type request struct {
 // staggered placement probes, LFU whole-object eviction) and the
 // virtual-data-replication baseline (cluster-granular claims, dynamic
 // replication, marginal-value replica eviction).  The Engine owns the
-// mechanism — workload wake-ups, the request queue, think-time
-// reissue, window counters, and Result assembly — and calls the
+// mechanism — workload arrivals, the request queue, station reissue,
+// window counters, and Result assembly — and calls the
 // technique at the four points of an interval where policy decides
 // what happens.
 //
@@ -90,7 +90,7 @@ type Technique interface {
 }
 
 // Engine is the shared mechanism of the interval engines: the
-// interval loop, the station wake-up wheel, the admission queue, the
+// interval loop, the workload's stations, the admission queue, the
 // window counters, and Result assembly, parameterized by a Technique
 // that supplies placement, claim granularity, materialization
 // footprint, and replacement policy.  All per-interval work is
@@ -100,19 +100,22 @@ type Engine struct {
 	cfg  Config
 	tech Technique
 
-	lfu   *policy.LFU
-	tman  *tertiary.Manager
-	gen   *workload.Generator
-	stn   *workload.Stations
-	think []rng.Stream // per-station think-time streams
+	lfu  *policy.LFU
+	tman *tertiary.Manager
+	gen  *workload.Generator
+	stn  *workload.Stations
+
+	// member marks a cluster member (TechniqueInfo.NewMember): its
+	// arrivals come only through InjectArrival, and its technique
+	// preloads exactly preload instead of the most popular objects.
+	member  bool
+	preload []int
 
 	primed bool // Prime has run: stations seeded
 
 	queue      []request
-	pinned     []int32             // object -> queued request count
-	wakeups    *sim.TickWheel[int] // interval -> stations whose think time ends
-	wakeupBuf  []int               // reused Due drain buffer
-	reissueBuf []int               // stations to reissue after completions
+	pinned     []int32 // object -> queued request count
+	reissueBuf []int   // stations to reissue after completions
 
 	now    int
 	tracer Tracer
@@ -138,7 +141,8 @@ type Engine struct {
 	detachBuf        []int32
 	pendingBuf       []cache.Pending
 
-	// Open Poisson arrivals (nil = the paper's closed loop).
+	// Open arrivals: a Poisson stream or a member's injected ones
+	// (nil = the paper's closed loop).
 	open *openArrivals
 
 	// Fault state.  All slices stay nil on a fault-free run (empty
@@ -192,10 +196,16 @@ type Engine struct {
 	starvedTotal   int
 }
 
-// NewEngine builds an engine running the given technique.  Most
-// callers should go through the registry (NewEngineFor or
+// NewEngine builds a standalone engine running the given technique.
+// Most callers should go through the registry (NewEngineFor or
 // TechniqueInfo.New) instead.
 func NewEngine(cfg Config, tech Technique) (*Engine, error) {
+	return newEngine(cfg, tech, false, nil)
+}
+
+// newEngine builds a standalone engine, or a cluster member with the
+// given preload set when member is true.
+func newEngine(cfg Config, tech Technique, member bool, preload []int) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -219,16 +229,10 @@ func NewEngine(cfg Config, tech Technique) (*Engine, error) {
 		tman:        tertiary.NewManager(),
 		gen:         gen,
 		stn:         workload.NewStations(gen),
+		member:      member,
+		preload:     preload,
 		pinned:      make([]int32, cfg.Objects),
-		wakeups:     sim.NewTickWheel[int](),
 		phaseLabels: profiling.PhaseLabelsEnabled(),
-	}
-	if cfg.ThinkMeanSeconds > 0 {
-		src := rng.NewSource(cfg.Seed)
-		e.think = make([]rng.Stream, cfg.Stations)
-		for i := range e.think {
-			e.think[i] = *src.StreamN("think", i)
-		}
 	}
 	if !cfg.Faults.Empty() {
 		e.faultEvents = cfg.Faults.Events()
@@ -238,7 +242,7 @@ func NewEngine(cfg Config, tech Technique) (*Engine, error) {
 	if cfg.Cache.Enabled() {
 		e.bindCache()
 	}
-	if cfg.ArrivalsPerHour > 0 || cfg.ExternalArrivals {
+	if cfg.ArrivalsPerHour > 0 || member {
 		e.open = newOpenArrivals(cfg)
 	}
 	if err := tech.bind(e); err != nil {
@@ -288,29 +292,18 @@ func (e *Engine) record(req request) {
 	e.tech.onEnqueue(req)
 }
 
-// reissue starts station s's next request, after its think time when
-// one is configured.  The think draw comes from the station's own
-// stream, so the draw sequence per station is deterministic.
+// reissue frees station s after its display.  In the open system the
+// station goes idle and waits for the next arrival; in the paper's
+// closed loop it issues its next request at once (zero think time).
 func (e *Engine) reissue(s int) {
 	if e.open != nil {
-		// Open system: the station goes idle and waits for the next
-		// Poisson arrival instead of looping back immediately.
 		e.open.idle = append(e.open.idle, s)
 		return
 	}
-	if e.cfg.ThinkMeanSeconds <= 0 {
-		e.enqueue(s)
-		return
-	}
-	secs := e.think[s].Exp(e.cfg.ThinkMeanSeconds)
-	delay := int(secs / e.cfg.IntervalSeconds())
-	if delay < 1 {
-		delay = 1
-	}
-	e.wakeups.Add(e.now+delay, s)
+	e.enqueue(s)
 }
 
-// step advances the simulation by one interval: wake-ups, then the
+// step advances the simulation by one interval: arrivals, then the
 // technique's policy work (claim endings, tertiary progress,
 // admissions, end-of-interval work), then the busy integral — the
 // same event order CSIM's process scheduling yields for this model.
@@ -332,10 +325,6 @@ func (e *Engine) step() {
 	}
 	if e.open != nil {
 		e.drawArrivals()
-	}
-	e.wakeupBuf = e.wakeups.Due(e.now, e.wakeupBuf[:0])
-	for _, st := range e.wakeupBuf {
-		e.enqueue(st)
 	}
 	e.busyArea += float64(e.tech.interval())
 	e.now++

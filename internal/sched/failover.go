@@ -25,8 +25,8 @@ type KillReport struct {
 // display aborts through the fault path, the request queue and the
 // batch registries drain into the report's orphan list, the tertiary
 // device drops its work, and the engine stops reporting pending work
-// until Revive.  Requires an open-workload engine (ExternalArrivals or
-// ArrivalsPerHour): in the closed loop an aborted station reissues
+// until Revive.  Requires an open-workload engine (a cluster member or
+// ArrivalsPerHour > 0): in the closed loop an aborted station reissues
 // immediately and the drain below could never terminate.
 func (e *Engine) Kill() KillReport {
 	if e.dead {
@@ -102,7 +102,6 @@ func (e *Engine) Revive(at int) {
 	}
 	e.deadMeasured += e.deadSpan(e.diedAt, at)
 	e.now = at
-	e.wakeups.Reset(at - 1)
 	if e.cache != nil {
 		e.followerWheel.Reset(at - 1)
 		e.cache.Flush()

@@ -131,9 +131,7 @@ func TestTertiaryOutageStallsStaging(t *testing.T) {
 func TestStarvationSurfacesTypedError(t *testing.T) {
 	cfg := smallConfig(8, 20)
 	cfg.K = 1
-	cfg.Fragmented = true
-	cfg.Coalescing = true
-	e, err := NewEngine(cfg, &stripedTech{})
+	e, err := NewEngine(cfg, &stripedTech{staggered: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +160,8 @@ func TestStarvationSurfacesTypedError(t *testing.T) {
 func TestZeroRetryLimitStarves(t *testing.T) {
 	cfg := smallConfig(8, 20)
 	cfg.K = 1
-	cfg.Fragmented = true
-	cfg.Coalescing = true
 	cfg.PlaceRetryLimit = 0
-	e, err := NewEngine(cfg, &stripedTech{})
+	e, err := NewEngine(cfg, &stripedTech{staggered: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +183,8 @@ func TestEvictionPressureRescuesExactFit(t *testing.T) {
 	run := func(pressure bool) (Result, int) {
 		cfg := smallConfig(8, 20)
 		cfg.K = 1
-		cfg.Fragmented = true
-		cfg.Coalescing = true
 		cfg.EvictionPressure = pressure
-		e, err := NewEngine(cfg, &stripedTech{})
+		e, err := NewEngine(cfg, &stripedTech{staggered: true})
 		if err != nil {
 			t.Fatal(err)
 		}

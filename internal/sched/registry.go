@@ -84,11 +84,9 @@ var techniques = []TechniqueInfo{
 				return cfg, fmt.Errorf("sched: staggered stride k must be in [1, D=%d], got %d", cfg.D, stride)
 			}
 			cfg.K = stride
-			cfg.Fragmented = true
-			cfg.Coalescing = true
 			return cfg, nil
 		},
-		factory: func() Technique { return &stripedTech{} },
+		factory: func() Technique { return &stripedTech{staggered: true} },
 	},
 	{
 		Key:     "vdr",

@@ -56,10 +56,8 @@ func TestSortReleases(t *testing.T) {
 // mis-ordered or double-applied release shows up as a phantom hiccup.
 func TestCoalescedRescheduleOrder(t *testing.T) {
 	cfg := smallConfig(48, 20)
-	cfg.Fragmented = true
-	cfg.Coalescing = true
 	cfg.Seed = 3
-	e, err := NewEngine(cfg, &stripedTech{})
+	e, err := NewEngine(cfg, &stripedTech{staggered: true})
 	if err != nil {
 		t.Fatal(err)
 	}

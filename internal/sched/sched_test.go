@@ -49,6 +49,18 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MeasureIntervals = 0 },
 		func(c *Config) { c.WarmupIntervals = -1 },
 		func(c *Config) { c.Tertiary.Bandwidth = 0 },
+		func(c *Config) { c.BDisk = math.NaN() },
+		func(c *Config) { c.BDisk = math.Inf(1) },
+		func(c *Config) { c.FragmentBytes = math.NaN() },
+		func(c *Config) { c.FragmentBytes = math.Inf(1) },
+		func(c *Config) { c.DistMean = math.NaN() },
+		func(c *Config) { c.DistMean = math.Inf(1) },
+		func(c *Config) { c.ZipfSkew = math.NaN() },
+		func(c *Config) { c.ZipfSkew = math.Inf(1) },
+		func(c *Config) { c.ArrivalsPerHour = math.NaN() },
+		func(c *Config) { c.ArrivalsPerHour = math.Inf(1) },
+		func(c *Config) { c.Tertiary.Bandwidth = math.NaN() },
+		func(c *Config) { c.Tertiary.Reposition = math.Inf(1) },
 	}
 	for i, mutate := range bad {
 		c := smallConfig(4, 10)
@@ -298,9 +310,7 @@ func TestVDRRejectsBadGeometry(t *testing.T) {
 func TestStaggeredStride1(t *testing.T) {
 	cfg := smallConfig(16, 10)
 	cfg.K = 1
-	cfg.Fragmented = true
-	cfg.Coalescing = true
-	e, err := NewEngine(cfg, &stripedTech{})
+	e, err := NewEngine(cfg, &stripedTech{staggered: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,20 +17,20 @@ type streamRef struct {
 
 // stripedTech is the striping family's Technique: simple striping
 // (k = M) and staggered striping (any k) share it, differing only in
-// the configured stride and in whether Algorithms 1 and 2 are
-// enabled.  Occupancy is tracked in virtual-disk space: physical disk
-// f at interval t corresponds to virtual disk (f − K·t) mod D, and a
-// display's streams own fixed virtual disks for the duration of their
-// reads, so bookkeeping is O(1) per stream per transition rather than
-// per interval.
+// the configured stride and in whether Algorithms 1 and 2 run (the
+// staggered registry key).  Occupancy is tracked in virtual-disk
+// space: physical disk f at interval t corresponds to virtual disk
+// (f − K·t) mod D, and a display's streams own fixed virtual disks for
+// the duration of their reads, so bookkeeping is O(1) per stream per
+// transition rather than per interval.
 //
 // All per-interval work is event-driven: stream releases and display
-// completions live in interval-keyed buckets (like wakeups), the
-// farm-busy integral is maintained incrementally at every
-// acquire/release site, and only displays that still have a stream to
-// coalesce are visited by Algorithm 2.  An interval in which nothing
-// happens costs O(1), independent of D, the number of active
-// displays, and the queue length.
+// completions live in interval-keyed buckets, the farm-busy integral
+// is maintained incrementally at every acquire/release site, and only
+// displays that still have a stream to coalesce are visited by
+// Algorithm 2.  An interval in which nothing happens costs O(1),
+// independent of D, the number of active displays, and the queue
+// length.
 //
 // Display state is a struct-of-arrays arena (DESIGN.md §11): a display
 // is an int32 slot into parallel slices (dStation, dObject, …) and a
@@ -47,6 +47,11 @@ type stripedTech struct {
 	cfg    Config
 	layout core.Layout
 	store  *core.Store
+
+	// staggered enables Algorithm-1 admission on non-adjacent virtual
+	// disks and Algorithm-2 coalescing (§3.2.1): the staggered
+	// technique, as opposed to simple striping's contiguous admission.
+	staggered bool
 
 	vbusy    []int32  // virtual disk -> owner display slot, matOwner, or freeSlot
 	freeBits []uint64 // bitset of free virtual disks, maintained with vbusy
@@ -203,11 +208,11 @@ func (t *stripedTech) bind(e *Engine) error {
 	// no longer fits — exactly what on-demand materialization would
 	// have produced.  Objects arrive in popularity (non-ascending id)
 	// order; Reserve keeps the store tables from reallocating per id.
-	// A cluster driver overrides the set outright (PreloadObjects) to
-	// spread replicas across member servers by Zipf rank.
+	// A cluster member preloads its assigned set instead, the
+	// cluster's replicas spread across members by Zipf rank.
 	t.store.Reserve(cfg.Objects)
-	ids := cfg.PreloadObjects
-	if ids == nil {
+	ids := e.preload
+	if !e.member {
 		ids = e.gen.TopObjects(preload)
 	}
 	for _, id := range ids {
@@ -243,8 +248,8 @@ func (t *stripedTech) setReady(obj int, ready bool) {
 }
 
 // interval runs one interval of striping policy: claim endings,
-// tertiary progress, admissions, then Algorithm 2 coalescing when
-// enabled; it returns the busy-disk count for the utilization
+// tertiary progress, admissions, then Algorithm 2 coalescing for the
+// staggered technique; it returns the busy-disk count for the utilization
 // integral.
 func (t *stripedTech) interval() int {
 	e := t.eng
@@ -258,7 +263,7 @@ func (t *stripedTech) interval() int {
 	t.finishDue()
 	t.stepTertiary()
 	t.admit()
-	if t.cfg.Coalescing {
+	if t.staggered {
 		t.coalesce()
 	}
 	return t.busy
@@ -273,7 +278,7 @@ func (t *stripedTech) intervalLabeled() int {
 	labeled("finishDue", t.finishDue)
 	labeled("tertiary", t.stepTertiary)
 	labeled("admit", t.admit)
-	if t.cfg.Coalescing {
+	if t.staggered {
 		labeled("coalesce", t.coalesce)
 	}
 	return t.busy
@@ -831,7 +836,7 @@ func (t *stripedTech) admit() {
 	// interval's technique phases, so playability cannot change inside
 	// one scan.
 	faultFree := !e.faultActive()
-	noFrag := !t.cfg.Fragmented
+	noFrag := !t.staggered
 	for _, r := range e.queue {
 		if !t.ready[r.object] {
 			e.tman.Request(r.object)
@@ -894,8 +899,8 @@ func (t *stripedTech) contigConsumed(obj int) bool {
 }
 
 // tryAdmit attempts a contiguous admission, falling back to
-// time-fragmented admission (Algorithm 1) for the queue head when
-// enabled.
+// time-fragmented admission (Algorithm 1) for the queue head under
+// the staggered technique.
 func (t *stripedTech) tryAdmit(r request, first int, fragBudget *int) bool {
 	m := t.cfg.Degree(r.object)
 	if t.contigConsumed(r.object) {
@@ -923,7 +928,7 @@ func (t *stripedTech) tryAdmit(r request, first int, fragBudget *int) bool {
 // walk along each stream's stride orbit in virtual-disk space, on the
 // free bitset itself, bounded by the startup limit.
 func (t *stripedTech) tryFragmented(r request, first, m int, fragBudget *int) bool {
-	if !t.cfg.Fragmented || *fragBudget <= 0 {
+	if !t.staggered || *fragBudget <= 0 {
 		return false
 	}
 	*fragBudget--

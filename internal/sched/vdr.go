@@ -141,10 +141,10 @@ func (t *vdrTech) bind(e *Engine) error {
 			cands = append(cands, cand{id: id, copy: j, value: p / float64(j)})
 		}
 	}
-	if cfg.PreloadObjects != nil {
+	if e.member {
 		// Cluster-assigned shard of the catalog: warm-start only the
 		// objects this server replicates.
-		for _, id := range cfg.PreloadObjects {
+		for _, id := range e.preload {
 			addCand(id)
 		}
 	} else {

@@ -11,7 +11,10 @@
 // repositioning.
 package tertiary
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // TapeLayout selects how an object is recorded on tertiary store.
 type TapeLayout int
@@ -52,11 +55,11 @@ var Table3 = Spec{Name: "sim-tertiary", Bandwidth: 40e6, Reposition: 5.0}
 
 // Validate reports whether the spec is sensible.
 func (s Spec) Validate() error {
-	if s.Bandwidth <= 0 {
-		return fmt.Errorf("tertiary: %s: bandwidth must be positive", s.Name)
+	if !(s.Bandwidth > 0) || math.IsInf(s.Bandwidth, 1) {
+		return fmt.Errorf("tertiary: %s: bandwidth must be positive and finite", s.Name)
 	}
-	if s.Reposition < 0 {
-		return fmt.Errorf("tertiary: %s: reposition time must be non-negative", s.Name)
+	if !(s.Reposition >= 0) || math.IsInf(s.Reposition, 1) {
+		return fmt.Errorf("tertiary: %s: reposition time must be non-negative and finite", s.Name)
 	}
 	return nil
 }

@@ -16,6 +16,16 @@ func TestSpecValidate(t *testing.T) {
 	if err := (Spec{Name: "bad", Bandwidth: 1, Reposition: -1}).Validate(); err == nil {
 		t.Error("negative reposition accepted")
 	}
+	for _, s := range []Spec{
+		{Name: "bad", Bandwidth: math.NaN()},
+		{Name: "bad", Bandwidth: math.Inf(1)},
+		{Name: "bad", Bandwidth: 1, Reposition: math.NaN()},
+		{Name: "bad", Bandwidth: 1, Reposition: math.Inf(1)},
+	} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("non-finite spec accepted: %+v", s)
+		}
+	}
 }
 
 func TestDisksOccupied(t *testing.T) {

@@ -164,8 +164,8 @@ func Table3Config(stations int, distMean float64, seed uint64) SimulationConfig 
 // NewSimulation builds a simulation of cfg running the technique with
 // the given registry key ("striped", "staggered", or "vdr"; see
 // SimulationTechniques).  cfg is used verbatim: "striped" and
-// "staggered" build the same striping engine, with cfg.K as the
-// stride and the Algorithm 1/2 switches as set.
+// "staggered" build the same striping engine with cfg.K as the
+// stride; "staggered" adds Algorithms 1 and 2.
 func NewSimulation(cfg SimulationConfig, technique string) (*Simulation, error) {
 	ti, ok := sched.TechniqueByKey(technique)
 	if !ok {

@@ -31,8 +31,20 @@ go test -bench 'BenchmarkFigure8a$|BenchmarkTable4$' -benchmem -benchtime 3x -ru
 echo "== DES kernel microbenchmarks (report only)"
 go test -bench 'BenchmarkEventCalendar|BenchmarkProcessSwitch' -benchmem -benchtime 100000x -run '^$' ./internal/sim
 
-echo "== golden dumps (51-config sweep + staggered strides + Algorithm 1 pin, byte-identical)"
-go test -run 'TestGoldenSweep$|TestGoldenStaggered$|TestStaggeredKMMatchesSimpleGolden$|TestGoldenAlgorithm1$' ./internal/sched
+echo "== golden dumps (49-config sweep + staggered strides + Algorithm 1 pin, byte-identical)"
+# Every named test must report --- PASS: a renamed or deleted test
+# would otherwise drop out of the -run regex silently.
+golden_tests="TestGoldenSweep TestGoldenStaggered TestGoldenAlgorithm1"
+golden_out=$(go test -v -run "^($(echo $golden_tests | tr ' ' '|'))\$" ./internal/sched) || {
+	printf '%s\n' "$golden_out"
+	exit 1
+}
+for name in $golden_tests; do
+	if ! printf '%s\n' "$golden_out" | grep -q -- "--- PASS: $name ("; then
+		echo "golden step: $name did not report --- PASS"
+		exit 1
+	fi
+done
 
 echo "== fuzz: Algorithm 1 orbit walk against the per-candidate oracle"
 go test -run '^$' -fuzz FuzzChooseVirtualDisks -fuzztime 10s ./internal/vdisk
@@ -40,7 +52,7 @@ go test -run '^$' -fuzz FuzzChooseVirtualDisks -fuzztime 10s ./internal/vdisk
 echo "== fuzz: fault-plan parser (plan or error, never a panic or a runaway allocation)"
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/fault
 
-echo "== fuzz: Config -> Validate -> NewEngineFor -> short RunChecked (error or zero hiccups)"
+echo "== fuzz: Config -> Validate -> Configure -> New or NewMember -> short RunChecked (error or zero hiccups)"
 go test -run '^$' -fuzz FuzzEngineConfig -fuzztime 10s ./internal/sched
 
 echo "== 100x scale trajectory under the race detector (points run concurrently)"
