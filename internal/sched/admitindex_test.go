@@ -1,0 +1,351 @@
+package sched
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"github.com/mmsim/staggered/internal/cache"
+	"github.com/mmsim/staggered/internal/fault"
+	"github.com/mmsim/staggered/internal/rng"
+	"github.com/mmsim/staggered/internal/tertiary"
+)
+
+// checkStriped asserts, after an interval, the conditions the striped
+// engine's event-driven admission relies on (DESIGN.md §8):
+//
+//   - every ready object is resident, so the per-entry path's
+//     FirstDisk lookup cannot miss;
+//   - every cold object queued when the scan ran is Pending on the
+//     tertiary device, so a later Request for it would be a no-op;
+//   - unless the ready index is marked for a rebuild, every ready
+//     queued request sits exactly once in the FIFO of its object's
+//     first disk and degree, the FIFOs hold nothing else, and sequence
+//     numbers rise along the queue and along every FIFO.
+//
+// It is a no-op for other techniques.
+func checkStriped(t testing.TB, e *Engine) {
+	t.Helper()
+	st, ok := e.tech.(*stripedTech)
+	if !ok {
+		return
+	}
+	at := e.now - 1
+	for obj, ready := range st.ready {
+		if ready && !st.store.Resident(obj) {
+			t.Fatalf("interval %d: object %d is ready but not resident", at, obj)
+		}
+	}
+	// Entries past lastLen were queued after the scan (a fault-active
+	// scan's rejections reissue their stations); the next scan
+	// requests them.
+	for _, r := range e.queue[:st.lastLen] {
+		if !st.ready[r.object] && !e.tman.Pending(r.object) {
+			t.Fatalf("interval %d: cold queued object %d (station %d) is not pending on the device", at, r.object, r.station)
+		}
+	}
+	x := &st.idx
+	if x.dirty {
+		return
+	}
+	queued := make(map[int32]request, len(e.queue))
+	for i, r := range e.queue {
+		if i > 0 && x.seq[r.station] <= x.seq[e.queue[i-1].station] {
+			t.Fatalf("interval %d: sequence numbers do not rise along the queue at position %d", at, i)
+		}
+		if st.ready[r.object] {
+			queued[int32(r.station)] = r
+		}
+	}
+	seen := 0
+	for id := range x.fifos {
+		q := &x.fifos[id]
+		if id > 0 {
+			if x.fifos[id-1].key >= q.key {
+				t.Fatalf("interval %d: FIFO table out of order at %d", at, id)
+			}
+		}
+		last := int32(-1)
+		for s := q.head; s >= 0; s = x.next[s] {
+			r, ok := queued[s]
+			if !ok {
+				t.Fatalf("interval %d: FIFO %d holds station %d, which has no ready queued request (or appears twice)", at, id, s)
+			}
+			delete(queued, s)
+			seen++
+			if first, _ := st.store.FirstDisk(r.object); q.first() != first || q.degree() != st.cfg.Degree(r.object) {
+				t.Fatalf("interval %d: station %d (object %d, first disk %d, degree %d) is in the FIFO of (%d, %d)",
+					at, s, r.object, first, st.cfg.Degree(r.object), q.first(), q.degree())
+			}
+			if last >= 0 && x.seq[s] <= x.seq[last] {
+				t.Fatalf("interval %d: FIFO %d is out of sequence order at station %d", at, id, s)
+			}
+			if x.next[s] < 0 && q.tail != s {
+				t.Fatalf("interval %d: FIFO %d ends at station %d but its tail is %d", at, id, s, q.tail)
+			}
+			last = s
+		}
+	}
+	for s, r := range queued {
+		t.Fatalf("interval %d: ready request of station %d (object %d) is missing from the index (%d linked)", at, s, r.object, seen)
+	}
+}
+
+// admissionCase is one differential run of the striped admission: a
+// small, loaded configuration and how to drive it.
+type admissionCase struct {
+	cfg    Config
+	key    string // striped or staggered
+	stride int
+	// member builds a cluster member fed by InjectArrival, with preload
+	// as its assigned objects.
+	member  bool
+	preload []int
+	// killAt > 0 kills the engine before that interval and revives it
+	// at reviveAt (open arrivals only).
+	killAt, reviveAt int
+}
+
+func (c admissionCase) String() string {
+	return fmt.Sprintf("%s k=%d member=%v kill=%d/%d %+v", c.key, c.stride, c.member, c.killAt, c.reviveAt, c.cfg)
+}
+
+// admissionCaseFrom maps bytes to a small admission case: a farm of a
+// few dozen disks under enough stations to keep a queue, with
+// materialization pressure, mixed degrees, a cache with batching, open
+// or closed or member arrivals, a small Place retry cap, disk and
+// tertiary fault plans and a kill, each chosen by the bytes.  Every
+// case validates.
+func admissionCaseFrom(data []byte) admissionCase {
+	b := fuzzBytes(data)
+	d := 8 + b.next()%33
+	m := 1 + b.next()%min(6, d)
+	objects := 4 + b.next()%36
+	sub := 4 + b.next()%17
+	// Room for a third to all of the catalog's fragments: staging,
+	// eviction and, at the low end, starvation.
+	room := objects * m * sub * (1 + b.next()%3) / 3
+	cfg := Config{
+		D:                 d,
+		K:                 1 + b.next()%d,
+		CapacityFragments: max(sub, room/d+1),
+		Objects:           objects,
+		Subobjects:        sub,
+		M:                 m,
+		BDisk:             20e6,
+		FragmentBytes:     1512000,
+		Tertiary:          tertiary.Table3,
+		TapeLayout:        tertiary.DiskMatched,
+		Stations:          1 + b.next()%48,
+		DistMean:          float64(3 + b.next()%20),
+		Seed:              uint64(b.next()),
+		WarmupIntervals:   b.next() % 64,
+		MeasureIntervals:  120 + b.next()%240,
+		PreloadTop:        b.next() % (objects + 1),
+		MaxStartup:        b.next() % 12,
+		PlaceRetryLimit:   1 + b.next()%8,
+	}
+	c := admissionCase{key: "striped"}
+	flags := b.next()
+	if flags&1 != 0 {
+		c.key = "staggered"
+		c.stride = 1 + b.next()%d
+	}
+	cfg.EvictionPressure = flags&2 != 0
+	if flags&4 != 0 {
+		cfg.Degrees = make([]int, objects)
+		for i := range cfg.Degrees {
+			cfg.Degrees[i] = 1 + b.next()%m
+		}
+	}
+	if flags&8 != 0 {
+		cfg.ZipfSkew = float64(1+b.next()%12) / 8
+	}
+	if flags&16 != 0 {
+		cfg.Cache = &cache.Spec{
+			BudgetBytes: int64(1+b.next()%8) << 24,
+			BatchWindow: b.next() % 8,
+		}
+		if flags&32 != 0 {
+			cfg.Cache.Policy = cache.PolicyLRU
+		}
+	}
+	horizon := cfg.WarmupIntervals + cfg.MeasureIntervals
+	switch b.next() % 3 {
+	case 1:
+		cfg.ArrivalsPerHour = float64(1+b.next()%40) * 500
+	case 2:
+		c.member = true
+		c.preload = []int{b.next() % objects, b.next() % objects, b.next() % objects}
+	}
+	if (c.member || cfg.ArrivalsPerHour > 0) && flags&64 != 0 {
+		c.killAt = cfg.WarmupIntervals + 1 + b.next()%(cfg.MeasureIntervals/2)
+		c.reviveAt = c.killAt + b.next()%32
+	}
+	if n := b.next() % 4; n > 0 {
+		p := fault.NewPlan()
+		for i := 0; i < n; i++ {
+			at := b.next() % horizon
+			until := at + 1 + b.next()%64
+			disk := b.next() % d
+			switch b.next() % 4 {
+			case 0:
+				p.FailDisk(disk, at)
+			case 1:
+				p.FailDiskUntil(disk, at, until)
+			case 2:
+				p.SlowDisk(disk, at, until)
+			default:
+				p.TertiaryOutage(at, until)
+			}
+		}
+		cfg.Faults = p
+	}
+	c.cfg = cfg
+	return c
+}
+
+// admissionRun is what one run of a case produced.
+type admissionRun struct {
+	admits  [][3]int // (interval, station, object) of every EvAdmit
+	orphans []int
+	res     Result
+	work    admitWork
+}
+
+// runAdmissionCase runs a case with the indexed admission, or with the
+// full scan forced in every interval, checking the index's conditions
+// after every interval.  It reports false when the case does not build
+// (a stride the farm cannot take, say).
+func runAdmissionCase(t testing.TB, c admissionCase, fullScan bool) (admissionRun, bool) {
+	ti, _ := TechniqueByKey(c.key)
+	cfg, err := ti.Configure(c.cfg, c.stride)
+	if err != nil {
+		return admissionRun{}, false
+	}
+	var e *Engine
+	if c.member {
+		e, err = ti.NewMember(cfg, c.preload)
+	} else {
+		e, err = ti.New(cfg)
+	}
+	if err != nil {
+		return admissionRun{}, false
+	}
+	st := e.tech.(*stripedTech)
+	st.fullScan = fullScan
+	var run admissionRun
+	e.SetTracer(func(ev Event) {
+		if ev.Kind == EvAdmit {
+			run.admits = append(run.admits, [3]int{ev.Interval, ev.Station, ev.Object})
+		}
+	})
+	e.stepCheck = func() { checkStriped(t, e) }
+	arrivals := rng.NewSource(cfg.Seed).Stream("admission-test")
+	horizon := cfg.WarmupIntervals + cfg.MeasureIntervals
+	e.Prime()
+	for e.now < horizon {
+		if e.now == cfg.WarmupIntervals {
+			e.ResetWindow()
+		}
+		if c.killAt > 0 && e.now == c.killAt && run.orphans == nil {
+			run.orphans = append([]int{}, e.Kill().Orphans...)
+			e.Revive(c.reviveAt)
+			continue
+		}
+		if c.member {
+			for i := 0; i < 2; i++ {
+				e.InjectArrival(arrivals.Intn(cfg.Objects))
+			}
+		}
+		e.StepOne()
+	}
+	run.res = e.Snapshot()
+	run.work = st.work
+	return run, true
+}
+
+// compareAdmission runs a case both ways and fails on any difference in
+// the admission sequence, the Kill orphans or the Result.  It returns
+// the indexed run, and false when the case does not build.
+func compareAdmission(t *testing.T, c admissionCase) (admissionRun, bool) {
+	t.Helper()
+	fast, ok := runAdmissionCase(t, c, false)
+	if !ok {
+		return fast, false
+	}
+	oracle, _ := runAdmissionCase(t, c, true)
+	if !reflect.DeepEqual(fast.admits, oracle.admits) {
+		n := min(len(fast.admits), len(oracle.admits))
+		i := 0
+		for i < n && fast.admits[i] == oracle.admits[i] {
+			i++
+		}
+		t.Fatalf("%v\nadmissions diverge at #%d of %d/%d: indexed %v, full scan %v", c, i,
+			len(fast.admits), len(oracle.admits), admitAt(fast.admits, i), admitAt(oracle.admits, i))
+	}
+	if !reflect.DeepEqual(fast.orphans, oracle.orphans) {
+		t.Fatalf("%v\nkill orphans differ: indexed %v, full scan %v", c, fast.orphans, oracle.orphans)
+	}
+	if !reflect.DeepEqual(fast.res, oracle.res) {
+		t.Fatalf("%v\nResults differ:\n  indexed   %+v\n  full scan %+v", c, fast.res, oracle.res)
+	}
+	return fast, true
+}
+
+func admitAt(a [][3]int, i int) any {
+	if i < len(a) {
+		return a[i]
+	}
+	return "none"
+}
+
+// TestStripedAdmissionMatchesScan is the differential oracle of the
+// event-driven admission: on random small cases covering both striped
+// techniques, Tmax, mixed degrees, the cache with batching, every
+// arrival mode, a small Place retry cap with and without eviction
+// pressure, disk and tertiary faults and a member kill, the indexed
+// path must admit exactly what the full queue scan admits, in the same
+// intervals and order, and end in the same Result.
+func TestStripedAdmissionMatchesScan(t *testing.T) {
+	const cases = 300
+	src := rng.NewSource(20261017).Stream("admission-cases")
+	ran, admitted, prefix, windows, killed := 0, 0, 0, 0, 0
+	for i := 0; i < cases; i++ {
+		data := make([]byte, 64)
+		for j := range data {
+			data[j] = byte(src.Intn(256))
+		}
+		c := admissionCaseFrom(data)
+		run, ok := compareAdmission(t, c)
+		if !ok {
+			continue
+		}
+		ran++
+		admitted += len(run.admits)
+		prefix += run.work.prefix
+		windows += run.work.windows
+		if c.killAt > 0 {
+			killed++
+		}
+	}
+	t.Logf("%d of %d cases ran: %d admissions, %d prefix entries, %d free windows, %d kills",
+		ran, cases, admitted, prefix, windows, killed)
+	// The comparison proves nothing on cases that never admit, or never
+	// reach the staggered prefix, the index or a kill.
+	if ran < cases*3/4 || admitted < 100*ran || prefix == 0 || windows < admitted/4 || killed == 0 {
+		t.Fatalf("weak coverage: %d of %d cases ran, %d admissions, %d prefix entries, %d free windows, %d kills",
+			ran, cases, admitted, prefix, windows, killed)
+	}
+}
+
+// FuzzStripedAdmission is TestStripedAdmissionMatchesScan on fuzzed
+// cases.
+func FuzzStripedAdmission(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{12, 4, 20, 10, 2, 3, 40, 10, 7, 10, 100, 5, 3, 4, 1, 2})
+	f.Add([]byte{30, 5, 30, 12, 1, 2, 47, 8, 9, 0, 200, 20, 0, 8, 127, 1, 3, 2, 4, 5, 2, 3, 1, 2, 1, 9, 9, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		compareAdmission(t, admissionCaseFrom(data))
+	})
+}

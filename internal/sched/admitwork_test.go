@@ -1,0 +1,78 @@
+package sched_test
+
+import (
+	"testing"
+
+	"github.com/mmsim/staggered/internal/experiment"
+	"github.com/mmsim/staggered/internal/sched"
+)
+
+// TestAdmissionWorkIndependentOfQueue bounds the striped admission's
+// work in host-independent units on the scale geometry under Zipf
+// load: in every fault-free interval the queue entries it examines are
+// at most its admissions, the requests queued since the last scan, the
+// entries of the staggered prefix and the free windows it visited —
+// and, under simple striping, those windows are at most the disks that
+// were free when the scan ran.  Doubling the stations, which more than
+// doubles the queue, must not double the entries examined per interval.
+func TestAdmissionWorkIndependentOfQueue(t *testing.T) {
+	for _, key := range []string{"striped", "staggered"} {
+		t.Run(key, func(t *testing.T) {
+			base := experiment.ScaleConfig(10, 1)
+			base.ZipfSkew = 0.4
+			touched1, queue1 := admissionWorkPerInterval(t, key, base)
+			base.Stations *= 2
+			touched2, queue2 := admissionWorkPerInterval(t, key, base)
+			t.Logf("per interval: %.1f entries examined at queue %.1f; %.1f at queue %.1f",
+				touched1, queue1, touched2, queue2)
+			if queue2 < 2*queue1 {
+				t.Fatalf("doubling the stations took the mean queue from %.1f to %.1f only; the comparison proves nothing",
+					queue1, queue2)
+			}
+			if touched2 >= 1.5*touched1 {
+				t.Errorf("entries examined per interval grew from %.1f to %.1f with the queue (%.1f to %.1f)",
+					touched1, touched2, queue1, queue2)
+			}
+		})
+	}
+}
+
+// admissionWorkPerInterval runs cfg under the technique, checks the
+// per-interval bound, and returns the mean entries examined and the
+// mean queue length per interval.
+func admissionWorkPerInterval(t *testing.T, key string, cfg sched.Config) (touched, queue float64) {
+	t.Helper()
+	e, cfg, err := sched.NewEngineFor(key, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Faults != nil || cfg.Degrees != nil {
+		t.Fatal("the bound below assumes a fault-free run of uniform degree")
+	}
+	prev := e.AdmissionWork()
+	sumTouched, sumQueue, n := 0, 0, 0
+	for e.HasPendingWork() {
+		at := e.Now()
+		e.StepOne()
+		w := e.AdmissionWork()
+		dt := w.Touched - prev.Touched
+		admits := w.Admitted - prev.Admitted
+		arrivals := w.Requests - prev.Requests
+		prefix := w.Prefix - prev.Prefix
+		windows := w.Windows - prev.Windows
+		if bound := admits + arrivals + prefix + windows; dt > bound {
+			t.Fatalf("interval %d: %d entries examined, above admissions %d + arrivals %d + prefix %d + windows %d",
+				at, dt, admits, arrivals, prefix, windows)
+		}
+		if key == "striped" {
+			if free := cfg.D - w.Busy + admits*cfg.M; windows > free {
+				t.Fatalf("interval %d: %d windows visited with only %d disks free", at, windows, free)
+			}
+		}
+		sumTouched += dt
+		sumQueue += e.QueuedRequests()
+		n++
+		prev = w
+	}
+	return float64(sumTouched) / float64(n), float64(sumQueue) / float64(n)
+}

@@ -71,8 +71,10 @@ func chaosPlan(s *rng.Stream, d, horizon int) *fault.Plan {
 // techniques and asserts the structural invariants a degraded run
 // must keep: no negative counters, closed-loop station conservation
 // (every station is queued or in delivery at quiescence), and display
-// conservation (admitted = completed + aborted + active).  It runs in
-// -short mode on purpose — scripts/ci.sh puts it under -race.
+// conservation (admitted = completed + aborted + active); the striped
+// techniques' admission conditions (checkStriped) are checked after
+// every interval.  It runs in -short mode on purpose — scripts/ci.sh
+// puts it under -race.
 func TestChaos(t *testing.T) {
 	techniques := []struct {
 		key    string
@@ -99,6 +101,7 @@ func TestChaos(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			e.stepCheck = func() { checkStriped(t, e) }
 			res, runErr := e.RunChecked()
 			if runErr != nil {
 				// Starvation is a legitimate outcome on a tiny farm
@@ -184,7 +187,8 @@ func TestChaosDeterministic(t *testing.T) {
 // TestShardedChaos reruns a slice of the chaos harness across all
 // three techniques with eviction pressure on half the scenarios: the
 // structural invariants of a degraded run (display and station
-// conservation, no mask drift) must hold on every case.  The name
+// conservation, no mask drift, checkStriped after every interval) must
+// hold on every case.  The name
 // dates from when this slice also ran a sharded engine; it is kept so
 // the test and its 81 cases stay under the names they always had.
 func TestShardedChaos(t *testing.T) {
@@ -210,6 +214,7 @@ func TestShardedChaos(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			e.stepCheck = func() { checkStriped(t, e) }
 			_, runErr := e.RunChecked()
 			if runErr != nil {
 				if _, ok := runErr.(*StarvationError); !ok {

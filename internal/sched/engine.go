@@ -120,6 +120,10 @@ type Engine struct {
 	now    int
 	tracer Tracer
 
+	// stepCheck, when set, runs after every interval: the tests'
+	// continuous invariant checks.  Nothing outside tests sets it.
+	stepCheck func()
+
 	// phaseLabels is latched at construction when a CPU profile is
 	// being collected; the interval loop branches to pprof-labeled
 	// phase wrappers only then, so the unprofiled hot path pays one
@@ -328,6 +332,9 @@ func (e *Engine) step() {
 	}
 	e.busyArea += float64(e.tech.interval())
 	e.now++
+	if e.stepCheck != nil {
+		e.stepCheck()
+	}
 }
 
 // applyFaults drains plan events due at or before the current

@@ -26,9 +26,11 @@ type streamRef struct {
 //
 // All per-interval work is event-driven: stream releases and display
 // completions live in interval-keyed buckets, the farm-busy integral
-// is maintained incrementally at every acquire/release site, and only
+// is maintained incrementally at every acquire/release site, only
 // displays that still have a stream to coalesce are visited by
-// Algorithm 2.  An interval in which nothing happens costs O(1),
+// Algorithm 2, and a fault-free admission scan visits the new arrivals
+// and the free windows of a ready-request index, not the queue
+// (admitindex.go).  An interval in which nothing happens costs O(1),
 // independent of D, the number of active displays, and the queue
 // length.
 //
@@ -81,13 +83,20 @@ type stripedTech struct {
 
 	ready []bool // object resident and fully materialized
 
-	// coldQueued counts queued requests whose object is not ready —
-	// the sum of pin counts over not-ready objects, maintained at
-	// every enqueue and readiness flip.  Together with the farm-full
-	// check it gates the admission scan: when it is zero and the farm
-	// cannot fit even the smallest object, the whole scan would re-keep
-	// every entry unchanged, so admit skips it entirely.
-	coldQueued int
+	// Event-driven admission (admitindex.go).  lastLen is the queue
+	// length after the last scan, so e.queue[lastLen:] are the entries
+	// queued since; dropped records that the tertiary device dropped
+	// requests since then, so every cold entry needs a new Request.
+	idx      readyIndex
+	lastLen  int
+	dropped  bool
+	admitPos []int32  // scratch: queue positions admitted this scan, ascending
+	cands    []uint64 // scratch: FIFO heads to probe, sequence<<32 | FIFO id
+	work     admitWork
+
+	// fullScan forces scanAdmit in every interval: the oracle the
+	// indexed path is tested against.  Only tests set it.
+	fullScan bool
 
 	// probeObj memoizes, per object, the interval its contiguous
 	// admission probe last ran.  Within one scan disks only get busier,
@@ -178,6 +187,7 @@ func (t *stripedTech) bind(e *Engine) error {
 		t.freeBits[len(t.freeBits)-1] = 1<<uint(r) - 1
 	}
 	t.byObject = make([]int32, cfg.Objects)
+	t.idx = newReadyIndex(cfg.Stations)
 	t.ready = make([]bool, cfg.Objects)
 	t.probeObj = make([]int32, cfg.Objects)
 	t.playEpoch = make([]int32, cfg.Objects)
@@ -216,33 +226,39 @@ func (t *stripedTech) bind(e *Engine) error {
 		ids = e.gen.TopObjects(preload)
 	}
 	for _, id := range ids {
-		if _, err := t.store.Place(id, cfg.Degree(id), cfg.Subobjects); err != nil {
+		p, err := t.store.Place(id, cfg.Degree(id), cfg.Subobjects)
+		if err != nil {
 			break
 		}
 		t.ready[id] = true
+		t.idx.fifoOf(p.First, p.M)
 	}
+	// The preloaded catalog's FIFOs exist from the start, so a run that
+	// stages nothing allocates no index state while it steps.
+	n := len(t.idx.fifos)
+	t.cands = make([]uint64, 0, n)
+	t.admitPos = make([]int32, 0, n)
 	return nil
 }
 
 func (t *stripedTech) name() string { return StripingTechniqueName(t.cfg) }
 
 func (t *stripedTech) onEnqueue(r request) {
-	if !t.ready[r.object] {
-		t.coldQueued++
+	t.idx.stamp(r.station)
+	if t.ready[r.object] && !t.idx.dirty {
+		t.idx.push(int32(r.station), t.fifoOfObject(r.object))
 	}
 }
 
-// setReady flips an object's readiness and keeps coldQueued — the
-// admission scan's materialization-wait gate — in sync with the
-// object's pin count (the number of its queued requests).
+// setReady flips an object's readiness.  A flip of a queued object (one
+// with a pin count) moves its requests into or out of the ready index,
+// which is then rebuilt before the next indexed scan.
 func (t *stripedTech) setReady(obj int, ready bool) {
 	if t.ready[obj] == ready {
 		return
 	}
-	if ready {
-		t.coldQueued -= int(t.eng.pinned[obj])
-	} else {
-		t.coldQueued += int(t.eng.pinned[obj])
+	if t.eng.pinned[obj] > 0 {
+		t.idx.dirty = true
 	}
 	t.ready[obj] = ready
 }
@@ -366,8 +382,8 @@ func (t *stripedTech) abortDisplay(d int32) {
 // drains the queue right after), then every in-flight display aborts
 // through the same typed path a disk fault uses.  Pooled slots have
 // dDone set, so the arena walk naturally skips them.  After the walk
-// every virtual disk is free and no queued request pins anything, so
-// the coldQueued gate resets to zero.
+// every virtual disk is free, and the ready index is marked for a
+// rebuild from the (about to be drained) queue.
 func (t *stripedTech) killActive() {
 	if t.matObject >= 0 {
 		t.abortStaging()
@@ -378,7 +394,7 @@ func (t *stripedTech) killActive() {
 		}
 	}
 	t.coalescing = t.coalescing[:0]
-	t.coldQueued = 0
+	t.idx.dirty, t.lastLen, t.dropped = true, 0, true
 }
 
 // onRevive needs no ring surgery: every event scheduled before the
@@ -424,6 +440,7 @@ func (t *stripedTech) abortStaging() {
 	t.matStarted = false
 	t.matRetries, t.matNextTry, t.matPressured = 0, 0, false
 	t.eng.tman.Abort()
+	t.dropped = true
 }
 
 // playable reports whether an object's resident layout avoids every
@@ -711,6 +728,7 @@ func (t *stripedTech) placeFailed(obj int) {
 		t.matObject = -1
 		t.matRetries, t.matNextTry, t.matPressured = 0, 0, false
 		e.tman.Abort()
+		t.dropped = true
 		return
 	}
 	// Exponential backoff, capped at 16 intervals: the farm only
@@ -811,77 +829,83 @@ func (t *stripedTech) evictable(id int) bool {
 // one interval.
 const fragmentedAttemptsPerInterval = 8
 
-// admit scans the queue in arrival order and starts every display
-// whose disks are free, per §3.1's use of idle time intervals for new
-// requests.  Non-resident objects are routed to the tertiary manager.
-// A request whose object needs more disks than the whole farm has free
-// is skipped without probing.
-func (t *stripedTech) admit() {
+// scanAdmit is the full admission scan: every queued request, in
+// arrival order, through the per-entry path, with a tertiary Request
+// for each cold one.  It runs in fault-active intervals, where
+// playability can refuse an entry, and is the oracle the indexed path
+// is tested against.  It leaves the ready index to be rebuilt.
+func (t *stripedTech) scanAdmit() {
 	e := t.eng
-	if len(e.queue) == 0 {
-		return
-	}
-	// Fast path: a saturated closed system spends most intervals with
-	// the farm too full to admit even the smallest object.  When no
-	// queued request is waiting on a materialization either (so the
-	// scan has no tertiary requests to forward) and no fault is active
-	// (so no playability rejections are pending), every entry would be
-	// re-kept unchanged — skip the whole scan.
-	if t.coldQueued == 0 && t.cfg.D-t.busy < t.minDegree && !e.faultActive() {
-		return
-	}
 	kept := e.queue[:0]
 	fragBudget := fragmentedAttemptsPerInterval
 	// faultFree is loop-invariant: fault transitions apply before the
 	// interval's technique phases, so playability cannot change inside
 	// one scan.
 	faultFree := !e.faultActive()
-	noFrag := !t.staggered
 	for _, r := range e.queue {
+		t.work.touched++
 		if !t.ready[r.object] {
 			e.tman.Request(r.object)
 			kept = append(kept, r)
 			continue
 		}
-		// Memo fast path: the object's contiguous probe was already
-		// consumed this interval, and the fragmented fallback cannot
-		// fire (disabled, or its per-interval budget is spent) — the
-		// full path below would deterministically re-keep this entry
-		// (no fault is active, so no playability rejection is pending
-		// either).  Skip the placement lookup and the probe entirely.
-		if faultFree && (noFrag || fragBudget <= 0) && t.probeObj[r.object] == int32(e.now) {
-			kept = append(kept, r)
+		switch t.admitEntry(r, &fragBudget, faultFree) {
+		case entryAdmitted:
 			continue
-		}
-		first, ok := t.store.FirstDisk(r.object)
-		if !ok { // evicted between materialization and admission
-			t.setReady(r.object, false)
-			e.tman.Request(r.object)
-			kept = append(kept, r)
-			continue
-		}
-		if !t.playable(r.object) {
-			// The layout's stride orbit crosses a down disk: admitting
-			// would guarantee hiccups or an abort, so refuse instead.
+		case entryRejected:
 			// Deferred past the queue swap — kept aliases the queue's
 			// backing array, and the rejection path reissues the
 			// station, which must append to the NEW queue.
 			t.rejectBuf = append(t.rejectBuf, r)
 			continue
 		}
-		if t.cfg.D-t.busy >= t.cfg.Degree(r.object) && t.tryAdmit(r, first, &fragBudget) {
-			e.pinned[r.object]--
-			continue
-		}
 		kept = append(kept, r)
 	}
 	e.queue = kept
+	t.lastLen, t.dropped, t.idx.dirty = len(kept), false, true
 	if len(t.rejectBuf) > 0 {
 		for _, r := range t.rejectBuf {
 			e.countReject(r)
 		}
 		t.rejectBuf = t.rejectBuf[:0]
 	}
+}
+
+// entryVerdict is what the per-entry admission path did with a request.
+type entryVerdict uint8
+
+const (
+	entryKept entryVerdict = iota
+	entryAdmitted
+	entryRejected
+)
+
+// admitEntry is the per-entry admission path for a queued request whose
+// object is ready, shared by the full scan, the staggered prefix and
+// the indexed probe.  A request whose object needs more disks than the
+// whole farm has free is kept without probing.
+func (t *stripedTech) admitEntry(r request, fragBudget *int, faultFree bool) entryVerdict {
+	e := t.eng
+	// Memo fast path: the object's contiguous probe was already
+	// consumed this interval, and the fragmented fallback cannot fire
+	// (disabled, or its per-interval budget is spent) — the path below
+	// would deterministically keep this entry (no fault is active, so
+	// no playability rejection is pending either).  Skip the placement
+	// lookup and the probe entirely.
+	if faultFree && (!t.staggered || *fragBudget <= 0) && t.probeObj[r.object] == int32(e.now) {
+		return entryKept
+	}
+	first, _ := t.store.FirstDisk(r.object) // ready ⇒ resident
+	if !t.playable(r.object) {
+		// The layout's stride orbit crosses a down disk: admitting
+		// would guarantee hiccups or an abort, so refuse instead.
+		return entryRejected
+	}
+	if m := t.cfg.Degree(r.object); t.cfg.D-t.busy >= m && t.tryAdmit(r, first, m, fragBudget) {
+		e.pinned[r.object]--
+		return entryAdmitted
+	}
+	return entryKept
 }
 
 // contigConsumed consults and consumes the object's contiguous-probe
@@ -901,8 +925,7 @@ func (t *stripedTech) contigConsumed(obj int) bool {
 // tryAdmit attempts a contiguous admission, falling back to
 // time-fragmented admission (Algorithm 1) for the queue head under
 // the staggered technique.
-func (t *stripedTech) tryAdmit(r request, first int, fragBudget *int) bool {
-	m := t.cfg.Degree(r.object)
+func (t *stripedTech) tryAdmit(r request, first, m int, fragBudget *int) bool {
 	if t.contigConsumed(r.object) {
 		return t.tryFragmented(r, first, m, fragBudget)
 	}

@@ -2,6 +2,7 @@ package tertiary
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -226,6 +227,100 @@ func TestManagerRequeueAfterFinish(t *testing.T) {
 	}
 	if !m.Request(1) {
 		t.Fatal("re-request after finish not accepted as new")
+	}
+}
+
+// drainOrder starts and finishes every queued request and returns the
+// ids in the order the device served them.
+func drainOrder(t *testing.T, m *Manager) []int {
+	t.Helper()
+	var order []int
+	for {
+		id, ok := m.StartNext()
+		if !ok {
+			return order
+		}
+		order = append(order, id)
+		if _, err := m.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestManagerRepeatRequestIsNoOp pins what the striped admission's
+// cold-request events rely on: a Request for an id that is queued or
+// in flight returns false and leaves the queue exactly as it was, so
+// re-requesting a still-pending object every interval changes nothing.
+func TestManagerRepeatRequestIsNoOp(t *testing.T) {
+	m := NewManager()
+	for _, id := range []int{4, 1, 7, 3} {
+		m.Request(id)
+	}
+	if id, ok := m.StartNext(); !ok || id != 4 {
+		t.Fatalf("StartNext = %d,%v, want 4", id, ok)
+	}
+	for _, id := range []int{3, 4, 1, 7, 4, 3} {
+		if m.Request(id) {
+			t.Fatalf("Request(%d) on a pending id reported new work", id)
+		}
+		if !m.Pending(id) {
+			t.Fatalf("Pending(%d) = false after a no-op Request", id)
+		}
+	}
+	if m.QueueLen() != 3 || m.Inflight() != 4 {
+		t.Fatalf("queue length %d, in flight %d; want 3 and 4", m.QueueLen(), m.Inflight())
+	}
+	if _, err := m.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := drainOrder(t, m), []int{1, 7, 3}; !slices.Equal(got, want) {
+		t.Fatalf("served %v after repeat requests, want %v", got, want)
+	}
+}
+
+// TestManagerRequestAfterDropAppendsAtTail pins the other half: once
+// the device drops a request (Abort of the in-flight one, or Reset of
+// everything), the id is no longer pending, and a new Request appends
+// it at the tail of the FCFS queue.
+func TestManagerRequestAfterDropAppendsAtTail(t *testing.T) {
+	m := NewManager()
+	for _, id := range []int{5, 2, 8} {
+		m.Request(id)
+	}
+	if id, _ := m.StartNext(); id != 5 {
+		t.Fatalf("StartNext = %d, want 5", id)
+	}
+	m.Abort()
+	if m.Pending(5) {
+		t.Fatal("aborted id still pending")
+	}
+	if !m.Request(5) {
+		t.Fatal("Request after Abort not accepted as new")
+	}
+	if got, want := drainOrder(t, m), []int{2, 8, 5}; !slices.Equal(got, want) {
+		t.Fatalf("served %v after Abort, want %v", got, want)
+	}
+
+	for _, id := range []int{6, 9, 1} {
+		m.Request(id)
+	}
+	if id, _ := m.StartNext(); id != 6 {
+		t.Fatalf("StartNext = %d, want 6", id)
+	}
+	m.Reset()
+	for _, id := range []int{6, 9, 1} {
+		if m.Pending(id) {
+			t.Fatalf("id %d still pending after Reset", id)
+		}
+	}
+	m.Request(3)
+	for _, id := range []int{1, 6} {
+		if !m.Request(id) {
+			t.Fatalf("Request(%d) after Reset not accepted as new", id)
+		}
+	}
+	if got, want := drainOrder(t, m), []int{3, 1, 6}; !slices.Equal(got, want) {
+		t.Fatalf("served %v after Reset, want %v", got, want)
 	}
 }
 

@@ -55,6 +55,9 @@ go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/fault
 echo "== fuzz: Config -> Validate -> Configure -> New or NewMember -> short RunChecked (error or zero hiccups)"
 go test -run '^$' -fuzz FuzzEngineConfig -fuzztime 10s ./internal/sched
 
+echo "== fuzz: striped admission, indexed path against the full queue scan (same admissions, same Result)"
+go test -run '^$' -fuzz FuzzStripedAdmission -fuzztime 10s ./internal/sched
+
 echo "== 100x scale trajectory under the race detector (points run concurrently)"
 go run -race ./cmd/sweep -scale 100x -csv
 
