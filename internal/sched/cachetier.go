@@ -5,7 +5,6 @@ import (
 
 	"github.com/mmsim/staggered/internal/cache"
 	"github.com/mmsim/staggered/internal/rng"
-	"github.com/mmsim/staggered/internal/sim"
 )
 
 // This file is the engine half of the memory tier (DESIGN.md §12): the
@@ -16,7 +15,8 @@ import (
 // admit paths of the interval loop.
 
 // followerRef identifies one scheduled follower completion on the
-// follower wheel; gen stales entries whose follower was detached.
+// follower ring; gen stales entries whose follower was detached or
+// killed.
 type followerRef struct {
 	station int32
 	gen     int32
@@ -36,7 +36,7 @@ func (e *Engine) bindCache() {
 		return int64(float64(prefix) * float64(cfg.Degree(id)) * cfg.FragmentBytes)
 	}
 	e.cache = cache.NewTier(cfg.Cache, cfg.Objects, prefix, bytesOf, float64(cfg.Subobjects))
-	e.followerWheel = sim.NewTickWheel[followerRef]()
+	e.followers = newDueRing[followerRef](e.horizon)
 	e.followerGen = make([]int32, cfg.Stations)
 	e.followerActive = make([]bool, cfg.Stations)
 	e.followerObj = make([]int32, cfg.Stations)
@@ -74,13 +74,13 @@ func (e *Engine) tryCacheServe(req request) bool {
 
 // startFollower begins a batched follower display on station st: it
 // shares the leader's disk streams, so it only exists as a completion
-// on the follower wheel and a share-list entry for detach-on-abort.
+// on the follower ring and a share-list entry for detach-on-abort.
 func (e *Engine) startFollower(st, obj, endAt, latIntervals int) {
 	e.followerGen[st]++
 	e.followerActive[st] = true
 	e.followerObj[st] = int32(obj)
 	e.activeFollowers++
-	e.followerWheel.Add(endAt, followerRef{station: int32(st), gen: e.followerGen[st]})
+	e.followers.add(e.now, endAt, followerRef{station: int32(st), gen: e.followerGen[st]})
 	e.cache.AddFollower(obj, int32(st))
 	e.batchedFollowers++
 	e.admittedTotal++
@@ -132,13 +132,11 @@ func (e *Engine) noteAdmit(r request, tmax int) {
 	}
 }
 
-// finishFollowers completes follower displays due this interval.  The
-// wheel advances exactly one tick per interval, so step drains it
-// unconditionally whenever the tier is on; entries whose generation is
-// stale (the follower was detached by a leader abort) are skipped.
+// finishFollowers completes follower displays due this interval.
+// Entries whose generation is stale (the follower was detached by a
+// leader abort, or ended by a Kill) are skipped.
 func (e *Engine) finishFollowers() {
-	e.followerBuf = e.followerWheel.Due(e.now, e.followerBuf[:0])
-	for _, fr := range e.followerBuf {
+	for _, fr := range e.followers.due(e.now) {
 		st := fr.station
 		if !e.followerActive[st] || e.followerGen[st] != fr.gen {
 			continue
@@ -169,7 +167,7 @@ func (e *Engine) detachFollowers(s, object int) {
 		if !e.followerActive[st] {
 			continue
 		}
-		e.followerGen[st]++ // stales the wheel entry
+		e.followerGen[st]++ // stales the ring entry
 		e.followerActive[st] = false
 		e.activeFollowers--
 		e.aborted++

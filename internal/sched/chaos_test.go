@@ -69,12 +69,13 @@ func chaosPlan(s *rng.Stream, d, horizon int) *fault.Plan {
 
 // TestChaos runs hundreds of seeded fault scenarios across all
 // techniques and asserts the structural invariants a degraded run
-// must keep: no negative counters, closed-loop station conservation
-// (every station is queued or in delivery at quiescence), and display
-// conservation (admitted = completed + aborted + active); the striped
-// techniques' admission conditions (checkStriped) are checked after
-// every interval.  It runs in -short mode on purpose — scripts/ci.sh
-// puts it under -race.
+// must keep: no negative counters and closed-loop station conservation
+// (every station is queued or in delivery at quiescence) at the end,
+// and after every interval display conservation (checkLedger:
+// admitted = completed + aborted + active), nothing overdue
+// (checkInFlight) and, for the striped techniques, the admission
+// conditions (checkStriped).  It runs in -short mode on purpose —
+// scripts/ci.sh puts it under -race.
 func TestChaos(t *testing.T) {
 	techniques := []struct {
 		key    string
@@ -101,7 +102,11 @@ func TestChaos(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.stepCheck = func() { checkStriped(t, e) }
+			e.stepCheck = func() {
+				checkLedger(t, e)
+				checkInFlight(t, e)
+				checkStriped(t, e)
+			}
 			res, runErr := e.RunChecked()
 			if runErr != nil {
 				// Starvation is a legitimate outcome on a tiny farm
@@ -133,12 +138,6 @@ func TestChaos(t *testing.T) {
 				}
 			}
 
-			// Display conservation over the whole run.
-			active := e.tech.activeDisplays()
-			if e.admittedTotal != e.completedTotal+e.abortedTotal+active {
-				t.Errorf("display conservation violated: admitted %d != completed %d + aborted %d + active %d",
-					e.admittedTotal, e.completedTotal, e.abortedTotal, active)
-			}
 			// Zero warm-up makes window counters lifetime counters.
 			if res.Displays != e.completedTotal || res.AbortedDisplays != e.abortedTotal {
 				t.Errorf("window/lifetime drift: Displays %d vs %d, Aborted %d vs %d",
@@ -147,6 +146,7 @@ func TestChaos(t *testing.T) {
 
 			// Closed-loop station conservation: every station is either
 			// queued or in delivery; none leak.
+			active := e.tech.activeDisplays()
 			if out := e.stn.Outstanding(); out != cfg.Stations {
 				t.Errorf("stuck stations: %d outstanding of %d", out, cfg.Stations)
 			}
@@ -186,9 +186,9 @@ func TestChaosDeterministic(t *testing.T) {
 
 // TestShardedChaos reruns a slice of the chaos harness across all
 // three techniques with eviction pressure on half the scenarios: the
-// structural invariants of a degraded run (display and station
-// conservation, no mask drift, checkStriped after every interval) must
-// hold on every case.  The name
+// structural invariants of a degraded run (station conservation and no
+// mask drift at the end, checkLedger, checkInFlight and checkStriped
+// after every interval) must hold on every case.  The name
 // dates from when this slice also ran a sharded engine; it is kept so
 // the test and its 81 cases stay under the names they always had.
 func TestShardedChaos(t *testing.T) {
@@ -214,22 +214,22 @@ func TestShardedChaos(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.stepCheck = func() { checkStriped(t, e) }
+			e.stepCheck = func() {
+				checkLedger(t, e)
+				checkInFlight(t, e)
+				checkStriped(t, e)
+			}
 			_, runErr := e.RunChecked()
 			if runErr != nil {
 				if _, ok := runErr.(*StarvationError); !ok {
 					t.Fatalf("RunChecked: %v", runErr)
 				}
 			}
-			active := e.tech.activeDisplays()
-			if e.admittedTotal != e.completedTotal+e.abortedTotal+active {
-				t.Errorf("display conservation violated: admitted %d != completed %d + aborted %d + active %d",
-					e.admittedTotal, e.completedTotal, e.abortedTotal, active)
-			}
 			if e.downCount < 0 || e.slowCount < 0 {
 				t.Errorf("mask drift: downCount %d, slowCount %d", e.downCount, e.slowCount)
 			}
 			// Closed loop: every station is queued or in delivery.
+			active := e.tech.activeDisplays()
 			if got := len(e.queue) + active; got != cfg.Stations {
 				t.Errorf("station accounting: queue %d + active %d != stations %d",
 					len(e.queue), active, cfg.Stations)

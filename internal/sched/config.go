@@ -38,7 +38,8 @@ type Config struct {
 
 	// Degrees optionally gives each object its own degree of
 	// declustering (mixed media types, §3.2); when nil every object
-	// uses M.  Only the striped engine supports mixed degrees.
+	// uses M.  Only the striped engines support mixed degrees; VDR
+	// rejects them at build.
 	Degrees []int
 
 	// Data rates: the effective per-disk bandwidth and the fixed
@@ -184,6 +185,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sched: measurement window must be positive")
 	case c.WarmupIntervals < 0:
 		return fmt.Errorf("sched: warmup must be non-negative")
+	case c.MaxStartup < 0:
+		return fmt.Errorf("sched: max startup must be non-negative")
 	case c.PlaceRetryLimit < 0:
 		return fmt.Errorf("sched: place retry limit must be non-negative")
 	case !(c.ZipfSkew >= 0) || math.IsInf(c.ZipfSkew, 1):
@@ -224,6 +227,30 @@ func (c Config) Degree(id int) int {
 		return c.Degrees[id]
 	}
 	return c.M
+}
+
+// maxStartup returns the startup-delay bound Tmax for an object of the
+// given degree.  Zero MaxStartup selects twice the degree: each
+// interval of startup delay costs one buffered fragment per early
+// stream and stretches the disk reservation past the display length,
+// so unbounded Tmax hurts more than queueing a little longer; a few
+// interval-widths of headroom captures nearly all of Algorithm 1's
+// benefit.
+func (c *Config) maxStartup(degree int) int {
+	if c.MaxStartup > 0 {
+		return c.MaxStartup
+	}
+	return 2 * degree
+}
+
+// degreeRange returns the smallest and largest degree of declustering
+// over the catalog and M.
+func (c *Config) degreeRange() (lo, hi int) {
+	lo, hi = c.M, c.M
+	for _, m := range c.Degrees {
+		lo, hi = min(lo, m), max(hi, m)
+	}
+	return lo, hi
 }
 
 // ObjectBits returns the size of one database object in bits:

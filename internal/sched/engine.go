@@ -9,7 +9,6 @@ import (
 	"github.com/mmsim/staggered/internal/policy"
 	"github.com/mmsim/staggered/internal/profiling"
 	"github.com/mmsim/staggered/internal/rng"
-	"github.com/mmsim/staggered/internal/sim"
 	"github.com/mmsim/staggered/internal/tertiary"
 	"github.com/mmsim/staggered/internal/workload"
 )
@@ -76,12 +75,6 @@ type Technique interface {
 	// (the engine drains its request queue immediately after, so pin
 	// counts are about to go to zero).  Part of Engine.Kill.
 	killActive()
-	// onRevive reconciles technique clocks with a restarted engine:
-	// e.now has already jumped past the dead window, so any
-	// per-interval TickWheel the technique drives must Reset to
-	// e.now-1.  Disk contents survive the outage (the transient-fault
-	// model DiskRepair uses), so stores stay as they were.
-	onRevive()
 	// adoptObject places a full copy of the object on this member as
 	// part of the cluster's replica-healing pass, without consuming the
 	// tertiary device (the healing budget is the bandwidth model).  It
@@ -130,15 +123,19 @@ type Engine struct {
 	// bool check and zero allocations.
 	phaseLabels bool
 
+	// horizon is the length of every dueRing the engine and its
+	// technique keep: one display length plus the largest startup
+	// delay plus slack, so every event lies strictly inside it.
+	horizon int
+
 	// Cache tier (DESIGN.md §12).  All of this stays nil/zero when
 	// Config.Cache is disabled, so the disk-only path pays one nil
 	// check per hook and the golden dumps are untouched.
 	cache            *cache.Tier
-	followerWheel    *sim.TickWheel[followerRef] // follower display completions
-	followerBuf      []followerRef               // reused Due drain buffer
-	followerGen      []int32                     // station -> generation, stales wheel entries
-	followerActive   []bool                      // station -> follower display in flight
-	followerObj      []int32                     // station -> object the follower views
+	followers        dueRing[followerRef] // follower display completions
+	followerGen      []int32              // station -> generation, stales ring entries
+	followerActive   []bool               // station -> follower display in flight
+	followerObj      []int32              // station -> object the follower views
 	activeFollowers  int
 	pendingFollowers int
 	batchAnchor      []int32 // object -> arrival interval anchoring the open batch
@@ -238,6 +235,8 @@ func newEngine(cfg Config, tech Technique, member bool, preload []int) (*Engine,
 		pinned:      make([]int32, cfg.Objects),
 		phaseLabels: profiling.PhaseLabelsEnabled(),
 	}
+	_, maxDegree := cfg.degreeRange()
+	e.horizon = cfg.Subobjects + cfg.maxStartup(maxDegree) + 2
 	if !cfg.Faults.Empty() {
 		e.faultEvents = cfg.Faults.Events()
 		e.diskDown = make([]bool, cfg.D)

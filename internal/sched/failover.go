@@ -46,7 +46,7 @@ func (e *Engine) Kill() KillReport {
 		if !e.followerActive[st] {
 			continue
 		}
-		e.followerGen[st]++ // stales the wheel entry
+		e.followerGen[st]++ // stales the ring entry
 		e.followerActive[st] = false
 		e.activeFollowers--
 		e.aborted++
@@ -88,11 +88,12 @@ func (e *Engine) Kill() KillReport {
 
 // Revive restarts the member at interval `at` (the cluster's current
 // interval, at or after the kill): the clock jumps across the dead
-// window, every per-interval wheel resets so the next Due lands on
-// `at`, the RAM tier flushes cold, and the technique reconciles its
-// own clocks.  Disk contents survive — the transient-fault model disk
-// repairs use — so the member serves its pre-kill catalog, just with
-// a cold cache and empty queues.
+// window and the RAM tier flushes cold.  The calendars are left as
+// they are: Kill ended every display, follower and staging, and each
+// consumer rejects such stale entries when their slot drains.  Disk
+// contents survive — the transient-fault model disk repairs use — so
+// the member serves its pre-kill catalog, just with a cold cache and
+// empty queues.
 func (e *Engine) Revive(at int) {
 	if !e.dead {
 		panic("sched: Revive on a live engine")
@@ -103,10 +104,8 @@ func (e *Engine) Revive(at int) {
 	e.deadMeasured += e.deadSpan(e.diedAt, at)
 	e.now = at
 	if e.cache != nil {
-		e.followerWheel.Reset(at - 1)
 		e.cache.Flush()
 	}
-	e.tech.onRevive()
 	e.dead = false
 }
 

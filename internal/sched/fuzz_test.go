@@ -5,6 +5,7 @@ import (
 
 	"github.com/mmsim/staggered/internal/cache"
 	"github.com/mmsim/staggered/internal/fault"
+	"github.com/mmsim/staggered/internal/rng"
 	"github.com/mmsim/staggered/internal/tertiary"
 )
 
@@ -20,14 +21,25 @@ func (b *fuzzBytes) next() int {
 	return int(v)
 }
 
+// fuzzMember is the cluster-member part of a fuzz case: the preload
+// list (which may hold an out-of-range id), the injected traffic, and
+// one Kill/Revive pair.
+type fuzzMember struct {
+	preload  []int
+	seed     uint64 // arrival stream
+	rate     int    // arrivals per interval, uniform in [0, rate]
+	killAt   int    // interval of the Kill; past the run, no kill
+	reviveIn int    // intervals from the Kill to the Revive
+}
+
 // fuzzConfig maps fuzz bytes to a small, bounded Config: every size
 // stays within a few dozen disks, objects, and stations and a few
 // hundred intervals, so one run takes milliseconds.  Each field still
 // reaches just past its valid range, so Validate and the technique
-// binders see invalid values too.  member picks the cluster-member
-// build (TechniqueInfo.NewMember) with the given preload list, which
-// may hold an out-of-range id.
-func fuzzConfig(data []byte) (cfg Config, member bool, preload []int) {
+// binders see invalid values too.  A non-nil member picks the
+// cluster-member build (TechniqueInfo.NewMember) and says how to drive
+// it.
+func fuzzConfig(data []byte) (cfg Config, member *fuzzMember) {
 	b := fuzzBytes(data)
 	cfg = smallConfig(1, 20)
 	cfg.D = b.next()%64 + 1
@@ -53,6 +65,7 @@ func fuzzConfig(data []byte) (cfg Config, member bool, preload []int) {
 			cfg.Degrees[i] = b.next()%cfg.M + 1
 		}
 	}
+	var preload []int
 	if flags&32 != 0 {
 		preload = []int{b.next() % (cfg.Objects + 1), b.next() % (cfg.Objects + 1)}
 	}
@@ -63,7 +76,7 @@ func fuzzConfig(data []byte) (cfg Config, member bool, preload []int) {
 	case 2:
 		cfg.ArrivalsPerHour = float64(v%32) * 500
 	case 3:
-		member = true
+		member = &fuzzMember{preload: preload}
 	}
 	cfg.ZipfSkew = float64(b.next()%16) / 8
 	cfg.ZipfFlipInterval = b.next() % 200
@@ -95,21 +108,69 @@ func fuzzConfig(data []byte) (cfg Config, member bool, preload []int) {
 		}
 		cfg.Faults = p
 	}
-	return cfg, member, preload
+	if member != nil {
+		member.seed = uint64(b.next())
+		member.rate = b.next() % 4
+		member.killAt = b.next() * 2
+		member.reviveIn = b.next()
+	}
+	return cfg, member
+}
+
+// runFuzzCase runs e to the end of its window with the display ledger
+// and the in-flight recount checked after every interval, and reports
+// whether a materialization starved.  A standalone engine runs through
+// RunChecked; a member gets the case's injected traffic and its
+// Kill/Revive pair, and its window is the whole run.
+func runFuzzCase(t *testing.T, e *Engine, m *fuzzMember) (res Result, starved bool) {
+	e.stepCheck = func() {
+		checkLedger(t, e)
+		checkInFlight(t, e)
+	}
+	if m == nil {
+		res, err := e.RunChecked()
+		return res, err != nil
+	}
+	arrivals := rng.NewSource(m.seed).Stream("fuzz-arrivals")
+	end := e.cfg.WarmupIntervals + e.cfg.MeasureIntervals
+	killed := false
+	e.Prime()
+	for e.now < end {
+		if !killed && e.now == m.killAt {
+			killed = true
+			e.Kill()
+			e.Revive(e.now + m.reviveIn)
+			checkLedger(t, e)
+			continue
+		}
+		for n := arrivals.Intn(m.rate + 1); n > 0; n-- {
+			e.InjectArrival(arrivals.Intn(e.cfg.Objects))
+		}
+		e.StepOne()
+	}
+	return e.Snapshot(), e.starvedTotal > 0
 }
 
 // FuzzEngineConfig: every configuration either fails Validate, fails
-// to build or run with an error, or runs to a Result with zero
+// to build or starves a materialization, or runs to a Result with zero
 // hiccups under every registered technique, standalone or as a
-// cluster member — never a panic or a hang.
+// cluster member fed injected traffic and killed and revived once —
+// never a panic, a hang, or a display ledger out of balance after any
+// interval.
 func FuzzEngineConfig(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{49, 5, 5, 60, 40, 30, 16, 40, 1, 100, 200, 1, 0})
 	f.Add([]byte{49, 1, 5, 60, 40, 30, 8, 40, 1, 0, 200, 1, 0, 3, 0, 4})
 	f.Add([]byte{47, 1, 4, 80, 20, 10, 24, 10, 7, 20, 120, 0, 0, 35, 1, 2, 3, 4})
 	f.Add([]byte{39, 5, 5, 60, 40, 30, 32, 20, 3, 50, 180, 0, 0, 4, 0, 1, 0, 8, 2, 0, 3, 10, 4, 50, 120, 7, 1})
+	// A member with the cache and batching, two preloaded objects and
+	// injected traffic that batches followers, killed at interval 124 with
+	// displays in flight and revived within one calendar horizon (24
+	// intervals) or, in the second seed, after more than one.
+	f.Add([]byte{49, 5, 5, 60, 40, 12, 32, 20, 1, 20, 250, 0, 32, 0, 1, 4, 3, 3, 0, 15, 0, 15, 7, 0, 9, 3, 62, 20})
+	f.Add([]byte{49, 5, 5, 60, 40, 12, 32, 20, 1, 20, 250, 0, 32, 0, 1, 4, 3, 3, 0, 15, 0, 15, 7, 0, 9, 3, 62, 60})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, member, preload := fuzzConfig(data)
+		cfg, member := fuzzConfig(data)
 		if cfg.Validate() != nil {
 			return
 		}
@@ -123,16 +184,16 @@ func FuzzEngineConfig(f *testing.F) {
 				continue
 			}
 			var e *Engine
-			if member {
-				e, err = ti.NewMember(norm, preload)
+			if member != nil {
+				e, err = ti.NewMember(norm, member.preload)
 			} else {
 				e, err = ti.New(norm)
 			}
 			if err != nil {
 				continue
 			}
-			res, err := e.RunChecked()
-			if err == nil && res.Hiccups != 0 {
+			res, starved := runFuzzCase(t, e, member)
+			if !starved && res.Hiccups != 0 {
 				t.Fatalf("%s: %d hiccups on %+v", ti.Key, res.Hiccups, cfg)
 			}
 		}

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// The calendar layer under the engines (event rings, tick wheels)
-// must never change the simulated outcome.  This test pins the
+// The calendar layer under the engines (the dueRings) must never
+// change the simulated outcome.  This test pins the
 // results of 49 configurations byte-for-byte: the dump was
 // generated with the pre-wheel engines (map-keyed buckets over the
 // binary-heap era kernel) and every later calendar swap has to

@@ -48,6 +48,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.DistMean = 1 },
 		func(c *Config) { c.MeasureIntervals = 0 },
 		func(c *Config) { c.WarmupIntervals = -1 },
+		func(c *Config) { c.MaxStartup = -1 },
 		func(c *Config) { c.Tertiary.Bandwidth = 0 },
 		func(c *Config) { c.BDisk = math.NaN() },
 		func(c *Config) { c.BDisk = math.Inf(1) },
@@ -302,6 +303,29 @@ func TestVDRRejectsBadGeometry(t *testing.T) {
 	cfg.D = 52 // not divisible by M=5
 	if _, err := NewEngine(cfg, &vdrTech{}); err == nil {
 		t.Fatal("non-divisible geometry accepted")
+	}
+}
+
+// TestVDRRejectsMixedDegrees pins that VDR, which lays every object
+// out over one M-disk cluster, refuses per-object degrees instead of
+// silently running them at M.
+func TestVDRRejectsMixedDegrees(t *testing.T) {
+	cfg := smallConfig(4, 10)
+	cfg.Degrees = make([]int, cfg.Objects)
+	for i := range cfg.Degrees {
+		cfg.Degrees[i] = 1 + i%cfg.M
+	}
+	if _, err := NewEngine(cfg, &vdrTech{}); err == nil {
+		t.Fatal("VDR accepted per-object degrees")
+	}
+	ti, _ := TechniqueByKey("vdr")
+	if _, err := ti.NewMember(cfg, nil); err == nil {
+		t.Fatal("VDR member accepted per-object degrees")
+	}
+	for _, key := range []string{"striped", "staggered"} {
+		if _, _, err := NewEngineFor(key, cfg, 0); err != nil {
+			t.Errorf("%s rejected per-object degrees: %v", key, err)
+		}
 	}
 }
 

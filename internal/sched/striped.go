@@ -8,8 +8,8 @@ import (
 	"github.com/mmsim/staggered/internal/vdisk"
 )
 
-// streamRef addresses one fragment stream of a display inside an
-// event bucket: the display's arena slot and the stream index.
+// streamRef addresses one fragment stream of a display on the release
+// calendar: the display's arena slot and the stream index.
 type streamRef struct {
 	slot int32
 	i    int32
@@ -25,8 +25,8 @@ type streamRef struct {
 // transition rather than per interval.
 //
 // All per-interval work is event-driven: stream releases and display
-// completions live in interval-keyed buckets, the farm-busy integral
-// is maintained incrementally at every acquire/release site, only
+// completions live on interval calendars (dueRing), the farm-busy
+// integral is maintained incrementally at every acquire/release site, only
 // displays that still have a stream to coalesce are visited by
 // Algorithm 2, and a fault-free admission scan visits the new arrivals
 // and the free windows of a ready-request index, not the queue
@@ -38,7 +38,7 @@ type streamRef struct {
 // is an int32 slot into parallel slices (dStation, dObject, …) and a
 // fixed-stride stream arena (sVdisk, sT), not a heap object.  At 20k
 // stations that removes per-display allocation and pointer chasing
-// from the hot path, and lets event buckets and the occupancy table
+// from the hot path, and lets the calendars and the occupancy table
 // hold 4-byte slots instead of 8-byte pointers.  Slots of contiguous
 // (tmax = 0) displays are recycled LIFO after completion; fragmented
 // and aborted displays keep their slots, exactly as the old pool kept
@@ -111,18 +111,13 @@ type stripedTech struct {
 	playOK    []bool    // memoized playability under the current mask
 	rejectBuf []request // unplayable admissions, refused after the queue swap
 
-	// Event rings: what fires at a given interval, indexed by
-	// interval mod the ring length.  Every event is scheduled at most
-	// horizon-1 intervals ahead (one display length plus the maximum
-	// startup delay), so slots never collide; slice backings are
-	// reused after each firing.  Entries may be stale (a coalescing
-	// move reschedules a release); consumers re-validate against the
-	// display's current state.
-	horizon     int
-	releases    [][]streamRef // stream releases due, by interval mod horizon
-	completions [][]int32     // delivery ends (display slots), by interval mod horizon
-	coalescing  []int32       // displays with a stream still to coalesce
-	pool        []int32       // recycled contiguous display slots
+	// Event calendars.  Entries may be stale (a coalescing move
+	// reschedules a release, a fault or a Kill aborts the display);
+	// consumers re-validate against the display's current state.
+	releases    dueRing[streamRef] // stream releases
+	completions dueRing[int32]     // delivery ends (display slots)
+	coalescing  []int32            // displays with a stream still to coalesce
+	pool        []int32            // recycled contiguous display slots
 
 	// Reusable scratch buffers (hot path, zero steady-state allocs).
 	vidScratch  []int
@@ -156,24 +151,7 @@ func (t *stripedTech) bind(e *Engine) error {
 	if err != nil {
 		return err
 	}
-	maxDegree, minDegree := cfg.M, cfg.M
-	for id := 0; id < cfg.Objects; id++ {
-		m := cfg.Degree(id)
-		if m > maxDegree {
-			maxDegree = m
-		}
-		if m < minDegree {
-			minDegree = m
-		}
-	}
-	// Every release and completion is scheduled at most one display
-	// length plus the maximum startup delay ahead, so a ring of that
-	// horizon never sees two intervals share a slot.
-	maxStartup := cfg.MaxStartup
-	if maxStartup == 0 {
-		maxStartup = 2 * maxDegree
-	}
-	horizon := cfg.Subobjects + maxStartup + 2
+	minDegree, maxDegree := cfg.degreeRange()
 	t.eng = e
 	t.cfg = cfg
 	t.layout = layout
@@ -196,9 +174,8 @@ func (t *stripedTech) bind(e *Engine) error {
 		t.probeObj[i] = -1
 		t.playEpoch[i] = -1
 	}
-	t.horizon = horizon
-	t.releases = make([][]streamRef, horizon)
-	t.completions = make([][]int32, horizon)
+	t.releases = newDueRing[streamRef](e.horizon)
+	t.completions = newDueRing[int32](e.horizon)
 	t.stride = maxDegree
 	t.minDegree = minDegree
 	t.vidScratch = make([]int, maxDegree)
@@ -397,14 +374,6 @@ func (t *stripedTech) killActive() {
 	t.idx.dirty, t.lastLen, t.dropped = true, 0, true
 }
 
-// onRevive needs no ring surgery: every event scheduled before the
-// kill is stale in a self-validating way (aborted streams have
-// sVdisk −1 and aborted displays have dDone set, and both consumers
-// revalidate), so entries left in skipped slots are dropped the next
-// time their slot comes around.  The probe memo compares for interval
-// equality, so pre-kill values cannot false-hit either.
-func (t *stripedTech) onRevive() {}
-
 // adoptObject places a copy of id for the replica-healing pass without
 // consuming tertiary time — the cluster layer's per-window budget is
 // the bandwidth model.  It declines objects already held, being
@@ -553,11 +522,12 @@ func (t *stripedTech) allocSlot() int32 {
 }
 
 // sortReleases restores (display, stream) admission order in one
-// release bucket.  Coalescing reschedules releases out of admission
-// order; hiccup accounting must match a full in-order scan, so the
-// bucket is re-sorted before applying.  Insertion sort: buckets are
-// tiny and already sorted unless a coalescing fired.  Keyed by the
-// admission sequence, not the slot — slots recycle.
+// interval's releases.  Coalescing reschedules releases out of
+// admission order; hiccup accounting must match a full in-order scan,
+// so they are re-sorted before applying.  Insertion sort: an
+// interval's releases are few and already sorted unless a coalescing
+// fired.  Keyed by the admission sequence, not the slot — slots
+// recycle.
 func sortReleases(refs []streamRef, dSeq []int32) {
 	for a := 1; a < len(refs); a++ {
 		for b := a; b > 0 && (dSeq[refs[b].slot] < dSeq[refs[b-1].slot] ||
@@ -569,18 +539,16 @@ func sortReleases(refs []streamRef, dSeq []int32) {
 
 // finishDue releases stream disks whose reads end this interval and
 // completes displays whose delivery has ended; completed stations
-// immediately reissue (zero think time).  Both are bucket lookups:
+// immediately reissue (zero think time).  Both are calendar drains:
 // only the streams and displays that actually fire now are touched.
 func (t *stripedTech) finishDue() {
 	e := t.eng
-	slot := e.now % t.horizon
-	if refs := t.releases[slot]; len(refs) > 0 {
-		t.releases[slot] = refs[:0]
+	if refs := t.releases.due(e.now); len(refs) > 0 {
 		sortReleases(refs, t.dSeq)
 		for _, ref := range refs {
 			// Revalidate against the display's current state: entries go
 			// stale when a coalescing move rescheduled the stream or a
-			// fault aborted the display.
+			// fault or a Kill aborted the display.
 			d := ref.slot
 			si := int(d)*t.stride + int(ref.i)
 			v := t.sVdisk[si]
@@ -594,8 +562,7 @@ func (t *stripedTech) finishDue() {
 			t.sVdisk[si] = -1 // released
 		}
 	}
-	if ds := t.completions[slot]; len(ds) > 0 {
-		t.completions[slot] = ds[:0]
+	if ds := t.completions.due(e.now); len(ds) > 0 {
 		reissue := e.reissueBuf[:0]
 		for _, d := range ds {
 			if t.dDone[d] {
@@ -955,15 +922,7 @@ func (t *stripedTech) tryFragmented(r request, first, m int, fragBudget *int) bo
 		return false
 	}
 	*fragBudget--
-	maxStartup := t.cfg.MaxStartup
-	if maxStartup == 0 {
-		// Each interval of startup delay costs one buffered fragment
-		// per early stream and stretches the disk reservation past the
-		// display length, so unbounded Tmax hurts more than queueing a
-		// little longer; a few interval-widths of headroom captures
-		// nearly all of Algorithm 1's benefit.
-		maxStartup = 2 * m
-	}
+	maxStartup := t.cfg.maxStartup(m)
 	// Virtual disk v sits over physical disk v+rot, so the virtual disk
 	// over stream i's fragment is vdiskOf(first)+i and the walk yields
 	// global virtual disks directly.
@@ -1001,11 +960,9 @@ func (t *stripedTech) start(r request, first int, vids, ts []int, tmax int) {
 		t.setVBusy(vids[i], d)
 		t.sVdisk[base+i] = int32(vids[i])
 		t.sT[base+i] = int32(ts[i])
-		slot := (e.now + ts[i] + n) % t.horizon
-		t.releases[slot] = append(t.releases[slot], streamRef{slot: d, i: int32(i)})
+		t.releases.add(e.now, e.now+ts[i]+n, streamRef{slot: d, i: int32(i)})
 	}
-	slot := (e.now + tmax + n) % t.horizon // deliveryEnd + 1
-	t.completions[slot] = append(t.completions[slot], d)
+	t.completions.add(e.now, e.now+tmax+n, d) // deliveryEnd + 1
 	if tmax > 0 {
 		t.coalescing = append(t.coalescing, d)
 	}
@@ -1057,8 +1014,7 @@ func (t *stripedTech) coalesce() {
 			t.setVBusy(ideal, d)
 			t.sVdisk[base+i] = int32(ideal)
 			t.sT[base+i] = int32(tmax)
-			slot := (tau0 + tmax + n) % t.horizon
-			t.releases[slot] = append(t.releases[slot], streamRef{slot: d, i: int32(i)})
+			t.releases.add(e.now, tau0+tmax+n, streamRef{slot: d, i: int32(i)})
 			e.coalescings++
 			if e.tracer != nil {
 				e.emit(EvCoalesce, int(t.dObject[d]), int(t.dStation[d]), fmt.Sprintf("fragment %d", i))

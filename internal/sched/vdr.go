@@ -8,7 +8,6 @@ import (
 	"github.com/mmsim/staggered/internal/core"
 	"github.com/mmsim/staggered/internal/fault"
 	"github.com/mmsim/staggered/internal/policy"
-	"github.com/mmsim/staggered/internal/sim"
 )
 
 // clusterJob describes what a busy cluster is doing.  One byte: the
@@ -28,10 +27,10 @@ const (
 // MRT substitute of package policy), and LFU replacement at cluster
 // granularity.  A cluster serves one display at a time.
 //
-// Per-interval work is event-driven: job completions live in
-// interval-keyed buckets and the busy-cluster count is maintained
-// incrementally, so an interval costs O(events that fire), not
-// O(clusters + queue).
+// Per-interval work is event-driven: display endings live on an
+// interval calendar (dueRing), the one staging in flight is checked
+// directly, and the busy-cluster count is maintained incrementally, so
+// an interval costs O(events that fire), not O(clusters + queue).
 type vdrTech struct {
 	eng   *Engine
 	cfg   Config
@@ -48,10 +47,9 @@ type vdrTech struct {
 	jobObject []int32 // object the cluster is working on
 	station   []int32 // station of a display job
 
-	busyClusters int                 // clusters with a non-idle job
-	displayJobs  int                 // clusters currently running a display
-	endings      *sim.TickWheel[int] // interval -> clusters whose job ends
-	endBuf       []int               // reused Due drain buffer
+	busyClusters int          // clusters with a non-idle job
+	displayJobs  int          // clusters currently running a display
+	endings      dueRing[int] // clusters whose display ends, by interval
 
 	objScratch  []int // eviction-plan candidate scratch
 	dropScratch []int // eviction-plan drop scratch
@@ -87,6 +85,9 @@ func (t *vdrTech) bind(e *Engine) error {
 	if cfg.D%cfg.M != 0 {
 		return fmt.Errorf("sched: VDR needs D (%d) divisible by M (%d)", cfg.D, cfg.M)
 	}
+	if cfg.Degrees != nil {
+		return fmt.Errorf("sched: VDR lays every object out over one %d-disk cluster; per-object degrees need the striped engine", cfg.M)
+	}
 	store, err := core.NewVDRStore(cfg.D, cfg.M, cfg.CapacityFragments)
 	if err != nil {
 		return err
@@ -97,7 +98,7 @@ func (t *vdrTech) bind(e *Engine) error {
 	t.store = store
 	t.repl = repl
 	t.clusters = cfg.D / cfg.M
-	t.endings = sim.NewTickWheel[int]()
+	t.endings = newDueRing[int](e.horizon)
 	t.replQueued = make([]bool, cfg.Objects)
 	t.matObject = -1
 	t.job = make([]clusterJob, t.clusters)
@@ -273,8 +274,8 @@ func (t *vdrTech) degradedScan() {
 	}
 }
 
-// abortDisplay kills the display on cluster c; its ending-wheel entry
-// goes stale (finishDue revalidates against jobIdle).
+// abortDisplay kills the display on cluster c; its calendar entry goes
+// stale (finishDue revalidates against jobIdle).
 func (t *vdrTech) abortDisplay(c int) {
 	station, object := int(t.station[c]), int(t.jobObject[c])
 	t.clearJob(c)
@@ -323,14 +324,6 @@ func (t *vdrTech) killActive() {
 	clear(t.replQueued)
 }
 
-// onRevive jumps the ending wheel across the dead window: every
-// cluster is idle after killActive, so no scheduled ending survives,
-// and the wheel just needs its cursor moved so the next Due call —
-// which asserts single-interval advancement — lands on now.
-func (t *vdrTech) onRevive() {
-	t.endings.Reset(t.eng.now - 1)
-}
-
 // adoptObject places one replica of id for the replica-healing pass
 // without consuming tertiary time — the cluster layer's per-window
 // budget is the bandwidth model.  victimCluster already refuses
@@ -371,7 +364,7 @@ func (t *vdrTech) uniqueResidents() int { return t.store.UniqueResident() }
 func (t *vdrTech) holdsObject(id int) bool { return len(t.store.Replicas(id)) > 0 }
 
 // setJob starts a job on cluster c until the given interval,
-// maintaining the busy and display counts and the completion bucket.
+// maintaining the busy and display counts.
 func (t *vdrTech) setJob(c int, job clusterJob, object, until int) {
 	t.job[c] = job
 	t.jobObject[c] = int32(object)
@@ -380,7 +373,6 @@ func (t *vdrTech) setJob(c int, job clusterJob, object, until int) {
 	if t.jobDegraded != nil {
 		t.jobDegraded[c] = 0
 	}
-	t.endings.Add(until, c)
 	if job == jobDisplay {
 		t.displayJobs++
 	}
@@ -396,13 +388,18 @@ func (t *vdrTech) clearJob(c int) {
 	t.busyClusters--
 }
 
-// finishDue completes the cluster jobs ending now — a bucket lookup,
+// finishDue completes the cluster jobs ending now — a calendar drain,
 // not a scan of all clusters.  Clusters are processed in ascending
 // index order, matching a full scan.
 func (t *vdrTech) finishDue() {
 	e := t.eng
-	t.endBuf = t.endings.Due(e.now, t.endBuf[:0])
-	ending := t.endBuf
+	ending := t.endings.due(e.now)
+	// A staging can outlast the calendar's horizon many times over
+	// (7,500 intervals for Table 3), so it is not on the calendar: its
+	// cluster joins this interval's endings when its time is up.
+	if t.matStarted && int(t.busyUntil[t.matCluster]) == e.now {
+		ending = append(ending, t.matCluster)
+	}
 	if len(ending) == 0 {
 		return
 	}
@@ -410,10 +407,10 @@ func (t *vdrTech) finishDue() {
 	reissue := e.reissueBuf[:0]
 	for _, c := range ending {
 		// Revalidate against the cluster's live state: an entry is stale
-		// when a fault aborted the job or a new job was set with a later
-		// deadline, and a cluster aborted and re-occupied within one
-		// interval can appear twice in one bucket (the first visit
-		// clears the job, the second skips on idle).
+		// when a fault or a Kill aborted the job or a new job was set
+		// with a later deadline, and a cluster aborted and re-occupied
+		// can appear twice in one interval (the first visit clears the
+		// job, the second skips on idle).
 		if t.job[c] == jobIdle || e.now < int(t.busyUntil[c]) {
 			continue
 		}
@@ -672,7 +669,9 @@ func (t *vdrTech) copiesInFlight(id int) int {
 // startDisplay occupies cluster c for one display of r.object.
 func (t *vdrTech) startDisplay(r request, c int) {
 	e := t.eng
-	t.setJob(c, jobDisplay, r.object, e.now+t.cfg.Subobjects)
+	until := e.now + t.cfg.Subobjects
+	t.setJob(c, jobDisplay, r.object, until)
+	t.endings.add(e.now, until, c)
 	t.station[c] = int32(r.station)
 	e.pinned[r.object]--
 	e.noteAdmit(r, 0)

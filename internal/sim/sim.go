@@ -17,6 +17,10 @@
 // The kernel is single-threaded from the model's point of view; the
 // goroutines used by the process layer are strictly hand-over-hand
 // scheduled and never run concurrently.
+//
+// Only the micro layer and the process-oriented cross-check of package
+// sched run on this kernel.  The interval engines keep their own
+// bounded calendars (sched's dueRing).
 package sim
 
 import (
