@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"github.com/mmsim/staggered/internal/cluster"
 	"github.com/mmsim/staggered/internal/metrics"
@@ -94,54 +92,14 @@ func E20(seed uint64) ([]ClusterPoint, error) {
 // Points run concurrently on a GOMAXPROCS pool (the simulations are
 // deterministic regardless), returned in (policy, servers) order.
 func E20Grid(servers []int, policies []string, seed uint64) ([]ClusterPoint, error) {
-	type job struct{ servers, idx int }
 	points := make([]ClusterPoint, len(policies)*len(servers))
-	jobs := make([]job, 0, len(points))
-	for pi := range policies {
-		for si := range servers {
-			jobs = append(jobs, job{servers: servers[si], idx: pi*len(servers) + si})
-		}
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		next     int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(jobs) {
-					return
-				}
-				j := jobs[i]
-				p, err := RunE20Point(j.servers, policies[j.idx/len(servers)], seed)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				points[j.idx] = p
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := parallel(len(points), func(i int) error {
+		var err error
+		points[i], err = RunE20Point(servers[i%len(servers)], policies[i/len(servers)], seed)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	for i := range points {

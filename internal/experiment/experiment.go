@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/mmsim/staggered/internal/cache"
 	"github.com/mmsim/staggered/internal/fault"
@@ -147,6 +148,34 @@ func (p Point) VDR() metrics.Run {
 // throughput improvement of simple striping over the baseline.
 func (p Point) Improvement() float64 { return metrics.Improvement(p.Striped(), p.VDR()) }
 
+// parallel runs f(i) for every i < n on a pool of GOMAXPROCS
+// goroutines, handing out indices in ascending order, and returns the
+// error of the lowest failing index (nil when none fails).  Each f(i)
+// writes only its own result slots, so the output is independent of
+// scheduling: the experiments' simulations are deterministic per seed
+// regardless of parallelism.
+func parallel(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = f(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // job is one engine run of one sweep point: the unit of work the
 // pool schedules.  Splitting the techniques of a point into separate
 // jobs shortens the critical path of a sweep — the runs of the same
@@ -157,12 +186,9 @@ type job struct {
 	tech int // index into the technique specs
 }
 
-// runSweep executes every (mean, station, technique) combination on a
-// worker pool sized to GOMAXPROCS and assembles the per-mean point
-// slices.  Each job writes its own element of its own point's Runs
-// slice, so workers never contend and the result is independent of
-// scheduling order: the output is deterministic per seed regardless
-// of parallelism.
+// runSweep executes every (mean, station, technique) combination on
+// the parallel pool and assembles the per-mean point slices.  Each job
+// writes its own element of its own point's Runs slice.
 func runSweep(scale Scale, means []float64, stations []int, seed uint64, specs []TechSpec, opts *Options) (map[float64][]Point, error) {
 	if len(stations) == 0 {
 		stations = workload.PaperStations
@@ -175,7 +201,7 @@ func runSweep(scale Scale, means []float64, stations []int, seed uint64, specs [
 		labels[i] = s.Label()
 	}
 	byMean := make(map[float64][]Point, len(means))
-	jobs := make(chan job, len(specs)*len(means)*len(stations))
+	jobs := make([]job, 0, len(specs)*len(means)*len(stations))
 	for _, mean := range means {
 		pts := make([]Point, len(stations))
 		for i, st := range stations {
@@ -186,48 +212,27 @@ func runSweep(scale Scale, means []float64, stations []int, seed uint64, specs [
 		byMean[mean] = pts
 		for i := range stations {
 			for t := range specs {
-				jobs <- job{mean: mean, idx: i, tech: t}
+				jobs = append(jobs, job{mean: mean, idx: i, tech: t})
 			}
 		}
 	}
-	close(jobs)
-
-	workers := runtime.GOMAXPROCS(0)
-	if n := cap(jobs); workers > n {
-		workers = n
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				p := &byMean[j.mean][j.idx]
-				cfg := BaseConfig(scale, p.Stations, j.mean, seed)
-				opts.apply(&cfg)
-				spec := specs[j.tech]
-				e, _, err := sched.NewEngineFor(spec.Key, cfg, spec.Stride)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				// Each technique of the same point is a distinct
-				// slice element, so the writes never overlap.
-				p.Runs[j.tech] = e.Run()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := parallel(len(jobs), func(i int) error {
+		j := jobs[i]
+		p := &byMean[j.mean][j.idx]
+		cfg := BaseConfig(scale, p.Stations, j.mean, seed)
+		opts.apply(&cfg)
+		spec := specs[j.tech]
+		e, _, err := sched.NewEngineFor(spec.Key, cfg, spec.Stride)
+		if err != nil {
+			return err
+		}
+		// Each technique of the same point is a distinct slice
+		// element, so the writes never overlap.
+		p.Runs[j.tech] = e.Run()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return byMean, nil
 }

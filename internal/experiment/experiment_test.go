@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/mmsim/staggered/internal/tertiary"
@@ -66,6 +68,34 @@ func TestFigure8Deterministic(t *testing.T) {
 	}
 	if a[0].Striped().Displays != b[0].Striped().Displays || a[0].VDR().Displays != b[0].VDR().Displays {
 		t.Fatal("figure 8 runs not reproducible")
+	}
+}
+
+// TestParallelLowestError pins the pool's error contract: every index
+// runs exactly once, and the error returned is the lowest failing
+// index's, whichever worker reports first.
+func TestParallelLowestError(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	const n = 64
+	var ran [n]atomic.Int32
+	err := parallel(n, func(i int) error {
+		ran[i].Add(1)
+		if i%10 == 7 {
+			return fmt.Errorf("job %d", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "job 7" {
+		t.Fatalf("parallel returned %v, want the error of job 7", err)
+	}
+	for i := range ran {
+		if got := ran[i].Load(); got != 1 {
+			t.Fatalf("job %d ran %d times", i, got)
+		}
+	}
+	if err := parallel(0, func(int) error { return fmt.Errorf("ran") }); err != nil {
+		t.Fatalf("an empty pool returned %v", err)
 	}
 }
 

@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"github.com/mmsim/staggered/internal/cluster"
 	"github.com/mmsim/staggered/internal/fault"
@@ -175,45 +173,13 @@ func sampleRate(samples []cluster.Sample, t0, t1 float64) float64 {
 // are deterministic regardless), in e21Points order.
 func E21(seed uint64) ([]FailoverPoint, error) {
 	points := make([]FailoverPoint, len(e21Points))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(e21Points) {
-		workers = len(e21Points)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		next     int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(e21Points) {
-					return
-				}
-				pt := e21Points[i]
-				p, err := RunE21Point(pt.policy, pt.depth, seed)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				points[i] = p
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := parallel(len(points), func(i int) error {
+		var err error
+		points[i], err = RunE21Point(e21Points[i].policy, e21Points[i].depth, seed)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return points, nil
 }

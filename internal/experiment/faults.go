@@ -2,9 +2,7 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"github.com/mmsim/staggered/internal/analytic"
 	"github.com/mmsim/staggered/internal/fault"
@@ -74,9 +72,7 @@ func E18(seed uint64) ([]E18Point, error) {
 	strides := E18Strides()
 	points := make([]E18Point, len(strides))
 	base := e18Config(1, seed)
-	type jobKey struct{ ki, disk int }
 	fractions := make([][]float64, len(strides))
-	jobs := make(chan jobKey, len(strides)*base.D)
 	for i, k := range strides {
 		fractions[i] = make([]float64, base.D)
 		points[i] = E18Point{
@@ -84,50 +80,24 @@ func E18(seed uint64) ([]E18Point, error) {
 			Footprint: analytic.UniqueDisksUsed(base.D, k, base.M, base.Subobjects),
 			Analytic:  analytic.SurvivingBandwidthFraction(base.D, k, base.M, base.Subobjects, 1),
 		}
-		for f := 0; f < base.D; f++ {
-			jobs <- jobKey{ki: i, disk: f}
+	}
+	// Job i fails disk i mod D under stride i / D.
+	err := parallel(len(strides)*base.D, func(i int) error {
+		ki, disk := i/base.D, i%base.D
+		cfg := e18Config(strides[ki], seed)
+		cfg.Faults = fault.NewPlan().FailDisk(disk, 0)
+		e, _, err := sched.NewEngineFor(TechStaggered, cfg, cfg.K)
+		if err != nil {
+			return fmt.Errorf("e18 k=%d disk %d: %w", cfg.K, disk, err)
 		}
-	}
-	close(jobs)
-
-	workers := runtime.GOMAXPROCS(0)
-	if n := cap(jobs); workers > n {
-		workers = n
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				cfg := e18Config(strides[j.ki], seed)
-				cfg.Faults = fault.NewPlan().FailDisk(j.disk, 0)
-				e, _, err := sched.NewEngineFor(TechStaggered, cfg, cfg.K)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("e18 k=%d disk %d: %w", cfg.K, j.disk, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				res := e.Run()
-				surviving := 0.0
-				if res.Requests > 0 {
-					surviving = 1 - float64(res.RejectedDegraded)/float64(res.Requests)
-				}
-				// Each job owns one element; no write overlaps.
-				fractions[j.ki][j.disk] = surviving
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		res := e.Run()
+		if res.Requests > 0 {
+			fractions[ki][disk] = 1 - float64(res.RejectedDegraded)/float64(res.Requests)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i := range points {
 		sum := 0.0

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/mmsim/staggered/internal/sched"
@@ -113,44 +112,13 @@ func RunScalePoint(factor int, seed uint64) (ScalePoint, error) {
 // remain comparable because every point still runs on one goroutine.
 func ScaleSweep(factors []int, seed uint64) ([]ScalePoint, error) {
 	points := make([]ScalePoint, len(factors))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(factors) {
-		workers = len(factors)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		next     int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(factors) {
-					return
-				}
-				p, err := RunScalePoint(factors[i], seed)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				points[i] = p
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := parallel(len(points), func(i int) error {
+		var err error
+		points[i], err = RunScalePoint(factors[i], seed)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return points, nil
 }

@@ -6,6 +6,15 @@
 //
 //	sweep -scale quick -cpuprofile cpu.prof
 //	go tool pprof cpu.prof
+//
+// A profiled run executes exactly the code an unprofiled one does.
+// Each interval phase of an engine is its own method, so a profile
+// splits time by phase through function frames, not labels: the
+// technique's finishDue, stepTertiary, admit, coalesce and
+// degradedScan under its interval, and the cache tier's
+// finishFollowers under the engine's step:
+//
+//	go tool pprof -peek 'interval$|step$' cpu.prof
 package profiling
 
 import (
@@ -13,18 +22,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync/atomic"
 )
-
-// phaseLabelsOn records that a CPU profile is being collected, so the
-// engines attach pprof phase labels to their interval phases.  Engines
-// latch it at construction; Start must run before they are built (the
-// CLI tools parse -cpuprofile before building engines).
-var phaseLabelsOn atomic.Bool
-
-// PhaseLabelsEnabled reports whether interval engines should label
-// their phases for an active CPU profile.
-func PhaseLabelsEnabled() bool { return phaseLabelsOn.Load() }
 
 // Start begins the profiles selected by the (possibly empty) file
 // paths and returns a stop function that must run before the process
@@ -40,7 +38,6 @@ func Start(cpuPath, memPath string) (stop func() error, err error) {
 			cpuFile.Close()
 			return nil, fmt.Errorf("profiling: %w", err)
 		}
-		phaseLabelsOn.Store(true)
 	}
 	return func() error {
 		if cpuFile != nil {

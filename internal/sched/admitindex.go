@@ -6,10 +6,11 @@ import (
 )
 
 // This file is the striped family's event-driven admission (DESIGN.md
-// §8, "Event-driven admission"): in a fault-free interval the scan
-// costs O(admissions + new arrivals + staggered prefix + free windows)
-// instead of O(queue length).  e.queue stays the one canonical queue;
-// the index below only finds the entries of it that can start.
+// §8, "Event-driven admission"): an interval's scan costs
+// O(admissions + new arrivals + staggered prefix + free windows)
+// instead of O(queue length), plus one queue walk while a disk is
+// down.  e.queue stays the one canonical queue; the index below only
+// finds the entries of it that can start.
 
 // readyIndex links the stations whose queued request is ready (object
 // resident and materialized) into FIFOs keyed by the object's first
@@ -154,22 +155,30 @@ func (t *stripedTech) rebuildIndex() {
 }
 
 // admit starts every queued display whose disks are free, per §3.1's
-// use of idle time intervals for new requests, and routes requests for
-// non-resident objects to the tertiary manager.  A fault-active
-// interval runs the full queue scan (scanAdmit), which can refuse
-// unplayable objects; a fault-free one decides the same admissions,
-// in the same order, from the cold-request events and the ready index.
+// use of idle time intervals for new requests, routes requests for
+// non-resident objects to the tertiary manager, and refuses requests
+// whose objects a down disk makes unplayable (§3.2.2).  It decides the
+// admissions the full queue scan (scanAdmit) would, in the same order,
+// from the cold-request events and the ready index, healthy or not:
+// the per-entry path never admits an unplayable request.
 func (t *stripedTech) admit() {
 	e := t.eng
-	if e.faultActive() || t.fullScan {
+	if t.fullScan {
 		t.scanAdmit()
 		return
 	}
 	t.requestCold()
-	if len(e.queue) == 0 || t.cfg.D-t.busy < t.minDegree {
-		t.lastLen = len(e.queue)
-		return
+	if len(e.queue) > 0 && t.cfg.D-t.busy >= t.minDegree {
+		t.admitReady()
 	}
+	t.lastLen = len(e.queue)
+	t.rejectUnplayable()
+}
+
+// admitReady runs the staggered prefix and the indexed probe and drops
+// the admitted entries from the queue.
+func (t *stripedTech) admitReady() {
+	e := t.eng
 	if t.idx.dirty {
 		t.rebuildIndex()
 	}
@@ -186,7 +195,32 @@ func (t *stripedTech) admit() {
 		e.queue = removePositions(e.queue, admitted)
 	}
 	t.admitPos = admitted[:0]
-	t.lastLen = len(e.queue)
+}
+
+// rejectUnplayable refuses, in queue order, every ready queued request
+// whose object's stride orbit crosses a down disk: the requests the
+// full scan defers past its queue swap.  Nothing refuses while every
+// disk is up, so a healthy interval skips the walk.
+func (t *stripedTech) rejectUnplayable() {
+	e := t.eng
+	if e.downCount == 0 {
+		return
+	}
+	kept := e.queue[:0]
+	for _, r := range e.queue {
+		t.work.touched++
+		if t.ready[r.object] && !t.playable(r.object) {
+			t.rejectBuf = append(t.rejectBuf, r)
+			continue
+		}
+		kept = append(kept, r)
+	}
+	if len(t.rejectBuf) == 0 {
+		return
+	}
+	e.queue = kept
+	t.lastLen, t.idx.dirty = len(kept), true
+	t.flushRejects()
 }
 
 // requestCold forwards cold queued requests to the tertiary manager.
@@ -226,7 +260,7 @@ func (t *stripedTech) admitPrefix(admitted []int32, fragBudget *int) ([]int32, i
 		if !t.ready[r.object] {
 			continue // its tertiary request went out in requestCold
 		}
-		if t.admitEntry(r, fragBudget, true) == entryAdmitted {
+		if t.admitEntry(r, fragBudget) == entryAdmitted {
 			t.idx.remove(int32(r.station), t.fifoOfObject(r.object))
 			admitted = append(admitted, int32(i))
 		}
@@ -258,7 +292,7 @@ func (t *stripedTech) admitIndexed(admitted []int32, fragBudget *int) []int32 {
 		id := int32(uint32(c))
 		i := t.queuePos(int32(c>>32), lo)
 		t.work.touched++
-		if t.admitEntry(e.queue[i], fragBudget, true) == entryAdmitted {
+		if t.admitEntry(e.queue[i], fragBudget) == entryAdmitted {
 			x.popHead(id)
 			admitted = append(admitted, int32(i))
 		}

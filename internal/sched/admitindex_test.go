@@ -36,9 +36,8 @@ func checkStriped(t testing.TB, e *Engine) {
 			t.Fatalf("interval %d: object %d is ready but not resident", at, obj)
 		}
 	}
-	// Entries past lastLen were queued after the scan (a fault-active
-	// scan's rejections reissue their stations); the next scan
-	// requests them.
+	// Entries past lastLen were queued after the scan (its rejections
+	// reissue their stations); the next scan requests them.
 	for _, r := range e.queue[:st.lastLen] {
 		if !st.ready[r.object] && !e.tman.Pending(r.object) {
 			t.Fatalf("interval %d: cold queued object %d (station %d) is not pending on the device", at, r.object, r.station)
@@ -208,6 +207,7 @@ func admissionCaseFrom(data []byte) admissionCase {
 // admissionRun is what one run of a case produced.
 type admissionRun struct {
 	admits  [][3]int // (interval, station, object) of every EvAdmit
+	rejects [][3]int // (interval, station, object) of every EvReject
 	orphans []int
 	res     Result
 	work    admitWork
@@ -236,8 +236,11 @@ func runAdmissionCase(t testing.TB, c admissionCase, fullScan bool) (admissionRu
 	st.fullScan = fullScan
 	var run admissionRun
 	e.SetTracer(func(ev Event) {
-		if ev.Kind == EvAdmit {
+		switch ev.Kind {
+		case EvAdmit:
 			run.admits = append(run.admits, [3]int{ev.Interval, ev.Station, ev.Object})
+		case EvReject:
+			run.rejects = append(run.rejects, [3]int{ev.Interval, ev.Station, ev.Object})
 		}
 	})
 	e.stepCheck = func() { checkStriped(t, e) }
@@ -266,8 +269,8 @@ func runAdmissionCase(t testing.TB, c admissionCase, fullScan bool) (admissionRu
 }
 
 // compareAdmission runs a case both ways and fails on any difference in
-// the admission sequence, the Kill orphans or the Result.  It returns
-// the indexed run, and false when the case does not build.
+// the admission or rejection sequence, the Kill orphans or the Result.
+// It returns the indexed run, and false when the case does not build.
 func compareAdmission(t *testing.T, c admissionCase) (admissionRun, bool) {
 	t.Helper()
 	fast, ok := runAdmissionCase(t, c, false)
@@ -275,15 +278,8 @@ func compareAdmission(t *testing.T, c admissionCase) (admissionRun, bool) {
 		return fast, false
 	}
 	oracle, _ := runAdmissionCase(t, c, true)
-	if !reflect.DeepEqual(fast.admits, oracle.admits) {
-		n := min(len(fast.admits), len(oracle.admits))
-		i := 0
-		for i < n && fast.admits[i] == oracle.admits[i] {
-			i++
-		}
-		t.Fatalf("%v\nadmissions diverge at #%d of %d/%d: indexed %v, full scan %v", c, i,
-			len(fast.admits), len(oracle.admits), admitAt(fast.admits, i), admitAt(oracle.admits, i))
-	}
+	diverge(t, c, "admissions", fast.admits, oracle.admits)
+	diverge(t, c, "rejections", fast.rejects, oracle.rejects)
 	if !reflect.DeepEqual(fast.orphans, oracle.orphans) {
 		t.Fatalf("%v\nkill orphans differ: indexed %v, full scan %v", c, fast.orphans, oracle.orphans)
 	}
@@ -293,7 +289,22 @@ func compareAdmission(t *testing.T, c admissionCase) (admissionRun, bool) {
 	return fast, true
 }
 
-func admitAt(a [][3]int, i int) any {
+// diverge fails when two traced event sequences differ, naming the
+// first event where they part.
+func diverge(t *testing.T, c admissionCase, what string, fast, oracle [][3]int) {
+	t.Helper()
+	if reflect.DeepEqual(fast, oracle) {
+		return
+	}
+	i := 0
+	for i < min(len(fast), len(oracle)) && fast[i] == oracle[i] {
+		i++
+	}
+	t.Fatalf("%v\n%s diverge at #%d of %d/%d: indexed %v, full scan %v", c, what, i,
+		len(fast), len(oracle), eventAt(fast, i), eventAt(oracle, i))
+}
+
+func eventAt(a [][3]int, i int) any {
 	if i < len(a) {
 		return a[i]
 	}
@@ -305,12 +316,13 @@ func admitAt(a [][3]int, i int) any {
 // techniques, Tmax, mixed degrees, the cache with batching, every
 // arrival mode, a small Place retry cap with and without eviction
 // pressure, disk and tertiary faults and a member kill, the indexed
-// path must admit exactly what the full queue scan admits, in the same
-// intervals and order, and end in the same Result.
+// path must admit and refuse exactly what the full queue scan admits
+// and refuses, in the same intervals and order, down disks included,
+// and end in the same Result.
 func TestStripedAdmissionMatchesScan(t *testing.T) {
 	const cases = 300
 	src := rng.NewSource(20261017).Stream("admission-cases")
-	ran, admitted, prefix, windows, killed := 0, 0, 0, 0, 0
+	ran, admitted, rejected, prefix, windows, killed := 0, 0, 0, 0, 0, 0
 	for i := 0; i < cases; i++ {
 		data := make([]byte, 64)
 		for j := range data {
@@ -323,19 +335,21 @@ func TestStripedAdmissionMatchesScan(t *testing.T) {
 		}
 		ran++
 		admitted += len(run.admits)
+		rejected += len(run.rejects)
 		prefix += run.work.prefix
 		windows += run.work.windows
 		if c.killAt > 0 {
 			killed++
 		}
 	}
-	t.Logf("%d of %d cases ran: %d admissions, %d prefix entries, %d free windows, %d kills",
-		ran, cases, admitted, prefix, windows, killed)
-	// The comparison proves nothing on cases that never admit, or never
-	// reach the staggered prefix, the index or a kill.
-	if ran < cases*3/4 || admitted < 100*ran || prefix == 0 || windows < admitted/4 || killed == 0 {
-		t.Fatalf("weak coverage: %d of %d cases ran, %d admissions, %d prefix entries, %d free windows, %d kills",
-			ran, cases, admitted, prefix, windows, killed)
+	t.Logf("%d of %d cases ran: %d admissions, %d rejections, %d prefix entries, %d free windows, %d kills",
+		ran, cases, admitted, rejected, prefix, windows, killed)
+	// The comparison proves nothing on cases that never admit, never
+	// refuse under a down disk, or never reach the staggered prefix,
+	// the index or a kill.
+	if ran < cases*3/4 || admitted < 100*ran || rejected == 0 || prefix == 0 || windows < admitted/4 || killed == 0 {
+		t.Fatalf("weak coverage: %d of %d cases ran, %d admissions, %d rejections, %d prefix entries, %d free windows, %d kills",
+			ran, cases, admitted, rejected, prefix, windows, killed)
 	}
 }
 

@@ -84,20 +84,19 @@ func (e *Engine) startFollower(st, obj, endAt, latIntervals int) {
 	e.cache.AddFollower(obj, int32(st))
 	e.batchedFollowers++
 	e.admittedTotal++
-	e.admitted = append(e.admitted, float64(latIntervals)*e.cfg.IntervalSeconds())
+	e.latency.Add(float64(latIntervals) * e.cfg.IntervalSeconds())
 	e.emit(EvAdmit, obj, st, "follower")
 }
 
 // noteAdmit records one admission: latency, the cache-hit discount,
 // the leader registration, and the boarding of pending batched
-// followers.  The techniques call it where they used to append to the
-// admitted tally; with the cache disabled it compiles down to exactly
-// that.
+// followers.  The techniques call it at every admission; with the
+// cache disabled it only adds the wait to the latency tally.
 func (e *Engine) noteAdmit(r request, tmax int) {
 	e.admittedTotal++
 	wait := e.now - r.arrived
 	if e.cache == nil {
-		e.admitted = append(e.admitted, float64(wait)*e.cfg.IntervalSeconds())
+		e.latency.Add(float64(wait) * e.cfg.IntervalSeconds())
 		return
 	}
 	res := e.cache.Resident(r.object)
@@ -111,7 +110,7 @@ func (e *Engine) noteAdmit(r request, tmax int) {
 			lat = 0
 		}
 	}
-	e.admitted = append(e.admitted, float64(lat)*e.cfg.IntervalSeconds())
+	e.latency.Add(float64(lat) * e.cfg.IntervalSeconds())
 	end := e.now + tmax + e.cfg.Subobjects
 	e.cache.SetLeader(r.object, int32(r.station), e.now, end, tmax)
 	if e.cfg.Cache.BatchWindow <= 0 {

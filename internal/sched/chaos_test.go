@@ -73,9 +73,9 @@ func chaosPlan(s *rng.Stream, d, horizon int) *fault.Plan {
 // (every station is queued or in delivery at quiescence) at the end,
 // and after every interval display conservation (checkLedger:
 // admitted = completed + aborted + active), nothing overdue
-// (checkInFlight) and, for the striped techniques, the admission
-// conditions (checkStriped).  It runs in -short mode on purpose —
-// scripts/ci.sh puts it under -race.
+// (checkInFlight), zero hiccups (checkBounds) and, for the striped
+// techniques, the admission conditions (checkStriped).  It runs in
+// -short mode on purpose — scripts/ci.sh puts it under -race.
 func TestChaos(t *testing.T) {
 	techniques := []struct {
 		key    string
@@ -105,6 +105,7 @@ func TestChaos(t *testing.T) {
 			e.stepCheck = func() {
 				checkLedger(t, e)
 				checkInFlight(t, e)
+				checkBounds(t, e)
 				checkStriped(t, e)
 			}
 			res, runErr := e.RunChecked()
@@ -187,8 +188,8 @@ func TestChaosDeterministic(t *testing.T) {
 // TestShardedChaos reruns a slice of the chaos harness across all
 // three techniques with eviction pressure on half the scenarios: the
 // structural invariants of a degraded run (station conservation and no
-// mask drift at the end, checkLedger, checkInFlight and checkStriped
-// after every interval) must hold on every case.  The name
+// mask drift at the end, checkLedger, checkInFlight, checkBounds and
+// checkStriped after every interval) must hold on every case.  The name
 // dates from when this slice also ran a sharded engine; it is kept so
 // the test and its 81 cases stay under the names they always had.
 func TestShardedChaos(t *testing.T) {
@@ -217,6 +218,7 @@ func TestShardedChaos(t *testing.T) {
 			e.stepCheck = func() {
 				checkLedger(t, e)
 				checkInFlight(t, e)
+				checkBounds(t, e)
 				checkStriped(t, e)
 			}
 			_, runErr := e.RunChecked()

@@ -101,6 +101,19 @@ func checkLedger(t testing.TB, e *Engine) {
 	}
 }
 
+// checkBounds is the per-interval check of a run's hard limits: no
+// hiccup so far, and the memory tier's pinned prefixes within its
+// budget.
+func checkBounds(t testing.TB, e *Engine) {
+	t.Helper()
+	if e.hiccups != 0 {
+		t.Fatalf("interval %d: %d hiccups", e.now-1, e.hiccups)
+	}
+	if e.cache != nil && e.cache.Used() > e.cfg.Cache.BudgetBytes {
+		t.Fatalf("interval %d: the cache holds %d bytes, over its budget of %d", e.now-1, e.cache.Used(), e.cfg.Cache.BudgetBytes)
+	}
+}
+
 // checkInFlight recounts the technique's in-flight work after an
 // interval.  Nothing may be overdue: a display, stream or cluster job
 // whose calendar entry was dropped would still be in flight past its
@@ -248,9 +261,7 @@ func runKillRevive(t *testing.T, key string) killReviveRun {
 	e.stepCheck = func() {
 		checkLedger(t, e)
 		checkInFlight(t, e)
-		if e.hiccups != 0 {
-			t.Fatalf("%s interval %d: %d hiccups", key, e.now-1, e.hiccups)
-		}
+		checkBounds(t, e)
 		for c, end := range jobEnds {
 			if end >= 0 && int(end) != e.now-1 && (vdr.job[c] == jobIdle || vdr.busyUntil[c] != end) {
 				t.Fatalf("vdr interval %d: the job on cluster %d ended before its end %d", e.now-1, c, end)

@@ -1,13 +1,10 @@
 package sched
 
 import (
-	"context"
-	"runtime/pprof"
-
 	"github.com/mmsim/staggered/internal/cache"
 	"github.com/mmsim/staggered/internal/fault"
+	"github.com/mmsim/staggered/internal/metrics"
 	"github.com/mmsim/staggered/internal/policy"
-	"github.com/mmsim/staggered/internal/profiling"
 	"github.com/mmsim/staggered/internal/rng"
 	"github.com/mmsim/staggered/internal/tertiary"
 	"github.com/mmsim/staggered/internal/workload"
@@ -117,12 +114,6 @@ type Engine struct {
 	// continuous invariant checks.  Nothing outside tests sets it.
 	stepCheck func()
 
-	// phaseLabels is latched at construction when a CPU profile is
-	// being collected; the interval loop branches to pprof-labeled
-	// phase wrappers only then, so the unprofiled hot path pays one
-	// bool check and zero allocations.
-	phaseLabels bool
-
 	// horizon is the length of every dueRing the engine and its
 	// technique keep: one display length plus the largest startup
 	// delay plus slack, so every event lies strictly inside it.
@@ -164,9 +155,9 @@ type Engine struct {
 	coalescings  int
 	replications int
 	hiccups      int
-	admitted     []float64 // admission latencies in seconds
-	busyArea     float64   // disk-busy integral in disk·intervals
-	tertBusy     int       // tertiary-busy intervals
+	latency      metrics.Tally // admission latencies in seconds
+	busyArea     float64       // disk-busy integral in disk·intervals
+	tertBusy     int           // tertiary-busy intervals
 
 	// Degraded-mode window counters.
 	requests    int
@@ -224,16 +215,15 @@ func newEngine(cfg Config, tech Technique, member bool, preload []int) (*Engine,
 		return nil, err
 	}
 	e := &Engine{
-		cfg:         cfg,
-		tech:        tech,
-		lfu:         policy.NewLFU(),
-		tman:        tertiary.NewManager(),
-		gen:         gen,
-		stn:         workload.NewStations(gen),
-		member:      member,
-		preload:     preload,
-		pinned:      make([]int32, cfg.Objects),
-		phaseLabels: profiling.PhaseLabelsEnabled(),
+		cfg:     cfg,
+		tech:    tech,
+		lfu:     policy.NewLFU(),
+		tman:    tertiary.NewManager(),
+		gen:     gen,
+		stn:     workload.NewStations(gen),
+		member:  member,
+		preload: preload,
+		pinned:  make([]int32, cfg.Objects),
 	}
 	_, maxDegree := cfg.degreeRange()
 	e.horizon = cfg.Subobjects + cfg.maxStartup(maxDegree) + 2
@@ -252,15 +242,6 @@ func newEngine(cfg Config, tech Technique, member bool, preload []int) (*Engine,
 		return nil, err
 	}
 	return e, nil
-}
-
-// labeled runs fn under a pprof "phase" label so -cpuprofile output
-// attributes interval time to admit/finishDue/cache instead of
-// one flat run frame.  Callers must branch on Engine.phaseLabels
-// first: the label machinery allocates, so the unprofiled hot path
-// never enters here.
-func labeled(name string, fn func()) {
-	pprof.Do(context.Background(), pprof.Labels("phase", name), func(context.Context) { fn() })
 }
 
 // Config returns the configuration the engine runs.
@@ -320,11 +301,7 @@ func (e *Engine) step() {
 		e.applyFaults()
 	}
 	if e.cache != nil {
-		if e.phaseLabels {
-			labeled("cache", e.finishFollowers)
-		} else {
-			e.finishFollowers()
-		}
+		e.finishFollowers()
 	}
 	if e.open != nil {
 		e.drawArrivals()
@@ -535,7 +512,7 @@ func (e *Engine) StepOne() {
 // drivers) may call it repeatedly to carve a run into segments.
 func (e *Engine) ResetWindow() {
 	e.completed, e.materialized, e.coalescings, e.replications = 0, 0, 0, 0
-	e.admitted = e.admitted[:0]
+	e.latency = metrics.Tally{}
 	e.busyArea, e.tertBusy = 0, 0
 	e.requests, e.degHiccups, e.aborted, e.rejectedDeg, e.starved = 0, 0, 0, 0, 0
 	e.orphaned = 0
@@ -605,12 +582,11 @@ func (e *Engine) Snapshot() Result {
 		ServedFromCache:  e.servedCache,
 		BatchedFollowers: e.batchedFollowers,
 		CacheHitBytes:    e.cacheHitBytes,
+
+		Latency: e.latency,
 	}
 	if e.open != nil {
 		res.OpenRejected = e.open.rejected
-	}
-	for _, l := range e.admitted {
-		res.Latency.Add(l)
 	}
 	return res
 }

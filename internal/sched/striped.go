@@ -28,9 +28,10 @@ type streamRef struct {
 // completions live on interval calendars (dueRing), the farm-busy
 // integral is maintained incrementally at every acquire/release site, only
 // displays that still have a stream to coalesce are visited by
-// Algorithm 2, and a fault-free admission scan visits the new arrivals
-// and the free windows of a ready-request index, not the queue
-// (admitindex.go).  An interval in which nothing happens costs O(1),
+// Algorithm 2, and the admission scan visits the new arrivals and the
+// free windows of a ready-request index, not the queue (admitindex.go);
+// only while a disk is down does one queue walk refuse the unplayable
+// requests.  An interval in which nothing happens costs O(1),
 // independent of D, the number of active displays, and the queue
 // length.
 //
@@ -98,14 +99,6 @@ type stripedTech struct {
 	// indexed path is tested against.  Only tests set it.
 	fullScan bool
 
-	// probeObj memoizes, per object, the interval its contiguous
-	// admission probe last ran.  Within one scan disks only get busier,
-	// so once an object's contiguous probe has been consumed this
-	// interval — whether it admitted a display onto those very disks or
-	// was refuted — every later contiguous probe of the same object
-	// must fail; only the fragmented fallback can still start it.
-	probeObj []int32
-
 	// Degraded-mode state (only exercised when a fault plan is set).
 	playEpoch []int32   // object -> maskEpoch its playability was memoized at
 	playOK    []bool    // memoized playability under the current mask
@@ -167,11 +160,9 @@ func (t *stripedTech) bind(e *Engine) error {
 	t.byObject = make([]int32, cfg.Objects)
 	t.idx = newReadyIndex(cfg.Stations)
 	t.ready = make([]bool, cfg.Objects)
-	t.probeObj = make([]int32, cfg.Objects)
 	t.playEpoch = make([]int32, cfg.Objects)
 	t.playOK = make([]bool, cfg.Objects)
 	for i := range t.playEpoch {
-		t.probeObj[i] = -1
 		t.playEpoch[i] = -1
 	}
 	t.releases = newDueRing[streamRef](e.horizon)
@@ -247,9 +238,6 @@ func (t *stripedTech) setReady(obj int, ready bool) {
 func (t *stripedTech) interval() int {
 	e := t.eng
 	t.rot = (t.cfg.K * e.now) % t.cfg.D
-	if e.phaseLabels {
-		return t.intervalLabeled()
-	}
 	if e.faultActive() {
 		t.degradedScan()
 	}
@@ -258,21 +246,6 @@ func (t *stripedTech) interval() int {
 	t.admit()
 	if t.staggered {
 		t.coalesce()
-	}
-	return t.busy
-}
-
-// intervalLabeled is interval with each phase wrapped in a pprof
-// label, taken only while a CPU profile is being collected.
-func (t *stripedTech) intervalLabeled() int {
-	if t.eng.faultActive() {
-		t.degradedScan()
-	}
-	labeled("finishDue", t.finishDue)
-	labeled("tertiary", t.stepTertiary)
-	labeled("admit", t.admit)
-	if t.staggered {
-		labeled("coalesce", t.coalesce)
 	}
 	return t.busy
 }
@@ -798,17 +771,12 @@ const fragmentedAttemptsPerInterval = 8
 
 // scanAdmit is the full admission scan: every queued request, in
 // arrival order, through the per-entry path, with a tertiary Request
-// for each cold one.  It runs in fault-active intervals, where
-// playability can refuse an entry, and is the oracle the indexed path
-// is tested against.  It leaves the ready index to be rebuilt.
+// for each cold one.  It is the oracle the event-driven admission is
+// tested against (fullScan), and leaves the ready index to be rebuilt.
 func (t *stripedTech) scanAdmit() {
 	e := t.eng
 	kept := e.queue[:0]
 	fragBudget := fragmentedAttemptsPerInterval
-	// faultFree is loop-invariant: fault transitions apply before the
-	// interval's technique phases, so playability cannot change inside
-	// one scan.
-	faultFree := !e.faultActive()
 	for _, r := range e.queue {
 		t.work.touched++
 		if !t.ready[r.object] {
@@ -816,7 +784,7 @@ func (t *stripedTech) scanAdmit() {
 			kept = append(kept, r)
 			continue
 		}
-		switch t.admitEntry(r, &fragBudget, faultFree) {
+		switch t.admitEntry(r, &fragBudget) {
 		case entryAdmitted:
 			continue
 		case entryRejected:
@@ -830,12 +798,17 @@ func (t *stripedTech) scanAdmit() {
 	}
 	e.queue = kept
 	t.lastLen, t.dropped, t.idx.dirty = len(kept), false, true
-	if len(t.rejectBuf) > 0 {
-		for _, r := range t.rejectBuf {
-			e.countReject(r)
-		}
-		t.rejectBuf = t.rejectBuf[:0]
+	t.flushRejects()
+}
+
+// flushRejects refuses the buffered unplayable requests in queue
+// order.  The refusals run after the queue swap: the rejection path
+// reissues the station, which must append to the new queue.
+func (t *stripedTech) flushRejects() {
+	for _, r := range t.rejectBuf {
+		t.eng.countReject(r)
 	}
+	t.rejectBuf = t.rejectBuf[:0]
 }
 
 // entryVerdict is what the per-entry admission path did with a request.
@@ -849,53 +822,27 @@ const (
 
 // admitEntry is the per-entry admission path for a queued request whose
 // object is ready, shared by the full scan, the staggered prefix and
-// the indexed probe.  A request whose object needs more disks than the
-// whole farm has free is kept without probing.
-func (t *stripedTech) admitEntry(r request, fragBudget *int, faultFree bool) entryVerdict {
-	e := t.eng
-	// Memo fast path: the object's contiguous probe was already
-	// consumed this interval, and the fragmented fallback cannot fire
-	// (disabled, or its per-interval budget is spent) — the path below
-	// would deterministically keep this entry (no fault is active, so
-	// no playability rejection is pending either).  Skip the placement
-	// lookup and the probe entirely.
-	if faultFree && (!t.staggered || *fragBudget <= 0) && t.probeObj[r.object] == int32(e.now) {
-		return entryKept
-	}
-	first, _ := t.store.FirstDisk(r.object) // ready ⇒ resident
+// the indexed probe.  An unplayable request is refused before any
+// probe or Algorithm-1 budget use; one whose object needs more disks
+// than the whole farm has free is kept without probing.
+func (t *stripedTech) admitEntry(r request, fragBudget *int) entryVerdict {
 	if !t.playable(r.object) {
 		// The layout's stride orbit crosses a down disk: admitting
 		// would guarantee hiccups or an abort, so refuse instead.
 		return entryRejected
 	}
+	first, _ := t.store.FirstDisk(r.object) // ready ⇒ resident
 	if m := t.cfg.Degree(r.object); t.cfg.D-t.busy >= m && t.tryAdmit(r, first, m, fragBudget) {
-		e.pinned[r.object]--
+		t.eng.pinned[r.object]--
 		return entryAdmitted
 	}
 	return entryKept
-}
-
-// contigConsumed consults and consumes the object's contiguous-probe
-// memo for this interval.  A hit means a contiguous probe of obj
-// already ran this scan — it either admitted a display onto exactly
-// the disks a re-probe would test or was refuted — and since disks
-// only get busier within a scan, a re-probe must fail; callers go
-// straight to the fragmented fallback.
-func (t *stripedTech) contigConsumed(obj int) bool {
-	if t.probeObj[obj] == int32(t.eng.now) {
-		return true
-	}
-	t.probeObj[obj] = int32(t.eng.now)
-	return false
 }
 
 // tryAdmit attempts a contiguous admission, falling back to
 // time-fragmented admission (Algorithm 1) for the queue head under
 // the staggered technique.
 func (t *stripedTech) tryAdmit(r request, first, m int, fragBudget *int) bool {
-	if t.contigConsumed(r.object) {
-		return t.tryFragmented(r, first, m, fragBudget)
-	}
 	// Contiguous: the M disks of subobject 0 must be free right now.
 	vids := t.vidScratch[:m]
 	okContig := true

@@ -182,27 +182,12 @@ func (t *vdrTech) onEnqueue(request) { t.totalRefs++ }
 // tertiary progress, then the admission scan; it returns the busy
 // disk count (busy clusters × M) for the utilization integral.
 func (t *vdrTech) interval() int {
-	if t.eng.phaseLabels {
-		return t.intervalLabeled()
-	}
 	if t.eng.faultActive() {
 		t.degradedScan()
 	}
 	t.finishDue()
 	t.stepTertiary()
 	t.admit()
-	return t.busyClusters * t.cfg.M
-}
-
-// intervalLabeled is interval with each phase wrapped in a pprof
-// label, taken only while a CPU profile is being collected.
-func (t *vdrTech) intervalLabeled() int {
-	if t.eng.faultActive() {
-		t.degradedScan()
-	}
-	labeled("finishDue", t.finishDue)
-	labeled("tertiary", t.stepTertiary)
-	labeled("admit", t.admit)
 	return t.busyClusters * t.cfg.M
 }
 
@@ -345,6 +330,7 @@ func (t *vdrTech) adoptObject(id int) bool {
 		return false
 	}
 	t.eng.replications++
+	t.eng.emit(EvMatEnd, id, -1, "healed")
 	return true
 }
 
@@ -418,9 +404,11 @@ func (t *vdrTech) finishDue() {
 		case jobDisplay:
 			e.completed++
 			e.completedTotal++
+			e.emit(EvComplete, int(t.jobObject[c]), int(t.station[c]), "")
 			e.stn.Complete(int(t.station[c]))
 			reissue = append(reissue, int(t.station[c]))
 		case jobMaterialize:
+			e.emit(EvMatEnd, t.matObject, -1, "")
 			wasResident := t.store.Resident(t.matObject)
 			if err := t.store.PlaceReplica(t.matObject, c, t.cfg.Subobjects); err != nil {
 				e.hiccups++
@@ -479,6 +467,13 @@ func (t *vdrTech) stepTertiary() {
 	t.setJob(c, jobMaterialize, t.matObject, e.now+t.cfg.MaterializeIntervals())
 	t.matStarted = true
 	t.matCluster = c
+	if e.tracer != nil {
+		kind := "miss"
+		if !t.matFromTman {
+			kind = "replica"
+		}
+		e.emit(EvMatStart, t.matObject, -1, fmt.Sprintf("%s cluster=%d", kind, c))
+	}
 	e.tertBusy++
 }
 
@@ -592,10 +587,14 @@ func (t *vdrTech) victimCluster(forObject int) (cluster int, drop []int, ok bool
 
 // executePlan evicts the planned replicas from cluster c.
 func (t *vdrTech) executePlan(c int, drop []int) bool {
+	e := t.eng
 	for _, id := range drop {
 		if err := t.store.EvictReplica(id, c, t.cfg.Subobjects); err != nil {
-			t.eng.hiccups++
+			e.hiccups++
 			return false
+		}
+		if e.tracer != nil {
+			e.emit(EvEvict, id, -1, fmt.Sprintf("cluster=%d", c))
 		}
 	}
 	return true
@@ -675,6 +674,9 @@ func (t *vdrTech) startDisplay(r request, c int) {
 	t.station[c] = int32(r.station)
 	e.pinned[r.object]--
 	e.noteAdmit(r, 0)
+	if e.tracer != nil {
+		e.emit(EvAdmit, r.object, r.station, fmt.Sprintf("cluster=%d", c))
+	}
 }
 
 // maybeReplicate queues an additional replica of a contended object

@@ -31,10 +31,10 @@ go test -bench 'BenchmarkFigure8a$|BenchmarkTable4$' -benchmem -benchtime 3x -ru
 echo "== DES kernel microbenchmarks (report only)"
 go test -bench 'BenchmarkEventCalendar|BenchmarkProcessSwitch' -benchmem -benchtime 100000x -run '^$' ./internal/sim
 
-echo "== golden dumps (49-config sweep + staggered strides + Algorithm 1 pin, byte-identical)"
+echo "== golden dumps (49-config sweep + staggered strides + Algorithm 1 pin + degraded mode, byte-identical)"
 # Every named test must report --- PASS: a renamed or deleted test
 # would otherwise drop out of the -run regex silently.
-golden_tests="TestGoldenSweep TestGoldenStaggered TestGoldenAlgorithm1"
+golden_tests="TestGoldenSweep TestGoldenStaggered TestGoldenAlgorithm1 TestGoldenFaults"
 golden_out=$(go test -v -run "^($(echo $golden_tests | tr ' ' '|'))\$" ./internal/sched) || {
 	printf '%s\n' "$golden_out"
 	exit 1
@@ -55,7 +55,7 @@ go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/fault
 echo "== fuzz: Config -> Validate -> Configure -> New or NewMember -> short RunChecked (error or zero hiccups)"
 go test -run '^$' -fuzz FuzzEngineConfig -fuzztime 10s ./internal/sched
 
-echo "== fuzz: striped admission, indexed path against the full queue scan (same admissions, same Result)"
+echo "== fuzz: striped admission, indexed path against the full queue scan (same admissions and rejections, same Result)"
 go test -run '^$' -fuzz FuzzStripedAdmission -fuzztime 10s ./internal/sched
 
 echo "== 100x scale trajectory under the race detector (points run concurrently)"
