@@ -18,19 +18,21 @@
 //	sweep -technique staggered -k 1  # sweep one registered technique
 //	sweep -list-techniques        # show the technique registry
 //	sweep -faults 'fail:7@600'    # inject a fault plan into every run
-//	sweep -e18                    # availability experiment (EXPERIMENTS.md E18)
-//	sweep -e19                    # cache-size sweep (EXPERIMENTS.md E19)
-//	sweep -e20                    # cluster scaling sweep (EXPERIMENTS.md E20)
-//	sweep -e21                    # server-failover sweep (EXPERIMENTS.md E21)
-//	sweep -servers 1,2,4 -dispatch popularity  # custom cluster grid
+//	sweep -servers 1,2,4 -dispatch popularity  # custom cluster grid (EXPERIMENTS.md E20)
 //	sweep -cachemb 256 -batchwindow 8   # memory tier on every run (DESIGN.md §12)
 //	sweep -zipf 0.7 -arrivals 6000      # open Zipf workload instead of the closed loop
+//
+// The flags select one of four modes: -list-techniques, the cluster
+// grid (-servers), a scale-mode trajectory (-scale 10x and up), or the
+// paper sweep.  A set flag the mode does not read exits 2.  cmd/repro
+// prints every EXPERIMENTS.md table, E18–E21 included.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -61,11 +63,7 @@ func run() (code int) {
 	listTech := flag.Bool("list-techniques", false, "list registered techniques and exit")
 	faultsFlag := flag.String("faults", "", "fault plan injected into every run (e.g. 'fail:7@600; slow:3@100-400; tert@0-200; wear:0-9@mttf=500,mttr=50,until=3000')")
 	pressure := flag.Bool("pressure", false, "enable eviction pressure for exact-fit farms (DESIGN.md §10)")
-	e18Flag := flag.Bool("e18", false, "run the E18 availability experiment and exit")
-	e19Flag := flag.Bool("e19", false, "run the E19 cache-size sweep and exit")
-	e20Flag := flag.Bool("e20", false, "run the E20 cluster-scaling sweep and exit")
-	e21Flag := flag.Bool("e21", false, "run the E21 server-failover sweep and exit")
-	serversFlag := flag.String("servers", "", "comma-separated fleet sizes for a cluster grid (implies -e20 over those sizes)")
+	serversFlag := flag.String("servers", "", "comma-separated fleet sizes: run the E20 cluster grid (quick geometry per server, open Zipf θ=1.1) over these sizes")
 	dispatchFlag := flag.String("dispatch", "", "restrict the cluster grid to one dispatch policy (roundrobin, leastloaded, popularity)")
 	cacheMB := flag.Int("cachemb", 0, "prefix-cache RAM budget in MB (0 = no prefix cache; DESIGN.md §12)")
 	batchWindow := flag.Int("batchwindow", 0, "multicast batch window in intervals (0 = no batching)")
@@ -76,49 +74,38 @@ func run() (code int) {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	if *e18Flag {
-		points, err := experiment.E18(*seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			return 1
-		}
-		fmt.Print(experiment.E18Render(points))
-		return 0
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	mode := sweepMode(*listTech, *serversFlag, *scaleFlag)
+	if bad := unreadFlags(mode, set); len(bad) > 0 {
+		fmt.Fprintf(os.Stderr, "sweep: %s mode does not read %s\n", mode, strings.Join(bad, ", "))
+		return 2
 	}
-
-	if *e19Flag {
-		points, err := experiment.E19(*seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			return 1
-		}
-		fmt.Print(experiment.E19Render(points))
-		return 0
-	}
-
-	if *e21Flag {
-		points, err := experiment.E21(*seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			return 1
-		}
-		if *csv {
-			fmt.Print(experiment.E21CSV(points))
-		} else {
-			fmt.Print(experiment.RenderE21(points))
-		}
-		return 0
-	}
-
-	if *e20Flag || *serversFlag != "" {
-		return runClusterGrid(*serversFlag, *dispatchFlag, *seed, *csv)
-	}
-
-	if *listTech {
+	if mode == "list" {
 		for _, ti := range sched.Techniques() {
 			fmt.Printf("%-10s %s — %s\n", ti.Key, ti.Display, ti.Summary)
 		}
 		return 0
+	}
+
+	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
+	switch mode {
+	case "cluster":
+		return runClusterGrid(*serversFlag, *dispatchFlag, *seed, *csv)
+	case "scale":
+		return runScaleMode(*scaleFlag, *seed, *csv)
 	}
 
 	specs, err := parseTechniques(*techFlag, *stride)
@@ -152,27 +139,11 @@ func run() (code int) {
 		}
 	}
 
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}()
-
 	scale := experiment.Full
 	switch *scaleFlag {
 	case "full":
 	case "quick":
 		scale = experiment.Quick
-	case "10x", "100x", "1000x", "1000", "10000x":
-		return runScaleMode(*scaleFlag, *seed, *csv)
 	default:
 		fmt.Fprintf(os.Stderr, "sweep: unknown scale %q\n", *scaleFlag)
 		return 2
@@ -189,15 +160,14 @@ func run() (code int) {
 		means = []float64{*dist}
 	}
 
-	byMean := map[float64][]experiment.Point{}
+	byMean, err := experiment.Sweep(scale, means, stations, *seed, specs, opts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		return 1
+	}
 	starved := 0
 	for _, mean := range means {
-		pts, err := experiment.Figure8TechniquesOpts(scale, mean, stations, *seed, specs, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			return 1
-		}
-		byMean[mean] = pts
+		pts := byMean[mean]
 		starved += experiment.Starved(pts)
 		if *csv {
 			if specs == nil {
@@ -214,8 +184,7 @@ func run() (code int) {
 	// default sweep.
 	if *dist == 0 && specs == nil {
 		tbl := experiment.Table4(byMean)
-		fmt.Println("Table 4: percentage improvement in throughput (displays per hour)")
-		fmt.Println("with simple striping as compared to virtual data replication.")
+		fmt.Println(experiment.Table4Caption)
 		if *csv {
 			fmt.Print(tbl.CSV())
 		} else {
@@ -230,32 +199,23 @@ func run() (code int) {
 	return 0
 }
 
-// runClusterGrid runs the E20 cluster-scaling grid: fleet sizes from
-// -servers (default 1,2,4,8) crossed with the dispatch policies
+// runClusterGrid runs the E20 cluster-scaling grid: the fleet sizes of
+// -servers crossed with the dispatch policies
 // (restricted by -dispatch when given), at quick per-server geometry
 // under an open Zipf θ=1.1 workload (EXPERIMENTS.md E20).
 func runClusterGrid(serversFlag, dispatchFlag string, seed uint64, csv bool) int {
-	servers := experiment.E20Servers
-	if serversFlag != "" {
-		var err error
-		if servers, err = parseStations(serversFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: bad -servers: %v\n", err)
-			return 2
-		}
+	servers, err := parseStations(serversFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: bad -servers: %v\n", err)
+		return 2
 	}
 	policies := cluster.Policies()
 	if dispatchFlag != "" {
-		found := false
-		for _, p := range policies {
-			if p == dispatchFlag {
-				policies, found = []string{p}, true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "sweep: unknown dispatch policy %q (have %v)\n", dispatchFlag, cluster.Policies())
+		if !slices.Contains(policies, dispatchFlag) {
+			fmt.Fprintf(os.Stderr, "sweep: unknown dispatch policy %q (have %v)\n", dispatchFlag, policies)
 			return 2
 		}
+		policies = []string{dispatchFlag}
 	}
 	points, err := experiment.E20Grid(servers, policies, seed)
 	if err != nil {
@@ -270,22 +230,57 @@ func runClusterGrid(serversFlag, dispatchFlag string, seed uint64, csv bool) int
 	return 0
 }
 
+// modeFlags names the flags each mode reads.
+var modeFlags = map[string][]string{
+	"list":    {"list-techniques"},
+	"cluster": {"servers", "dispatch", "seed", "csv", "cpuprofile", "memprofile"},
+	"scale":   {"scale", "seed", "csv", "cpuprofile", "memprofile"},
+	"paper": {"scale", "dist", "stations", "seed", "csv", "technique", "k", "faults", "pressure",
+		"cachemb", "batchwindow", "cache", "zipf", "arrivals", "cpuprofile", "memprofile"},
+}
+
+// sweepMode returns the mode the flags select: "list", "cluster",
+// "scale" or "paper".
+func sweepMode(listTech bool, servers, scale string) string {
+	switch {
+	case listTech:
+		return "list"
+	case servers != "":
+		return "cluster"
+	case scaleFactors(scale) != nil:
+		return "scale"
+	}
+	return "paper"
+}
+
+// unreadFlags returns, as "-name", each flag of set (the names
+// flag.Visit reports) that mode does not read.
+func unreadFlags(mode string, set []string) []string {
+	var bad []string
+	for _, name := range set {
+		if !slices.Contains(modeFlags[mode], name) {
+			bad = append(bad, "-"+name)
+		}
+	}
+	return bad
+}
+
+// scaleFactors returns the factors 1, 2, 5, 10, … up to the ceiling
+// of the trajectory scale names, or nil when it names none.
+func scaleFactors(scale string) []int {
+	ladder := []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000}
+	ceiling := map[string]int{"10x": 10, "100x": 100, "1000x": 1000, "1000": 1000, "10000x": 10000}[scale]
+	if i := slices.Index(ladder, ceiling); i >= 0 {
+		return ladder[:i+1]
+	}
+	return nil
+}
+
 // runScaleMode runs the scale-mode trajectory instead of the paper
 // figures: quick-geometry configurations grown by successive factors
 // up to the requested ceiling, reporting wall-clock cost per point.
 func runScaleMode(mode string, seed uint64, csv bool) int {
-	var factors []int
-	switch mode {
-	case "10x":
-		factors = []int{1, 2, 5, 10}
-	case "100x":
-		factors = []int{1, 2, 5, 10, 20, 50, 100}
-	case "10000x":
-		factors = []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000}
-	default: // 1000x
-		factors = []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
-	}
-	points, err := experiment.ScaleSweep(factors, seed)
+	points, err := experiment.ScaleSweep(scaleFactors(mode), seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		return 1
@@ -320,7 +315,7 @@ func runScaleMode(mode string, seed uint64, csv bool) int {
 
 func parseStations(s string) ([]int, error) {
 	if s == "" {
-		return nil, nil // experiment.Figure8 defaults to the paper sweep
+		return nil, nil // experiment.Sweep defaults to the paper sweep
 	}
 	parts := strings.Split(s, ",")
 	out := make([]int, 0, len(parts))

@@ -27,9 +27,9 @@
 //
 //   - Simulation: interval-quantized throughput engines for staggered
 //     striping and the virtual-data-replication baseline, an
-//     event-level disk model for hiccup validation, and the
-//     experiment harness that regenerates every table and figure of
-//     the paper's evaluation.
+//     event-level disk model for hiccup validation, and Reproduce,
+//     which prints every table and figure of the paper's evaluation
+//     (what cmd/repro runs).
 //
 // # Quickstart
 //

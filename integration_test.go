@@ -7,6 +7,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/mmsim/staggered/internal/experiment"
+	"github.com/mmsim/staggered/internal/workload"
 )
 
 // TestIntegrationPaperPipeline runs the whole evaluation pipeline at
@@ -16,7 +19,7 @@ func TestIntegrationPaperPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-scale sweep still runs dozens of simulations")
 	}
-	byMean, err := RunPaperEvaluation(QuickScale, []int{1, 16, 32}, 1)
+	byMean, err := experiment.Sweep(experiment.Quick, workload.PaperMeans, []int{1, 16, 32}, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +27,7 @@ func TestIntegrationPaperPipeline(t *testing.T) {
 		t.Fatalf("distributions = %d", len(byMean))
 	}
 	for mean, pts := range byMean {
-		fig := RenderFigure8(mean, pts)
+		fig := experiment.Figure8Render(mean, pts)
 		if !strings.Contains(fig, "simple striping") {
 			t.Errorf("figure for mean %v malformed", mean)
 		}
@@ -39,7 +42,7 @@ func TestIntegrationPaperPipeline(t *testing.T) {
 			t.Errorf("mean %v: striping lost at %d stations", mean, last.Stations)
 		}
 	}
-	tbl := RenderTable4(byMean)
+	tbl := experiment.Table4(byMean).String()
 	if !strings.Contains(tbl, "# Display Stations") {
 		t.Fatalf("table 4 malformed:\n%s", tbl)
 	}

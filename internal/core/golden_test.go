@@ -8,7 +8,7 @@ import (
 // Golden renderings: the exact text of the paper's layout figures,
 // compared with per-line trailing whitespace trimmed.  These lock the
 // presentation so a refactor of Grid/RenderGrid cannot silently change
-// what cmd/layout prints.
+// what cmd/repro prints.
 
 // trimLines removes trailing spaces from every line.
 func trimLines(s string) string {

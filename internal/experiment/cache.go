@@ -19,17 +19,6 @@ import (
 // budget × Zipf skew × batch window; the (budget 0, window 0) rows are
 // the disk-only baseline the others must beat.
 
-// E19Skews are the compared Zipf skew parameters: the classic VoD
-// value 0.7 and a sharper 1.1 head.
-func E19Skews() []float64 { return []float64{0.7, 1.1} }
-
-// E19BudgetsMB is the swept cache budget axis (0 = no prefix cache).
-func E19BudgetsMB() []int { return []int{0, 64, 256, 1024} }
-
-// E19Windows is the swept batch window axis in intervals (0 = no
-// multicast batching).
-func E19Windows() []int { return []int{0, 8, 32} }
-
 // e19ArrivalsPerHour overdrives the quick geometry's ≈1984/hour disk
 // ceiling threefold, so the baseline saturates and the cached runs
 // have demand to convert.
@@ -90,13 +79,15 @@ func E19Run(skew float64, budgetMB, window int, seed uint64) (E19Point, error) {
 	}, nil
 }
 
-// E19 runs the full budget × skew × window sweep sequentially (24
-// quick runs; deterministic per seed).
+// E19 runs the full sweep sequentially (24 quick runs; deterministic
+// per seed): the classic VoD Zipf skew 0.7 and a sharper 1.1 head ×
+// cache budgets of 0 (no prefix cache) to 1024 MB × batch windows of
+// 0 (no multicast batching), 8 and 32 intervals.
 func E19(seed uint64) ([]E19Point, error) {
 	var points []E19Point
-	for _, skew := range E19Skews() {
-		for _, mb := range E19BudgetsMB() {
-			for _, w := range E19Windows() {
+	for _, skew := range []float64{0.7, 1.1} {
+		for _, mb := range []int{0, 64, 256, 1024} {
+			for _, w := range []int{0, 8, 32} {
 				p, err := E19Run(skew, mb, w, seed)
 				if err != nil {
 					return nil, err

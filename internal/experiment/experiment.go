@@ -52,7 +52,7 @@ const (
 	// objects, 13.4 simulated hours per run.
 	Full Scale = iota
 	// Quick is a proportionally reduced configuration for tests and
-	// -short benchmarks: 50 disks, 40 objects, same structure.
+	// the quick-scale tables: 50 disks, 40 objects, same structure.
 	Quick
 )
 
@@ -103,12 +103,6 @@ func (s TechSpec) Label() string {
 		return fmt.Sprintf("%s(k=%d)", s.Key, s.Stride)
 	}
 	return s.Key
-}
-
-// DefaultTechniques is the paper's Figure 8 pair: simple striping vs
-// the virtual-data-replication baseline.
-func DefaultTechniques() []TechSpec {
-	return []TechSpec{{Key: TechStriped}, {Key: TechVDR}}
 }
 
 // Point is one x-position of a Figure 8 graph: every swept technique
@@ -176,89 +170,51 @@ func parallel(n int, f func(i int) error) error {
 	return nil
 }
 
-// job is one engine run of one sweep point: the unit of work the
-// pool schedules.  Splitting the techniques of a point into separate
-// jobs shortens the critical path of a sweep — the runs of the same
-// station count no longer serialize.
-type job struct {
-	mean float64
-	idx  int // index into the stations slice
-	tech int // index into the technique specs
-}
-
-// runSweep executes every (mean, station, technique) combination on
-// the parallel pool and assembles the per-mean point slices.  Each job
-// writes its own element of its own point's Runs slice.
-func runSweep(scale Scale, means []float64, stations []int, seed uint64, specs []TechSpec, opts *Options) (map[float64][]Point, error) {
+// Sweep runs the Figure 8 station sweep (nil stations means the
+// paper's 1..256) for every mean and every technique of specs (nil
+// means the paper's striped/VDR pair), with opts applied to every run
+// (nil is the paper's setup), and returns the points per mean.  Every
+// (mean, station, technique) run is one job on the parallel pool and
+// writes its own element of its point's Runs slice, so the results
+// are deterministic per seed whatever the worker count.
+func Sweep(scale Scale, means []float64, stations []int, seed uint64, specs []TechSpec, opts *Options) (map[float64][]Point, error) {
 	if len(stations) == 0 {
 		stations = workload.PaperStations
 	}
 	if len(specs) == 0 {
-		specs = DefaultTechniques()
+		specs = []TechSpec{{Key: TechStriped}, {Key: TechVDR}} // the paper's pair
 	}
 	labels := make([]string, len(specs))
 	for i, s := range specs {
 		labels[i] = s.Label()
 	}
 	byMean := make(map[float64][]Point, len(means))
-	jobs := make([]job, 0, len(specs)*len(means)*len(stations))
 	for _, mean := range means {
 		pts := make([]Point, len(stations))
 		for i, st := range stations {
-			pts[i].Stations = st
-			pts[i].Techniques = labels
-			pts[i].Runs = make([]sched.Result, len(specs))
+			pts[i] = Point{Stations: st, Techniques: labels, Runs: make([]sched.Result, len(specs))}
 		}
 		byMean[mean] = pts
-		for i := range stations {
-			for t := range specs {
-				jobs = append(jobs, job{mean: mean, idx: i, tech: t})
-			}
-		}
 	}
-	err := parallel(len(jobs), func(i int) error {
-		j := jobs[i]
-		p := &byMean[j.mean][j.idx]
-		cfg := BaseConfig(scale, p.Stations, j.mean, seed)
+	// Job i runs technique i%len(specs) at station (i/len(specs))%len(stations)
+	// of means[i/(len(stations)*len(specs))] and writes only that Runs slot;
+	// a point's techniques are separate jobs, so no point serializes a sweep.
+	err := parallel(len(means)*len(stations)*len(specs), func(i int) error {
+		mean, t := means[i/(len(stations)*len(specs))], i%len(specs)
+		p := &byMean[mean][i/len(specs)%len(stations)]
+		cfg := BaseConfig(scale, p.Stations, mean, seed)
 		opts.apply(&cfg)
-		spec := specs[j.tech]
-		e, _, err := sched.NewEngineFor(spec.Key, cfg, spec.Stride)
+		e, _, err := sched.NewEngineFor(specs[t].Key, cfg, specs[t].Stride)
 		if err != nil {
 			return err
 		}
-		// Each technique of the same point is a distinct slice
-		// element, so the writes never overlap.
-		p.Runs[j.tech] = e.Run()
+		p.Runs[t] = e.Run()
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return byMean, nil
-}
-
-// Figure8 runs one graph of Figure 8: simple striping vs virtual data
-// replication across the station sweep for one access distribution.
-// Engine runs execute in parallel on a GOMAXPROCS-sized pool; results
-// are deterministic per seed.
-func Figure8(scale Scale, mean float64, stations []int, seed uint64) ([]Point, error) {
-	return Figure8Techniques(scale, mean, stations, seed, nil)
-}
-
-// Figure8Techniques runs one Figure 8 graph for an arbitrary set of
-// registered techniques (nil means the paper's default pair).
-func Figure8Techniques(scale Scale, mean float64, stations []int, seed uint64, specs []TechSpec) ([]Point, error) {
-	return Figure8TechniquesOpts(scale, mean, stations, seed, specs, nil)
-}
-
-// Figure8TechniquesOpts is Figure8Techniques with sweep options — the
-// entry point cmd/sweep's -faults and -pressure flags use.
-func Figure8TechniquesOpts(scale Scale, mean float64, stations []int, seed uint64, specs []TechSpec, opts *Options) ([]Point, error) {
-	byMean, err := runSweep(scale, []float64{mean}, stations, seed, specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	return byMean[mean], nil
 }
 
 // seriesName maps a sweep label to its figure-legend name: the
@@ -304,6 +260,10 @@ func Figure8Render(mean float64, points []Point) string {
 	return metrics.RenderFigure(title, "stations", series)
 }
 
+// Table4Caption is the paper's caption, printed above Table 4.
+const Table4Caption = "Table 4: percentage improvement in throughput (displays per hour)\n" +
+	"with simple striping as compared to virtual data replication."
+
 // Table4 builds the paper's Table 4 from the three Figure 8 graphs:
 // percentage improvement in throughput of simple striping over
 // virtual data replication at the reported station counts.
@@ -328,32 +288,16 @@ func Table4(byMean map[float64][]Point) *metrics.Table {
 	return tbl
 }
 
-// RunAll runs the three distributions of Figure 8 and returns the
-// per-mean points (the input to both the figure renderings and
-// Table 4).  All three sweeps share one worker pool, so the runs of
-// different distributions interleave instead of executing graph by
-// graph.
-func RunAll(scale Scale, stations []int, seed uint64) (map[float64][]Point, error) {
-	return runSweep(scale, workload.PaperMeans, stations, seed, nil, nil)
-}
-
-// Aggregate merges every run of a sweep's points into one Run
-// (metrics.Run.Merge semantics: counters add, utilizations
-// window-average) — the sweep-wide totals cmd/sweep reports from.
-func Aggregate(points []Point) metrics.Run {
-	var agg metrics.Run
+// Starved returns the starved materializations summed over a sweep's
+// runs — what cmd/sweep uses to warn loudly (on stderr) when a
+// configuration livelocked at the Place retry cap instead of silently
+// delivering zero throughput.
+func Starved(points []Point) int {
+	n := 0
 	for _, p := range points {
 		for _, r := range p.Runs {
-			agg.Merge(r)
+			n += r.StarvedMaterializations
 		}
 	}
-	return agg
-}
-
-// Starved returns the sweep-wide starved-materialization total — what
-// cmd/sweep uses to warn loudly (on stderr) when a configuration
-// livelocked at the Place retry cap instead of silently delivering
-// zero throughput.
-func Starved(points []Point) int {
-	return Aggregate(points).StarvedMaterializations
+	return n
 }

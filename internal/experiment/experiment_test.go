@@ -30,10 +30,11 @@ func TestBaseConfigScales(t *testing.T) {
 }
 
 func TestFigure8Quick(t *testing.T) {
-	pts, err := Figure8(Quick, 10, []int{1, 8, 32}, 1)
+	byMean, err := Sweep(Quick, []float64{10}, []int{1, 8, 32}, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pts := byMean[10]
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -58,15 +59,15 @@ func TestFigure8Quick(t *testing.T) {
 }
 
 func TestFigure8Deterministic(t *testing.T) {
-	a, err := Figure8(Quick, 20, []int{8}, 7)
+	a, err := Sweep(Quick, []float64{20}, []int{8}, 7, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Figure8(Quick, 20, []int{8}, 7)
+	b, err := Sweep(Quick, []float64{20}, []int{8}, 7, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a[0].Striped().Displays != b[0].Striped().Displays || a[0].VDR().Displays != b[0].VDR().Displays {
+	if a[20][0].Striped().Displays != b[20][0].Striped().Displays || a[20][0].VDR().Displays != b[20][0].VDR().Displays {
 		t.Fatal("figure 8 runs not reproducible")
 	}
 }
@@ -106,13 +107,13 @@ func TestParallelLowestError(t *testing.T) {
 func TestRunAllParallelismInvariant(t *testing.T) {
 	stations := []int{1, 8}
 	prev := runtime.GOMAXPROCS(1)
-	serial, err := RunAll(Quick, stations, 9)
+	serial, err := Sweep(Quick, workload.PaperMeans, stations, 9, nil, nil)
 	runtime.GOMAXPROCS(4)
 	if err != nil {
 		runtime.GOMAXPROCS(prev)
 		t.Fatal(err)
 	}
-	parallel, perr := RunAll(Quick, stations, 9)
+	parallel, perr := Sweep(Quick, workload.PaperMeans, stations, 9, nil, nil)
 	runtime.GOMAXPROCS(prev)
 	if perr != nil {
 		t.Fatal(perr)
@@ -123,13 +124,9 @@ func TestRunAllParallelismInvariant(t *testing.T) {
 }
 
 func TestFigure8RenderAndTable4(t *testing.T) {
-	byMean := map[float64][]Point{}
-	for _, mean := range workload.PaperMeans {
-		pts, err := Figure8(Quick, mean, []int{16, 64}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		byMean[mean] = pts
+	byMean, err := Sweep(Quick, workload.PaperMeans, []int{16, 64}, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	fig := Figure8Render(10, byMean[10])
 	for _, want := range []string{"Figure 8", "highly skewed", "simple striping", "virtual replication"} {

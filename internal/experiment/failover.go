@@ -186,14 +186,6 @@ func E21(seed uint64) ([]FailoverPoint, error) {
 
 // RenderE21 formats the grid as the EXPERIMENTS.md E21 table.
 func RenderE21(points []FailoverPoint) string {
-	return fmt.Sprintf("E21: server failover, %d servers, member %d killed mid-window (Zipf θ=%.1f)\n",
-		E21Servers, E21Victim, E20ZipfTheta) + e21Table(points).String()
-}
-
-// E21CSV formats the grid as machine-readable CSV.
-func E21CSV(points []FailoverPoint) string { return e21Table(points).CSV() }
-
-func e21Table(points []FailoverPoint) *metrics.Table {
 	tbl := &metrics.Table{Header: []string{
 		"policy", "depth", "pre_kill_per_hour", "post_kill_per_hour", "recovery",
 		"failed_over", "orphaned", "readmitted", "dropped", "no_holder", "healed", "redistribute_s",
@@ -214,5 +206,6 @@ func e21Table(points []FailoverPoint) *metrics.Table {
 			fmt.Sprintf("%.1f", p.RedistributeSeconds),
 		)
 	}
-	return tbl
+	return fmt.Sprintf("E21: server failover, %d servers, member %d killed mid-window (Zipf θ=%.1f)\n",
+		E21Servers, E21Victim, E20ZipfTheta) + tbl.String()
 }

@@ -26,21 +26,16 @@ func RunReplicated(scale Scale, mean float64, stations []int, seeds []uint64) ([
 		return nil, fmt.Errorf("experiment: need at least one seed")
 	}
 	var out []ReplicatedPoint
-	for si, seed := range seeds {
-		pts, err := Figure8(scale, mean, stations, seed)
+	for _, seed := range seeds {
+		byMean, err := Sweep(scale, []float64{mean}, stations, seed, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		if si == 0 {
-			out = make([]ReplicatedPoint, len(pts))
-			for i, p := range pts {
-				out[i].Stations = p.Stations
-			}
+		if out == nil {
+			out = make([]ReplicatedPoint, len(byMean[mean]))
 		}
-		for i, p := range pts {
-			if out[i].Stations != p.Stations {
-				return nil, fmt.Errorf("experiment: station sweep mismatch across seeds")
-			}
+		for i, p := range byMean[mean] {
+			out[i].Stations = p.Stations
 			out[i].Seeds++
 			out[i].StripedPerHour.Add(p.Striped().Throughput())
 			out[i].VDRPerHour.Add(p.VDR().Throughput())
@@ -53,10 +48,11 @@ func RunReplicated(scale Scale, mean float64, stations []int, seeds []uint64) ([
 	return out, nil
 }
 
-// RenderReplicated formats the aggregate as a table with mean ± σ.
+// RenderReplicated formats the aggregate as a table with mean ± σ and
+// the worst seed's improvement.
 func RenderReplicated(mean float64, points []ReplicatedPoint) string {
 	tbl := &metrics.Table{Header: []string{
-		"stations", "striping (mean±σ /hr)", "replication (mean±σ /hr)", "improvement (mean±σ %)",
+		"stations", "striping (mean±σ /hr)", "replication (mean±σ /hr)", "improvement (mean±σ %)", "worst seed (%)",
 	}}
 	for _, p := range points {
 		tbl.AddRow(
@@ -64,6 +60,7 @@ func RenderReplicated(mean float64, points []ReplicatedPoint) string {
 			fmt.Sprintf("%.1f±%.1f", p.StripedPerHour.Mean(), p.StripedPerHour.StdDev()),
 			fmt.Sprintf("%.1f±%.1f", p.VDRPerHour.Mean(), p.VDRPerHour.StdDev()),
 			fmt.Sprintf("%.1f±%.1f", p.ImprovementPct.Mean(), p.ImprovementPct.StdDev()),
+			fmt.Sprintf("%.1f", p.ImprovementPct.Min()),
 		)
 	}
 	return fmt.Sprintf("Figure 8 replicated over %d seeds (geometric mean %v)\n%s",

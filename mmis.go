@@ -208,47 +208,10 @@ func NewClusterSimulation(cfg ClusterConfig) (*ClusterSim, error) {
 // ("roundrobin", "leastloaded", "popularity").
 func DispatchPolicies() []string { return cluster.Policies() }
 
-// Experiments (the paper's evaluation).
-type (
-	// ExperimentScale selects full (Table 3) or quick fidelity.
-	ExperimentScale = experiment.Scale
-	// FigurePoint is one x-position of a Figure 8 graph.
-	FigurePoint = experiment.Point
-)
-
-// Experiment scales.
-const (
-	FullScale  = experiment.Full
-	QuickScale = experiment.Quick
-)
-
-// PaperMeans are the three access distributions of §4 (10, 20, 43.5).
-var PaperMeans = workload.PaperMeans
-
-// PaperStations is the station sweep of Figure 8 (1..256).
-var PaperStations = workload.PaperStations
-
-// RunFigure8 runs one Figure 8 graph: both techniques across the
-// station sweep for one access distribution.
-func RunFigure8(scale ExperimentScale, mean float64, stations []int, seed uint64) ([]FigurePoint, error) {
-	return experiment.Figure8(scale, mean, stations, seed)
-}
-
-// RenderFigure8 formats a graph's points as a text table.
-func RenderFigure8(mean float64, points []FigurePoint) string {
-	return experiment.Figure8Render(mean, points)
-}
-
-// RunPaperEvaluation runs all three Figure 8 graphs.
-func RunPaperEvaluation(scale ExperimentScale, stations []int, seed uint64) (map[float64][]FigurePoint, error) {
-	return experiment.RunAll(scale, stations, seed)
-}
-
-// RenderTable4 formats the Table 4 improvement matrix from the
-// evaluation's points.
-func RenderTable4(byMean map[float64][]FigurePoint) string {
-	return experiment.Table4(byMean).String()
-}
+// Reproduce writes every table of EXPERIMENTS.md — the paper's
+// figures, Figure 8 and Table 4 at full scale, and the extensions — at
+// seed 1, each under a "== <section>" line (what cmd/repro prints).
+func Reproduce(w io.Writer) error { return experiment.Reproduce(w) }
 
 // Analytic capacity planning (§3.1, §3.2.2, §3.2.3).
 

@@ -1,9 +1,13 @@
 package mmis
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/mmsim/staggered/internal/experiment"
+	"github.com/mmsim/staggered/internal/workload"
 )
 
 // TestPublicLayoutAPI drives the layout-planning facade end to end on
@@ -147,23 +151,33 @@ func TestPublicSimulationAPI(t *testing.T) {
 }
 
 func TestPublicExperimentAPI(t *testing.T) {
-	pts, err := RunFigure8(QuickScale, 10, []int{4, 16}, 1)
+	byMean, err := experiment.Sweep(experiment.Quick, []float64{10}, []int{4, 16}, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig := RenderFigure8(10, pts)
+	pts := byMean[10]
+	fig := experiment.Figure8Render(10, pts)
 	if !strings.Contains(fig, "simple striping") {
 		t.Errorf("figure rendering wrong:\n%s", fig)
 	}
-	byMean := map[float64][]FigurePoint{10: pts, 20: nil, 43.5: nil}
-	tbl := RenderTable4(byMean)
+	tbl := experiment.Table4(byMean).String()
 	if !strings.Contains(tbl, "# Display Stations") {
 		t.Errorf("table rendering wrong:\n%s", tbl)
 	}
+	// Reproduce stops at the first write that fails.
+	if err := Reproduce(failingWriter{}); !errors.Is(err, errWriteRefused) {
+		t.Errorf("Reproduce into a failing writer returned %v", err)
+	}
 }
 
+var errWriteRefused = errors.New("write refused")
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errWriteRefused }
+
 func TestPaperConstantsExported(t *testing.T) {
-	if len(PaperMeans) != 3 || PaperStations[len(PaperStations)-1] != 256 {
+	if len(workload.PaperMeans) != 3 || workload.PaperStations[len(workload.PaperStations)-1] != 256 {
 		t.Fatal("paper workload constants drifted")
 	}
 	if SabreDisk.Cylinders != 1635 || SimulationDisk.Cylinders != 3000 {

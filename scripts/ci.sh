@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI gate: vet, build, race-test, and short-benchmark the repo.
+# CI gate: vet, build, race-test, golden-check, fuzz, and perf-gate the repo.
 # Run from anywhere; operates on the repository containing it.
 set -eu
 
@@ -25,26 +25,25 @@ go test -short -race ./...
 echo "== go test (full suites: goldens, E18, fault integration)"
 go test ./...
 
-echo "== short benchmarks (interval engines)"
-go test -bench 'BenchmarkFigure8a$|BenchmarkTable4$' -benchmem -benchtime 3x -run '^$' .
-
-echo "== DES kernel microbenchmarks (report only)"
-go test -bench 'BenchmarkEventCalendar|BenchmarkProcessSwitch' -benchmem -benchtime 100000x -run '^$' ./internal/sim
-
-echo "== golden dumps (49-config sweep + staggered strides + Algorithm 1 pin + degraded mode, byte-identical)"
+echo "== golden dumps (49-config sweep + staggered strides + Algorithm 1 pin + degraded mode) and the reproduction artifact (every EXPERIMENTS.md table, full-scale Figure 8 and Table 4 included), byte-identical"
 # Every named test must report --- PASS: a renamed or deleted test
 # would otherwise drop out of the -run regex silently.
-golden_tests="TestGoldenSweep TestGoldenStaggered TestGoldenAlgorithm1 TestGoldenFaults"
-golden_out=$(go test -v -run "^($(echo $golden_tests | tr ' ' '|'))\$" ./internal/sched) || {
-	printf '%s\n' "$golden_out"
-	exit 1
-}
-for name in $golden_tests; do
-	if ! printf '%s\n' "$golden_out" | grep -q -- "--- PASS: $name ("; then
-		echo "golden step: $name did not report --- PASS"
+golden() {
+	pkg=$1
+	shift
+	golden_out=$(go test -v -run "^($(echo "$@" | tr ' ' '|'))\$" "$pkg") || {
+		printf '%s\n' "$golden_out"
 		exit 1
-	fi
-done
+	}
+	for name in "$@"; do
+		if ! printf '%s\n' "$golden_out" | grep -q -- "--- PASS: $name ("; then
+			echo "golden step: $name did not report --- PASS"
+			exit 1
+		fi
+	done
+}
+golden ./internal/sched TestGoldenSweep TestGoldenStaggered TestGoldenAlgorithm1 TestGoldenFaults
+golden ./internal/experiment TestReproduction TestReproductionSectionsDocumented
 
 echo "== fuzz: Algorithm 1 orbit walk against the per-candidate oracle"
 go test -run '^$' -fuzz FuzzChooseVirtualDisks -fuzztime 10s ./internal/vdisk
