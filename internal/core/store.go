@@ -21,11 +21,13 @@ type Store struct {
 	ids      int         // logical table length: max id seen + 1
 	count    int         // number of placed objects
 	cursor   int         // round-robin start hint
+	shapes   []footShape // footprint shapes by geometry, see shape
+}
 
-	// diff is the reusable difference-array scratch for footprint
-	// walks; fits and apply run once per Place probe, so at large D
-	// they must not allocate or touch disks outside the footprint.
-	diff []int32
+// footShape is the cached footprint shape of one object geometry.
+type footShape struct {
+	m, n   int
+	counts []int32
 }
 
 // placedRec is the packed per-object placement record.  First/M/N are
@@ -148,70 +150,77 @@ func (s *Store) Used(d int) int { return int(s.used[d]) }
 // FreeFragments returns the total free fragments across the farm.
 func (s *Store) FreeFragments() int { return s.free }
 
-// footprint walks the placement's storage footprint, calling
-// fn(disk, fragments) for every disk the object touches, and stops
-// early when fn returns false.  Subobject s occupies disks
-// (First + s·K .. + M−1) mod D, so the whole footprint lies in a
-// window of (N−1)·K + M consecutive ring positions starting at First;
-// the walk accumulates a difference array over that window (capped at
-// D) in reusable scratch, visiting O(window) disks instead of
-// materializing an O(D) per-disk slice the way FragmentsPerDisk does.
-func (s *Store) footprint(p Placement, fn func(d, c int) bool) bool {
-	d, k := p.Layout.D, p.Layout.K
-	w := (p.N-1)*k + p.M
-	if w > d {
-		w = d
-	}
-	if cap(s.diff) < w+1 {
-		s.diff = make([]int32, w+1)
-	}
-	diff := s.diff[:w+1]
-	for i := range diff {
-		diff[i] = 0
-	}
-	for sub := 0; sub < p.N; sub++ {
-		// Window coordinates: subobject sub starts at offset sub·K from
-		// First.  When the window spans the whole ring the offsets wrap.
-		start := sub * k
-		if start >= w {
-			start %= d
-		}
-		end := start + p.M
-		if end <= w {
-			diff[start]++
-			diff[end]--
-		} else {
-			diff[start]++
-			diff[w]--
-			diff[0]++
-			diff[end-w]--
+// shape returns the footprint shape of an object with degree m and n
+// subobjects: the number of its fragments on each disk of the window
+// of (N−1)·K + M consecutive ring positions (capped at D) that starts
+// at its first disk.  Fragment i of subobject s sits at window offset
+// (s·K + i) mod D.  The shape depends only on (D, K, m, n), so it is
+// counted once per geometry and kept in a short list searched
+// linearly; m and n must be valid for the layout (see NewPlacement).
+func (s *Store) shape(m, n int) []int32 {
+	for _, sh := range s.shapes {
+		if sh.m == m && sh.n == n {
+			return sh.counts
 		}
 	}
-	run := int32(0)
-	for i := 0; i < w; i++ {
-		run += diff[i]
-		if run > 0 && !fn((p.First+i)%d, int(run)) {
+	d, k := s.layout.D, s.layout.K
+	counts := make([]int32, min((n-1)*k+m, d))
+	for sub := 0; sub < n; sub++ {
+		for i := 0; i < m; i++ {
+			counts[(sub*k+i)%d]++
+		}
+	}
+	s.shapes = append(s.shapes, footShape{m: m, n: n, counts: counts})
+	return counts
+}
+
+// fits reports whether the footprint shape sh anchored at disk first
+// fits in the free space of every disk of its window: the run from
+// first to the ring's end, then the wrapped tail from disk 0.
+func (s *Store) fits(sh []int32, first int) bool {
+	h := min(len(sh), len(s.used)-first)
+	return fitsRun(s.used[first:], sh[:h], s.capacity) && fitsRun(s.used, sh[h:], s.capacity)
+}
+
+// fitsRun reports whether used[i] + sh[i] stays within capacity for
+// every i.  Reslicing used to len(sh) lets the compiler drop the
+// per-element bounds checks here and in addRun.
+func fitsRun(used, sh []int32, capacity int) bool {
+	used = used[:len(sh)]
+	for i, c := range sh {
+		if int(used[i])+int(c) > capacity {
 			return false
 		}
 	}
 	return true
 }
 
-// fits reports whether the placement's footprint fits in the free
-// space of every disk it touches.
-func (s *Store) fits(p Placement) bool {
-	return s.footprint(p, func(d, c int) bool {
-		return int(s.used[d])+c <= s.capacity
-	})
+// apply adds (sign=+1) or removes (sign=-1) the footprint shape sh of
+// an object with total fragments anchored at disk first.
+func (s *Store) apply(sh []int32, first, total int, sign int32) {
+	h := min(len(sh), len(s.used)-first)
+	addRun(s.used[first:], sh[:h], sign)
+	addRun(s.used, sh[h:], sign)
+	s.free -= int(sign) * total
 }
 
-// apply adds (sign=+1) or removes (sign=-1) the placement's footprint.
-func (s *Store) apply(p Placement, sign int) {
-	s.footprint(p, func(d, c int) bool {
-		s.used[d] += int32(sign * c)
-		s.free -= sign * c
-		return true
-	})
+// addRun adds sign·sh[i] to used[i] for every i.
+func addRun(used, sh []int32, sign int32) {
+	used = used[:len(sh)]
+	for i, c := range sh {
+		used[i] += sign * c
+	}
+}
+
+// commit places object id on the footprint shape sh at disk first,
+// which the caller has checked fits.
+func (s *Store) commit(id, first, m, n int, sh []int32) Placement {
+	s.apply(sh, first, n*m, +1)
+	s.ensure(id)
+	s.placed[id] = placedRec{first: int32(first), m: int32(m), n: int32(n)}
+	s.resident[id>>6] |= 1 << uint(id&63)
+	s.count++
+	return Placement{Layout: s.layout, First: first, M: m, N: n}
 }
 
 // PlaceAt places object id with degree m and n subobjects starting at
@@ -221,20 +230,15 @@ func (s *Store) PlaceAt(id, first, m, n int) (Placement, error) {
 	if s.Resident(id) {
 		return Placement{}, fmt.Errorf("core: object %d already placed", id)
 	}
-	p, err := NewPlacement(s.layout, first, m, n)
-	if err != nil {
+	if _, err := NewPlacement(s.layout, first, m, n); err != nil {
 		return Placement{}, err
 	}
-	if !s.fits(p) {
+	sh := s.shape(m, n)
+	if !s.fits(sh, first) {
 		return Placement{}, fmt.Errorf("core: object %d (%d fragments) does not fit starting at disk %d",
-			id, p.TotalFragments(), first)
+			id, n*m, first)
 	}
-	s.apply(p, +1)
-	s.ensure(id)
-	s.placed[id] = placedRec{first: int32(p.First), m: int32(p.M), n: int32(p.N)}
-	s.resident[id>>6] |= 1 << uint(id&63)
-	s.count++
-	return p, nil
+	return s.commit(id, first, m, n, sh), nil
 }
 
 // Place places object id with degree m and n subobjects, choosing the
@@ -250,24 +254,26 @@ func (s *Store) Place(id, m, n int) (Placement, error) {
 		return Placement{}, fmt.Errorf("core: object %d needs %d fragments, only %d free",
 			id, n*m, s.FreeFragments())
 	}
+	if _, err := NewPlacement(s.layout, 0, m, n); err != nil {
+		return Placement{}, err
+	}
+	sh := s.shape(m, n)
+	d, k := s.layout.D, s.layout.K
 	// Ring packing: the preferred start is just past the previous
 	// object's footprint, keeping starts on the k-grid so that
-	// same-geometry objects tile the farm evenly.
-	advance := (n-1)*s.layout.K + m
-	for try := 0; try < s.layout.D; try++ {
-		first := (s.cursor + try*s.layout.K) % s.layout.D
-		p, err := s.PlaceAt(id, first, m, n)
-		if err == nil {
-			s.cursor = (first + advance) % s.layout.D
-			return p, nil
+	// same-geometry objects tile the farm evenly.  The grid from the
+	// cursor holds D/gcd(D, K) distinct starts, and a failed probe
+	// changes nothing, so once they are exhausted every disk is
+	// scanned.
+	orbit := s.layout.StartDiskOrbit()
+	for try := 0; try < orbit+d; try++ {
+		first := try - orbit
+		if try < orbit {
+			first = (s.cursor + try*k) % d
 		}
-	}
-	// The k-grid is exhausted; scan every disk.
-	for first := 0; first < s.layout.D; first++ {
-		p, err := s.PlaceAt(id, first, m, n)
-		if err == nil {
-			s.cursor = (first + advance) % s.layout.D
-			return p, nil
+		if s.fits(sh, first) {
+			s.cursor = (first + (n-1)*k + m) % d
+			return s.commit(id, first, m, n, sh), nil
 		}
 	}
 	return Placement{}, fmt.Errorf("core: no start disk can hold object %d (%d fragments)", id, n*m)
@@ -278,8 +284,8 @@ func (s *Store) Evict(id int) error {
 	if !s.Resident(id) {
 		return fmt.Errorf("core: object %d not placed", id)
 	}
-	p, _ := s.Placement(id)
-	s.apply(p, -1)
+	r := s.placed[id]
+	s.apply(s.shape(int(r.m), int(r.n)), int(r.first), int(r.n)*int(r.m), -1)
 	s.placed[id] = placedRec{}
 	s.resident[id>>6] &^= 1 << uint(id&63)
 	s.count--

@@ -319,3 +319,135 @@ func BenchmarkStorePlaceEvict(b *testing.B) {
 		}
 	}
 }
+
+// A Place that probes every start and fails builds one error, however
+// many starts it probes: the probe loop itself allocates nothing.
+func TestStorePlaceFailureAllocs(t *testing.T) {
+	allocs := func(d int) float64 {
+		// Capacity 2 with one single-fragment object per disk leaves
+		// a fragment free everywhere, so the n·m pre-check passes, but
+		// the M=2, N=2 shape needs two on its middle disk at k=1.
+		s := mustStore(t, mustLayout(t, d, 1), 2)
+		for id := 0; id < d; id++ {
+			if _, err := s.PlaceAt(id, id, 1, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := s.Place(1<<20, 2, 2); err == nil {
+				t.Fatal("Place succeeded on a farm with no disk holding two fragments")
+			}
+		})
+	}
+	// The error costs a few allocations (more when the race detector
+	// drops fmt's pooled printers); one per probe would be thousands.
+	small, large := allocs(64), allocs(4096)
+	if small > 8 || large > 8 {
+		t.Errorf("failing Place allocations: %v at D=64, %v at D=4096; want a few, independent of D", small, large)
+	}
+}
+
+// FuzzStorePlace checks the Store against FragmentsPerDisk over random
+// farms and Place/PlaceAt/Evict sequences of mixed geometry: Used and
+// FreeFragments always equal the resident placements' summed
+// footprints, PlaceAt accepts exactly when the per-disk brute force
+// says the object fits, and Place takes the first fitting start of the
+// k-grid from its cursor, else the first fitting disk.
+func FuzzStorePlace(f *testing.F) {
+	// Each op is 5 bytes: kind, id, degree, subobjects, start disk.
+	f.Add(uint8(10), uint8(0), uint8(4), []byte{0, 1, 2, 3, 0, 1, 2, 2, 9, 4, 0, 3, 0, 4, 0, 2, 1, 0, 0, 0})  // k<M ramps
+	f.Add(uint8(20), uint8(6), uint8(3), []byte{0, 1, 1, 5, 0, 1, 2, 0, 5, 3, 0, 3, 2, 2, 0, 2, 1, 0, 0, 0})  // k>M gaps
+	f.Add(uint8(7), uint8(2), uint8(5), []byte{0, 1, 2, 30, 0, 1, 2, 1, 9, 6, 0, 4, 0, 12, 0, 2, 2, 0, 0, 0}) // n·k > D wraps
+	f.Add(uint8(9), uint8(9), uint8(2), []byte{0, 0, 2, 3, 0, 0, 1, 2, 3, 0, 0, 2, 0, 4, 0, 2, 0, 0, 0, 0})   // k = D
+	f.Add(uint8(9), uint8(0), uint8(0), []byte{0, 0, 0, 0, 0, 0, 1, 1, 0, 9})                                 // wrap onto a full disk 0
+	f.Fuzz(func(t *testing.T, dRaw, kRaw, capRaw uint8, ops []byte) {
+		d := int(dRaw%40) + 1
+		k := int(kRaw)%d + 1
+		capacity := int(capRaw%12) + 1
+		s, err := NewStore(Layout{D: d, K: k}, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		placed := map[int]Placement{}
+		used := make([]int, d) // oracle: summed FragmentsPerDisk
+		fitsAt := func(p Placement) bool {
+			for disk, c := range p.FragmentsPerDisk() {
+				if used[disk]+c > capacity {
+					return false
+				}
+			}
+			return true
+		}
+		// A bounded sequence keeps each input fast; 64 ops cycle the
+		// 8 ids through place and evict many times over.
+		ops = ops[:min(len(ops), 64*5)]
+		for ; len(ops) >= 5; ops = ops[5:] {
+			id, m, n, first := int(ops[1]%8), int(ops[2])%d+1, int(ops[3]%40)+1, int(ops[4])%d
+			switch ops[0] % 3 {
+			case 0:
+				p := Placement{Layout: s.layout, First: first, M: m, N: n}
+				_, resident := placed[id]
+				want := !resident && fitsAt(p)
+				got, err := s.PlaceAt(id, first, m, n)
+				if (err == nil) != want {
+					t.Fatalf("PlaceAt(%d, %d, %d, %d) error %v, brute force fits=%v", id, first, m, n, err, want)
+				}
+				if err == nil {
+					placed[id] = got
+				}
+			case 1:
+				_, resident := placed[id]
+				want := -1
+				if !resident && n*m <= s.FreeFragments() {
+					for try := 0; try < d && want < 0; try++ {
+						if f := (s.cursor + try*k) % d; fitsAt(Placement{Layout: s.layout, First: f, M: m, N: n}) {
+							want = f
+						}
+					}
+					for f := 0; f < d && want < 0; f++ {
+						if fitsAt(Placement{Layout: s.layout, First: f, M: m, N: n}) {
+							want = f
+						}
+					}
+				}
+				got, err := s.Place(id, m, n)
+				if (err == nil) != (want >= 0) || (err == nil && got.First != want) {
+					t.Fatalf("Place(%d, %d, %d) = %+v, %v; brute force start %d", id, m, n, got, err, want)
+				}
+				if err == nil {
+					placed[id] = got
+				}
+			case 2:
+				_, resident := placed[id]
+				if err := s.Evict(id); (err == nil) != resident {
+					t.Fatalf("Evict(%d) error %v, resident %v", id, err, resident)
+				}
+				delete(placed, id)
+			}
+			for i := range used {
+				used[i] = 0
+			}
+			total := 0
+			for id, p := range placed {
+				if got, ok := s.Placement(id); !ok || got != p {
+					t.Fatalf("Placement(%d) = %+v, %v; want %+v", id, got, ok, p)
+				}
+				for disk, c := range p.FragmentsPerDisk() {
+					used[disk] += c
+				}
+				total += p.TotalFragments()
+			}
+			for disk, u := range used {
+				if s.Used(disk) != u || u > capacity {
+					t.Fatalf("Used(%d) = %d, want %d (capacity %d)", disk, s.Used(disk), u, capacity)
+				}
+			}
+			if want := d*capacity - total; s.FreeFragments() != want {
+				t.Fatalf("FreeFragments = %d, want %d", s.FreeFragments(), want)
+			}
+			if s.ResidentCount() != len(placed) {
+				t.Fatalf("ResidentCount = %d, want %d", s.ResidentCount(), len(placed))
+			}
+		}
+	})
+}

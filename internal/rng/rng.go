@@ -10,9 +10,8 @@
 package rng
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math"
+	"strconv"
 )
 
 // Stream is a deterministic pseudo-random number generator based on
@@ -29,8 +28,14 @@ const pcgMultiplier = 6364136223846793005
 // streams with different seq values are statistically independent even
 // when they share a seed.
 func NewStream(seed, seq uint64) *Stream {
-	s := &Stream{inc: (seq << 1) | 1}
-	s.state = 0
+	s := newStream(seed, seq)
+	return &s
+}
+
+// newStream builds the stream as a value, so callers that store it in
+// place (a slice of per-station streams) allocate nothing.
+func newStream(seed, seq uint64) Stream {
+	s := Stream{inc: (seq << 1) | 1}
 	s.next()
 	s.state += seed
 	s.next()
@@ -130,14 +135,34 @@ func NewSource(seed uint64) *Source {
 // twice with the same name returns streams that generate identical
 // sequences.
 func (s *Source) Stream(name string) *Stream {
-	h := fnv.New64a()
-	// fnv never fails on Write.
-	_, _ = h.Write([]byte(name))
-	return NewStream(s.seed, h.Sum64())
+	return NewStream(s.seed, fnv1a(fnvOffset64, name))
 }
 
 // StreamN returns the stream for a name/index pair, for per-entity
-// streams such as one stream per display station.
+// streams such as one stream per display station.  It is the stream
+// named name + "/" + the decimal n.
 func (s *Source) StreamN(name string, n int) *Stream {
-	return s.Stream(fmt.Sprintf("%s/%d", name, n))
+	st := s.streamN(name, n)
+	return &st
+}
+
+// streamN builds StreamN's stream as a value, hashing the name and the
+// decimal index formatted in a stack buffer, so the inlined StreamN
+// stored in place allocates nothing.
+func (s *Source) streamN(name string, n int) Stream {
+	buf := [24]byte{'/'}
+	seq := fnv1a(fnv1a(fnvOffset64, name), strconv.AppendInt(buf[:1], int64(n), 10))
+	return newStream(s.seed, seq)
+}
+
+// The 64-bit FNV-1a offset basis and prime, as in hash/fnv.
+const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211
+
+// fnv1a folds b into the FNV-1a hash h.
+func fnv1a[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= fnvPrime64
+	}
+	return h
 }

@@ -1,7 +1,10 @@
 package rng
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -129,6 +132,29 @@ func TestSourceStreamN(t *testing.T) {
 	src := NewSource(7)
 	if src.StreamN("station", 1).Uint64() == src.StreamN("station", 2).Uint64() {
 		t.Fatal("per-index streams coincide")
+	}
+}
+
+// StreamN's inline hash of name + "/" + decimal n must select the same
+// stream as naming it through Stream, for every sign and width of n,
+// and both must keep hash/fnv's FNV-1a sequence selector.
+func TestStreamNMatchesStream(t *testing.T) {
+	const seed = 7
+	src := NewSource(seed)
+	names := []string{"", "station", "disk", strings.Repeat("0123456789", 4)}
+	for _, name := range names {
+		for _, n := range []int{0, 9, 10, -3, 12345, 1 << 40} {
+			full := fmt.Sprintf("%s/%d", name, n)
+			h := fnv.New64a()
+			_, _ = h.Write([]byte(full))
+			want := *NewStream(seed, h.Sum64())
+			if got := *src.Stream(full); got != want {
+				t.Errorf("Stream(%q) = %+v, want %+v", full, got, want)
+			}
+			if got := *src.StreamN(name, n); got != want {
+				t.Errorf("StreamN(%q, %d) = %+v, want %+v", name, n, got, want)
+			}
+		}
 	}
 }
 

@@ -19,6 +19,26 @@ func TestGeneratorValidation(t *testing.T) {
 	}
 }
 
+// Per-station streams are stored in place, so building a generator
+// costs the same number of allocations for 10 stations as for 1000.
+func TestGeneratorDistAllocsFlat(t *testing.T) {
+	dist, err := rng.Zipf(40, 1.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.NewSource(1)
+	allocs := func(stations int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := NewGeneratorDist(src, dist, stations); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(1000); many != few {
+		t.Errorf("NewGeneratorDist allocations: %v for 10 stations, %v for 1000", few, many)
+	}
+}
+
 func TestGeneratorDist(t *testing.T) {
 	dist, err := rng.Zipf(40, 1.1)
 	if err != nil {

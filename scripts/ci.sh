@@ -48,6 +48,9 @@ golden ./internal/experiment TestReproduction TestReproductionSectionsDocumented
 echo "== fuzz: Algorithm 1 orbit walk against the per-candidate oracle"
 go test -run '^$' -fuzz FuzzChooseVirtualDisks -fuzztime 10s ./internal/vdisk
 
+echo "== fuzz: Store placement against the FragmentsPerDisk oracle (Used, FreeFragments and every PlaceAt/Place verdict)"
+go test -run '^$' -fuzz FuzzStorePlace -fuzztime 10s ./internal/core
+
 echo "== fuzz: fault-plan parser (plan or error, never a panic or a runaway allocation)"
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/fault
 
