@@ -25,6 +25,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"github.com/mmsim/staggered/internal/cache"
 	"github.com/mmsim/staggered/internal/cluster"
@@ -62,9 +64,7 @@ func run() (code int) {
 	servers := flag.Int("servers", 1, "number of shared-clock servers (>1 requires -arrivals; DESIGN.md §13)")
 	dispatch := flag.String("dispatch", "", "cluster dispatch policy: roundrobin, leastloaded, or popularity (default roundrobin)")
 	healBudget := flag.Int("healbudget", 0, "replicas the cluster re-creates per healing window after a member kill (0 = no healing; DESIGN.md §14)")
-	healWindow := flag.Int("healwindow", 0, "healing-pass cadence in intervals (0 = one display length)")
 	replicaDepth := flag.Int("replicadepth", 0, "replica-ladder depth multiplier for the cluster placement (0 or 1 = default ladder)")
-	sampleEvery := flag.Int("samples", 0, "sample the cluster recovery curve every N intervals (0 = off)")
 	listTech := flag.Bool("list-techniques", false, "list registered techniques and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -73,6 +73,12 @@ func run() (code int) {
 	if *listTech {
 		printTechniques()
 		return 0
+	}
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if bad := clusterOnlyFlags(*servers, set); len(bad) > 0 {
+		fmt.Fprintf(os.Stderr, "ssim: %s need -servers > 1\n", strings.Join(bad, ", "))
+		return 2
 	}
 
 	scale := experiment.Full
@@ -151,9 +157,7 @@ func run() (code int) {
 			dispatch:     *dispatch,
 			serverPlan:   serverPlan,
 			healBudget:   *healBudget,
-			healWindow:   *healWindow,
 			replicaDepth: *replicaDepth,
-			sampleEvery:  *sampleEvery,
 		})
 	}
 
@@ -186,9 +190,22 @@ type clusterOpts struct {
 	dispatch     string
 	serverPlan   *fault.Plan
 	healBudget   int
-	healWindow   int
 	replicaDepth int
-	sampleEvery  int
+}
+
+// clusterOnlyFlags returns, as "-name", each flag of set (the names
+// flag.Visit reports) that only a cluster run reads when servers ≤ 1.
+func clusterOnlyFlags(servers int, set []string) []string {
+	if servers > 1 {
+		return nil
+	}
+	var bad []string
+	for _, name := range set {
+		if slices.Contains([]string{"dispatch", "healbudget", "replicadepth"}, name) {
+			bad = append(bad, "-"+name)
+		}
+	}
+	return bad
 }
 
 // runCluster runs the shared-clock multi-server simulation and prints
@@ -197,16 +214,14 @@ type clusterOpts struct {
 // (DESIGN.md §14).
 func runCluster(base sched.Config, o clusterOpts) int {
 	sim, err := cluster.New(cluster.Config{
-		Servers:             o.servers,
-		Technique:           o.technique,
-		Stride:              o.stride,
-		Dispatch:            o.dispatch,
-		Base:                base,
-		ServerPlan:          o.serverPlan,
-		HealBudget:          o.healBudget,
-		HealWindowIntervals: o.healWindow,
-		ReplicaDepth:        o.replicaDepth,
-		SampleIntervals:     o.sampleEvery,
+		Servers:      o.servers,
+		Technique:    o.technique,
+		Stride:       o.stride,
+		Dispatch:     o.dispatch,
+		Base:         base,
+		ServerPlan:   o.serverPlan,
+		HealBudget:   o.healBudget,
+		ReplicaDepth: o.replicaDepth,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ssim: %v\n", err)

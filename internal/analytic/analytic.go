@@ -1,8 +1,8 @@
 // Package analytic provides the closed-form models of the paper:
-// §3.1's fragment-size/latency/bandwidth tradeoffs, Equation (1)'s
-// memory requirement, and §3.2.2's stride analysis.  These are the
-// formulas the simulator is calibrated against, exposed for capacity
-// planning without running a simulation.
+// §3.1's fragment-size/latency/bandwidth tradeoffs and §3.2.2's stride
+// analysis (Equation (1)'s memory requirement is buffer.MinimumBytes).
+// These are the formulas the simulator is calibrated against, exposed
+// for capacity planning without running a simulation.
 package analytic
 
 import (
@@ -43,7 +43,7 @@ func FragmentSweep(spec diskmodel.Spec, clusters, maxCylinders int) ([]FragmentT
 			ServiceTimeSeconds: st,
 			EffectiveBandwidth: spec.EffectiveBandwidthExact(bytes),
 			WastedFraction:     spec.WastedFraction(bytes),
-			WorstLatencySecs:   float64(clusters-1) * st,
+			WorstLatencySecs:   WorstCaseStartupLatency(st, clusters),
 		})
 	}
 	return rows, nil
@@ -56,12 +56,6 @@ func WorstCaseStartupLatency(serviceTime float64, clusters int) float64 {
 		panic("analytic: need at least one cluster")
 	}
 	return float64(clusters-1) * serviceTime
-}
-
-// MinimumMemoryBytes is Equation (1): the per-disk memory needed to
-// mask the switch delay, B_disk·(T_switch + T_sector), in bytes.
-func MinimumMemoryBytes(bDisk, tSwitch, tSector float64) float64 {
-	return bDisk * (tSwitch + tSector) / 8
 }
 
 // UniqueDisksUsed returns how many distinct disks a staggered-striped
@@ -108,13 +102,6 @@ func MaxCollisionDelay(k, d, n int, serviceTime float64) float64 {
 // balanced storage for arbitrarily long objects (§3.2.2): gcd(D,k)=1.
 func DataSkewFree(d, k int) bool {
 	return gcd(d, k) == 1
-}
-
-// SubobjectSizeConstraint returns the §3.2.2 placement rule: to
-// prevent data skew, the number of subobjects of every object should
-// be a multiple of D/gcd(D,k) (the start-disk orbit length).
-func SubobjectSizeConstraint(d, k int) int {
-	return d / gcd(d, k)
 }
 
 func gcd(a, b int) int {

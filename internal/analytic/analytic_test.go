@@ -76,14 +76,6 @@ func TestWorstCaseStartupLatency(t *testing.T) {
 	}
 }
 
-func TestMinimumMemoryBytes(t *testing.T) {
-	// Equation (1) with Table 3 values and a 10 ms sector time.
-	got := MinimumMemoryBytes(20e6, 0.05183, 0.01)
-	if !approx(got, 154575, 1) {
-		t.Errorf("memory = %v bytes", got)
-	}
-}
-
 // TestSection322Example reproduces: D=100, object of 100 cylinders
 // (M=4, 25 subobjects): k=1 spreads over 28 disks, k=M over all 100.
 func TestSection322Example(t *testing.T) {
@@ -137,12 +129,6 @@ func TestDataSkewRules(t *testing.T) {
 	}
 	if DataSkewFree(1000, 5) {
 		t.Error("gcd 5 reported skew-free")
-	}
-	if got := SubobjectSizeConstraint(1000, 5); got != 200 {
-		t.Errorf("orbit = %d, want 200", got)
-	}
-	if got := SubobjectSizeConstraint(10, 3); got != 10 {
-		t.Errorf("coprime orbit = %d, want D", got)
 	}
 }
 

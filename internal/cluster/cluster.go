@@ -69,14 +69,11 @@ type Config struct {
 	ServerPlan *fault.Plan
 
 	// HealBudget bounds how many replicas the healing pass re-creates
-	// per healing window after a kill (0 disables healing).  Each
-	// object the dead member held goes to the least-loaded live
-	// non-holder, hottest first.
+	// per healing window (one display length, Base.Subobjects
+	// intervals) after a kill (0 disables healing).  Each object the
+	// dead member held goes to the least-loaded live non-holder,
+	// hottest first.
 	HealBudget int
-
-	// HealWindowIntervals is the healing-pass cadence in intervals
-	// (0 = one display length, Base.Subobjects).
-	HealWindowIntervals int
 
 	// ReplicaDepth scales the build-time replica ladder: depth d gives
 	// the rank-r object min(Servers, max(1, Servers·d >> floor(log2(r+1))))
@@ -246,9 +243,6 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.HealBudget < 0 {
 		return nil, fmt.Errorf("cluster: HealBudget must be non-negative")
 	}
-	if cfg.HealWindowIntervals < 0 {
-		return nil, fmt.Errorf("cluster: HealWindowIntervals must be non-negative")
-	}
 	if cfg.ReplicaDepth < 0 {
 		return nil, fmt.Errorf("cluster: ReplicaDepth must be non-negative")
 	}
@@ -308,11 +302,7 @@ func New(cfg Config) (*Sim, error) {
 		s.serverEvents = cfg.ServerPlan.Events()
 	}
 	s.healBudget = cfg.HealBudget
-	hw := cfg.HealWindowIntervals
-	if hw == 0 {
-		hw = base.Subobjects
-	}
-	s.healWindowSecs = float64(hw) * s.dt
+	s.healWindowSecs = float64(base.Subobjects) * s.dt
 	s.nextHealAt = s.healWindowSecs
 	if cfg.SampleIntervals > 0 {
 		s.sampleSecs = float64(cfg.SampleIntervals) * s.dt

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/mmsim/staggered/internal/analytic"
 	"github.com/mmsim/staggered/internal/diskmodel"
 )
 
@@ -66,7 +67,7 @@ func RecommendFragmentCylinders(spec diskmodel.Spec, clusters int, latencyBudget
 	}
 	best, fits := 1, false
 	for c := 1; ; c++ {
-		worst := float64(clusters-1) * spec.ServiceTime(float64(c)*spec.CylinderBytes)
+		worst := analytic.WorstCaseStartupLatency(spec.ServiceTime(float64(c)*spec.CylinderBytes), clusters)
 		if worst > latencyBudgetSeconds {
 			break
 		}

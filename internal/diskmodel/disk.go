@@ -18,9 +18,6 @@ import (
 // Mbit is one megabit (10^6 bits), the paper's bandwidth unit.
 const Mbit = 1e6
 
-// MB is one megabyte (10^6 bytes), the paper's capacity unit.
-const MB = 1e6
-
 // Spec describes a disk drive.  Times are in seconds, sizes in bytes,
 // and rates in bits per second.
 type Spec struct {

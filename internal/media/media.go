@@ -153,19 +153,3 @@ func (c *Catalog) Len() int { return len(c.objects) }
 // All returns the objects in ID order.  The caller must not mutate the
 // returned slice.
 func (c *Catalog) All() []Object { return c.objects }
-
-// UniformDatabase builds the §4 database: n identical objects of the
-// given type and subobject count, named "obj<i>".
-func UniformDatabase(n, subobjects int, typ Type) (*Catalog, error) {
-	c := NewCatalog()
-	for i := 0; i < n; i++ {
-		if _, err := c.Add(Object{
-			Name:       fmt.Sprintf("obj%d", i),
-			Type:       typ,
-			Subobjects: subobjects,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}

@@ -156,24 +156,6 @@ func TestMustGetPanics(t *testing.T) {
 	NewCatalog().MustGet(0)
 }
 
-func TestUniformDatabase(t *testing.T) {
-	c, err := UniformDatabase(2000, 3000, SimVideo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 2000 {
-		t.Fatalf("database size = %d, want 2000", c.Len())
-	}
-	for i, o := range c.All() {
-		if int(o.ID) != i {
-			t.Fatalf("object %d has ID %d", i, o.ID)
-		}
-		if o.Subobjects != 3000 || o.Type != SimVideo {
-			t.Fatalf("object %d malformed: %+v", i, o)
-		}
-	}
-}
-
 func BenchmarkDegree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = SimVideo.Degree(bDisk20)

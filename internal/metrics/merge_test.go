@@ -226,41 +226,3 @@ func TestRunMergeLatency(t *testing.T) {
 		t.Errorf("merged latency tally = %+v, want %+v", a.Latency, whole.Latency)
 	}
 }
-
-// TestHistogramMerge pins bucket-wise addition and the bounds-equality
-// requirement of the latency histogram merge.
-func TestHistogramMerge(t *testing.T) {
-	h1 := LatencyHistogram()
-	h2 := LatencyHistogram()
-	whole := LatencyHistogram()
-	for _, x := range []float64{0.5, 1, 4, 2000} {
-		h1.Add(x)
-		whole.Add(x)
-	}
-	for _, x := range []float64{0.1, 100, 5000} {
-		h2.Add(x)
-		whole.Add(x)
-	}
-	if err := h1.Merge(h2); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if h1.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", h1.N(), whole.N())
-	}
-	if h1.Mean() != whole.Mean() {
-		t.Errorf("merged mean = %v, want %v", h1.Mean(), whole.Mean())
-	}
-	for _, q := range []float64{0.25, 0.5, 0.9, 1} {
-		if got, want := h1.Quantile(q), whole.Quantile(q); got != want {
-			t.Errorf("merged q%.2f = %v, want %v", q, got, want)
-		}
-	}
-
-	other, err := NewHistogram([]float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h1.Merge(other); err == nil {
-		t.Error("merging differently shaped histograms did not fail")
-	}
-}

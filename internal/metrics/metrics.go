@@ -84,47 +84,6 @@ func (t *Tally) StdDev() float64 {
 	return math.Sqrt(v)
 }
 
-// TimeWeighted accumulates a step function of time, e.g. the number of
-// busy disks, yielding its time average.
-type TimeWeighted struct {
-	lastT    float64
-	lastV    float64
-	area     float64
-	started  bool
-	startT   float64
-	maxValue float64
-}
-
-// Set records that the value changed to v at time t (t must not
-// decrease).
-func (w *TimeWeighted) Set(t, v float64) {
-	if !w.started {
-		w.started = true
-		w.startT = t
-	} else {
-		if t < w.lastT {
-			panic(fmt.Sprintf("metrics: time went backwards: %v < %v", t, w.lastT))
-		}
-		w.area += w.lastV * (t - w.lastT)
-	}
-	w.lastT, w.lastV = t, v
-	if v > w.maxValue {
-		w.maxValue = v
-	}
-}
-
-// Mean returns the time-average value through time t.
-func (w *TimeWeighted) Mean(t float64) float64 {
-	if !w.started || t <= w.startT {
-		return 0
-	}
-	area := w.area + w.lastV*(t-w.lastT)
-	return area / (t - w.startT)
-}
-
-// Max returns the largest value recorded.
-func (w *TimeWeighted) Max() float64 { return w.maxValue }
-
 // Run holds the end-to-end statistics of one simulation run.
 type Run struct {
 	Technique string

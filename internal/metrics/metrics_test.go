@@ -51,32 +51,6 @@ func TestTallyProperties(t *testing.T) {
 	}
 }
 
-func TestTimeWeighted(t *testing.T) {
-	var w TimeWeighted
-	if w.Mean(10) != 0 {
-		t.Fatal("empty time-weighted mean not zero")
-	}
-	w.Set(0, 1) // value 1 on [0,2)
-	w.Set(2, 3) // value 3 on [2,4)
-	if got := w.Mean(4); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("mean = %v, want 2", got)
-	}
-	if w.Max() != 3 {
-		t.Fatalf("max = %v, want 3", w.Max())
-	}
-}
-
-func TestTimeWeightedBackwardsPanics(t *testing.T) {
-	var w TimeWeighted
-	w.Set(5, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("backwards time did not panic")
-		}
-	}()
-	w.Set(4, 2)
-}
-
 func TestRunThroughput(t *testing.T) {
 	r := Run{Displays: 100, MeasureSeconds: 3600}
 	if got := r.Throughput(); got != 100 {

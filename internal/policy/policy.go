@@ -82,10 +82,6 @@ func (l *LFU) Victim(candidates []int) (victim int, ok bool) {
 	return best, best >= 0
 }
 
-// Colder reports whether a is strictly less frequently accessed than
-// b.
-func (l *LFU) Colder(a, b int) bool { return l.Count(a) < l.Count(b) }
-
 // Replication is the demand-proportional replication rule for the VDR
 // baseline.  An object's target replica count follows its long-run
 // share of the reference stream:
@@ -111,14 +107,6 @@ type Replication struct {
 // — the operating point a minimum-response-time policy converges to
 // when disk space is not the binding constraint.
 func DefaultReplication() Replication { return Replication{Theta: 3} }
-
-// Validate reports whether the policy is usable.
-func (r Replication) Validate() error {
-	if r.Theta <= 0 {
-		return fmt.Errorf("policy: replication theta must be positive, got %v", r.Theta)
-	}
-	return nil
-}
 
 // Target returns the desired replica count for an object with the
 // given reference share under the given sustainable concurrency.

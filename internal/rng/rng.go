@@ -94,14 +94,6 @@ func (s *Stream) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Exp returns an exponentially distributed value with the given mean.
 func (s *Stream) Exp(mean float64) float64 {
 	if mean <= 0 {

@@ -87,8 +87,9 @@ type Technique interface {
 // event-driven (see the technique implementations); an interval in
 // which nothing happens costs O(1).
 type Engine struct {
-	cfg  Config
-	tech Technique
+	cfg      Config
+	tech     Technique
+	techName string // tech.name(), formatted once at build
 
 	lfu  *policy.LFU
 	tman *tertiary.Manager
@@ -147,7 +148,6 @@ type Engine struct {
 	slowCount    int
 	faultedDisks []int32 // sorted disks currently down or slow: the active set of the degraded scans
 	tertDown     bool
-	maskEpoch    int // bumped on every effective disk up/down flip
 
 	// Counters (window handling in Run).
 	completed    int
@@ -241,6 +241,7 @@ func newEngine(cfg Config, tech Technique, member bool, preload []int) (*Engine,
 	if err := tech.bind(e); err != nil {
 		return nil, err
 	}
+	e.techName = tech.name()
 	return e, nil
 }
 
@@ -248,7 +249,7 @@ func newEngine(cfg Config, tech Technique, member bool, preload []int) (*Engine,
 func (e *Engine) Config() Config { return e.cfg }
 
 // TechniqueName returns the display name of the engine's technique.
-func (e *Engine) TechniqueName() string { return e.tech.name() }
+func (e *Engine) TechniqueName() string { return e.techName }
 
 // enqueue issues a new reference for station s.
 func (e *Engine) enqueue(s int) {
@@ -328,7 +329,6 @@ func (e *Engine) applyFaults() {
 			if !e.diskDown[ev.Disk] {
 				e.diskDown[ev.Disk] = true
 				e.downCount++
-				e.maskEpoch++
 				effective = true
 				if !e.diskSlow[ev.Disk] {
 					e.addFaulted(ev.Disk)
@@ -338,7 +338,6 @@ func (e *Engine) applyFaults() {
 			if e.diskDown[ev.Disk] {
 				e.diskDown[ev.Disk] = false
 				e.downCount--
-				e.maskEpoch++
 				effective = true
 				if !e.diskSlow[ev.Disk] {
 					e.removeFaulted(ev.Disk)
@@ -558,7 +557,7 @@ func (e *Engine) Snapshot() Result {
 		diskBusy = e.busyArea / (float64(meas) * float64(e.cfg.D))
 	}
 	res := Result{
-		Technique:       e.tech.name(),
+		Technique:       e.techName,
 		Stations:        e.cfg.Stations,
 		DistMean:        e.cfg.DistMean,
 		WarmupSeconds:   float64(e.cfg.WarmupIntervals) * e.cfg.IntervalSeconds(),
@@ -606,7 +605,7 @@ func (e *Engine) RunChecked() (Result, error) {
 	res := e.Run()
 	if e.starvedTotal > 0 {
 		return res, &StarvationError{
-			Technique: e.tech.name(),
+			Technique: e.techName,
 			K:         e.cfg.K,
 			M:         e.cfg.M,
 			Starved:   e.starvedTotal,

@@ -4,9 +4,43 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"github.com/mmsim/staggered/internal/fault"
 )
+
+// TestFootprintHitsMatchesOrbitWalk checks the arithmetic
+// playability predicate against a walk of the placement's stride
+// orbit: every disk its m-disk read window visits over
+// min(n, D/gcd(k, D)) subobjects, after which the orbit repeats.
+func TestFootprintHitsMatchesOrbitWalk(t *testing.T) {
+	walk := func(first, m, f, k, d, n int) bool {
+		g := d
+		for b := k; b != 0; {
+			g, b = b, g%b
+		}
+		steps := min(n, d/g)
+		for step := 0; step < steps; step++ {
+			for j := 0; j < m; j++ {
+				if (first+k*step+j)%d == f {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	err := quick.Check(func(dRaw, kRaw, mRaw, nRaw, firstRaw, fRaw uint8) bool {
+		d := int(dRaw%60) + 1
+		k := int(kRaw)%d + 1
+		m := int(mRaw)%d + 1
+		n := int(nRaw%80) + 1
+		first, f := int(firstRaw)%d, int(fRaw)%d
+		return footprintHits(first, m, f, k, d, n) == walk(first, m, f, k, d, n)
+	}, &quick.Config{MaxCount: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestDiskFailureDegradesStriped pins the striped degraded path: a
 // mid-run disk failure must produce degraded hiccups, aborts, or

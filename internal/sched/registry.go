@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Display names reported in Result.Technique.  These are the single
 // source of technique naming: golden dumps, sweep output, and figure
@@ -25,7 +28,7 @@ func StripingTechniqueName(cfg Config) string {
 	if cfg.K == cfg.M {
 		return SimpleStripingName
 	}
-	return fmt.Sprintf("%s (k=%d)", StaggeredStripingName, cfg.K)
+	return StaggeredStripingName + " (k=" + strconv.Itoa(cfg.K) + ")"
 }
 
 // TechniqueInfo describes one registered technique: its CLI key, its

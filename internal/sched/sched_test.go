@@ -381,3 +381,19 @@ func BenchmarkVDRInterval(b *testing.B) {
 		e.step()
 	}
 }
+
+// TestSnapshotAllocatesNothing pins that Snapshot formats nothing: the
+// staggered technique's stride-qualified name is built once, with the
+// engine, so a run's malloc count does not depend on fmt.
+func TestSnapshotAllocatesNothing(t *testing.T) {
+	e, cfg, err := NewEngineFor("staggered", smallConfig(8, 10), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := StripingTechniqueName(cfg); e.Snapshot().Technique != want || cfg.K != 1 {
+		t.Fatalf("technique %q at k=%d, want %q at k=1", e.Snapshot().Technique, cfg.K, want)
+	}
+	if got := testing.AllocsPerRun(100, func() { e.Snapshot() }); got != 0 {
+		t.Errorf("Snapshot allocates %v/op, want 0", got)
+	}
+}

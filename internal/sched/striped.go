@@ -99,9 +99,6 @@ type stripedTech struct {
 	// indexed path is tested against.  Only tests set it.
 	fullScan bool
 
-	// Degraded-mode state (only exercised when a fault plan is set).
-	playEpoch []int32   // object -> maskEpoch its playability was memoized at
-	playOK    []bool    // memoized playability under the current mask
 	rejectBuf []request // unplayable admissions, refused after the queue swap
 
 	// Event calendars.  Entries may be stale (a coalescing move
@@ -160,11 +157,6 @@ func (t *stripedTech) bind(e *Engine) error {
 	t.byObject = make([]int32, cfg.Objects)
 	t.idx = newReadyIndex(cfg.Stations)
 	t.ready = make([]bool, cfg.Objects)
-	t.playEpoch = make([]int32, cfg.Objects)
-	t.playOK = make([]bool, cfg.Objects)
-	for i := range t.playEpoch {
-		t.playEpoch[i] = -1
-	}
 	t.releases = newDueRing[streamRef](e.horizon)
 	t.completions = newDueRing[int32](e.horizon)
 	t.stride = maxDegree
@@ -254,9 +246,9 @@ func (t *stripedTech) activeDisplays() int { return t.active }
 
 // onFault reconciles technique state with an effective fault
 // transition.  Disk up/down flips need no immediate work here: the
-// per-interval degradedScan handles in-flight displays, and the
-// admission playability memo is keyed by the engine's mask epoch, so
-// it self-invalidates.  A tertiary outage abandons staging work.
+// per-interval degradedScan handles in-flight displays, and admission
+// reads the down-disk mask afresh.  A tertiary outage abandons staging
+// work.
 func (t *stripedTech) onFault(ev fault.Event) {
 	switch ev.Kind {
 	case fault.TertiaryFail:
@@ -386,53 +378,35 @@ func (t *stripedTech) abortStaging() {
 }
 
 // playable reports whether an object's resident layout avoids every
-// down disk for the full duration of a display.  Memoized per mask
-// epoch: the answer only changes when a disk fails or is repaired, or
-// when the object is re-placed (which resets its memo slot).
+// down disk for the full duration of a display.
 func (t *stripedTech) playable(obj int) bool {
 	e := t.eng
-	if e.faultEvents == nil || e.downCount == 0 {
+	if e.downCount == 0 {
 		return true
 	}
-	if t.playEpoch[obj] == int32(e.maskEpoch) {
-		return t.playOK[obj]
+	p, resident := t.store.Placement(obj)
+	if !resident {
+		return true
 	}
-	ok := true
-	if p, resident := t.store.Placement(obj); resident {
-		ok = !t.footprintHitsDown(p.First, t.cfg.Degree(obj))
+	for _, f := range e.faultedDisks {
+		if e.diskDown[f] && footprintHits(p.First, t.cfg.Degree(obj), int(f), t.cfg.K, t.cfg.D, t.cfg.Subobjects) {
+			return false
+		}
 	}
-	t.playEpoch[obj] = int32(e.maskEpoch)
-	t.playOK[obj] = ok
-	return ok
+	return true
 }
 
-// footprintHitsDown reports whether the stride orbit of a placement —
-// the physical disks its M-disk read window visits over a display —
-// includes a down disk.  The orbit repeats after D/gcd(K, D) steps,
-// so the walk is bounded by that cycle.
-func (t *stripedTech) footprintHitsDown(first, m int) bool {
-	e := t.eng
-	d := t.cfg.D
-	cycle := d / gcd(t.cfg.K, d)
-	if n := t.cfg.Subobjects; n < cycle {
-		cycle = n
-	}
-	for step := 0; step < cycle; step++ {
-		base := first + t.cfg.K*step
-		for j := 0; j < m; j++ {
-			if e.diskDown[(base+j)%d] {
-				return true
-			}
+// footprintHits reports whether a placement of degree m starting at
+// disk first, displayed for n subobjects at stride k on d disks, reads
+// disk f.  Stream j reads disk (first+j+k·t) mod d for subobject t, so
+// it hits f iff vdisk.FirstAlignment finds such a t < n.
+func footprintHits(first, m, f, k, d, n int) bool {
+	for j := 0; j < m; j++ {
+		if t, ok := vdisk.FirstAlignment((first+j)%d, f, k, d); ok && t < n {
+			return true
 		}
 	}
 	return false
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
 
 func (t *stripedTech) uniqueResidents() int { return t.store.ResidentCount() }
@@ -636,7 +610,6 @@ func (t *stripedTech) tryPlace(obj int) bool {
 	if _, err := t.store.Place(obj, t.cfg.Degree(obj), t.cfg.Subobjects); err != nil {
 		return false
 	}
-	t.playEpoch[obj] = -1 // re-placed: the playability memo is stale
 	return true
 }
 

@@ -16,7 +16,6 @@ import (
 	"github.com/mmsim/staggered/internal/sched"
 	"github.com/mmsim/staggered/internal/tertiary"
 	"github.com/mmsim/staggered/internal/vdisk"
-	"github.com/mmsim/staggered/internal/workload"
 )
 
 // Layout planning (the paper's §3 data-placement discipline).
@@ -308,15 +307,4 @@ func SurvivingBandwidthFraction(d, k, m, n, failures int) float64 {
 // k = D (§3.2.2's "less than 10%").
 func PinnedLayoutSavings(spec DiskSpec, fragmentBytes float64) float64 {
 	return spec.PinnedLayoutSavings(fragmentBytes)
-}
-
-// Workload traces.
-
-// WorkloadTrace is a recorded per-station reference string that can
-// drive experiments in place of the synthetic distribution.
-type WorkloadTrace = workload.Trace
-
-// ParseWorkloadTrace reads the one-line-per-station text format.
-func ParseWorkloadTrace(r io.Reader, objects int) (*WorkloadTrace, error) {
-	return workload.ParseTrace(r, objects)
 }

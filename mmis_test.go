@@ -216,13 +216,3 @@ func TestPublicAvailabilityAPI(t *testing.T) {
 		t.Errorf("pinned layout savings = %v, want (0, 0.10)", s)
 	}
 }
-
-func TestPublicWorkloadTraceAPI(t *testing.T) {
-	tr, err := ParseWorkloadTrace(strings.NewReader("1,2,3\n4,5\n"), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Stations() != 2 || tr.Draw(0) != 1 || tr.Draw(1) != 4 {
-		t.Fatal("trace parsing wrong through facade")
-	}
-}

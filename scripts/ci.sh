@@ -76,7 +76,7 @@ echo "== 4-server kill-one failover run per dispatch policy, under the race dete
 for policy in roundrobin leastloaded popularity; do
 	echo "-- dispatch: $policy"
 	go run -race ./cmd/ssim -scale quick -servers 4 -dispatch "$policy" -zipf 1.1 -arrivals 6000 \
-		-faults 'server:1@2100-2700' -healbudget 2 -samples 150 -seed 1 >/dev/null
+		-faults 'server:1@2100-2700' -healbudget 2 -seed 1 >/dev/null
 done
 
 echo "== quick sweep per registered technique"
