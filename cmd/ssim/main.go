@@ -80,6 +80,10 @@ func run() (code int) {
 		fmt.Fprintf(os.Stderr, "ssim: %s need -servers > 1\n", strings.Join(bad, ", "))
 		return 2
 	}
+	if cacheWithoutTier(*cacheMB, *batchWindow, set) {
+		fmt.Fprintln(os.Stderr, "ssim: -cache needs -cachemb > 0 or -batchwindow > 0")
+		return 2
+	}
 
 	scale := experiment.Full
 	if *scaleFlag == "quick" {
@@ -206,6 +210,13 @@ func clusterOnlyFlags(servers int, set []string) []string {
 		}
 	}
 	return bad
+}
+
+// cacheWithoutTier reports whether set (the names flag.Visit reports)
+// holds -cache while neither -cachemb nor -batchwindow turns the memory
+// tier on: the policy would apply to nothing.
+func cacheWithoutTier(cacheMB, batchWindow int, set []string) bool {
+	return cacheMB <= 0 && batchWindow <= 0 && slices.Contains(set, "cache")
 }
 
 // runCluster runs the shared-clock multi-server simulation and prints

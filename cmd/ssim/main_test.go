@@ -29,3 +29,25 @@ func TestClusterOnlyFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheWithoutTier pins that -cache without -cachemb > 0 or
+// -batchwindow > 0 is refused instead of silently running with no
+// memory tier.
+func TestCacheWithoutTier(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		cacheMB, batchWindow int
+		set                  []string
+		want                 bool
+	}{
+		{"policy without a tier", 0, 0, []string{"scale", "cache"}, true},
+		{"policy with a budget", 64, 0, []string{"cachemb", "cache"}, false},
+		{"policy with batching only", 0, 8, []string{"batchwindow", "cache"}, false},
+		{"zero budget is no tier", 0, 0, []string{"cachemb", "cache"}, true},
+		{"no policy, no tier", 0, 0, []string{"scale"}, false},
+	} {
+		if got := cacheWithoutTier(tc.cacheMB, tc.batchWindow, tc.set); got != tc.want {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

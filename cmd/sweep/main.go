@@ -81,6 +81,10 @@ func run() (code int) {
 		fmt.Fprintf(os.Stderr, "sweep: %s mode does not read %s\n", mode, strings.Join(bad, ", "))
 		return 2
 	}
+	if cacheWithoutTier(*cacheMB, *batchWindow, set) {
+		fmt.Fprintln(os.Stderr, "sweep: -cache needs -cachemb > 0 or -batchwindow > 0")
+		return 2
+	}
 	if mode == "list" {
 		for _, ti := range sched.Techniques() {
 			fmt.Printf("%-10s %s — %s\n", ti.Key, ti.Display, ti.Summary)
@@ -263,6 +267,13 @@ func unreadFlags(mode string, set []string) []string {
 		}
 	}
 	return bad
+}
+
+// cacheWithoutTier reports whether set (the names flag.Visit reports)
+// holds -cache while neither -cachemb nor -batchwindow turns the memory
+// tier on: the policy would apply to nothing.
+func cacheWithoutTier(cacheMB, batchWindow int, set []string) bool {
+	return cacheMB <= 0 && batchWindow <= 0 && slices.Contains(set, "cache")
 }
 
 // scaleFactors returns the factors 1, 2, 5, 10, … up to the ceiling

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/mmsim/staggered/internal/cache"
@@ -21,9 +22,10 @@ import (
 //   - unless the ready index is marked for a rebuild, every ready
 //     queued request sits exactly once in the FIFO of its object's
 //     first disk and degree, the FIFOs hold nothing else, and sequence
-//     numbers rise along the queue and along every FIFO.
+//     numbers rise along the queue and along every FIFO;
 //
-// It is a no-op for other techniques.
+// and the disk claims and Algorithm 2's waiter lists (checkClaims,
+// checkWaiters).  It is a no-op for other techniques.
 func checkStriped(t testing.TB, e *Engine) {
 	t.Helper()
 	st, ok := e.tech.(*stripedTech)
@@ -31,6 +33,8 @@ func checkStriped(t testing.TB, e *Engine) {
 		return
 	}
 	at := e.now - 1
+	checkClaims(t, st, at)
+	checkWaiters(t, st, at)
 	for obj, ready := range st.ready {
 		if ready && !st.store.Resident(obj) {
 			t.Fatalf("interval %d: object %d is ready but not resident", at, obj)
@@ -206,18 +210,22 @@ func admissionCaseFrom(data []byte) admissionCase {
 
 // admissionRun is what one run of a case produced.
 type admissionRun struct {
-	admits  [][3]int // (interval, station, object) of every EvAdmit
-	rejects [][3]int // (interval, station, object) of every EvReject
-	orphans []int
-	res     Result
-	work    admitWork
+	admits   [][3]int // (interval, station, object) of every EvAdmit
+	rejects  [][3]int // (interval, station, object) of every EvReject
+	delivery []Event  // every EvAdmit, EvCoalesce and EvComplete, in order
+	moves    int      // EvCoalesce events
+	down     int      // intervals that ended with a disk down
+	orphans  []int
+	res      Result
+	work     admitWork
 }
 
-// runAdmissionCase runs a case with the indexed admission, or with the
-// full scan forced in every interval, checking the index's conditions
-// after every interval.  It reports false when the case does not build
-// (a stride the farm cannot take, say).
-func runAdmissionCase(t testing.TB, c admissionCase, fullScan bool) (admissionRun, bool) {
+// runAdmissionCase runs a case with the production paths, or with an
+// oracle installed on the technique (useFullScan, useCoalesceScan),
+// checking checkStriped's conditions after every interval.  It reports
+// false when the case does not build (a stride the farm cannot take,
+// say).
+func runAdmissionCase(t testing.TB, c admissionCase, oracle func(*stripedTech)) (admissionRun, bool) {
 	ti, _ := TechniqueByKey(c.key)
 	cfg, err := ti.Configure(c.cfg, c.stride)
 	if err != nil {
@@ -233,17 +241,30 @@ func runAdmissionCase(t testing.TB, c admissionCase, fullScan bool) (admissionRu
 		return admissionRun{}, false
 	}
 	st := e.tech.(*stripedTech)
-	st.fullScan = fullScan
+	if oracle != nil {
+		oracle(st)
+	}
 	var run admissionRun
 	e.SetTracer(func(ev Event) {
 		switch ev.Kind {
 		case EvAdmit:
 			run.admits = append(run.admits, [3]int{ev.Interval, ev.Station, ev.Object})
+			run.delivery = append(run.delivery, ev)
 		case EvReject:
 			run.rejects = append(run.rejects, [3]int{ev.Interval, ev.Station, ev.Object})
+		case EvCoalesce:
+			run.moves++
+			run.delivery = append(run.delivery, ev)
+		case EvComplete:
+			run.delivery = append(run.delivery, ev)
 		}
 	})
-	e.stepCheck = func() { checkStriped(t, e) }
+	e.stepCheck = func() {
+		checkStriped(t, e)
+		if e.downCount > 0 {
+			run.down++
+		}
+	}
 	arrivals := rng.NewSource(cfg.Seed).Stream("admission-test")
 	horizon := cfg.WarmupIntervals + cfg.MeasureIntervals
 	e.Prime()
@@ -268,43 +289,50 @@ func runAdmissionCase(t testing.TB, c admissionCase, fullScan bool) (admissionRu
 	return run, true
 }
 
-// compareAdmission runs a case both ways and fails on any difference in
-// the admission or rejection sequence, the Kill orphans or the Result.
-// It returns the indexed run, and false when the case does not build.
-func compareAdmission(t *testing.T, c admissionCase) (admissionRun, bool) {
+// useFullScan makes the technique run the full queue scan in place of
+// the indexed admission in every interval.
+func useFullScan(st *stripedTech) { st.fullScan = true }
+
+// compareRuns runs a case on the production paths and with the oracle,
+// and fails on any difference in the admission, rejection or delivery
+// (admit, move, complete) sequence, the Kill orphans or the Result.
+// It returns the production run, and false when the case does not
+// build.
+func compareRuns(t *testing.T, c admissionCase, oracle func(*stripedTech)) (admissionRun, bool) {
 	t.Helper()
-	fast, ok := runAdmissionCase(t, c, false)
+	fast, ok := runAdmissionCase(t, c, nil)
 	if !ok {
 		return fast, false
 	}
-	oracle, _ := runAdmissionCase(t, c, true)
-	diverge(t, c, "admissions", fast.admits, oracle.admits)
-	diverge(t, c, "rejections", fast.rejects, oracle.rejects)
-	if !reflect.DeepEqual(fast.orphans, oracle.orphans) {
-		t.Fatalf("%v\nkill orphans differ: indexed %v, full scan %v", c, fast.orphans, oracle.orphans)
+	slow, _ := runAdmissionCase(t, c, oracle)
+	diverge(t, c, "admissions", fast.admits, slow.admits)
+	diverge(t, c, "rejections", fast.rejects, slow.rejects)
+	diverge(t, c, "deliveries", fast.delivery, slow.delivery)
+	if !reflect.DeepEqual(fast.orphans, slow.orphans) {
+		t.Fatalf("%v\nkill orphans differ: production %v, oracle %v", c, fast.orphans, slow.orphans)
 	}
-	if !reflect.DeepEqual(fast.res, oracle.res) {
-		t.Fatalf("%v\nResults differ:\n  indexed   %+v\n  full scan %+v", c, fast.res, oracle.res)
+	if !reflect.DeepEqual(fast.res, slow.res) {
+		t.Fatalf("%v\nResults differ:\n  production %+v\n  oracle     %+v", c, fast.res, slow.res)
 	}
 	return fast, true
 }
 
 // diverge fails when two traced event sequences differ, naming the
 // first event where they part.
-func diverge(t *testing.T, c admissionCase, what string, fast, oracle [][3]int) {
+func diverge[E comparable](t *testing.T, c admissionCase, what string, fast, oracle []E) {
 	t.Helper()
-	if reflect.DeepEqual(fast, oracle) {
+	if slices.Equal(fast, oracle) {
 		return
 	}
 	i := 0
 	for i < min(len(fast), len(oracle)) && fast[i] == oracle[i] {
 		i++
 	}
-	t.Fatalf("%v\n%s diverge at #%d of %d/%d: indexed %v, full scan %v", c, what, i,
+	t.Fatalf("%v\n%s diverge at #%d of %d/%d: production %v, oracle %v", c, what, i,
 		len(fast), len(oracle), eventAt(fast, i), eventAt(oracle, i))
 }
 
-func eventAt(a [][3]int, i int) any {
+func eventAt[E any](a []E, i int) any {
 	if i < len(a) {
 		return a[i]
 	}
@@ -329,7 +357,7 @@ func TestStripedAdmissionMatchesScan(t *testing.T) {
 			data[j] = byte(src.Intn(256))
 		}
 		c := admissionCaseFrom(data)
-		run, ok := compareAdmission(t, c)
+		run, ok := compareRuns(t, c, useFullScan)
 		if !ok {
 			continue
 		}
@@ -360,6 +388,6 @@ func FuzzStripedAdmission(f *testing.F) {
 	f.Add([]byte{12, 4, 20, 10, 2, 3, 40, 10, 7, 10, 100, 5, 3, 4, 1, 2})
 	f.Add([]byte{30, 5, 30, 12, 1, 2, 47, 8, 9, 0, 200, 20, 0, 8, 127, 1, 3, 2, 4, 5, 2, 3, 1, 2, 1, 9, 9, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		compareAdmission(t, admissionCaseFrom(data))
+		compareRuns(t, admissionCaseFrom(data), useFullScan)
 	})
 }

@@ -76,3 +76,27 @@ func admissionWorkPerInterval(t *testing.T, key string, cfg sched.Config) (touch
 	}
 	return float64(sumTouched) / float64(n), float64(sumQueue) / float64(n)
 }
+
+// TestCoalesceWorkTable3 bounds Algorithm 2's work in host-independent
+// units on the Table 3 farm near the Figure 8 knee, staggered k=1 over
+// 6,000 warm-up and 12,000 measured intervals: the waiter-list entries
+// the pass walks, stale ones included, are at most four per stream
+// moved.  A pass that visited every buffering stream in every interval
+// walks thousands of entries per move here.
+func TestCoalesceWorkTable3(t *testing.T) {
+	cfg := sched.Table3Config(256, 20, 1)
+	cfg.WarmupIntervals, cfg.MeasureIntervals = 6000, 12000
+	e, _, err := sched.NewEngineFor("staggered", cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	w := e.CoalesceWork()
+	t.Logf("%d waiter entries visited for %d moves", w.Visited, w.Moves)
+	if w.Moves == 0 {
+		t.Fatal("no stream coalesced; the bound proves nothing")
+	}
+	if w.Visited > 4*w.Moves {
+		t.Errorf("%d waiter entries visited for %d moves, above 4 per move", w.Visited, w.Moves)
+	}
+}

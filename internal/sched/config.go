@@ -222,7 +222,7 @@ func (c Config) IntervalSeconds() float64 {
 }
 
 // Degree returns the degree of declustering of object id.
-func (c Config) Degree(id int) int {
+func (c *Config) Degree(id int) int {
 	if c.Degrees != nil {
 		return c.Degrees[id]
 	}

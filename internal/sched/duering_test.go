@@ -262,6 +262,7 @@ func runKillRevive(t *testing.T, key string) killReviveRun {
 		checkLedger(t, e)
 		checkInFlight(t, e)
 		checkBounds(t, e)
+		checkStriped(t, e)
 		for c, end := range jobEnds {
 			if end >= 0 && int(end) != e.now-1 && (vdr.job[c] == jobIdle || vdr.busyUntil[c] != end) {
 				t.Fatalf("vdr interval %d: the job on cluster %d ended before its end %d", e.now-1, c, end)
@@ -318,6 +319,7 @@ func runKillRevive(t *testing.T, key string) killReviveRun {
 // whether a revived member's pre-kill entries still sit in live slots
 // or the ring has wrapped over them, every consumer rejects them, so
 // the display ledger balances after every interval, no hiccup occurs,
+// the striped techniques' claims and waiter lists hold (checkStriped),
 // and the run is deterministic.
 func TestKillReviveCalendars(t *testing.T) {
 	for _, key := range []string{"striped", "staggered", "vdr"} {

@@ -24,3 +24,17 @@ func (e *Engine) AdmissionWork() AdmissionWork {
 		Busy:     st.busy,
 	}
 }
+
+// CoalesceWork is a snapshot of an engine's Algorithm 2 work counters,
+// for tests outside the package.
+type CoalesceWork struct {
+	Visited int // waiter-list entries walked, stale ones included
+	Moves   int // streams moved to their ideal disk, lifetime
+}
+
+// CoalesceWork returns the striped technique's Algorithm 2 counters; it
+// panics on other techniques.
+func (e *Engine) CoalesceWork() CoalesceWork {
+	st := e.tech.(*stripedTech)
+	return CoalesceWork{Visited: st.cwork.visited, Moves: st.cwork.moves}
+}

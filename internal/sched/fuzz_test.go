@@ -118,8 +118,9 @@ func fuzzConfig(data []byte) (cfg Config, member *fuzzMember) {
 }
 
 // runFuzzCase runs e to the end of its window with the display ledger,
-// the in-flight recount, zero hiccups and the cache budget checked
-// after every interval.  A standalone engine runs through RunChecked,
+// the in-flight recount, zero hiccups, the cache budget and, for the
+// striped techniques, checkStriped's conditions checked after every
+// interval.  A standalone engine runs through RunChecked,
 // whose StarvationError is a legal outcome; a member gets the case's
 // injected traffic and its Kill/Revive pair.
 func runFuzzCase(t *testing.T, e *Engine, m *fuzzMember) {
@@ -127,6 +128,7 @@ func runFuzzCase(t *testing.T, e *Engine, m *fuzzMember) {
 		checkLedger(t, e)
 		checkInFlight(t, e)
 		checkBounds(t, e)
+		checkStriped(t, e)
 	}
 	if m == nil {
 		if _, err := e.RunChecked(); err != nil {

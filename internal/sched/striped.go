@@ -2,6 +2,8 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"github.com/mmsim/staggered/internal/core"
 	"github.com/mmsim/staggered/internal/fault"
@@ -26,14 +28,14 @@ type streamRef struct {
 //
 // All per-interval work is event-driven: stream releases and display
 // completions live on interval calendars (dueRing), the farm-busy
-// integral is maintained incrementally at every acquire/release site, only
-// displays that still have a stream to coalesce are visited by
-// Algorithm 2, and the admission scan visits the new arrivals and the
-// free windows of a ready-request index, not the queue (admitindex.go);
+// integral is maintained incrementally at every acquire/release site,
+// Algorithm 2 visits only the waiters of the virtual disks that are
+// free, and the admission scan visits the new arrivals and the free
+// windows of a ready-request index, not the queue (admitindex.go);
 // only while a disk is down does one queue walk refuse the unplayable
-// requests.  An interval in which nothing happens costs O(1),
-// independent of D, the number of active displays, and the queue
-// length.
+// requests.  An interval in which nothing happens costs O(D/64) word
+// tests for the waiters, independent of the number of active displays
+// and the queue length.
 //
 // Display state is a struct-of-arrays arena (DESIGN.md §11): a display
 // is an int32 slot into parallel slices (dStation, dObject, …) and a
@@ -106,8 +108,26 @@ type stripedTech struct {
 	// consumers re-validate against the display's current state.
 	releases    dueRing[streamRef] // stream releases
 	completions dueRing[int32]     // delivery ends (display slots)
-	coalescing  []int32            // displays with a stream still to coalesce
 	pool        []int32            // recycled contiguous display slots
+
+	// Algorithm 2's waiters, staggered technique only.  A stream that
+	// buffers ahead of its display (T_i < Tmax) and does not already
+	// hold its ideal virtual disk is linked, at start, into the list
+	// headed at that disk; a stream's ideal never changes, so it is on
+	// one list at most.  waitBits marks the disks whose list is
+	// non-empty.  An entry goes stale when its display ends, its stream
+	// releases or it moves; the pass unlinks stale entries as it walks.
+	// Fragmented slots are never pooled, so a stale entry never
+	// addresses another display's stream.
+	waitHead  []int32  // virtual disk -> first waiting stream, -1 when none
+	sNext     []int32  // stream -> next stream on its list, -1 at the end
+	waitBits  []uint64 // bitset of virtual disks with a waiter
+	waitCands []uint64 // scratch: one pass's candidates, dSeq<<32 | stream, ascending
+	cwork     coalesceWork
+
+	// scanCoalesce, when set, runs in place of the waiter pass: the
+	// per-interval scan the tests compare it against.  Only tests set it.
+	scanCoalesce func()
 
 	// Reusable scratch buffers (hot path, zero steady-state allocs).
 	vidScratch  []int
@@ -167,6 +187,13 @@ func (t *stripedTech) bind(e *Engine) error {
 	t.matObject = -1
 	for i := range t.vbusy {
 		t.vbusy[i] = freeSlot
+	}
+	if t.staggered {
+		t.waitHead = make([]int32, cfg.D)
+		for i := range t.waitHead {
+			t.waitHead[i] = -1
+		}
+		t.waitBits = make([]uint64, len(t.freeBits))
 	}
 	preload := cfg.PreloadTop
 	if preload == 0 {
@@ -236,7 +263,9 @@ func (t *stripedTech) interval() int {
 	t.finishDue()
 	t.stepTertiary()
 	t.admit()
-	if t.staggered {
+	if t.scanCoalesce != nil {
+		t.scanCoalesce()
+	} else if t.staggered {
 		t.coalesce()
 	}
 	return t.busy
@@ -335,7 +364,6 @@ func (t *stripedTech) killActive() {
 			t.abortDisplay(d)
 		}
 	}
-	t.coalescing = t.coalescing[:0]
 	t.idx.dirty, t.lastLen, t.dropped = true, 0, true
 }
 
@@ -464,6 +492,9 @@ func (t *stripedTech) allocSlot() int32 {
 	for i := 0; i < t.stride; i++ {
 		t.sVdisk = append(t.sVdisk, -1)
 		t.sT = append(t.sT, 0)
+		if t.staggered {
+			t.sNext = append(t.sNext, -1)
+		}
 	}
 	return int32(len(t.dStation) - 1)
 }
@@ -525,7 +556,7 @@ func (t *stripedTech) finishDue() {
 			reissue = append(reissue, int(t.dStation[d]))
 			// Contiguous displays are unreachable once completed (all
 			// release refs fired earlier this interval or before, and
-			// they never join the coalescing list) — recycle the slot.
+			// their streams never wait on a disk) — recycle the slot.
 			if t.dTmax[d] == 0 {
 				t.pool = append(t.pool, d)
 			}
@@ -881,11 +912,11 @@ func (t *stripedTech) start(r request, first int, vids, ts []int, tmax int) {
 		t.sVdisk[base+i] = int32(vids[i])
 		t.sT[base+i] = int32(ts[i])
 		t.releases.add(e.now, e.now+ts[i]+n, streamRef{slot: d, i: int32(i)})
+		if ts[i] < tmax {
+			t.await(d, i, vids[i])
+		}
 	}
 	t.completions.add(e.now, e.now+tmax+n, d) // deliveryEnd + 1
-	if tmax > 0 {
-		t.coalescing = append(t.coalescing, d)
-	}
 	t.active++
 	t.byObject[r.object]++
 	e.noteAdmit(r, tmax)
@@ -894,55 +925,114 @@ func (t *stripedTech) start(r request, first int, vids, ts []int, tmax int) {
 	}
 }
 
-// coalesce applies Algorithm 2: any stream buffering ahead of the
-// display (T_i < Tmax) moves to the ideal virtual disk — the one a
-// contiguous admission at τ0+Tmax would have used — as soon as it is
-// free.  Only displays that still have such a stream are visited; the
-// list drops a display once every stream has moved, released, or can
-// never move (its ideal disk is the one it already holds).
-func (t *stripedTech) coalesce() {
-	if len(t.coalescing) == 0 {
+// idealOf returns the virtual disk a contiguous admission at τ0+Tmax
+// would have used for stream i of display d: where Algorithm 2 moves
+// the stream.  It depends on display constants only.
+func (t *stripedTech) idealOf(d int32, i int) int {
+	return vdisk.VirtualAt((int(t.dFirst[d])+i)%t.cfg.D, int(t.dTau0[d]+t.dTmax[d]), t.cfg.K, t.cfg.D)
+}
+
+// await links stream i of display d, which buffers ahead of the
+// display on virtual disk v, into the waiter list of its ideal disk.
+// A stream already on its ideal disk releases on its own clock and
+// never waits.
+func (t *stripedTech) await(d int32, i, v int) {
+	u := t.idealOf(d, i)
+	if u == v {
 		return
 	}
-	e := t.eng
-	n := t.cfg.Subobjects
-	kept := t.coalescing[:0]
-	for _, d := range t.coalescing {
-		if t.dDone[d] {
-			continue
-		}
-		pending := false
-		base := int(d) * t.stride
-		tau0, tmax := int(t.dTau0[d]), int(t.dTmax[d])
-		first := int(t.dFirst[d])
-		for i := 0; i < int(t.dM[d]); i++ {
-			v := t.sVdisk[base+i]
-			if v < 0 || int(t.sT[base+i]) == tmax {
-				continue
-			}
-			// The virtual disk a contiguous admission at τ0+Tmax
-			// would have used for fragment i.
-			ideal := vdisk.VirtualAt((first+i)%t.cfg.D, tau0+tmax, t.cfg.K, t.cfg.D)
-			if ideal == int(v) {
-				continue // already on it; will release on its own clock
-			}
-			if t.vbusy[ideal] != freeSlot {
-				pending = true
-				continue
-			}
-			t.setVBusy(int(v), freeSlot)
-			t.setVBusy(ideal, d)
-			t.sVdisk[base+i] = int32(ideal)
-			t.sT[base+i] = int32(tmax)
-			t.releases.add(e.now, tau0+tmax+n, streamRef{slot: d, i: int32(i)})
-			e.coalescings++
-			if e.tracer != nil {
-				e.emit(EvCoalesce, int(t.dObject[d]), int(t.dStation[d]), fmt.Sprintf("fragment %d", i))
-			}
-		}
-		if pending {
-			kept = append(kept, d)
+	s := int32(int(d)*t.stride + i)
+	t.sNext[s] = t.waitHead[u]
+	t.waitHead[u] = s
+	t.waitBits[u>>6] |= 1 << uint(u&63)
+}
+
+// coalesceWork counts Algorithm 2's work in host-independent units, for
+// the tests that bound it.
+type coalesceWork struct {
+	visited int // waiter-list entries walked, stale ones included
+	moves   int // streams moved to their ideal disk
+}
+
+// coalesce applies Algorithm 2: any stream buffering ahead of the
+// display (T_i < Tmax) moves to its ideal virtual disk as soon as that
+// disk is free.  Only the waiters of disks that are free at the start
+// of the pass, or that a move frees during it, are visited, and they
+// move in (admission sequence, stream) order — the order of a walk
+// over every buffering stream.  A disk a move frees is therefore open
+// to its waiters later in that order in this pass, and to the earlier
+// ones from the next interval on, when the pass finds it free.
+func (t *stripedTech) coalesce() {
+	cands := t.waitCands[:0]
+	for w, word := range t.waitBits {
+		for m := word & t.freeBits[w]; m != 0; m &= m - 1 {
+			cands = t.gatherWaiters(w<<6|bits.TrailingZeros64(m), cands, -1)
 		}
 	}
-	t.coalescing = kept
+	for p := 0; p < len(cands); p++ {
+		si := int(uint32(cands[p]))
+		d, i := int32(si/t.stride), si%t.stride
+		ideal := t.idealOf(d, i)
+		if t.vbusy[ideal] != freeSlot {
+			continue // taken earlier in this pass; stays on its list
+		}
+		u := int(t.sVdisk[si])
+		t.moveStream(d, i, ideal)
+		if t.waitBits[u>>6]&(1<<uint(u&63)) != 0 {
+			cands = t.gatherWaiters(u, cands, p)
+		}
+	}
+	t.waitCands = cands[:0]
+}
+
+// gatherWaiters walks the waiter list of virtual disk u, unlinking the
+// stale entries, and inserts the live waiters whose key follows
+// cands[after] (every live waiter when after < 0) into cands in key
+// order.  It clears u's bit when the list empties.
+func (t *stripedTech) gatherWaiters(u int, cands []uint64, after int) []uint64 {
+	prev := int32(-1)
+	for s := t.waitHead[u]; s >= 0; {
+		next := t.sNext[s]
+		t.cwork.visited++
+		d := int(s) / t.stride
+		if t.dDone[d] || t.sVdisk[s] < 0 || t.sT[s] == t.dTmax[d] {
+			// Stale: the display ended, the stream released or moved.
+			if prev < 0 {
+				t.waitHead[u] = next
+			} else {
+				t.sNext[prev] = next
+			}
+		} else {
+			key := uint64(t.dSeq[d])<<32 | uint64(s)
+			if after < 0 || key > cands[after] {
+				j, _ := slices.BinarySearch(cands[after+1:], key)
+				cands = slices.Insert(cands, after+1+j, key)
+			}
+			prev = s
+		}
+		s = next
+	}
+	if t.waitHead[u] < 0 {
+		t.waitBits[u>>6] &^= 1 << uint(u&63)
+	}
+	return cands
+}
+
+// moveStream moves stream i of display d from its buffering disk to
+// the free ideal disk, where it reads on the display's own clock, and
+// reschedules its release.
+func (t *stripedTech) moveStream(d int32, i, ideal int) {
+	e := t.eng
+	si := int(d)*t.stride + i
+	tmax := t.dTmax[d]
+	t.setVBusy(int(t.sVdisk[si]), freeSlot)
+	t.setVBusy(ideal, d)
+	t.sVdisk[si] = int32(ideal)
+	t.sT[si] = tmax
+	t.releases.add(e.now, int(t.dTau0[d]+tmax)+t.cfg.Subobjects, streamRef{slot: d, i: int32(i)})
+	e.coalescings++
+	t.cwork.moves++
+	if e.tracer != nil {
+		e.emit(EvCoalesce, int(t.dObject[d]), int(t.dStation[d]), fmt.Sprintf("fragment %d", i))
+	}
 }

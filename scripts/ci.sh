@@ -60,6 +60,9 @@ go test -run '^$' -fuzz FuzzEngineConfig -fuzztime 10s ./internal/sched
 echo "== fuzz: striped admission, indexed path against the full queue scan (same admissions and rejections, same Result)"
 go test -run '^$' -fuzz FuzzStripedAdmission -fuzztime 10s ./internal/sched
 
+echo "== fuzz: Algorithm 2 coalescing, waiter pass against the scan over every buffering stream (same admissions, moves and completions, same Result)"
+go test -run '^$' -fuzz FuzzCoalesce -fuzztime 10s ./internal/sched
+
 echo "== 100x scale trajectory under the race detector (points run concurrently)"
 go run -race ./cmd/sweep -scale 100x -csv
 
