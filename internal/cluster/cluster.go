@@ -396,14 +396,16 @@ func (s *Sim) deliverArrivals(limit float64) {
 }
 
 // applyServerEvent executes one server-plan transition.  Redundant
-// events (killing a dead member, reviving a live one) are absorbed.
-func (s *Sim) applyServerEvent(ev fault.Event) {
+// events (killing a dead member, reviving a live one) are absorbed; an
+// error from the member's Kill or Revive is returned.
+func (s *Sim) applyServerEvent(ev fault.Event) error {
 	switch ev.Kind {
 	case fault.ServerFail:
-		s.killServer(ev.Disk)
+		return s.killServer(ev.Disk)
 	case fault.ServerRepair:
-		s.reviveServer(ev.Disk, ev.At)
+		return s.reviveServer(ev.Disk, ev.At)
 	}
+	return nil
 }
 
 // killServer takes member i down: its in-flight displays become typed
@@ -411,13 +413,16 @@ func (s *Sim) applyServerEvent(ev fault.Event) {
 // to a survivor right here — the viewer re-queues on another server
 // rather than vanishing.  With healing enabled, the member's replica
 // assignment joins the heal queue, hottest (lowest rank) first.
-func (s *Sim) killServer(i int) {
+func (s *Sim) killServer(i int) error {
 	e := s.engines[i]
 	if e.Dead() {
-		return
+		return nil
 	}
 	killT := e.NextEventTime()
-	rep := e.Kill()
+	rep, err := e.Kill()
+	if err != nil {
+		return fmt.Errorf("cluster: kill server %d: %w", i, err)
+	}
 	s.orphaned += len(rep.Orphans)
 	for _, obj := range rep.Orphans {
 		target := s.dispatch.Pick(obj, s)
@@ -443,21 +448,24 @@ func (s *Sim) killServer(i int) {
 			s.healStart = killT
 		}
 	}
+	return nil
 }
 
 // reviveServer restarts member i at the plan's interval (clamped to
 // the member's own clock, which may sit one interval past the kill
 // time in a staggered round).  Healing work owed for replicas the
 // member brings back with its surviving disks is dropped.
-func (s *Sim) reviveServer(i, at int) {
+func (s *Sim) reviveServer(i, at int) error {
 	e := s.engines[i]
 	if !e.Dead() {
-		return
+		return nil
 	}
 	if n := e.Now(); at < n {
 		at = n
 	}
-	e.Revive(at)
+	if err := e.Revive(at); err != nil {
+		return fmt.Errorf("cluster: revive server %d: %w", i, err)
+	}
 	if len(s.healQueue) > 0 {
 		kept := s.healQueue[:0]
 		for _, h := range s.healQueue {
@@ -470,6 +478,7 @@ func (s *Sim) reviveServer(i, at int) {
 			s.endHealEpisode(float64(at) * s.dt)
 		}
 	}
+	return nil
 }
 
 // healPass re-creates up to HealBudget replicas from the heal queue:
@@ -575,7 +584,9 @@ func (s *Sim) Run() (Result, error) {
 				break
 			}
 			s.serverCursor++
-			s.applyServerEvent(ev)
+			if err := s.applyServerEvent(ev); err != nil {
+				return Result{}, err
+			}
 			best, bt = pickBest()
 		}
 		if best < 0 {

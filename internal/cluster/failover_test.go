@@ -46,7 +46,9 @@ func TestDispatchSkipsDeadMembers(t *testing.T) {
 		t.Fatalf("clean pick counted noHolder %d, failedOver %d", sim.noHolder, sim.failedOver)
 	}
 
-	sim.engines[0].Kill()
+	if _, err := sim.engines[0].Kill(); err != nil {
+		t.Fatal(err)
+	}
 	if got := pop.Pick(obj, sim); got != 1 {
 		t.Fatalf("dead holder: Pick = %d, want live member 1", got)
 	}
@@ -66,7 +68,9 @@ func TestDispatchSkipsDeadMembers(t *testing.T) {
 		t.Fatal("no policy counted a failover off the dead member")
 	}
 
-	sim.engines[1].Kill()
+	if _, err := sim.engines[1].Kill(); err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range []Dispatch{&roundRobin{}, leastLoaded{}, popularity{}} {
 		if got := d.Pick(obj, sim); got != -1 {
 			t.Fatalf("%s with every member dead: Pick = %d, want -1", d.Name(), got)

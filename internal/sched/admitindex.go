@@ -23,10 +23,15 @@ type readyIndex struct {
 	seq     []int32 // station -> sequence number of its queued request
 	nextSeq int32
 
-	// fifos is sorted by key and searched by bisection.  A FIFO id is
-	// its position, so it is only stable between insertions; none
-	// happens during a scan.
-	fifos []readyFIFO
+	// fifos is append-only, so a FIFO id (its position) never changes.
+	// byFirst heads, per physical disk, the chain of that disk's FIFOs
+	// (one per degree), -1 when there is none.
+	fifos   []readyFIFO
+	byFirst []int32
+
+	// live lists the non-empty FIFOs, in no particular order; a FIFO's
+	// pos is its place in it.  The probe walks live, not fifos.
+	live []int32
 
 	// dirty marks the FIFOs out of step with the queue; the next indexed
 	// scan rebuilds them from e.queue first.
@@ -34,20 +39,24 @@ type readyIndex struct {
 }
 
 type readyFIFO struct {
-	key        uint64 // fifoKey(first disk, degree)
-	head, tail int32  // stations, -1 when empty
+	first, degree int32 // the pair the FIFO holds requests of
+	head, tail    int32 // stations, -1 when empty
+	sameFirst     int32 // next FIFO of the same first disk, -1 at the end
+	pos           int32 // place in live, -1 when empty
 }
 
-func fifoKey(first, m int) uint64 { return uint64(first)<<32 | uint64(m) }
-
-func (q *readyFIFO) first() int  { return int(q.key >> 32) }
-func (q *readyFIFO) degree() int { return int(uint32(q.key)) }
-
-func newReadyIndex(stations int) readyIndex {
-	return readyIndex{
-		next: make([]int32, stations),
-		seq:  make([]int32, stations),
+// newReadyIndex sizes the per-station links and the per-disk chain
+// heads; the FIFOs come with use.
+func newReadyIndex(stations, disks int) readyIndex {
+	x := readyIndex{
+		next:    make([]int32, stations),
+		seq:     make([]int32, stations),
+		byFirst: make([]int32, disks),
 	}
+	for i := range x.byFirst {
+		x.byFirst[i] = -1
+	}
+	return x
 }
 
 // stamp gives a newly queued request of station s the next sequence
@@ -63,44 +72,61 @@ func (x *readyIndex) stamp(s int) {
 }
 
 // fifoOf returns the FIFO of (first disk, degree), creating it on first
-// use.  It runs on every ready enqueue, so the bisection is a
-// branch-free lower bound: the answer stays in [i, i+n], and each step
-// adds half of n to i under a mask, all ones when the probed key is
-// smaller (keys stay below 2^63, so the difference's sign decides).
+// use.  It runs on every ready enqueue.
 func (x *readyIndex) fifoOf(first, m int) int32 {
-	key := fifoKey(first, m)
-	f := x.fifos
-	i := 0
-	if n := len(f); n > 0 {
-		for ; n > 1; n -= n >> 1 {
-			i += n >> 1 & int(int64(f[i+n>>1].key-key)>>63)
-		}
-		i -= int(int64(f[i].key-key) >> 63)
+	id := x.lookup(first, m)
+	if id < 0 {
+		id = int32(len(x.fifos))
+		x.fifos = append(x.fifos, readyFIFO{
+			first: int32(first), degree: int32(m),
+			head: -1, tail: -1, sameFirst: x.byFirst[first], pos: -1,
+		})
+		x.byFirst[first] = id
 	}
-	if i == len(f) || f[i].key != key {
-		x.fifos = slices.Insert(x.fifos, i, readyFIFO{key: key, head: -1, tail: -1})
-	}
-	return int32(i)
+	return id
 }
 
-// push appends station s at the tail of FIFO id.
+// lookup returns the FIFO of (first disk, degree), -1 when there is
+// none.  The chain of a first disk holds one FIFO per degree its
+// objects use, so the walk is usually one step.
+func (x *readyIndex) lookup(first, m int) int32 {
+	id := x.byFirst[first]
+	for id >= 0 && x.fifos[id].degree != int32(m) {
+		id = x.fifos[id].sameFirst
+	}
+	return id
+}
+
+// push appends station s at the tail of FIFO id; a FIFO that was empty
+// joins live.
 func (x *readyIndex) push(s, id int32) {
 	q := &x.fifos[id]
 	x.next[s] = -1
 	if q.tail < 0 {
-		q.head = s
+		q.head, q.pos = s, int32(len(x.live))
+		x.live = append(x.live, id)
 	} else {
 		x.next[q.tail] = s
 	}
 	q.tail = s
 }
 
-// popHead unlinks the head of FIFO id.
+// popHead unlinks the head of FIFO id; a FIFO it empties leaves live.
 func (x *readyIndex) popHead(id int32) {
 	q := &x.fifos[id]
 	if q.head = x.next[q.head]; q.head < 0 {
 		q.tail = -1
+		x.unlive(q)
 	}
+}
+
+// unlive swap-removes the emptied FIFO q from live.
+func (x *readyIndex) unlive(q *readyFIFO) {
+	last := x.live[len(x.live)-1]
+	x.live[q.pos] = last
+	x.fifos[last].pos = q.pos
+	x.live = x.live[:len(x.live)-1]
+	q.pos = -1
 }
 
 // remove unlinks station s from FIFO id.  The walk is bounded by the
@@ -127,6 +153,8 @@ type admitWork struct {
 	touched int // queue entries examined, by any scan or rebuild
 	prefix  int // of touched: entries the staggered prefix walked
 	windows int // FIFOs visited whose window was free
+	fifos   int // FIFOs the indexed probe visited, the non-empty ones
+	indexed int // indexed probes run
 }
 
 // fifoOfObject returns the FIFO a ready object's requests belong in.
@@ -139,9 +167,11 @@ func (t *stripedTech) fifoOfObject(obj int) int32 {
 // queue order and renumbers the sequence from zero.
 func (t *stripedTech) rebuildIndex() {
 	x := &t.idx
-	for i := range x.fifos {
-		x.fifos[i].head, x.fifos[i].tail = -1, -1
+	for _, id := range x.live {
+		q := &x.fifos[id]
+		q.head, q.tail, q.pos = -1, -1, -1
 	}
+	x.live = x.live[:0]
 	q := t.eng.queue
 	for i, r := range q {
 		x.seq[r.station] = int32(i)
@@ -268,8 +298,8 @@ func (t *stripedTech) admitPrefix(admitted []int32, fragBudget *int) ([]int32, i
 	return admitted, i
 }
 
-// admitIndexed probes, in queue order, the head of every FIFO whose
-// contiguous window is free and fits the farm, through the same
+// admitIndexed probes, in queue order, the head of every non-empty FIFO
+// whose contiguous window is free and fits the farm, through the same
 // per-entry path the full scan uses.  Only those heads can start: the
 // fragmented fallback is spent or disabled, a busy window stays busy
 // for the rest of the scan, and an admission from a FIFO takes the
@@ -279,12 +309,14 @@ func (t *stripedTech) admitIndexed(admitted []int32, fragBudget *int) []int32 {
 	x := &t.idx
 	free := t.cfg.D - t.busy
 	cands := t.cands[:0]
-	for id := range x.fifos {
+	for _, id := range x.live {
 		q := &x.fifos[id]
-		if q.head >= 0 && q.degree() <= free && t.windowFree(q.first(), q.degree()) {
+		if m := int(q.degree); m <= free && t.windowFree(int(q.first), m) {
 			cands = append(cands, uint64(x.seq[q.head])<<32|uint64(id))
 		}
 	}
+	t.work.fifos += len(x.live)
+	t.work.indexed++
 	t.work.windows += len(cands)
 	slices.Sort(cands)
 	lo := 0

@@ -19,6 +19,8 @@ import (
 //     FirstDisk lookup cannot miss;
 //   - every cold object queued when the scan ran is Pending on the
 //     tertiary device, so a later Request for it would be a no-op;
+//   - the FIFO table's chains, live list and places agree
+//     (checkFIFOTable);
 //   - unless the ready index is marked for a rebuild, every ready
 //     queued request sits exactly once in the FIFO of its object's
 //     first disk and degree, the FIFOs hold nothing else, and sequence
@@ -48,6 +50,7 @@ func checkStriped(t testing.TB, e *Engine) {
 		}
 	}
 	x := &st.idx
+	checkFIFOTable(t, x, at)
 	if x.dirty {
 		return
 	}
@@ -63,11 +66,6 @@ func checkStriped(t testing.TB, e *Engine) {
 	seen := 0
 	for id := range x.fifos {
 		q := &x.fifos[id]
-		if id > 0 {
-			if x.fifos[id-1].key >= q.key {
-				t.Fatalf("interval %d: FIFO table out of order at %d", at, id)
-			}
-		}
 		last := int32(-1)
 		for s := q.head; s >= 0; s = x.next[s] {
 			r, ok := queued[s]
@@ -76,9 +74,9 @@ func checkStriped(t testing.TB, e *Engine) {
 			}
 			delete(queued, s)
 			seen++
-			if first, _ := st.store.FirstDisk(r.object); q.first() != first || q.degree() != st.cfg.Degree(r.object) {
+			if first, _ := st.store.FirstDisk(r.object); int(q.first) != first || int(q.degree) != st.cfg.Degree(r.object) {
 				t.Fatalf("interval %d: station %d (object %d, first disk %d, degree %d) is in the FIFO of (%d, %d)",
-					at, s, r.object, first, st.cfg.Degree(r.object), q.first(), q.degree())
+					at, s, r.object, first, st.cfg.Degree(r.object), q.first, q.degree)
 			}
 			if last >= 0 && x.seq[s] <= x.seq[last] {
 				t.Fatalf("interval %d: FIFO %d is out of sequence order at station %d", at, id, s)
@@ -91,6 +89,49 @@ func checkStriped(t testing.TB, e *Engine) {
 	}
 	for s, r := range queued {
 		t.Fatalf("interval %d: ready request of station %d (object %d) is missing from the index (%d linked)", at, s, r.object, seen)
+	}
+}
+
+// checkFIFOTable asserts the ready index's table invariants: every
+// FIFO is the one its first disk's chain yields for its degree, and the
+// chains hold every FIFO exactly once; live holds exactly the non-empty
+// FIFOs, and each FIFO's pos inverts it.
+func checkFIFOTable(t testing.TB, x *readyIndex, at int) {
+	t.Helper()
+	chained := 0
+	for first, id := range x.byFirst {
+		for ; id >= 0; id = x.fifos[id].sameFirst {
+			chained++
+			if chained > len(x.fifos) {
+				t.Fatalf("interval %d: the chain of first disk %d does not end", at, first)
+			}
+			if q := &x.fifos[id]; int(q.first) != first {
+				t.Fatalf("interval %d: FIFO %d of first disk %d is on the chain of %d", at, id, q.first, first)
+			}
+		}
+	}
+	if chained != len(x.fifos) {
+		t.Fatalf("interval %d: the first-disk chains hold %d FIFOs, the table %d", at, chained, len(x.fifos))
+	}
+	for id := range x.fifos {
+		q := &x.fifos[id]
+		if got := x.lookup(int(q.first), int(q.degree)); got != int32(id) {
+			t.Fatalf("interval %d: the chain of (%d, %d) yields FIFO %d, not %d", at, q.first, q.degree, got, id)
+		}
+		if (q.head < 0) != (q.tail < 0) {
+			t.Fatalf("interval %d: FIFO %d has head %d and tail %d", at, id, q.head, q.tail)
+		}
+		if (q.head >= 0) != (q.pos >= 0) {
+			t.Fatalf("interval %d: FIFO %d has head %d but place %d in live", at, id, q.head, q.pos)
+		}
+		if q.pos >= 0 && (int(q.pos) >= len(x.live) || x.live[q.pos] != int32(id)) {
+			t.Fatalf("interval %d: FIFO %d has place %d in live, which does not hold it", at, id, q.pos)
+		}
+	}
+	for i, id := range x.live {
+		if x.fifos[id].pos != int32(i) {
+			t.Fatalf("interval %d: live[%d] is FIFO %d, whose place is %d", at, i, id, x.fifos[id].pos)
+		}
 	}
 }
 
@@ -273,8 +314,14 @@ func runAdmissionCase(t testing.TB, c admissionCase, oracle func(*stripedTech)) 
 			e.ResetWindow()
 		}
 		if c.killAt > 0 && e.now == c.killAt && run.orphans == nil {
-			run.orphans = append([]int{}, e.Kill().Orphans...)
-			e.Revive(c.reviveAt)
+			rep, err := e.Kill()
+			if err != nil {
+				t.Fatal(err)
+			}
+			run.orphans = append([]int{}, rep.Orphans...)
+			if err := e.Revive(c.reviveAt); err != nil {
+				t.Fatal(err)
+			}
 			continue
 		}
 		if c.member {

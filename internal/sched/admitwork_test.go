@@ -77,6 +77,30 @@ func admissionWorkPerInterval(t *testing.T, key string, cfg sched.Config) (touch
 	return float64(sumTouched) / float64(n), float64(sumQueue) / float64(n)
 }
 
+// TestAdmissionWorkTable3 bounds the indexed probe's work in
+// host-independent units on TestCoalesceWorkTable3's geometry: the
+// FIFOs it visits average fewer than 50 per probe.  The farm's 200
+// preloaded objects each have a FIFO, and about 30 of them hold a
+// request at a time; a probe that walked the whole table would visit
+// 200 in every interval.
+func TestAdmissionWorkTable3(t *testing.T) {
+	cfg := sched.Table3Config(256, 20, 1)
+	cfg.WarmupIntervals, cfg.MeasureIntervals = 6000, 12000
+	e, _, err := sched.NewEngineFor("staggered", cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	w := e.AdmissionWork()
+	t.Logf("%d FIFOs visited over %d indexed probes, %d with a free window", w.FIFOs, w.Indexed, w.Windows)
+	if w.Indexed == 0 {
+		t.Fatal("no indexed probe ran; the bound proves nothing")
+	}
+	if w.FIFOs >= 50*w.Indexed {
+		t.Errorf("%d FIFOs visited over %d indexed probes, not fewer than 50 per probe", w.FIFOs, w.Indexed)
+	}
+}
+
 // TestCoalesceWorkTable3 bounds Algorithm 2's work in host-independent
 // units on the Table 3 farm near the Figure 8 knee, staggered k=1 over
 // 6,000 warm-up and 12,000 measured intervals: the waiter-list entries

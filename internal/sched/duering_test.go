@@ -283,14 +283,20 @@ func runKillRevive(t *testing.T, key string) killReviveRun {
 	for e.now < end {
 		staging := vdr == nil || vdr.matStarted
 		if len(gaps) > 0 && e.now >= 200 && e.tech.activeDisplays() > 0 && e.activeFollowers > 0 && staging {
-			run.orphans = append(run.orphans, e.Kill().Orphans)
+			rep, err := e.Kill()
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			run.orphans = append(run.orphans, rep.Orphans)
 			for c := range jobEnds {
 				jobEnds[c] = -1
 			}
 			if calendarEntries(e) == 0 {
 				t.Fatalf("%s: nothing on the calendars at the kill; the revive proves nothing", key)
 			}
-			e.Revive(e.now + gaps[0])
+			if err := e.Revive(e.now + gaps[0]); err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
 			gaps = gaps[1:]
 			revivedAt = e.now
 			checkLedger(t, e)

@@ -10,6 +10,20 @@ import (
 // cluster driver retrying a member must build a fresh one instead.
 var ErrAlreadyRun = errors.New("sched: engine already run")
 
+// The misuses of the failover surface (Engine.Kill, Engine.Revive).
+// Each is returned as is, or wrapped with detail, so errors.Is matches.
+var (
+	// ErrKillDead: Kill on an engine that is already dead.
+	ErrKillDead = errors.New("sched: Kill on a dead engine")
+	// ErrKillClosedLoop: Kill on a closed-loop engine, whose aborted
+	// stations would reissue forever.
+	ErrKillClosedLoop = errors.New("sched: Kill on a closed-loop engine")
+	// ErrReviveLive: Revive on an engine that is not dead.
+	ErrReviveLive = errors.New("sched: Revive on a live engine")
+	// ErrReviveEarly: Revive at an interval before the kill.
+	ErrReviveEarly = errors.New("sched: Revive before the kill interval")
+)
+
 // StarvationError reports that materializations were abandoned at the
 // Place retry cap (Config.PlaceRetryLimit): the farm could not fit
 // the objects the workload demanded, typically because a k < M stride

@@ -6,6 +6,8 @@ type AdmissionWork struct {
 	Touched  int // queue entries the striped admission examined
 	Prefix   int // of Touched: entries the staggered prefix walked
 	Windows  int // ready FIFOs visited with a free window
+	FIFOs    int // FIFOs the indexed probe visited
+	Indexed  int // indexed probes run
 	Admitted int // displays admitted, lifetime
 	Requests int // references recorded in the current window
 	Busy     int // busy virtual disks now
@@ -19,6 +21,8 @@ func (e *Engine) AdmissionWork() AdmissionWork {
 		Touched:  st.work.touched,
 		Prefix:   st.work.prefix,
 		Windows:  st.work.windows,
+		FIFOs:    st.work.fifos,
+		Indexed:  st.work.indexed,
 		Admitted: e.admittedTotal,
 		Requests: e.requests,
 		Busy:     st.busy,

@@ -1,5 +1,7 @@
 package sched
 
+import "fmt"
+
 // This file is the engine's server-failover surface (DESIGN.md §14):
 // Kill drains a whole member — in-flight displays become typed aborts,
 // queued and batched requests are orphaned for the cluster to re-admit
@@ -25,15 +27,17 @@ type KillReport struct {
 // display aborts through the fault path, the request queue and the
 // batch registries drain into the report's orphan list, the tertiary
 // device drops its work, and the engine stops reporting pending work
-// until Revive.  Requires an open-workload engine (a cluster member or
-// ArrivalsPerHour > 0): in the closed loop an aborted station reissues
-// immediately and the drain below could never terminate.
-func (e *Engine) Kill() KillReport {
+// until Revive.  Requires a live, open-workload engine (a cluster
+// member or ArrivalsPerHour > 0): in the closed loop an aborted station
+// reissues immediately and the drain below could never terminate.  A
+// dead engine returns ErrKillDead, a closed-loop one ErrKillClosedLoop,
+// and neither is changed.
+func (e *Engine) Kill() (KillReport, error) {
 	if e.dead {
-		panic("sched: Kill on a dead engine")
+		return KillReport{}, ErrKillDead
 	}
 	if e.open == nil {
-		panic("sched: Kill on a closed-loop engine")
+		return KillReport{}, ErrKillClosedLoop
 	}
 	var rep KillReport
 	before := e.abortedTotal
@@ -83,7 +87,7 @@ func (e *Engine) Kill() KillReport {
 	}
 	e.tman.Reset()
 	e.dead, e.diedAt = true, e.now
-	return rep
+	return rep, nil
 }
 
 // Revive restarts the member at interval `at` (the cluster's current
@@ -93,13 +97,14 @@ func (e *Engine) Kill() KillReport {
 // consumer rejects such stale entries when their slot drains.  Disk
 // contents survive — the transient-fault model disk repairs use — so
 // the member serves its pre-kill catalog, just with a cold cache and
-// empty queues.
-func (e *Engine) Revive(at int) {
+// empty queues.  A live engine returns ErrReviveLive, and an `at`
+// before the kill interval ErrReviveEarly; neither changes the engine.
+func (e *Engine) Revive(at int) error {
 	if !e.dead {
-		panic("sched: Revive on a live engine")
+		return ErrReviveLive
 	}
 	if at < e.now {
-		panic("sched: Revive before the kill interval")
+		return fmt.Errorf("%w: at %d, killed at %d", ErrReviveEarly, at, e.now)
 	}
 	e.deadMeasured += e.deadSpan(e.diedAt, at)
 	e.now = at
@@ -107,6 +112,7 @@ func (e *Engine) Revive(at int) {
 		e.cache.Flush()
 	}
 	e.dead = false
+	return nil
 }
 
 // deadSpan returns how many measured intervals the window [from, to)

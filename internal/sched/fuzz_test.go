@@ -145,8 +145,12 @@ func runFuzzCase(t *testing.T, e *Engine, m *fuzzMember) {
 	for e.now < end {
 		if !killed && e.now == m.killAt {
 			killed = true
-			e.Kill()
-			e.Revive(e.now + m.reviveIn)
+			if _, err := e.Kill(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Revive(e.now + m.reviveIn); err != nil {
+				t.Fatal(err)
+			}
 			checkLedger(t, e)
 			continue
 		}

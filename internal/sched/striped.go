@@ -175,7 +175,7 @@ func (t *stripedTech) bind(e *Engine) error {
 		t.freeBits[len(t.freeBits)-1] = 1<<uint(r) - 1
 	}
 	t.byObject = make([]int32, cfg.Objects)
-	t.idx = newReadyIndex(cfg.Stations)
+	t.idx = newReadyIndex(cfg.Stations, cfg.D)
 	t.ready = make([]bool, cfg.Objects)
 	t.releases = newDueRing[streamRef](e.horizon)
 	t.completions = newDueRing[int32](e.horizon)
@@ -223,6 +223,7 @@ func (t *stripedTech) bind(e *Engine) error {
 	// The preloaded catalog's FIFOs exist from the start, so a run that
 	// stages nothing allocates no index state while it steps.
 	n := len(t.idx.fifos)
+	t.idx.live = make([]int32, 0, n)
 	t.cands = make([]uint64, 0, n)
 	t.admitPos = make([]int32, 0, n)
 	return nil
@@ -848,21 +849,19 @@ func (t *stripedTech) admitEntry(r request, fragBudget *int) entryVerdict {
 // the staggered technique.
 func (t *stripedTech) tryAdmit(r request, first, m int, fragBudget *int) bool {
 	// Contiguous: the M disks of subobject 0 must be free right now.
+	if !t.windowFree(first, m) {
+		return t.tryFragmented(r, first, m, fragBudget)
+	}
 	vids := t.vidScratch[:m]
-	okContig := true
-	for j := 0; j < m; j++ {
-		v := t.vdiskOf((first + j) % t.cfg.D)
-		if t.vbusy[v] != freeSlot {
-			okContig = false
-			break
-		}
+	v := t.vdiskOf(first)
+	for j := range vids {
 		vids[j] = v
+		if v++; v == t.cfg.D {
+			v = 0
+		}
 	}
-	if okContig {
-		t.start(r, first, vids, t.zeroTs[:m], 0)
-		return true
-	}
-	return t.tryFragmented(r, first, m, fragBudget)
+	t.start(r, first, vids, t.zeroTs[:m], 0)
+	return true
 }
 
 // tryFragmented runs the Algorithm-1 time-fragmented admission: a

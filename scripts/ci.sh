@@ -19,6 +19,16 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== inlining: the admission hot helpers stay inlinable (DESIGN.md §8)"
+inlined=$(go build -gcflags=-m ./internal/sched 2>&1 | sed -n 's/.*: can inline //p')
+for fn in '(*stripedTech).setVBusy' '(*stripedTech).vdiskOf' '(*stripedTech).windowFree' \
+	'(*readyIndex).push' '(*readyIndex).popHead'; do
+	if ! printf '%s\n' "$inlined" | grep -qxF "$fn"; then
+		echo "inlining step: go build -gcflags=-m no longer reports 'can inline $fn'"
+		exit 1
+	fi
+done
+
 echo "== go test -short -race (quick suites + chaos harness under the race detector)"
 go test -short -race ./...
 
@@ -45,7 +55,7 @@ golden() {
 golden ./internal/sched TestGoldenSweep TestGoldenStaggered TestGoldenAlgorithm1 TestGoldenFaults
 golden ./internal/experiment TestReproduction TestReproductionSectionsDocumented
 
-echo "== fuzz: Algorithm 1 orbit walk against the per-candidate oracle"
+echo "== fuzz: Algorithm 1 orbit walk, with its span count, against the per-candidate oracle (farms up to 256 disks)"
 go test -run '^$' -fuzz FuzzChooseVirtualDisks -fuzztime 10s ./internal/vdisk
 
 echo "== fuzz: Store placement against the FragmentsPerDisk oracle (Used, FreeFragments and every PlaceAt/Place verdict)"
