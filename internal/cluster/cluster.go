@@ -376,8 +376,9 @@ func (s *Sim) flip() {
 
 // deliverArrivals dispatches every cluster arrival strictly before
 // limit (seconds) to a member chosen by the policy.  An arrival that
-// finds every member dead is lost and counted.
-func (s *Sim) deliverArrivals(limit float64) {
+// finds every member dead is lost and counted.  An error is a member
+// refusing the injection.
+func (s *Sim) deliverArrivals(limit float64) error {
 	for s.nextAt < limit {
 		if s.flipAt > 0 && !s.flipped && s.nextAt >= s.flipAt {
 			s.flipped = true
@@ -389,10 +390,13 @@ func (s *Sim) deliverArrivals(limit float64) {
 			s.lostArrivals++
 		} else {
 			s.routed[target]++
-			s.engines[target].InjectArrival(obj)
+			if _, err := s.engines[target].InjectArrival(obj); err != nil {
+				return fmt.Errorf("cluster: arrival on server %d: %w", target, err)
+			}
 		}
 		s.nextAt += s.arrStream.Exp(s.meanGap)
 	}
+	return nil
 }
 
 // applyServerEvent executes one server-plan transition.  Redundant
@@ -431,7 +435,11 @@ func (s *Sim) killServer(i int) error {
 			continue
 		}
 		s.routed[target]++
-		if s.engines[target].InjectArrival(obj) {
+		ok, err := s.engines[target].InjectArrival(obj)
+		if err != nil {
+			return fmt.Errorf("cluster: re-admit on server %d: %w", target, err)
+		}
+		if ok {
 			s.reAdmitted++
 		} else {
 			s.reAdmitDropped++
@@ -629,7 +637,9 @@ func (s *Sim) Run() (Result, error) {
 			if end := float64(warm+e.Config().MeasureIntervals) * s.dt; limit > end {
 				limit = end
 			}
-			s.deliverArrivals(limit)
+			if err := s.deliverArrivals(limit); err != nil {
+				return Result{}, err
+			}
 		}
 		e.StepOne()
 	}

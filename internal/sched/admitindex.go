@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"math"
+	"cmp"
 	"slices"
 )
 
@@ -9,19 +9,23 @@ import (
 // §8, "Event-driven admission"): an interval's scan costs
 // O(admissions + new arrivals + staggered prefix + free windows)
 // instead of O(queue length), plus one queue walk while a disk is
-// down.  e.queue stays the one canonical queue; the index below only
-// finds the entries of it that can start.
+// down.  e.queue is the one order of the queued requests; the index
+// below only finds the entries of it that can start.
 
 // readyIndex links the stations whose queued request is ready (object
 // resident and materialized) into FIFOs keyed by the object's first
-// disk and degree, in queue-sequence order.  Every queued request
+// disk and degree, in queue order.  Every queued request
 // belongs to exactly one station, so the links are per station.  Only
 // (first disk, degree) pairs that have held a ready object get a FIFO,
 // so the table grows with the distinct first disks in use, not with D.
 type readyIndex struct {
-	next    []int32 // station -> next station in its FIFO, -1 at the tail
-	seq     []int32 // station -> sequence number of its queued request
-	nextSeq int32
+	next []int32 // station -> next station in its FIFO, -1 at the tail
+
+	// seq numbers the queued requests in queue order (onEnqueue): the
+	// key that puts the probed FIFO heads in queue order.  64 bits, so
+	// it never wraps.
+	seq     []uint64 // station -> sequence number of its queued request
+	nextSeq uint64
 
 	// fifos is append-only, so a FIFO id (its position) never changes.
 	// byFirst heads, per physical disk, the chain of that disk's FIFOs
@@ -50,25 +54,13 @@ type readyFIFO struct {
 func newReadyIndex(stations, disks int) readyIndex {
 	x := readyIndex{
 		next:    make([]int32, stations),
-		seq:     make([]int32, stations),
+		seq:     make([]uint64, stations),
 		byFirst: make([]int32, disks),
 	}
 	for i := range x.byFirst {
 		x.byFirst[i] = -1
 	}
 	return x
-}
-
-// stamp gives a newly queued request of station s the next sequence
-// number.  Sequence numbers rise along e.queue, which is what lets a
-// FIFO head be found in the queue by binary search; when the counter
-// runs out the index is marked dirty, and the rebuild renumbers.
-func (x *readyIndex) stamp(s int) {
-	x.seq[s] = x.nextSeq
-	x.nextSeq++
-	if x.nextSeq == math.MaxInt32 {
-		x.dirty = true
-	}
 }
 
 // fifoOf returns the FIFO of (first disk, degree), creating it on first
@@ -163,25 +155,22 @@ func (t *stripedTech) fifoOfObject(obj int) int32 {
 	return t.idx.fifoOf(first, t.cfg.Degree(obj))
 }
 
-// rebuildIndex relinks every ready queued request from e.queue in
-// queue order and renumbers the sequence from zero.
+// rebuildIndex relinks every ready queued request, walking the queue.
 func (t *stripedTech) rebuildIndex() {
 	x := &t.idx
 	for _, id := range x.live {
-		q := &x.fifos[id]
-		q.head, q.tail, q.pos = -1, -1, -1
+		f := &x.fifos[id]
+		f.head, f.tail, f.pos = -1, -1, -1
 	}
 	x.live = x.live[:0]
-	q := t.eng.queue
-	for i, r := range q {
-		x.seq[r.station] = int32(i)
-		if t.ready[r.object] {
-			x.push(int32(r.station), t.fifoOfObject(r.object))
+	q := &t.eng.queue
+	for s := q.head; s >= 0; s = q.node[s].next {
+		if obj := int(q.node[s].obj); t.ready[obj] {
+			x.push(s, t.fifoOfObject(obj))
 		}
 	}
-	x.nextSeq = int32(len(q))
 	x.dirty = false
-	t.work.touched += len(q)
+	t.work.touched += q.n
 }
 
 // admit starts every queued display whose disks are free, per §3.1's
@@ -198,78 +187,64 @@ func (t *stripedTech) admit() {
 		return
 	}
 	t.requestCold()
-	if len(e.queue) > 0 && t.cfg.D-t.busy >= t.minDegree {
-		t.admitReady()
+	if e.queue.n > 0 && t.cfg.D-t.busy >= t.minDegree {
+		if t.idx.dirty {
+			t.rebuildIndex()
+		}
+		// The staggered prefix, then the indexed probe over what the
+		// prefix did not reach.
+		fragBudget := fragmentedAttemptsPerInterval
+		rest := e.queue.head
+		if t.staggered {
+			rest = t.admitPrefix(&fragBudget)
+		}
+		if rest >= 0 && t.cfg.D-t.busy >= t.minDegree {
+			t.admitIndexed(&fragBudget)
+		}
 	}
-	t.lastLen = len(e.queue)
+	t.fresh = -1
 	t.rejectUnplayable()
-}
-
-// admitReady runs the staggered prefix and the indexed probe and drops
-// the admitted entries from the queue.
-func (t *stripedTech) admitReady() {
-	e := t.eng
-	if t.idx.dirty {
-		t.rebuildIndex()
-	}
-	admitted := t.admitPos[:0]
-	fragBudget := fragmentedAttemptsPerInterval
-	from := 0
-	if t.staggered {
-		admitted, from = t.admitPrefix(admitted, &fragBudget)
-	}
-	if from < len(e.queue) && t.cfg.D-t.busy >= t.minDegree {
-		admitted = t.admitIndexed(admitted, &fragBudget)
-	}
-	if len(admitted) > 0 {
-		e.queue = removePositions(e.queue, admitted)
-	}
-	t.admitPos = admitted[:0]
 }
 
 // rejectUnplayable refuses, in queue order, every ready queued request
 // whose object's stride orbit crosses a down disk: the requests the
-// full scan defers past its queue swap.  Nothing refuses while every
+// full scan defers to the end of its walk.  Nothing refuses while every
 // disk is up, so a healthy interval skips the walk.
 func (t *stripedTech) rejectUnplayable() {
 	e := t.eng
 	if e.downCount == 0 {
 		return
 	}
-	kept := e.queue[:0]
-	for _, r := range e.queue {
+	q := &e.queue
+	for s, next := q.head, int32(0); s >= 0; s = next {
+		next = q.node[s].next
 		t.work.touched++
-		if t.ready[r.object] && !t.playable(r.object) {
-			t.rejectBuf = append(t.rejectBuf, r)
-			continue
+		if obj := int(q.node[s].obj); t.ready[obj] && !t.playable(obj) {
+			e.deferReject(s)
 		}
-		kept = append(kept, r)
 	}
-	if len(t.rejectBuf) == 0 {
+	if len(e.rejectBuf) == 0 {
 		return
 	}
-	e.queue = kept
-	t.lastLen, t.idx.dirty = len(kept), true
-	t.flushRejects()
+	t.idx.dirty = true
+	e.flushRejects()
 }
 
 // requestCold forwards cold queued requests to the tertiary manager.
 // A cold object stays Pending from its first Request until it turns
 // ready or the device drops it (abortStaging, a starved placeFailed,
 // Kill's Reset), so re-requesting it every interval is a no-op: only
-// the entries queued since the last scan need a Request, or every cold
-// entry after a drop.  Either way the calls run in queue order, so the
-// device sees the order a full scan would give it.
+// the entries from fresh on, queued since the last scan, need a
+// Request, and a drop moves fresh back to the queue head.  Either way
+// the calls run in queue order, so the device sees the order a full
+// scan would give it.
 func (t *stripedTech) requestCold() {
 	e := t.eng
-	from := t.lastLen
-	if t.dropped {
-		from, t.dropped = 0, false
-	}
-	for _, r := range e.queue[from:] {
+	q := &e.queue
+	for s := t.fresh; s >= 0; s = q.node[s].next {
 		t.work.touched++
-		if !t.ready[r.object] {
-			e.tman.Request(r.object)
+		if obj := int(q.node[s].obj); !t.ready[obj] {
+			e.tman.Request(obj)
 		}
 	}
 }
@@ -279,23 +254,23 @@ func (t *stripedTech) requestCold() {
 // start any ready entry whose contiguous window is busy, so those
 // entries cannot be found through the index.  It stops when the budget
 // is spent, the farm cannot fit the smallest degree, or the queue
-// ends, and returns the position it stopped at.
-func (t *stripedTech) admitPrefix(admitted []int32, fragBudget *int) ([]int32, int) {
-	e := t.eng
-	i := 0
-	for ; i < len(e.queue) && *fragBudget > 0 && t.cfg.D-t.busy >= t.minDegree; i++ {
-		r := e.queue[i]
+// ends, and returns the station it stopped at, -1 at the end.  Cold
+// entries are passed over: their tertiary requests went out in
+// requestCold.
+func (t *stripedTech) admitPrefix(fragBudget *int) int32 {
+	q := &t.eng.queue
+	s := q.head
+	for s >= 0 && *fragBudget > 0 && t.cfg.D-t.busy >= t.minDegree {
+		next := q.node[s].next
 		t.work.touched++
 		t.work.prefix++
-		if !t.ready[r.object] {
-			continue // its tertiary request went out in requestCold
+		if obj := int(q.node[s].obj); t.ready[obj] && t.admitEntry(s, fragBudget) == entryAdmitted {
+			t.idx.remove(s, t.fifoOfObject(obj))
+			q.unlink(s)
 		}
-		if t.admitEntry(r, fragBudget) == entryAdmitted {
-			t.idx.remove(int32(r.station), t.fifoOfObject(r.object))
-			admitted = append(admitted, int32(i))
-		}
+		s = next
 	}
-	return admitted, i
+	return s
 }
 
 // admitIndexed probes, in queue order, the head of every non-empty FIFO
@@ -304,34 +279,37 @@ func (t *stripedTech) admitPrefix(admitted []int32, fragBudget *int) ([]int32, i
 // fragmented fallback is spent or disabled, a busy window stays busy
 // for the rest of the scan, and an admission from a FIFO takes the
 // virtual disk every later entry of the same first disk needs.
-func (t *stripedTech) admitIndexed(admitted []int32, fragBudget *int) []int32 {
-	e := t.eng
+func (t *stripedTech) admitIndexed(fragBudget *int) {
+	q := &t.eng.queue
 	x := &t.idx
 	free := t.cfg.D - t.busy
 	cands := t.cands[:0]
 	for _, id := range x.live {
-		q := &x.fifos[id]
-		if m := int(q.degree); m <= free && t.windowFree(int(q.first), m) {
-			cands = append(cands, uint64(x.seq[q.head])<<32|uint64(id))
+		f := &x.fifos[id]
+		if m := int(f.degree); m <= free && t.windowFree(int(f.first), m) {
+			cands = append(cands, readyCand{x.seq[f.head], id})
 		}
 	}
 	t.work.fifos += len(x.live)
 	t.work.indexed++
 	t.work.windows += len(cands)
-	slices.Sort(cands)
-	lo := 0
+	slices.SortFunc(cands, func(a, b readyCand) int { return cmp.Compare(a.seq, b.seq) })
 	for _, c := range cands {
-		id := int32(uint32(c))
-		i := t.queuePos(int32(c>>32), lo)
+		s := x.fifos[c.id].head
 		t.work.touched++
-		if t.admitEntry(e.queue[i], fragBudget) == entryAdmitted {
-			x.popHead(id)
-			admitted = append(admitted, int32(i))
+		if t.admitEntry(s, fragBudget) == entryAdmitted {
+			x.popHead(c.id)
+			q.unlink(s)
 		}
-		lo = i + 1
 	}
 	t.cands = cands[:0]
-	return admitted
+}
+
+// readyCand is a FIFO the indexed probe visits, keyed by its head's
+// sequence number.
+type readyCand struct {
+	seq uint64
+	id  int32
 }
 
 // windowFree reports whether the m virtual disks of a contiguous
@@ -347,36 +325,4 @@ func (t *stripedTech) windowFree(first, m int) bool {
 		}
 	}
 	return true
-}
-
-// queuePos returns the position in e.queue[lo:] of the request with
-// sequence number seq, by binary search on the rising sequence.  The
-// sequence rises by at least one per entry, so the request lies at
-// most seq − seq(q[lo]) entries past lo.
-func (t *stripedTech) queuePos(seq int32, lo int) int {
-	q := t.eng.queue
-	hi := min(len(q), lo+int(seq-t.idx.seq[q[lo].station])+1)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.idx.seq[q[mid].station] < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// removePositions deletes the entries at the ascending positions pos
-// from q in one order-preserving pass of segment copies.
-func removePositions(q []request, pos []int32) []request {
-	w := int(pos[0])
-	for j, p := range pos {
-		end := len(q)
-		if j+1 < len(pos) {
-			end = int(pos[j+1])
-		}
-		w += copy(q[w:], q[p+1:end])
-	}
-	return q[:w]
 }

@@ -24,7 +24,8 @@ import (
 //   - unless the ready index is marked for a rebuild, every ready
 //     queued request sits exactly once in the FIFO of its object's
 //     first disk and degree, the FIFOs hold nothing else, and sequence
-//     numbers rise along the queue and along every FIFO;
+//     numbers rise along every FIFO (checkQueue checks they rise along
+//     the queue);
 //
 // and the disk claims and Algorithm 2's waiter lists (checkClaims,
 // checkWaiters).  It is a no-op for other techniques.
@@ -42,11 +43,12 @@ func checkStriped(t testing.TB, e *Engine) {
 			t.Fatalf("interval %d: object %d is ready but not resident", at, obj)
 		}
 	}
-	// Entries past lastLen were queued after the scan (its rejections
-	// reissue their stations); the next scan requests them.
-	for _, r := range e.queue[:st.lastLen] {
-		if !st.ready[r.object] && !e.tman.Pending(r.object) {
-			t.Fatalf("interval %d: cold queued object %d (station %d) is not pending on the device", at, r.object, r.station)
+	// The entries from fresh on were queued after the scan (its
+	// rejections reissue their stations); the next scan requests them.
+	q := &e.queue
+	for s := q.head; s >= 0 && s != st.fresh; s = q.node[s].next {
+		if obj := int(q.node[s].obj); !st.ready[obj] && !e.tman.Pending(obj) {
+			t.Fatalf("interval %d: cold queued object %d (station %d) is not pending on the device", at, obj, s)
 		}
 	}
 	x := &st.idx
@@ -54,41 +56,38 @@ func checkStriped(t testing.TB, e *Engine) {
 	if x.dirty {
 		return
 	}
-	queued := make(map[int32]request, len(e.queue))
-	for i, r := range e.queue {
-		if i > 0 && x.seq[r.station] <= x.seq[e.queue[i-1].station] {
-			t.Fatalf("interval %d: sequence numbers do not rise along the queue at position %d", at, i)
-		}
-		if st.ready[r.object] {
-			queued[int32(r.station)] = r
+	queued := make(map[int32]int, q.n) // station -> object
+	for s := q.head; s >= 0; s = q.node[s].next {
+		if st.ready[q.node[s].obj] {
+			queued[s] = int(q.node[s].obj)
 		}
 	}
 	seen := 0
 	for id := range x.fifos {
-		q := &x.fifos[id]
+		f := &x.fifos[id]
 		last := int32(-1)
-		for s := q.head; s >= 0; s = x.next[s] {
-			r, ok := queued[s]
+		for s := f.head; s >= 0; s = x.next[s] {
+			obj, ok := queued[s]
 			if !ok {
 				t.Fatalf("interval %d: FIFO %d holds station %d, which has no ready queued request (or appears twice)", at, id, s)
 			}
 			delete(queued, s)
 			seen++
-			if first, _ := st.store.FirstDisk(r.object); int(q.first) != first || int(q.degree) != st.cfg.Degree(r.object) {
+			if first, _ := st.store.FirstDisk(obj); int(f.first) != first || int(f.degree) != st.cfg.Degree(obj) {
 				t.Fatalf("interval %d: station %d (object %d, first disk %d, degree %d) is in the FIFO of (%d, %d)",
-					at, s, r.object, first, st.cfg.Degree(r.object), q.first, q.degree)
+					at, s, obj, first, st.cfg.Degree(obj), f.first, f.degree)
 			}
 			if last >= 0 && x.seq[s] <= x.seq[last] {
 				t.Fatalf("interval %d: FIFO %d is out of sequence order at station %d", at, id, s)
 			}
-			if x.next[s] < 0 && q.tail != s {
-				t.Fatalf("interval %d: FIFO %d ends at station %d but its tail is %d", at, id, s, q.tail)
+			if x.next[s] < 0 && f.tail != s {
+				t.Fatalf("interval %d: FIFO %d ends at station %d but its tail is %d", at, id, s, f.tail)
 			}
 			last = s
 		}
 	}
-	for s, r := range queued {
-		t.Fatalf("interval %d: ready request of station %d (object %d) is missing from the index (%d linked)", at, s, r.object, seen)
+	for s, obj := range queued {
+		t.Fatalf("interval %d: ready request of station %d (object %d) is missing from the index (%d linked)", at, s, obj, seen)
 	}
 }
 
@@ -301,6 +300,7 @@ func runAdmissionCase(t testing.TB, c admissionCase, oracle func(*stripedTech)) 
 		}
 	})
 	e.stepCheck = func() {
+		checkQueue(t, e)
 		checkStriped(t, e)
 		if e.downCount > 0 {
 			run.down++

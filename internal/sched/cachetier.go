@@ -52,20 +52,20 @@ func (e *Engine) bindCache() {
 // still queued within the batch window, waits as pending and boards
 // the leader's stream at admission.  Reports whether the request was
 // absorbed by the tier.
-func (e *Engine) tryCacheServe(req request) bool {
-	e.cache.Reference(req.object, e.now)
+func (e *Engine) tryCacheServe(s, obj int) bool {
+	e.cache.Reference(obj, e.now)
 	window := e.cfg.Cache.BatchWindow
 	if window <= 0 {
 		return false
 	}
-	if _, ok := e.cache.AttachGap(req.object, e.now, window); ok {
+	if _, ok := e.cache.AttachGap(obj, e.now, window); ok {
 		e.servedCache++
-		e.cacheHitBytes += e.cache.Bytes(req.object)
-		e.startFollower(req.station, req.object, e.now+e.cfg.Subobjects, 0)
+		e.cacheHitBytes += e.cache.Bytes(obj)
+		e.startFollower(s, obj, e.now+e.cfg.Subobjects, 0)
 		return true
 	}
-	if e.pinned[req.object] > 0 && e.now-int(e.batchAnchor[req.object]) <= window {
-		e.cache.AddPending(req.object, int32(req.station), int32(req.arrived))
+	if e.pinned[obj] > 0 && e.now-int(e.batchAnchor[obj]) <= window {
+		e.cache.AddPending(obj, int32(s), int32(e.now))
 		e.pendingFollowers++
 		return true
 	}
@@ -88,46 +88,47 @@ func (e *Engine) startFollower(st, obj, endAt, latIntervals int) {
 	e.emit(EvAdmit, obj, st, "follower")
 }
 
-// noteAdmit records one admission: latency, the cache-hit discount,
-// the leader registration, and the boarding of pending batched
-// followers.  The techniques call it at every admission; with the
-// cache disabled it only adds the wait to the latency tally.
-func (e *Engine) noteAdmit(r request, tmax int) {
+// noteAdmit records the admission of station s's queued request:
+// latency, the cache-hit discount, the leader registration, and the
+// boarding of pending batched followers.  The techniques call it at
+// every admission; with the cache disabled it only adds the wait to
+// the latency tally.
+func (e *Engine) noteAdmit(s int32, tmax int) {
 	e.admittedTotal++
-	wait := e.now - r.arrived
+	obj, wait := int(e.queue.node[s].obj), e.now-int(e.queue.node[s].at)
 	if e.cache == nil {
 		e.latency.Add(float64(wait) * e.cfg.IntervalSeconds())
 		return
 	}
-	res := e.cache.Resident(r.object)
+	res := e.cache.Resident(obj)
 	lat := wait
 	if res {
 		// The pinned prefix plays while the disk streams start: up to
 		// PrefixLen intervals of queueing are invisible to the viewer.
 		e.servedCache++
-		e.cacheHitBytes += e.cache.Bytes(r.object)
+		e.cacheHitBytes += e.cache.Bytes(obj)
 		if lat -= e.cache.PrefixLen(); lat < 0 {
 			lat = 0
 		}
 	}
 	e.latency.Add(float64(lat) * e.cfg.IntervalSeconds())
 	end := e.now + tmax + e.cfg.Subobjects
-	e.cache.SetLeader(r.object, int32(r.station), e.now, end, tmax)
+	e.cache.SetLeader(obj, s, e.now, end, tmax)
 	if e.cfg.Cache.BatchWindow <= 0 {
 		return
 	}
-	e.pendingBuf = e.cache.TakePending(r.object, e.pendingBuf[:0])
+	e.pendingBuf = e.cache.TakePending(obj, e.pendingBuf[:0])
 	for _, p := range e.pendingBuf {
 		e.pendingFollowers--
 		plat := e.now - int(p.Arrived)
 		if res {
 			e.servedCache++
-			e.cacheHitBytes += e.cache.Bytes(r.object)
+			e.cacheHitBytes += e.cache.Bytes(obj)
 			if plat -= e.cache.PrefixLen(); plat < 0 {
 				plat = 0
 			}
 		}
-		e.startFollower(int(p.Station), r.object, end, plat)
+		e.startFollower(int(p.Station), obj, end, plat)
 	}
 }
 
@@ -207,14 +208,9 @@ func (e *Engine) cacheStagingAborted(object int) {
 		if e.pinned[object] == 0 {
 			e.batchAnchor[object] = p.Arrived
 		}
-		req := request{station: int(p.Station), object: object, arrived: int(p.Arrived)}
 		// Already counted in requests at original arrival — this is the
 		// queueing tail of record, not a new reference.
-		e.queue = append(e.queue, req)
-		e.pinned[object]++
-		e.lfu.Touch(object)
-		e.emit(EvRequest, object, req.station, "follower detached")
-		e.tech.onEnqueue(req)
+		e.queueRequest(int(p.Station), object, int(p.Arrived), "follower detached")
 	}
 }
 

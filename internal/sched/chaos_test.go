@@ -106,6 +106,7 @@ func TestChaos(t *testing.T) {
 				checkLedger(t, e)
 				checkInFlight(t, e)
 				checkBounds(t, e)
+				checkQueue(t, e)
 				checkStriped(t, e)
 			}
 			res, runErr := e.RunChecked()
@@ -151,9 +152,9 @@ func TestChaos(t *testing.T) {
 			if out := e.stn.Outstanding(); out != cfg.Stations {
 				t.Errorf("stuck stations: %d outstanding of %d", out, cfg.Stations)
 			}
-			if got := len(e.queue) + active; got != cfg.Stations {
+			if got := e.QueuedRequests() + active; got != cfg.Stations {
 				t.Errorf("station accounting: queue %d + active %d != stations %d",
-					len(e.queue), active, cfg.Stations)
+					e.QueuedRequests(), active, cfg.Stations)
 			}
 
 			// The fault masks must return to the plan's terminal state:
@@ -219,6 +220,7 @@ func TestShardedChaos(t *testing.T) {
 				checkLedger(t, e)
 				checkInFlight(t, e)
 				checkBounds(t, e)
+				checkQueue(t, e)
 				checkStriped(t, e)
 			}
 			_, runErr := e.RunChecked()
@@ -232,9 +234,9 @@ func TestShardedChaos(t *testing.T) {
 			}
 			// Closed loop: every station is queued or in delivery.
 			active := e.tech.activeDisplays()
-			if got := len(e.queue) + active; got != cfg.Stations {
+			if got := e.QueuedRequests() + active; got != cfg.Stations {
 				t.Errorf("station accounting: queue %d + active %d != stations %d",
-					len(e.queue), active, cfg.Stations)
+					e.QueuedRequests(), active, cfg.Stations)
 			}
 		})
 	}

@@ -33,7 +33,7 @@ func (e *Engine) ActiveDisplays() int {
 
 // QueuedRequests returns the number of admitted references still
 // waiting in the disk queue.
-func (e *Engine) QueuedRequests() int { return len(e.queue) }
+func (e *Engine) QueuedRequests() int { return e.queue.n }
 
 // IdleStations returns how many stations an open-workload engine has
 // free; a closed-loop engine (every station always cycling) reports 0.
@@ -61,28 +61,31 @@ func (e *Engine) HoldsObject(id int) bool {
 // object: the entry point a cluster driver routes its shared Poisson
 // arrival stream through (TechniqueInfo.NewMember).  The request
 // occupies an idle station; with every station busy the arrival is
-// refused and counted in OpenRejected.  Must be called between
-// intervals on the stepping goroutine; the request is enqueued at the
-// engine's current interval.
-func (e *Engine) InjectArrival(object int) bool {
+// refused and counted in OpenRejected, and InjectArrival reports
+// false.  Must be called between intervals on the stepping goroutine;
+// the request is enqueued at the engine's current interval.  A
+// closed-loop engine returns ErrInjectClosedLoop, a dead one
+// ErrInjectDead and an object outside the catalog ErrInjectObject,
+// and none of them is changed.
+func (e *Engine) InjectArrival(object int) (bool, error) {
 	if e.open == nil {
-		panic("sched: InjectArrival on a closed-loop engine")
+		return false, ErrInjectClosedLoop
 	}
 	if e.dead {
-		panic("sched: InjectArrival on a dead engine")
+		return false, ErrInjectDead
 	}
 	if object < 0 || object >= e.cfg.Objects {
-		panic("sched: InjectArrival object out of range")
+		return false, fmt.Errorf("%w: object %d of %d", ErrInjectObject, object, e.cfg.Objects)
 	}
 	n := len(e.open.idle)
 	if n == 0 {
 		e.open.rejected++
 		e.open.rejectedTotal++
-		return false
+		return false, nil
 	}
 	s := e.open.idle[n-1]
 	e.open.idle = e.open.idle[:n-1]
-	r := e.stn.IssueObject(s, object, float64(e.now)*e.cfg.IntervalSeconds())
-	e.record(request{station: r.Station, object: r.Object, arrived: e.now})
-	return true
+	e.stn.Take(s)
+	e.record(s, object)
+	return true, nil
 }

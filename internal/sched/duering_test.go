@@ -101,6 +101,42 @@ func checkLedger(t testing.TB, e *Engine) {
 	}
 }
 
+// checkQueue is the per-interval check of the request queue's list:
+// the links are symmetric and end at the head and the tail, a walk from
+// the head meets QueuedRequests() stations, none twice and each with a
+// request outstanding, and under striping the sequence numbers rise
+// along it, the order the indexed probe sorts its candidates by.
+func checkQueue(t testing.TB, e *Engine) {
+	t.Helper()
+	at, q := e.now-1, &e.queue
+	st, _ := e.tech.(*stripedTech)
+	seen := make([]bool, len(q.node))
+	n, prev := 0, int32(-1)
+	for s := q.head; s >= 0; s = q.node[s].next {
+		if seen[s] {
+			t.Fatalf("interval %d: station %d is queued twice", at, s)
+		}
+		seen[s] = true
+		n++
+		if q.node[s].prev != prev {
+			t.Fatalf("interval %d: station %d follows %d in the queue but links back to %d", at, s, prev, q.node[s].prev)
+		}
+		if !e.stn.Busy(int(s)) {
+			t.Fatalf("interval %d: queued station %d has no request outstanding", at, s)
+		}
+		if st != nil && prev >= 0 && st.idx.seq[s] <= st.idx.seq[prev] {
+			t.Fatalf("interval %d: sequence numbers do not rise along the queue at station %d", at, s)
+		}
+		prev = s
+	}
+	if q.tail != prev {
+		t.Fatalf("interval %d: the queue ends at station %d but its tail is %d", at, prev, q.tail)
+	}
+	if n != e.QueuedRequests() {
+		t.Fatalf("interval %d: a walk of the queue meets %d stations, QueuedRequests reports %d", at, n, e.QueuedRequests())
+	}
+}
+
 // checkBounds is the per-interval check of a run's hard limits: no
 // hiccup so far, and the memory tier's pinned prefixes within its
 // budget.
@@ -262,6 +298,7 @@ func runKillRevive(t *testing.T, key string) killReviveRun {
 		checkLedger(t, e)
 		checkInFlight(t, e)
 		checkBounds(t, e)
+		checkQueue(t, e)
 		checkStriped(t, e)
 		for c, end := range jobEnds {
 			if end >= 0 && int(end) != e.now-1 && (vdr.job[c] == jobIdle || vdr.busyUntil[c] != end) {

@@ -10,11 +10,49 @@ import (
 	"github.com/mmsim/staggered/internal/workload"
 )
 
-// request is one station's pending object reference.
-type request struct {
-	station int
-	object  int
-	arrived int // interval
+// requestQueue is the admission queue in arrival order: a doubly
+// linked list over stations.  A station has at most one outstanding
+// request (workload.Stations), so it is the request's node and handle;
+// a request joins at the tail and leaves from anywhere in O(1).  Its
+// object and arrival stay readable after the unlink until the station
+// queues again: a deferred refusal reads them there.
+type requestQueue struct {
+	node       []queueNode // station -> its node
+	head, tail int32       // stations, -1 when empty
+	n          int
+}
+
+type queueNode struct {
+	prev, next int32 // neighbours in the queue, -1 at the ends
+	obj, at    int32 // queued object, arrival interval
+}
+
+// push appends station s's request for obj, arrived at interval at.
+func (q *requestQueue) push(s, obj, at int32) {
+	q.node[s] = queueNode{prev: q.tail, next: -1, obj: obj, at: at}
+	if q.tail < 0 {
+		q.head = s
+	} else {
+		q.node[q.tail].next = s
+	}
+	q.tail = s
+	q.n++
+}
+
+// unlink removes station s's request.
+func (q *requestQueue) unlink(s int32) {
+	p, n := q.node[s].prev, q.node[s].next
+	if p < 0 {
+		q.head = n
+	} else {
+		q.node[p].next = n
+	}
+	if n < 0 {
+		q.tail = p
+	} else {
+		q.node[n].prev = p
+	}
+	q.n--
 }
 
 // Technique is the policy half of an interval engine: everything that
@@ -37,9 +75,9 @@ type Technique interface {
 	// bind wires the technique to its engine: validate geometry,
 	// allocate stores and event buckets, and preload the farm.
 	bind(e *Engine) error
-	// onEnqueue observes a newly queued reference, after the engine
-	// has recorded it (queue, pin count, LFU touch, trace event).
-	onEnqueue(req request)
+	// onEnqueue observes station s's newly queued reference, after the
+	// engine has recorded it (queue, pin count, LFU touch, trace event).
+	onEnqueue(s int32)
 	// onFault observes one effective fault transition, after the
 	// engine has updated its masks: reconcile technique state — abort
 	// or degrade in-flight work touching the faulted component.  The
@@ -104,9 +142,10 @@ type Engine struct {
 
 	primed bool // Prime has run: stations seeded
 
-	queue      []request
+	queue      requestQueue
 	pinned     []int32 // object -> queued request count
 	reissueBuf []int   // stations to reissue after completions
+	rejectBuf  []int32 // stations whose refusal waits for the end of a queue walk
 
 	now    int
 	tracer Tracer
@@ -223,6 +262,7 @@ func newEngine(cfg Config, tech Technique, member bool, preload []int) (*Engine,
 		stn:     workload.NewStations(gen),
 		member:  member,
 		preload: preload,
+		queue:   requestQueue{node: make([]queueNode, cfg.Stations), head: -1, tail: -1},
 		pinned:  make([]int32, cfg.Objects),
 	}
 	_, maxDegree := cfg.degreeRange()
@@ -253,28 +293,34 @@ func (e *Engine) TechniqueName() string { return e.techName }
 
 // enqueue issues a new reference for station s.
 func (e *Engine) enqueue(s int) {
-	r := e.stn.Issue(s, float64(e.now)*e.cfg.IntervalSeconds())
-	e.record(request{station: r.Station, object: r.Object, arrived: e.now})
+	e.record(s, e.stn.Issue(s))
 }
 
-// record admits a drawn reference into the engine: queue, pin count,
-// LFU touch, trace event, technique notification.  It is the tail of
-// enqueue and of InjectArrival.
-func (e *Engine) record(req request) {
+// record admits station s's reference to obj, drawn now, into the
+// engine: the cache tier's chance to serve it, then the queue.  It is
+// the tail of enqueue and of InjectArrival.
+func (e *Engine) record(s, obj int) {
 	e.requests++
 	if e.cache != nil {
-		if e.tryCacheServe(req) {
+		if e.tryCacheServe(s, obj) {
 			return
 		}
-		if e.batchAnchor != nil && e.pinned[req.object] == 0 {
-			e.batchAnchor[req.object] = int32(req.arrived)
+		if e.batchAnchor != nil && e.pinned[obj] == 0 {
+			e.batchAnchor[obj] = int32(e.now)
 		}
 	}
-	e.queue = append(e.queue, req)
-	e.pinned[req.object]++
-	e.lfu.Touch(req.object)
-	e.emit(EvRequest, req.object, req.station, "")
-	e.tech.onEnqueue(req)
+	e.queueRequest(s, obj, e.now, "")
+}
+
+// queueRequest appends station s's reference to obj, arrived at
+// interval at, to the queue: pin count, LFU touch, trace event,
+// technique notification.
+func (e *Engine) queueRequest(s, obj, at int, note string) {
+	e.queue.push(int32(s), int32(obj), int32(at))
+	e.pinned[obj]++
+	e.lfu.Touch(obj)
+	e.emit(EvRequest, obj, s, note)
+	e.tech.onEnqueue(int32(s))
 }
 
 // reissue frees station s after its display.  In the open system the
@@ -431,18 +477,30 @@ func (e *Engine) countAbort(s, object int) {
 	}
 }
 
-// countReject refuses an admission because the object's layout
-// touches a failed disk; the station's reference completes unserved
-// and the station rejoins the closed loop.
-func (e *Engine) countReject(r request) {
-	e.pinned[r.object]--
-	e.rejectedDeg++
-	e.stn.Complete(r.station)
-	e.emit(EvReject, r.object, r.station, "")
-	e.reissue(r.station)
-	if e.cache != nil && e.pinned[r.object] == 0 {
-		e.rejectPending(r.object)
+// deferReject unlinks station s's request in a queue walk and defers
+// its refusal to flushRejects: a refusal reissues the station, which
+// must join the queue behind the walk, not inside it.
+func (e *Engine) deferReject(s int32) {
+	e.rejectBuf = append(e.rejectBuf, s)
+	e.queue.unlink(s)
+}
+
+// flushRejects refuses the deferred requests in queue order: each
+// object's layout touches a failed disk, so the reference completes
+// unserved and the station rejoins the closed loop.
+func (e *Engine) flushRejects() {
+	for _, s := range e.rejectBuf {
+		obj := int(e.queue.node[s].obj)
+		e.pinned[obj]--
+		e.rejectedDeg++
+		e.stn.Complete(int(s))
+		e.emit(EvReject, obj, int(s), "")
+		e.reissue(int(s))
+		if e.cache != nil && e.pinned[obj] == 0 {
+			e.rejectPending(obj)
+		}
 	}
+	e.rejectBuf = e.rejectBuf[:0]
 }
 
 // countStarved records a materialization abandoned at the Place retry

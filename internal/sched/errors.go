@@ -10,8 +10,9 @@ import (
 // cluster driver retrying a member must build a fresh one instead.
 var ErrAlreadyRun = errors.New("sched: engine already run")
 
-// The misuses of the failover surface (Engine.Kill, Engine.Revive).
-// Each is returned as is, or wrapped with detail, so errors.Is matches.
+// The misuses of the failover surface (Engine.Kill, Engine.Revive) and
+// of a member's queue entry point (Engine.InjectArrival).  Each is
+// returned as is, or wrapped with detail, so errors.Is matches.
 var (
 	// ErrKillDead: Kill on an engine that is already dead.
 	ErrKillDead = errors.New("sched: Kill on a dead engine")
@@ -22,6 +23,14 @@ var (
 	ErrReviveLive = errors.New("sched: Revive on a live engine")
 	// ErrReviveEarly: Revive at an interval before the kill.
 	ErrReviveEarly = errors.New("sched: Revive before the kill interval")
+	// ErrInjectClosedLoop: InjectArrival on a closed-loop engine, whose
+	// stations issue their own requests.
+	ErrInjectClosedLoop = errors.New("sched: InjectArrival on a closed-loop engine")
+	// ErrInjectDead: InjectArrival on a killed engine.
+	ErrInjectDead = errors.New("sched: InjectArrival on a dead engine")
+	// ErrInjectObject: InjectArrival for an object outside the catalog,
+	// wrapped with the object id.
+	ErrInjectObject = errors.New("sched: InjectArrival object out of range")
 )
 
 // StarvationError reports that materializations were abandoned at the

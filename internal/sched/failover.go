@@ -63,14 +63,15 @@ func (e *Engine) Kill() (KillReport, error) {
 	e.orphaned += rep.Aborted
 	// Queued requests never started: their stations free up here and
 	// their objects go to the cluster for re-admission, FIFO.
-	for _, r := range e.queue {
-		e.pinned[r.object]--
-		e.stn.Complete(r.station)
-		e.emit(EvReject, r.object, r.station, "orphaned")
-		e.reissue(r.station)
-		rep.Orphans = append(rep.Orphans, r.object)
+	for s := e.queue.head; s >= 0; s = e.queue.head {
+		obj := int(e.queue.node[s].obj)
+		e.queue.unlink(s)
+		e.pinned[obj]--
+		e.stn.Complete(int(s))
+		e.emit(EvReject, obj, int(s), "orphaned")
+		e.reissue(int(s))
+		rep.Orphans = append(rep.Orphans, obj)
 	}
-	e.queue = e.queue[:0]
 	// Batched pending requests waiting on a queued leader drain the
 	// same way, ascending object order.
 	if e.cache != nil {

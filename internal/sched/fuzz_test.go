@@ -128,6 +128,7 @@ func runFuzzCase(t *testing.T, e *Engine, m *fuzzMember) {
 		checkLedger(t, e)
 		checkInFlight(t, e)
 		checkBounds(t, e)
+		checkQueue(t, e)
 		checkStriped(t, e)
 	}
 	if m == nil {

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -124,6 +126,75 @@ func TestKillReviveMisuse(t *testing.T) {
 			}
 			if e.Dead() != c.wantDead {
 				t.Fatalf("engine dead = %v after the refused call, want %v", e.Dead(), c.wantDead)
+			}
+		})
+	}
+}
+
+// TestInjectArrivalMisuse pins the member queue entry point's three
+// misuses as sentinel errors that leave the engine as it was: an
+// arrival on a closed-loop engine, on a dead one, and for an object
+// outside the catalog, whose error names the object.
+func TestInjectArrivalMisuse(t *testing.T) {
+	cfg := smallConfig(8, 10)
+	ti, _ := TechniqueByKey("striped")
+	member := func(t *testing.T) *Engine {
+		e, err := ti.NewMember(cfg, []int{0, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Prime()
+		if _, err := e.InjectArrival(2); err != nil {
+			t.Fatal(err)
+		}
+		e.StepOne()
+		return e
+	}
+	cases := []struct {
+		name   string
+		engine func(t *testing.T) *Engine
+		object int
+		want   error
+	}{
+		{"closed loop", func(t *testing.T) *Engine {
+			e, err := ti.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.StepOne()
+			return e
+		}, 0, ErrInjectClosedLoop},
+		{"dead", func(t *testing.T) *Engine {
+			e := member(t)
+			if _, err := e.Kill(); err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}, 0, ErrInjectDead},
+		{"object below range", member, -1, ErrInjectObject},
+		{"object above range", member, cfg.Objects, ErrInjectObject},
+	}
+	// state is what an injection changes.
+	state := func(e *Engine) [6]int {
+		rejected := -1
+		if e.open != nil {
+			rejected = e.open.rejectedTotal
+		}
+		return [6]int{e.requests, e.QueuedRequests(), e.IdleStations(), e.stn.TotalIssued(), rejected, e.Now()}
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := c.engine(t)
+			before := state(e)
+			ok, err := e.InjectArrival(c.object)
+			if !errors.Is(err, c.want) || ok {
+				t.Fatalf("got (%v, %v), want (false, %v)", ok, err, c.want)
+			}
+			if c.want == ErrInjectObject && !strings.Contains(err.Error(), fmt.Sprintf("object %d", c.object)) {
+				t.Fatalf("error %q does not name object %d", err, c.object)
+			}
+			if after := state(e); after != before {
+				t.Fatalf("the refused arrival changed the engine: %v before, %v after", before, after)
 			}
 		})
 	}

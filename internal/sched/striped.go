@@ -86,22 +86,19 @@ type stripedTech struct {
 
 	ready []bool // object resident and fully materialized
 
-	// Event-driven admission (admitindex.go).  lastLen is the queue
-	// length after the last scan, so e.queue[lastLen:] are the entries
-	// queued since; dropped records that the tertiary device dropped
-	// requests since then, so every cold entry needs a new Request.
-	idx      readyIndex
-	lastLen  int
-	dropped  bool
-	admitPos []int32  // scratch: queue positions admitted this scan, ascending
-	cands    []uint64 // scratch: FIFO heads to probe, sequence<<32 | FIFO id
-	work     admitWork
+	// Event-driven admission (admitindex.go).  fresh is the first
+	// station queued since the last scan, -1 when none: it and the
+	// stations behind it need a tertiary Request.  When the device
+	// drops its requests, every cold entry needs a new one, so fresh
+	// moves back to the queue head.
+	idx   readyIndex
+	fresh int32
+	cands []readyCand // scratch: FIFO heads to probe
+	work  admitWork
 
 	// fullScan forces scanAdmit in every interval: the oracle the
 	// indexed path is tested against.  Only tests set it.
 	fullScan bool
-
-	rejectBuf []request // unplayable admissions, refused after the queue swap
 
 	// Event calendars.  Entries may be stale (a coalescing move
 	// reschedules a release, a fault or a Kill aborts the display);
@@ -176,6 +173,7 @@ func (t *stripedTech) bind(e *Engine) error {
 	}
 	t.byObject = make([]int32, cfg.Objects)
 	t.idx = newReadyIndex(cfg.Stations, cfg.D)
+	t.fresh = -1
 	t.ready = make([]bool, cfg.Objects)
 	t.releases = newDueRing[streamRef](e.horizon)
 	t.completions = newDueRing[int32](e.horizon)
@@ -224,17 +222,20 @@ func (t *stripedTech) bind(e *Engine) error {
 	// stages nothing allocates no index state while it steps.
 	n := len(t.idx.fifos)
 	t.idx.live = make([]int32, 0, n)
-	t.cands = make([]uint64, 0, n)
-	t.admitPos = make([]int32, 0, n)
+	t.cands = make([]readyCand, 0, n)
 	return nil
 }
 
 func (t *stripedTech) name() string { return StripingTechniqueName(t.cfg) }
 
-func (t *stripedTech) onEnqueue(r request) {
-	t.idx.stamp(r.station)
-	if t.ready[r.object] && !t.idx.dirty {
-		t.idx.push(int32(r.station), t.fifoOfObject(r.object))
+func (t *stripedTech) onEnqueue(s int32) {
+	t.idx.seq[s] = t.idx.nextSeq
+	t.idx.nextSeq++
+	if t.fresh < 0 {
+		t.fresh = s
+	}
+	if obj := int(t.eng.queue.node[s].obj); t.ready[obj] && !t.idx.dirty {
+		t.idx.push(s, t.fifoOfObject(obj))
 	}
 }
 
@@ -354,8 +355,8 @@ func (t *stripedTech) abortDisplay(d int32) {
 // drains the queue right after), then every in-flight display aborts
 // through the same typed path a disk fault uses.  Pooled slots have
 // dDone set, so the arena walk naturally skips them.  After the walk
-// every virtual disk is free, and the ready index is marked for a
-// rebuild from the (about to be drained) queue.
+// every virtual disk is free, the ready index is marked for a rebuild,
+// and no entry of the queue, about to be drained, counts as fresh.
 func (t *stripedTech) killActive() {
 	if t.matObject >= 0 {
 		t.abortStaging()
@@ -365,7 +366,7 @@ func (t *stripedTech) killActive() {
 			t.abortDisplay(d)
 		}
 	}
-	t.idx.dirty, t.lastLen, t.dropped = true, 0, true
+	t.idx.dirty, t.fresh = true, -1
 }
 
 // adoptObject places a copy of id for the replica-healing pass without
@@ -403,7 +404,7 @@ func (t *stripedTech) abortStaging() {
 	t.matStarted = false
 	t.matRetries, t.matNextTry, t.matPressured = 0, 0, false
 	t.eng.tman.Abort()
-	t.dropped = true
+	t.fresh = t.eng.queue.head
 }
 
 // playable reports whether an object's resident layout avoids every
@@ -673,7 +674,7 @@ func (t *stripedTech) placeFailed(obj int) {
 		t.matObject = -1
 		t.matRetries, t.matNextTry, t.matPressured = 0, 0, false
 		e.tman.Abort()
-		t.dropped = true
+		t.fresh = e.queue.head
 		return
 	}
 	// Exponential backoff, capped at 16 intervals: the farm only
@@ -780,40 +781,25 @@ const fragmentedAttemptsPerInterval = 8
 // tested against (fullScan), and leaves the ready index to be rebuilt.
 func (t *stripedTech) scanAdmit() {
 	e := t.eng
-	kept := e.queue[:0]
+	q := &e.queue
 	fragBudget := fragmentedAttemptsPerInterval
-	for _, r := range e.queue {
+	for s, next := q.head, int32(0); s >= 0; s = next {
+		next = q.node[s].next
 		t.work.touched++
-		if !t.ready[r.object] {
-			e.tman.Request(r.object)
-			kept = append(kept, r)
+		obj := int(q.node[s].obj)
+		if !t.ready[obj] {
+			e.tman.Request(obj)
 			continue
 		}
-		switch t.admitEntry(r, &fragBudget) {
+		switch t.admitEntry(s, &fragBudget) {
 		case entryAdmitted:
-			continue
+			q.unlink(s)
 		case entryRejected:
-			// Deferred past the queue swap — kept aliases the queue's
-			// backing array, and the rejection path reissues the
-			// station, which must append to the NEW queue.
-			t.rejectBuf = append(t.rejectBuf, r)
-			continue
+			e.deferReject(s)
 		}
-		kept = append(kept, r)
 	}
-	e.queue = kept
-	t.lastLen, t.dropped, t.idx.dirty = len(kept), false, true
-	t.flushRejects()
-}
-
-// flushRejects refuses the buffered unplayable requests in queue
-// order.  The refusals run after the queue swap: the rejection path
-// reissues the station, which must append to the new queue.
-func (t *stripedTech) flushRejects() {
-	for _, r := range t.rejectBuf {
-		t.eng.countReject(r)
-	}
-	t.rejectBuf = t.rejectBuf[:0]
+	t.fresh, t.idx.dirty = -1, true
+	e.flushRejects()
 }
 
 // entryVerdict is what the per-entry admission path did with a request.
@@ -830,15 +816,16 @@ const (
 // the indexed probe.  An unplayable request is refused before any
 // probe or Algorithm-1 budget use; one whose object needs more disks
 // than the whole farm has free is kept without probing.
-func (t *stripedTech) admitEntry(r request, fragBudget *int) entryVerdict {
-	if !t.playable(r.object) {
+func (t *stripedTech) admitEntry(s int32, fragBudget *int) entryVerdict {
+	obj := int(t.eng.queue.node[s].obj)
+	if !t.playable(obj) {
 		// The layout's stride orbit crosses a down disk: admitting
 		// would guarantee hiccups or an abort, so refuse instead.
 		return entryRejected
 	}
-	first, _ := t.store.FirstDisk(r.object) // ready ⇒ resident
-	if m := t.cfg.Degree(r.object); t.cfg.D-t.busy >= m && t.tryAdmit(r, first, m, fragBudget) {
-		t.eng.pinned[r.object]--
+	first, _ := t.store.FirstDisk(obj) // ready ⇒ resident
+	if m := t.cfg.Degree(obj); t.cfg.D-t.busy >= m && t.tryAdmit(s, first, m, fragBudget) {
+		t.eng.pinned[obj]--
 		return entryAdmitted
 	}
 	return entryKept
@@ -847,10 +834,10 @@ func (t *stripedTech) admitEntry(r request, fragBudget *int) entryVerdict {
 // tryAdmit attempts a contiguous admission, falling back to
 // time-fragmented admission (Algorithm 1) for the queue head under
 // the staggered technique.
-func (t *stripedTech) tryAdmit(r request, first, m int, fragBudget *int) bool {
+func (t *stripedTech) tryAdmit(s int32, first, m int, fragBudget *int) bool {
 	// Contiguous: the M disks of subobject 0 must be free right now.
 	if !t.windowFree(first, m) {
-		return t.tryFragmented(r, first, m, fragBudget)
+		return t.tryFragmented(s, first, m, fragBudget)
 	}
 	vids := t.vidScratch[:m]
 	v := t.vdiskOf(first)
@@ -860,14 +847,14 @@ func (t *stripedTech) tryAdmit(r request, first, m int, fragBudget *int) bool {
 			v = 0
 		}
 	}
-	t.start(r, first, vids, t.zeroTs[:m], 0)
+	t.start(s, first, vids, t.zeroTs[:m], 0)
 	return true
 }
 
 // tryFragmented runs the Algorithm-1 time-fragmented admission: a
 // walk along each stream's stride orbit in virtual-disk space, on the
 // free bitset itself, bounded by the startup limit.
-func (t *stripedTech) tryFragmented(r request, first, m int, fragBudget *int) bool {
+func (t *stripedTech) tryFragmented(s int32, first, m int, fragBudget *int) bool {
 	if !t.staggered || *fragBudget <= 0 {
 		return false
 	}
@@ -881,20 +868,22 @@ func (t *stripedTech) tryFragmented(r request, first, m int, fragBudget *int) bo
 	if !ok {
 		return false
 	}
-	t.start(r, first, vids, ts, tmax)
+	t.start(s, first, vids, ts, tmax)
 	return true
 }
 
-// start activates a display on the given virtual disks and schedules
-// its future events: one release per stream and one completion.
-func (t *stripedTech) start(r request, first int, vids, ts []int, tmax int) {
+// start activates a display of station s's queued request on the
+// given virtual disks and schedules its future events: one release per
+// stream and one completion.
+func (t *stripedTech) start(s int32, first int, vids, ts []int, tmax int) {
 	e := t.eng
+	obj := e.queue.node[s].obj
 	n := t.cfg.Subobjects
 	d := t.allocSlot()
 	t.dSeq[d] = t.nextSeq
 	t.nextSeq++
-	t.dStation[d] = int32(r.station)
-	t.dObject[d] = int32(r.object)
+	t.dStation[d] = s
+	t.dObject[d] = obj
 	t.dFirst[d] = int32(first)
 	t.dTau0[d] = int32(e.now)
 	t.dTmax[d] = int32(tmax)
@@ -917,10 +906,10 @@ func (t *stripedTech) start(r request, first int, vids, ts []int, tmax int) {
 	}
 	t.completions.add(e.now, e.now+tmax+n, d) // deliveryEnd + 1
 	t.active++
-	t.byObject[r.object]++
-	e.noteAdmit(r, tmax)
+	t.byObject[obj]++
+	e.noteAdmit(s, tmax)
 	if e.tracer != nil {
-		e.emit(EvAdmit, r.object, r.station, fmt.Sprintf("first=%d tmax=%d", first, tmax))
+		e.emit(EvAdmit, int(obj), int(s), fmt.Sprintf("first=%d tmax=%d", first, tmax))
 	}
 }
 

@@ -57,10 +57,9 @@ type vdrTech struct {
 
 	// Degraded-mode state, allocated only when a fault plan is set so
 	// the fault-free hot path keeps its nil checks free.
-	clusterBad  []int     // cluster -> down disks in it
-	clusterSlow []int     // cluster -> slow disks in it
-	jobDegraded []int     // cluster -> consecutive degraded display intervals
-	rejectBuf   []request // unservable admissions, refused after the queue swap
+	clusterBad  []int // cluster -> down disks in it
+	clusterSlow []int // cluster -> slow disks in it
+	jobDegraded []int // cluster -> consecutive degraded display intervals
 
 	totalRefs int64 // references issued, for popularity shares
 
@@ -176,7 +175,7 @@ func (t *vdrTech) bind(e *Engine) error {
 
 func (t *vdrTech) name() string { return VDRName }
 
-func (t *vdrTech) onEnqueue(request) { t.totalRefs++ }
+func (t *vdrTech) onEnqueue(int32) { t.totalRefs++ }
 
 // interval runs one interval of VDR policy: cluster job endings,
 // tertiary progress, then the admission scan; it returns the busy
@@ -606,37 +605,29 @@ func (t *vdrTech) executePlan(c int, drop []int) bool {
 // manager.
 func (t *vdrTech) admit() {
 	e := t.eng
-	kept := e.queue[:0]
-	for _, r := range e.queue {
-		if !t.store.Resident(r.object) {
-			if t.matObject != r.object {
-				e.tman.Request(r.object)
+	q := &e.queue
+	for s, next := q.head, int32(0); s >= 0; s = next {
+		next = q.node[s].next
+		obj := int(q.node[s].obj)
+		if !t.store.Resident(obj) {
+			if t.matObject != obj {
+				e.tman.Request(obj)
 			}
-			kept = append(kept, r)
 			continue
 		}
-		if e.downCount > 0 && !t.anyLiveReplica(r.object) {
+		if e.downCount > 0 && !t.anyLiveReplica(obj) {
 			// Every replica sits behind a down disk: refuse rather than
-			// queue forever.  Deferred past the queue swap — kept
-			// aliases the queue's backing array, and the rejection path
-			// reissues the station into the NEW queue.
-			t.rejectBuf = append(t.rejectBuf, r)
+			// queue forever.
+			e.deferReject(s)
 			continue
 		}
-		t.maybeReplicate(r.object)
-		if c, ok := t.idleReplica(r.object); ok {
-			t.startDisplay(r, c)
-			continue
+		t.maybeReplicate(obj)
+		if c, ok := t.idleReplica(obj); ok {
+			t.startDisplay(s, c)
+			q.unlink(s)
 		}
-		kept = append(kept, r)
 	}
-	e.queue = kept
-	if len(t.rejectBuf) > 0 {
-		for _, r := range t.rejectBuf {
-			e.countReject(r)
-		}
-		t.rejectBuf = t.rejectBuf[:0]
-	}
+	e.flushRejects()
 }
 
 // idleReplica returns the lowest-indexed idle cluster holding a
@@ -665,17 +656,19 @@ func (t *vdrTech) copiesInFlight(id int) int {
 	return 0
 }
 
-// startDisplay occupies cluster c for one display of r.object.
-func (t *vdrTech) startDisplay(r request, c int) {
+// startDisplay occupies cluster c for one display of station s's
+// queued request.
+func (t *vdrTech) startDisplay(s int32, c int) {
 	e := t.eng
+	obj := int(e.queue.node[s].obj)
 	until := e.now + t.cfg.Subobjects
-	t.setJob(c, jobDisplay, r.object, until)
+	t.setJob(c, jobDisplay, obj, until)
 	t.endings.add(e.now, until, c)
-	t.station[c] = int32(r.station)
-	e.pinned[r.object]--
-	e.noteAdmit(r, 0)
+	t.station[c] = s
+	e.pinned[obj]--
+	e.noteAdmit(s, 0)
 	if e.tracer != nil {
-		e.emit(EvAdmit, r.object, r.station, fmt.Sprintf("cluster=%d", c))
+		e.emit(EvAdmit, obj, int(s), fmt.Sprintf("cluster=%d", c))
 	}
 }
 

@@ -131,16 +131,10 @@ func (g *Generator) TopObjects(n int) []int {
 	return ids
 }
 
-// Request is one station's outstanding object reference.
-type Request struct {
-	Station  int
-	Object   int
-	IssuedAt float64 // simulated seconds
-}
-
 // Stations tracks the closed-loop state: each station is either
-// waiting for a display (has an outstanding Request) or ready to issue
-// its next one.
+// waiting for a display (has an outstanding request) or ready to issue
+// its next one.  The request itself, its object and arrival, is the
+// engine's to keep.
 type Stations struct {
 	gen   *Generator
 	busy  []bool
@@ -152,28 +146,23 @@ func NewStations(gen *Generator) *Stations {
 	return &Stations{gen: gen, busy: make([]bool, gen.Stations())}
 }
 
-// Issue draws the next reference for station s at the given time.  A
-// station must not have two outstanding requests.
-func (s *Stations) Issue(station int, now float64) Request {
-	if s.busy[station] {
-		panic(fmt.Sprintf("workload: station %d already has an outstanding request", station))
-	}
-	s.busy[station] = true
-	s.total++
-	return Request{Station: station, Object: s.gen.Draw(station), IssuedAt: now}
+// Issue draws the next reference for station s and returns its
+// object.  A station must not have two outstanding requests.
+func (s *Stations) Issue(station int) int {
+	s.Take(station)
+	return s.gen.Draw(station)
 }
 
-// IssueObject marks station s busy with an externally chosen object —
-// the cluster layer's dispatch path, where the object was drawn from a
+// Take marks station s busy with an externally chosen object — the
+// cluster layer's dispatch path, where the object was drawn from a
 // shared cluster-wide stream rather than the station's own.  The
 // station's generator stream is not advanced.
-func (s *Stations) IssueObject(station, object int, now float64) Request {
+func (s *Stations) Take(station int) {
 	if s.busy[station] {
 		panic(fmt.Sprintf("workload: station %d already has an outstanding request", station))
 	}
 	s.busy[station] = true
 	s.total++
-	return Request{Station: station, Object: object, IssuedAt: now}
 }
 
 // Complete marks station s idle again (its display finished).
@@ -183,6 +172,9 @@ func (s *Stations) Complete(station int) {
 	}
 	s.busy[station] = false
 }
+
+// Busy reports whether station s has a request outstanding.
+func (s *Stations) Busy(station int) bool { return s.busy[station] }
 
 // Outstanding returns the number of stations with requests in flight.
 func (s *Stations) Outstanding() int {

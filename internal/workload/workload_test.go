@@ -148,20 +148,19 @@ func TestClosedLoopStations(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := NewStations(g)
-	r := st.Issue(0, 1.5)
-	if r.Station != 0 || r.IssuedAt != 1.5 || r.Object < 0 || r.Object >= 100 {
-		t.Fatalf("bad request %+v", r)
+	if obj := st.Issue(0); obj < 0 || obj >= 100 {
+		t.Fatalf("bad object %d", obj)
 	}
 	if st.Outstanding() != 1 || st.TotalIssued() != 1 {
 		t.Fatal("outstanding tracking wrong")
 	}
-	st.Issue(1, 2.0)
+	st.Issue(1)
 	st.Complete(0)
 	if st.Outstanding() != 1 {
 		t.Fatal("completion not tracked")
 	}
 	// Station 0 can issue again.
-	st.Issue(0, 3.0)
+	st.Issue(0)
 	if st.TotalIssued() != 3 {
 		t.Fatal("issue count wrong")
 	}
@@ -173,13 +172,13 @@ func TestDoubleIssuePanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := NewStations(g)
-	st.Issue(0, 0)
+	st.Issue(0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double issue did not panic")
 		}
 	}()
-	st.Issue(0, 1)
+	st.Issue(0)
 }
 
 func TestCompleteIdlePanics(t *testing.T) {

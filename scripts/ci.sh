@@ -19,10 +19,10 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== inlining: the admission hot helpers stay inlinable (DESIGN.md §8)"
+echo "== inlining: the admission hot helpers and the request queue's list operations stay inlinable (DESIGN.md §8)"
 inlined=$(go build -gcflags=-m ./internal/sched 2>&1 | sed -n 's/.*: can inline //p')
 for fn in '(*stripedTech).setVBusy' '(*stripedTech).vdiskOf' '(*stripedTech).windowFree' \
-	'(*readyIndex).push' '(*readyIndex).popHead'; do
+	'(*readyIndex).push' '(*readyIndex).popHead' '(*requestQueue).push' '(*requestQueue).unlink'; do
 	if ! printf '%s\n' "$inlined" | grep -qxF "$fn"; then
 		echo "inlining step: go build -gcflags=-m no longer reports 'can inline $fn'"
 		exit 1
