@@ -278,12 +278,7 @@ func New(cfg Config) (*Sim, error) {
 	src := rng.NewSource(base.Seed)
 	s.arrStream = *src.Stream("cluster/arrivals")
 	s.objStream = *src.Stream("cluster/objects")
-	if base.ZipfSkew > 0 {
-		s.dist, err = rng.Zipf(base.Objects, base.ZipfSkew)
-	} else {
-		s.dist, err = rng.TruncatedGeometric(base.Objects, base.DistMean)
-	}
-	if err != nil {
+	if s.dist, err = base.Popularity(); err != nil {
 		return nil, err
 	}
 	s.meanGap = 3600 / base.ArrivalsPerHour
@@ -322,7 +317,7 @@ func New(cfg Config) (*Sim, error) {
 		if i < len(cfg.ServerFaults) {
 			scfg.Faults = cfg.ServerFaults[i]
 		}
-		e, err := ti.NewMember(scfg, assignments[i])
+		e, err := ti.NewMember(scfg, s.dist, assignments[i])
 		if err != nil {
 			return nil, fmt.Errorf("cluster: server %d: %w", i, err)
 		}

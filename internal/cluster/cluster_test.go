@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -118,6 +119,22 @@ func TestNonFiniteArrivalRateRejected(t *testing.T) {
 	cfg.Base.ArrivalsPerHour = math.Inf(1)
 	if _, err := New(cfg); err == nil {
 		t.Fatal("infinite arrival rate accepted")
+	}
+}
+
+// TestInvalidWearMeanRejected pins that a server wear process or a
+// member's disk wear process built with an invalid mean fails New with
+// fault.ErrWearMean instead of panicking.
+func TestInvalidWearMeanRejected(t *testing.T) {
+	cfg := multiConfig("roundrobin")
+	cfg.ServerPlan = fault.NewPlan().ServerWearProcess([]int{0}, math.NaN(), 10, 500, 1)
+	if _, err := New(cfg); !errors.Is(err, fault.ErrWearMean) {
+		t.Fatalf("server wear with a NaN mttf: New returned %v, want fault.ErrWearMean", err)
+	}
+	cfg = multiConfig("roundrobin")
+	cfg.ServerFaults = []*fault.Plan{nil, fault.NewPlan().WearProcess([]int{0}, 50, 0, 500, 1)}
+	if _, err := New(cfg); !errors.Is(err, fault.ErrWearMean) {
+		t.Fatalf("member wear with a zero mttr: New returned %v, want fault.ErrWearMean", err)
 	}
 }
 

@@ -11,6 +11,7 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -84,13 +85,22 @@ type Event struct {
 // nil are both valid empty plans.
 type Plan struct {
 	events []Event
+	// err is the first builder call that could not schedule its
+	// events (a wear process with an invalid mean); Validate and
+	// ValidateServers return it.
+	err error
 }
+
+// ErrWearMean is the build error of a wear process whose mean time to
+// failure or to repair is not positive and finite.
+var ErrWearMean = errors.New("fault: wear means must be positive and finite")
 
 // NewPlan returns an empty plan.
 func NewPlan() *Plan { return &Plan{} }
 
-// Empty reports whether the plan schedules no events.
-func (p *Plan) Empty() bool { return p == nil || len(p.events) == 0 }
+// Empty reports whether the plan schedules no events and holds no
+// build error, so a caller may skip it.
+func (p *Plan) Empty() bool { return p == nil || len(p.events) == 0 && p.err == nil }
 
 // Len returns the number of scheduled events.
 func (p *Plan) Len() int {
@@ -158,17 +168,23 @@ func (p *Plan) ServerWearProcess(members []int, mttf, mttr float64, horizon int,
 // of the given disks up to the horizon: times to failure and to repair
 // are exponentially distributed with means mttf and mttr (in
 // intervals), drawn from a per-disk stream of the given seed.  The
-// last failure before the horizon may go unrepaired.
+// last failure before the horizon may go unrepaired.  A mean that is
+// not positive and finite schedules nothing: the plan keeps
+// ErrWearMean, and its validation returns it.
 func (p *Plan) WearProcess(disks []int, mttf, mttr float64, horizon int, seed uint64) *Plan {
 	return p.wear("fault-wear", DiskFail, DiskRepair, disks, mttf, mttr, horizon, seed)
 }
 
 // wear appends one alternating fail/repair process per target, each
 // drawn from its own substream of the named stream.  Both means must
-// be positive and finite.
+// be positive and finite; otherwise it schedules nothing and records
+// ErrWearMean on the plan, unless an earlier build error is there.
 func (p *Plan) wear(stream string, fail, repair Kind, targets []int, mttf, mttr float64, horizon int, seed uint64) *Plan {
 	if !validMean(mttf) || !validMean(mttr) {
-		panic("fault: wear means must be positive and finite")
+		if p.err == nil {
+			p.err = fmt.Errorf("%w: %v mttf %v, mttr %v", ErrWearMean, fail, mttf, mttr)
+		}
+		return p
 	}
 	src := rng.NewSource(seed)
 	for _, id := range targets {
@@ -216,10 +232,14 @@ func (p *Plan) Events() []Event {
 	return out
 }
 
-// Validate checks the plan against a farm of d disks.
+// Validate checks the plan against a farm of d disks, after returning
+// any build error.
 func (p *Plan) Validate(d int) error {
 	if p.Empty() {
 		return nil
+	}
+	if p.err != nil {
+		return p.err
 	}
 	for _, ev := range p.events {
 		if ev.At < 0 {
@@ -243,10 +263,13 @@ func (p *Plan) Validate(d int) error {
 
 // ValidateServers checks a server-scope plan against a cluster of n
 // members: every event must be a server kill or restart of a member in
-// [0, n).
+// [0, n).  A build error comes first.
 func (p *Plan) ValidateServers(n int) error {
 	if p.Empty() {
 		return nil
+	}
+	if p.err != nil {
+		return p.err
 	}
 	for _, ev := range p.events {
 		if ev.At < 0 {
@@ -268,12 +291,14 @@ func (p *Plan) ValidateServers(n int) error {
 // (disk and tertiary events, runnable by every engine) and its
 // server-scope part (whole-member kills and restarts, executed by the
 // cluster layer).  Insertion order is preserved within each part; the
-// receiver is not mutated.  Either part may be empty.
+// receiver is not mutated.  Either part may be empty.  A build error
+// goes with both parts, so whichever is validated reports it.
 func (p *Plan) SplitServerScope() (member, server *Plan) {
 	member, server = NewPlan(), NewPlan()
 	if p.Empty() {
 		return member, server
 	}
+	member.err, server.err = p.err, p.err
 	for _, ev := range p.events {
 		switch ev.Kind {
 		case ServerFail, ServerRepair:

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -54,6 +56,48 @@ func TestEventsReturnsCopy(t *testing.T) {
 	a[0].Disk = 99
 	if b := p.Events(); b[0].Disk != 1 {
 		t.Fatalf("Events() must copy; plan mutated to %v", b)
+	}
+}
+
+// TestWearInvalidMeanIsAnError pins that a wear process with a mean
+// that is not positive and finite schedules nothing and leaves
+// ErrWearMean on the plan, where both validations, and both halves of
+// a split, return it instead of the builder panicking.  The first
+// build error stays.
+func TestWearInvalidMeanIsAnError(t *testing.T) {
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range []struct {
+			name  string
+			build func(mttf, mttr float64) *Plan
+		}{
+			{"wear", func(mttf, mttr float64) *Plan {
+				return NewPlan().FailDisk(0, 5).WearProcess([]int{0, 1}, mttf, mttr, 1000, 7)
+			}},
+			{"server wear", func(mttf, mttr float64) *Plan {
+				return NewPlan().FailDisk(0, 5).ServerWearProcess([]int{0, 1}, mttf, mttr, 1000, 7)
+			}},
+		} {
+			for _, p := range []*Plan{c.build(bad, 10), c.build(50, bad)} {
+				if p.Empty() || p.Len() != 1 {
+					t.Fatalf("%s with mean %v: %d events, empty %v; want the one event before it, not empty", c.name, bad, p.Len(), p.Empty())
+				}
+				member, server := p.SplitServerScope()
+				for what, err := range map[string]error{
+					"Validate":                      p.Validate(8),
+					"ValidateServers":               p.ValidateServers(2),
+					"member part's Validate":        member.Validate(8),
+					"server part's ValidateServers": server.ValidateServers(2),
+				} {
+					if !errors.Is(err, ErrWearMean) {
+						t.Errorf("%s with mean %v: %s returned %v, want ErrWearMean", c.name, bad, what, err)
+					}
+				}
+			}
+		}
+	}
+	p := NewPlan().WearProcess([]int{0}, 0, 10, 100, 1).ServerWearProcess([]int{0}, 50, -1, 100, 1)
+	if err := p.Validate(8); err == nil || !errors.Is(err, ErrWearMean) || err.Error() != "fault: wear means must be positive and finite: disk-fail mttf 0, mttr 10" {
+		t.Fatalf("two bad wear calls: Validate returned %v, want the first", err)
 	}
 }
 

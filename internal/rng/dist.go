@@ -7,17 +7,22 @@ import (
 )
 
 // Discrete draws from an arbitrary finite distribution over 0..n-1 by
-// inverse-transform sampling on the cumulative mass function.  Sampling
-// is O(log n); construction is O(n).
+// inverse-transform sampling on the cumulative mass function.  A guide
+// table (Chen and Asau 1974) narrows each draw's search to one of g
+// equal buckets of the unit interval: O(1) expected, O(log n) at worst,
+// and always the index a search of the whole table would return.
+// Construction is O(n).
 type Discrete struct {
-	cum []float64 // cum[i] = P(X <= i)
-	pmf []float64
+	cum   []float64 // cum[i] = P(X <= i)
+	pmf   []float64
+	guide []int32 // guide[j] = first i with cum[i] >= j/g, j in [0, g]
+	g     float64 // bucket count, a power of two
 }
 
 // NewDiscrete builds a Discrete from non-negative weights, which need
 // not sum to one (they are normalized).  It returns an error if the
 // weights are empty, contain a negative or non-finite entry, or sum to
-// zero.
+// zero or to more than the largest float64.
 func NewDiscrete(weights []float64) (*Discrete, error) {
 	if len(weights) == 0 {
 		return nil, fmt.Errorf("rng: empty weight vector")
@@ -32,6 +37,9 @@ func NewDiscrete(weights []float64) (*Discrete, error) {
 	if total == 0 {
 		return nil, fmt.Errorf("rng: weights sum to zero")
 	}
+	if math.IsInf(total, 0) {
+		return nil, fmt.Errorf("rng: weights sum past the float64 range")
+	}
 	d := &Discrete{
 		cum: make([]float64, len(weights)),
 		pmf: make([]float64, len(weights)),
@@ -43,13 +51,55 @@ func NewDiscrete(weights []float64) (*Discrete, error) {
 		d.pmf[i] = w / total
 	}
 	d.cum[len(d.cum)-1] = 1 // guard against rounding
+	d.buildGuide()
 	return d, nil
 }
 
+// buildGuide sizes the guide at the largest power of two g <= n, which
+// keeps it at most 4n bytes beside the 16n of cum and pmf, and fills it
+// in one merge of the bucket edges j/g with cum.  Every edge is exact
+// in float64, and cum[i] >= j/g holds from guide[j] on: the running sum
+// never falls, and the forced cum[n-1] = 1 reaches every edge.
+func (d *Discrete) buildGuide() {
+	n := len(d.cum)
+	g := 1
+	for g <= n/2 {
+		g *= 2
+	}
+	d.g = float64(g)
+	d.guide = make([]int32, g+1)
+	i := 0
+	for j := range d.guide {
+		edge := float64(j) / d.g
+		for d.cum[i] < edge {
+			i++
+		}
+		d.guide[j] = int32(i)
+	}
+}
+
 // Sample draws one index according to the distribution.
-func (d *Discrete) Sample(s *Stream) int {
-	u := s.Float64()
-	return sort.SearchFloat64s(d.cum, u)
+func (d *Discrete) Sample(s *Stream) int { return d.index(s.Float64()) }
+
+// index returns the first i with cum[i] >= u, for u in [0, 1), as
+// sort.SearchFloat64s(cum, u) would find it.  Scaling by the power of
+// two g is exact, so j = floor(u·g) satisfies j/g <= u < (j+1)/g and
+// the answer lies between guide[j] and guide[j+1]; the binary search
+// covers only them.  The predicate cum[i] >= u is monotone over the
+// whole table, even where rounding lifts cum[n-2] above the forced
+// cum[n-1] = 1, since u < 1.
+func (d *Discrete) index(u float64) int {
+	j := int(u * d.g)
+	lo, hi := int(d.guide[j]), int(d.guide[j+1])
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if d.cum[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // P returns the probability mass at index i.

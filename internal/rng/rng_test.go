@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -174,6 +175,9 @@ func TestDiscreteValidation(t *testing.T) {
 	if _, err := NewDiscrete([]float64{math.Inf(1)}); err == nil {
 		t.Error("Inf weight accepted")
 	}
+	if _, err := NewDiscrete([]float64{math.MaxFloat64, math.MaxFloat64}); err == nil {
+		t.Error("weights summing past the float64 range accepted")
+	}
 }
 
 func TestDiscreteSamplingMatchesPMF(t *testing.T) {
@@ -316,14 +320,143 @@ func BenchmarkStreamUint64(b *testing.B) {
 	}
 }
 
-func BenchmarkDiscreteSample(b *testing.B) {
-	d, err := TruncatedGeometric(2000, 20)
-	if err != nil {
-		b.Fatal(err)
+// checkGuide fails unless d's guide table is what Sample relies on:
+// g a power of two with g <= n < 2g, and guide[j] the first index
+// whose cumulative mass reaches j/g; and unless index agrees with a
+// search of the whole table at every bucket edge, just below it, and
+// just below 1.
+func checkGuide(t *testing.T, d *Discrete) {
+	t.Helper()
+	n, g := len(d.cum), int(d.g)
+	if g < 1 || g&(g-1) != 0 || g > n || n >= 2*g || len(d.guide) != g+1 {
+		t.Fatalf("n = %d: guide of %d entries over %d buckets", n, len(d.guide), g)
 	}
-	s := NewStream(1, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = d.Sample(s)
+	for j, at := range d.guide {
+		edge := float64(j) / d.g
+		if want := sort.SearchFloat64s(d.cum, edge); int(at) != want {
+			t.Fatalf("n = %d: guide[%d] = %d, want %d", n, j, at, want)
+		}
+		if j < g {
+			checkIndex(t, d, edge)
+		}
+		if j > 0 {
+			checkIndex(t, d, math.Nextafter(edge, 0))
+		}
+	}
+}
+
+func checkIndex(t *testing.T, d *Discrete, u float64) {
+	t.Helper()
+	if got, want := d.index(u), sort.SearchFloat64s(d.cum, u); got != want {
+		t.Fatalf("n = %d: index(%v) = %d, a search of the whole table gives %d", len(d.cum), u, got, want)
+	}
+}
+
+// TestDiscreteRoundedTail covers the table where rounding lifts
+// cum[n-2] above the cum[n-1] = 1 that NewDiscrete forces: nine unit
+// weights and one of 1e-18.
+func TestDiscreteRoundedTail(t *testing.T) {
+	w := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1e-18}
+	d, err := NewDiscrete(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.cum[8] <= 1 {
+		t.Fatalf("cum[8] = %v: the case no longer rounds above 1", d.cum[8])
+	}
+	checkGuide(t, d)
+	if got := d.index(math.Nextafter(1, 0)); got != 8 {
+		t.Fatalf("the largest draw maps to %d, want 8", got)
+	}
+}
+
+// fuzzWeights builds an n-entry weight vector of the given shape from
+// s: scattered zeros and runs of zeros over magnitudes from 1e-300 to
+// 1e300, geometric, Zipf, or all the mass at one end of a tail of
+// near-zero weights (one bucket then spans nearly the whole table).
+func fuzzWeights(shape uint8, n int, s *Stream) []float64 {
+	w := make([]float64, n)
+	switch shape % 5 {
+	case 0:
+		for i := 0; i < n; i++ {
+			switch s.Intn(8) {
+			case 0:
+				w[i] = 0
+			case 1:
+				i += s.Intn(n/4 + 1) // a run of zeros
+			default:
+				w[i] = s.Float64() * math.Pow(10, s.Uniform(-300, 300))
+			}
+		}
+		w[s.Intn(n)] = 1 // never all zero
+	case 1:
+		q := s.Float64()
+		for i, cur := 0, 1.0; i < n; i++ {
+			w[i], cur = cur, cur*q
+		}
+	case 2:
+		theta := s.Uniform(0, 3)
+		for i := range w {
+			w[i] = 1 / math.Pow(float64(i+1), theta)
+		}
+	default:
+		for i := range w {
+			w[i] = math.Pow(10, s.Uniform(-300, -200))
+		}
+		if shape%5 == 3 {
+			w[0] = 1
+		} else {
+			w[n-1] = 1
+		}
+	}
+	return w
+}
+
+// FuzzDiscreteSample is the sampling oracle: on fuzzed weight vectors
+// of 1 to 70,000 entries, Sample draws exactly the index a binary
+// search of the whole cumulative table gives for the same uniform, and
+// so does index at every bucket edge and just below it.
+func FuzzDiscreteSample(f *testing.F) {
+	for shape := uint8(0); shape < 5; shape++ {
+		f.Add(shape, uint32(1), uint64(shape))
+		f.Add(shape, uint32(2000), uint64(7))
+		f.Add(shape, uint32(69999), uint64(11))
+	}
+	f.Fuzz(func(t *testing.T, shape uint8, size uint32, seed uint64) {
+		n := 1 + int(size%70000)
+		s := NewStream(seed, 1)
+		d, err := NewDiscrete(fuzzWeights(shape, n, s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGuide(t, d)
+		for i := 0; i < 256; i++ {
+			u := *s
+			if got, want := d.Sample(s), sort.SearchFloat64s(d.cum, u.Float64()); got != want {
+				t.Fatalf("n = %d: Sample drew %d, a search of the whole table gives %d", n, got, want)
+			}
+		}
+	})
+}
+
+func BenchmarkDiscreteSample(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		dist func() (*Discrete, error)
+	}{
+		{"geometric-2000-20", func() (*Discrete, error) { return TruncatedGeometric(2000, 20) }},
+		{"zipf-40000-0.4", func() (*Discrete, error) { return Zipf(40000, 0.4) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			d, err := c.dist()
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := NewStream(1, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = d.Sample(s)
+			}
+		})
 	}
 }

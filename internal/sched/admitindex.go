@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"cmp"
-	"slices"
-)
+import "slices"
 
 // This file is the striped family's event-driven admission (DESIGN.md
 // §8, "Event-driven admission"): an interval's scan costs
@@ -22,8 +19,11 @@ type readyIndex struct {
 	next []int32 // station -> next station in its FIFO, -1 at the tail
 
 	// seq numbers the queued requests in queue order (onEnqueue): the
-	// key that puts the probed FIFO heads in queue order.  64 bits, so
-	// it never wraps.
+	// key that puts the probed FIFO heads in queue order.  The probe
+	// packs a head's distance from the queue head's number into the
+	// high 32 bits of its candidate key, so while the index is clean
+	// nextSeq − seq[queue head] stays below seqSpan: an enqueue that
+	// would reach it marks the index dirty, and the rebuild renumbers.
 	seq     []uint64 // station -> sequence number of its queued request
 	nextSeq uint64
 
@@ -155,7 +155,12 @@ func (t *stripedTech) fifoOfObject(obj int) int32 {
 	return t.idx.fifoOf(first, t.cfg.Degree(obj))
 }
 
-// rebuildIndex relinks every ready queued request, walking the queue.
+// seqSpan bounds nextSeq − seq[queue head] while the ready index is
+// clean: the distances the probe packs above a 32-bit FIFO id.
+const seqSpan = 1 << 32
+
+// rebuildIndex relinks every ready queued request and renumbers the
+// queue from 0, walking it.
 func (t *stripedTech) rebuildIndex() {
 	x := &t.idx
 	for _, id := range x.live {
@@ -164,7 +169,10 @@ func (t *stripedTech) rebuildIndex() {
 	}
 	x.live = x.live[:0]
 	q := &t.eng.queue
+	x.nextSeq = 0
 	for s := q.head; s >= 0; s = q.node[s].next {
+		x.seq[s] = x.nextSeq
+		x.nextSeq++
 		if obj := int(q.node[s].obj); t.ready[obj] {
 			x.push(s, t.fifoOfObject(obj))
 		}
@@ -278,38 +286,36 @@ func (t *stripedTech) admitPrefix(fragBudget *int) int32 {
 // per-entry path the full scan uses.  Only those heads can start: the
 // fragmented fallback is spent or disabled, a busy window stays busy
 // for the rest of the scan, and an admission from a FIFO takes the
-// virtual disk every later entry of the same first disk needs.
+// virtual disk every later entry of the same first disk needs.  A
+// candidate's key is its head's distance from the queue head in
+// sequence numbers, below seqSpan on a clean index, over its FIFO id:
+// one word, sorted as such.
 func (t *stripedTech) admitIndexed(fragBudget *int) {
 	q := &t.eng.queue
 	x := &t.idx
 	free := t.cfg.D - t.busy
+	base := x.seq[q.head]
 	cands := t.cands[:0]
 	for _, id := range x.live {
 		f := &x.fifos[id]
 		if m := int(f.degree); m <= free && t.windowFree(int(f.first), m) {
-			cands = append(cands, readyCand{x.seq[f.head], id})
+			cands = append(cands, (x.seq[f.head]-base)<<32|uint64(id))
 		}
 	}
 	t.work.fifos += len(x.live)
 	t.work.indexed++
 	t.work.windows += len(cands)
-	slices.SortFunc(cands, func(a, b readyCand) int { return cmp.Compare(a.seq, b.seq) })
+	slices.Sort(cands)
 	for _, c := range cands {
-		s := x.fifos[c.id].head
+		id := int32(uint32(c))
+		s := x.fifos[id].head
 		t.work.touched++
 		if t.admitEntry(s, fragBudget) == entryAdmitted {
-			x.popHead(c.id)
+			x.popHead(id)
 			q.unlink(s)
 		}
 	}
 	t.cands = cands[:0]
-}
-
-// readyCand is a FIFO the indexed probe visits, keyed by its head's
-// sequence number.
-type readyCand struct {
-	seq uint64
-	id  int32
 }
 
 // windowFree reports whether the m virtual disks of a contiguous

@@ -21,7 +21,9 @@ import (
 //     tertiary device, so a later Request for it would be a no-op;
 //   - the FIFO table's chains, live list and places agree
 //     (checkFIFOTable);
-//   - unless the ready index is marked for a rebuild, every ready
+//   - unless the ready index is marked for a rebuild, the queue spans
+//     fewer than seqSpan sequence numbers (nextSeq − seq[queue head]),
+//     so the probe's one-word candidate keys are exact; every ready
 //     queued request sits exactly once in the FIFO of its object's
 //     first disk and degree, the FIFOs hold nothing else, and sequence
 //     numbers rise along every FIFO (checkQueue checks they rise along
@@ -55,6 +57,9 @@ func checkStriped(t testing.TB, e *Engine) {
 	checkFIFOTable(t, x, at)
 	if x.dirty {
 		return
+	}
+	if q.head >= 0 && x.nextSeq-x.seq[q.head] >= seqSpan {
+		t.Fatalf("interval %d: the queue spans %d sequence numbers, more than a candidate key packs", at, x.nextSeq-x.seq[q.head])
 	}
 	queued := make(map[int32]int, q.n) // station -> object
 	for s := q.head; s >= 0; s = q.node[s].next {
@@ -147,6 +152,11 @@ type admissionCase struct {
 	// killAt > 0 kills the engine before that interval and revives it
 	// at reviveAt (open arrivals only).
 	killAt, reviveAt int
+	// seqMargin > 0 shifts the ready index's sequence numbers to
+	// seqMargin below the span the candidate keys can pack (shiftSeq),
+	// after the first interval past the warm-up that ends with more
+	// than seqMargin queued requests.
+	seqMargin uint64
 }
 
 func (c admissionCase) String() string {
@@ -258,6 +268,9 @@ type admissionRun struct {
 	orphans  []int
 	res      Result
 	work     admitWork
+	// renumbered counts the intervals in which the sequence counter
+	// went back: a rebuild renumbered the queue.
+	renumbered int
 }
 
 // runAdmissionCase runs a case with the production paths, or with an
@@ -273,7 +286,7 @@ func runAdmissionCase(t testing.TB, c admissionCase, oracle func(*stripedTech)) 
 	}
 	var e *Engine
 	if c.member {
-		e, err = ti.NewMember(cfg, c.preload)
+		e, err = newMember(ti, cfg, c.preload)
 	} else {
 		e, err = ti.New(cfg)
 	}
@@ -299,12 +312,21 @@ func runAdmissionCase(t testing.TB, c admissionCase, oracle func(*stripedTech)) 
 			run.delivery = append(run.delivery, ev)
 		}
 	})
+	shifted, lastSeq := false, uint64(0)
 	e.stepCheck = func() {
 		checkQueue(t, e)
 		checkStriped(t, e)
 		if e.downCount > 0 {
 			run.down++
 		}
+		if st.idx.nextSeq < lastSeq {
+			run.renumbered++
+		}
+		if c.seqMargin > 0 && !shifted && e.now > cfg.WarmupIntervals && uint64(e.queue.n) > c.seqMargin {
+			shiftSeq(st, c.seqMargin)
+			shifted = true
+		}
+		lastSeq = st.idx.nextSeq
 	}
 	arrivals := rng.NewSource(cfg.Seed).Stream("admission-test")
 	horizon := cfg.WarmupIntervals + cfg.MeasureIntervals
@@ -425,6 +447,67 @@ func TestStripedAdmissionMatchesScan(t *testing.T) {
 	if ran < cases*3/4 || admitted < 100*ran || rejected == 0 || prefix == 0 || windows < admitted/4 || killed == 0 {
 		t.Fatalf("weak coverage: %d of %d cases ran, %d admissions, %d rejections, %d prefix entries, %d free windows, %d kills",
 			ran, cases, admitted, rejected, prefix, windows, killed)
+	}
+}
+
+// TestSeqRenumbering pins the one-word candidate keys at their limit.
+// Past the warm-up, shiftSeq numbers a run's queue as if its head had
+// waited through billions of enqueues, margin short of the span the
+// keys pack.  With a margin of 1 or 2 the next interval's reissues
+// reach the span while the head waits, so the run must cross a
+// renumbering; with 7 or 40 the head usually starts first, in a probe
+// whose other keys lie just below the limit.  Either way the run must
+// admit and refuse exactly what the unshifted run does, in the same
+// order, and end in the same Result (diverge calls the unshifted run
+// the oracle).  The closed-loop farm admits several displays an
+// interval, holds the whole catalog and injects no faults, so nothing
+// else dirties the index: the unshifted run never rebuilds, and a
+// shifted run's renumbering is the span's.
+func TestSeqRenumbering(t *testing.T) {
+	base := Config{
+		D:                 120,
+		K:                 2,
+		CapacityFragments: 16,
+		Objects:           60,
+		Subobjects:        10,
+		M:                 2,
+		BDisk:             20e6,
+		FragmentBytes:     1512000,
+		Tertiary:          tertiary.Table3,
+		TapeLayout:        tertiary.DiskMatched,
+		Stations:          100,
+		DistMean:          20,
+		WarmupIntervals:   20,
+		MeasureIntervals:  200,
+	}
+	for _, tech := range []struct {
+		key    string
+		stride int
+	}{{"striped", 0}, {"staggered", 1}} {
+		for _, margin := range []uint64{1, 2, 7, 40} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				c := admissionCase{cfg: base, key: tech.key, stride: tech.stride}
+				c.cfg.Seed = seed
+				plain, ok := runAdmissionCase(t, c, nil)
+				if !ok {
+					t.Fatalf("%v does not build", c)
+				}
+				c.seqMargin = margin
+				near, _ := runAdmissionCase(t, c, nil)
+				if plain.renumbered != 0 || margin <= 2 && near.renumbered == 0 {
+					t.Fatalf("%v\nrenumbered %d times unshifted and %d times shifted, want 0 and some", c, plain.renumbered, near.renumbered)
+				}
+				diverge(t, c, "admissions", near.admits, plain.admits)
+				diverge(t, c, "rejections", near.rejects, plain.rejects)
+				diverge(t, c, "deliveries", near.delivery, plain.delivery)
+				if !reflect.DeepEqual(near.res, plain.res) {
+					t.Fatalf("%v\nResults differ:\n  shifted   %+v\n  unshifted %+v", c, near.res, plain.res)
+				}
+				if len(plain.admits) < 500 {
+					t.Fatalf("%v\nonly %d admissions: the comparison proves little", c, len(plain.admits))
+				}
+			}
+		}
 	}
 }
 

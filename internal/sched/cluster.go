@@ -5,24 +5,33 @@ package sched
 // policies read, and the arrival injection point for externally
 // dispatched requests.
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/mmsim/staggered/internal/rng"
+)
 
 // NewMember builds a cluster member running this technique on cfg.
 // The member draws no arrivals of its own — the cluster routes its
 // shared arrival stream in through InjectArrival, so
 // cfg.ArrivalsPerHour must be zero — and it pre-places exactly the
 // preload objects (best-effort, in slice order) instead of the most
-// popular ones; an empty preload leaves the farm cold.
-func (ti TechniqueInfo) NewMember(cfg Config, preload []int) (*Engine, error) {
+// popular ones; an empty preload leaves the farm cold.  dist is the
+// cluster's object popularity over cfg's catalog (Config.Popularity),
+// which the member reads and never copies, so every member shares one.
+func (ti TechniqueInfo) NewMember(cfg Config, dist *rng.Discrete, preload []int) (*Engine, error) {
 	if cfg.ArrivalsPerHour != 0 {
 		return nil, fmt.Errorf("sched: a cluster member draws no arrivals of its own (ArrivalsPerHour %v)", cfg.ArrivalsPerHour)
+	}
+	if dist == nil || dist.Len() != cfg.Objects {
+		return nil, fmt.Errorf("sched: a cluster member needs the cluster's popularity over its %d objects", cfg.Objects)
 	}
 	for _, id := range preload {
 		if id < 0 || id >= cfg.Objects {
 			return nil, fmt.Errorf("sched: preload object %d out of range [0, %d)", id, cfg.Objects)
 		}
 	}
-	return newEngine(cfg, ti.factory(), true, preload)
+	return newEngine(cfg, ti.factory(), true, dist, preload)
 }
 
 // ActiveDisplays returns the number of displays currently in delivery,

@@ -19,6 +19,7 @@ import (
 	"github.com/mmsim/staggered/internal/cache"
 	"github.com/mmsim/staggered/internal/fault"
 	"github.com/mmsim/staggered/internal/metrics"
+	"github.com/mmsim/staggered/internal/rng"
 	"github.com/mmsim/staggered/internal/tertiary"
 )
 
@@ -302,6 +303,17 @@ func (c Config) DefaultPreload() int {
 		n = c.Objects
 	}
 	return n
+}
+
+// Popularity builds the object-popularity distribution c describes:
+// Zipf(ZipfSkew) when ZipfSkew is positive, else the paper's geometric
+// of mean DistMean truncated to the catalog.  A cluster builds it once
+// and hands it to every member (TechniqueInfo.NewMember).
+func (c Config) Popularity() (*rng.Discrete, error) {
+	if c.ZipfSkew > 0 {
+		return rng.Zipf(c.Objects, c.ZipfSkew)
+	}
+	return rng.TruncatedGeometric(c.Objects, c.DistMean)
 }
 
 // Result is the outcome of one run.

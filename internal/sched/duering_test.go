@@ -269,7 +269,7 @@ func runKillRevive(t *testing.T, key string) killReviveRun {
 	for id := 0; id < cfg.Objects/3; id++ {
 		preload = append(preload, id)
 	}
-	e, err := ti.NewMember(norm, preload)
+	e, err := newMember(ti, norm, preload)
 	if err != nil {
 		t.Fatal(err)
 	}

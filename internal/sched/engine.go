@@ -231,25 +231,23 @@ type Engine struct {
 // Most callers should go through the registry (NewEngineFor or
 // TechniqueInfo.New) instead.
 func NewEngine(cfg Config, tech Technique) (*Engine, error) {
-	return newEngine(cfg, tech, false, nil)
+	return newEngine(cfg, tech, false, nil, nil)
 }
 
 // newEngine builds a standalone engine, or a cluster member with the
-// given preload set when member is true.
-func newEngine(cfg Config, tech Technique, member bool, preload []int) (*Engine, error) {
+// given preload set when member is true.  dist is the object
+// popularity; nil builds the one cfg describes.
+func newEngine(cfg Config, tech Technique, member bool, dist *rng.Discrete, preload []int) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var gen *workload.Generator
 	var err error
-	if cfg.ZipfSkew > 0 {
-		var dist *rng.Discrete
-		if dist, err = rng.Zipf(cfg.Objects, cfg.ZipfSkew); err == nil {
-			gen, err = workload.NewGeneratorDist(rng.NewSource(cfg.Seed), dist, cfg.Stations)
+	if dist == nil {
+		if dist, err = cfg.Popularity(); err != nil {
+			return nil, err
 		}
-	} else {
-		gen, err = workload.NewGenerator(rng.NewSource(cfg.Seed), cfg.Objects, cfg.DistMean, cfg.Stations)
 	}
+	gen, err := workload.NewGeneratorDist(rng.NewSource(cfg.Seed), dist, cfg.Stations)
 	if err != nil {
 		return nil, err
 	}

@@ -42,3 +42,22 @@ func (e *Engine) CoalesceWork() CoalesceWork {
 	st := e.tech.(*stripedTech)
 	return CoalesceWork{Visited: st.cwork.visited, Moves: st.cwork.moves}
 }
+
+// shiftSeq renumbers the queued requests as if the queue head had
+// waited through billions of enqueues: the head keeps 3·2^31 + 12345,
+// an absolute number above 2^32 that no multiple of 2^32 aligns, and
+// the requests behind it end just below nextSeq, which is moved on to
+// seqSpan − margin above the head's.  The order of the queued requests
+// is unchanged, the keys of every FIFO head but the queue head's lie
+// near the span the keys pack, and margin more enqueues reach it while
+// the head waits.  The queue must not be empty.
+func shiftSeq(st *stripedTech, margin uint64) {
+	x, q := &st.idx, &st.eng.queue
+	x.seq[q.head] = 3<<31 + 12345
+	x.nextSeq = x.seq[q.head] + seqSpan - margin
+	n := x.nextSeq - uint64(q.n-1)
+	for s := q.node[q.head].next; s >= 0; s = q.node[s].next {
+		x.seq[s] = n
+		n++
+	}
+}

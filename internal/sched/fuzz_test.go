@@ -196,7 +196,7 @@ func FuzzEngineConfig(f *testing.F) {
 			}
 			var e *Engine
 			if member != nil {
-				e, err = ti.NewMember(norm, member.preload)
+				e, err = newMember(ti, norm, member.preload)
 			} else {
 				e, err = ti.New(norm)
 			}

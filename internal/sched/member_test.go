@@ -5,7 +5,56 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/mmsim/staggered/internal/rng"
 )
+
+// newMember builds a member as a cluster does, on the popularity cfg
+// describes.
+func newMember(ti TechniqueInfo, cfg Config, preload []int) (*Engine, error) {
+	dist, err := cfg.Popularity()
+	if err != nil {
+		return nil, err
+	}
+	return ti.NewMember(cfg, dist, preload)
+}
+
+// TestNewMemberSharesPopularity pins that a member reads the popularity
+// it is handed instead of building the one its Config describes, and
+// that the constructor refuses none or one over another catalog.
+func TestNewMemberSharesPopularity(t *testing.T) {
+	cfg := smallConfig(8, 10)
+	// The catalog's popularity reversed: not what cfg describes.
+	w := make([]float64, cfg.Objects)
+	for i := range w {
+		w[i] = float64(i + 1)
+	}
+	rev, err := rng.NewDiscrete(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong, err := rng.NewDiscrete(w[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ti := range Techniques() {
+		if _, err := ti.NewMember(cfg, nil, nil); err == nil {
+			t.Errorf("%s: member accepted no popularity", ti.Key)
+		}
+		if _, err := ti.NewMember(cfg, wrong, nil); err == nil {
+			t.Errorf("%s: member accepted a popularity over %d objects for a catalog of %d", ti.Key, wrong.Len(), cfg.Objects)
+		}
+		e, err := ti.NewMember(cfg, rev, []int{0, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < cfg.Objects; id++ {
+			if p := e.gen.Popularity(id); p != rev.P(id) {
+				t.Fatalf("%s: member reads popularity %v for object %d, handed %v", ti.Key, p, id, rev.P(id))
+			}
+		}
+	}
+}
 
 // TestNewMemberRejectsOutOfRangePreload pins the member constructor's
 // range check on the preload list, for every technique.
@@ -13,7 +62,7 @@ func TestNewMemberRejectsOutOfRangePreload(t *testing.T) {
 	cfg := smallConfig(8, 10)
 	for _, ti := range Techniques() {
 		for _, id := range []int{-1, cfg.Objects} {
-			if _, err := ti.NewMember(cfg, []int{0, id}); err == nil {
+			if _, err := newMember(ti, cfg, []int{0, id}); err == nil {
 				t.Errorf("%s: preload id %d accepted", ti.Key, id)
 			}
 		}
@@ -26,7 +75,7 @@ func TestNewMemberRejectsOwnArrivals(t *testing.T) {
 	cfg := smallConfig(8, 10)
 	cfg.ArrivalsPerHour = 3000
 	ti, _ := TechniqueByKey("striped")
-	if _, err := ti.NewMember(cfg, nil); err == nil {
+	if _, err := newMember(ti, cfg, nil); err == nil {
 		t.Error("member with its own Poisson stream accepted")
 	}
 }
@@ -46,7 +95,7 @@ func TestNewMemberPreloadsExactly(t *testing.T) {
 			t.Fatalf("%s: standalone engine preloaded nothing; the cold check below proves nothing", ti.Key)
 		}
 		for _, preload := range [][]int{nil, {}} {
-			e, err := ti.NewMember(cfg, preload)
+			e, err := newMember(ti, cfg, preload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +103,7 @@ func TestNewMemberPreloadsExactly(t *testing.T) {
 				t.Errorf("%s: empty assignment %#v preloaded %d objects", ti.Key, preload, n)
 			}
 		}
-		e, err := ti.NewMember(cfg, []int{3, 7})
+		e, err := newMember(ti, cfg, []int{3, 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +123,7 @@ func TestKillReviveMisuse(t *testing.T) {
 	ti, _ := TechniqueByKey("striped")
 	// killedMember returns a member killed at interval 3.
 	killedMember := func(t *testing.T) *Engine {
-		e, err := ti.NewMember(cfg, []int{0, 1})
+		e, err := newMember(ti, cfg, []int{0, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +188,7 @@ func TestInjectArrivalMisuse(t *testing.T) {
 	cfg := smallConfig(8, 10)
 	ti, _ := TechniqueByKey("striped")
 	member := func(t *testing.T) *Engine {
-		e, err := ti.NewMember(cfg, []int{0, 1})
+		e, err := newMember(ti, cfg, []int{0, 1})
 		if err != nil {
 			t.Fatal(err)
 		}

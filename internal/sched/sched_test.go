@@ -319,7 +319,7 @@ func TestVDRRejectsMixedDegrees(t *testing.T) {
 		t.Fatal("VDR accepted per-object degrees")
 	}
 	ti, _ := TechniqueByKey("vdr")
-	if _, err := ti.NewMember(cfg, nil); err == nil {
+	if _, err := newMember(ti, cfg, nil); err == nil {
 		t.Fatal("VDR member accepted per-object degrees")
 	}
 	for _, key := range []string{"striped", "staggered"} {

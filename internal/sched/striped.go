@@ -93,7 +93,7 @@ type stripedTech struct {
 	// moves back to the queue head.
 	idx   readyIndex
 	fresh int32
-	cands []readyCand // scratch: FIFO heads to probe
+	cands []uint64 // scratch: FIFO heads to probe, keyed as admitIndexed packs them
 	work  admitWork
 
 	// fullScan forces scanAdmit in every interval: the oracle the
@@ -222,20 +222,23 @@ func (t *stripedTech) bind(e *Engine) error {
 	// stages nothing allocates no index state while it steps.
 	n := len(t.idx.fifos)
 	t.idx.live = make([]int32, 0, n)
-	t.cands = make([]readyCand, 0, n)
+	t.cands = make([]uint64, 0, n)
 	return nil
 }
 
 func (t *stripedTech) name() string { return StripingTechniqueName(t.cfg) }
 
 func (t *stripedTech) onEnqueue(s int32) {
-	t.idx.seq[s] = t.idx.nextSeq
-	t.idx.nextSeq++
+	x := &t.idx
+	x.seq[s] = x.nextSeq
+	if x.nextSeq++; x.nextSeq-x.seq[t.eng.queue.head] >= seqSpan {
+		x.dirty = true
+	}
 	if t.fresh < 0 {
 		t.fresh = s
 	}
-	if obj := int(t.eng.queue.node[s].obj); t.ready[obj] && !t.idx.dirty {
-		t.idx.push(s, t.fifoOfObject(obj))
+	if obj := int(t.eng.queue.node[s].obj); t.ready[obj] && !x.dirty {
+		x.push(s, t.fifoOfObject(obj))
 	}
 }
 

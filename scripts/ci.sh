@@ -19,7 +19,7 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== inlining: the admission hot helpers and the request queue's list operations stay inlinable (DESIGN.md §8)"
+echo "== inlining: the admission hot helpers, the request queue's list operations and the popularity draw's bucket search stay inlinable (DESIGN.md §8)"
 inlined=$(go build -gcflags=-m ./internal/sched 2>&1 | sed -n 's/.*: can inline //p')
 for fn in '(*stripedTech).setVBusy' '(*stripedTech).vdiskOf' '(*stripedTech).windowFree' \
 	'(*readyIndex).push' '(*readyIndex).popHead' '(*requestQueue).push' '(*requestQueue).unlink'; do
@@ -28,6 +28,10 @@ for fn in '(*stripedTech).setVBusy' '(*stripedTech).vdiskOf' '(*stripedTech).win
 		exit 1
 	fi
 done
+if ! go build -gcflags=-m ./internal/rng 2>&1 | grep -qF 'can inline (*Discrete).index'; then
+	echo "inlining step: go build -gcflags=-m no longer reports 'can inline (*Discrete).index'"
+	exit 1
+fi
 
 echo "== go test -short -race (quick suites + chaos harness under the race detector)"
 go test -short -race ./...
@@ -57,6 +61,9 @@ golden ./internal/experiment TestReproduction TestReproductionSectionsDocumented
 
 echo "== fuzz: Algorithm 1 orbit walk, with its span count, against the per-candidate oracle (farms up to 256 disks)"
 go test -run '^$' -fuzz FuzzChooseVirtualDisks -fuzztime 10s ./internal/vdisk
+
+echo "== fuzz: popularity draws, guide-table search against a binary search of the whole CDF (random draws, every bucket edge and just below it)"
+go test -run '^$' -fuzz FuzzDiscreteSample -fuzztime 10s ./internal/rng
 
 echo "== fuzz: Store placement against the FragmentsPerDisk oracle (Used, FreeFragments and every PlaceAt/Place verdict)"
 go test -run '^$' -fuzz FuzzStorePlace -fuzztime 10s ./internal/core
