@@ -1,9 +1,18 @@
 // Command bench is the same-host performance gate.  It runs the
 // benchmark that BENCHMARK.json declares on a base commit and on the
-// working tree, in alternating pairs on one host, and exits 1 when any
-// run fails its output checks or when, on any workload, the working
-// tree's median of an end-to-end metric is worse than the base's by
-// more than that metric's bound.  Run it from inside the repository:
+// working tree and exits 1 when any run fails its output checks, or
+// when, on any workload:
+//
+//   - a simulated counter of one traced run per side differs: the
+//     exact half of the gate, since a seeded run counts the same
+//     admissions, completions, placements and the like on any host;
+//   - the working tree's median of an end-to-end metric, over
+//     alternating pairs of untraced runs on one host, is worse than
+//     the base's by more than that metric's bound.
+//
+// The allocation and collection counts of the traced runs are printed
+// beside the counters but do not fail the gate.  Run it from inside
+// the repository:
 //
 //	go run ./cmd/bench
 //
@@ -11,8 +20,10 @@
 // otherwise, so a clean checkout gates its last commit against the
 // parent.  The base is checked out with `git worktree add --detach`
 // under .bench_build/ and removed again afterwards.  Each side runs
-// `bash perfbench/run.sh --workload W --seconds 2 --trace 0` from its
-// own root, which builds the benchmark from that side's sources.
+// `bash perfbench/run.sh --workload W --seconds 1 --trace 1` once and
+// `bash perfbench/run.sh --workload W --seconds 2 --trace 0` per pair
+// from its own root, which builds the benchmark from that side's
+// sources.
 package main
 
 import (
@@ -31,6 +42,24 @@ import (
 // Which side runs first alternates from pair to pair, so a drift in
 // host speed over the session lands on both sides alike.
 const pairs = 10
+
+// simulated lists the per-layer metrics a seeded run simulates rather
+// than times: they must not differ between the sides.
+var simulated = []string{
+	"sched.requests", "sched.admits", "sched.completes", "sched.coalescings",
+	"sched.queue_p50", "sched.queue_p99", "sched.startup_p50_s", "sched.startup_p99_s",
+	"sched.disk_busy", "sched.active_mean",
+	"core.places", "core.evictions",
+	"tertiary.materializations", "tertiary.busy", "tertiary.starved",
+	"cache.served", "cache.followers", "cache.hit_rate",
+	"cluster.failed_over", "cluster.orphaned", "cluster.readmitted",
+	"cluster.healed", "cluster.no_holder", "cluster.route_imbalance",
+	"bench.unserved_frac",
+}
+
+// allocation lists the per-layer counts that depend on the Go runtime
+// as well as on the simulation: printed, never gated.
+var allocation = []string{"sched.build_mallocs", "sched.run_mallocs", "sched.gc_cycles"}
 
 // spec is the part of BENCHMARK.json the gate reads.
 type spec struct {
@@ -105,21 +134,51 @@ func gate() error {
 	var failures []string
 	for _, w := range sp.Workloads {
 		runs := map[string][]summary{}
+		// run runs one side and books an incorrect run as a failure.
+		run := func(s side, seconds, trace string) (summary, error) {
+			sum, err := perfbench(s.dir, w.Name, seconds, trace)
+			if err != nil {
+				return summary{}, fmt.Errorf("%s on %s: %v", w.Name, s.name, err)
+			}
+			if !sum.Correct || sum.Failed > 0 {
+				failures = append(failures, fmt.Sprintf("%s: a %s run failed %d output checks", w.Name, s.name, sum.Failed))
+			}
+			return sum, nil
+		}
+		baseRun, err := run(side{"base", wt}, "1", "1")
+		if err != nil {
+			return err
+		}
+		changeRun, err := run(side{"change", root}, "1", "1")
+		if err != nil {
+			return err
+		}
+		fmt.Printf("\n%s\n", w.Name)
+		same := 0
+		for _, name := range simulated {
+			if b, c := baseRun.Metrics[name].Value, changeRun.Metrics[name].Value; b != c {
+				failures = append(failures, fmt.Sprintf("%s: counter %s is %.6g against base %.6g", w.Name, name, c, b))
+				fmt.Printf("  %-26s base %14.6g  change %14.6g  DIFFERS\n", name, b, c)
+			} else {
+				same++
+			}
+		}
+		fmt.Printf("  %d of %d simulated counters identical\n", same, len(simulated))
+		for _, name := range allocation {
+			b, c := baseRun.Metrics[name].Value, changeRun.Metrics[name].Value
+			fmt.Printf("  %-26s base %14.6g  change %14.6g  not gated\n", name, b, c)
+		}
 		order := [2]side{{"base", wt}, {"change", root}}
 		for i := 0; i < pairs; i++ {
 			for _, s := range order {
-				sum, err := perfbench(s.dir, w.Name)
+				sum, err := run(s, "2", "0")
 				if err != nil {
-					return fmt.Errorf("%s on %s: %v", w.Name, s.name, err)
-				}
-				if !sum.Correct || sum.Failed > 0 {
-					failures = append(failures, fmt.Sprintf("%s: a %s run failed %d output checks", w.Name, s.name, sum.Failed))
+					return err
 				}
 				runs[s.name] = append(runs[s.name], sum)
 			}
 			order[0], order[1] = order[1], order[0]
 		}
-		fmt.Printf("\n%s\n", w.Name)
 		for _, m := range sp.EndToEnd {
 			b, c := median(runs["base"], m.Name), median(runs["change"], m.Name)
 			// worse is the relative change in the metric's bad
@@ -151,8 +210,8 @@ func gate() error {
 
 // perfbench runs one workload from the checkout at dir and returns the
 // summary on the last line of its output.
-func perfbench(dir, workload string) (summary, error) {
-	cmd := exec.Command("bash", "perfbench/run.sh", "--workload", workload, "--seconds", "2", "--trace", "0")
+func perfbench(dir, workload, seconds, trace string) (summary, error) {
+	cmd := exec.Command("bash", "perfbench/run.sh", "--workload", workload, "--seconds", seconds, "--trace", trace)
 	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()

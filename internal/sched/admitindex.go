@@ -64,7 +64,7 @@ func newReadyIndex(stations, disks int) readyIndex {
 }
 
 // fifoOf returns the FIFO of (first disk, degree), creating it on first
-// use.  It runs on every ready enqueue.
+// use.  It runs once per object each time the object turns ready.
 func (x *readyIndex) fifoOf(first, m int) int32 {
 	id := x.lookup(first, m)
 	if id < 0 {
@@ -149,12 +149,6 @@ type admitWork struct {
 	indexed int // indexed probes run
 }
 
-// fifoOfObject returns the FIFO a ready object's requests belong in.
-func (t *stripedTech) fifoOfObject(obj int) int32 {
-	first, _ := t.store.FirstDisk(obj) // ready ⇒ resident
-	return t.idx.fifoOf(first, t.cfg.Degree(obj))
-}
-
 // seqSpan bounds nextSeq − seq[queue head] while the ready index is
 // clean: the distances the probe packs above a 32-bit FIFO id.
 const seqSpan = 1 << 32
@@ -173,8 +167,8 @@ func (t *stripedTech) rebuildIndex() {
 	for s := q.head; s >= 0; s = q.node[s].next {
 		x.seq[s] = x.nextSeq
 		x.nextSeq++
-		if obj := int(q.node[s].obj); t.ready[obj] {
-			x.push(s, t.fifoOfObject(obj))
+		if id := t.fifo[q.node[s].obj]; id >= 0 {
+			x.push(s, id)
 		}
 	}
 	x.dirty = false
@@ -227,7 +221,7 @@ func (t *stripedTech) rejectUnplayable() {
 	for s, next := q.head, int32(0); s >= 0; s = next {
 		next = q.node[s].next
 		t.work.touched++
-		if obj := int(q.node[s].obj); t.ready[obj] && !t.playable(obj) {
+		if obj := int(q.node[s].obj); t.fifo[obj] >= 0 && !t.playable(obj) {
 			e.deferReject(s)
 		}
 	}
@@ -251,7 +245,7 @@ func (t *stripedTech) requestCold() {
 	q := &e.queue
 	for s := t.fresh; s >= 0; s = q.node[s].next {
 		t.work.touched++
-		if obj := int(q.node[s].obj); !t.ready[obj] {
+		if obj := int(q.node[s].obj); t.fifo[obj] < 0 {
 			e.tman.Request(obj)
 		}
 	}
@@ -272,8 +266,8 @@ func (t *stripedTech) admitPrefix(fragBudget *int) int32 {
 		next := q.node[s].next
 		t.work.touched++
 		t.work.prefix++
-		if obj := int(q.node[s].obj); t.ready[obj] && t.admitEntry(s, fragBudget) == entryAdmitted {
-			t.idx.remove(s, t.fifoOfObject(obj))
+		if id := t.fifo[q.node[s].obj]; id >= 0 && t.admitEntry(s, id, fragBudget) == entryAdmitted {
+			t.idx.remove(s, id)
 			q.unlink(s)
 		}
 		s = next
@@ -310,7 +304,7 @@ func (t *stripedTech) admitIndexed(fragBudget *int) {
 		id := int32(uint32(c))
 		s := x.fifos[id].head
 		t.work.touched++
-		if t.admitEntry(s, fragBudget) == entryAdmitted {
+		if t.admitEntry(s, id, fragBudget) == entryAdmitted {
 			x.popHead(id)
 			q.unlink(s)
 		}

@@ -15,8 +15,10 @@ import (
 // checkStriped asserts, after an interval, the conditions the striped
 // engine's event-driven admission relies on (DESIGN.md §8):
 //
-//   - every ready object is resident, so the per-entry path's
-//     FirstDisk lookup cannot miss;
+//   - an object that names a ready FIFO (fifo ≥ 0) is resident and not
+//     being staged, and that FIFO is the (first disk, degree) of its
+//     placement, which the per-entry path reads in place of FirstDisk
+//     (checkFIFOMap);
 //   - every cold object queued when the scan ran is Pending on the
 //     tertiary device, so a later Request for it would be a no-op;
 //   - the FIFO table's chains, live list and places agree
@@ -29,8 +31,9 @@ import (
 //     numbers rise along every FIFO (checkQueue checks they rise along
 //     the queue);
 //
-// and the disk claims and Algorithm 2's waiter lists (checkClaims,
-// checkWaiters).  It is a no-op for other techniques.
+// and the disk claims, Algorithm 2's waiter lists and the release
+// calendar (checkClaims, checkWaiters, checkReleases).  It is a no-op
+// for other techniques.
 func checkStriped(t testing.TB, e *Engine) {
 	t.Helper()
 	st, ok := e.tech.(*stripedTech)
@@ -40,16 +43,13 @@ func checkStriped(t testing.TB, e *Engine) {
 	at := e.now - 1
 	checkClaims(t, st, at)
 	checkWaiters(t, st, at)
-	for obj, ready := range st.ready {
-		if ready && !st.store.Resident(obj) {
-			t.Fatalf("interval %d: object %d is ready but not resident", at, obj)
-		}
-	}
+	checkReleases(t, st, e.now)
+	checkFIFOMap(t, st, at)
 	// The entries from fresh on were queued after the scan (its
 	// rejections reissue their stations); the next scan requests them.
 	q := &e.queue
 	for s := q.head; s >= 0 && s != st.fresh; s = q.node[s].next {
-		if obj := int(q.node[s].obj); !st.ready[obj] && !e.tman.Pending(obj) {
+		if obj := int(q.node[s].obj); st.fifo[obj] < 0 && !e.tman.Pending(obj) {
 			t.Fatalf("interval %d: cold queued object %d (station %d) is not pending on the device", at, obj, s)
 		}
 	}
@@ -63,7 +63,7 @@ func checkStriped(t testing.TB, e *Engine) {
 	}
 	queued := make(map[int32]int, q.n) // station -> object
 	for s := q.head; s >= 0; s = q.node[s].next {
-		if st.ready[q.node[s].obj] {
+		if st.fifo[q.node[s].obj] >= 0 {
 			queued[s] = int(q.node[s].obj)
 		}
 	}
@@ -93,6 +93,28 @@ func checkStriped(t testing.TB, e *Engine) {
 	}
 	for s, obj := range queued {
 		t.Fatalf("interval %d: ready request of station %d (object %d) is missing from the index (%d linked)", at, s, obj, seen)
+	}
+}
+
+// checkFIFOMap asserts the object → FIFO map: an object names a FIFO
+// only while it is ready — resident, and not the object being staged —
+// and the FIFO it names holds the first disk and degree of its
+// placement.  The converse does not hold: a staging aborted before its
+// write started leaves the object placed but not ready.
+func checkFIFOMap(t testing.TB, st *stripedTech, at int) {
+	t.Helper()
+	for obj, id := range st.fifo {
+		if id < 0 {
+			continue
+		}
+		first, resident := st.store.FirstDisk(obj)
+		if !resident || obj == st.matObject {
+			t.Fatalf("interval %d: object %d names FIFO %d, but resident is %v and staging is %d", at, obj, id, resident, st.matObject)
+		}
+		if f := &st.idx.fifos[id]; int(f.first) != first || int(f.degree) != st.cfg.Degree(obj) {
+			t.Fatalf("interval %d: object %d (first disk %d, degree %d) names FIFO %d of (%d, %d)",
+				at, obj, first, st.cfg.Degree(obj), id, f.first, f.degree)
+		}
 	}
 }
 

@@ -124,3 +124,40 @@ func TestCoalesceWorkTable3(t *testing.T) {
 		t.Errorf("%d waiter entries visited for %d moves, above 4 per move", w.Visited, w.Moves)
 	}
 }
+
+// TestReleaseCalendarWork bounds the release calendar's traffic in
+// host-independent units: only a stream that buffers ahead of its
+// display (T_i < Tmax) gets a release entry, and every other stream is
+// released by its display's completion.  Simple striping admits only
+// contiguous displays, so its ring takes no entry at all; on the Table
+// 3 farm under staggered k=1 the entries are exactly the buffering
+// streams, well under one per stream admitted.
+func TestReleaseCalendarWork(t *testing.T) {
+	e, _, err := sched.NewEngineFor("striped", experiment.ScaleConfig(10, 1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	if a, w := e.AdmissionWork(), e.CoalesceWork(); a.Admitted == 0 || w.Releases != 0 {
+		t.Errorf("simple striping booked %d release entries over %d admissions, want none", w.Releases, a.Admitted)
+	}
+
+	cfg := sched.Table3Config(256, 20, 1)
+	cfg.WarmupIntervals, cfg.MeasureIntervals = 6000, 12000
+	e, _, err = sched.NewEngineFor("staggered", cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	a, w := e.AdmissionWork(), e.CoalesceWork()
+	t.Logf("%d release entries for %d buffering streams over %d admissions of %d streams", w.Releases, w.Buffered, a.Admitted, cfg.M)
+	if w.Buffered == 0 {
+		t.Fatal("no stream buffered; the bound proves nothing")
+	}
+	if w.Releases != w.Buffered {
+		t.Errorf("%d release entries booked for %d buffering streams", w.Releases, w.Buffered)
+	}
+	if 4*w.Releases > cfg.M*a.Admitted {
+		t.Errorf("%d release entries over %d admissions of %d streams, above a quarter of the streams", w.Releases, a.Admitted, cfg.M)
+	}
+}

@@ -201,3 +201,75 @@ func FuzzCoalesce(f *testing.F) {
 		compareRuns(t, staggeredCaseFrom(data), useCoalesceScan)
 	})
 }
+
+// checkReleases asserts the release calendar before interval now runs.
+// An entry is live when finishDue would release its stream: the stream
+// holds a disk and the interval its slot drains at next is the
+// stream's own end, τ0 + T_i + Subobjects.  A live entry addresses a
+// stream of an unfinished display that buffers ahead of it (T_i <
+// Tmax); the live entries of a slot rise in (admission sequence,
+// stream), the order start adds them in; and every stream still
+// buffering has exactly one live entry.  Streams with T_i = Tmax,
+// contiguous or moved, end with the display and have none.
+func checkReleases(t testing.TB, st *stripedTech, now int) {
+	t.Helper()
+	slots := st.releases.slots
+	h := len(slots)
+	entries := make([]int, len(st.sVdisk))
+	for b, refs := range slots {
+		at := now + ((b-now)%h+h)%h // the interval slot b drains at next
+		last := streamRef{slot: -1}
+		for _, ref := range refs {
+			d := ref.slot
+			si := int(d)*st.stride + int(ref.i)
+			if st.sVdisk[si] < 0 || at != int(st.dTau0[d])+int(st.sT[si])+st.cfg.Subobjects {
+				continue // stale
+			}
+			if st.dDone[d] || st.sT[si] >= st.dTmax[d] {
+				t.Fatalf("interval %d: live release of stream %d of display slot %d (done %v, T %d, Tmax %d), due %d",
+					now, ref.i, d, st.dDone[d], st.sT[si], st.dTmax[d], at)
+			}
+			if last.slot >= 0 && (st.dSeq[d] < st.dSeq[last.slot] || st.dSeq[d] == st.dSeq[last.slot] && ref.i <= last.i) {
+				t.Fatalf("interval %d: the releases due %d are out of (admission, stream) order at stream %d of display slot %d",
+					now, at, ref.i, d)
+			}
+			last = ref
+			entries[si]++
+		}
+	}
+	for d, done := range st.dDone {
+		for i := 0; i < int(st.dM[d]); i++ {
+			si := d*st.stride + i
+			want := 0
+			if !done && st.sVdisk[si] >= 0 && st.sT[si] < st.dTmax[d] {
+				want = 1
+			}
+			if entries[si] != want {
+				t.Fatalf("interval %d: stream %d of display slot %d (T %d, Tmax %d) has %d live releases, want %d",
+					now, i, d, st.sT[si], st.dTmax[d], entries[si], want)
+			}
+		}
+	}
+}
+
+// TestCoalescedRescheduleOrder runs a staggered configuration whose
+// fragmented displays coalesce their early streams.  A moved stream
+// then ends with its display, its own release entry stale; the run
+// must exercise that path (coalescings > 0), and a stale entry taken
+// for a live one, or a stream released twice, would show as a phantom
+// hiccup.
+func TestCoalescedRescheduleOrder(t *testing.T) {
+	cfg := smallConfig(48, 20)
+	cfg.Seed = 3
+	e, err := NewEngine(cfg, &stripedTech{staggered: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := e.Run()
+	if e.coalescings == 0 {
+		t.Fatal("config never coalesced a stream; the stale-release path was not exercised")
+	}
+	if res.Hiccups != 0 {
+		t.Errorf("coalesced releases produced %d phantom hiccups", res.Hiccups)
+	}
+}

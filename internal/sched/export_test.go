@@ -32,15 +32,28 @@ func (e *Engine) AdmissionWork() AdmissionWork {
 // CoalesceWork is a snapshot of an engine's Algorithm 2 work counters,
 // for tests outside the package.
 type CoalesceWork struct {
-	Visited int // waiter-list entries walked, stale ones included
-	Moves   int // streams moved to their ideal disk, lifetime
+	Visited  int // waiter-list entries walked, stale ones included
+	Moves    int // streams moved to their ideal disk, lifetime
+	Releases int // release entries booked, lifetime
+	Buffered int // streams started ahead of their display (T_i < Tmax), lifetime
 }
 
 // CoalesceWork returns the striped technique's Algorithm 2 counters; it
-// panics on other techniques.
+// panics on other techniques.  Buffered is counted from the arena, not
+// from start: a stream started ahead of its display either moved
+// (Moves) or still has T_i < Tmax in its slot, since fragmented slots
+// are never recycled and a contiguous display buffers no stream.
 func (e *Engine) CoalesceWork() CoalesceWork {
 	st := e.tech.(*stripedTech)
-	return CoalesceWork{Visited: st.cwork.visited, Moves: st.cwork.moves}
+	w := CoalesceWork{Visited: st.cwork.visited, Moves: st.cwork.moves, Releases: st.cwork.releases, Buffered: st.cwork.moves}
+	for d, tmax := range st.dTmax {
+		for si := d * st.stride; si < d*st.stride+int(st.dM[d]); si++ {
+			if st.sT[si] < tmax {
+				w.Buffered++
+			}
+		}
+	}
+	return w
 }
 
 // shiftSeq renumbers the queued requests as if the queue head had

@@ -10,7 +10,7 @@ import (
 	"github.com/mmsim/staggered/internal/vdisk"
 )
 
-// streamRef addresses one fragment stream of a display on the release
+// streamRef addresses one buffering stream of a display on the release
 // calendar: the display's arena slot and the stream index.
 type streamRef struct {
 	slot int32
@@ -26,8 +26,8 @@ type streamRef struct {
 // the duration of their reads, so bookkeeping is O(1) per stream per
 // transition rather than per interval.
 //
-// All per-interval work is event-driven: stream releases and display
-// completions live on interval calendars (dueRing), the farm-busy
+// All per-interval work is event-driven: buffering-stream releases and
+// display completions live on interval calendars (dueRing), the farm-busy
 // integral is maintained incrementally at every acquire/release site,
 // Algorithm 2 visits only the waiters of the virtual disks that are
 // free, and the admission scan visits the new arrivals and the free
@@ -84,7 +84,7 @@ type stripedTech struct {
 	active   int     // displays currently in delivery
 	byObject []int32 // object -> active display count
 
-	ready []bool // object resident and fully materialized
+	fifo []int32 // object -> its ready FIFO (admitindex.go), -1 unless ready
 
 	// Event-driven admission (admitindex.go).  fresh is the first
 	// station queued since the last scan, -1 when none: it and the
@@ -100,10 +100,11 @@ type stripedTech struct {
 	// indexed path is tested against.  Only tests set it.
 	fullScan bool
 
-	// Event calendars.  Entries may be stale (a coalescing move
-	// reschedules a release, a fault or a Kill aborts the display);
-	// consumers re-validate against the display's current state.
-	releases    dueRing[streamRef] // stream releases
+	// Event calendars.  Only a stream that buffers ahead of its display
+	// (T_i < Tmax) gets a release, added by start in admission order; a
+	// completion releases the rest.  Entries may be stale (a coalescing
+	// move, a fault or a Kill); consumers revalidate against live state.
+	releases    dueRing[streamRef] // buffering-stream releases
 	completions dueRing[int32]     // delivery ends (display slots)
 	pool        []int32            // recycled contiguous display slots
 
@@ -174,7 +175,10 @@ func (t *stripedTech) bind(e *Engine) error {
 	t.byObject = make([]int32, cfg.Objects)
 	t.idx = newReadyIndex(cfg.Stations, cfg.D)
 	t.fresh = -1
-	t.ready = make([]bool, cfg.Objects)
+	t.fifo = make([]int32, cfg.Objects)
+	for i := range t.fifo {
+		t.fifo[i] = -1
+	}
 	t.releases = newDueRing[streamRef](e.horizon)
 	t.completions = newDueRing[int32](e.horizon)
 	t.stride = maxDegree
@@ -215,8 +219,7 @@ func (t *stripedTech) bind(e *Engine) error {
 		if err != nil {
 			break
 		}
-		t.ready[id] = true
-		t.idx.fifoOf(p.First, p.M)
+		t.fifo[id] = t.idx.fifoOf(p.First, p.M)
 	}
 	// The preloaded catalog's FIFOs exist from the start, so a run that
 	// stages nothing allocates no index state while it steps.
@@ -237,22 +240,27 @@ func (t *stripedTech) onEnqueue(s int32) {
 	if t.fresh < 0 {
 		t.fresh = s
 	}
-	if obj := int(t.eng.queue.node[s].obj); t.ready[obj] && !x.dirty {
-		x.push(s, t.fifoOfObject(obj))
+	if id := t.fifo[t.eng.queue.node[s].obj]; id >= 0 && !x.dirty {
+		x.push(s, id)
 	}
 }
 
-// setReady flips an object's readiness.  A flip of a queued object (one
-// with a pin count) moves its requests into or out of the ready index,
-// which is then rebuilt before the next indexed scan.
+// setReady flips an object's readiness, resolving a ready object's FIFO
+// once.  A flip of a queued object (one with a pin count) moves its
+// requests into or out of the ready index, which is then rebuilt before
+// the next indexed scan.
 func (t *stripedTech) setReady(obj int, ready bool) {
-	if t.ready[obj] == ready {
+	if (t.fifo[obj] >= 0) == ready {
 		return
 	}
 	if t.eng.pinned[obj] > 0 {
 		t.idx.dirty = true
 	}
-	t.ready[obj] = ready
+	t.fifo[obj] = -1
+	if ready {
+		first, _ := t.store.FirstDisk(obj) // placed before it turns ready
+		t.fifo[obj] = t.idx.fifoOf(first, t.cfg.Degree(obj))
+	}
 }
 
 // interval runs one interval of striping policy: claim endings,
@@ -377,7 +385,7 @@ func (t *stripedTech) killActive() {
 // the bandwidth model.  It declines objects already held, being
 // staged, or pending on the device.
 func (t *stripedTech) adoptObject(id int) bool {
-	if t.ready[id] || t.store.Resident(id) || id == t.matObject || t.eng.tman.Pending(id) {
+	if t.fifo[id] >= 0 || t.store.Resident(id) || id == t.matObject || t.eng.tman.Pending(id) {
 		return false
 	}
 	if !t.tryPlace(id) {
@@ -444,7 +452,7 @@ func footprintHits(first, m, f, k, d, n int) bool {
 
 func (t *stripedTech) uniqueResidents() int { return t.store.ResidentCount() }
 
-func (t *stripedTech) holdsObject(id int) bool { return t.ready[id] }
+func (t *stripedTech) holdsObject(id int) bool { return t.fifo[id] >= 0 }
 
 // vdiskOf maps physical disk f at the current interval to its global
 // virtual disk, (f − K·now) mod D.  The rotation (K·now) mod D is
@@ -504,45 +512,20 @@ func (t *stripedTech) allocSlot() int32 {
 	return int32(len(t.dStation) - 1)
 }
 
-// sortReleases restores (display, stream) admission order in one
-// interval's releases.  Coalescing reschedules releases out of
-// admission order; hiccup accounting must match a full in-order scan,
-// so they are re-sorted before applying.  Insertion sort: an
-// interval's releases are few and already sorted unless a coalescing
-// fired.  Keyed by the admission sequence, not the slot — slots
-// recycle.
-func sortReleases(refs []streamRef, dSeq []int32) {
-	for a := 1; a < len(refs); a++ {
-		for b := a; b > 0 && (dSeq[refs[b].slot] < dSeq[refs[b-1].slot] ||
-			(dSeq[refs[b].slot] == dSeq[refs[b-1].slot] && refs[b].i < refs[b-1].i)); b-- {
-			refs[b], refs[b-1] = refs[b-1], refs[b]
-		}
-	}
-}
-
 // finishDue releases stream disks whose reads end this interval and
-// completes displays whose delivery has ended; completed stations
-// immediately reissue (zero think time).  Both are calendar drains:
-// only the streams and displays that actually fire now are touched.
+// completes displays whose delivery has ended, with the streams still
+// reading; completed stations immediately reissue (zero think time).
+// Both are calendar drains: only what fires now is touched.
 func (t *stripedTech) finishDue() {
 	e := t.eng
-	if refs := t.releases.due(e.now); len(refs) > 0 {
-		sortReleases(refs, t.dSeq)
-		for _, ref := range refs {
-			// Revalidate against the display's current state: entries go
-			// stale when a coalescing move rescheduled the stream or a
-			// fault or a Kill aborted the display.
-			d := ref.slot
-			si := int(d)*t.stride + int(ref.i)
-			v := t.sVdisk[si]
-			if v < 0 || e.now != int(t.dTau0[d])+int(t.sT[si])+t.cfg.Subobjects {
-				continue // stale: already released or rescheduled
-			}
-			if t.vbusy[v] != d {
-				e.hiccups++
-			}
-			t.setVBusy(int(v), freeSlot)
-			t.sVdisk[si] = -1 // released
+	for _, ref := range t.releases.due(e.now) {
+		// Revalidate against the display's current state: entries go
+		// stale when a coalescing move put the stream on the display's
+		// clock or a fault or a Kill aborted the display.
+		d := ref.slot
+		si := int(d)*t.stride + int(ref.i)
+		if e.now == int(t.dTau0[d])+int(t.sT[si])+t.cfg.Subobjects {
+			t.release(d, si)
 		}
 	}
 	if ds := t.completions.due(e.now); len(ds) > 0 {
@@ -550,6 +533,9 @@ func (t *stripedTech) finishDue() {
 		for _, d := range ds {
 			if t.dDone[d] {
 				continue // aborted by a fault; the abort path settled it
+			}
+			for si := int(d) * t.stride; si < int(d)*t.stride+int(t.dM[d]); si++ {
+				t.release(d, si)
 			}
 			t.dDone[d] = true
 			t.active--
@@ -559,9 +545,9 @@ func (t *stripedTech) finishDue() {
 			t.byObject[t.dObject[d]]--
 			e.stn.Complete(int(t.dStation[d]))
 			reissue = append(reissue, int(t.dStation[d]))
-			// Contiguous displays are unreachable once completed (all
-			// release refs fired earlier this interval or before, and
-			// their streams never wait on a disk) — recycle the slot.
+			// Contiguous displays are unreachable once completed (they
+			// have no release entries, and their streams never wait on a
+			// disk) — recycle the slot.
 			if t.dTmax[d] == 0 {
 				t.pool = append(t.pool, d)
 			}
@@ -570,6 +556,18 @@ func (t *stripedTech) finishDue() {
 			e.reissue(s)
 		}
 		e.reissueBuf = reissue[:0]
+	}
+}
+
+// release frees stream si of display d's virtual disk, if it still
+// holds one; a disk another owner holds is a hiccup.
+func (t *stripedTech) release(d int32, si int) {
+	if v := t.sVdisk[si]; v >= 0 {
+		if t.vbusy[v] != d {
+			t.eng.hiccups++
+		}
+		t.setVBusy(int(v), freeSlot)
+		t.sVdisk[si] = -1
 	}
 }
 
@@ -770,7 +768,7 @@ func (t *stripedTech) makeRoom(obj int) bool {
 // fully materialized, not being displayed, and not referenced by a
 // queued request.
 func (t *stripedTech) evictable(id int) bool {
-	return t.ready[id] && t.byObject[id] == 0 && t.eng.pinned[id] == 0 && id != t.matObject
+	return t.fifo[id] >= 0 && t.byObject[id] == 0 && t.eng.pinned[id] == 0 && id != t.matObject
 }
 
 // fragmentedAttemptsPerInterval bounds how many queued requests may
@@ -790,11 +788,12 @@ func (t *stripedTech) scanAdmit() {
 		next = q.node[s].next
 		t.work.touched++
 		obj := int(q.node[s].obj)
-		if !t.ready[obj] {
+		id := t.fifo[obj]
+		if id < 0 {
 			e.tman.Request(obj)
 			continue
 		}
-		switch t.admitEntry(s, &fragBudget) {
+		switch t.admitEntry(s, id, &fragBudget) {
 		case entryAdmitted:
 			q.unlink(s)
 		case entryRejected:
@@ -815,19 +814,19 @@ const (
 )
 
 // admitEntry is the per-entry admission path for a queued request whose
-// object is ready, shared by the full scan, the staggered prefix and
-// the indexed probe.  An unplayable request is refused before any
-// probe or Algorithm-1 budget use; one whose object needs more disks
+// object is ready, in FIFO id, shared by the full scan, the staggered
+// prefix and the indexed probe.  An unplayable request is refused before
+// any probe or Algorithm-1 budget use; one whose object needs more disks
 // than the whole farm has free is kept without probing.
-func (t *stripedTech) admitEntry(s int32, fragBudget *int) entryVerdict {
+func (t *stripedTech) admitEntry(s, id int32, fragBudget *int) entryVerdict {
 	obj := int(t.eng.queue.node[s].obj)
 	if !t.playable(obj) {
 		// The layout's stride orbit crosses a down disk: admitting
 		// would guarantee hiccups or an abort, so refuse instead.
 		return entryRejected
 	}
-	first, _ := t.store.FirstDisk(obj) // ready ⇒ resident
-	if m := t.cfg.Degree(obj); t.cfg.D-t.busy >= m && t.tryAdmit(s, first, m, fragBudget) {
+	f := &t.idx.fifos[id] // the FIFO holds the first disk and degree
+	if m := int(f.degree); t.cfg.D-t.busy >= m && t.tryAdmit(s, int(f.first), m, fragBudget) {
 		t.eng.pinned[obj]--
 		return entryAdmitted
 	}
@@ -876,8 +875,8 @@ func (t *stripedTech) tryFragmented(s int32, first, m int, fragBudget *int) bool
 }
 
 // start activates a display of station s's queued request on the
-// given virtual disks and schedules its future events: one release per
-// stream and one completion.
+// given virtual disks and schedules its future events: a release and a
+// wait per stream that buffers (T_i < Tmax), and one completion.
 func (t *stripedTech) start(s int32, first int, vids, ts []int, tmax int) {
 	e := t.eng
 	obj := e.queue.node[s].obj
@@ -902,8 +901,9 @@ func (t *stripedTech) start(s int32, first int, vids, ts []int, tmax int) {
 		t.setVBusy(vids[i], d)
 		t.sVdisk[base+i] = int32(vids[i])
 		t.sT[base+i] = int32(ts[i])
-		t.releases.add(e.now, e.now+ts[i]+n, streamRef{slot: d, i: int32(i)})
 		if ts[i] < tmax {
+			t.releases.add(e.now, e.now+ts[i]+n, streamRef{slot: d, i: int32(i)})
+			t.cwork.releases++
 			t.await(d, i, vids[i])
 		}
 	}
@@ -941,8 +941,9 @@ func (t *stripedTech) await(d int32, i, v int) {
 // coalesceWork counts Algorithm 2's work in host-independent units, for
 // the tests that bound it.
 type coalesceWork struct {
-	visited int // waiter-list entries walked, stale ones included
-	moves   int // streams moved to their ideal disk
+	visited  int // waiter-list entries walked, stale ones included
+	moves    int // streams moved to their ideal disk
+	releases int // release entries booked, one per buffering stream
 }
 
 // coalesce applies Algorithm 2: any stream buffering ahead of the
@@ -1010,8 +1011,8 @@ func (t *stripedTech) gatherWaiters(u int, cands []uint64, after int) []uint64 {
 }
 
 // moveStream moves stream i of display d from its buffering disk to
-// the free ideal disk, where it reads on the display's own clock, and
-// reschedules its release.
+// the free ideal disk, where it reads on the display's own clock and
+// ends with the display: its release entry goes stale.
 func (t *stripedTech) moveStream(d int32, i, ideal int) {
 	e := t.eng
 	si := int(d)*t.stride + i
@@ -1020,7 +1021,6 @@ func (t *stripedTech) moveStream(d int32, i, ideal int) {
 	t.setVBusy(ideal, d)
 	t.sVdisk[si] = int32(ideal)
 	t.sT[si] = tmax
-	t.releases.add(e.now, int(t.dTau0[d]+tmax)+t.cfg.Subobjects, streamRef{slot: d, i: int32(i)})
 	e.coalescings++
 	t.cwork.moves++
 	if e.tracer != nil {
