@@ -58,7 +58,6 @@ func run() (code int) {
 	pressure := flag.Bool("pressure", false, "enable eviction pressure for exact-fit farms (DESIGN.md §10)")
 	cacheMB := flag.Int("cachemb", 0, "prefix-cache budget in MiB (0 = no prefix cache; DESIGN.md §12)")
 	batchWindow := flag.Int("batchwindow", 0, "multicast batch window in intervals (0 = no batching)")
-	cachePolicy := flag.String("cache", "", "cache replacement policy: lru or popularity (default popularity)")
 	zipfSkew := flag.Float64("zipf", 0, "Zipf popularity skew theta (0 = geometric -dist catalog)")
 	arrivals := flag.Float64("arrivals", 0, "open Poisson arrivals per hour (0 = closed loop)")
 	servers := flag.Int("servers", 1, "number of shared-clock servers (>1 requires -arrivals; DESIGN.md §13)")
@@ -78,10 +77,6 @@ func run() (code int) {
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	if bad := clusterOnlyFlags(*servers, set); len(bad) > 0 {
 		fmt.Fprintf(os.Stderr, "ssim: %s need -servers > 1\n", strings.Join(bad, ", "))
-		return 2
-	}
-	if cacheWithoutTier(*cacheMB, *batchWindow, set) {
-		fmt.Fprintln(os.Stderr, "ssim: -cache needs -cachemb > 0 or -batchwindow > 0")
 		return 2
 	}
 
@@ -121,7 +116,6 @@ func run() (code int) {
 		cfg.Cache = &cache.Spec{
 			BudgetBytes: int64(*cacheMB) << 20,
 			BatchWindow: *batchWindow,
-			Policy:      *cachePolicy,
 		}
 	}
 	if *faultsFlag != "" {
@@ -212,13 +206,6 @@ func clusterOnlyFlags(servers int, set []string) []string {
 	return bad
 }
 
-// cacheWithoutTier reports whether set (the names flag.Visit reports)
-// holds -cache while neither -cachemb nor -batchwindow turns the memory
-// tier on: the policy would apply to nothing.
-func cacheWithoutTier(cacheMB, batchWindow int, set []string) bool {
-	return cacheMB <= 0 && batchWindow <= 0 && slices.Contains(set, "cache")
-}
-
 // runCluster runs the shared-clock multi-server simulation and prints
 // the merged aggregate followed by one row per member (DESIGN.md §13),
 // with the failover and healing ledgers when a server plan ran
@@ -288,12 +275,20 @@ func installTracer(eng *sched.Engine, n int) {
 	})
 }
 
+// popularityLabel names the catalog's popularity for the workload
+// line: the Zipf skew θ when one is set, else the geometric mean.
+func popularityLabel(zipfSkew, distMean float64) string {
+	if zipfSkew > 0 {
+		return fmt.Sprintf("Zipf θ=%v", zipfSkew)
+	}
+	return fmt.Sprintf("%s (geometric mean %v)", workload.MeanLabel(distMean), distMean)
+}
+
 func printResult(cfg sched.Config, r metrics.Run) {
 	fmt.Printf("technique:            %s\n", r.Technique)
 	fmt.Printf("farm:                 %d disks, stride %d, %d-disk degree, %d objects\n",
 		cfg.D, cfg.K, cfg.M, cfg.Objects)
-	fmt.Printf("workload:             %d stations, %s (geometric mean %v)\n",
-		r.Stations, workload.MeanLabel(r.DistMean), r.DistMean)
+	fmt.Printf("workload:             %d stations, %s\n", r.Stations, popularityLabel(cfg.ZipfSkew, r.DistMean))
 	fmt.Printf("window:               %.0f s warm-up + %.0f s measured\n",
 		r.WarmupSeconds, r.MeasureSeconds)
 	fmt.Printf("throughput:           %.2f displays/hour (%d displays)\n",

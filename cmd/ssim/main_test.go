@@ -30,24 +30,21 @@ func TestClusterOnlyFlags(t *testing.T) {
 	}
 }
 
-// TestCacheWithoutTier pins that -cache without -cachemb > 0 or
-// -batchwindow > 0 is refused instead of silently running with no
-// memory tier.
-func TestCacheWithoutTier(t *testing.T) {
+// TestPopularityLabel pins the workload line's popularity: a Zipf run
+// names its skew, a geometric run its mean.
+func TestPopularityLabel(t *testing.T) {
 	for _, tc := range []struct {
-		name                 string
-		cacheMB, batchWindow int
-		set                  []string
-		want                 bool
+		zipfSkew, distMean float64
+		want               string
 	}{
-		{"policy without a tier", 0, 0, []string{"scale", "cache"}, true},
-		{"policy with a budget", 64, 0, []string{"cachemb", "cache"}, false},
-		{"policy with batching only", 0, 8, []string{"batchwindow", "cache"}, false},
-		{"zero budget is no tier", 0, 0, []string{"cachemb", "cache"}, true},
-		{"no policy, no tier", 0, 0, []string{"scale"}, false},
+		{0, 20, "skewed (geometric mean 20)"},
+		{0, 10, "highly skewed (geometric mean 10)"},
+		{0, 43.5, "uniform (geometric mean 43.5)"},
+		{1.1, 20, "Zipf θ=1.1"},
+		{0.4, 20, "Zipf θ=0.4"},
 	} {
-		if got := cacheWithoutTier(tc.cacheMB, tc.batchWindow, tc.set); got != tc.want {
-			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		if got := popularityLabel(tc.zipfSkew, tc.distMean); got != tc.want {
+			t.Errorf("popularityLabel(%v, %v) = %q, want %q", tc.zipfSkew, tc.distMean, got, tc.want)
 		}
 	}
 }

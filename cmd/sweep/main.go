@@ -67,7 +67,6 @@ func run() (code int) {
 	dispatchFlag := flag.String("dispatch", "", "restrict the cluster grid to one dispatch policy (roundrobin, leastloaded, popularity)")
 	cacheMB := flag.Int("cachemb", 0, "prefix-cache RAM budget in MB (0 = no prefix cache; DESIGN.md §12)")
 	batchWindow := flag.Int("batchwindow", 0, "multicast batch window in intervals (0 = no batching)")
-	cachePolicy := flag.String("cache", "", "cache replacement policy: lru or popularity (default popularity)")
 	zipfSkew := flag.Float64("zipf", 0, "Zipf popularity skew theta (0 = paper's geometric distribution)")
 	arrivals := flag.Float64("arrivals", 0, "open Poisson arrivals per hour (0 = closed loop)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -79,10 +78,6 @@ func run() (code int) {
 	mode := sweepMode(*listTech, *serversFlag, *scaleFlag)
 	if bad := unreadFlags(mode, set); len(bad) > 0 {
 		fmt.Fprintf(os.Stderr, "sweep: %s mode does not read %s\n", mode, strings.Join(bad, ", "))
-		return 2
-	}
-	if cacheWithoutTier(*cacheMB, *batchWindow, set) {
-		fmt.Fprintln(os.Stderr, "sweep: -cache needs -cachemb > 0 or -batchwindow > 0")
 		return 2
 	}
 	if mode == "list" {
@@ -130,7 +125,6 @@ func run() (code int) {
 			opts.Cache = &cache.Spec{
 				BudgetBytes: int64(*cacheMB) << 20,
 				BatchWindow: *batchWindow,
-				Policy:      *cachePolicy,
 			}
 		}
 		if *faultsFlag != "" {
@@ -240,7 +234,7 @@ var modeFlags = map[string][]string{
 	"cluster": {"servers", "dispatch", "seed", "csv", "cpuprofile", "memprofile"},
 	"scale":   {"scale", "seed", "csv", "cpuprofile", "memprofile"},
 	"paper": {"scale", "dist", "stations", "seed", "csv", "technique", "k", "faults", "pressure",
-		"cachemb", "batchwindow", "cache", "zipf", "arrivals", "cpuprofile", "memprofile"},
+		"cachemb", "batchwindow", "zipf", "arrivals", "cpuprofile", "memprofile"},
 }
 
 // sweepMode returns the mode the flags select: "list", "cluster",
@@ -267,13 +261,6 @@ func unreadFlags(mode string, set []string) []string {
 		}
 	}
 	return bad
-}
-
-// cacheWithoutTier reports whether set (the names flag.Visit reports)
-// holds -cache while neither -cachemb nor -batchwindow turns the memory
-// tier on: the policy would apply to nothing.
-func cacheWithoutTier(cacheMB, batchWindow int, set []string) bool {
-	return cacheMB <= 0 && batchWindow <= 0 && slices.Contains(set, "cache")
 }
 
 // scaleFactors returns the factors 1, 2, 5, 10, … up to the ceiling

@@ -31,7 +31,7 @@ func TestUnreadFlagsPerMode(t *testing.T) {
 		{"dispatch without servers", false, "", "full",
 			[]string{"dispatch", "stations"}, "paper", []string{"-dispatch"}},
 		{"paper sweep reads its options", false, "", "quick",
-			[]string{"scale", "technique", "k", "stations", "dist", "zipf", "arrivals", "cachemb", "batchwindow", "cache", "faults", "pressure", "csv"},
+			[]string{"scale", "technique", "k", "stations", "dist", "zipf", "arrivals", "cachemb", "batchwindow", "faults", "pressure", "csv"},
 			"paper", nil},
 		{"unknown scale stays a paper-sweep error", false, "", "bogus", []string{"scale"}, "paper", nil},
 		{"list reads nothing else", true, "4", "10x",
@@ -44,28 +44,6 @@ func TestUnreadFlagsPerMode(t *testing.T) {
 		}
 		if got := unreadFlags(mode, tc.set); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: unread %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestCacheWithoutTier pins that -cache without -cachemb > 0 or
-// -batchwindow > 0 is refused instead of silently running with no
-// memory tier.
-func TestCacheWithoutTier(t *testing.T) {
-	for _, tc := range []struct {
-		name                 string
-		cacheMB, batchWindow int
-		set                  []string
-		want                 bool
-	}{
-		{"policy without a tier", 0, 0, []string{"scale", "cache"}, true},
-		{"policy with a budget", 64, 0, []string{"cachemb", "cache"}, false},
-		{"policy with batching only", 0, 8, []string{"batchwindow", "cache"}, false},
-		{"zero budget is no tier", 0, 0, []string{"cachemb", "cache"}, true},
-		{"no policy, no tier", 0, 0, []string{"scale"}, false},
-	} {
-		if got := cacheWithoutTier(tc.cacheMB, tc.batchWindow, tc.set); got != tc.want {
-			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -7,21 +7,23 @@
 //
 // The admission policy follows the interval-caching line of the
 // multicast-prefix VoD literature (Jayarekha & Nair): a reference may
-// displace colder prefixes only when the replacement policy agrees the
-// newcomer is worth more than the victim, so one-time references never
-// churn the hot set.  Replacement is pluggable (Policy): an LRU
-// baseline and the popularity-weighted variant with exponential decay.
+// displace colder prefixes only when the newcomer's decayed request
+// rate beats the victim's, so one-time references never churn the hot
+// set.
 //
 // The tier itself is pure bookkeeping — it never touches engine state.
 // The engine consults it from its single interval loop, so no method
 // here needs synchronization.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// DefaultPrefixSubobjects is the prefix length pinned per cached
-// object when Spec.PrefixSubobjects is zero.
-const DefaultPrefixSubobjects = 4
+// PrefixSubobjects is how many leading subobjects of an object the
+// cache pins; the engine clamps it to the object length.
+const PrefixSubobjects = 4
 
 // Spec configures the memory tier.  The zero value (and nil) disable
 // it entirely: the engine then compiles the cache hooks down to one
@@ -31,17 +33,10 @@ type Spec struct {
 	// BudgetBytes is the fixed RAM budget for pinned prefixes; 0
 	// disables the prefix cache (batching may still be on).
 	BudgetBytes int64
-	// PrefixSubobjects is how many leading subobjects of an object the
-	// cache pins; 0 selects DefaultPrefixSubobjects, and the engine
-	// clamps it to the object length.
-	PrefixSubobjects int
 	// BatchWindow is the multicast window in intervals: requests for
 	// the same object within this window of an in-flight or queued
 	// stream attach to it as followers.  0 disables batching.
 	BatchWindow int
-	// Policy selects the replacement policy: PolicyLRU or
-	// PolicyPopularity ("" = PolicyPopularity).
-	Policy string
 }
 
 // Enabled reports whether the spec turns the tier on at all.
@@ -58,17 +53,10 @@ func (s *Spec) Validate() error {
 	switch {
 	case s.BudgetBytes < 0:
 		return fmt.Errorf("cache: budget must be non-negative")
-	case s.PrefixSubobjects < 0:
-		return fmt.Errorf("cache: prefix length must be non-negative")
 	case s.BatchWindow < 0:
 		return fmt.Errorf("cache: batch window must be non-negative")
 	}
-	switch s.Policy {
-	case "", PolicyLRU, PolicyPopularity:
-		return nil
-	default:
-		return fmt.Errorf("cache: unknown policy %q (have %s, %s)", s.Policy, PolicyLRU, PolicyPopularity)
-	}
+	return nil
 }
 
 // Pending is one request batched behind a queued leader request,
@@ -79,9 +67,16 @@ type Pending struct {
 }
 
 // Tier is the memory tier's state: the resident prefix set under the
-// RAM budget, and per-object leader/follower/pending registries for
-// multicast stream sharing.  All methods run on the engine's interval
-// goroutine.
+// RAM budget, the per-object popularity scores that choose what it
+// evicts, and per-object leader/follower/pending registries for
+// multicast stream sharing.  All methods run on the engine's interval goroutine.
+//
+// Replacement is popularity-weighted: each reference adds one unit to
+// an exponentially decayed per-object score (half-life of one display
+// length), the victim is the coldest resident by decayed request rate,
+// and a newcomer must out-score it to displace it.  This is the
+// interval-caching admission of Jayarekha & Nair: bursty one-time
+// traffic decays away instead of flushing the Zipf head.
 type Tier struct {
 	spec      Spec
 	prefixLen int
@@ -89,7 +84,10 @@ type Tier struct {
 	resident  []bool
 	residents []int // resident object ids, order-free (victim ties on id)
 	used      int64
-	pol       Policy
+
+	score    []float64 // object -> decayed reference count
+	last     []int32   // object -> interval of the last reference, -1 = never
+	halfLife float64
 
 	// Leader registry: the newest in-flight disk stream per object.
 	// leaderEnd is exclusive; leaderEnd <= now means no live leader.
@@ -104,14 +102,20 @@ type Tier struct {
 // NewTier builds the tier for a catalog of objects.  prefixLen is the
 // effective pinned prefix in subobjects (already clamped by the
 // caller), bytesOf gives each object's prefix footprint in bytes, and
-// halfLife tunes the popularity policy's decay (typically one display
+// halfLife tunes the popularity score's decay (typically one display
 // length in intervals).
 func NewTier(spec *Spec, objects, prefixLen int, bytesOf func(int) int64, halfLife float64) *Tier {
+	if halfLife <= 0 {
+		halfLife = 1
+	}
 	t := &Tier{
 		spec:          *spec,
 		prefixLen:     prefixLen,
 		bytes:         make([]int64, objects),
 		resident:      make([]bool, objects),
+		score:         make([]float64, objects),
+		last:          make([]int32, objects),
+		halfLife:      halfLife,
 		leaderStation: make([]int32, objects),
 		leaderStart:   make([]int32, objects),
 		leaderEnd:     make([]int32, objects),
@@ -121,21 +125,13 @@ func NewTier(spec *Spec, objects, prefixLen int, bytesOf func(int) int64, halfLi
 	}
 	for id := range t.bytes {
 		t.bytes[id] = bytesOf(id)
-	}
-	switch spec.Policy {
-	case PolicyLRU:
-		t.pol = newLRU(objects)
-	default:
-		t.pol = newPopularity(objects, halfLife)
+		t.last[id] = -1
 	}
 	return t
 }
 
 // PrefixLen returns the pinned prefix length in subobjects.
 func (t *Tier) PrefixLen() int { return t.prefixLen }
-
-// Policy returns the replacement policy's name.
-func (t *Tier) Policy() string { return t.pol.Name() }
 
 // Resident reports whether obj's prefix is pinned right now.
 func (t *Tier) Resident(obj int) bool { return t.resident[obj] }
@@ -150,12 +146,12 @@ func (t *Tier) Used() int64 { return t.used }
 func (t *Tier) ResidentCount() int { return len(t.residents) }
 
 // Reference records one request for obj at the given interval and
-// runs the interval-caching admission: the reference warms the
-// replacement policy, and the prefix is pinned if it fits the budget —
-// evicting colder prefixes only while the policy agrees obj is worth
-// more than each victim, so one-timers never displace the hot set.
+// runs the interval-caching admission: the reference warms obj's
+// score, and the prefix is pinned if it fits the budget — evicting
+// colder prefixes only while obj out-scores each victim, so one-timers
+// never displace the hot set.
 func (t *Tier) Reference(obj, now int) {
-	t.pol.Touched(obj, now)
+	t.touched(obj, now)
 	if t.spec.BudgetBytes <= 0 || t.resident[obj] {
 		return
 	}
@@ -164,20 +160,39 @@ func (t *Tier) Reference(obj, now int) {
 		return
 	}
 	for t.used+need > t.spec.BudgetBytes {
-		victim, ok := t.pol.Victim(t.residents)
-		if !ok || !t.pol.ShouldAdmit(obj, victim) {
+		victim := t.victim()
+		if victim < 0 || t.score[obj] <= t.score[victim] {
 			return
 		}
 		t.evict(victim)
 	}
-	t.insert(obj, now)
-}
-
-func (t *Tier) insert(obj, now int) {
 	t.resident[obj] = true
 	t.residents = append(t.residents, obj)
 	t.used += t.bytes[obj]
-	t.pol.Inserted(obj, now)
+}
+
+// touched adds one reference at interval now to obj's decayed score.
+func (t *Tier) touched(obj, now int) {
+	if t.last[obj] < 0 {
+		t.score[obj] = 1
+	} else {
+		gap := float64(now - int(t.last[obj]))
+		t.score[obj] = 1 + t.score[obj]*math.Exp2(-gap/t.halfLife)
+	}
+	t.last[obj] = int32(now)
+}
+
+// victim returns the coldest resident (ties on the lowest id), or -1
+// when nothing is resident.
+func (t *Tier) victim() int {
+	victim, best := -1, math.Inf(1)
+	for _, id := range t.residents {
+		s := t.score[id]
+		if s < best || (s == best && (victim < 0 || id < victim)) {
+			victim, best = id, s
+		}
+	}
+	return victim
 }
 
 func (t *Tier) evict(obj int) {
@@ -191,7 +206,6 @@ func (t *Tier) evict(obj int) {
 		}
 	}
 	t.used -= t.bytes[obj]
-	t.pol.Evicted(obj)
 }
 
 // AttachGap reports whether a request for obj arriving now can attach
@@ -271,12 +285,11 @@ func (t *Tier) PendingObjects(buf []int) []int {
 }
 
 // Flush resets the tier to its built state: no residents, no leaders,
-// no followers, no pending batches, and a cold replacement policy —
-// the RAM contents of a server that just power-cycled.
+// no followers, no pending batches, and no popularity scores — the RAM
+// contents of a server that just power-cycled.
 func (t *Tier) Flush() {
 	for _, obj := range t.residents {
 		t.resident[obj] = false
-		t.pol.Evicted(obj)
 	}
 	t.residents = t.residents[:0]
 	t.used = 0
@@ -284,8 +297,9 @@ func (t *Tier) Flush() {
 		t.leaderEnd[obj] = 0
 		t.followers[obj] = t.followers[obj][:0]
 		t.pending[obj] = t.pending[obj][:0]
+		t.score[obj] = 0
+		t.last[obj] = -1
 	}
-	t.pol.Reset()
 }
 
 // AddPending batches a request behind obj's queued leader request; it

@@ -29,13 +29,13 @@ func TestSpecValidate(t *testing.T) {
 	if err := nilSpec.Validate(); err != nil {
 		t.Fatalf("nil spec: %v", err)
 	}
-	good := []Spec{{}, {BudgetBytes: 1 << 20, PrefixSubobjects: 4, BatchWindow: 8}, {Policy: PolicyLRU}, {Policy: PolicyPopularity}}
+	good := []Spec{{}, {BudgetBytes: 1 << 20, BatchWindow: 8}}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%+v: unexpected error %v", s, err)
 		}
 	}
-	bad := []Spec{{BudgetBytes: -1}, {PrefixSubobjects: -1}, {BatchWindow: -1}, {Policy: "fifo"}}
+	bad := []Spec{{BudgetBytes: -1}, {BatchWindow: -1}}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%+v: expected error", s)
@@ -79,24 +79,6 @@ func TestPopularityDisplacesColdest(t *testing.T) {
 	}
 	if !tr.Resident(1) {
 		t.Fatal("object 1 should survive")
-	}
-}
-
-func TestLRUAlwaysAdmits(t *testing.T) {
-	spec := testSpec()
-	spec.Policy = PolicyLRU
-	tr := NewTier(spec, 8, 4, flatBytes, 30)
-	if tr.Policy() != PolicyLRU {
-		t.Fatalf("policy = %s", tr.Policy())
-	}
-	tr.Reference(0, 0)
-	tr.Reference(1, 1)
-	tr.Reference(2, 2)
-	if !tr.Resident(2) {
-		t.Fatal("LRU admits every reference")
-	}
-	if tr.Resident(0) {
-		t.Fatal("LRU evicts the least recently used (object 0)")
 	}
 }
 
@@ -188,5 +170,46 @@ func TestSetLeaderSupersedesFollowers(t *testing.T) {
 	buf, ok := tr.DetachIfLeader(0, 8, 25, nil)
 	if !ok || len(buf) != 0 {
 		t.Fatalf("superseding leader must start with no followers, got %v,%v", buf, ok)
+	}
+}
+
+// TestFlush pins that a flushed tier is the built tier: nothing pinned,
+// no leader to attach to, nothing pending, and no popularity carried
+// over, so a prefix that was hot before the flush competes as a
+// newcomer would.
+func TestFlush(t *testing.T) {
+	tr := NewTier(testSpec(), 8, 4, flatBytes, 30)
+	for i := 0; i < 5; i++ {
+		tr.Reference(0, i)
+	}
+	tr.Reference(1, 4)
+	tr.SetLeader(0, 7, 2, 50, 0)
+	tr.AddFollower(0, 3)
+	tr.AddPending(1, 9, 4)
+	tr.Flush()
+	if tr.ResidentCount() != 0 || tr.Used() != 0 || tr.Resident(0) || tr.Resident(1) {
+		t.Fatalf("after Flush: residents=%d used=%d, want none", tr.ResidentCount(), tr.Used())
+	}
+	if objs := tr.PendingObjects(nil); len(objs) != 0 || tr.PendingCount(1) != 0 {
+		t.Fatalf("after Flush: pending objects %v", objs)
+	}
+	// Re-pin both prefixes; object 0's leader window would still cover
+	// a gap of 4 had the flush kept it.
+	tr.Reference(0, 5)
+	tr.Reference(1, 5)
+	if _, ok := tr.AttachGap(0, 6, 8); ok {
+		t.Fatal("after Flush: a request attached to the pre-flush leader")
+	}
+	if buf, ok := tr.DetachIfLeader(0, 7, 6, nil); ok || len(buf) != 0 {
+		t.Fatalf("after Flush: leader still live, detach got %v,%v", buf, ok)
+	}
+	// Two references heat object 2 to score 2.  With the pre-flush
+	// scores object 0 (five references) would outlast object 1; from a
+	// cold start both score 1 and the tie evicts object 0.
+	tr.Reference(2, 6)
+	tr.Reference(2, 6)
+	if tr.Resident(0) || !tr.Resident(1) || !tr.Resident(2) {
+		t.Fatalf("after Flush: resident 0,1,2 = %v,%v,%v, want false,true,true",
+			tr.Resident(0), tr.Resident(1), tr.Resident(2))
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"github.com/mmsim/staggered/internal/fault"
 	"github.com/mmsim/staggered/internal/rng"
 	"github.com/mmsim/staggered/internal/sched"
+	"github.com/mmsim/staggered/internal/workload"
 )
 
 // Config describes one cluster run.
@@ -353,22 +354,6 @@ func (s *Sim) drawObject() int {
 	return id
 }
 
-// flip rotates the shared draw by half the catalog — the same
-// rotation workload.Generator.FlipHalf applies to a single engine's
-// per-station draws.
-func (s *Sim) flip() {
-	n := s.dist.Len()
-	if s.remap == nil {
-		s.remap = make([]int, n)
-		for i := range s.remap {
-			s.remap[i] = i
-		}
-	}
-	for i := range s.remap {
-		s.remap[i] = (s.remap[i] + (n+1)/2) % n
-	}
-}
-
 // deliverArrivals dispatches every cluster arrival strictly before
 // limit (seconds) to a member chosen by the policy.  An arrival that
 // finds every member dead is lost and counted.  An error is a member
@@ -377,7 +362,7 @@ func (s *Sim) deliverArrivals(limit float64) error {
 	for s.nextAt < limit {
 		if s.flipAt > 0 && !s.flipped && s.nextAt >= s.flipAt {
 			s.flipped = true
-			s.flip()
+			s.remap = workload.RotateHalf(s.remap, s.dist.Len())
 		}
 		obj := s.drawObject()
 		target := s.dispatch.Pick(obj, s)

@@ -15,10 +15,10 @@ import (
 // checkStriped asserts, after an interval, the conditions the striped
 // engine's event-driven admission relies on (DESIGN.md §8):
 //
-//   - an object that names a ready FIFO (fifo ≥ 0) is resident and not
-//     being staged, and that FIFO is the (first disk, degree) of its
-//     placement, which the per-entry path reads in place of FirstDisk
-//     (checkFIFOMap);
+//   - an object names a ready FIFO (fifo ≥ 0) exactly when it is
+//     resident and not being staged, and that FIFO is the (first disk,
+//     degree) of its placement, which the per-entry path reads in place
+//     of FirstDisk (checkFIFOMap);
 //   - every cold object queued when the scan ran is Pending on the
 //     tertiary device, so a later Request for it would be a no-op;
 //   - the FIFO table's chains, live list and places agree
@@ -97,17 +97,19 @@ func checkStriped(t testing.TB, e *Engine) {
 }
 
 // checkFIFOMap asserts the object → FIFO map: an object names a FIFO
-// only while it is ready — resident, and not the object being staged —
-// and the FIFO it names holds the first disk and degree of its
-// placement.  The converse does not hold: a staging aborted before its
-// write started leaves the object placed but not ready.
+// exactly while it is ready — resident, and not the object being
+// staged — and the FIFO it names holds the first disk and degree of its
+// placement.
 func checkFIFOMap(t testing.TB, st *stripedTech, at int) {
 	t.Helper()
 	for obj, id := range st.fifo {
+		first, resident := st.store.FirstDisk(obj)
 		if id < 0 {
+			if resident && obj != st.matObject {
+				t.Fatalf("interval %d: object %d is resident and not being staged, but names no FIFO", at, obj)
+			}
 			continue
 		}
-		first, resident := st.store.FirstDisk(obj)
 		if !resident || obj == st.matObject {
 			t.Fatalf("interval %d: object %d names FIFO %d, but resident is %v and staging is %d", at, obj, id, resident, st.matObject)
 		}
@@ -240,9 +242,6 @@ func admissionCaseFrom(data []byte) admissionCase {
 		cfg.Cache = &cache.Spec{
 			BudgetBytes: int64(1+b.next()%8) << 24,
 			BatchWindow: b.next() % 8,
-		}
-		if flags&32 != 0 {
-			cfg.Cache.Policy = cache.PolicyLRU
 		}
 	}
 	horizon := cfg.WarmupIntervals + cfg.MeasureIntervals

@@ -25,10 +25,7 @@ type followerRef struct {
 // bindCache allocates the tier and the follower bookkeeping.
 func (e *Engine) bindCache() {
 	cfg := &e.cfg
-	prefix := cfg.Cache.PrefixSubobjects
-	if prefix == 0 {
-		prefix = cache.DefaultPrefixSubobjects
-	}
+	prefix := cache.PrefixSubobjects
 	if prefix > cfg.Subobjects {
 		prefix = cfg.Subobjects
 	}

@@ -85,9 +85,6 @@ func fuzzConfig(data []byte) (cfg Config, member *fuzzMember) {
 			BudgetBytes: int64(c%16) << 22,
 			BatchWindow: b.next() % 8,
 		}
-		if c&16 != 0 {
-			cfg.Cache.Policy = cache.PolicyLRU
-		}
 	}
 	if n := b.next() % 5; n > 0 {
 		p := fault.NewPlan()

@@ -397,17 +397,19 @@ func (t *stripedTech) adoptObject(id int) bool {
 }
 
 // abortStaging abandons the pending or in-flight materialization: the
-// write claims release, a partially written object is evicted rather
-// than published, and the device request is dropped (stations still
-// wanting the object re-request it on their next admission scan).
+// write claims release, an object placed for the staging is evicted
+// rather than published — whether or not its write had begun, since
+// the staging object is never ready and nothing else frees a placement
+// that never turned ready — and the device request is dropped
+// (stations still wanting the object re-request it on their next
+// admission scan).
 func (t *stripedTech) abortStaging() {
 	t.eng.cacheStagingAborted(t.matObject)
 	for _, v := range t.matVdisks {
 		t.setVBusy(v, freeSlot)
 	}
 	t.matVdisks = t.matVdisks[:0]
-	if t.matStarted && t.store.Resident(t.matObject) {
-		t.setReady(t.matObject, false)
+	if t.store.Resident(t.matObject) {
 		t.eng.emit(EvEvict, t.matObject, -1, "staging aborted")
 		_ = t.store.Evict(t.matObject)
 	}

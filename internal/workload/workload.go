@@ -102,17 +102,24 @@ func (g *Generator) Draw(station int) int {
 // re-converge under.  Calls compose (two flips of an even catalog
 // restore the identity).  Draw pays one nil check until the first
 // flip, so un-flipped runs are untouched.
-func (g *Generator) FlipHalf() {
-	n := g.dist.Len()
-	if g.remap == nil {
-		g.remap = make([]int, n)
-		for i := range g.remap {
-			g.remap[i] = i
+func (g *Generator) FlipHalf() { g.remap = RotateHalf(g.remap, g.dist.Len()) }
+
+// RotateHalf rotates a rank → object mapping over a catalog of n
+// objects by half the catalog and returns it; a nil remap stands for
+// the identity and is allocated on the first call.  It is the one
+// popularity-churn rotation: FlipHalf applies it to a generator's
+// per-station draws, and the cluster to its shared draw.
+func RotateHalf(remap []int, n int) []int {
+	if remap == nil {
+		remap = make([]int, n)
+		for i := range remap {
+			remap[i] = i
 		}
 	}
-	for i := range g.remap {
-		g.remap[i] = (g.remap[i] + (n+1)/2) % n
+	for i := range remap {
+		remap[i] = (remap[i] + (n+1)/2) % n
 	}
+	return remap
 }
 
 // Popularity returns the reference probability of object id.

@@ -98,6 +98,9 @@ for policy in roundrobin leastloaded popularity; do
 	go run -race ./cmd/ssim -scale quick -servers 4 -dispatch "$policy" -zipf 1.1 -arrivals 6000 \
 		-faults 'server:1@2100-2700' -healbudget 2 -seed 1 >/dev/null
 done
+echo "-- dispatch: popularity, with the memory tier (a revived member flushes its cache)"
+go run -race ./cmd/ssim -scale quick -servers 4 -dispatch popularity -zipf 1.1 -arrivals 6000 -cachemb 256 -batchwindow 8 \
+	-faults 'server:1@2100-2700' -healbudget 2 -seed 1 >/dev/null
 
 echo "== quick sweep per registered technique"
 for tkey in $(go run ./cmd/sweep -list-techniques | awk '{print $1}'); do
