@@ -15,21 +15,28 @@
 // Simple striping (k = M) and virtual data replication (k = D, the
 // [GS93] baseline) are special cases.
 //
-// The package exposes three layers:
+// The package exposes:
 //
 //   - Layout planning: Layout, Placement, Store — pure arithmetic for
-//     placing objects and checking balance (§3.2 of the paper), plus
-//     the virtual-disk machinery for time-fragmented delivery and
-//     dynamic coalescing (Algorithms 1 and 2).
+//     placing objects and checking balance (§3.2 of the paper), and
+//     Grid, which renders the paper's layout figures.
+//
+//   - Media and device models: the paper's media types, the object
+//     catalog, and the Sabre, Table 3 disk and tertiary devices.
 //
 //   - Analytic models: fragment-size/latency/bandwidth tradeoffs,
 //     Equation (1) memory sizing, stride analysis (§3.1, §3.2.2).
 //
-//   - Simulation: interval-quantized throughput engines for staggered
-//     striping and the virtual-data-replication baseline, an
-//     event-level disk model for hiccup validation, and Reproduce,
-//     which prints every table and figure of the paper's evaluation
-//     (what cmd/repro runs).
+//   - Playback: rewind, fast-forward and scan over a fast-forward
+//     replica (§3.2.5).
+//
+//   - Simulation: interval-quantized throughput engines for simple
+//     striping, staggered striping with time-fragmented delivery and
+//     dynamic coalescing (Algorithms 1 and 2, the "staggered"
+//     technique), and the virtual-data-replication baseline.
+//
+// The command cmd/repro prints every table and figure of the paper's
+// evaluation; the examples directory holds the facade's own callers.
 //
 // # Quickstart
 //

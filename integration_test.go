@@ -58,7 +58,7 @@ func TestIntegrationLayoutToSimulation(t *testing.T) {
 	cfg.CapacityFragments, cfg.Objects, cfg.Subobjects = 60, 40, 30
 	cfg.WarmupIntervals, cfg.MeasureIntervals = 600, 3000
 
-	layout, err := SimpleStriping(cfg.D, cfg.M)
+	layout, err := NewLayout(cfg.D, cfg.M)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -329,9 +329,6 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// Servers returns the member count.
-func (s *Sim) Servers() int { return len(s.engines) }
-
 // load is the dispatch policies' congestion signal for one member:
 // displays in delivery plus references waiting in the disk queue.
 func (s *Sim) load(i int) int {

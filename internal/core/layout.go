@@ -48,13 +48,6 @@ func SimpleStriping(d, m int) (Layout, error) {
 	return NewLayout(d, m)
 }
 
-// VirtualReplication returns the layout implementing virtual data
-// replication: stride k = D keeps every subobject of an object on the
-// same M disks (§3.2, footnote 4).
-func VirtualReplication(d int) (Layout, error) {
-	return NewLayout(d, d)
-}
-
 // Clusters returns R = D/M, the number of physical disk clusters for
 // degree m, valid when D is a multiple of m.
 func (l Layout) Clusters(m int) int { return l.D / m }
@@ -65,20 +58,6 @@ func (l Layout) Disk(first, sub, frag int) int {
 	// All quantities may be large; Go's % keeps sign for non-negative
 	// operands, which these are.
 	return (first + sub*l.K + frag) % l.D
-}
-
-// StartDisk returns the disk holding the first fragment of subobject
-// sub.
-func (l Layout) StartDisk(first, sub int) int { return l.Disk(first, sub, 0) }
-
-// Span returns the m physical disks occupied by subobject sub, in
-// fragment order.
-func (l Layout) Span(first, sub, m int) []int {
-	disks := make([]int, m)
-	for i := range disks {
-		disks[i] = l.Disk(first, sub, i)
-	}
-	return disks
 }
 
 // Placement records where one object lives on the farm.
@@ -169,37 +148,8 @@ func gcd(a, b int) int {
 	return a
 }
 
-// SkewFree reports whether the layout guarantees no data skew for
-// arbitrarily large objects: §3.2.2 requires the subobject start disks
-// to visit every disk, which holds exactly when gcd(D, k) = 1 — or,
-// for clustered placements, when objects are aligned and sized in
-// multiples of the GCD.  A stride of 1 always qualifies.
-func (l Layout) SkewFree() bool { return gcd(l.D, l.K) == 1 }
-
 // StartDiskOrbit returns the number of distinct disks that can hold a
 // subobject's first fragment for a fixed object start: D / gcd(D, k).
 // With k = D the orbit is 1 (virtual data replication pins the object
 // to one cluster); with gcd = 1 the orbit is all of D.
 func (l Layout) StartDiskOrbit() int { return l.D / gcd(l.D, l.K) }
-
-// SkewRatio returns max/min fragments per disk over the disks the
-// object touches, a measure of storage imbalance.  1.0 is perfectly
-// balanced.
-func (p Placement) SkewRatio() float64 {
-	min, max := -1, 0
-	for _, c := range p.FragmentsPerDisk() {
-		if c == 0 {
-			continue
-		}
-		if min < 0 || c < min {
-			min = c
-		}
-		if c > max {
-			max = c
-		}
-	}
-	if min <= 0 {
-		return 0
-	}
-	return float64(max) / float64(min)
-}

@@ -55,13 +55,12 @@ func TestSimpleStripingConstructor(t *testing.T) {
 	}
 }
 
+// TestVirtualReplicationConstructor checks that virtual data
+// replication is the stride k = D layout.
 func TestVirtualReplicationConstructor(t *testing.T) {
-	l, err := VirtualReplication(10)
+	l, err := NewLayout(10, 10)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if l.K != 10 {
-		t.Fatalf("virtual replication stride = %d, want D", l.K)
 	}
 	if l.StartDiskOrbit() != 1 {
 		t.Fatal("k=D must pin all subobjects to one start disk")
@@ -163,6 +162,9 @@ func TestSection322Extremes(t *testing.T) {
 	}
 }
 
+// TestSkewFree checks §3.2.2's skew-free condition: the start disks of
+// a long object's subobjects visit every disk exactly when
+// gcd(D, k) = 1.
 func TestSkewFree(t *testing.T) {
 	cases := []struct {
 		d, k int
@@ -177,8 +179,8 @@ func TestSkewFree(t *testing.T) {
 	}
 	for _, c := range cases {
 		l := mustLayout(t, c.d, c.k)
-		if got := l.SkewFree(); got != c.want {
-			t.Errorf("SkewFree(D=%d, k=%d) = %v, want %v", c.d, c.k, got, c.want)
+		if got := l.StartDiskOrbit() == c.d; got != c.want {
+			t.Errorf("D=%d, k=%d: start-disk orbit %d covers every disk = %v, want %v", c.d, c.k, l.StartDiskOrbit(), got, c.want)
 		}
 	}
 }
@@ -288,9 +290,6 @@ func TestVirtualReplicationFootprint(t *testing.T) {
 			t.Errorf("disk %d outside cluster holds %d fragments", d, c)
 		}
 	}
-	if p.SkewRatio() != 1.0 {
-		t.Errorf("within-cluster skew = %v, want 1", p.SkewRatio())
-	}
 }
 
 func TestPlacementValidation(t *testing.T) {
@@ -331,13 +330,14 @@ func TestDiskPanicsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestSpan checks that a subobject's M fragments occupy consecutive
+// disks and wrap around the ring.
 func TestSpan(t *testing.T) {
 	l := mustLayout(t, 12, 1)
-	got := l.Span(10, 1, 4)
 	want := []int{11, 0, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Span = %v, want %v", got, want)
+	for i, w := range want {
+		if got := l.Disk(10, 1, i); got != w {
+			t.Fatalf("Disk(10, 1, %d) = %d, want %d", i, got, w)
 		}
 	}
 }

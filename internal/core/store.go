@@ -94,12 +94,6 @@ func (s *Store) ensure(id int) {
 	s.ids = id + 1
 }
 
-// Layout returns the store's layout.
-func (s *Store) Layout() Layout { return s.layout }
-
-// CapacityFragments returns the per-disk capacity.
-func (s *Store) CapacityFragments() int { return s.capacity }
-
 // Resident reports whether the object id is placed.
 func (s *Store) Resident(id int) bool {
 	return id >= 0 && id < s.ids && s.resident[id>>6]&(1<<uint(id&63)) != 0
@@ -223,12 +217,24 @@ func (s *Store) commit(id, first, m, n int, sh []int32) Placement {
 	return Placement{Layout: s.layout, First: first, M: m, N: n}
 }
 
-// PlaceAt places object id with degree m and n subobjects starting at
-// a specific disk.  It fails if the object is already placed or does
-// not fit.
-func (s *Store) PlaceAt(id, first, m, n int) (Placement, error) {
+// checkNew rejects an id that cannot be placed: a negative one, which
+// has no slot in the residency index, or one already resident.
+func (s *Store) checkNew(id int) error {
+	if id < 0 {
+		return fmt.Errorf("core: object id %d is negative", id)
+	}
 	if s.Resident(id) {
-		return Placement{}, fmt.Errorf("core: object %d already placed", id)
+		return fmt.Errorf("core: object %d already placed", id)
+	}
+	return nil
+}
+
+// PlaceAt places object id with degree m and n subobjects starting at
+// a specific disk.  It fails if id is negative or already placed, or
+// if the object does not fit.
+func (s *Store) PlaceAt(id, first, m, n int) (Placement, error) {
+	if err := s.checkNew(id); err != nil {
+		return Placement{}, err
 	}
 	if _, err := NewPlacement(s.layout, first, m, n); err != nil {
 		return Placement{}, err
@@ -247,8 +253,8 @@ func (s *Store) PlaceAt(id, first, m, n int) (Placement, error) {
 // stride so that equal objects tile the farm, falling back to a scan
 // of all start positions if the preferred one is full.
 func (s *Store) Place(id, m, n int) (Placement, error) {
-	if s.Resident(id) {
-		return Placement{}, fmt.Errorf("core: object %d already placed", id)
+	if err := s.checkNew(id); err != nil {
+		return Placement{}, err
 	}
 	if n*m > s.FreeFragments() {
 		return Placement{}, fmt.Errorf("core: object %d needs %d fragments, only %d free",

@@ -267,20 +267,6 @@ func TestVDRStoreFindFreeCluster(t *testing.T) {
 	}
 }
 
-func TestVDRClusterDisks(t *testing.T) {
-	v, err := NewVDRStore(15, 5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := v.ClusterDisks(2)
-	want := []int{10, 11, 12, 13, 14}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ClusterDisks(2) = %v, want %v", got, want)
-		}
-	}
-}
-
 // TestVDRTable3OneObjectPerCluster reproduces §4.1: "at most one
 // object can be assigned to a cluster (the storage capacity of the
 // cluster is exhausted by one object)".
@@ -352,7 +338,8 @@ func TestStorePlaceFailureAllocs(t *testing.T) {
 // FreeFragments always equal the resident placements' summed
 // footprints, PlaceAt accepts exactly when the per-disk brute force
 // says the object fits, and Place takes the first fitting start of the
-// k-grid from its cursor, else the first fitting disk.
+// k-grid from its cursor, else the first fitting disk.  Ids are
+// signed: a negative id is refused by every call.
 func FuzzStorePlace(f *testing.F) {
 	// Each op is 5 bytes: kind, id, degree, subobjects, start disk.
 	f.Add(uint8(10), uint8(0), uint8(4), []byte{0, 1, 2, 3, 0, 1, 2, 2, 9, 4, 0, 3, 0, 4, 0, 2, 1, 0, 0, 0})  // k<M ramps
@@ -360,6 +347,7 @@ func FuzzStorePlace(f *testing.F) {
 	f.Add(uint8(7), uint8(2), uint8(5), []byte{0, 1, 2, 30, 0, 1, 2, 1, 9, 6, 0, 4, 0, 12, 0, 2, 2, 0, 0, 0}) // n·k > D wraps
 	f.Add(uint8(9), uint8(9), uint8(2), []byte{0, 0, 2, 3, 0, 0, 1, 2, 3, 0, 0, 2, 0, 4, 0, 2, 0, 0, 0, 0})   // k = D
 	f.Add(uint8(9), uint8(0), uint8(0), []byte{0, 0, 0, 0, 0, 0, 1, 1, 0, 9})                                 // wrap onto a full disk 0
+	f.Add(uint8(8), uint8(0), uint8(4), []byte{0, 255, 1, 1, 0, 1, 249, 1, 1, 0, 2, 255, 0, 0, 0})            // negative ids
 	f.Fuzz(func(t *testing.T, dRaw, kRaw, capRaw uint8, ops []byte) {
 		d := int(dRaw%40) + 1
 		k := int(kRaw)%d + 1
@@ -379,15 +367,15 @@ func FuzzStorePlace(f *testing.F) {
 			return true
 		}
 		// A bounded sequence keeps each input fast; 64 ops cycle the
-		// 8 ids through place and evict many times over.
+		// 15 ids, -7 to 7, through place and evict many times over.
 		ops = ops[:min(len(ops), 64*5)]
 		for ; len(ops) >= 5; ops = ops[5:] {
-			id, m, n, first := int(ops[1]%8), int(ops[2])%d+1, int(ops[3]%40)+1, int(ops[4])%d
+			id, m, n, first := int(int8(ops[1]))%8, int(ops[2])%d+1, int(ops[3]%40)+1, int(ops[4])%d
 			switch ops[0] % 3 {
 			case 0:
 				p := Placement{Layout: s.layout, First: first, M: m, N: n}
 				_, resident := placed[id]
-				want := !resident && fitsAt(p)
+				want := id >= 0 && !resident && fitsAt(p)
 				got, err := s.PlaceAt(id, first, m, n)
 				if (err == nil) != want {
 					t.Fatalf("PlaceAt(%d, %d, %d, %d) error %v, brute force fits=%v", id, first, m, n, err, want)
@@ -398,7 +386,7 @@ func FuzzStorePlace(f *testing.F) {
 			case 1:
 				_, resident := placed[id]
 				want := -1
-				if !resident && n*m <= s.FreeFragments() {
+				if id >= 0 && !resident && n*m <= s.FreeFragments() {
 					for try := 0; try < d && want < 0; try++ {
 						if f := (s.cursor + try*k) % d; fitsAt(Placement{Layout: s.layout, First: f, M: m, N: n}) {
 							want = f

@@ -17,8 +17,6 @@ import (
 // sorted ascending, so the scheduler's per-interval probes need
 // neither map lookups nor per-call copies.
 type VDRStore struct {
-	d         int
-	m         int
 	clusters  int
 	capacity  int     // fragments (cylinders) per disk
 	used      []int   // per-cluster used cylinders per member disk
@@ -37,8 +35,6 @@ func NewVDRStore(d, m, capacityFragments int) (*VDRStore, error) {
 		return nil, fmt.Errorf("core: per-disk capacity %d must be positive", capacityFragments)
 	}
 	return &VDRStore{
-		d:         d,
-		m:         m,
 		clusters:  d / m,
 		capacity:  capacityFragments,
 		used:      make([]int, d/m),
@@ -80,33 +76,12 @@ func (v *VDRStore) replicasOf(id int) []int {
 // Clusters returns R, the number of clusters.
 func (v *VDRStore) Clusters() int { return v.clusters }
 
-// ClusterDisks returns the member disks of cluster c.
-func (v *VDRStore) ClusterDisks(c int) []int {
-	disks := make([]int, v.m)
-	for i := range disks {
-		disks[i] = c*v.m + i
-	}
-	return disks
-}
-
 // Replicas returns the clusters holding copies of object id, in
 // ascending cluster order.  The caller must not mutate the result.
 func (v *VDRStore) Replicas(id int) []int { return v.replicasOf(id) }
 
 // Resident reports whether at least one replica of id exists.
 func (v *VDRStore) Resident(id int) bool { return len(v.replicasOf(id)) > 0 }
-
-// ResidentIDs returns the ids of all resident objects in ascending
-// order.
-func (v *VDRStore) ResidentIDs() []int {
-	ids := make([]int, 0, v.unique)
-	for id, r := range v.replicas {
-		if len(r) > 0 {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
 
 // UniqueResident returns the number of distinct resident objects —
 // the quantity the paper contrasts with striping: replication reduces

@@ -83,11 +83,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// CapacityBytes returns the total drive capacity in bytes.
-func (s Spec) CapacityBytes() float64 {
-	return float64(s.Cylinders) * s.CylinderBytes
-}
-
 // TSwitch returns the worst-case head repositioning delay of §3.1:
 // a maximum seek plus a maximum rotational latency.  The paper's
 // Sabre example: 35 + 16.83 = 51.83 ms.
@@ -195,19 +190,6 @@ func (s Spec) seekCoeffs() (a, b, c float64) {
 	c = (u2*w3 - u3*w2) / det
 	a = r1 - b*x1 - c*y1
 	return a, b, c
-}
-
-// MeanSeekTime returns the expected seek time over a uniformly random
-// pair of start/target cylinders, by exact enumeration of the distance
-// distribution: P(d) = 2(C-d)/C² for d ≥ 1.
-func (s Spec) MeanSeekTime() float64 {
-	cyl := float64(s.Cylinders)
-	sum := 0.0
-	for d := 1; d < s.Cylinders; d++ {
-		p := 2 * (cyl - float64(d)) / (cyl * cyl)
-		sum += p * s.SeekTime(d)
-	}
-	return sum
 }
 
 // SequentialServiceTime returns the per-fragment service time when an

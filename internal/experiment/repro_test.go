@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -102,3 +103,17 @@ func TestReproductionSectionsDocumented(t *testing.T) {
 		}
 	}
 }
+
+// TestReproduceStopsAtFailedWrite checks that Reproduce returns the
+// first write error instead of rendering the remaining sections.
+func TestReproduceStopsAtFailedWrite(t *testing.T) {
+	if err := Reproduce(failingWriter{}); !errors.Is(err, errWriteRefused) {
+		t.Errorf("Reproduce into a failing writer returned %v", err)
+	}
+}
+
+var errWriteRefused = errors.New("write refused")
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errWriteRefused }

@@ -47,26 +47,6 @@ func (t Type) Degree(bDisk float64) int {
 	return int(math.Ceil(t.Display / bDisk))
 }
 
-// LogicalDegree returns the number of half-bandwidth logical disks
-// (§3.2.3) needed: ceil(B_Display / (B_Disk/2)).  Low-bandwidth and
-// non-multiple objects waste less bandwidth under this allocation;
-// e.g. B_Display = 3/2·B_Disk occupies exactly 3 logical disks.
-func (t Type) LogicalDegree(bDisk float64) int {
-	if bDisk <= 0 {
-		panic("media: non-positive disk bandwidth")
-	}
-	return int(math.Ceil(t.Display / (bDisk / 2)))
-}
-
-// WastedBandwidthFraction returns the fraction of the allocated whole
-// disks' bandwidth that the object cannot use because the allocation
-// is an integral number of disks.  §3.2.3: a 30 mbps object on 20 mbps
-// disks wastes 25% of two disks.
-func (t Type) WastedBandwidthFraction(bDisk float64) float64 {
-	m := float64(t.Degree(bDisk))
-	return (m*bDisk - t.Display) / (m * bDisk)
-}
-
 // ObjectID identifies an object in the catalog.
 type ObjectID int
 
@@ -89,28 +69,6 @@ func (o Object) Validate() error {
 	return nil
 }
 
-// Degree returns the object's degree of declustering for the given
-// effective disk bandwidth.
-func (o Object) Degree(bDisk float64) int { return o.Type.Degree(bDisk) }
-
-// Fragments returns the total number of fragments the object occupies:
-// Subobjects × M_X.
-func (o Object) Fragments(bDisk float64) int {
-	return o.Subobjects * o.Degree(bDisk)
-}
-
-// SizeBytes returns the object's total size given the system fragment
-// size in bytes.
-func (o Object) SizeBytes(bDisk, fragmentBytes float64) float64 {
-	return float64(o.Fragments(bDisk)) * fragmentBytes
-}
-
-// DisplaySeconds returns the time to display the object: each
-// subobject takes one time interval of fragmentBytes·8/B_Disk.
-func (o Object) DisplaySeconds(bDisk, fragmentBytes float64) float64 {
-	return float64(o.Subobjects) * fragmentBytes * 8 / bDisk
-}
-
 // Catalog is the database of objects, indexed by ObjectID.
 type Catalog struct {
 	objects []Object
@@ -130,26 +88,5 @@ func (c *Catalog) Add(o Object) (Object, error) {
 	return o, nil
 }
 
-// Get returns the object with the given ID.
-func (c *Catalog) Get(id ObjectID) (Object, error) {
-	if int(id) < 0 || int(id) >= len(c.objects) {
-		return Object{}, fmt.Errorf("media: no object with id %d", id)
-	}
-	return c.objects[id], nil
-}
-
-// MustGet is Get for ids known to be valid; it panics otherwise.
-func (c *Catalog) MustGet(id ObjectID) Object {
-	o, err := c.Get(id)
-	if err != nil {
-		panic(err)
-	}
-	return o
-}
-
 // Len returns the number of objects in the catalog.
 func (c *Catalog) Len() int { return len(c.objects) }
-
-// All returns the objects in ID order.  The caller must not mutate the
-// returned slice.
-func (c *Catalog) All() []Object { return c.objects }

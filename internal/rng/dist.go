@@ -108,15 +108,6 @@ func (d *Discrete) P(i int) float64 { return d.pmf[i] }
 // Len returns the size of the support.
 func (d *Discrete) Len() int { return len(d.pmf) }
 
-// Mean returns the expected index value.
-func (d *Discrete) Mean() float64 {
-	m := 0.0
-	for i, p := range d.pmf {
-		m += float64(i) * p
-	}
-	return m
-}
-
 // TruncatedGeometric builds the paper's object-popularity distribution:
 // a geometric distribution with the given mean, truncated to n objects
 // and renormalized.  Index 0 is the most popular object.  The paper

@@ -83,17 +83,6 @@ func (s *Stream) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Exp returns an exponentially distributed value with the given mean.
 func (s *Stream) Exp(mean float64) float64 {
 	if mean <= 0 {

@@ -96,24 +96,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	err := quick.Check(func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := NewStream(seed, 1).Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSourceNamedStreamsReproducible(t *testing.T) {
 	src := NewSource(99)
 	a := src.Stream("disk")
@@ -300,16 +282,6 @@ func TestZipf(t *testing.T) {
 	}
 	if _, err := Zipf(10, -1); err == nil {
 		t.Error("negative theta accepted")
-	}
-}
-
-func TestDiscreteMean(t *testing.T) {
-	d, err := NewDiscrete([]float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := d.Mean(); math.Abs(m-0.5) > 1e-12 {
-		t.Fatalf("mean of fair coin over {0,1} = %v, want 0.5", m)
 	}
 }
 

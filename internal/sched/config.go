@@ -265,10 +265,6 @@ func (c Config) objectBitsOf(id int) float64 {
 	return c.FragmentBytes * 8 * float64(c.Degree(id)) * float64(c.Subobjects)
 }
 
-// DisplayIntervals returns the display length of one object: one
-// interval per subobject.
-func (c Config) DisplayIntervals() int { return c.Subobjects }
-
 // MaterializeIntervals returns the number of time intervals one
 // materialization of a default-degree object occupies the tertiary
 // device.

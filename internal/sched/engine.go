@@ -286,9 +286,6 @@ func newEngine(cfg Config, tech Technique, member bool, dist *rng.Discrete, prel
 // Config returns the configuration the engine runs.
 func (e *Engine) Config() Config { return e.cfg }
 
-// TechniqueName returns the display name of the engine's technique.
-func (e *Engine) TechniqueName() string { return e.techName }
-
 // enqueue issues a new reference for station s.
 func (e *Engine) enqueue(s int) {
 	e.record(s, e.stn.Issue(s))

@@ -188,7 +188,7 @@ func TestTechniqueRegistry(t *testing.T) {
 	if norm.K != 2 {
 		t.Errorf("normalized K = %d, want 2", norm.K)
 	}
-	if got, want := e.TechniqueName(), fmt.Sprintf("%s (k=2)", StaggeredStripingName); got != want {
-		t.Errorf("TechniqueName() = %q, want %q", got, want)
+	if got, want := e.Snapshot().Technique, fmt.Sprintf("%s (k=2)", StaggeredStripingName); got != want {
+		t.Errorf("Snapshot().Technique = %q, want %q", got, want)
 	}
 }

@@ -83,10 +83,10 @@ func TestTable3ConfigNumbers(t *testing.T) {
 	if iv := c.IntervalSeconds(); math.Abs(iv-0.6048) > 1e-9 {
 		t.Errorf("interval = %v, want 0.6048", iv)
 	}
-	if c.DisplayIntervals() != 3000 {
-		t.Errorf("display intervals = %d, want 3000", c.DisplayIntervals())
+	if c.Subobjects != 3000 {
+		t.Errorf("display intervals = %d, want 3000", c.Subobjects)
 	}
-	if got := float64(c.DisplayIntervals()) * c.IntervalSeconds(); math.Abs(got-1814.4) > 0.01 {
+	if got := float64(c.Subobjects) * c.IntervalSeconds(); math.Abs(got-1814.4) > 0.01 {
 		t.Errorf("display time = %v s, want 1814.4", got)
 	}
 	if got := c.MaterializeIntervals(); math.Abs(float64(got)*c.IntervalSeconds()-4536) > 1 {

@@ -105,27 +105,6 @@ func (s Spec) MaterializeSeconds(objectBits float64, layout TapeLayout, interval
 	}
 }
 
-// FragRef identifies fragment Frag of subobject Sub.
-type FragRef struct{ Sub, Frag int }
-
-// TapeOrder returns the disk-matched recording order for an object of
-// n subobjects with degree m, produced w fragments per time cycle
-// (w = DisksOccupied): subobject-major, fragment-minor.  For m = w = 2
-// this is exactly the §3.2.4 example sequence
-// X0.0, X0.1, X1.0, X1.1, X2.0, X2.1, ...
-func TapeOrder(m, n, w int) ([]FragRef, error) {
-	if m <= 0 || n <= 0 || w <= 0 {
-		return nil, fmt.Errorf("tertiary: TapeOrder arguments must be positive (m=%d n=%d w=%d)", m, n, w)
-	}
-	order := make([]FragRef, 0, n*m)
-	for s := 0; s < n; s++ {
-		for i := 0; i < m; i++ {
-			order = append(order, FragRef{Sub: s, Frag: i})
-		}
-	}
-	return order, nil
-}
-
 // Manager is the Tertiary Manager of the simulation model (§4.1): a
 // FCFS queue of materialization requests with duplicate suppression —
 // concurrent requests for the same object join the one in flight.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"testing"
-	"testing/quick"
 )
 
 func TestSpecValidate(t *testing.T) {
@@ -97,61 +96,6 @@ func TestMaterializeSecondsEdgeCases(t *testing.T) {
 		}()
 		Table3.MaterializeSeconds(1, Sequential, 0)
 	}()
-}
-
-func TestTapeOrderSection324Example(t *testing.T) {
-	// §3.2.4: fragments stored as X0.0, X0.1, X1.0, X1.1, X2.0, X2.1.
-	order, err := TapeOrder(2, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []FragRef{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {2, 1}}
-	if len(order) != len(want) {
-		t.Fatalf("order length = %d, want %d", len(order), len(want))
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order[%d] = %v, want %v", i, order[i], want[i])
-		}
-	}
-}
-
-func TestTapeOrderCoversAllFragments(t *testing.T) {
-	err := quick.Check(func(mRaw, nRaw, wRaw uint8) bool {
-		m := int(mRaw%8) + 1
-		n := int(nRaw%30) + 1
-		w := int(wRaw%4) + 1
-		order, err := TapeOrder(m, n, w)
-		if err != nil {
-			return false
-		}
-		if len(order) != m*n {
-			return false
-		}
-		seen := make(map[FragRef]bool, m*n)
-		for _, r := range order {
-			if r.Sub < 0 || r.Sub >= n || r.Frag < 0 || r.Frag >= m || seen[r] {
-				return false
-			}
-			seen[r] = true
-		}
-		return true
-	}, &quick.Config{MaxCount: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTapeOrderValidation(t *testing.T) {
-	if _, err := TapeOrder(0, 1, 1); err == nil {
-		t.Error("m=0 accepted")
-	}
-	if _, err := TapeOrder(1, 0, 1); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := TapeOrder(1, 1, 0); err == nil {
-		t.Error("w=0 accepted")
-	}
 }
 
 func TestManagerFCFSAndDedup(t *testing.T) {

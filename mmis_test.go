@@ -1,7 +1,6 @@
 package mmis
 
 import (
-	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -41,7 +40,7 @@ func TestPublicLayoutAPI(t *testing.T) {
 }
 
 func TestPublicStoreAPI(t *testing.T) {
-	l, err := SimpleStriping(1000, 5)
+	l, err := NewLayout(1000, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +58,21 @@ func TestPublicStoreAPI(t *testing.T) {
 	if err := st.Evict(42); err != nil {
 		t.Fatal(err)
 	}
+	// A negative id is an argument error, not an index panic.
+	small, err := NewLayout(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewStore(small, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ss.Place(-1, 1, 1); err == nil {
+		t.Error("Place(-1, ...) accepted a negative id")
+	}
+	if _, err := ss.PlaceAt(-1, 0, 1, 1); err == nil {
+		t.Error("PlaceAt(-1, ...) accepted a negative id")
+	}
 }
 
 func TestPublicMediaAPI(t *testing.T) {
@@ -73,8 +87,8 @@ func TestPublicMediaAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.MustGet(o.ID).Name; got != "trailer" {
-		t.Errorf("catalog lookup = %q", got)
+	if o.ID != 0 || o.Name != "trailer" || c.Len() != 1 {
+		t.Errorf("catalog added %v %q and holds %d objects, want id 0 \"trailer\" and 1", o.ID, o.Name, c.Len())
 	}
 }
 
@@ -88,37 +102,6 @@ func TestPublicAnalyticAPI(t *testing.T) {
 	}
 	if MinimumBufferBytes(20e6, 0.05183, 0.01) <= 0 {
 		t.Error("Equation (1) result not positive")
-	}
-}
-
-func TestPublicDeliveryAPI(t *testing.T) {
-	a, ok := ChooseVirtualDisks(8, 1, 0, 2, []int{1, 6})
-	if !ok {
-		t.Fatal("assignment infeasible")
-	}
-	d, err := NewDelivery(a, 8, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !d.Done() {
-		t.Fatal("delivery incomplete")
-	}
-}
-
-// TestPublicChooseVirtualDisksRefusesInvalidInput pins the facade's
-// error contract: malformed input yields ok=false, not a panic.
-func TestPublicChooseVirtualDisksRefusesInvalidInput(t *testing.T) {
-	if _, ok := ChooseVirtualDisks(0, 1, 0, 1, []int{0}); ok {
-		t.Error("D = 0 accepted")
-	}
-	if _, ok := ChooseVirtualDisks(8, 0, 0, 1, []int{0}); ok {
-		t.Error("k = 0 accepted")
-	}
-	if _, ok := ChooseVirtualDisks(8, 1, 0, 2, []int{1, 6, 9}); ok {
-		t.Error("free disk beyond D accepted")
 	}
 }
 
@@ -164,17 +147,7 @@ func TestPublicExperimentAPI(t *testing.T) {
 	if !strings.Contains(tbl, "# Display Stations") {
 		t.Errorf("table rendering wrong:\n%s", tbl)
 	}
-	// Reproduce stops at the first write that fails.
-	if err := Reproduce(failingWriter{}); !errors.Is(err, errWriteRefused) {
-		t.Errorf("Reproduce into a failing writer returned %v", err)
-	}
 }
-
-var errWriteRefused = errors.New("write refused")
-
-type failingWriter struct{}
-
-func (failingWriter) Write([]byte) (int, error) { return 0, errWriteRefused }
 
 func TestPaperConstantsExported(t *testing.T) {
 	if len(workload.PaperMeans) != 3 || workload.PaperStations[len(workload.PaperStations)-1] != 256 {
@@ -185,34 +158,5 @@ func TestPaperConstantsExported(t *testing.T) {
 	}
 	if SimulationTertiary.Bandwidth != 40e6 {
 		t.Fatal("tertiary bandwidth drifted")
-	}
-}
-
-func TestPublicAdvisorAPI(t *testing.T) {
-	a, err := RecommendStride(1000, []int{5})
-	if err != nil || a.Stride != 5 {
-		t.Fatalf("advice = %+v, %v", a, err)
-	}
-	mixed, err := RecommendStride(12, []int{2, 3, 4})
-	if err != nil || mixed.Stride != 1 {
-		t.Fatalf("mixed advice = %+v, %v", mixed, err)
-	}
-	c, ok := RecommendFragmentCylinders(SabreDisk, 30, 10)
-	if !ok || c != 1 {
-		t.Fatalf("fragment advice = %d, %v", c, ok)
-	}
-}
-
-func TestPublicAvailabilityAPI(t *testing.T) {
-	// The tradeoff the extension quantifies: striping widens the
-	// failure blast radius in exchange for Table 4's throughput.
-	if BlastRadius(1000, 5, 5, 3000, 200) != 200 {
-		t.Error("k=M blast radius should cover the whole database")
-	}
-	if got := SurvivingBandwidthFraction(1000, 1000, 5, 3000, 1); got < 0.99 {
-		t.Errorf("k=D survival = %v, want ~0.995", got)
-	}
-	if s := PinnedLayoutSavings(SabreDisk, 2*SabreDisk.CylinderBytes); s <= 0 || s >= 0.10 {
-		t.Errorf("pinned layout savings = %v, want (0, 0.10)", s)
 	}
 }

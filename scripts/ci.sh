@@ -59,6 +59,19 @@ golden() {
 golden ./internal/sched TestGoldenSweep TestGoldenStaggered TestGoldenAlgorithm1 TestGoldenFaults
 golden ./internal/experiment TestReproduction TestReproductionSectionsDocumented
 
+echo "== examples: each program's stdout equals its pinned examples/<name>/output.txt (the examples are the facade's only callers)"
+example_out=$(mktemp)
+trap 'rm -f "$example_out"' EXIT
+for dir in examples/*/; do
+	name=$(basename "$dir")
+	echo "-- example: $name"
+	go run "./examples/$name" >"$example_out"
+	if ! diff -u "examples/$name/output.txt" "$example_out"; then
+		echo "examples step: $name output differs from examples/$name/output.txt"
+		exit 1
+	fi
+done
+
 echo "== fuzz: Algorithm 1 orbit walk, with its span count, against the per-candidate oracle (farms up to 256 disks)"
 go test -run '^$' -fuzz FuzzChooseVirtualDisks -fuzztime 10s ./internal/vdisk
 
