@@ -1,9 +1,9 @@
 // Package cluster scales the simulation past one server: N
 // independent sched.Engine instances — each its own disk farm,
-// tertiary device, and station pool — advanced in global
-// earliest-time order under a shared clock, fed by one cluster-wide
-// Poisson arrival stream that a pluggable Dispatch policy routes to a
-// member server (DESIGN.md §13).  The paper sizes a single server (D
+// tertiary device, and station pool — advanced in lockstep rounds on
+// one integer interval clock, fed by one cluster-wide Poisson arrival
+// stream that a pluggable Dispatch policy routes to a member server
+// (DESIGN.md §13).  The paper sizes a single server (D
 // disks bound its bandwidth no matter how clever the striping);
 // ROADMAP's millions-of-users north star is this layer's N-fold
 // aggregate.
@@ -173,28 +173,24 @@ type Sim struct {
 	// counters (orphaned, reAdmitted, reAdmitDropped, healed) are
 	// lifetime, never window-reset: the chaos harness asserts
 	// orphaned == reAdmitted + reAdmitDropped over the whole run.
-	serverEvents    []fault.Event
-	serverCursor    int
-	assignments     [][]int // build-time replica table, the healing source
-	orphaned        int
-	reAdmitted      int
-	reAdmitDropped  int
-	lostArrivals    int
-	healed          int
-	healQueue       []healEntry
-	healBudget      int
-	healWindowSecs  float64
-	nextHealAt      float64
-	healStart       float64 // seconds of the kill that opened the episode
-	redistributeSec float64
+	serverEvents   []fault.Event // not yet applied, in time order
+	assignments    [][]int       // build-time replica table, the healing source
+	orphaned       int
+	reAdmitted     int
+	reAdmitDropped int
+	lostArrivals   int
+	delivered      int // fresh arrivals handed to a member, lifetime
+	healed         int
+	healQueue      []healEntry
+	healStart      int // interval of the kill that opened the episode
+	redistribute   int // longest heal episode, in intervals
+	samples        []Sample
 
-	// Recovery-curve sampling (Config.SampleIntervals).
-	sampleSecs   float64
-	nextSampleAt float64
-	samples      []Sample
+	// stepCheck, when set, runs after every round: the tests'
+	// continuous invariant checks.  Nothing outside tests sets it.
+	stepCheck func(t int)
 
-	resetDone []bool
-	ran       bool
+	ran bool
 }
 
 // healEntry is one replica the healing pass still owes the cluster:
@@ -265,7 +261,6 @@ func New(cfg Config) (*Sim, error) {
 			return nil, err
 		}
 		s.engines = []*sched.Engine{e}
-		s.resetDone = make([]bool, 1)
 		return s, nil
 	}
 
@@ -297,13 +292,6 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.ServerPlan != nil {
 		s.serverEvents = cfg.ServerPlan.Events()
 	}
-	s.healBudget = cfg.HealBudget
-	s.healWindowSecs = float64(base.Subobjects) * s.dt
-	s.nextHealAt = s.healWindowSecs
-	if cfg.SampleIntervals > 0 {
-		s.sampleSecs = float64(cfg.SampleIntervals) * s.dt
-		s.nextSampleAt = s.sampleSecs
-	}
 
 	s.engines = make([]*sched.Engine, cfg.Servers)
 	for i := range s.engines {
@@ -325,7 +313,6 @@ func New(cfg Config) (*Sim, error) {
 		s.engines[i] = e
 	}
 	s.routed = make([]int, cfg.Servers)
-	s.resetDone = make([]bool, cfg.Servers)
 	return s, nil
 }
 
@@ -366,6 +353,7 @@ func (s *Sim) deliverArrivals(limit float64) error {
 		if target < 0 {
 			s.lostArrivals++
 		} else {
+			s.delivered++
 			s.routed[target]++
 			if _, err := s.engines[target].InjectArrival(obj); err != nil {
 				return fmt.Errorf("cluster: arrival on server %d: %w", target, err)
@@ -399,7 +387,6 @@ func (s *Sim) killServer(i int) error {
 	if e.Dead() {
 		return nil
 	}
-	killT := e.NextEventTime()
 	rep, err := e.Kill()
 	if err != nil {
 		return fmt.Errorf("cluster: kill server %d: %w", i, err)
@@ -422,7 +409,7 @@ func (s *Sim) killServer(i int) error {
 			s.reAdmitDropped++
 		}
 	}
-	if s.healBudget > 0 {
+	if s.cfg.HealBudget > 0 {
 		wasEmpty := len(s.healQueue) == 0
 		for _, obj := range s.assignments[i] {
 			if e.HoldsObject(obj) {
@@ -430,23 +417,18 @@ func (s *Sim) killServer(i int) error {
 			}
 		}
 		if wasEmpty && len(s.healQueue) > 0 {
-			s.healStart = killT
+			s.healStart = e.Now()
 		}
 	}
 	return nil
 }
 
-// reviveServer restarts member i at the plan's interval (clamped to
-// the member's own clock, which may sit one interval past the kill
-// time in a staggered round).  Healing work owed for replicas the
-// member brings back with its surviving disks is dropped.
+// reviveServer restarts member i at round at.  Healing work owed for
+// replicas the member brings back with its surviving disks is dropped.
 func (s *Sim) reviveServer(i, at int) error {
 	e := s.engines[i]
 	if !e.Dead() {
 		return nil
-	}
-	if n := e.Now(); at < n {
-		at = n
 	}
 	if err := e.Revive(at); err != nil {
 		return fmt.Errorf("cluster: revive server %d: %w", i, err)
@@ -460,7 +442,7 @@ func (s *Sim) reviveServer(i, at int) error {
 		}
 		s.healQueue = kept
 		if len(kept) == 0 {
-			s.endHealEpisode(float64(at) * s.dt)
+			s.endHealEpisode(at)
 		}
 	}
 	return nil
@@ -471,8 +453,8 @@ func (s *Sim) reviveServer(i, at int) error {
 // object.  An entry nobody can take (every live member holds it, or
 // every member is dead) is dropped; an entry the target has no room
 // for stays at the head for the next window.
-func (s *Sim) healPass(now float64) {
-	budget := s.healBudget
+func (s *Sim) healPass(now int) {
+	budget := s.cfg.HealBudget
 	for budget > 0 && len(s.healQueue) > 0 {
 		h := s.healQueue[0]
 		target, tl := -1, 0
@@ -501,128 +483,84 @@ func (s *Sim) healPass(now float64) {
 }
 
 // endHealEpisode records the time-to-redistribute of a drained heal
-// queue; the Result reports the longest episode.
-func (s *Sim) endHealEpisode(now float64) {
-	if d := now - s.healStart; d > s.redistributeSec {
-		s.redistributeSec = d
+// queue at interval now; the Result reports the longest episode.
+func (s *Sim) endHealEpisode(now int) {
+	if d := now - s.healStart; d > s.redistribute {
+		s.redistribute = d
 	}
 	s.healStart = now
 }
 
 // takeSample appends one recovery-curve point: the cluster-wide
-// cumulative completed-display count at shared-clock time t.
-func (s *Sim) takeSample(t float64) {
+// cumulative completed-display count at the start of round t.
+func (s *Sim) takeSample(t int) {
 	sum := 0
 	for _, e := range s.engines {
 		sum += e.CompletedDisplays()
 	}
-	s.samples = append(s.samples, Sample{Seconds: t, Displays: sum})
+	s.samples = append(s.samples, Sample{Seconds: float64(t) * s.dt, Displays: sum})
 }
 
 // Run executes the cluster to its horizon and returns the merged
-// statistics.  A second call returns sched.ErrAlreadyRun.
+// statistics.  A second call returns sched.ErrAlreadyRun.  Every member
+// shares Base's interval, so the cluster steps in lockstep rounds of
+// one interval, each in the fixed phase order below (DESIGN.md §13); a
+// dead member sits the rounds out until its restart event.
 func (s *Sim) Run() (Result, error) {
 	if s.ran {
 		return Result{}, sched.ErrAlreadyRun
 	}
 	s.ran = true
-	for _, e := range s.engines {
-		e.Prime()
+	if s.dist == nil {
+		// One member, delegated: the engine runs its own workload.
+		return s.result(s.engines[0].Run()), nil
 	}
-
-	// Shared-clock loop: always advance the member whose next interval
-	// is globally earliest (ties in ascending server order).  With
-	// homogeneous members this degenerates to lockstep rounds; the
-	// earliest-time order is what keeps heterogeneous interval lengths
-	// correct.  A dead member reports no pending work and simply drops
-	// out of the rounds until its restart event revives it.
-	warm := s.engines[0].Config().WarmupIntervals
-	pickBest := func() (int, float64) {
-		best := -1
-		var bt float64
-		for i, e := range s.engines {
-			if !e.HasPendingWork() {
-				continue
-			}
-			if t := e.NextEventTime(); best < 0 || t < bt {
-				best, bt = i, t
-			}
-		}
-		return best, bt
-	}
-	for {
-		best, bt := pickBest()
-		// Execute server-plan events due at or before the next step.
-		// With every member dead (best < 0) the clock jumps straight to
-		// the next event — a pending restart is the only thing that can
-		// put work back on the loop.
-		for s.serverCursor < len(s.serverEvents) {
-			ev := s.serverEvents[s.serverCursor]
-			if ev.At >= warm+s.engines[0].Config().MeasureIntervals {
-				// Past the run horizon (wear processes outlive short
-				// runs): never execute, or post-window state would leak
-				// into the Snapshots.
-				s.serverCursor++
-				continue
-			}
-			if best >= 0 && float64(ev.At)*s.dt > bt {
-				break
-			}
-			s.serverCursor++
-			if err := s.applyServerEvent(ev); err != nil {
-				return Result{}, err
-			}
-			best, bt = pickBest()
-		}
-		if best < 0 {
-			break
-		}
-		e := s.engines[best]
-		if !s.resetDone[best] && e.Now() >= warm {
-			// Warm-up boundary: open this member's measurement window,
-			// and the cluster's dispatch window with the first member.
-			e.ResetWindow()
-			s.resetDone[best] = true
-			if best == 0 || !anyTrue(s.resetDone[:best]) {
-				for i := range s.routed {
-					s.routed[i] = 0
-				}
-				s.noHolder = 0
-				s.failedOver = 0
-			}
-		}
-		if s.sampleSecs > 0 {
-			for s.nextSampleAt <= bt {
-				s.takeSample(s.nextSampleAt)
-				s.nextSampleAt += s.sampleSecs
-			}
-		}
-		if s.healBudget > 0 && bt >= s.nextHealAt {
-			if len(s.healQueue) > 0 {
-				s.healPass(bt)
-			}
-			for s.nextHealAt <= bt {
-				s.nextHealAt += s.healWindowSecs
-			}
-		}
-		if s.dist != nil {
-			// Deliver the arrivals of the interval about to execute
-			// before any member steps past it: in a tie round this
-			// fires on the first member's turn and is a no-op for the
-			// rest (the limit is monotone).
-			limit := bt + s.dt
-			if end := float64(warm+e.Config().MeasureIntervals) * s.dt; limit > end {
-				limit = end
-			}
-			if err := s.deliverArrivals(limit); err != nil {
+	base := s.engines[0].Config()
+	warm, end := base.WarmupIntervals, base.WarmupIntervals+base.MeasureIntervals
+	for t := 0; t < end; t++ {
+		for ; len(s.serverEvents) > 0 && s.serverEvents[0].At <= t; s.serverEvents = s.serverEvents[1:] {
+			if err := s.applyServerEvent(s.serverEvents[0]); err != nil {
 				return Result{}, err
 			}
 		}
-		e.StepOne()
+		if t == warm {
+			for _, e := range s.engines {
+				e.ResetWindow()
+			}
+			clear(s.routed)
+			s.noHolder, s.failedOver = 0, 0
+		}
+		if t > 0 && s.cfg.SampleIntervals > 0 && t%s.cfg.SampleIntervals == 0 {
+			s.takeSample(t)
+		}
+		if t > 0 && s.cfg.HealBudget > 0 && t%base.Subobjects == 0 && len(s.healQueue) > 0 {
+			s.healPass(t)
+		}
+		if err := s.deliverArrivals(float64(t+1) * s.dt); err != nil {
+			return Result{}, err
+		}
+		for _, e := range s.engines {
+			if !e.Dead() {
+				e.StepOne()
+			}
+		}
+		if s.stepCheck != nil {
+			s.stepCheck(t)
+		}
 	}
+	snaps := make([]sched.Result, len(s.engines))
+	for i, e := range s.engines {
+		snaps[i] = e.Snapshot()
+	}
+	return s.result(snaps...), nil
+}
 
+// result assembles the Result from the members' final Snapshots and the
+// cluster's counters.
+func (s *Sim) result(servers ...sched.Result) Result {
 	res := Result{
-		Servers:             make([]sched.Result, len(s.engines)),
+		Aggregate:           servers[0],
+		Servers:             servers,
 		Dispatch:            s.dispatch.Name(),
 		NoHolder:            s.noHolder,
 		FailedOver:          s.failedOver,
@@ -631,36 +569,16 @@ func (s *Sim) Run() (Result, error) {
 		ReAdmitDropped:      s.reAdmitDropped,
 		LostArrivals:        s.lostArrivals,
 		HealedReplicas:      s.healed,
-		RedistributeSeconds: s.redistributeSec,
+		RedistributeSeconds: float64(s.redistribute) * s.dt,
 		Samples:             s.samples,
 	}
 	if s.routed != nil {
 		res.Routed = append([]int(nil), s.routed...)
 	}
-	for i, e := range s.engines {
-		if !s.resetDone[i] {
-			// The member never crossed the warm-up boundary alive (it
-			// died during warm-up and stayed dead): open an empty window
-			// so its warm-up counters don't pollute the aggregate.
-			e.ResetWindow()
-			s.resetDone[i] = true
-		}
-		res.Servers[i] = e.Snapshot()
-	}
-	res.Aggregate = res.Servers[0]
-	for _, r := range res.Servers[1:] {
+	for _, r := range servers[1:] {
 		res.Aggregate.Merge(r)
 	}
-	return res, nil
-}
-
-func anyTrue(bs []bool) bool {
-	for _, b := range bs {
-		if b {
-			return true
-		}
-	}
-	return false
+	return res
 }
 
 // replicaAssignments spreads object replicas across n servers by

@@ -223,16 +223,12 @@ func TestPopularityChurnReconverges(t *testing.T) {
 func TestReplicaAssignments(t *testing.T) {
 	const objects, n, perServer = 40, 4, 20
 	assign := replicaAssignments(objects, n, perServer, 1)
-
-	holders := make([]int, objects)
 	for i, ids := range assign {
 		if len(ids) > perServer {
 			t.Fatalf("server %d assigned %d objects, capacity %d", i, len(ids), perServer)
 		}
-		for _, id := range ids {
-			holders[id]++
-		}
 	}
+	holders := holdersAt(objects, n, perServer, 1)
 	if holders[0] != n {
 		t.Errorf("hottest object on %d servers, want all %d", holders[0], n)
 	}
@@ -248,6 +244,32 @@ func TestReplicaAssignments(t *testing.T) {
 	if !reflect.DeepEqual(assign, replicaAssignments(objects, n, perServer, 1)) {
 		t.Error("replica placement is not deterministic")
 	}
+
+	// The survivability knob E21 sweeps: a deeper ladder leaves fewer
+	// objects single-homed on the member E21 kills (member 1), so fewer
+	// objects lose their last holder with it.
+	for depth, want := range map[int]int{1: 9, 2: 8, 4: 6} {
+		holders, only := holdersAt(objects, n, perServer, depth), 0
+		for _, id := range replicaAssignments(objects, n, perServer, depth)[1] {
+			if holders[id] == 1 {
+				only++
+			}
+		}
+		if only != want {
+			t.Errorf("depth %d: %d objects held only by member 1, want %d", depth, only, want)
+		}
+	}
+}
+
+// holdersAt counts each object's build-time holders.
+func holdersAt(objects, n, perServer, depth int) []int {
+	holders := make([]int, objects)
+	for _, ids := range replicaAssignments(objects, n, perServer, depth) {
+		for _, id := range ids {
+			holders[id]++
+		}
+	}
+	return holders
 }
 
 // TestPopularityRoutesToHolders pins that with every object placed
@@ -278,5 +300,37 @@ func TestPopularityRoutesToHolders(t *testing.T) {
 	}
 	if res.Aggregate.Displays == 0 {
 		t.Fatal("popularity cluster delivered zero displays")
+	}
+}
+
+// TestWindowLedgerPerMember pins the warm-up boundary: every member
+// opens its measurement window before the boundary round's arrivals
+// are routed, so each member's admitted plus refused requests equal
+// exactly what the dispatch ledger routed to it.  The rate puts
+// arrivals in the boundary round.
+func TestWindowLedgerPerMember(t *testing.T) {
+	for _, dispatch := range Policies() {
+		t.Run(dispatch, func(t *testing.T) {
+			cfg := multiConfig(dispatch)
+			cfg.Base.ArrivalsPerHour = 60000
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRounds(t, sim)
+			if warm := cfg.Base.WarmupIntervals; arrivalsIn(sim, warm, warm+1) == 0 {
+				t.Fatal("no arrivals in the boundary round — the case proves nothing")
+			}
+			res, err := sim.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range res.Servers {
+				if got := r.Requests + r.OpenRejected; got != res.Routed[i] {
+					t.Errorf("member %d: routed %d, window admitted %d + refused %d",
+						i, res.Routed[i], r.Requests, r.OpenRejected)
+				}
+			}
+		})
 	}
 }

@@ -124,9 +124,13 @@ func (popularity) Pick(obj int, s *Sim) int {
 		}
 		return best
 	}
-	s.noHolder++
 	// No live holder.  The fallback itself must prefer live members —
 	// leastLoaded skips dead ones — rather than handing the arrival to
-	// a drained corpse that happens to report zero load.
-	return leastLoaded{}.Pick(obj, s)
+	// a drained corpse that happens to report zero load.  With every
+	// member dead the caller counts the arrival lost instead.
+	target := leastLoaded{}.Pick(obj, s)
+	if target >= 0 {
+		s.noHolder++
+	}
+	return target
 }

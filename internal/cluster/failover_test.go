@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/mmsim/staggered/internal/fault"
+	"github.com/mmsim/staggered/internal/sched"
 )
 
 // TestDispatchSkipsDeadMembers is the unit pass over the three
@@ -13,7 +14,7 @@ import (
 // engines: the natural target dying re-routes the pick to a live
 // member and counts it, the popularity no-holder fallback prefers live
 // members over a drained corpse reporting zero load, and an all-dead
-// cluster yields -1.
+// cluster yields -1 without counting a no-holder fallback.
 func TestDispatchSkipsDeadMembers(t *testing.T) {
 	sim, err := New(multiConfig("popularity"))
 	if err != nil {
@@ -71,10 +72,14 @@ func TestDispatchSkipsDeadMembers(t *testing.T) {
 	if _, err := sim.engines[1].Kill(); err != nil {
 		t.Fatal(err)
 	}
+	noHolder := sim.noHolder
 	for _, d := range []Dispatch{&roundRobin{}, leastLoaded{}, popularity{}} {
 		if got := d.Pick(obj, sim); got != -1 {
 			t.Fatalf("%s with every member dead: Pick = %d, want -1", d.Name(), got)
 		}
+	}
+	if sim.noHolder != noHolder {
+		t.Fatalf("a lost arrival counted as a no-holder fallback: %d -> %d", noHolder, sim.noHolder)
 	}
 }
 
@@ -96,8 +101,9 @@ func chaosFailoverConfig(n int, dispatch string, seed uint64) Config {
 // is re-admitted or counted dropped, no arrival is lost while a live
 // member exists, and the dispatch ledger balances — every routed
 // arrival was either admitted (Requests) or refused at a full station
-// pool (OpenRejected), nothing double-counted, nothing vanished.  CI
-// runs this under -race.
+// pool (OpenRejected), nothing double-counted, nothing vanished, on
+// every member and (checkRounds) after every round.  CI runs this
+// under -race.
 func TestChaosFailover(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		for _, dispatch := range Policies() {
@@ -113,6 +119,7 @@ func TestChaosFailover(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkRounds(t, sim)
 				res, err := sim.Run()
 				if err != nil {
 					t.Fatal(err)
@@ -125,13 +132,11 @@ func TestChaosFailover(t *testing.T) {
 				if res.LostArrivals != 0 {
 					t.Errorf("%d arrivals lost with %d members and one kill", res.LostArrivals, n)
 				}
-				routed := 0
-				for _, r := range res.Routed {
-					routed += r
-				}
-				if got := res.Aggregate.Requests + res.Aggregate.OpenRejected; routed != got {
-					t.Errorf("dispatch ledger off: routed %d != admitted %d + rejected %d",
-						routed, res.Aggregate.Requests, res.Aggregate.OpenRejected)
+				for i, r := range res.Servers {
+					if got := r.Requests + r.OpenRejected; got != res.Routed[i] {
+						t.Errorf("dispatch ledger off on member %d: routed %d != admitted %d + rejected %d",
+							i, res.Routed[i], r.Requests, r.OpenRejected)
+					}
 				}
 				victim := res.Servers[n-1]
 				if victim.OrphanedDisplays > victim.AbortedDisplays {
@@ -190,6 +195,7 @@ func TestChaosFailoverSiblingIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkRounds(t, sim)
 		res, err := sim.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -209,5 +215,113 @@ func TestChaosFailoverSiblingIsolation(t *testing.T) {
 			t.Errorf("member 0's disk faults perturbed member %d across a kill of member 1:\nfaulted %+v\nclean   %+v",
 				i, faulted.Servers[i], clean.Servers[i])
 		}
+	}
+}
+
+// TestWholeFleetOutage kills every member over one window.  Each
+// arrival of the outage finds nobody live and is counted lost, and in
+// the revive round the members take no more requests than that
+// round's own arrivals: the dead span's arrivals are not held back
+// and delivered in one burst at the restart.
+func TestWholeFleetOutage(t *testing.T) {
+	const down, up = 500, 700
+	for _, dispatch := range Policies() {
+		t.Run(dispatch, func(t *testing.T) {
+			cfg := multiConfig(dispatch)
+			cfg.ServerPlan = fault.NewPlan().FailServerUntil(0, down, up).FailServerUntil(1, down, up)
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRounds(t, sim)
+			dark, reviveRound := arrivalsIn(sim, down, up), arrivalsIn(sim, up, up+1)
+			if dark == 0 {
+				t.Fatal("no arrivals fall in the outage — the case proves nothing")
+			}
+			requests := 0
+			for _, e := range sim.engines {
+				e.SetTracer(func(ev sched.Event) {
+					if ev.Kind == sched.EvRequest && ev.Interval == up {
+						requests++
+					}
+				})
+			}
+			res, err := sim.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.LostArrivals != dark {
+				t.Errorf("%d arrivals fell in the outage, %d counted lost", dark, res.LostArrivals)
+			}
+			if requests > reviveRound {
+				t.Errorf("revive round queued %d requests for its %d arrivals", requests, reviveRound)
+			}
+		})
+	}
+}
+
+// TestRecoveryCadence pins the sampling and healing cadences to the
+// integer clock: sample k lands at exactly k·n intervals and reads the
+// completed displays of rounds before k·n, and every heal pass runs at
+// a multiple of Subobjects, so the time-to-redistribute is a whole
+// number of healing windows after a kill on a window boundary.
+func TestRecoveryCadence(t *testing.T) {
+	const n, killAt = 30, 300
+	cfg := chaosFailoverConfig(4, "popularity", 3)
+	cfg.Base.WarmupIntervals = 200
+	cfg.SampleIntervals = n
+	cfg.HealBudget = 1
+	cfg.ServerPlan = fault.NewPlan().FailServer(1, killAt)
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRounds(t, sim)
+	var completedIn []int // completions per interval, all members
+	var healedAt []int
+	for _, e := range sim.engines {
+		e.SetTracer(func(ev sched.Event) {
+			switch {
+			case ev.Kind == sched.EvComplete:
+				for len(completedIn) <= ev.Interval {
+					completedIn = append(completedIn, 0)
+				}
+				completedIn[ev.Interval]++
+			case ev.Kind == sched.EvMatEnd && ev.Detail == "healed":
+				healedAt = append(healedAt, ev.Interval)
+			}
+		})
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := cfg.Base.Subobjects
+	if len(res.Samples) != (cfg.Base.WarmupIntervals+cfg.Base.MeasureIntervals-1)/n {
+		t.Fatalf("%d samples", len(res.Samples))
+	}
+	for i, s := range res.Samples {
+		round := (i + 1) * n
+		if want := float64(round) * sim.dt; s.Seconds != want {
+			t.Errorf("sample %d at %v s, want round %d = %v s", i+1, s.Seconds, round, want)
+		}
+		done := 0
+		for _, c := range completedIn[:min(round, len(completedIn))] {
+			done += c
+		}
+		if s.Displays != done {
+			t.Errorf("sample %d read %d displays, %d completed before round %d", i+1, s.Displays, done, round)
+		}
+	}
+	if len(healedAt) < 2 {
+		t.Fatalf("only %d heal events — the case proves nothing", len(healedAt))
+	}
+	for _, at := range healedAt {
+		if at%sub != 0 {
+			t.Errorf("heal pass at interval %d, not a multiple of %d", at, sub)
+		}
+	}
+	if d := res.RedistributeSeconds; d != float64(int(d/sim.dt+0.5))*sim.dt || int(d/sim.dt+0.5)%sub != 0 {
+		t.Errorf("redistribute time %v s is not a whole number of %d-interval windows", d, sub)
 	}
 }

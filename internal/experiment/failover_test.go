@@ -46,10 +46,10 @@ func TestE21FailoverRecovery(t *testing.T) {
 	if ll.Recovery < 0.80 {
 		t.Errorf("leastloaded recovered to %.2f of pre-kill throughput, want ≥ 0.80", ll.Recovery)
 	}
-	if d1, d4 := byKey["popularity1"], byKey["popularity4"]; d4.NoHolder >= d1.NoHolder {
-		t.Errorf("depth 4 should leave fewer holderless dispatches than depth 1: %d vs %d",
-			d4.NoHolder, d1.NoHolder)
-	}
+	// Replica depth does not order NoHolder across seeds (EXPERIMENTS.md
+	// E21, reading 4).  What it controls exactly, the number of objects
+	// single-homed on the victim, is pinned by the cluster package's
+	// TestReplicaAssignments.
 }
 
 // TestE21Deterministic pins that a failover run is exactly as

@@ -542,13 +542,6 @@ func (e *Engine) HasPendingWork() bool {
 	return !e.dead && e.now < e.cfg.WarmupIntervals+e.cfg.MeasureIntervals
 }
 
-// NextEventTime returns the simulated time, in seconds, of the next
-// interval StepOne would execute — the engine's position on a shared
-// cluster clock.
-func (e *Engine) NextEventTime() float64 {
-	return float64(e.now) * e.cfg.IntervalSeconds()
-}
-
 // Now returns the next interval index to execute.
 func (e *Engine) Now() int { return e.now }
 

@@ -93,6 +93,9 @@ go test -run '^$' -fuzz FuzzStripedAdmission -fuzztime 10s ./internal/sched
 echo "== fuzz: Algorithm 2 coalescing, waiter pass against the scan over every buffering stream (same admissions, moves and completions, same Result)"
 go test -run '^$' -fuzz FuzzCoalesce -fuzztime 10s ./internal/sched
 
+echo "== fuzz: cluster server plans (kills, restarts, whole-fleet outages) under every policy, heal budget and memory tier, per-round invariants and run-twice determinism"
+go test -run '^$' -fuzz FuzzClusterPlan -fuzztime 10s ./internal/cluster
+
 echo "== 100x scale trajectory under the race detector (points run concurrently)"
 go run -race ./cmd/sweep -scale 100x -csv
 
@@ -114,6 +117,9 @@ done
 echo "-- dispatch: popularity, with the memory tier (a revived member flushes its cache)"
 go run -race ./cmd/ssim -scale quick -servers 4 -dispatch popularity -zipf 1.1 -arrivals 6000 -cachemb 256 -batchwindow 8 \
 	-faults 'server:1@2100-2700' -healbudget 2 -seed 1 >/dev/null
+echo "-- whole-fleet outage: both members of a 2-server cluster down over one window (every arrival of the span is lost and counted)"
+go run -race ./cmd/ssim -scale quick -servers 2 -dispatch popularity -zipf 1.1 -arrivals 6000 \
+	-faults 'server:0@2100-2400; server:1@2100-2400' >/dev/null
 
 echo "== quick sweep per registered technique"
 for tkey in $(go run ./cmd/sweep -list-techniques | awk '{print $1}'); do
