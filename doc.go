@@ -41,7 +41,7 @@
 // # Quickstart
 //
 //	layout, _ := mmis.NewLayout(12, 1) // 12 disks, stride 1
-//	store, _ := mmis.NewStore(layout, 3000)
+//	store, _ := mmis.NewStore(layout, 3000 /* cylinders per disk */, 1 /* objects */)
 //	pl, _ := store.Place(0 /* object id */, 4 /* M */, 3000 /* subobjects */)
 //	fmt.Println(pl.Disk(7, 2)) // disk of fragment 2 of subobject 7
 //

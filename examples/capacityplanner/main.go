@@ -50,15 +50,21 @@ func main() {
 	// Equation (1): memory per disk to mask the head-switch delay
 	// (one sector at the effective rate as T_sector).
 	tSector := 512 * 8 / bDisk
-	mem := mmis.MinimumBufferBytes(bDisk, disk.TSwitch(), tSector)
+	mem, err := mmis.MinimumBufferBytes(bDisk, disk.TSwitch(), tSector)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("Equation (1) minimum memory per disk: %.0f KB\n\n", mem/1e3)
 
 	// §3.2.2: stride vs unique disks for a 100-cylinder object on a
 	// 100-disk farm (M = 4).
 	fmt.Println("stride k  unique disks used  skew-free")
 	for _, k := range []int{1, 2, 4, 10, 100} {
-		fmt.Printf("%8d %18d %10v\n",
-			k, mmis.UniqueDisksUsed(100, k, 4, 25), mmis.DataSkewFree(100, k))
+		used, err := mmis.UniqueDisksUsed(100, k, 4, 25)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%8d %18d %10v\n", k, used, mmis.DataSkewFree(100, k))
 	}
 	fmt.Println()
 

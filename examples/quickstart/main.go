@@ -23,13 +23,16 @@ func main() {
 	// 2. How many disks does each media type need at 20 mbps/disk?
 	const bDisk = 20e6
 	for _, t := range []mmis.MediaType{mmis.NTSC, mmis.CCIR601, mmis.CDAudio} {
-		fmt.Printf("%-10s %6.0f mbps -> M = %d disks\n",
-			t.Name, t.Display/1e6, mmis.DegreeOfDeclustering(t, bDisk))
+		m, err := mmis.DegreeOfDeclustering(t, bDisk)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-10s %6.0f mbps -> M = %d disks\n", t.Name, t.Display/1e6, m)
 	}
 	fmt.Println()
 
 	// 3. Place an object and look up fragment locations.
-	store, err := mmis.NewStore(layout, 3000)
+	store, err := mmis.NewStore(layout, 3000 /* cylinders per disk */, 1 /* objects */)
 	if err != nil {
 		log.Fatal(err)
 	}

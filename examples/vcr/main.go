@@ -22,7 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store, err := mmis.NewStore(layout, 3000)
+	store, err := mmis.NewStore(layout, 3000, 2) // the movie and its replica
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,13 +32,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	repLen := mmis.FFReplicaSubobjects(subobjects, mmis.DefaultScanRatio)
+	repLen, err := mmis.FFReplicaSubobjects(subobjects, mmis.DefaultScanRatio)
+	if err != nil {
+		log.Fatal(err)
+	}
 	replica, err := store.Place(1, m, repLen)
 	if err != nil {
 		log.Fatal(err)
 	}
+	overhead, err := mmis.FFReplicaOverhead(mmis.DefaultScanRatio)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("movie: %d subobjects over %d disks; FF replica: %d subobjects (%.1f%% storage overhead)\n\n",
-		subobjects, movie.UniqueDisks(), repLen, mmis.FFReplicaOverhead(mmis.DefaultScanRatio)*100)
+		subobjects, movie.UniqueDisks(), repLen, overhead*100)
 
 	session, err := mmis.NewPlaybackSession(movie, replica, mmis.DefaultScanRatio)
 	if err != nil {

@@ -32,7 +32,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		degrees[o.ID] = mmis.DegreeOfDeclustering(t, 20e6)
+		if degrees[o.ID], err = mmis.DegreeOfDeclustering(t, 20e6); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// Show the Figure 5 placement discipline on the first three titles.

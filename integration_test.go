@@ -86,7 +86,7 @@ func TestIntegrationStoreAndPlayback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := NewStore(layout, 500)
+	store, err := NewStore(layout, 500, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,11 @@ func TestIntegrationStoreAndPlayback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica, err := store.Place(1, 4, FFReplicaSubobjects(320, DefaultScanRatio))
+	repLen, err := FFReplicaSubobjects(320, DefaultScanRatio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := store.Place(1, 4, repLen)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package cluster
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/mmsim/staggered/internal/sched"
+)
 
 // arrivalsIn counts the cluster arrivals that fall in rounds
 // [from, to), replaying a copy of the Sim's arrival stream from its
@@ -27,11 +31,18 @@ func arrivalsIn(s *Sim, from, to int) int {
 //     routed to it (its Requests + OpenRejected grow with Routed);
 //   - a dead member holds no queued request and no display in delivery.
 //
-// A delegated one-member Sim has no rounds and is left unchecked.
-func checkRounds(tb testing.TB, s *Sim) {
+// Around every heal pass (checkHeal):
+//   - HealedReplicas grew by exactly the pass's adoptions;
+//   - each adopted object is now held by a live member that did not
+//     hold it before the pass, unless the same pass evicted it again.
+//
+// A delegated one-member Sim has no rounds and is left unchecked.  The
+// check traces every member itself; it returns the tracer slots a
+// test sets in place of Engine.SetTracer (nil for a delegated Sim).
+func checkRounds(tb testing.TB, s *Sim) []sched.Tracer {
 	tb.Helper()
 	if s.dist == nil {
-		return
+		return nil
 	}
 	shadow, next := s.arrStream, s.nextAt
 	cfg := s.engines[0].Config()
@@ -44,7 +55,12 @@ func checkRounds(tb testing.TB, s *Sim) {
 	lost, delivered := 0, 0
 	routed := make([]int, len(s.engines))
 	injected := make([]int, len(s.engines))
-	s.stepCheck = func(t int) {
+	heal, trace := checkHeal(tb, s)
+	s.stepCheck = func(t int, at checkPoint) {
+		if at != roundEnd {
+			heal(t, at)
+			return
+		}
 		rounds++
 		if s.orphaned != s.reAdmitted+s.reAdmitDropped {
 			tb.Fatalf("round %d: %d orphaned != %d re-admitted + %d dropped",
@@ -78,4 +94,85 @@ func checkRounds(tb testing.TB, s *Sim) {
 			}
 		}
 	}
+	return trace
+}
+
+// checkHeal returns the heal-pass half of checkRounds, and the
+// member tracer it installs in its place: a test that traces member i
+// sets trace[i], which the installed tracer forwards every event to.
+// Before a pass it records HealedReplicas, which members are live and
+// which of them hold each queued object; over the pass the tracer
+// collects the members' adoptions ("healed" materialization ends) and
+// evictions, in order.  After the pass:
+//   - HealedReplicas grew by exactly the number of adoptions;
+//   - each adoption went to a live member that did not hold the object
+//     at that moment (before the pass, or since a pass eviction);
+//   - the member still holds it after the pass, unless a later
+//     adoption of the same pass evicted it to make room.  healPass
+//     sends every entry to the least-loaded live non-holder, and an
+//     adoption does not change load, so a budget of two or more often
+//     lands consecutive entries on one member, whose LFU eviction then
+//     picks the replica just adopted (never referenced there): it is
+//     counted healed and lost in the same pass.  The check tolerates
+//     exactly that and nothing else.
+func checkHeal(tb testing.TB, s *Sim) (func(t int, at checkPoint), []sched.Tracer) {
+	trace := make([]sched.Tracer, len(s.engines))
+	type heldBy struct{ obj, member int }
+	var events []sched.Event // of the pass, Station set to the member
+	inPass := false
+	for i, e := range s.engines {
+		e.SetTracer(func(ev sched.Event) {
+			if inPass && (ev.Kind == sched.EvEvict || ev.Kind == sched.EvMatEnd && ev.Detail == "healed") {
+				ev.Station = i
+				events = append(events, ev)
+			}
+			if trace[i] != nil {
+				trace[i](ev)
+			}
+		})
+	}
+	var live []bool
+	held := map[heldBy]bool{} // before the pass, for every queued object
+	healed := 0
+	return func(t int, at checkPoint) {
+		if at == beforeHeal {
+			inPass, events, healed = true, events[:0], s.healed
+			live = live[:0]
+			for i := range s.engines {
+				live = append(live, !s.dead(i))
+			}
+			clear(held)
+			for _, h := range s.healQueue {
+				for i := range s.engines {
+					held[heldBy{h.obj, i}] = s.holds(i, h.obj)
+				}
+			}
+			return
+		}
+		inPass = false
+		adoptions, kept := 0, map[heldBy]bool{} // kept: adopted and not evicted since
+		for _, ev := range events {
+			k := heldBy{ev.Object, ev.Station}
+			if ev.Kind == sched.EvEvict {
+				held[k], kept[k] = false, false
+				continue
+			}
+			adoptions++
+			if !live[ev.Station] {
+				tb.Fatalf("round %d: the heal pass adopted object %d onto dead member %d", t, ev.Object, ev.Station)
+			}
+			if held[k] {
+				tb.Fatalf("round %d: the heal pass adopted object %d onto member %d, which held it", t, ev.Object, ev.Station)
+			}
+			held[k], kept[k] = true, true
+		}
+		for k, ok := range kept {
+			if ok && !s.holds(k.member, k.obj) {
+				tb.Fatalf("round %d: member %d does not hold object %d after the pass adopted it", t, k.member, k.obj)
+			}
+		}
+		if got := s.healed - healed; got != adoptions {
+			tb.Fatalf("round %d: the heal pass counted %d healed replicas for %d adoptions", t, got, adoptions)
+		}
+	}, trace
 }

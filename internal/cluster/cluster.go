@@ -186,11 +186,28 @@ type Sim struct {
 	redistribute   int // longest heal episode, in intervals
 	samples        []Sample
 
-	// stepCheck, when set, runs after every round: the tests'
-	// continuous invariant checks.  Nothing outside tests sets it.
-	stepCheck func(t int)
+	// stepCheck, when set, runs just before and just after every heal
+	// pass and after every round: the tests' continuous invariant
+	// checks.  Nothing outside tests sets it.
+	stepCheck func(t int, at checkPoint)
 
 	ran bool
+}
+
+// checkPoint names where in round t the stepCheck hook runs.
+type checkPoint int
+
+const (
+	beforeHeal checkPoint = iota // the round's heal pass is about to run
+	afterHeal                    // the heal pass has run
+	roundEnd                     // every member has stepped
+)
+
+// check runs the test-only stepCheck hook, when one is set.
+func (s *Sim) check(t int, at checkPoint) {
+	if s.stepCheck != nil {
+		s.stepCheck(t, at)
+	}
 }
 
 // healEntry is one replica the healing pass still owes the cluster:
@@ -372,7 +389,7 @@ func (s *Sim) applyServerEvent(ev fault.Event) error {
 	case fault.ServerFail:
 		return s.killServer(ev.Disk)
 	case fault.ServerRepair:
-		return s.reviveServer(ev.Disk, ev.At)
+		return s.reviveServer(ev.Disk)
 	}
 	return nil
 }
@@ -423,14 +440,15 @@ func (s *Sim) killServer(i int) error {
 	return nil
 }
 
-// reviveServer restarts member i at round at.  Healing work owed for
-// replicas the member brings back with its surviving disks is dropped.
-func (s *Sim) reviveServer(i, at int) error {
+// reviveServer restarts member i in the current round.  Healing work
+// owed for replicas the member brings back with its surviving disks is
+// dropped.
+func (s *Sim) reviveServer(i int) error {
 	e := s.engines[i]
 	if !e.Dead() {
 		return nil
 	}
-	if err := e.Revive(at); err != nil {
+	if err := e.Revive(); err != nil {
 		return fmt.Errorf("cluster: revive server %d: %w", i, err)
 	}
 	if len(s.healQueue) > 0 {
@@ -442,7 +460,7 @@ func (s *Sim) reviveServer(i, at int) error {
 		}
 		s.healQueue = kept
 		if len(kept) == 0 {
-			s.endHealEpisode(at)
+			s.endHealEpisode(e.Now())
 		}
 	}
 	return nil
@@ -504,8 +522,9 @@ func (s *Sim) takeSample(t int) {
 // Run executes the cluster to its horizon and returns the merged
 // statistics.  A second call returns sched.ErrAlreadyRun.  Every member
 // shares Base's interval, so the cluster steps in lockstep rounds of
-// one interval, each in the fixed phase order below (DESIGN.md §13); a
-// dead member sits the rounds out until its restart event.
+// one interval, each in the fixed phase order below (DESIGN.md §13).
+// Every member steps every round; a dead one only keeps the clock
+// until its restart event.
 func (s *Sim) Run() (Result, error) {
 	if s.ran {
 		return Result{}, sched.ErrAlreadyRun
@@ -534,19 +553,17 @@ func (s *Sim) Run() (Result, error) {
 			s.takeSample(t)
 		}
 		if t > 0 && s.cfg.HealBudget > 0 && t%base.Subobjects == 0 && len(s.healQueue) > 0 {
+			s.check(t, beforeHeal)
 			s.healPass(t)
+			s.check(t, afterHeal)
 		}
 		if err := s.deliverArrivals(float64(t+1) * s.dt); err != nil {
 			return Result{}, err
 		}
 		for _, e := range s.engines {
-			if !e.Dead() {
-				e.StepOne()
-			}
+			e.StepOne()
 		}
-		if s.stepCheck != nil {
-			s.stepCheck(t)
-		}
+		s.check(t, roundEnd)
 	}
 	snaps := make([]sched.Result, len(s.engines))
 	for i, e := range s.engines {

@@ -233,18 +233,18 @@ func TestWholeFleetOutage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkRounds(t, sim)
+			trace := checkRounds(t, sim)
 			dark, reviveRound := arrivalsIn(sim, down, up), arrivalsIn(sim, up, up+1)
 			if dark == 0 {
 				t.Fatal("no arrivals fall in the outage — the case proves nothing")
 			}
 			requests := 0
-			for _, e := range sim.engines {
-				e.SetTracer(func(ev sched.Event) {
+			for i := range trace {
+				trace[i] = func(ev sched.Event) {
 					if ev.Kind == sched.EvRequest && ev.Interval == up {
 						requests++
 					}
-				})
+				}
 			}
 			res, err := sim.Run()
 			if err != nil {
@@ -276,11 +276,11 @@ func TestRecoveryCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRounds(t, sim)
+	trace := checkRounds(t, sim)
 	var completedIn []int // completions per interval, all members
 	var healedAt []int
-	for _, e := range sim.engines {
-		e.SetTracer(func(ev sched.Event) {
+	for i := range trace {
+		trace[i] = func(ev sched.Event) {
 			switch {
 			case ev.Kind == sched.EvComplete:
 				for len(completedIn) <= ev.Interval {
@@ -290,7 +290,7 @@ func TestRecoveryCadence(t *testing.T) {
 			case ev.Kind == sched.EvMatEnd && ev.Detail == "healed":
 				healedAt = append(healedAt, ev.Interval)
 			}
-		})
+		}
 	}
 	res, err := sim.Run()
 	if err != nil {

@@ -8,9 +8,10 @@ import (
 // Store is the storage allocator for a staggered-striped disk farm.
 // It tracks per-disk occupancy in fragments, chooses start disks for
 // newly materialized objects, and releases space on eviction.
-// Residency is a dense slice indexed by object id (ids are small
-// non-negative integers), so the Resident/Placement probes on the
-// schedulers' per-interval admission path are array lookups.
+// Residency is a dense slice indexed by object id, sized once by
+// Reserve for the catalog's ids [0, n), so the Resident/Placement
+// probes on the schedulers' per-interval admission path are array
+// lookups.
 type Store struct {
 	layout   Layout
 	capacity int // fragments per disk
@@ -18,7 +19,6 @@ type Store struct {
 	free     int         // total free fragments across the farm
 	placed   []placedRec // indexed by object id; valid iff resident bit set
 	resident []uint64    // bitset, one bit per object id
-	ids      int         // logical table length: max id seen + 1
 	count    int         // number of placed objects
 	cursor   int         // round-robin start hint
 	shapes   []footShape // footprint shapes by geometry, see shape
@@ -40,7 +40,8 @@ type placedRec struct {
 }
 
 // NewStore returns a Store for the layout with the given per-disk
-// capacity in fragments.
+// capacity in fragments.  It holds no object until Reserve sizes its
+// tables.
 func NewStore(l Layout, capacityFragments int) (*Store, error) {
 	if capacityFragments <= 0 {
 		return nil, fmt.Errorf("core: per-disk capacity %d must be positive", capacityFragments)
@@ -53,50 +54,20 @@ func NewStore(l Layout, capacityFragments int) (*Store, error) {
 	}, nil
 }
 
-// Reserve pre-sizes the placement and residency tables to hold n
-// object ids without reallocating.  Preload loops that place objects
-// in popularity (non-ascending id) order should call this once so the
-// tables are built in a single allocation.
+// Reserve sizes the placement and residency tables for object ids
+// [0, n): the one sizing call, made once when the owner is built,
+// before any placement.  Place and PlaceAt refuse an id outside the
+// range.
 func (s *Store) Reserve(n int) {
-	if n <= len(s.placed) {
-		return
+	if n > len(s.placed) {
+		s.placed = append(s.placed, make([]placedRec, n-len(s.placed))...)
+		s.resident = append(s.resident, make([]uint64, (n+63)/64-len(s.resident))...)
 	}
-	nextP := make([]placedRec, n)
-	copy(nextP, s.placed)
-	s.placed = nextP
-	nextR := make([]uint64, (n+63)/64)
-	copy(nextR, s.resident)
-	s.resident = nextR
-}
-
-// ensure extends the residency index to cover id with amortized
-// (capacity-doubling) growth, so out-of-order placement is O(n) total
-// rather than quadratic in reallocation traffic.
-func (s *Store) ensure(id int) {
-	if id < s.ids {
-		return
-	}
-	if id >= len(s.placed) {
-		n := len(s.placed) * 2
-		if n < id+1 {
-			n = id + 1
-		}
-		if n < 64 {
-			n = 64
-		}
-		nextP := make([]placedRec, n)
-		copy(nextP, s.placed)
-		s.placed = nextP
-		nextR := make([]uint64, (n+63)/64)
-		copy(nextR, s.resident)
-		s.resident = nextR
-	}
-	s.ids = id + 1
 }
 
 // Resident reports whether the object id is placed.
 func (s *Store) Resident(id int) bool {
-	return id >= 0 && id < s.ids && s.resident[id>>6]&(1<<uint(id&63)) != 0
+	return uint(id) < uint(len(s.placed)) && s.resident[id>>6]&(1<<uint(id&63)) != 0
 }
 
 // Placement returns the placement of object id.
@@ -127,11 +98,7 @@ func (s *Store) ResidentIDs() []int {
 	ids := make([]int, 0, s.count)
 	for w, word := range s.resident {
 		for word != 0 {
-			id := w*64 + bits.TrailingZeros64(word)
-			if id >= s.ids {
-				break
-			}
-			ids = append(ids, id)
+			ids = append(ids, w*64+bits.TrailingZeros64(word))
 			word &= word - 1
 		}
 	}
@@ -210,18 +177,18 @@ func addRun(used, sh []int32, sign int32) {
 // which the caller has checked fits.
 func (s *Store) commit(id, first, m, n int, sh []int32) Placement {
 	s.apply(sh, first, n*m, +1)
-	s.ensure(id)
 	s.placed[id] = placedRec{first: int32(first), m: int32(m), n: int32(n)}
 	s.resident[id>>6] |= 1 << uint(id&63)
 	s.count++
 	return Placement{Layout: s.layout, First: first, M: m, N: n}
 }
 
-// checkNew rejects an id that cannot be placed: a negative one, which
-// has no slot in the residency index, or one already resident.
+// checkNew rejects an id that cannot be placed: one outside the
+// reserved range, which has no slot in the residency index, or one
+// already resident.
 func (s *Store) checkNew(id int) error {
-	if id < 0 {
-		return fmt.Errorf("core: object id %d is negative", id)
+	if uint(id) >= uint(len(s.placed)) {
+		return fmt.Errorf("core: object id %d outside the reserved range [0, %d)", id, len(s.placed))
 	}
 	if s.Resident(id) {
 		return fmt.Errorf("core: object %d already placed", id)
@@ -230,8 +197,8 @@ func (s *Store) checkNew(id int) error {
 }
 
 // PlaceAt places object id with degree m and n subobjects starting at
-// a specific disk.  It fails if id is negative or already placed, or
-// if the object does not fit.
+// a specific disk.  It fails if id is outside the reserved range or
+// already placed, or if the object does not fit.
 func (s *Store) PlaceAt(id, first, m, n int) (Placement, error) {
 	if err := s.checkNew(id); err != nil {
 		return Placement{}, err

@@ -5,12 +5,14 @@ import (
 	"testing/quick"
 )
 
-func mustStore(t testing.TB, l Layout, cap int) *Store {
+// mustStore returns a Store reserved for object ids [0, objects).
+func mustStore(t testing.TB, l Layout, cap, objects int) *Store {
 	t.Helper()
 	s, err := NewStore(l, cap)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Reserve(objects)
 	return s
 }
 
@@ -19,10 +21,26 @@ func TestStoreValidation(t *testing.T) {
 	if _, err := NewStore(l, 0); err == nil {
 		t.Error("zero capacity accepted")
 	}
+	// The tables hold the reserved ids [0, n): the first id past them
+	// is refused and changes nothing.
+	s := mustStore(t, l, 100, 4)
+	if _, err := s.Place(4, 2, 3); err == nil {
+		t.Error("Place of id 4 accepted on a Store reserved for 4 objects")
+	}
+	if _, err := s.PlaceAt(4, 0, 2, 3); err == nil {
+		t.Error("PlaceAt of id 4 accepted on a Store reserved for 4 objects")
+	}
+	if _, err := s.Place(3, 2, 3); err != nil {
+		t.Errorf("Place of the last reserved id: %v", err)
+	}
+	if s.Resident(4) || s.ResidentCount() != 1 || s.FreeFragments() != 1000-6 {
+		t.Errorf("a refused id changed the store: resident(4) %v, %d resident, %d free",
+			s.Resident(4), s.ResidentCount(), s.FreeFragments())
+	}
 }
 
 func TestStorePlaceEvictRoundTrip(t *testing.T) {
-	s := mustStore(t, mustLayout(t, 10, 1), 100)
+	s := mustStore(t, mustLayout(t, 10, 1), 100, 2)
 	p, err := s.Place(1, 3, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +68,7 @@ func TestStorePlaceEvictRoundTrip(t *testing.T) {
 }
 
 func TestStoreRejectsDuplicate(t *testing.T) {
-	s := mustStore(t, mustLayout(t, 10, 1), 100)
+	s := mustStore(t, mustLayout(t, 10, 1), 100, 2)
 	if _, err := s.Place(1, 2, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +81,7 @@ func TestStoreRejectsDuplicate(t *testing.T) {
 }
 
 func TestStoreCapacityEnforced(t *testing.T) {
-	s := mustStore(t, mustLayout(t, 4, 1), 10)
+	s := mustStore(t, mustLayout(t, 4, 1), 10, 4)
 	// Farm capacity = 40 fragments.  Place a 36-fragment object
 	// (9 subobjects × M=4, perfectly balanced: 9 per disk).
 	if _, err := s.Place(1, 4, 9); err != nil {
@@ -87,7 +105,7 @@ func TestStoreCapacityEnforced(t *testing.T) {
 // scale proportions: D=1000, k=5, M=5, capacity 3000 cylinders, and
 // 200 objects of 3000 subobjects exactly fill the farm.
 func TestStoreTable3ExactFit(t *testing.T) {
-	s := mustStore(t, mustLayout(t, 1000, 5), 3000)
+	s := mustStore(t, mustLayout(t, 1000, 5), 3000, 201)
 	for id := 0; id < 200; id++ {
 		if _, err := s.Place(id, 5, 3000); err != nil {
 			t.Fatalf("object %d did not fit: %v", id, err)
@@ -109,7 +127,7 @@ func TestStoreTable3ExactFit(t *testing.T) {
 }
 
 func TestStoreResidentIDsSorted(t *testing.T) {
-	s := mustStore(t, mustLayout(t, 10, 1), 1000)
+	s := mustStore(t, mustLayout(t, 10, 1), 1000, 10)
 	for _, id := range []int{5, 1, 9, 3} {
 		if _, err := s.Place(id, 2, 3); err != nil {
 			t.Fatal(err)
@@ -132,6 +150,7 @@ func TestStoreConservation(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		s.Reserve(16)
 		placed := map[int]bool{}
 		for _, op := range ops {
 			id := int(op % 16)
@@ -165,16 +184,34 @@ func TestStoreConservation(t *testing.T) {
 }
 
 func TestVDRStoreValidation(t *testing.T) {
-	if _, err := NewVDRStore(10, 3, 100); err == nil {
+	if _, err := NewVDRStore(10, 3, 100, 10); err == nil {
 		t.Error("non-divisible D/M accepted")
 	}
-	if _, err := NewVDRStore(10, 5, 0); err == nil {
+	if _, err := NewVDRStore(10, 5, 0, 10); err == nil {
 		t.Error("zero capacity accepted")
+	}
+	if _, err := NewVDRStore(10, 5, 100, -1); err == nil {
+		t.Error("negative object count accepted")
+	}
+	v, err := NewVDRStore(10, 5, 100, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{-1, 10} {
+		if err := v.PlaceReplica(id, 0, 1); err == nil {
+			t.Errorf("replica of id %d accepted on a catalog of 10", id)
+		}
+		if v.Resident(id) || v.HasReplicaOn(id, 0) {
+			t.Errorf("out-of-range id %d reads resident", id)
+		}
+	}
+	if v.ClusterFree(0) != 100 || v.UniqueResident() != 0 {
+		t.Errorf("refused replicas changed the store: %d free, %d unique", v.ClusterFree(0), v.UniqueResident())
 	}
 }
 
 func TestVDRStoreReplicaLifecycle(t *testing.T) {
-	v, err := NewVDRStore(20, 5, 100)
+	v, err := NewVDRStore(20, 5, 100, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +254,7 @@ func TestVDRStoreReplicaLifecycle(t *testing.T) {
 }
 
 func TestVDRStoreCapacity(t *testing.T) {
-	v, err := NewVDRStore(10, 5, 100)
+	v, err := NewVDRStore(10, 5, 100, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +273,7 @@ func TestVDRStoreCapacity(t *testing.T) {
 }
 
 func TestVDRStoreFindFreeCluster(t *testing.T) {
-	v, err := NewVDRStore(15, 5, 100)
+	v, err := NewVDRStore(15, 5, 100, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +308,7 @@ func TestVDRStoreFindFreeCluster(t *testing.T) {
 // object can be assigned to a cluster (the storage capacity of the
 // cluster is exhausted by one object)".
 func TestVDRTable3OneObjectPerCluster(t *testing.T) {
-	v, err := NewVDRStore(1000, 5, 3000)
+	v, err := NewVDRStore(1000, 5, 3000, 201)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +330,7 @@ func TestVDRTable3OneObjectPerCluster(t *testing.T) {
 }
 
 func BenchmarkStorePlaceEvict(b *testing.B) {
-	s := mustStore(b, mustLayout(b, 1000, 5), 3000)
+	s := mustStore(b, mustLayout(b, 1000, 5), 3000, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Place(i, 5, 3000); err != nil {
@@ -313,14 +350,14 @@ func TestStorePlaceFailureAllocs(t *testing.T) {
 		// Capacity 2 with one single-fragment object per disk leaves
 		// a fragment free everywhere, so the n·m pre-check passes, but
 		// the M=2, N=2 shape needs two on its middle disk at k=1.
-		s := mustStore(t, mustLayout(t, d, 1), 2)
+		s := mustStore(t, mustLayout(t, d, 1), 2, d+1)
 		for id := 0; id < d; id++ {
 			if _, err := s.PlaceAt(id, id, 1, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return testing.AllocsPerRun(5, func() {
-			if _, err := s.Place(1<<20, 2, 2); err == nil {
+			if _, err := s.Place(d, 2, 2); err == nil {
 				t.Fatal("Place succeeded on a farm with no disk holding two fragments")
 			}
 		})
@@ -339,7 +376,8 @@ func TestStorePlaceFailureAllocs(t *testing.T) {
 // footprints, PlaceAt accepts exactly when the per-disk brute force
 // says the object fits, and Place takes the first fitting start of the
 // k-grid from its cursor, else the first fitting disk.  Ids are
-// signed: a negative id is refused by every call.
+// signed and run past the reserved range [0, 6): an id outside it is
+// refused by every call.
 func FuzzStorePlace(f *testing.F) {
 	// Each op is 5 bytes: kind, id, degree, subobjects, start disk.
 	f.Add(uint8(10), uint8(0), uint8(4), []byte{0, 1, 2, 3, 0, 1, 2, 2, 9, 4, 0, 3, 0, 4, 0, 2, 1, 0, 0, 0})  // k<M ramps
@@ -348,6 +386,7 @@ func FuzzStorePlace(f *testing.F) {
 	f.Add(uint8(9), uint8(9), uint8(2), []byte{0, 0, 2, 3, 0, 0, 1, 2, 3, 0, 0, 2, 0, 4, 0, 2, 0, 0, 0, 0})   // k = D
 	f.Add(uint8(9), uint8(0), uint8(0), []byte{0, 0, 0, 0, 0, 0, 1, 1, 0, 9})                                 // wrap onto a full disk 0
 	f.Add(uint8(8), uint8(0), uint8(4), []byte{0, 255, 1, 1, 0, 1, 249, 1, 1, 0, 2, 255, 0, 0, 0})            // negative ids
+	f.Add(uint8(8), uint8(0), uint8(4), []byte{0, 6, 1, 1, 0, 1, 7, 1, 1, 0, 2, 6, 0, 0, 0, 1, 5, 1, 1, 0})   // ids past the reserved range
 	f.Fuzz(func(t *testing.T, dRaw, kRaw, capRaw uint8, ops []byte) {
 		d := int(dRaw%40) + 1
 		k := int(kRaw)%d + 1
@@ -356,6 +395,8 @@ func FuzzStorePlace(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		const reserved = 6
+		s.Reserve(reserved)
 		placed := map[int]Placement{}
 		used := make([]int, d) // oracle: summed FragmentsPerDisk
 		fitsAt := func(p Placement) bool {
@@ -367,7 +408,8 @@ func FuzzStorePlace(f *testing.F) {
 			return true
 		}
 		// A bounded sequence keeps each input fast; 64 ops cycle the
-		// 15 ids, -7 to 7, through place and evict many times over.
+		// 15 ids, -7 to 7, through place and evict many times over;
+		// only 0 to 5 are in range.
 		ops = ops[:min(len(ops), 64*5)]
 		for ; len(ops) >= 5; ops = ops[5:] {
 			id, m, n, first := int(int8(ops[1]))%8, int(ops[2])%d+1, int(ops[3]%40)+1, int(ops[4])%d
@@ -375,7 +417,7 @@ func FuzzStorePlace(f *testing.F) {
 			case 0:
 				p := Placement{Layout: s.layout, First: first, M: m, N: n}
 				_, resident := placed[id]
-				want := id >= 0 && !resident && fitsAt(p)
+				want := uint(id) < reserved && !resident && fitsAt(p)
 				got, err := s.PlaceAt(id, first, m, n)
 				if (err == nil) != want {
 					t.Fatalf("PlaceAt(%d, %d, %d, %d) error %v, brute force fits=%v", id, first, m, n, err, want)
@@ -386,7 +428,7 @@ func FuzzStorePlace(f *testing.F) {
 			case 1:
 				_, resident := placed[id]
 				want := -1
-				if id >= 0 && !resident && n*m <= s.FreeFragments() {
+				if uint(id) < reserved && !resident && n*m <= s.FreeFragments() {
 					for try := 0; try < d && want < 0; try++ {
 						if f := (s.cursor + try*k) % d; fitsAt(Placement{Layout: s.layout, First: f, M: m, N: n}) {
 							want = f

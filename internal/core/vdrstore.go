@@ -12,7 +12,8 @@ import (
 // clusters.  Within a cluster an object occupies n contiguous
 // cylinders on each disk (n = number of subobjects).
 //
-// The replica table is a dense slice indexed by object id and both
+// The replica table is a dense slice indexed by object id, sized at
+// build for the catalog's ids [0, objects), and both
 // index directions (object -> clusters, cluster -> objects) are kept
 // sorted ascending, so the scheduler's per-interval probes need
 // neither map lookups nor per-call copies.
@@ -26,48 +27,31 @@ type VDRStore struct {
 }
 
 // NewVDRStore returns a VDRStore for d disks grouped into clusters of
-// m, each disk holding capacityFragments fragments.
-func NewVDRStore(d, m, capacityFragments int) (*VDRStore, error) {
+// m, each disk holding capacityFragments fragments, over a catalog of
+// objects ids.
+func NewVDRStore(d, m, capacityFragments, objects int) (*VDRStore, error) {
 	if m <= 0 || d <= 0 || d%m != 0 {
 		return nil, fmt.Errorf("core: VDR needs D (%d) to be a positive multiple of M (%d)", d, m)
 	}
 	if capacityFragments <= 0 {
 		return nil, fmt.Errorf("core: per-disk capacity %d must be positive", capacityFragments)
 	}
+	if objects < 0 {
+		return nil, fmt.Errorf("core: object count %d is negative", objects)
+	}
 	return &VDRStore{
 		clusters:  d / m,
 		capacity:  capacityFragments,
 		used:      make([]int, d/m),
+		replicas:  make([][]int, objects),
 		onCluster: make([][]int, d/m),
 	}, nil
 }
 
-// grow extends the replica table to cover id with amortized
-// (capacity-doubling) growth so out-of-order placement stays O(n).
-func (v *VDRStore) grow(id int) {
-	if id < len(v.replicas) {
-		return
-	}
-	if id < cap(v.replicas) {
-		v.replicas = v.replicas[:id+1]
-		return
-	}
-	n := cap(v.replicas) * 2
-	if n < id+1 {
-		n = id + 1
-	}
-	if n < 64 {
-		n = 64
-	}
-	next := make([][]int, id+1, n)
-	copy(next, v.replicas)
-	v.replicas = next
-}
-
-// replicasOf returns the (possibly nil) replica list of id without
-// growing the table.
+// replicasOf returns the (possibly nil) replica list of id, nil for an
+// id outside the catalog.
 func (v *VDRStore) replicasOf(id int) []int {
-	if id < 0 || id >= len(v.replicas) {
+	if uint(id) >= uint(len(v.replicas)) {
 		return nil
 	}
 	return v.replicas[id]
@@ -120,6 +104,9 @@ func removeSorted(s []int, x int) ([]int, bool) {
 // PlaceReplica stores a replica of object id (n subobjects) on
 // cluster c.  Each member disk needs n free cylinders.
 func (v *VDRStore) PlaceReplica(id, c, n int) error {
+	if uint(id) >= uint(len(v.replicas)) {
+		return fmt.Errorf("core: object id %d out of range [0, %d)", id, len(v.replicas))
+	}
 	if c < 0 || c >= v.clusters {
 		return fmt.Errorf("core: cluster %d out of range [0, %d)", c, v.clusters)
 	}
@@ -134,7 +121,6 @@ func (v *VDRStore) PlaceReplica(id, c, n int) error {
 			c, v.ClusterFree(c), id, n)
 	}
 	v.used[c] += n
-	v.grow(id)
 	if len(v.replicas[id]) == 0 {
 		v.unique++
 	}

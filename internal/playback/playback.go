@@ -112,6 +112,9 @@ func NewSession(normal, replica core.Placement, ratio int) (*Session, error) {
 	if ratio <= 0 {
 		return nil, fmt.Errorf("playback: scan ratio must be positive, got %d", ratio)
 	}
+	if normal.N <= 0 || replica.N <= 0 {
+		return nil, fmt.Errorf("playback: object (%d subobjects) and replica (%d) must each hold at least one", normal.N, replica.N)
+	}
 	if normal.Layout != replica.Layout {
 		return nil, fmt.Errorf("playback: object and replica live on different layouts")
 	}

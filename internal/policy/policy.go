@@ -18,53 +18,24 @@ import (
 
 // LFU tracks object access frequencies and selects replacement
 // victims.  The paper: "it implements a replacement policy that
-// removes the least frequently accessed object" (§4.1).  Object ids
-// are small non-negative integers, so the table is a dense slice:
-// Touch and Count are array indexing on the engines' hot paths.
+// removes the least frequently accessed object" (§4.1).  The table is
+// a dense slice over the catalog's ids, sized at build: Touch and
+// Count are array indexing on the engines' hot paths.  An int32 count
+// holds the accesses of any run here.
 type LFU struct {
-	counts []int64
+	counts []int32
 }
 
-// NewLFU returns an empty frequency table.
-func NewLFU() *LFU {
-	return &LFU{}
-}
-
-// grow extends the table to cover id with amortized (capacity-
-// doubling) growth so out-of-order first touches stay O(n).
-func (l *LFU) grow(id int) {
-	if id < len(l.counts) {
-		return
-	}
-	if id < cap(l.counts) {
-		l.counts = l.counts[:id+1]
-		return
-	}
-	n := cap(l.counts) * 2
-	if n < id+1 {
-		n = id + 1
-	}
-	if n < 64 {
-		n = 64
-	}
-	next := make([]int64, id+1, n)
-	copy(next, l.counts)
-	l.counts = next
+// NewLFU returns an empty frequency table over object ids [0, n).
+func NewLFU(n int) *LFU {
+	return &LFU{counts: make([]int32, n)}
 }
 
 // Touch records one access to object id.
-func (l *LFU) Touch(id int) {
-	l.grow(id)
-	l.counts[id]++
-}
+func (l *LFU) Touch(id int) { l.counts[id]++ }
 
 // Count returns the accesses recorded for id.
-func (l *LFU) Count(id int) int64 {
-	if id < 0 || id >= len(l.counts) {
-		return 0
-	}
-	return l.counts[id]
-}
+func (l *LFU) Count(id int) int64 { return int64(l.counts[id]) }
 
 // Victim returns the candidate with the lowest access count; ok is
 // false when candidates is empty.  Ties break toward the LARGEST id:

@@ -6,7 +6,7 @@ import (
 )
 
 func TestLFUVictim(t *testing.T) {
-	l := NewLFU()
+	l := NewLFU(100)
 	for i := 0; i < 5; i++ {
 		l.Touch(1)
 	}
@@ -30,7 +30,7 @@ func TestLFUVictim(t *testing.T) {
 }
 
 func TestLFUVictimTieBreak(t *testing.T) {
-	l := NewLFU()
+	l := NewLFU(100)
 	l.Touch(7)
 	l.Touch(4)
 	// Equal counts: the larger (younger) id goes first.
@@ -41,7 +41,7 @@ func TestLFUVictimTieBreak(t *testing.T) {
 }
 
 func TestLFUCounts(t *testing.T) {
-	l := NewLFU()
+	l := NewLFU(100)
 	if l.Count(9) != 0 {
 		t.Fatal("fresh count not zero")
 	}
@@ -58,7 +58,7 @@ func TestLFUVictimIsMinimum(t *testing.T) {
 		if len(cands) == 0 {
 			return true
 		}
-		l := NewLFU()
+		l := NewLFU(100)
 		for _, id := range touches {
 			l.Touch(int(id % 16))
 		}

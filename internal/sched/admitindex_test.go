@@ -362,7 +362,10 @@ func runAdmissionCase(t testing.TB, c admissionCase, oracle func(*stripedTech)) 
 				t.Fatal(err)
 			}
 			run.orphans = append([]int{}, rep.Orphans...)
-			if err := e.Revive(c.reviveAt); err != nil {
+			for e.now < c.reviveAt {
+				e.StepOne()
+			}
+			if err := e.Revive(); err != nil {
 				t.Fatal(err)
 			}
 			continue

@@ -75,6 +75,7 @@ func RunDESValidation(cfg Config) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	store.Reserve(cfg.Objects)
 	gen, err := workload.NewGenerator(rng.NewSource(cfg.Seed), cfg.Objects, cfg.DistMean, cfg.Stations)
 	if err != nil {
 		return 0, err
@@ -86,8 +87,8 @@ func RunDESValidation(cfg Config) (int, error) {
 		k:      k,
 		layout: layout,
 		store:  store,
-		lfu:    policy.NewLFU(),
-		tman:   tertiary.NewManager(),
+		lfu:    policy.NewLFU(cfg.Objects),
+		tman:   tertiary.NewManager(cfg.Objects),
 		gen:    gen,
 		vbusy:  make([]int32, cfg.D),
 		pinned: make(map[int]int),

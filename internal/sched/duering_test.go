@@ -331,7 +331,10 @@ func runKillRevive(t *testing.T, key string) killReviveRun {
 			if calendarEntries(e) == 0 {
 				t.Fatalf("%s: nothing on the calendars at the kill; the revive proves nothing", key)
 			}
-			if err := e.Revive(e.now + gaps[0]); err != nil {
+			for i := 0; i < gaps[0]; i++ {
+				e.StepOne()
+			}
+			if err := e.Revive(); err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
 			gaps = gaps[1:]

@@ -131,12 +131,14 @@ type Engine struct {
 
 	lfu  *policy.LFU
 	tman *tertiary.Manager
+	dist *rng.Discrete // object popularity, shared by a cluster's members
 	gen  *workload.Generator
 	stn  *workload.Stations
 
 	// member marks a cluster member (TechniqueInfo.NewMember): its
-	// arrivals come only through InjectArrival, and its technique
-	// preloads exactly preload instead of the most popular objects.
+	// arrivals come only through InjectArrival, so it has no
+	// generator (gen is nil), and its technique preloads exactly
+	// preload instead of the most popular objects.
 	member  bool
 	preload []int
 
@@ -210,8 +212,7 @@ type Engine struct {
 	// never killed, and Snapshot's normalization then reduces to the
 	// pinned golden formulas exactly.
 	dead         bool
-	diedAt       int // interval Kill took effect
-	deadMeasured int // measured intervals lost to completed dead spans
+	deadMeasured int // measured intervals stepped while dead
 
 	// Cache-tier window counters.
 	servedCache      int
@@ -234,34 +235,34 @@ func NewEngine(cfg Config, tech Technique) (*Engine, error) {
 	return newEngine(cfg, tech, false, nil, nil)
 }
 
-// newEngine builds a standalone engine, or a cluster member with the
-// given preload set when member is true.  dist is the object
-// popularity; nil builds the one cfg describes.
+// newEngine builds a standalone engine, which draws its stations'
+// references from the popularity cfg describes, or, when member is
+// true, a cluster member that reads the given popularity dist, draws
+// nothing and preloads the given set.
 func newEngine(cfg Config, tech Technique, member bool, dist *rng.Discrete, preload []int) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	var err error
-	if dist == nil {
-		if dist, err = cfg.Popularity(); err != nil {
-			return nil, err
-		}
-	}
-	gen, err := workload.NewGeneratorDist(rng.NewSource(cfg.Seed), dist, cfg.Stations)
-	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
 		cfg:     cfg,
 		tech:    tech,
-		lfu:     policy.NewLFU(),
-		tman:    tertiary.NewManager(),
-		gen:     gen,
-		stn:     workload.NewStations(gen),
+		lfu:     policy.NewLFU(cfg.Objects),
+		tman:    tertiary.NewManager(cfg.Objects),
+		dist:    dist,
+		stn:     workload.NewStations(cfg.Stations),
 		member:  member,
 		preload: preload,
 		queue:   requestQueue{node: make([]queueNode, cfg.Stations), head: -1, tail: -1},
 		pinned:  make([]int32, cfg.Objects),
+	}
+	if !member {
+		var err error
+		if e.dist, err = cfg.Popularity(); err != nil {
+			return nil, err
+		}
+		if e.gen, err = workload.NewGeneratorDist(rng.NewSource(cfg.Seed), e.dist, cfg.Stations); err != nil {
+			return nil, err
+		}
 	}
 	_, maxDegree := cfg.degreeRange()
 	e.horizon = cfg.Subobjects + cfg.maxStartup(maxDegree) + 2
@@ -286,9 +287,11 @@ func newEngine(cfg Config, tech Technique, member bool, dist *rng.Discrete, prel
 // Config returns the configuration the engine runs.
 func (e *Engine) Config() Config { return e.cfg }
 
-// enqueue issues a new reference for station s.
+// enqueue issues a new reference for station s, drawn from its own
+// stream.
 func (e *Engine) enqueue(s int) {
-	e.record(s, e.stn.Issue(s))
+	e.stn.Take(s)
+	e.record(s, e.gen.Draw(s))
 }
 
 // record admits station s's reference to obj, drawn now, into the
@@ -536,17 +539,26 @@ func (e *Engine) Prime() {
 func (e *Engine) Close() {}
 
 // HasPendingWork reports whether the run's horizon (warm-up plus
-// measurement) has not been reached yet.  A dead engine has no work:
-// it sits still until Revive or the end of the run.
+// measurement) has not been reached yet.
 func (e *Engine) HasPendingWork() bool {
-	return !e.dead && e.now < e.cfg.WarmupIntervals+e.cfg.MeasureIntervals
+	return e.now < e.cfg.WarmupIntervals+e.cfg.MeasureIntervals
 }
 
 // Now returns the next interval index to execute.
 func (e *Engine) Now() int { return e.now }
 
-// StepOne advances the simulation by exactly one interval.
+// StepOne advances the simulation by exactly one interval.  A dead
+// engine only keeps the clock: the interval passes with nothing
+// served, and one inside the measurement window is counted so that
+// Snapshot does not divide by it.
 func (e *Engine) StepOne() {
+	if e.dead {
+		if e.now >= e.cfg.WarmupIntervals && e.HasPendingWork() {
+			e.deadMeasured++
+		}
+		e.now++
+		return
+	}
 	e.Prime()
 	e.step()
 }
@@ -588,15 +600,12 @@ func (e *Engine) Run() Result {
 // Snapshot taken mid-run (or over a shorter ResetWindow segment)
 // reports exact counts but pro-rated utilizations.  A member that
 // spent part of the window dead (Kill/Revive) normalizes by the
-// intervals it was actually alive, so cluster merges — which weight
-// busy ratios by MeasureSeconds — do not dilute a survivor's
+// measured intervals it did not step dead, so cluster merges — which
+// weight busy ratios by MeasureSeconds — do not dilute a survivor's
 // utilization with a corpse's zeros; with no dead span the divisor is
 // exactly MeasureIntervals, byte-identical to the pinned goldens.
 func (e *Engine) Snapshot() Result {
 	meas := e.cfg.MeasureIntervals - e.deadMeasured
-	if e.dead {
-		meas -= e.deadSpan(e.diedAt, e.cfg.WarmupIntervals+e.cfg.MeasureIntervals)
-	}
 	tertBusy, diskBusy := 0.0, 0.0
 	if meas > 0 {
 		tertBusy = float64(e.tertBusy) / float64(meas)

@@ -21,8 +21,6 @@ var (
 	ErrKillClosedLoop = errors.New("sched: Kill on a closed-loop engine")
 	// ErrReviveLive: Revive on an engine that is not dead.
 	ErrReviveLive = errors.New("sched: Revive on a live engine")
-	// ErrReviveEarly: Revive at an interval before the kill.
-	ErrReviveEarly = errors.New("sched: Revive before the kill interval")
 	// ErrInjectClosedLoop: InjectArrival on a closed-loop engine, whose
 	// stations issue their own requests.
 	ErrInjectClosedLoop = errors.New("sched: InjectArrival on a closed-loop engine")

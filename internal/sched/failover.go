@@ -1,14 +1,13 @@
 package sched
 
-import "fmt"
-
 // This file is the engine's server-failover surface (DESIGN.md §14):
 // Kill drains a whole member — in-flight displays become typed aborts,
 // queued and batched requests are orphaned for the cluster to re-admit
-// on survivors — and Revive rejoins it with cold RAM but warm disks,
-// jumping the engine's clocks across the dead window.  Only the
-// cluster driver calls these; a single-server run never does, and all
-// failover state then stays zero (the pinned goldens cover that).
+// on survivors — and Revive rejoins it with cold RAM but warm disks.
+// A dead member keeps stepping on the cluster's round clock, serving
+// nothing.  Only the cluster driver calls these; a single-server run
+// never does, and all failover state then stays zero (the pinned
+// goldens cover that).
 
 // KillReport summarizes what a Kill drained.
 type KillReport struct {
@@ -26,8 +25,8 @@ type KillReport struct {
 // Kill takes the member down at its current interval: every in-flight
 // display aborts through the fault path, the request queue and the
 // batch registries drain into the report's orphan list, the tertiary
-// device drops its work, and the engine stops reporting pending work
-// until Revive.  Requires a live, open-workload engine (a cluster
+// device drops its work, and until Revive StepOne only advances the
+// clock.  Requires a live, open-workload engine (a cluster
 // member or ArrivalsPerHour > 0): in the closed loop an aborted station
 // reissues immediately and the drain below could never terminate.  A
 // dead engine returns ErrKillDead, a closed-loop one ErrKillClosedLoop,
@@ -87,51 +86,27 @@ func (e *Engine) Kill() (KillReport, error) {
 		}
 	}
 	e.tman.Reset()
-	e.dead, e.diedAt = true, e.now
+	e.dead = true
 	return rep, nil
 }
 
-// Revive restarts the member at interval `at` (the cluster's current
-// interval, at or after the kill): the clock jumps across the dead
-// window and the RAM tier flushes cold.  The calendars are left as
-// they are: Kill ended every display, follower and staging, and each
-// consumer rejects such stale entries when their slot drains.  Disk
-// contents survive — the transient-fault model disk repairs use — so
-// the member serves its pre-kill catalog, just with a cold cache and
-// empty queues.  A live engine returns ErrReviveLive, and an `at`
-// before the kill interval ErrReviveEarly; neither changes the engine.
-func (e *Engine) Revive(at int) error {
+// Revive restarts the member at its current interval, the one its
+// dead steps have reached: the RAM tier flushes cold.  The calendars
+// are left as they are: Kill ended every display, follower and
+// staging, and each consumer rejects such stale entries when their
+// slot drains.  Disk contents survive — the transient-fault model disk
+// repairs use — so the member serves its pre-kill catalog, just with a
+// cold cache and empty queues.  A live engine returns ErrReviveLive
+// and is not changed.
+func (e *Engine) Revive() error {
 	if !e.dead {
 		return ErrReviveLive
 	}
-	if at < e.now {
-		return fmt.Errorf("%w: at %d, killed at %d", ErrReviveEarly, at, e.now)
-	}
-	e.deadMeasured += e.deadSpan(e.diedAt, at)
-	e.now = at
 	if e.cache != nil {
 		e.cache.Flush()
 	}
 	e.dead = false
 	return nil
-}
-
-// deadSpan returns how many measured intervals the window [from, to)
-// covers — the portion of a dead span that Snapshot's utilization
-// normalization must not divide by.
-func (e *Engine) deadSpan(from, to int) int {
-	lo := e.cfg.WarmupIntervals
-	hi := lo + e.cfg.MeasureIntervals
-	if from < lo {
-		from = lo
-	}
-	if to > hi {
-		to = hi
-	}
-	if to <= from {
-		return 0
-	}
-	return to - from
 }
 
 // Dead reports whether the member is currently killed.

@@ -146,7 +146,10 @@ func runFuzzCase(t *testing.T, e *Engine, m *fuzzMember) {
 			if _, err := e.Kill(); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Revive(e.now + m.reviveIn); err != nil {
+			for i := 0; i < m.reviveIn; i++ {
+				e.StepOne()
+			}
+			if err := e.Revive(); err != nil {
 				t.Fatal(err)
 			}
 			checkLedger(t, e)

@@ -20,8 +20,9 @@ func newMember(ti TechniqueInfo, cfg Config, preload []int) (*Engine, error) {
 }
 
 // TestNewMemberSharesPopularity pins that a member reads the popularity
-// it is handed instead of building the one its Config describes, and
-// that the constructor refuses none or one over another catalog.
+// it is handed instead of building the one its Config describes, that
+// it builds no generator (it draws nothing), and that the constructor
+// refuses none or one over another catalog.
 func TestNewMemberSharesPopularity(t *testing.T) {
 	cfg := smallConfig(8, 10)
 	// The catalog's popularity reversed: not what cfg describes.
@@ -48,8 +49,11 @@ func TestNewMemberSharesPopularity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if e.gen != nil {
+			t.Errorf("%s: member built a generator of %d station streams", ti.Key, cfg.Stations)
+		}
 		for id := 0; id < cfg.Objects; id++ {
-			if p := e.gen.Popularity(id); p != rev.P(id) {
+			if p := e.dist.P(id); p != rev.P(id) {
 				t.Fatalf("%s: member reads popularity %v for object %d, handed %v", ti.Key, p, id, rev.P(id))
 			}
 		}
@@ -69,14 +73,20 @@ func TestNewMemberRejectsOutOfRangePreload(t *testing.T) {
 	}
 }
 
-// TestNewMemberRejectsOwnArrivals pins that a member draws no arrivals
-// of its own: the cluster feeds it through InjectArrival.
+// TestNewMemberRejectsOwnArrivals pins that a member draws nothing of
+// its own: the cluster feeds it through InjectArrival, and flips the
+// popularity of its own shared draw.
 func TestNewMemberRejectsOwnArrivals(t *testing.T) {
 	cfg := smallConfig(8, 10)
 	cfg.ArrivalsPerHour = 3000
 	ti, _ := TechniqueByKey("striped")
 	if _, err := newMember(ti, cfg, nil); err == nil {
 		t.Error("member with its own Poisson stream accepted")
+	}
+	cfg.ArrivalsPerHour = 0
+	cfg.ZipfSkew, cfg.ZipfFlipInterval = 1.1, 5
+	if _, err := newMember(ti, cfg, nil); err == nil {
+		t.Error("member with a popularity flip of its own accepted")
 	}
 }
 
@@ -114,10 +124,9 @@ func TestNewMemberPreloadsExactly(t *testing.T) {
 	}
 }
 
-// TestKillReviveMisuse pins the failover surface's four misuses as
+// TestKillReviveMisuse pins the failover surface's three misuses as
 // sentinel errors that leave the engine as it was: killing a dead or a
-// closed-loop engine, reviving a live one, and reviving before the kill
-// interval.
+// closed-loop engine, and reviving a live one.
 func TestKillReviveMisuse(t *testing.T) {
 	cfg := smallConfig(8, 10)
 	ti, _ := TechniqueByKey("striped")
@@ -157,15 +166,11 @@ func TestKillReviveMisuse(t *testing.T) {
 		}, ErrKillClosedLoop, false},
 		{"revive live", func(t *testing.T) (*Engine, error) {
 			e := killedMember(t)
-			if err := e.Revive(e.now); err != nil {
+			if err := e.Revive(); err != nil {
 				t.Fatal(err)
 			}
-			return e, e.Revive(e.now)
+			return e, e.Revive()
 		}, ErrReviveLive, false},
-		{"revive early", func(t *testing.T) (*Engine, error) {
-			e := killedMember(t)
-			return e, e.Revive(e.now - 1)
-		}, ErrReviveEarly, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

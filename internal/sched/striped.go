@@ -205,8 +205,8 @@ func (t *stripedTech) bind(e *Engine) error {
 	// (k < M and short objects) the farm cannot always be packed to
 	// the last fragment, so preloading stops at the first object that
 	// no longer fits — exactly what on-demand materialization would
-	// have produced.  Objects arrive in popularity (non-ascending id)
-	// order; Reserve keeps the store tables from reallocating per id.
+	// have produced.  Reserve sizes the store tables for the catalog
+	// first; Place refuses ids outside it.
 	// A cluster member preloads its assigned set instead, the
 	// cluster's replicas spread across members by Zipf rank.
 	t.store.Reserve(cfg.Objects)

@@ -87,7 +87,7 @@ func (t *vdrTech) bind(e *Engine) error {
 	if cfg.Degrees != nil {
 		return fmt.Errorf("sched: VDR lays every object out over one %d-disk cluster; per-object degrees need the striped engine", cfg.M)
 	}
-	store, err := core.NewVDRStore(cfg.D, cfg.M, cfg.CapacityFragments)
+	store, err := core.NewVDRStore(cfg.D, cfg.M, cfg.CapacityFragments, cfg.Objects)
 	if err != nil {
 		return err
 	}
@@ -135,7 +135,7 @@ func (t *vdrTech) bind(e *Engine) error {
 	}
 	var cands []cand
 	addCand := func(id int) {
-		p := e.gen.Popularity(id)
+		p := e.dist.P(id)
 		want := repl.Target(p, concurrency)
 		for j := 1; j <= want; j++ {
 			cands = append(cands, cand{id: id, copy: j, value: p / float64(j)})

@@ -108,9 +108,9 @@ func (s Spec) MaterializeSeconds(objectBits float64, layout TapeLayout, interval
 // Manager is the Tertiary Manager of the simulation model (§4.1): a
 // FCFS queue of materialization requests with duplicate suppression —
 // concurrent requests for the same object join the one in flight.
-// The queued set is a dense slice indexed by object id: the
-// schedulers re-route every queued cold request each interval, so
-// Request/Pending sit on their hot paths.
+// The queued set is a dense slice over the catalog's ids, sized at
+// build: the schedulers re-route every queued cold request each
+// interval, so Request/Pending sit on their hot paths.
 type Manager struct {
 	// The FCFS queue is a head-indexed ring over one backing slice:
 	// StartNext advances head instead of re-slicing, and Request
@@ -124,27 +124,17 @@ type Manager struct {
 	served   int
 }
 
-// NewManager returns an idle manager.
-func NewManager() *Manager {
-	return &Manager{inflight: -1}
-}
-
-// isQueued reports whether id is in the queued set.
-func (m *Manager) isQueued(id int) bool {
-	return id >= 0 && id < len(m.queued) && m.queued[id]
+// NewManager returns an idle manager over object ids [0, n).
+func NewManager(n int) *Manager {
+	return &Manager{queued: make([]bool, n), inflight: -1}
 }
 
 // Request enqueues a materialization of object id.  It reports true
 // when this call added new work (the object was neither queued nor in
 // flight).
 func (m *Manager) Request(id int) bool {
-	if m.inflight == id || m.isQueued(id) {
+	if m.inflight == id || m.queued[id] {
 		return false
-	}
-	if id >= len(m.queued) {
-		next := make([]bool, id+1)
-		copy(next, m.queued)
-		m.queued = next
 	}
 	m.queued[id] = true
 	if len(m.queue) == cap(m.queue) && m.head > 0 {
@@ -213,5 +203,5 @@ func (m *Manager) Reset() {
 
 // Pending reports whether id is queued or in flight.
 func (m *Manager) Pending(id int) bool {
-	return m.inflight == id || m.isQueued(id)
+	return m.inflight == id || m.queued[id]
 }

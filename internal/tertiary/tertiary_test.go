@@ -99,7 +99,7 @@ func TestMaterializeSecondsEdgeCases(t *testing.T) {
 }
 
 func TestManagerFCFSAndDedup(t *testing.T) {
-	m := NewManager()
+	m := NewManager(100)
 	if m.Busy() || m.QueueLen() != 0 {
 		t.Fatal("new manager not idle")
 	}
@@ -161,7 +161,7 @@ func TestManagerFCFSAndDedup(t *testing.T) {
 // Property: a request becomes new again once the object has been both
 // dequeued and finished.
 func TestManagerRequeueAfterFinish(t *testing.T) {
-	m := NewManager()
+	m := NewManager(100)
 	m.Request(1)
 	if id, ok := m.StartNext(); !ok || id != 1 {
 		t.Fatal("start failed")
@@ -196,7 +196,7 @@ func drainOrder(t *testing.T, m *Manager) []int {
 // in flight returns false and leaves the queue exactly as it was, so
 // re-requesting a still-pending object every interval changes nothing.
 func TestManagerRepeatRequestIsNoOp(t *testing.T) {
-	m := NewManager()
+	m := NewManager(100)
 	for _, id := range []int{4, 1, 7, 3} {
 		m.Request(id)
 	}
@@ -227,7 +227,7 @@ func TestManagerRepeatRequestIsNoOp(t *testing.T) {
 // everything), the id is no longer pending, and a new Request appends
 // it at the tail of the FCFS queue.
 func TestManagerRequestAfterDropAppendsAtTail(t *testing.T) {
-	m := NewManager()
+	m := NewManager(100)
 	for _, id := range []int{5, 2, 8} {
 		m.Request(id)
 	}
@@ -269,7 +269,7 @@ func TestManagerRequestAfterDropAppendsAtTail(t *testing.T) {
 }
 
 func BenchmarkManagerCycle(b *testing.B) {
-	m := NewManager()
+	m := NewManager(100)
 	for i := 0; i < b.N; i++ {
 		m.Request(i % 100)
 		if _, ok := m.StartNext(); ok {

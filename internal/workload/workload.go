@@ -53,18 +53,11 @@ type Generator struct {
 // over a catalog of n objects with geometric popularity of the given
 // mean (object 0 most popular).
 func NewGenerator(src *rng.Source, n int, mean float64, stations int) (*Generator, error) {
-	if stations <= 0 {
-		return nil, fmt.Errorf("workload: need at least one station, got %d", stations)
-	}
 	dist, err := rng.TruncatedGeometric(n, mean)
 	if err != nil {
 		return nil, err
 	}
-	g := &Generator{dist: dist, streams: make([]rng.Stream, stations)}
-	for i := range g.streams {
-		g.streams[i] = *src.StreamN("station", i)
-	}
-	return g, nil
+	return NewGeneratorDist(src, dist, stations)
 }
 
 // NewGeneratorDist builds a generator over an explicit popularity
@@ -82,9 +75,6 @@ func NewGeneratorDist(src *rng.Source, dist *rng.Discrete, stations int) (*Gener
 	}
 	return g, nil
 }
-
-// Stations returns the number of stations.
-func (g *Generator) Stations() int { return len(g.streams) }
 
 // Draw returns the next object reference of the given station.
 func (g *Generator) Draw(station int) int {
@@ -122,9 +112,6 @@ func RotateHalf(remap []int, n int) []int {
 	return remap
 }
 
-// Popularity returns the reference probability of object id.
-func (g *Generator) Popularity(id int) float64 { return g.dist.P(id) }
-
 // TopObjects returns the ids of the n most popular objects (which,
 // with a monotone geometric distribution, are simply 0..n-1).
 func (g *Generator) TopObjects(n int) []int {
@@ -141,29 +128,19 @@ func (g *Generator) TopObjects(n int) []int {
 // Stations tracks the closed-loop state: each station is either
 // waiting for a display (has an outstanding request) or ready to issue
 // its next one.  The request itself, its object and arrival, is the
-// engine's to keep.
+// engine's to keep, and so is the draw that chose the object.
 type Stations struct {
-	gen   *Generator
 	busy  []bool
 	total int
 }
 
-// NewStations returns closed-loop state over the generator.
-func NewStations(gen *Generator) *Stations {
-	return &Stations{gen: gen, busy: make([]bool, gen.Stations())}
+// NewStations returns closed-loop state over n idle stations.
+func NewStations(n int) *Stations {
+	return &Stations{busy: make([]bool, n)}
 }
 
-// Issue draws the next reference for station s and returns its
-// object.  A station must not have two outstanding requests.
-func (s *Stations) Issue(station int) int {
-	s.Take(station)
-	return s.gen.Draw(station)
-}
-
-// Take marks station s busy with an externally chosen object — the
-// cluster layer's dispatch path, where the object was drawn from a
-// shared cluster-wide stream rather than the station's own.  The
-// station's generator stream is not advanced.
+// Take marks station s busy with a new request.  A station must not
+// have two outstanding requests.
 func (s *Stations) Take(station int) {
 	if s.busy[station] {
 		panic(fmt.Sprintf("workload: station %d already has an outstanding request", station))

@@ -60,9 +60,6 @@ func TestGeneratorDist(t *testing.T) {
 	if counts[0] <= counts[39] {
 		t.Errorf("Zipf head not hot: counts[0]=%d counts[39]=%d", counts[0], counts[39])
 	}
-	if g.Popularity(0) <= g.Popularity(39) {
-		t.Error("Popularity not monotone")
-	}
 	if top := g.TopObjects(3); len(top) != 3 || top[0] != 0 {
 		t.Errorf("TopObjects = %v", top)
 	}
@@ -137,56 +134,39 @@ func TestTopObjects(t *testing.T) {
 	if got := len(g.TopObjects(500)); got != 100 {
 		t.Fatalf("TopObjects clamped to %d, want 100", got)
 	}
-	if g.Popularity(0) <= g.Popularity(1) {
-		t.Fatal("popularity not decreasing")
-	}
 }
 
 func TestClosedLoopStations(t *testing.T) {
-	g, err := NewGenerator(rng.NewSource(1), 100, 10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewStations(g)
-	if obj := st.Issue(0); obj < 0 || obj >= 100 {
-		t.Fatalf("bad object %d", obj)
-	}
-	if st.Outstanding() != 1 || st.TotalIssued() != 1 {
+	st := NewStations(3)
+	st.Take(0)
+	if st.Outstanding() != 1 || st.TotalIssued() != 1 || !st.Busy(0) {
 		t.Fatal("outstanding tracking wrong")
 	}
-	st.Issue(1)
+	st.Take(1)
 	st.Complete(0)
-	if st.Outstanding() != 1 {
+	if st.Outstanding() != 1 || st.Busy(0) {
 		t.Fatal("completion not tracked")
 	}
 	// Station 0 can issue again.
-	st.Issue(0)
+	st.Take(0)
 	if st.TotalIssued() != 3 {
 		t.Fatal("issue count wrong")
 	}
 }
 
 func TestDoubleIssuePanics(t *testing.T) {
-	g, err := NewGenerator(rng.NewSource(1), 10, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewStations(g)
-	st.Issue(0)
+	st := NewStations(1)
+	st.Take(0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double issue did not panic")
 		}
 	}()
-	st.Issue(0)
+	st.Take(0)
 }
 
 func TestCompleteIdlePanics(t *testing.T) {
-	g, err := NewGenerator(rng.NewSource(1), 10, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewStations(g)
+	st := NewStations(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("completing idle station did not panic")

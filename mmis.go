@@ -32,9 +32,18 @@ type (
 func NewLayout(d, k int) (Layout, error) { return core.NewLayout(d, k) }
 
 // NewStore returns a storage allocator over the layout with the given
-// per-disk capacity in fragments.
-func NewStore(l Layout, capacityFragments int) (*Store, error) {
-	return core.NewStore(l, capacityFragments)
+// per-disk capacity in fragments, for a catalog of object ids
+// [0, objects); Place refuses an id outside it.
+func NewStore(l Layout, capacityFragments, objects int) (*Store, error) {
+	if objects < 0 {
+		return nil, fmt.Errorf("mmis: object count %d is negative", objects)
+	}
+	s, err := core.NewStore(l, capacityFragments)
+	if err != nil {
+		return nil, err
+	}
+	s.Reserve(objects)
+	return s, nil
 }
 
 // NewPlacement validates a placement of an object with degree m and n
@@ -138,18 +147,32 @@ func EffectiveDiskBandwidth(spec DiskSpec, fragmentBytes float64) float64 {
 	return spec.EffectiveBandwidth(fragmentBytes)
 }
 
-// DegreeOfDeclustering returns M = ceil(bDisplay / bDisk).
-func DegreeOfDeclustering(t MediaType, bDisk float64) int { return t.Degree(bDisk) }
+// DegreeOfDeclustering returns M = ceil(bDisplay / bDisk).  The disk
+// bandwidth must be positive.
+func DegreeOfDeclustering(t MediaType, bDisk float64) (int, error) {
+	if !(bDisk > 0) {
+		return 0, fmt.Errorf("mmis: disk bandwidth %v must be positive", bDisk)
+	}
+	return t.Degree(bDisk), nil
+}
 
 // MinimumBufferBytes is Equation (1): per-disk memory masking the
-// head-switch delay.
-func MinimumBufferBytes(bDisk, tSwitch, tSector float64) float64 {
-	return buffer.MinimumBytes(bDisk, tSwitch, tSector)
+// head-switch delay.  Every argument must be non-negative.
+func MinimumBufferBytes(bDisk, tSwitch, tSector float64) (float64, error) {
+	if !(bDisk >= 0 && tSwitch >= 0 && tSector >= 0) {
+		return 0, fmt.Errorf("mmis: buffer arguments (%v, %v, %v) must be non-negative", bDisk, tSwitch, tSector)
+	}
+	return buffer.MinimumBytes(bDisk, tSwitch, tSector), nil
 }
 
 // UniqueDisksUsed returns how many distinct disks an object touches
-// under a given stride (§3.2.2).
-func UniqueDisksUsed(d, k, m, n int) int { return analytic.UniqueDisksUsed(d, k, m, n) }
+// under a given stride (§3.2.2).  Every argument must be positive.
+func UniqueDisksUsed(d, k, m, n int) (int, error) {
+	if d <= 0 || k <= 0 || m <= 0 || n <= 0 {
+		return 0, fmt.Errorf("mmis: disks %d, stride %d, degree %d and subobjects %d must be positive", d, k, m, n)
+	}
+	return analytic.UniqueDisksUsed(d, k, m, n), nil
+}
 
 // DataSkewFree reports whether gcd(D, k) = 1, the §3.2.2 balance
 // guarantee.
@@ -183,9 +206,19 @@ func NewPlaybackSession(normal, replica Placement, scanRatio int) (*PlaybackSess
 }
 
 // FFReplicaSubobjects returns the length of the fast-forward replica
-// for an n-subobject object.
-func FFReplicaSubobjects(n, ratio int) int { return playback.ReplicaSubobjects(n, ratio) }
+// for an n-subobject object.  n and ratio must be positive.
+func FFReplicaSubobjects(n, ratio int) (int, error) {
+	if n <= 0 || ratio <= 0 {
+		return 0, fmt.Errorf("mmis: subobjects %d and scan ratio %d must be positive", n, ratio)
+	}
+	return playback.ReplicaSubobjects(n, ratio), nil
+}
 
 // FFReplicaOverhead returns the storage overhead fraction of keeping
-// fast-forward replicas (~1/ratio).
-func FFReplicaOverhead(ratio int) float64 { return playback.ReplicaOverheadFraction(ratio) }
+// fast-forward replicas (~1/ratio).  ratio must be positive.
+func FFReplicaOverhead(ratio int) (float64, error) {
+	if ratio <= 0 {
+		return 0, fmt.Errorf("mmis: scan ratio %d must be positive", ratio)
+	}
+	return playback.ReplicaOverheadFraction(ratio), nil
+}

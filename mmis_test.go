@@ -44,7 +44,7 @@ func TestPublicStoreAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewStore(l, 3000)
+	st, err := NewStore(l, 3000, 43)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,29 +58,86 @@ func TestPublicStoreAPI(t *testing.T) {
 	if err := st.Evict(42); err != nil {
 		t.Fatal(err)
 	}
-	// A negative id is an argument error, not an index panic.
+	// An id outside the catalog, negative or past it, is an argument
+	// error, and refusing it allocates nothing but the error.
 	small, err := NewLayout(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := NewStore(small, 10)
+	ss, err := NewStore(small, 10, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ss.Place(-1, 1, 1); err == nil {
-		t.Error("Place(-1, ...) accepted a negative id")
+	for _, id := range []int{-1, 8, 1 << 40} {
+		if _, err := ss.Place(id, 1, 1); err == nil {
+			t.Errorf("Place(%d, ...) accepted an id outside [0, 8)", id)
+		}
+		if _, err := ss.PlaceAt(id, 0, 1, 1); err == nil {
+			t.Errorf("PlaceAt(%d, ...) accepted an id outside [0, 8)", id)
+		}
 	}
-	if _, err := ss.PlaceAt(-1, 0, 1, 1); err == nil {
-		t.Error("PlaceAt(-1, ...) accepted a negative id")
+	if allocs := testing.AllocsPerRun(5, func() { _, _ = ss.Place(1<<40, 1, 1) }); allocs > 8 {
+		t.Errorf("refusing id 1<<40 cost %v allocations, want the error's few", allocs)
+	}
+	if _, err := NewStore(small, 10, -1); err == nil {
+		t.Error("NewStore accepted a negative object count")
+	}
+}
+
+// TestFacadeArgumentErrors pins that the facade's planning helpers
+// return an error for an argument out of their domain instead of
+// panicking.
+func TestFacadeArgumentErrors(t *testing.T) {
+	l, err := NewLayout(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"DegreeOfDeclustering(t, 0)", func() error { _, err := DegreeOfDeclustering(SimVideo, 0); return err }},
+		{"DegreeOfDeclustering(t, NaN)", func() error { _, err := DegreeOfDeclustering(SimVideo, math.NaN()); return err }},
+		{"MinimumBufferBytes(-1, 0, 0)", func() error { _, err := MinimumBufferBytes(-1, 0, 0); return err }},
+		{"MinimumBufferBytes(0, 0, -1)", func() error { _, err := MinimumBufferBytes(0, 0, -1); return err }},
+		{"UniqueDisksUsed(0, 1, 1, 1)", func() error { _, err := UniqueDisksUsed(0, 1, 1, 1); return err }},
+		{"UniqueDisksUsed(4, 1, 1, -1)", func() error { _, err := UniqueDisksUsed(4, 1, 1, -1); return err }},
+		{"FFReplicaSubobjects(10, 0)", func() error { _, err := FFReplicaSubobjects(10, 0); return err }},
+		{"FFReplicaSubobjects(0, 16)", func() error { _, err := FFReplicaSubobjects(0, 16); return err }},
+		{"FFReplicaOverhead(0)", func() error { _, err := FFReplicaOverhead(0); return err }},
+		{"NewPlaybackSession(zero, zero)", func() error {
+			_, err := NewPlaybackSession(Placement{}, Placement{}, DefaultScanRatio)
+			return err
+		}},
+		{"NewPlaybackSession(movie, zero)", func() error {
+			movie, err := NewPlacement(l, 0, 2, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = NewPlaybackSession(movie, Placement{Layout: l}, DefaultScanRatio)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if c.call() == nil {
+				t.Fatal("accepted")
+			}
+		})
 	}
 }
 
 func TestPublicMediaAPI(t *testing.T) {
-	if DegreeOfDeclustering(SimVideo, 20e6) != 5 {
-		t.Error("Table 3 degree wrong")
+	if m, err := DegreeOfDeclustering(SimVideo, 20e6); m != 5 || err != nil {
+		t.Errorf("Table 3 degree %d, %v; want 5", m, err)
 	}
-	if DegreeOfDeclustering(HDTV, 20e6) != 40 {
-		t.Error("HDTV degree wrong")
+	if m, err := DegreeOfDeclustering(HDTV, 20e6); m != 40 || err != nil {
+		t.Errorf("HDTV degree %d, %v; want 40", m, err)
 	}
 	c := NewCatalog()
 	o, err := c.Add(Object{Name: "trailer", Type: NTSC, Subobjects: 100})
@@ -97,11 +154,11 @@ func TestPublicAnalyticAPI(t *testing.T) {
 	if math.Abs(eff-20e6) > 0.05e6 {
 		t.Errorf("effective bandwidth = %v, want ~20 mbps", eff)
 	}
-	if UniqueDisksUsed(100, 1, 4, 25) != 28 {
-		t.Error("§3.2.2 example wrong through facade")
+	if n, err := UniqueDisksUsed(100, 1, 4, 25); n != 28 || err != nil {
+		t.Errorf("§3.2.2 example through facade: %d, %v; want 28", n, err)
 	}
-	if MinimumBufferBytes(20e6, 0.05183, 0.01) <= 0 {
-		t.Error("Equation (1) result not positive")
+	if b, err := MinimumBufferBytes(20e6, 0.05183, 0.01); b <= 0 || err != nil {
+		t.Errorf("Equation (1) result %v, %v; want positive", b, err)
 	}
 }
 

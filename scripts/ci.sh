@@ -19,7 +19,7 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== inlining: the admission hot helpers, the request queue's list operations and the popularity draw's bucket search stay inlinable (DESIGN.md §8)"
+echo "== inlining: the admission hot helpers, the request queue's list operations, the popularity draw's bucket search and the per-request table probes stay inlinable (DESIGN.md §8)"
 inlined=$(go build -gcflags=-m ./internal/sched 2>&1 | sed -n 's/.*: can inline //p')
 for fn in '(*stripedTech).setVBusy' '(*stripedTech).vdiskOf' '(*stripedTech).windowFree' \
 	'(*readyIndex).push' '(*readyIndex).popHead' '(*requestQueue).push' '(*requestQueue).unlink'; do
@@ -32,6 +32,16 @@ if ! go build -gcflags=-m ./internal/rng 2>&1 | grep -qF 'can inline (*Discrete)
 	echo "inlining step: go build -gcflags=-m no longer reports 'can inline (*Discrete).index'"
 	exit 1
 fi
+# The per-request enqueue and cold-request paths: residency probe, LFU
+# touch, and the tertiary queue's dedup test and enqueue, each over a
+# table sized once at build.
+inlined=$(go build -gcflags=-m ./internal/core ./internal/policy ./internal/tertiary 2>&1 | sed -n 's/.*: can inline //p')
+for fn in '(*Store).Resident' '(*LFU).Touch' '(*Manager).Pending' '(*Manager).Request'; do
+	if ! printf '%s\n' "$inlined" | grep -qxF "$fn"; then
+		echo "inlining step: go build -gcflags=-m no longer reports 'can inline $fn'"
+		exit 1
+	fi
+done
 
 echo "== go test -short -race (quick suites + chaos harness under the race detector)"
 go test -short -race ./...
@@ -93,7 +103,7 @@ go test -run '^$' -fuzz FuzzStripedAdmission -fuzztime 10s ./internal/sched
 echo "== fuzz: Algorithm 2 coalescing, waiter pass against the scan over every buffering stream (same admissions, moves and completions, same Result)"
 go test -run '^$' -fuzz FuzzCoalesce -fuzztime 10s ./internal/sched
 
-echo "== fuzz: cluster server plans (kills, restarts, whole-fleet outages) under every policy, heal budget and memory tier, per-round invariants and run-twice determinism"
+echo "== fuzz: cluster server plans (kills, restarts, whole-fleet outages) under every technique, policy, heal budget and memory tier, per-round and heal-pass invariants and run-twice determinism"
 go test -run '^$' -fuzz FuzzClusterPlan -fuzztime 10s ./internal/cluster
 
 echo "== 100x scale trajectory under the race detector (points run concurrently)"
