@@ -113,28 +113,25 @@ func run() (code int) {
 		return 2
 	}
 
-	var opts *experiment.Options
-	cacheOn := *cacheMB > 0 || *batchWindow > 0
-	if *faultsFlag != "" || *pressure || cacheOn || *zipfSkew > 0 || *arrivals > 0 {
-		opts = &experiment.Options{
-			EvictionPressure: *pressure,
-			ZipfSkew:         *zipfSkew,
-			ArrivalsPerHour:  *arrivals,
+	// Every run gets the fault plan, eviction pressure, memory tier and
+	// workload flags; unset, they leave the paper's setup as it is.
+	var plan *fault.Plan
+	if *faultsFlag != "" {
+		if plan, err = fault.Parse(*faultsFlag); err != nil {
+			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+			return 2
 		}
-		if cacheOn {
-			opts.Cache = &cache.Spec{
-				BudgetBytes: int64(*cacheMB) << 20,
-				BatchWindow: *batchWindow,
-			}
-		}
-		if *faultsFlag != "" {
-			plan, err := fault.Parse(*faultsFlag)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-				return 2
-			}
-			opts.Faults = plan
-		}
+	}
+	var tier *cache.Spec
+	if *cacheMB > 0 || *batchWindow > 0 {
+		tier = &cache.Spec{BudgetBytes: int64(*cacheMB) << 20, BatchWindow: *batchWindow}
+	}
+	edit := func(cfg *sched.Config) {
+		cfg.Faults = plan
+		cfg.EvictionPressure = *pressure
+		cfg.Cache = tier
+		cfg.ZipfSkew = *zipfSkew
+		cfg.ArrivalsPerHour = *arrivals
 	}
 
 	scale := experiment.Full
@@ -158,7 +155,7 @@ func run() (code int) {
 		means = []float64{*dist}
 	}
 
-	byMean, err := experiment.Sweep(scale, means, stations, *seed, specs, opts)
+	byMean, err := experiment.Sweep(scale, means, stations, *seed, specs, edit)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		return 1

@@ -36,14 +36,10 @@ func arrivalsIn(s *Sim, from, to int) int {
 //   - each adopted object is now held by a live member that did not
 //     hold it before the pass, unless the same pass evicted it again.
 //
-// A delegated one-member Sim has no rounds and is left unchecked.  The
-// check traces every member itself; it returns the tracer slots a
-// test sets in place of Engine.SetTracer (nil for a delegated Sim).
+// The check traces every member itself; it returns the tracer slots a
+// test sets in place of Engine.SetTracer.
 func checkRounds(tb testing.TB, s *Sim) []sched.Tracer {
 	tb.Helper()
-	if s.dist == nil {
-		return nil
-	}
 	shadow, next := s.arrStream, s.nextAt
 	cfg := s.engines[0].Config()
 	warm, rounds := cfg.WarmupIntervals, 0

@@ -2,9 +2,10 @@
 // independent sched.Engine instances — each its own disk farm,
 // tertiary device, and station pool — advanced in lockstep rounds on
 // one integer interval clock, fed by one cluster-wide Poisson arrival
-// stream that a pluggable Dispatch policy routes to a member server
-// (DESIGN.md §13).  The paper sizes a single server (D
-// disks bound its bandwidth no matter how clever the striping);
+// stream that a dispatch policy routes to a member server
+// (DESIGN.md §13).  One member is a fleet of one: it steps the same
+// rounds on the same shared streams.  The paper sizes a single server
+// (D disks bound its bandwidth no matter how clever the striping);
 // ROADMAP's millions-of-users north star is this layer's N-fold
 // aggregate.
 //
@@ -27,9 +28,7 @@ import (
 
 // Config describes one cluster run.
 type Config struct {
-	// Servers is the member count.  1 delegates the workload entirely
-	// to the single engine (closed loop or own Poisson stream), which
-	// reproduces single-engine Results byte-for-byte.
+	// Servers is the member count, at least 1.
 	Servers int
 
 	// Technique and Stride select the engine configuration through the
@@ -39,13 +38,13 @@ type Config struct {
 	Stride    int
 
 	// Dispatch is the arrival-routing policy key (see Policies); ""
-	// means roundrobin.  Only meaningful with Servers > 1.
+	// means roundrobin.
 	Dispatch string
 
 	// Base is the per-server configuration: farm geometry, station
 	// pool, cache tier, and measurement windows all apply to each
 	// member individually, while the workload fields describe the
-	// cluster as a whole — with Servers > 1, ArrivalsPerHour is the
+	// cluster as a whole: ArrivalsPerHour (required positive) is the
 	// cluster-wide offered load (the shared Poisson stream this
 	// driver owns and dispatches), ZipfSkew/DistMean shape the shared
 	// object draw, and ZipfFlipInterval flips that shared draw.
@@ -65,8 +64,8 @@ type Config struct {
 	// DESIGN.md §14): a killed member aborts its in-flight displays,
 	// its queued requests re-route to survivors through the dispatch
 	// policy, and a restart rejoins it with cold RAM but warm disks.
-	// Member indexes must be < Servers; requires Servers > 1 (killing
-	// the only member leaves nobody to fail over to).
+	// Member indexes must be < Servers.  An arrival that finds every
+	// member dead — a lone member included — is counted lost.
 	ServerPlan *fault.Plan
 
 	// HealBudget bounds how many replicas the healing pass re-creates
@@ -109,7 +108,7 @@ type Result struct {
 	// Dispatch is the routing policy that ran.
 	Dispatch string
 	// Routed counts the measurement-window arrivals dispatched to each
-	// server (nil for a delegated 1-server run).
+	// server.
 	Routed []int
 	// NoHolder counts measurement-window popularity dispatches that
 	// found no live server holding the object and fell back to least
@@ -149,20 +148,19 @@ type Result struct {
 
 // Sim is one cluster simulation.  Build with New, run once with Run.
 type Sim struct {
-	cfg      Config
-	engines  []*sched.Engine
-	dispatch Dispatch
-	dt       float64
+	cfg     Config
+	engines []*sched.Engine
+	policy  policy
+	cursor  int // roundrobin's next member
+	dt      float64
 
-	// Cluster-owned arrival process (Servers > 1 only).
+	// Cluster-owned arrival process.
 	arrStream rng.Stream
 	objStream rng.Stream
 	dist      *rng.Discrete
 	remap     []int // popularity-churn rotation, nil until the flip
 	nextAt    float64
 	meanGap   float64
-	flipAt    float64 // seconds; 0 = never
-	flipped   bool
 
 	// Dispatch counters (reset at the warm-up boundary).
 	routed     []int
@@ -239,20 +237,15 @@ func New(cfg Config) (*Sim, error) {
 	if err := base.Validate(); err != nil {
 		return nil, err
 	}
-	disp, err := newDispatch(cfg.Dispatch)
+	pol, err := parsePolicy(cfg.Dispatch)
 	if err != nil {
 		return nil, err
 	}
 	if len(cfg.ServerFaults) > cfg.Servers {
 		return nil, fmt.Errorf("cluster: %d fault plans for %d servers", len(cfg.ServerFaults), cfg.Servers)
 	}
-	if cfg.ServerPlan != nil && !cfg.ServerPlan.Empty() {
-		if cfg.Servers < 2 {
-			return nil, fmt.Errorf("cluster: a server fault plan needs Servers > 1 (nobody to fail over to)")
-		}
-		if err := cfg.ServerPlan.ValidateServers(cfg.Servers); err != nil {
-			return nil, err
-		}
+	if err := cfg.ServerPlan.ValidateServers(cfg.Servers); err != nil {
+		return nil, err
 	}
 	if cfg.HealBudget < 0 {
 		return nil, fmt.Errorf("cluster: HealBudget must be non-negative")
@@ -264,26 +257,10 @@ func New(cfg Config) (*Sim, error) {
 		return nil, fmt.Errorf("cluster: SampleIntervals must be non-negative")
 	}
 
-	s := &Sim{cfg: cfg, dispatch: disp, dt: base.IntervalSeconds()}
-
-	if cfg.Servers == 1 {
-		// Delegate the whole workload to the single engine — closed
-		// loop, own Poisson stream, whatever Base says — so a 1-server
-		// cluster is the engine, byte-for-byte.
-		if len(cfg.ServerFaults) == 1 {
-			base.Faults = cfg.ServerFaults[0]
-		}
-		e, err := ti.New(base)
-		if err != nil {
-			return nil, err
-		}
-		s.engines = []*sched.Engine{e}
-		return s, nil
-	}
-
 	if base.ArrivalsPerHour <= 0 {
-		return nil, fmt.Errorf("cluster: %d servers need an open workload (Base.ArrivalsPerHour > 0)", cfg.Servers)
+		return nil, fmt.Errorf("cluster: need an open workload (Base.ArrivalsPerHour > 0)")
 	}
+	s := &Sim{cfg: cfg, policy: pol, dt: base.IntervalSeconds()}
 
 	// Cluster-owned workload streams.  The object distribution is the
 	// same one the engines would draw from; the arrival process is the
@@ -296,19 +273,13 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s.meanGap = 3600 / base.ArrivalsPerHour
 	s.nextAt = s.arrStream.Exp(s.meanGap)
-	if base.ZipfFlipInterval > 0 {
-		s.flipAt = float64(base.ZipfFlipInterval) * s.dt
-	}
 
 	depth := cfg.ReplicaDepth
 	if depth == 0 {
 		depth = 1
 	}
-	assignments := replicaAssignments(base.Objects, cfg.Servers, base.DefaultPreload(), depth)
-	s.assignments = assignments
-	if cfg.ServerPlan != nil {
-		s.serverEvents = cfg.ServerPlan.Events()
-	}
+	s.assignments = replicaAssignments(base.Objects, cfg.Servers, base.DefaultPreload(), depth)
+	s.serverEvents = cfg.ServerPlan.Events()
 
 	s.engines = make([]*sched.Engine, cfg.Servers)
 	for i := range s.engines {
@@ -323,7 +294,7 @@ func New(cfg Config) (*Sim, error) {
 		if i < len(cfg.ServerFaults) {
 			scfg.Faults = cfg.ServerFaults[i]
 		}
-		e, err := ti.NewMember(scfg, s.dist, assignments[i])
+		e, err := ti.NewMember(scfg, s.dist, s.assignments[i])
 		if err != nil {
 			return nil, fmt.Errorf("cluster: server %d: %w", i, err)
 		}
@@ -345,28 +316,18 @@ func (s *Sim) holds(i, obj int) bool { return s.engines[i].HoldsObject(obj) }
 // dead reports whether member i is currently killed.
 func (s *Sim) dead(i int) bool { return s.engines[i].Dead() }
 
-// drawObject samples the shared popularity distribution, applying the
-// churn rotation once the flip has fired.
-func (s *Sim) drawObject() int {
-	id := s.dist.Sample(&s.objStream)
-	if s.remap != nil {
-		id = s.remap[id]
-	}
-	return id
-}
-
 // deliverArrivals dispatches every cluster arrival strictly before
-// limit (seconds) to a member chosen by the policy.  An arrival that
-// finds every member dead is lost and counted.  An error is a member
-// refusing the injection.
+// limit (seconds) to a member chosen by the policy, drawing each object
+// from the shared popularity distribution through the churn rotation
+// once the flip has fired.  An arrival that finds every member dead is
+// lost and counted.  An error is a member refusing the injection.
 func (s *Sim) deliverArrivals(limit float64) error {
 	for s.nextAt < limit {
-		if s.flipAt > 0 && !s.flipped && s.nextAt >= s.flipAt {
-			s.flipped = true
-			s.remap = workload.RotateHalf(s.remap, s.dist.Len())
+		obj := s.dist.Sample(&s.objStream)
+		if s.remap != nil {
+			obj = s.remap[obj]
 		}
-		obj := s.drawObject()
-		target := s.dispatch.Pick(obj, s)
+		target := s.pick(obj)
 		if target < 0 {
 			s.lostArrivals++
 		} else {
@@ -410,7 +371,7 @@ func (s *Sim) killServer(i int) error {
 	}
 	s.orphaned += len(rep.Orphans)
 	for _, obj := range rep.Orphans {
-		target := s.dispatch.Pick(obj, s)
+		target := s.pick(obj)
 		if target < 0 {
 			s.reAdmitDropped++
 			continue
@@ -530,10 +491,6 @@ func (s *Sim) Run() (Result, error) {
 		return Result{}, sched.ErrAlreadyRun
 	}
 	s.ran = true
-	if s.dist == nil {
-		// One member, delegated: the engine runs its own workload.
-		return s.result(s.engines[0].Run()), nil
-	}
 	base := s.engines[0].Config()
 	warm, end := base.WarmupIntervals, base.WarmupIntervals+base.MeasureIntervals
 	for t := 0; t < end; t++ {
@@ -557,6 +514,11 @@ func (s *Sim) Run() (Result, error) {
 			s.healPass(t)
 			s.check(t, afterHeal)
 		}
+		// The churn flip rotates the shared draw before the round's
+		// arrivals are routed.
+		if t > 0 && t == s.cfg.Base.ZipfFlipInterval {
+			s.remap = workload.RotateHalf(s.remap, s.dist.Len())
+		}
 		if err := s.deliverArrivals(float64(t+1) * s.dt); err != nil {
 			return Result{}, err
 		}
@@ -565,20 +527,10 @@ func (s *Sim) Run() (Result, error) {
 		}
 		s.check(t, roundEnd)
 	}
-	snaps := make([]sched.Result, len(s.engines))
-	for i, e := range s.engines {
-		snaps[i] = e.Snapshot()
-	}
-	return s.result(snaps...), nil
-}
-
-// result assembles the Result from the members' final Snapshots and the
-// cluster's counters.
-func (s *Sim) result(servers ...sched.Result) Result {
 	res := Result{
-		Aggregate:           servers[0],
-		Servers:             servers,
-		Dispatch:            s.dispatch.Name(),
+		Servers:             make([]sched.Result, len(s.engines)),
+		Dispatch:            Policies()[s.policy],
+		Routed:              s.routed,
 		NoHolder:            s.noHolder,
 		FailedOver:          s.failedOver,
 		OrphanedRequests:    s.orphaned,
@@ -589,13 +541,14 @@ func (s *Sim) result(servers ...sched.Result) Result {
 		RedistributeSeconds: float64(s.redistribute) * s.dt,
 		Samples:             s.samples,
 	}
-	if s.routed != nil {
-		res.Routed = append([]int(nil), s.routed...)
+	for i, e := range s.engines {
+		res.Servers[i] = e.Snapshot()
 	}
-	for _, r := range servers[1:] {
+	res.Aggregate = res.Servers[0]
+	for _, r := range res.Servers[1:] {
 		res.Aggregate.Merge(r)
 	}
-	return res
+	return res, nil
 }
 
 // replicaAssignments spreads object replicas across n servers by

@@ -33,61 +33,6 @@ func quickBase(stations int, seed uint64) sched.Config {
 	}
 }
 
-// TestOneServerMatchesEngineClosed pins the delegation contract: a
-// 1-server cluster over the paper's closed workload reproduces the
-// single engine's Result byte-for-byte.
-func TestOneServerMatchesEngineClosed(t *testing.T) {
-	base := quickBase(16, 11)
-
-	e, _, err := sched.NewEngineFor("striped", base, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := e.Run()
-
-	sim, err := New(Config{Servers: 1, Technique: "striped", Base: base})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Aggregate, want) {
-		t.Fatalf("1-server cluster diverged from the engine:\ncluster %+v\nengine  %+v", res.Aggregate, want)
-	}
-	if len(res.Servers) != 1 || !reflect.DeepEqual(res.Servers[0], want) {
-		t.Fatalf("per-server result diverged: %+v", res.Servers)
-	}
-}
-
-// TestOneServerMatchesEngineOpen pins the same contract over an open
-// Zipf workload (the engine draws its own Poisson stream when
-// delegated to), and for the staggered technique.
-func TestOneServerMatchesEngineOpen(t *testing.T) {
-	base := quickBase(32, 7)
-	base.ZipfSkew = 1.1
-	base.ArrivalsPerHour = 3000
-
-	e, _, err := sched.NewEngineFor("staggered", base, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := e.Run()
-
-	sim, err := New(Config{Servers: 1, Technique: "staggered", Stride: 1, Base: base})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Aggregate, want) {
-		t.Fatalf("1-server open cluster diverged from the engine:\ncluster %+v\nengine  %+v", res.Aggregate, want)
-	}
-}
-
 // multiConfig is the shared 2-server configuration of the isolation
 // and determinism tests: open Zipf arrivals split across two members.
 func multiConfig(dispatch string) Config {

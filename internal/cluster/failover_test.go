@@ -39,9 +39,9 @@ func TestDispatchSkipsDeadMembers(t *testing.T) {
 		t.Fatal("no object is held by member 0 alone")
 	}
 
-	pop := popularity{}
-	if got := pop.Pick(obj, sim); got != 0 {
-		t.Fatalf("live holder: Pick = %d, want 0", got)
+	sim.policy = popularity
+	if got := sim.pick(obj); got != 0 {
+		t.Fatalf("live holder: pick = %d, want 0", got)
 	}
 	if sim.noHolder != 0 || sim.failedOver != 0 {
 		t.Fatalf("clean pick counted noHolder %d, failedOver %d", sim.noHolder, sim.failedOver)
@@ -50,20 +50,18 @@ func TestDispatchSkipsDeadMembers(t *testing.T) {
 	if _, err := sim.engines[0].Kill(); err != nil {
 		t.Fatal(err)
 	}
-	if got := pop.Pick(obj, sim); got != 1 {
-		t.Fatalf("dead holder: Pick = %d, want live member 1", got)
+	if got := sim.pick(obj); got != 1 {
+		t.Fatalf("dead holder: pick = %d, want live member 1", got)
 	}
 	if sim.noHolder != 1 {
 		t.Fatalf("dead-holder fallback counted noHolder %d, want 1", sim.noHolder)
 	}
 
-	rr := &roundRobin{}
-	if got := rr.Pick(obj, sim); got != 1 {
-		t.Fatalf("roundrobin with member 0 dead: Pick = %d, want 1", got)
-	}
-	ll := leastLoaded{}
-	if got := ll.Pick(obj, sim); got != 1 {
-		t.Fatalf("leastloaded with member 0 dead: Pick = %d, want 1", got)
+	for _, p := range []policy{roundRobin, leastLoaded} {
+		sim.policy = p
+		if got := sim.pick(obj); got != 1 {
+			t.Fatalf("%s with member 0 dead: pick = %d, want 1", Policies()[p], got)
+		}
 	}
 	if sim.failedOver == 0 {
 		t.Fatal("no policy counted a failover off the dead member")
@@ -73,9 +71,10 @@ func TestDispatchSkipsDeadMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 	noHolder := sim.noHolder
-	for _, d := range []Dispatch{&roundRobin{}, leastLoaded{}, popularity{}} {
-		if got := d.Pick(obj, sim); got != -1 {
-			t.Fatalf("%s with every member dead: Pick = %d, want -1", d.Name(), got)
+	for _, p := range []policy{roundRobin, leastLoaded, popularity} {
+		sim.policy = p
+		if got := sim.pick(obj); got != -1 {
+			t.Fatalf("%s with every member dead: pick = %d, want -1", Policies()[p], got)
 		}
 	}
 	if sim.noHolder != noHolder {
@@ -255,6 +254,40 @@ func TestWholeFleetOutage(t *testing.T) {
 			}
 			if requests > reviveRound {
 				t.Errorf("revive round queued %d requests for its %d arrivals", requests, reviveRound)
+			}
+		})
+	}
+}
+
+// TestLoneMemberOutage kills the only member of a one-member cluster.
+// A fleet of one steps the same rounds as any fleet: checkRounds holds
+// after every round, and each arrival of the outage finds nobody live
+// and is counted lost, under every policy.
+func TestLoneMemberOutage(t *testing.T) {
+	const down, up = 500, 700
+	for _, dispatch := range Policies() {
+		t.Run(dispatch, func(t *testing.T) {
+			cfg := multiConfig(dispatch)
+			cfg.Servers = 1
+			cfg.ServerPlan = fault.NewPlan().FailServerUntil(0, down, up)
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRounds(t, sim)
+			dark := arrivalsIn(sim, down, up)
+			if dark == 0 {
+				t.Fatal("no arrivals fall in the outage — the case proves nothing")
+			}
+			res, err := sim.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.LostArrivals != dark {
+				t.Errorf("%d arrivals fell in the outage, %d counted lost", dark, res.LostArrivals)
+			}
+			if res.Aggregate.Displays == 0 {
+				t.Error("the member delivered no displays around its outage")
 			}
 		})
 	}

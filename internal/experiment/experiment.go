@@ -10,39 +10,11 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/mmsim/staggered/internal/cache"
-	"github.com/mmsim/staggered/internal/fault"
 	"github.com/mmsim/staggered/internal/metrics"
 	"github.com/mmsim/staggered/internal/sched"
 	"github.com/mmsim/staggered/internal/tertiary"
 	"github.com/mmsim/staggered/internal/workload"
 )
-
-// Options extends a sweep beyond the paper's clean-room runs: a fault
-// plan injected into every configuration, the eviction-pressure
-// fallback for exact-fit farms, and the workload and cache-tier
-// extensions.  The zero value is the paper's setup.
-type Options struct {
-	Faults           *fault.Plan
-	EvictionPressure bool
-	// Cache turns the memory tier on for every run; ZipfSkew and
-	// ArrivalsPerHour reshape the workload (see sched.Config).
-	Cache           *cache.Spec
-	ZipfSkew        float64
-	ArrivalsPerHour float64
-}
-
-// apply copies the options onto one run's configuration.
-func (o *Options) apply(cfg *sched.Config) {
-	if o == nil {
-		return
-	}
-	cfg.Faults = o.Faults
-	cfg.EvictionPressure = o.EvictionPressure
-	cfg.Cache = o.Cache
-	cfg.ZipfSkew = o.ZipfSkew
-	cfg.ArrivalsPerHour = o.ArrivalsPerHour
-}
 
 // Scale selects the experiment fidelity.
 type Scale int
@@ -172,12 +144,13 @@ func parallel(n int, f func(i int) error) error {
 
 // Sweep runs the Figure 8 station sweep (nil stations means the
 // paper's 1..256) for every mean and every technique of specs (nil
-// means the paper's striped/VDR pair), with opts applied to every run
-// (nil is the paper's setup), and returns the points per mean.  Every
-// (mean, station, technique) run is one job on the parallel pool and
-// writes its own element of its point's Runs slice, so the results
-// are deterministic per seed whatever the worker count.
-func Sweep(scale Scale, means []float64, stations []int, seed uint64, specs []TechSpec, opts *Options) (map[float64][]Point, error) {
+// means the paper's striped/VDR pair), with edit applied to every
+// run's configuration (nil is the paper's setup), and returns the
+// points per mean.  Every (mean, station, technique) run is one job
+// on the parallel pool and writes its own element of its point's Runs
+// slice, so the results are deterministic per seed whatever the
+// worker count.
+func Sweep(scale Scale, means []float64, stations []int, seed uint64, specs []TechSpec, edit func(*sched.Config)) (map[float64][]Point, error) {
 	if len(stations) == 0 {
 		stations = workload.PaperStations
 	}
@@ -203,7 +176,9 @@ func Sweep(scale Scale, means []float64, stations []int, seed uint64, specs []Te
 		mean, t := means[i/(len(stations)*len(specs))], i%len(specs)
 		p := &byMean[mean][i/len(specs)%len(stations)]
 		cfg := BaseConfig(scale, p.Stations, mean, seed)
-		opts.apply(&cfg)
+		if edit != nil {
+			edit(&cfg)
+		}
 		e, _, err := sched.NewEngineFor(specs[t].Key, cfg, specs[t].Stride)
 		if err != nil {
 			return err

@@ -106,19 +106,16 @@ func RunScalePoint(factor int, seed uint64) (ScalePoint, error) {
 }
 
 // ScaleSweep runs the trajectory of factors and returns one point per
-// factor, in factor order.  Points execute concurrently on a
-// GOMAXPROCS-sized pool (the same harness runSweep uses): simulation
-// results are deterministic regardless, and the per-point wall clocks
-// remain comparable because every point still runs on one goroutine.
+// factor, in factor order.  The points run one after another on the
+// calling goroutine: each reads the process's live heap, which a
+// concurrent point's tables would inflate.
 func ScaleSweep(factors []int, seed uint64) ([]ScalePoint, error) {
 	points := make([]ScalePoint, len(factors))
-	err := parallel(len(points), func(i int) error {
+	for i, f := range factors {
 		var err error
-		points[i], err = RunScalePoint(factors[i], seed)
-		return err
-	})
-	if err != nil {
-		return nil, err
+		if points[i], err = RunScalePoint(f, seed); err != nil {
+			return nil, err
+		}
 	}
 	return points, nil
 }

@@ -23,6 +23,10 @@ import (
 //
 // Scope: the Figure 8 configuration — contiguous admission (k = M),
 // single media type, zero think time.
+//
+// The kernel's time unit is one interval, so every completion, staging
+// end, warm-up and horizon time is an exact integer and the interval
+// number is the clock itself.
 type desval struct {
 	cfg    Config
 	k      *sim.Kernel
@@ -42,8 +46,6 @@ type desval struct {
 	staging    int // object being staged, -1 when idle
 	stageVids  []int
 	stageBegun bool
-
-	intervalOf func() int // current interval number
 
 	// window statistics
 	measuring bool
@@ -81,7 +83,6 @@ func RunDESValidation(cfg Config) (int, error) {
 		return 0, err
 	}
 	k := sim.New()
-	iv := cfg.IntervalSeconds()
 	e := &desval{
 		cfg:    cfg,
 		k:      k,
@@ -94,9 +95,6 @@ func RunDESValidation(cfg Config) (int, error) {
 		pinned: make(map[int]int),
 		active: make(map[int]int),
 		ready:  make(map[int]bool),
-		intervalOf: func() int {
-			return int(float64(k.Now())/iv + 0.5)
-		},
 	}
 	for i := range e.vbusy {
 		e.vbusy[i] = freeSlot
@@ -134,29 +132,33 @@ func RunDESValidation(cfg Config) (int, error) {
 
 	// The centralized scheduler: at every interval boundary, first
 	// advance the tertiary pipeline (the interval engine's ordering),
-	// then admit waiting displays.
+	// then admit waiting displays.  Hold(0) lets the stations whose
+	// displays completed at this instant re-request first, as the
+	// interval engine re-issues before it admits.
 	k.Spawn("scheduler", func(p *sim.Process) {
 		for {
-			e.stepTertiary(iv)
+			p.Hold(0)
+			e.stepTertiary()
 			e.admit()
-			p.Hold(sim.Time(iv))
+			p.Hold(1)
 		}
 	})
 
-	warmEnd := sim.Time(iv) * sim.Time(cfg.WarmupIntervals)
-	k.At(warmEnd, func() { e.measuring = true })
-	horizon := sim.Time(iv) * sim.Time(cfg.WarmupIntervals+cfg.MeasureIntervals)
-	k.Run(horizon)
+	k.At(sim.Time(cfg.WarmupIntervals), func() { e.measuring = true })
+	k.Run(sim.Time(cfg.WarmupIntervals + cfg.MeasureIntervals))
 	if e.hiccups != 0 {
 		return e.completed, fmt.Errorf("sched: DES validation model recorded %d hiccups", e.hiccups)
 	}
 	return e.completed, nil
 }
 
+// interval returns the current interval number: the kernel clock.
+func (e *desval) interval() int { return int(e.k.Now()) }
+
 // stepTertiary starts the next staging when the device is idle and a
 // request can secure space and write disks; the staging's completion
 // is a scheduled event.
-func (e *desval) stepTertiary(iv float64) {
+func (e *desval) stepTertiary() {
 	if e.stageBegun {
 		return // completion event pending
 	}
@@ -173,7 +175,7 @@ func (e *desval) stepTertiary(iv float64) {
 	}
 	vids := e.stageClaim(id)
 	e.stageBegun = true
-	e.k.After(sim.Time(iv)*sim.Time(e.cfg.MaterializeIntervals()), func() {
+	e.k.After(sim.Time(e.cfg.MaterializeIntervals()), func() {
 		for _, v := range vids {
 			e.vbusy[v] = freeSlot
 		}
@@ -228,7 +230,7 @@ func (e *desval) stageDisksFree(id int) bool {
 	if w > e.cfg.M {
 		w = e.cfg.M
 	}
-	t := e.intervalOf()
+	t := e.interval()
 	for j := 0; j < w; j++ {
 		v := vdisk.VirtualAt((p.First+j)%e.cfg.D, t, e.cfg.K, e.cfg.D)
 		if e.vbusy[v] != freeSlot {
@@ -244,7 +246,7 @@ func (e *desval) stageClaim(id int) []int {
 	if w > e.cfg.M {
 		w = e.cfg.M
 	}
-	t := e.intervalOf()
+	t := e.interval()
 	vids := make([]int, w)
 	for j := 0; j < w; j++ {
 		v := vdisk.VirtualAt((p.First+j)%e.cfg.D, t, e.cfg.K, e.cfg.D)
@@ -257,8 +259,7 @@ func (e *desval) stageClaim(id int) []int {
 // admit scans the request queue in arrival order, starting every
 // display whose disks are free at the current interval.
 func (e *desval) admit() {
-	t := e.intervalOf()
-	iv := e.cfg.IntervalSeconds()
+	t := e.interval()
 	kept := e.queue[:0]
 	for _, r := range e.queue {
 		if !e.ready[r.object] {
@@ -298,9 +299,8 @@ func (e *desval) admit() {
 		if e.pinned[r.object] == 0 {
 			delete(e.pinned, r.object)
 		}
-		dur := sim.Time(iv) * sim.Time(e.cfg.Subobjects)
 		obj := r.object
-		e.k.After(dur, func() {
+		e.k.After(sim.Time(e.cfg.Subobjects), func() {
 			for _, v := range vids {
 				e.vbusy[v] = freeSlot
 			}

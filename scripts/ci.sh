@@ -49,7 +49,7 @@ go test -short -race ./...
 echo "== go test (full suites: goldens, E18, fault integration)"
 go test ./...
 
-echo "== golden dumps (49-config sweep + staggered strides + Algorithm 1 pin + degraded mode) and the reproduction artifact (every EXPERIMENTS.md table, full-scale Figure 8 and Table 4 included), byte-identical"
+echo "== golden dumps (49-config sweep + staggered strides + Algorithm 1 pin + degraded mode), the DES cross-check over its 15-point grid, and the reproduction artifact (every EXPERIMENTS.md table, full-scale Figure 8 and Table 4 included), byte-identical"
 # Every named test must report --- PASS: a renamed or deleted test
 # would otherwise drop out of the -run regex silently.
 golden() {
@@ -66,7 +66,7 @@ golden() {
 		fi
 	done
 }
-golden ./internal/sched TestGoldenSweep TestGoldenStaggered TestGoldenAlgorithm1 TestGoldenFaults
+golden ./internal/sched TestGoldenSweep TestGoldenStaggered TestGoldenAlgorithm1 TestGoldenFaults TestDESValidationAgreesWithIntervalEngine
 golden ./internal/experiment TestReproduction TestReproductionSectionsDocumented
 
 echo "== examples: each program's stdout equals its pinned examples/<name>/output.txt (the examples are the facade's only callers)"
@@ -106,13 +106,13 @@ go test -run '^$' -fuzz FuzzCoalesce -fuzztime 10s ./internal/sched
 echo "== fuzz: cluster server plans (kills, restarts, whole-fleet outages) under every technique, policy, heal budget and memory tier, per-round and heal-pass invariants and run-twice determinism"
 go test -run '^$' -fuzz FuzzClusterPlan -fuzztime 10s ./internal/cluster
 
-echo "== 100x scale trajectory under the race detector (points run concurrently)"
+echo "== 100x scale trajectory under the race detector (points run one after another)"
 go run -race ./cmd/sweep -scale 100x -csv
 
 echo "== cache-enabled quick sweep under the race detector (memory tier + open Zipf arrivals)"
 go run -race ./cmd/sweep -scale quick -technique striped -stations 64 -dist 20 -zipf 0.7 -arrivals 6000 -cachemb 256 -batchwindow 8 -csv
 
-echo "== 2-server cluster quick sweep per dispatch policy, under the race detector"
+echo "== 1- and 2-server cluster quick sweep per dispatch policy, under the race detector (a 1-member cluster steps the same lockstep rounds as a fleet)"
 for policy in roundrobin leastloaded popularity; do
 	echo "-- dispatch: $policy"
 	go run -race ./cmd/sweep -servers 1,2 -dispatch "$policy" -seed 1 -csv
