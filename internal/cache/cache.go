@@ -68,8 +68,8 @@ type Pending struct {
 
 // Tier is the memory tier's state: the resident prefix set under the
 // RAM budget, the per-object popularity scores that choose what it
-// evicts, and per-object leader/follower/pending registries for
-// multicast stream sharing.  All methods run on the engine's interval goroutine.
+// evicts, and the leader/follower/pending registries for multicast
+// stream sharing.  All methods run on the engine's interval goroutine.
 //
 // Replacement is popularity-weighted: each reference adds one unit to
 // an exponentially decayed per-object score (half-life of one display
@@ -77,55 +77,79 @@ type Pending struct {
 // and a newcomer must out-score it to displace it.  This is the
 // interval-caching admission of Jayarekha & Nair: bursty one-time
 // traffic decays away instead of flushing the Zipf head.
+//
+// Only objects with a live leader, a follower or a pending request
+// have registry state, a small share of the catalog at any instant, so
+// the registries live in a slot table reached through a per-object
+// slot index.  A slot is claimed by the first registration and
+// released, keeping its slice backings for the next object, once its
+// leader has ended and no follower or pending request is left in it.
 type Tier struct {
-	spec      Spec
-	prefixLen int
-	bytes     []int64 // object -> pinned prefix size in bytes
-	resident  []bool
-	residents []int // resident object ids, order-free (victim ties on id)
-	used      int64
+	spec        Spec
+	prefixLen   int
+	degrees     []int // object -> degree of declustering; nil: every object has degree m
+	m           int
+	prefixBytes []int64 // degree -> pinned prefix size in bytes
+	resident    []bool
+	residents   []int // resident object ids, order-free (victim ties on id)
+	used        int64
 
 	score    []float64 // object -> decayed reference count
 	last     []int32   // object -> interval of the last reference, -1 = never
 	halfLife float64
 
-	// Leader registry: the newest in-flight disk stream per object.
-	// leaderEnd is exclusive; leaderEnd <= now means no live leader.
-	leaderStation []int32
-	leaderStart   []int32
-	leaderEnd     []int32
-	leaderTmax    []int32
-	followers     [][]int32   // object -> stations sharing the leader stream
-	pending       [][]Pending // object -> requests batched behind a queued leader
+	// changed, when set, is called with each object whose residency
+	// just flipped (a pin, an eviction, a Flush).
+	changed func(obj int)
+
+	slot  []int32    // object -> index into slots, -1 without registry state
+	slots []registry // claimed and released slots
+	free  []int32    // released slots, reused last-in first-out
+}
+
+// registry is one object's multicast state: the newest in-flight disk
+// stream (the leader), the stations sharing it, and the requests
+// batched behind a queued leader request.
+type registry struct {
+	station, start, end, tmax int32 // the leader; end is exclusive, 0 = no leader
+
+	followers []int32   // stations sharing the leader stream
+	pending   []Pending // requests batched behind a queued leader
 }
 
 // NewTier builds the tier for a catalog of objects.  prefixLen is the
 // effective pinned prefix in subobjects (already clamped by the
-// caller), bytesOf gives each object's prefix footprint in bytes, and
-// halfLife tunes the popularity score's decay (typically one display
-// length in intervals).
-func NewTier(spec *Spec, objects, prefixLen int, bytesOf func(int) int64, halfLife float64) *Tier {
+// caller).  degrees gives each object's degree of declustering (nil:
+// every object has degree m), and bytesOf the pinned prefix footprint
+// in bytes of an object of a given degree.  halfLife tunes the
+// popularity score's decay (typically one display length in
+// intervals).
+func NewTier(spec *Spec, objects, prefixLen int, degrees []int, m int, bytesOf func(degree int) int64, halfLife float64) *Tier {
 	if halfLife <= 0 {
 		halfLife = 1
 	}
-	t := &Tier{
-		spec:          *spec,
-		prefixLen:     prefixLen,
-		bytes:         make([]int64, objects),
-		resident:      make([]bool, objects),
-		score:         make([]float64, objects),
-		last:          make([]int32, objects),
-		halfLife:      halfLife,
-		leaderStation: make([]int32, objects),
-		leaderStart:   make([]int32, objects),
-		leaderEnd:     make([]int32, objects),
-		leaderTmax:    make([]int32, objects),
-		followers:     make([][]int32, objects),
-		pending:       make([][]Pending, objects),
+	maxDegree := m
+	for _, d := range degrees {
+		maxDegree = max(maxDegree, d)
 	}
-	for id := range t.bytes {
-		t.bytes[id] = bytesOf(id)
+	t := &Tier{
+		spec:        *spec,
+		prefixLen:   prefixLen,
+		degrees:     degrees,
+		m:           m,
+		prefixBytes: make([]int64, maxDegree+1),
+		resident:    make([]bool, objects),
+		score:       make([]float64, objects),
+		last:        make([]int32, objects),
+		halfLife:    halfLife,
+		slot:        make([]int32, objects),
+	}
+	for d := range t.prefixBytes {
+		t.prefixBytes[d] = bytesOf(d)
+	}
+	for id := range t.last {
 		t.last[id] = -1
+		t.slot[id] = -1
 	}
 	return t
 }
@@ -137,13 +161,23 @@ func (t *Tier) PrefixLen() int { return t.prefixLen }
 func (t *Tier) Resident(obj int) bool { return t.resident[obj] }
 
 // Bytes returns obj's prefix footprint.
-func (t *Tier) Bytes(obj int) int64 { return t.bytes[obj] }
+func (t *Tier) Bytes(obj int) int64 {
+	if t.degrees == nil {
+		return t.prefixBytes[t.m]
+	}
+	return t.prefixBytes[t.degrees[obj]]
+}
 
 // Used returns the bytes currently pinned.
 func (t *Tier) Used() int64 { return t.used }
 
 // ResidentCount returns the number of pinned prefixes.
 func (t *Tier) ResidentCount() int { return len(t.residents) }
+
+// OnResidencyChange registers fn to be called with each object whose
+// residency flips from now on: when Reference pins or evicts its
+// prefix, and when Flush unpins it.  fn runs after the flip.
+func (t *Tier) OnResidencyChange(fn func(obj int)) { t.changed = fn }
 
 // Reference records one request for obj at the given interval and
 // runs the interval-caching admission: the reference warms obj's
@@ -155,7 +189,7 @@ func (t *Tier) Reference(obj, now int) {
 	if t.spec.BudgetBytes <= 0 || t.resident[obj] {
 		return
 	}
-	need := t.bytes[obj]
+	need := t.Bytes(obj)
 	if need > t.spec.BudgetBytes {
 		return
 	}
@@ -168,7 +202,10 @@ func (t *Tier) Reference(obj, now int) {
 	}
 	t.resident[obj] = true
 	t.residents = append(t.residents, obj)
-	t.used += t.bytes[obj]
+	t.used += need
+	if t.changed != nil {
+		t.changed(obj)
+	}
 }
 
 // touched adds one reference at interval now to obj's decayed score.
@@ -205,7 +242,38 @@ func (t *Tier) evict(obj int) {
 			break
 		}
 	}
-	t.used -= t.bytes[obj]
+	t.used -= t.Bytes(obj)
+	if t.changed != nil {
+		t.changed(obj)
+	}
+}
+
+// claim returns obj's registry, claiming a slot for it (the most
+// recently released one first) when it has none.  The pointer is good
+// until the next claim.
+func (t *Tier) claim(obj int) *registry {
+	i := t.slot[obj]
+	if i < 0 {
+		if n := len(t.free); n > 0 {
+			i = t.free[n-1]
+			t.free = t.free[:n-1]
+		} else {
+			i = int32(len(t.slots))
+			t.slots = append(t.slots, registry{})
+		}
+		t.slot[obj] = i
+	}
+	return &t.slots[i]
+}
+
+// settle releases obj's slot r once its leader has ended and no
+// follower or pending request is left in it; the slot keeps its slice
+// backings for the next object that claims it.
+func (t *Tier) settle(obj int, r *registry) {
+	if r.end == 0 && len(r.followers) == 0 && len(r.pending) == 0 {
+		t.free = append(t.free, t.slot[obj])
+		t.slot[obj] = -1
+	}
 }
 
 // AttachGap reports whether a request for obj arriving now can attach
@@ -216,42 +284,63 @@ func (t *Tier) evict(obj int) {
 // prefix (the RAM prefix is what the follower catches up from), and
 // the prefix to actually be resident.
 func (t *Tier) AttachGap(obj, now, window int) (int, bool) {
-	if int(t.leaderEnd[obj]) <= now {
+	i := t.slot[obj]
+	if i < 0 || int(t.slots[i].end) <= now {
 		return 0, false
 	}
-	gap := now - int(t.leaderStart[obj])
-	if gap < 1 || gap < int(t.leaderTmax[obj]) || gap > window || gap > t.prefixLen || !t.resident[obj] {
+	r := &t.slots[i]
+	gap := now - int(r.start)
+	if gap < 1 || gap < int(r.tmax) || gap > window || gap > t.prefixLen || !t.resident[obj] {
 		return 0, false
 	}
 	return gap, true
 }
 
 // SetLeader registers the disk stream admitted for obj at start as the
-// object's leader, ending (exclusive) at end.  Any followers of an
-// older leader are dropped from the registry — their displays still
-// complete on their own clocks, they just lose detach-on-abort
-// coverage for the superseded stream.
+// object's leader, ending (exclusive) at end, which must be positive.
+// Any followers of an older leader are dropped from the registry —
+// their displays still complete on their own clocks, they just lose
+// detach-on-abort coverage for the superseded stream.
 func (t *Tier) SetLeader(obj int, station int32, start, end, tmax int) {
-	t.leaderStation[obj] = station
-	t.leaderStart[obj] = int32(start)
-	t.leaderEnd[obj] = int32(end)
-	t.leaderTmax[obj] = int32(tmax)
-	t.followers[obj] = t.followers[obj][:0]
+	r := t.claim(obj)
+	r.station, r.start, r.end, r.tmax = station, int32(start), int32(end), int32(tmax)
+	r.followers = r.followers[:0]
+}
+
+// EndLeader retires obj's leader registration at the interval its
+// stream ends, end, and releases the object's slot if nothing else is
+// left in it.  The engine calls it at that interval; it is a no-op
+// when the leader was detached or superseded by one ending elsewhen.
+func (t *Tier) EndLeader(obj, end int) {
+	i := t.slot[obj]
+	if i < 0 || int(t.slots[i].end) != end {
+		return
+	}
+	r := &t.slots[i]
+	r.end = 0
+	t.settle(obj, r)
 }
 
 // AddFollower records station as sharing obj's leader stream.
 func (t *Tier) AddFollower(obj int, station int32) {
-	t.followers[obj] = append(t.followers[obj], station)
+	r := t.claim(obj)
+	r.followers = append(r.followers, station)
 }
 
 // RemoveFollower drops a completed follower from obj's share list.
 func (t *Tier) RemoveFollower(obj int, station int32) {
-	fs := t.followers[obj]
-	for i, s := range fs {
+	i := t.slot[obj]
+	if i < 0 {
+		return
+	}
+	r := &t.slots[i]
+	fs := r.followers
+	for j, s := range fs {
 		if s == station {
 			last := len(fs) - 1
-			fs[i] = fs[last]
-			t.followers[obj] = fs[:last]
+			fs[j] = fs[last]
+			r.followers = fs[:last]
+			t.settle(obj, r)
 			return
 		}
 	}
@@ -262,12 +351,18 @@ func (t *Tier) RemoveFollower(obj int, station int32) {
 // buf.  It reports whether a detach happened.  The caller owns buf —
 // the tier's own backing is reusable immediately.
 func (t *Tier) DetachIfLeader(obj int, station int32, now int, buf []int32) ([]int32, bool) {
-	if int(t.leaderEnd[obj]) <= now || t.leaderStation[obj] != station {
+	i := t.slot[obj]
+	if i < 0 {
 		return buf, false
 	}
-	buf = append(buf, t.followers[obj]...)
-	t.followers[obj] = t.followers[obj][:0]
-	t.leaderEnd[obj] = 0
+	r := &t.slots[i]
+	if int(r.end) <= now || r.station != station {
+		return buf, false
+	}
+	buf = append(buf, r.followers...)
+	r.followers = r.followers[:0]
+	r.end = 0
+	t.settle(obj, r)
 	return buf, true
 }
 
@@ -276,8 +371,8 @@ func (t *Tier) DetachIfLeader(obj int, station int32, now int, buf []int32) ([]i
 // failover path uses to orphan batched requests when a whole server
 // dies.  The caller owns buf.
 func (t *Tier) PendingObjects(buf []int) []int {
-	for obj, ps := range t.pending {
-		if len(ps) > 0 {
+	for obj, i := range t.slot {
+		if i >= 0 && len(t.slots[i].pending) > 0 {
 			buf = append(buf, obj)
 		}
 	}
@@ -290,13 +385,21 @@ func (t *Tier) PendingObjects(buf []int) []int {
 func (t *Tier) Flush() {
 	for _, obj := range t.residents {
 		t.resident[obj] = false
+		if t.changed != nil {
+			t.changed(obj)
+		}
 	}
 	t.residents = t.residents[:0]
 	t.used = 0
-	for obj := range t.leaderEnd {
-		t.leaderEnd[obj] = 0
-		t.followers[obj] = t.followers[obj][:0]
-		t.pending[obj] = t.pending[obj][:0]
+	for obj, i := range t.slot {
+		if i >= 0 {
+			r := &t.slots[i]
+			r.end = 0
+			r.followers = r.followers[:0]
+			r.pending = r.pending[:0]
+			t.free = append(t.free, i)
+			t.slot[obj] = -1
+		}
 		t.score[obj] = 0
 		t.last[obj] = -1
 	}
@@ -305,16 +408,28 @@ func (t *Tier) Flush() {
 // AddPending batches a request behind obj's queued leader request; it
 // boards the leader's stream when the leader admits.
 func (t *Tier) AddPending(obj int, station, arrived int32) {
-	t.pending[obj] = append(t.pending[obj], Pending{Station: station, Arrived: arrived})
+	r := t.claim(obj)
+	r.pending = append(r.pending, Pending{Station: station, Arrived: arrived})
 }
 
 // PendingCount returns how many requests are batched behind obj.
-func (t *Tier) PendingCount(obj int) int { return len(t.pending[obj]) }
+func (t *Tier) PendingCount(obj int) int {
+	if i := t.slot[obj]; i >= 0 {
+		return len(t.slots[i].pending)
+	}
+	return 0
+}
 
 // TakePending drains obj's batched requests into buf and returns it.
 // The caller owns buf — the tier's backing is reusable immediately.
 func (t *Tier) TakePending(obj int, buf []Pending) []Pending {
-	buf = append(buf, t.pending[obj]...)
-	t.pending[obj] = t.pending[obj][:0]
+	i := t.slot[obj]
+	if i < 0 {
+		return buf
+	}
+	r := &t.slots[i]
+	buf = append(buf, r.pending...)
+	r.pending = r.pending[:0]
+	t.settle(obj, r)
 	return buf
 }

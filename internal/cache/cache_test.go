@@ -44,7 +44,7 @@ func TestSpecValidate(t *testing.T) {
 }
 
 func TestAdmissionRespectsBudget(t *testing.T) {
-	tr := NewTier(testSpec(), 8, 4, flatBytes, 30)
+	tr := NewTier(testSpec(), 8, 4, nil, 1, flatBytes, 30)
 	tr.Reference(0, 0)
 	tr.Reference(1, 1)
 	if !tr.Resident(0) || !tr.Resident(1) {
@@ -62,7 +62,7 @@ func TestAdmissionRespectsBudget(t *testing.T) {
 }
 
 func TestPopularityDisplacesColdest(t *testing.T) {
-	tr := NewTier(testSpec(), 8, 4, flatBytes, 30)
+	tr := NewTier(testSpec(), 8, 4, nil, 1, flatBytes, 30)
 	tr.Reference(0, 0)
 	tr.Reference(1, 1)
 	// Heat object 2 past object 0's score; it should evict the coldest
@@ -83,7 +83,7 @@ func TestPopularityDisplacesColdest(t *testing.T) {
 }
 
 func TestOversizedObjectNeverPins(t *testing.T) {
-	tr := NewTier(testSpec(), 4, 4, func(int) int64 { return 1000 }, 30)
+	tr := NewTier(testSpec(), 4, 4, nil, 1, func(int) int64 { return 1000 }, 30)
 	for i := 0; i < 10; i++ {
 		tr.Reference(0, i)
 	}
@@ -93,7 +93,7 @@ func TestOversizedObjectNeverPins(t *testing.T) {
 }
 
 func TestAttachGapConditions(t *testing.T) {
-	tr := NewTier(testSpec(), 4, 4, flatBytes, 30)
+	tr := NewTier(testSpec(), 4, 4, nil, 1, flatBytes, 30)
 	tr.Reference(0, 0) // resident
 	tr.SetLeader(0, 7, 10, 50, 2)
 	if _, ok := tr.AttachGap(0, 10, 8); ok {
@@ -123,7 +123,7 @@ func TestAttachGapConditions(t *testing.T) {
 }
 
 func TestDetachIfLeader(t *testing.T) {
-	tr := NewTier(testSpec(), 4, 4, flatBytes, 30)
+	tr := NewTier(testSpec(), 4, 4, nil, 1, flatBytes, 30)
 	tr.SetLeader(0, 7, 10, 50, 0)
 	tr.AddFollower(0, 3)
 	tr.AddFollower(0, 5)
@@ -144,7 +144,7 @@ func TestDetachIfLeader(t *testing.T) {
 }
 
 func TestPendingRoundTrip(t *testing.T) {
-	tr := NewTier(testSpec(), 4, 4, flatBytes, 30)
+	tr := NewTier(testSpec(), 4, 4, nil, 1, flatBytes, 30)
 	tr.AddPending(2, 9, 100)
 	tr.AddPending(2, 11, 101)
 	if tr.PendingCount(2) != 2 {
@@ -163,7 +163,7 @@ func TestPendingRoundTrip(t *testing.T) {
 }
 
 func TestSetLeaderSupersedesFollowers(t *testing.T) {
-	tr := NewTier(testSpec(), 4, 4, flatBytes, 30)
+	tr := NewTier(testSpec(), 4, 4, nil, 1, flatBytes, 30)
 	tr.SetLeader(0, 7, 10, 50, 0)
 	tr.AddFollower(0, 3)
 	tr.SetLeader(0, 8, 20, 60, 0)
@@ -178,7 +178,7 @@ func TestSetLeaderSupersedesFollowers(t *testing.T) {
 // over, so a prefix that was hot before the flush competes as a
 // newcomer would.
 func TestFlush(t *testing.T) {
-	tr := NewTier(testSpec(), 8, 4, flatBytes, 30)
+	tr := NewTier(testSpec(), 8, 4, nil, 1, flatBytes, 30)
 	for i := 0; i < 5; i++ {
 		tr.Reference(0, i)
 	}

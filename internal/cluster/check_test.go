@@ -29,7 +29,12 @@ func arrivalsIn(s *Sim, from, to int) int {
 //     to a member or counted lost;
 //   - each member took exactly the injections the dispatch ledger
 //     routed to it (its Requests + OpenRejected grow with Routed);
-//   - a dead member holds no queued request and no display in delivery.
+//   - a dead member holds no queued request and no display in delivery;
+//   - the residency words equal every member's HoldsObject for every
+//     object (also just before and just after every heal pass).
+//
+// At every leastLoaded choice, the residency-word walk picks the
+// member the per-member probes pick (checkPicks).
 //
 // Around every heal pass (checkHeal):
 //   - HealedReplicas grew by exactly the pass's adoptions;
@@ -52,7 +57,9 @@ func checkRounds(tb testing.TB, s *Sim) []sched.Tracer {
 	routed := make([]int, len(s.engines))
 	injected := make([]int, len(s.engines))
 	heal, trace := checkHeal(tb, s)
+	checkPicks(tb, s)
 	s.stepCheck = func(t int, at checkPoint) {
+		checkResidency(tb, s, t)
 		if at != roundEnd {
 			heal(t, at)
 			return
@@ -91,6 +98,47 @@ func checkRounds(tb testing.TB, s *Sim) []sched.Tracer {
 		}
 	}
 	return trace
+}
+
+// holds is the per-member probe the residency words stand in for: it
+// asks member i itself whether it holds obj.
+func holds(s *Sim, i, obj int) bool { return s.engines[i].HoldsObject(obj) }
+
+// checkResidency fails tb unless the residency words, at round t,
+// equal every member's own answer for every object.
+func checkResidency(tb testing.TB, s *Sim, t int) {
+	for i := range s.engines {
+		for obj := 0; obj < s.engines[i].Config().Objects; obj++ {
+			if w, p := s.res.Holds(obj, i), holds(s, i, obj); w != p {
+				tb.Fatalf("round %d: residency word says member %d holds object %d: %v, the member says %v", t, i, obj, w, p)
+			}
+		}
+	}
+}
+
+// checkPicks installs the Sim's pick hook: every leastLoaded choice is
+// recomputed from the per-member probes — the least loaded live member
+// among obj's holders (or among all members), ties to the lowest
+// index — and must be the member the residency-word walk chose.  It
+// returns the count of choices checked.
+func checkPicks(tb testing.TB, s *Sim) *int {
+	checked := new(int)
+	s.pickCheck = func(obj int, holders bool, got int) {
+		*checked++
+		want, wantLoad := -1, 0
+		for i := range s.engines {
+			if s.dead(i) || holders && !holds(s, i, obj) {
+				continue
+			}
+			if l := s.load(i); want < 0 || l < wantLoad {
+				want, wantLoad = i, l
+			}
+		}
+		if got != want {
+			tb.Fatalf("object %d (holders %v): the residency words picked member %d, the probes pick %d", obj, holders, got, want)
+		}
+	}
+	return checked
 }
 
 // checkHeal returns the heal-pass half of checkRounds, and the
@@ -140,7 +188,7 @@ func checkHeal(tb testing.TB, s *Sim) (func(t int, at checkPoint), []sched.Trace
 			clear(held)
 			for _, h := range s.healQueue {
 				for i := range s.engines {
-					held[heldBy{h.obj, i}] = s.holds(i, h.obj)
+					held[heldBy{h.obj, i}] = holds(s, i, h.obj)
 				}
 			}
 			return
@@ -163,7 +211,7 @@ func checkHeal(tb testing.TB, s *Sim) (func(t int, at checkPoint), []sched.Trace
 			held[k], kept[k] = true, true
 		}
 		for k, ok := range kept {
-			if ok && !s.holds(k.member, k.obj) {
+			if ok && !holds(s, k.member, k.obj) {
 				tb.Fatalf("round %d: member %d does not hold object %d after the pass adopted it", t, k.member, k.obj)
 			}
 		}

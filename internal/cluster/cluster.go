@@ -150,6 +150,7 @@ type Result struct {
 type Sim struct {
 	cfg     Config
 	engines []*sched.Engine
+	res     *sched.Residency // which members hold each object, kept by the members
 	policy  policy
 	cursor  int // roundrobin's next member
 	dt      float64
@@ -188,6 +189,9 @@ type Sim struct {
 	// pass and after every round: the tests' continuous invariant
 	// checks.  Nothing outside tests sets it.
 	stepCheck func(t int, at checkPoint)
+	// pickCheck, when set, sees every leastLoaded choice: the tests'
+	// check of the residency-word walk against the per-member probes.
+	pickCheck func(obj int, holders bool, target int)
 
 	ran bool
 }
@@ -282,6 +286,7 @@ func New(cfg Config) (*Sim, error) {
 	s.serverEvents = cfg.ServerPlan.Events()
 
 	s.engines = make([]*sched.Engine, cfg.Servers)
+	s.res = sched.NewResidency(base.Objects, cfg.Servers)
 	for i := range s.engines {
 		scfg := base
 		// Per-instance randomness: a split of the cluster seed, so
@@ -295,6 +300,9 @@ func New(cfg Config) (*Sim, error) {
 			scfg.Faults = cfg.ServerFaults[i]
 		}
 		e, err := ti.NewMember(scfg, s.dist, s.assignments[i])
+		if err == nil {
+			err = e.ShareResidency(s.res, i)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("cluster: server %d: %w", i, err)
 		}
@@ -309,9 +317,6 @@ func New(cfg Config) (*Sim, error) {
 func (s *Sim) load(i int) int {
 	return s.engines[i].ActiveDisplays() + s.engines[i].QueuedRequests()
 }
-
-// holds reports whether member i can play the object without staging.
-func (s *Sim) holds(i, obj int) bool { return s.engines[i].HoldsObject(obj) }
 
 // dead reports whether member i is currently killed.
 func (s *Sim) dead(i int) bool { return s.engines[i].Dead() }
@@ -390,7 +395,7 @@ func (s *Sim) killServer(i int) error {
 	if s.cfg.HealBudget > 0 {
 		wasEmpty := len(s.healQueue) == 0
 		for _, obj := range s.assignments[i] {
-			if e.HoldsObject(obj) {
+			if s.res.Holds(obj, i) {
 				s.healQueue = append(s.healQueue, healEntry{obj: obj, from: i})
 			}
 		}
@@ -438,7 +443,7 @@ func (s *Sim) healPass(now int) {
 		h := s.healQueue[0]
 		target, tl := -1, 0
 		for j := range s.engines {
-			if s.dead(j) || s.holds(j, h.obj) {
+			if s.dead(j) || s.res.Holds(h.obj, j) {
 				continue
 			}
 			if l := s.load(j); target < 0 || l < tl {

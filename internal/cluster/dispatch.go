@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -83,17 +84,24 @@ func (s *Sim) pick(obj int) int {
 
 // leastLoaded returns the least loaded live member (ties to the lowest
 // index) among obj's holders, or among every member when holders is
-// false; -1 when there is none.  When the argmin over the same
-// candidates, dead ones included, is a dead member it counts the pick
-// in failedOver: a drained dead member reports zero load, so for
-// leastloaded this fires on nearly every dispatch of an outage and
-// reads as availability pressure.
+// false; -1 when there is none.  The holders are the set bits of
+// obj's residency words, walked in ascending member order.  When the
+// argmin over the same candidates, dead ones included, is a dead
+// member it counts the pick in failedOver: a drained dead member
+// reports zero load, so for leastloaded this fires on nearly every
+// dispatch of an outage and reads as availability pressure.
 func (s *Sim) leastLoaded(obj int, holders bool) int {
 	bestAll, bestAllLoad := -1, 0
 	best, bestLoad := -1, 0
-	for i := range s.engines {
-		if holders && !s.holds(i, obj) {
-			continue
+	words := s.res.Words(obj)
+	for i := 0; i < len(s.engines); i++ {
+		if holders {
+			w := words[i>>6] >> (i & 63)
+			if w == 0 {
+				i |= 63 // no holder left in this word
+				continue
+			}
+			i += bits.TrailingZeros64(w)
 		}
 		l := s.load(i)
 		if bestAll < 0 || l < bestAllLoad {
@@ -105,6 +113,9 @@ func (s *Sim) leastLoaded(obj int, holders bool) int {
 	}
 	if best >= 0 && bestAll != best {
 		s.failedOver++
+	}
+	if s.pickCheck != nil {
+		s.pickCheck(obj, holders, best)
 	}
 	return best
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/mmsim/staggered/internal/cache"
 	"github.com/mmsim/staggered/internal/fault"
 	"github.com/mmsim/staggered/internal/sched"
 )
@@ -30,7 +31,7 @@ func TestDispatchSkipsDeadMembers(t *testing.T) {
 	// dead holder and not the dead zero-load corpse.
 	obj := -1
 	for id := 0; id < sim.engines[0].Config().Objects; id++ {
-		if sim.holds(0, id) && !sim.holds(1, id) {
+		if holds(sim, 0, id) && !holds(sim, 1, id) {
 			obj = id
 			break
 		}
@@ -254,6 +255,56 @@ func TestWholeFleetOutage(t *testing.T) {
 			}
 			if requests > reviveRound {
 				t.Errorf("revive round queued %d requests for its %d arrivals", requests, reviveRound)
+			}
+		})
+	}
+}
+
+// TestResidencyWordPicks runs popularity-dispatched members with a
+// memory tier two prefixes deep, so pins and evictions churn, through a
+// kill, a restart that flushes the tier, and healing: four members
+// under each technique, and 70 striped members, whose residency words
+// take two words per object.  checkRounds holds the words to the
+// members' own HoldsObject after every round and around every heal
+// pass, and every leastLoaded choice to the one the per-member probes
+// make.
+func TestResidencyWordPicks(t *testing.T) {
+	type run struct {
+		tech    string
+		members int
+	}
+	var runs []run
+	for _, tech := range sched.TechniqueKeys() {
+		runs = append(runs, run{tech, 4})
+	}
+	runs = append(runs, run{"striped", 70})
+	for _, r := range runs {
+		t.Run(fmt.Sprintf("%s-n%d", r.tech, r.members), func(t *testing.T) {
+			cfg := chaosFailoverConfig(r.members, "popularity", 11)
+			cfg.Technique = r.tech
+			cfg.Base.Cache = &cache.Spec{BudgetBytes: 64 << 20, BatchWindow: 8}
+			cfg.ServerPlan = fault.NewPlan().FailServerUntil(1, 300, 650)
+			cfg.HealBudget = 2
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRounds(t, sim)
+			inner, picks, high := sim.pickCheck, 0, 0
+			sim.pickCheck = func(obj int, holders bool, got int) {
+				picks++
+				if got >= 64 {
+					high++
+				}
+				inner(obj, holders, got)
+			}
+			res, err := sim.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if picks == 0 || res.HealedReplicas == 0 || res.Aggregate.ServedFromCache == 0 || r.members > 64 && high == 0 {
+				t.Fatalf("%d picks checked (%d beyond the first word), %d replicas healed, %d cache serves: the run exercised too little",
+					picks, high, res.HealedReplicas, res.Aggregate.ServedFromCache)
 			}
 		})
 	}

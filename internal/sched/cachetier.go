@@ -16,11 +16,15 @@ import (
 
 // followerRef identifies one scheduled follower completion on the
 // follower ring; gen stales entries whose follower was detached or
-// killed.
+// killed.  An entry with station leaderEnds marks instead the end of
+// the leader stream of object gen, where the tier retires its
+// registration.
 type followerRef struct {
 	station int32
 	gen     int32
 }
+
+const leaderEnds = -1
 
 // bindCache allocates the tier and the follower bookkeeping.
 func (e *Engine) bindCache() {
@@ -29,10 +33,10 @@ func (e *Engine) bindCache() {
 	if prefix > cfg.Subobjects {
 		prefix = cfg.Subobjects
 	}
-	bytesOf := func(id int) int64 {
-		return int64(float64(prefix) * float64(cfg.Degree(id)) * cfg.FragmentBytes)
+	bytesOf := func(degree int) int64 {
+		return int64(float64(prefix) * float64(degree) * cfg.FragmentBytes)
 	}
-	e.cache = cache.NewTier(cfg.Cache, cfg.Objects, prefix, bytesOf, float64(cfg.Subobjects))
+	e.cache = cache.NewTier(cfg.Cache, cfg.Objects, prefix, cfg.Degrees, cfg.M, bytesOf, float64(cfg.Subobjects))
 	e.followers = newDueRing[followerRef](e.horizon)
 	e.followerGen = make([]int32, cfg.Stations)
 	e.followerActive = make([]bool, cfg.Stations)
@@ -81,7 +85,7 @@ func (e *Engine) startFollower(st, obj, endAt, latIntervals int) {
 	e.cache.AddFollower(obj, int32(st))
 	e.batchedFollowers++
 	e.admittedTotal++
-	e.latency.Add(float64(latIntervals) * e.cfg.IntervalSeconds())
+	e.latency.Add(float64(latIntervals) * e.dt)
 	e.emit(EvAdmit, obj, st, "follower")
 }
 
@@ -94,7 +98,7 @@ func (e *Engine) noteAdmit(s int32, tmax int) {
 	e.admittedTotal++
 	obj, wait := int(e.queue.node[s].obj), e.now-int(e.queue.node[s].at)
 	if e.cache == nil {
-		e.latency.Add(float64(wait) * e.cfg.IntervalSeconds())
+		e.latency.Add(float64(wait) * e.dt)
 		return
 	}
 	res := e.cache.Resident(obj)
@@ -108,12 +112,13 @@ func (e *Engine) noteAdmit(s int32, tmax int) {
 			lat = 0
 		}
 	}
-	e.latency.Add(float64(lat) * e.cfg.IntervalSeconds())
+	e.latency.Add(float64(lat) * e.dt)
+	if e.cfg.Cache.BatchWindow <= 0 {
+		return // without batching nothing attaches to a leader
+	}
 	end := e.now + tmax + e.cfg.Subobjects
 	e.cache.SetLeader(obj, s, e.now, end, tmax)
-	if e.cfg.Cache.BatchWindow <= 0 {
-		return
-	}
+	e.followers.add(e.now, end, followerRef{station: leaderEnds, gen: int32(obj)})
 	e.pendingBuf = e.cache.TakePending(obj, e.pendingBuf[:0])
 	for _, p := range e.pendingBuf {
 		e.pendingFollowers--
@@ -135,6 +140,10 @@ func (e *Engine) noteAdmit(s int32, tmax int) {
 func (e *Engine) finishFollowers() {
 	for _, fr := range e.followers.due(e.now) {
 		st := fr.station
+		if st == leaderEnds {
+			e.cache.EndLeader(int(fr.gen), e.now)
+			continue
+		}
 		if !e.followerActive[st] || e.followerGen[st] != fr.gen {
 			continue
 		}
@@ -217,7 +226,7 @@ func (e *Engine) cacheStagingAborted(object int) {
 // the open-system analogue of queueing delay in the closed loop.
 type openArrivals struct {
 	stream  rng.Stream
-	idle    []int   // LIFO pool of idle stations
+	idle    []int32 // LIFO pool of idle stations
 	nextAt  float64 // seconds of the next arrival
 	meanGap float64 // mean seconds between arrivals
 
@@ -228,9 +237,9 @@ type openArrivals struct {
 func newOpenArrivals(cfg Config) *openArrivals {
 	o := &openArrivals{}
 	// LIFO init in reverse so station 0 serves the first arrival.
-	o.idle = make([]int, cfg.Stations)
+	o.idle = make([]int32, cfg.Stations)
 	for i := range o.idle {
-		o.idle[i] = cfg.Stations - 1 - i
+		o.idle[i] = int32(cfg.Stations - 1 - i)
 	}
 	if cfg.ArrivalsPerHour == 0 {
 		// A cluster member: the cluster injects arrivals
@@ -247,12 +256,12 @@ func newOpenArrivals(cfg Config) *openArrivals {
 // drawArrivals admits every arrival due within the current interval.
 func (e *Engine) drawArrivals() {
 	o := e.open
-	limit := float64(e.now+1) * e.cfg.IntervalSeconds()
+	limit := float64(e.now+1) * e.dt
 	for o.nextAt < limit {
 		if n := len(o.idle); n > 0 {
 			s := o.idle[n-1]
 			o.idle = o.idle[:n-1]
-			e.enqueue(s)
+			e.enqueue(int(s))
 		} else {
 			o.rejected++
 			o.rejectedTotal++

@@ -59,8 +59,9 @@ func (e *Engine) IdleStations() int {
 }
 
 // HoldsObject reports whether the object is playable here right now —
-// fully materialized on disk, or its prefix pinned in the cache tier —
-// the popularity dispatch's residency probe.
+// fully materialized on disk, or its prefix pinned in the cache tier.
+// A cluster member keeps the same answer in its bit of the cluster's
+// residency words (ShareResidency), which dispatch reads instead.
 func (e *Engine) HoldsObject(id int) bool {
 	if id < 0 || id >= e.cfg.Objects {
 		return false
@@ -97,9 +98,71 @@ func (e *Engine) InjectArrival(object int) (bool, error) {
 		e.open.rejectedTotal++
 		return false, nil
 	}
-	s := e.open.idle[n-1]
+	s := int(e.open.idle[n-1])
 	e.open.idle = e.open.idle[:n-1]
 	e.stn.Take(s)
 	e.record(s, object)
 	return true, nil
+}
+
+// Residency is a cluster's residency words: for each object,
+// ceil(members/64) words in which bit i%64 of word i/64 is set while
+// member i holds the object (HoldsObject).  Each member keeps its own
+// bit in the calls that change its answer, so dispatch reads one word
+// per 64 members instead of probing every member.
+type Residency struct {
+	words            []uint64 // object-major, stride words per object
+	stride           int
+	objects, members int
+}
+
+// NewResidency returns all-clear residency words for a catalog of
+// objects and a fleet of members.
+func NewResidency(objects, members int) *Residency {
+	stride := (members + 63) / 64
+	return &Residency{words: make([]uint64, objects*stride), stride: stride, objects: objects, members: members}
+}
+
+// Words returns obj's residency words; bit i%64 of word i/64 is
+// member i's.  The slice aliases the table.
+func (r *Residency) Words(obj int) []uint64 {
+	return r.words[obj*r.stride : (obj+1)*r.stride]
+}
+
+// Holds reports member's bit of obj's residency words.
+func (r *Residency) Holds(obj, member int) bool {
+	return r.words[obj*r.stride+member>>6]&(1<<(member&63)) != 0
+}
+
+// ShareResidency makes the engine keep bit member of r for every
+// object from now on, starting from what it holds now.  Call it once,
+// after NewMember and before the first step.
+func (e *Engine) ShareResidency(r *Residency, member int) error {
+	if member < 0 || member >= r.members || r.objects != e.cfg.Objects {
+		return fmt.Errorf("sched: residency words of %d objects and %d members have no bit %d for %d objects",
+			r.objects, r.members, member, e.cfg.Objects)
+	}
+	e.res, e.resBit = r, member
+	for obj := 0; obj < e.cfg.Objects; obj++ {
+		e.syncHeld(obj)
+	}
+	if e.cache != nil {
+		e.cache.OnResidencyChange(e.syncHeld)
+	}
+	return nil
+}
+
+// syncHeld writes the engine's bit of obj's residency words from
+// HoldsObject; the technique and the tier call it wherever that
+// answer may have flipped.  A standalone engine keeps no bit.
+func (e *Engine) syncHeld(obj int) {
+	if e.res == nil {
+		return
+	}
+	w, bit := &e.res.words[obj*e.res.stride+e.resBit>>6], uint64(1)<<(e.resBit&63)
+	if e.HoldsObject(obj) {
+		*w |= bit
+	} else {
+		*w &^= bit
+	}
 }

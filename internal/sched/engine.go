@@ -150,6 +150,7 @@ type Engine struct {
 	rejectBuf  []int32 // stations whose refusal waits for the end of a queue walk
 
 	now    int
+	dt     float64 // seconds per interval, cfg.IntervalSeconds()
 	tracer Tracer
 
 	// stepCheck, when set, runs after every interval: the tests'
@@ -178,6 +179,12 @@ type Engine struct {
 	// Open arrivals: a Poisson stream or a member's injected ones
 	// (nil = the paper's closed loop).
 	open *openArrivals
+
+	// The cluster's residency words, in which a member keeps bit
+	// resBit of every object it holds (ShareResidency); nil on a
+	// standalone engine.
+	res    *Residency
+	resBit int
 
 	// Fault state.  All slices stay nil on a fault-free run (empty
 	// plan) so the hot path pays a single nil check per interval.
@@ -254,6 +261,7 @@ func newEngine(cfg Config, tech Technique, member bool, dist *rng.Discrete, prel
 		preload: preload,
 		queue:   requestQueue{node: make([]queueNode, cfg.Stations), head: -1, tail: -1},
 		pinned:  make([]int32, cfg.Objects),
+		dt:      cfg.IntervalSeconds(),
 	}
 	if !member {
 		var err error
@@ -326,7 +334,7 @@ func (e *Engine) queueRequest(s, obj, at int, note string) {
 // closed loop it issues its next request at once (zero think time).
 func (e *Engine) reissue(s int) {
 	if e.open != nil {
-		e.open.idle = append(e.open.idle, s)
+		e.open.idle = append(e.open.idle, int32(s))
 		return
 	}
 	e.enqueue(s)
@@ -615,8 +623,8 @@ func (e *Engine) Snapshot() Result {
 		Technique:       e.techName,
 		Stations:        e.cfg.Stations,
 		DistMean:        e.cfg.DistMean,
-		WarmupSeconds:   float64(e.cfg.WarmupIntervals) * e.cfg.IntervalSeconds(),
-		MeasureSeconds:  float64(meas) * e.cfg.IntervalSeconds(),
+		WarmupSeconds:   float64(e.cfg.WarmupIntervals) * e.dt,
+		MeasureSeconds:  float64(meas) * e.dt,
 		Displays:        e.completed,
 		Materializa:     e.materialized,
 		Replications:    e.replications,

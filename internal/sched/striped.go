@@ -261,6 +261,7 @@ func (t *stripedTech) setReady(obj int, ready bool) {
 		first, _ := t.store.FirstDisk(obj) // placed before it turns ready
 		t.fifo[obj] = t.idx.fifoOf(first, t.cfg.Degree(obj))
 	}
+	t.eng.syncHeld(obj)
 }
 
 // interval runs one interval of striping policy: claim endings,

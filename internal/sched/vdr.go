@@ -328,6 +328,7 @@ func (t *vdrTech) adoptObject(id int) bool {
 		t.eng.hiccups++
 		return false
 	}
+	t.eng.syncHeld(id)
 	t.eng.replications++
 	t.eng.emit(EvMatEnd, id, -1, "healed")
 	return true
@@ -414,6 +415,7 @@ func (t *vdrTech) finishDue() {
 			} else if wasResident {
 				e.replications++
 			}
+			e.syncHeld(t.matObject)
 			if t.matFromTman {
 				if _, err := e.tman.Finish(); err != nil {
 					e.hiccups++
@@ -592,6 +594,7 @@ func (t *vdrTech) executePlan(c int, drop []int) bool {
 			e.hiccups++
 			return false
 		}
+		e.syncHeld(id)
 		if e.tracer != nil {
 			e.emit(EvEvict, id, -1, fmt.Sprintf("cluster=%d", c))
 		}

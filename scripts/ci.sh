@@ -19,10 +19,11 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== inlining: the admission hot helpers, the request queue's list operations, the popularity draw's bucket search and the per-request table probes stay inlinable (DESIGN.md §8)"
+echo "== inlining: the admission hot helpers, the request queue's list operations, the popularity draw's bucket search, the per-request table probes and the per-arrival tier and residency-word reads stay inlinable (DESIGN.md §8)"
 inlined=$(go build -gcflags=-m ./internal/sched 2>&1 | sed -n 's/.*: can inline //p')
 for fn in '(*stripedTech).setVBusy' '(*stripedTech).vdiskOf' '(*stripedTech).windowFree' \
-	'(*readyIndex).push' '(*readyIndex).popHead' '(*requestQueue).push' '(*requestQueue).unlink'; do
+	'(*readyIndex).push' '(*readyIndex).popHead' '(*requestQueue).push' '(*requestQueue).unlink' \
+	'(*Residency).Words'; do
 	if ! printf '%s\n' "$inlined" | grep -qxF "$fn"; then
 		echo "inlining step: go build -gcflags=-m no longer reports 'can inline $fn'"
 		exit 1
@@ -35,8 +36,11 @@ fi
 # The per-request enqueue and cold-request paths: residency probe, LFU
 # touch, and the tertiary queue's dedup test and enqueue, each over a
 # table sized once at build.
-inlined=$(go build -gcflags=-m ./internal/core ./internal/policy ./internal/tertiary 2>&1 | sed -n 's/.*: can inline //p')
-for fn in '(*Store).Resident' '(*LFU).Touch' '(*Manager).Pending' '(*Manager).Request'; do
+# The memory tier's per-arrival reads: the pin test and the follower
+# attach test through the slot index.
+inlined=$(go build -gcflags=-m ./internal/core ./internal/policy ./internal/tertiary ./internal/cache 2>&1 | sed -n 's/.*: can inline //p')
+for fn in '(*Store).Resident' '(*LFU).Touch' '(*Manager).Pending' '(*Manager).Request' \
+	'(*Tier).Resident' '(*Tier).AttachGap'; do
 	if ! printf '%s\n' "$inlined" | grep -qxF "$fn"; then
 		echo "inlining step: go build -gcflags=-m no longer reports 'can inline $fn'"
 		exit 1
@@ -90,6 +94,9 @@ go test -run '^$' -fuzz FuzzDiscreteSample -fuzztime 10s ./internal/rng
 
 echo "== fuzz: Store placement against the FragmentsPerDisk oracle (Used, FreeFragments and every PlaceAt/Place verdict)"
 go test -run '^$' -fuzz FuzzStorePlace -fuzztime 10s ./internal/core
+
+echo "== fuzz: memory-tier registries, slot table against the dense per-object tables (same returns and follower order, a slot for exactly the objects with registry state, a residency callback for every pin and unpin)"
+go test -run '^$' -fuzz FuzzTierRegistry -fuzztime 10s ./internal/cache
 
 echo "== fuzz: fault-plan parser (plan or error, never a panic or a runaway allocation)"
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/fault
