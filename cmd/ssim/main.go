@@ -112,16 +112,15 @@ func run() (code int) {
 	cfg.EvictionPressure = *pressure
 	cfg.ZipfSkew = *zipfSkew
 	cfg.ArrivalsPerHour = *arrivals
-	if *cacheMB > 0 || *batchWindow > 0 {
-		cfg.Cache = &cache.Spec{
-			BudgetBytes: int64(*cacheMB) << 20,
-			BatchWindow: *batchWindow,
-		}
-	}
+	cfg.Cache = &cache.Spec{BudgetBytes: int64(*cacheMB) << 20, BatchWindow: *batchWindow}
 	if *faultsFlag != "" {
 		plan, err := fault.Parse(*faultsFlag)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ssim: %v\n", err)
+			return 2
+		}
+		if loneServerFaults(*servers, plan) {
+			fmt.Fprintln(os.Stderr, "ssim: server: faults need -servers > 1")
 			return 2
 		}
 		cfg.Faults = plan
@@ -204,6 +203,13 @@ func clusterOnlyFlags(servers int, set []string) []string {
 		}
 	}
 	return bad
+}
+
+// loneServerFaults reports whether plan holds server kills or restarts
+// that a run without -servers > 1 has no cluster to execute.
+func loneServerFaults(servers int, plan *fault.Plan) bool {
+	_, srv := plan.SplitServerScope()
+	return servers <= 1 && !srv.Empty()
 }
 
 // runCluster runs the shared-clock multi-server simulation and prints

@@ -3,6 +3,8 @@ package main
 import (
 	"reflect"
 	"testing"
+
+	"github.com/mmsim/staggered/internal/fault"
 )
 
 // TestClusterOnlyFlags pins that a run without -servers > 1 names the
@@ -45,6 +47,32 @@ func TestPopularityLabel(t *testing.T) {
 	} {
 		if got := popularityLabel(tc.zipfSkew, tc.distMean); got != tc.want {
 			t.Errorf("popularityLabel(%v, %v) = %q, want %q", tc.zipfSkew, tc.distMean, got, tc.want)
+		}
+	}
+}
+
+// TestLoneServerFaults pins that server: clauses without -servers > 1
+// are caught, so ssim exits 2 naming the flag instead of failing in the
+// engine's plan validation.
+func TestLoneServerFaults(t *testing.T) {
+	for _, tc := range []struct {
+		faults  string
+		servers int
+		want    bool
+	}{
+		{"server:0@1000-2000", 1, true},
+		{"server:0@1000-2000", 0, true},
+		{"fail:7@900-1500; server:1@2000", 1, true},
+		{"fail:7@900-1500; server:1@2000", 4, false},
+		{"server:0@1000-2000", 2, false},
+		{"fail:7@900-1500; slow:3@1800-2400; tert@0-600", 1, false},
+	} {
+		plan, err := fault.Parse(tc.faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := loneServerFaults(tc.servers, plan); got != tc.want {
+			t.Errorf("loneServerFaults(%d, %q) = %v, want %v", tc.servers, tc.faults, got, tc.want)
 		}
 	}
 }

@@ -122,10 +122,7 @@ func run() (code int) {
 			return 2
 		}
 	}
-	var tier *cache.Spec
-	if *cacheMB > 0 || *batchWindow > 0 {
-		tier = &cache.Spec{BudgetBytes: int64(*cacheMB) << 20, BatchWindow: *batchWindow}
-	}
+	tier := &cache.Spec{BudgetBytes: int64(*cacheMB) << 20, BatchWindow: *batchWindow}
 	edit := func(cfg *sched.Config) {
 		cfg.Faults = plan
 		cfg.EvictionPressure = *pressure

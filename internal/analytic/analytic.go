@@ -1,6 +1,6 @@
 // Package analytic provides the closed-form models of the paper:
-// §3.1's fragment-size/latency/bandwidth tradeoffs and §3.2.2's stride
-// analysis (Equation (1)'s memory requirement is buffer.MinimumBytes).
+// §3.1's fragment-size/latency/bandwidth tradeoffs, Equation (1)'s
+// memory requirement and §3.2.2's stride analysis.
 // These are the formulas the simulator is calibrated against, exposed
 // for capacity planning without running a simulation.
 package analytic
@@ -56,6 +56,20 @@ func WorstCaseStartupLatency(serviceTime float64, clusters int) float64 {
 		panic("analytic: need at least one cluster")
 	}
 	return float64(clusters-1) * serviceTime
+}
+
+// MinimumBufferBytes returns Equation (1) of the paper: the minimum
+// memory per disk drive needed to mask the head-repositioning delay,
+//
+//	B_disk × (T_switch + T_sector)
+//
+// with B_disk in bits/second and times in seconds.  The result is in
+// bytes.
+func MinimumBufferBytes(bDisk, tSwitch, tSector float64) float64 {
+	if bDisk < 0 || tSwitch < 0 || tSector < 0 {
+		panic("analytic: negative argument to MinimumBufferBytes")
+	}
+	return bDisk * (tSwitch + tSector) / 8
 }
 
 // UniqueDisksUsed returns how many distinct disks a staggered-striped

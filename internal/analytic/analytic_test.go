@@ -10,6 +10,35 @@ import (
 
 func approx(got, want, tol float64) bool { return math.Abs(got-want) <= tol }
 
+// TestEquation1 checks the minimum-memory formula against the Sabre
+// parameters: B_disk = 20 mbps, T_switch = 51.83 ms and a 10 ms
+// sector time give 20e6 × 0.06183 / 8 bytes.
+func TestEquation1(t *testing.T) {
+	got := MinimumBufferBytes(20e6, 0.05183, 0.010)
+	want := 20e6 * (0.05183 + 0.010) / 8
+	if math.Abs(got-want) > 1e-6 {
+		t.Fatalf("MinimumBufferBytes = %v, want %v", got, want)
+	}
+	if got < 150000 || got > 160000 {
+		t.Fatalf("MinimumBufferBytes = %v bytes, expected ~154 KB for Sabre-class disk", got)
+	}
+}
+
+func TestEquation1ZeroTimes(t *testing.T) {
+	if got := MinimumBufferBytes(20e6, 0, 0); got != 0 {
+		t.Fatalf("zero times should need zero memory, got %v", got)
+	}
+}
+
+func TestEquation1PanicsOnNegative(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative argument did not panic")
+		}
+	}()
+	MinimumBufferBytes(-1, 0, 0)
+}
+
 // TestSection31Numbers reproduces the §3.1 worked example end to end
 // through the analytic API.
 func TestSection31Numbers(t *testing.T) {

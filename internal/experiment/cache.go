@@ -51,12 +51,7 @@ func E19Run(skew float64, budgetMB, window int, seed uint64) (E19Point, error) {
 	cfg.ZipfSkew = skew
 	cfg.ArrivalsPerHour = e19ArrivalsPerHour
 	cfg.EvictionPressure = true
-	if budgetMB > 0 || window > 0 {
-		cfg.Cache = &cache.Spec{
-			BudgetBytes: int64(budgetMB) << 20,
-			BatchWindow: window,
-		}
-	}
+	cfg.Cache = &cache.Spec{BudgetBytes: int64(budgetMB) << 20, BatchWindow: window}
 	e, _, err := sched.NewEngineFor(TechStriped, cfg, 0)
 	if err != nil {
 		return E19Point{}, fmt.Errorf("e19 skew=%v mb=%d w=%d: %w", skew, budgetMB, window, err)

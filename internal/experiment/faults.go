@@ -7,7 +7,6 @@ import (
 	"github.com/mmsim/staggered/internal/analytic"
 	"github.com/mmsim/staggered/internal/fault"
 	"github.com/mmsim/staggered/internal/sched"
-	"github.com/mmsim/staggered/internal/tertiary"
 )
 
 // E18 — surviving bandwidth under a single disk failure (DESIGN.md
@@ -29,28 +28,16 @@ import (
 // k = M.
 func E18Strides() []int { return []int{1, 5, 50} }
 
-// e18Config is the E18 farm: the quick geometry with triple the disk
-// capacity so the whole catalog preloads — rejections then measure
-// availability alone, with no staging traffic mixed in.
+// e18Config is the E18 farm: the quick geometry with 2.5× the disk
+// capacity (150 cylinders) so the whole catalog preloads — rejections
+// then measure availability alone, with no staging traffic mixed in.
 func e18Config(k int, seed uint64) sched.Config {
-	return sched.Config{
-		D:                 50,
-		K:                 k,
-		CapacityFragments: 150,
-		Objects:           40,
-		Subobjects:        30,
-		M:                 5,
-		BDisk:             20e6,
-		FragmentBytes:     1512000,
-		Tertiary:          tertiary.Table3,
-		TapeLayout:        tertiary.DiskMatched,
-		Stations:          16,
-		DistMean:          43.5,
-		Seed:              seed,
-		WarmupIntervals:   0,
-		MeasureIntervals:  500,
-		PreloadTop:        40,
-	}
+	cfg := BaseConfig(Quick, 16, 43.5, seed)
+	cfg.K = k
+	cfg.CapacityFragments = 150
+	cfg.WarmupIntervals, cfg.MeasureIntervals = 0, 500
+	cfg.PreloadTop = cfg.Objects
+	return cfg
 }
 
 // E18Point is one row of the E18 comparison: simulated vs analytic

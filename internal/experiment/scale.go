@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/mmsim/staggered/internal/sched"
-	"github.com/mmsim/staggered/internal/tertiary"
 )
 
 // Scale-mode sweeps push the harness toward the ROADMAP north star —
@@ -20,26 +19,14 @@ import (
 // population of two stations per cluster, which keeps the farm near
 // saturation so the calendar carries realistic traffic.  The quick
 // base (rather than Table 3) keeps 100x runnable in CI under the race
-// detector; offline sweeps pass Table 3 sizes through ScalePoint
-// instead.  At factor 1000 this is 50,000 disks and 20,000 stations.
+// detector.  At factor 1000 this is 50,000 disks and 20,000 stations.
 func ScaleConfig(factor int, seed uint64) sched.Config {
-	cfg := sched.Config{
-		D:                 50 * factor,
-		K:                 5,
-		CapacityFragments: 60 * factor,
-		Objects:           40 * factor,
-		Subobjects:        30,
-		M:                 5,
-		BDisk:             20e6,
-		FragmentBytes:     1512000,
-		Tertiary:          tertiary.Table3,
-		TapeLayout:        tertiary.DiskMatched,
-		Stations:          2 * (50 * factor) / 5,
-		DistMean:          20,
-		Seed:              seed,
-		WarmupIntervals:   200,
-		MeasureIntervals:  1000,
-	}
+	cfg := BaseConfig(Quick, 0, 20, seed)
+	cfg.D *= factor
+	cfg.CapacityFragments *= factor
+	cfg.Objects *= factor
+	cfg.Stations = 2 * cfg.D / cfg.M
+	cfg.WarmupIntervals, cfg.MeasureIntervals = 200, 1000
 	return cfg
 }
 
@@ -54,12 +41,12 @@ type ScalePoint struct {
 	Intervals    int     `json:"intervals"`
 	IntervalsSec float64 `json:"intervals_per_second"`
 	// NsPerDisplay is wall-clock nanoseconds divided by displays
-	// completed — the cost-per-unit-of-simulated-work trajectory
-	// BENCH_5.json tracks across factors.
+	// completed: the cost per unit of simulated work, compared across
+	// factors.
 	NsPerDisplay float64 `json:"ns_per_display,omitempty"`
 	// HeapAllocBytes is the live heap right after the run — the
-	// Store/placement-table footprint that dominates at 1000x
-	// (ROADMAP item 5), measured before it can be compacted away.
+	// Store/placement-table footprint that dominates at 1000x,
+	// measured before it can be compacted away.
 	HeapAllocBytes uint64 `json:"heap_alloc_bytes,omitempty"`
 }
 

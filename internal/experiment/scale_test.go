@@ -1,10 +1,14 @@
 package experiment
 
 import (
+	"reflect"
 	"testing"
+
+	"github.com/mmsim/staggered/internal/sched"
+	"github.com/mmsim/staggered/internal/tertiary"
 )
 
-// TestScaleSweep100x pins the acceptance bar for the timing-wheel
+// TestScaleSweep100x pins the acceptance bar for the engine's event
 // calendar: a 100x quick-geometry point — 5000 disks, 4000 objects,
 // 2000 stations — completes even under the race detector (this test
 // deliberately has no -short skip; scripts/ci.sh runs it with -race).
@@ -61,5 +65,48 @@ func TestScaleSweep1000xGeometry(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("1000x config does not validate: %v", err)
+	}
+}
+
+// TestDerivedConfigsPinned pins every field of the configs derived from
+// the quick geometry: ScaleConfig builds the scale trajectory, the
+// scale-zipf and cluster perfbench workloads, and e18Config the E18
+// farm, so none of their values may move when their construction does.
+func TestDerivedConfigsPinned(t *testing.T) {
+	quick := func(d, capacity, objects, stations int) sched.Config {
+		return sched.Config{
+			D:                 d,
+			K:                 5,
+			CapacityFragments: capacity,
+			Objects:           objects,
+			Subobjects:        30,
+			M:                 5,
+			BDisk:             20e6,
+			FragmentBytes:     1512000,
+			Tertiary:          tertiary.Table3,
+			TapeLayout:        tertiary.DiskMatched,
+			Stations:          stations,
+			DistMean:          20,
+			Seed:              1,
+			WarmupIntervals:   200,
+			MeasureIntervals:  1000,
+		}
+	}
+	e18 := quick(50, 150, 40, 16)
+	e18.K = 1
+	e18.DistMean = 43.5
+	e18.WarmupIntervals, e18.MeasureIntervals = 0, 500
+	e18.PreloadTop = 40
+	for _, c := range []struct {
+		name      string
+		got, want sched.Config
+	}{
+		{"ScaleConfig(1)", ScaleConfig(1, 1), quick(50, 60, 40, 20)},
+		{"ScaleConfig(1000)", ScaleConfig(1000, 1), quick(50000, 60000, 40000, 20000)},
+		{"e18Config(1, 1)", e18Config(1, 1), e18},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s =\n  %+v\nwant\n  %+v", c.name, c.got, c.want)
+		}
 	}
 }

@@ -170,18 +170,21 @@ func (e *Engine) detachFollowers(s, object int) {
 		return
 	}
 	for _, st := range buf {
-		if !e.followerActive[st] {
-			continue
+		if e.followerActive[st] {
+			e.abortFollower(st)
 		}
-		e.followerGen[st]++ // stales the ring entry
-		e.followerActive[st] = false
-		e.activeFollowers--
-		e.aborted++
-		e.abortedTotal++
-		e.stn.Complete(int(st))
-		e.emit(EvAbort, object, int(st), "follower")
-		e.reissue(int(st))
 	}
+}
+
+// abortFollower ends station st's follower display as an abort; its
+// ring entry goes stale.
+func (e *Engine) abortFollower(st int32) {
+	e.followerGen[st]++
+	e.followerActive[st] = false
+	e.activeFollowers--
+	e.aborted++
+	e.abortedTotal++
+	e.endUnserved(int(st), EvAbort, int(e.followerObj[st]), "follower")
 }
 
 // rejectPending refuses the batched followers of an object whose last
@@ -191,9 +194,7 @@ func (e *Engine) rejectPending(object int) {
 	for _, p := range e.pendingBuf {
 		e.pendingFollowers--
 		e.rejectedDeg++
-		e.stn.Complete(int(p.Station))
-		e.emit(EvReject, object, int(p.Station), "follower")
-		e.reissue(int(p.Station))
+		e.endUnserved(int(p.Station), EvReject, object, "follower")
 	}
 }
 

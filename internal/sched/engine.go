@@ -190,11 +190,9 @@ type Engine struct {
 	// plan) so the hot path pays a single nil check per interval.
 	faultEvents  []fault.Event // sorted plan, nil when empty
 	faultCursor  int
-	diskDown     []bool
-	downCount    int
-	diskSlow     []bool
-	slowCount    int
-	faultedDisks []int32 // sorted disks currently down or slow: the active set of the degraded scans
+	diskFault    []uint8 // disk -> its downBit and slowBit
+	downCount    int     // disks with downBit set
+	faultedDisks []int32 // sorted disks with any bit: the active set of the degraded scans
 	tertDown     bool
 
 	// Counters (window handling in Run).
@@ -276,8 +274,7 @@ func newEngine(cfg Config, tech Technique, member bool, dist *rng.Discrete, prel
 	e.horizon = cfg.Subobjects + cfg.maxStartup(maxDegree) + 2
 	if !cfg.Faults.Empty() {
 		e.faultEvents = cfg.Faults.Events()
-		e.diskDown = make([]bool, cfg.D)
-		e.diskSlow = make([]bool, cfg.D)
+		e.diskFault = make([]uint8, cfg.D)
 	}
 	if cfg.Cache.Enabled() {
 		e.bindCache()
@@ -367,68 +364,67 @@ func (e *Engine) step() {
 }
 
 // applyFaults drains plan events due at or before the current
-// interval, updating the masks and notifying the technique of each
-// effective transition.  Redundant events (failing a dead disk,
-// repairing a live one) are absorbed here so techniques only see real
-// state flips.
+// interval, notifying the technique of each effective transition.
+// Redundant events (failing a dead disk, repairing a live one) are
+// absorbed here so techniques only see real state flips.
 func (e *Engine) applyFaults() {
 	for e.faultCursor < len(e.faultEvents) && e.faultEvents[e.faultCursor].At <= e.now {
 		ev := e.faultEvents[e.faultCursor]
 		e.faultCursor++
-		effective := false
-		switch ev.Kind {
-		case fault.DiskFail:
-			if !e.diskDown[ev.Disk] {
-				e.diskDown[ev.Disk] = true
-				e.downCount++
-				effective = true
-				if !e.diskSlow[ev.Disk] {
-					e.addFaulted(ev.Disk)
-				}
-			}
-		case fault.DiskRepair:
-			if e.diskDown[ev.Disk] {
-				e.diskDown[ev.Disk] = false
-				e.downCount--
-				effective = true
-				if !e.diskSlow[ev.Disk] {
-					e.removeFaulted(ev.Disk)
-				}
-			}
-		case fault.SlowStart:
-			if !e.diskSlow[ev.Disk] {
-				e.diskSlow[ev.Disk] = true
-				e.slowCount++
-				effective = true
-				if !e.diskDown[ev.Disk] {
-					e.addFaulted(ev.Disk)
-				}
-			}
-		case fault.SlowEnd:
-			if e.diskSlow[ev.Disk] {
-				e.diskSlow[ev.Disk] = false
-				e.slowCount--
-				effective = true
-				if !e.diskDown[ev.Disk] {
-					e.removeFaulted(ev.Disk)
-				}
-			}
-		case fault.TertiaryFail:
-			if !e.tertDown {
-				e.tertDown = true
-				effective = true
-			}
-		case fault.TertiaryRepair:
-			if e.tertDown {
-				e.tertDown = false
-				effective = true
-			}
-		}
-		if effective {
+		if e.applyFault(ev) {
 			e.emit(EvFault, ev.Disk, int(ev.Kind), ev.Kind.String())
 			e.tech.onFault(ev)
 		}
 	}
+}
+
+// The bits of a disk's fault state.
+const (
+	downBit uint8 = 1 << iota
+	slowBit
+)
+
+// applyFault applies one plan event to the fault state and reports
+// whether it changed it.
+func (e *Engine) applyFault(ev fault.Event) bool {
+	var bit uint8
+	switch ev.Kind {
+	case fault.TertiaryFail, fault.TertiaryRepair:
+		down := ev.Kind == fault.TertiaryFail
+		changed := e.tertDown != down
+		e.tertDown = down
+		return changed
+	case fault.DiskFail, fault.DiskRepair:
+		bit = downBit
+	case fault.SlowStart, fault.SlowEnd:
+		bit = slowBit
+	default:
+		return false
+	}
+	set := ev.Kind == fault.DiskFail || ev.Kind == fault.SlowStart
+	old := e.diskFault[ev.Disk]
+	now := old &^ bit
+	if set {
+		now |= bit
+	}
+	if now == old {
+		return false
+	}
+	e.diskFault[ev.Disk] = now
+	if bit == downBit {
+		if set {
+			e.downCount++
+		} else {
+			e.downCount--
+		}
+	}
+	switch {
+	case old == 0:
+		e.addFaulted(ev.Disk)
+	case now == 0:
+		e.removeFaulted(ev.Disk)
+	}
+	return true
 }
 
 // addFaulted inserts disk d into the sorted active set of faulted
@@ -458,15 +454,15 @@ func (e *Engine) removeFaulted(d int) {
 
 // faultActive reports whether any disk is currently failed or slow —
 // the gate on the techniques' per-interval degraded scans.
-func (e *Engine) faultActive() bool { return e.downCount > 0 || e.slowCount > 0 }
+func (e *Engine) faultActive() bool { return len(e.faultedDisks) > 0 }
 
-// diskFaulted reports the degraded state of a physical disk: down
-// dominates slow.
-func (e *Engine) diskFaulted(d int) (down, slow bool) {
-	if e.faultEvents == nil {
-		return false, false
-	}
-	return e.diskDown[d], e.diskSlow[d]
+// endUnserved ends station s's reference to obj without a display (an
+// abort or a refusal), tracing it as kind with note: the station is
+// freed and rejoins the loop through the usual reissue path.
+func (e *Engine) endUnserved(s int, kind EventKind, obj int, note string) {
+	e.stn.Complete(s)
+	e.emit(kind, obj, s, note)
+	e.reissue(s)
 }
 
 // countAbort ends station s's display without counting a completion:
@@ -475,9 +471,7 @@ func (e *Engine) diskFaulted(d int) (down, slow bool) {
 func (e *Engine) countAbort(s, object int) {
 	e.aborted++
 	e.abortedTotal++
-	e.stn.Complete(s)
-	e.emit(EvAbort, object, s, "")
-	e.reissue(s)
+	e.endUnserved(s, EvAbort, object, "")
 	if e.cache != nil {
 		e.detachFollowers(s, object)
 	}
@@ -499,9 +493,7 @@ func (e *Engine) flushRejects() {
 		obj := int(e.queue.node[s].obj)
 		e.pinned[obj]--
 		e.rejectedDeg++
-		e.stn.Complete(int(s))
-		e.emit(EvReject, obj, int(s), "")
-		e.reissue(int(s))
+		e.endUnserved(int(s), EvReject, obj, "")
 		if e.cache != nil && e.pinned[obj] == 0 {
 			e.rejectPending(obj)
 		}

@@ -45,18 +45,10 @@ func (e *Engine) Kill() (KillReport, error) {
 	e.tech.killActive()
 	// Followers whose leader already completed (or was superseded) have
 	// no leader abort to detach them — end them directly.
-	for st := range e.followerActive {
-		if !e.followerActive[st] {
-			continue
+	for st, active := range e.followerActive {
+		if active {
+			e.abortFollower(int32(st))
 		}
-		e.followerGen[st]++ // stales the ring entry
-		e.followerActive[st] = false
-		e.activeFollowers--
-		e.aborted++
-		e.abortedTotal++
-		e.stn.Complete(st)
-		e.emit(EvAbort, int(e.followerObj[st]), st, "follower")
-		e.reissue(st)
 	}
 	rep.Aborted = e.abortedTotal - before
 	e.orphaned += rep.Aborted
@@ -66,9 +58,7 @@ func (e *Engine) Kill() (KillReport, error) {
 		obj := int(e.queue.node[s].obj)
 		e.queue.unlink(s)
 		e.pinned[obj]--
-		e.stn.Complete(int(s))
-		e.emit(EvReject, obj, int(s), "orphaned")
-		e.reissue(int(s))
+		e.endUnserved(int(s), EvReject, obj, "orphaned")
 		rep.Orphans = append(rep.Orphans, obj)
 	}
 	// Batched pending requests waiting on a queued leader drain the
@@ -78,9 +68,7 @@ func (e *Engine) Kill() (KillReport, error) {
 			e.pendingBuf = e.cache.TakePending(obj, e.pendingBuf[:0])
 			for _, p := range e.pendingBuf {
 				e.pendingFollowers--
-				e.stn.Complete(int(p.Station))
-				e.emit(EvReject, obj, int(p.Station), "orphaned")
-				e.reissue(int(p.Station))
+				e.endUnserved(int(p.Station), EvReject, obj, "orphaned")
 				rep.Orphans = append(rep.Orphans, obj)
 			}
 		}

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -255,5 +257,82 @@ func TestFaultTraceEvents(t *testing.T) {
 	}
 	if kinds[EvReject] == 0 && kinds[EvAbort] == 0 {
 		t.Errorf("no degraded-path trace events fired: %v", kinds)
+	}
+}
+
+// TestFaultTransitions drives a small engine through overlapping fault
+// events and checks, after each interval, the traced EvFault events (only
+// effective transitions are traced), the down count and the sorted
+// faulted-disk set: a repeated event is absorbed, a disk stays faulted
+// while it is down or slow, and tertiary events touch no disk state.
+func TestFaultTransitions(t *testing.T) {
+	ev := func(at int, kind fault.Kind, disk int) fault.Event {
+		return fault.Event{At: at, Kind: kind, Disk: disk}
+	}
+	events := []fault.Event{
+		ev(1, fault.DiskFail, 3),
+		ev(2, fault.DiskFail, 3), // fail a disk that is already down
+		ev(3, fault.SlowStart, 3),
+		ev(4, fault.DiskRepair, 3), // still slow: stays faulted
+		ev(5, fault.SlowEnd, 3),
+		ev(6, fault.SlowEnd, 5), // end a slow that never started
+		ev(7, fault.TertiaryFail, -1),
+		ev(8, fault.TertiaryFail, -1), // fail the tertiary device twice
+		ev(9, fault.SlowStart, 7),
+		ev(9, fault.DiskFail, 1),
+		ev(9, fault.DiskRepair, 12), // repair a disk that is up
+		ev(10, fault.TertiaryRepair, -1),
+		ev(10, fault.TertiaryRepair, -1),
+		ev(11, fault.DiskRepair, 1),
+		ev(11, fault.SlowEnd, 7),
+	}
+	steps := []struct {
+		traced  string
+		down    int
+		faulted []int32
+	}{
+		0:  {"", 0, nil},
+		1:  {"disk-fail 3;", 1, []int32{3}},
+		2:  {"", 1, []int32{3}},
+		3:  {"slow-start 3;", 1, []int32{3}},
+		4:  {"disk-repair 3;", 0, []int32{3}},
+		5:  {"slow-end 3;", 0, nil},
+		6:  {"", 0, nil},
+		7:  {"tertiary-fail -1;", 0, nil},
+		8:  {"", 0, nil},
+		9:  {"slow-start 7;disk-fail 1;", 1, []int32{1, 7}},
+		10: {"tertiary-repair -1;", 1, []int32{1, 7}},
+		11: {"disk-repair 1;slow-end 7;", 0, nil},
+		12: {"", 0, nil},
+	}
+	for key, stride := range map[string]int{"striped": 0, "staggered": 2, "vdr": 0} {
+		t.Run(key, func(t *testing.T) {
+			cfg := chaosConfig(4, 10, 1)
+			cfg.Faults = fault.NewPlan().FailDisk(0, 1) // replaced below
+			e, _, err := NewEngineFor(key, cfg, stride)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.faultEvents = events
+			var traced strings.Builder
+			e.SetTracer(func(ev Event) {
+				if ev.Kind == EvFault {
+					fmt.Fprintf(&traced, "%s %d;", ev.Detail, ev.Object)
+				}
+			})
+			for i, want := range steps {
+				traced.Reset()
+				e.StepOne()
+				if got := traced.String(); got != want.traced {
+					t.Errorf("interval %d: traced %q, want %q", i, got, want.traced)
+				}
+				if e.downCount != want.down {
+					t.Errorf("interval %d: downCount %d, want %d", i, e.downCount, want.down)
+				}
+				if !slices.Equal(e.faultedDisks, want.faulted) {
+					t.Errorf("interval %d: faultedDisks %v, want %v", i, e.faultedDisks, want.faulted)
+				}
+			}
+		})
 	}
 }

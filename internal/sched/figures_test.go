@@ -73,16 +73,13 @@ func TestFigure3Rendering(t *testing.T) {
 // 1 on disk 0 reads X0 and Y0, transmitting X0a, then X0b and Y0a;
 // interval 2 on disk 1 additionally transmits the buffered Y0b.
 func TestFigure7Timeline(t *testing.T) {
-	acts, pool, err := LowBandwidthPair(3, 3)
+	acts, peak, err := LowBandwidthPair(3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pool.Balanced() {
-		t.Fatal("buffer accounting unbalanced")
-	}
 	// The scheme needs only one buffered half-subobject at a time.
-	if pool.Peak() != 1 {
-		t.Fatalf("peak buffers = %d, want 1 half-subobject", pool.Peak())
+	if peak != 1 {
+		t.Fatalf("peak buffers = %d, want 1 half-subobject", peak)
 	}
 	find := func(interval, half int) HalfAction {
 		for _, a := range acts {

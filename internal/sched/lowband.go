@@ -3,8 +3,6 @@ package sched
 import (
 	"fmt"
 	"strings"
-
-	"github.com/mmsim/staggered/internal/buffer"
 )
 
 // HalfAction is one half-interval of activity on a disk in the
@@ -23,20 +21,22 @@ type HalfAction struct {
 // first half of each interval the disk reads X_i while transmitting
 // X_ia; during the second half it reads Y_i while transmitting X_ib
 // (from buffer) and Y_ia; Y_ib is buffered into the next interval.
-// The returned pool reports the extra buffering the scheme costs.
+// It also returns the extra buffering the scheme costs: the peak
+// count of half-subobjects held at once.
 //
 // Each disk is effectively split into two half-bandwidth logical
 // disks; an object needing 3/2·B_Disk would occupy exactly three such
 // logical disks with no rounding waste.
-func LowBandwidthPair(d, n int) ([]HalfAction, *buffer.Pool, error) {
+func LowBandwidthPair(d, n int) ([]HalfAction, int, error) {
 	if d <= 0 || n <= 0 {
-		return nil, nil, fmt.Errorf("sched: low-bandwidth pair needs positive d and n")
-	}
-	pool, err := buffer.NewPool(0, 1)
-	if err != nil {
-		return nil, nil, err
+		return nil, 0, fmt.Errorf("sched: low-bandwidth pair needs positive d and n")
 	}
 	var acts []HalfAction
+	held, peak := 0, 0
+	hold := func() {
+		held++
+		peak = max(peak, held)
+	}
 	// pending names the half-subobject buffered across the interval
 	// boundary (Y(i-1)b at the start of interval i).
 	pending := ""
@@ -48,44 +48,40 @@ func LowBandwidthPair(d, n int) ([]HalfAction, *buffer.Pool, error) {
 		if pending != "" {
 			// Y(t-1)b from buffer, released mid-interval.
 			first.Xmit = append(first.Xmit, pending)
-			pool.Release(1)
+			held--
 			pending = ""
 		}
 		acts = append(acts, first)
 		// X t b is buffered for the second half.
-		if !pool.Acquire(1) {
-			return nil, nil, fmt.Errorf("sched: buffer exhausted at interval %d", t)
-		}
+		hold()
 		second := HalfAction{Interval: t, Half: 1, Disk: disk,
 			Read: fmt.Sprintf("Y%d", t),
 			Xmit: []string{fmt.Sprintf("X%db", t), fmt.Sprintf("Y%da", t)}}
-		pool.Release(1) // X t b leaves the buffer as it transmits
+		held-- // X t b leaves the buffer as it transmits
 		acts = append(acts, second)
 		// Y t b is buffered across to the next interval.
-		if !pool.Acquire(1) {
-			return nil, nil, fmt.Errorf("sched: buffer exhausted at interval %d", t)
-		}
+		hold()
 		pending = fmt.Sprintf("Y%db", t)
 	}
 	// Drain the final buffered half.
 	if pending != "" {
 		acts = append(acts, HalfAction{Interval: n, Half: 0, Disk: n % d,
 			Xmit: []string{pending}})
-		pool.Release(1)
+		held--
 	}
-	return acts, pool, nil
+	if held != 0 {
+		return nil, 0, fmt.Errorf("sched: %d half-subobjects left buffered", held)
+	}
+	return acts, peak, nil
 }
 
 // Figure7 renders the §3.2.3 table: one column per disk, one row per
 // time interval, each cell listing the reads and transmissions of the
 // two half-intervals, matching the paper's Figure 7.
 func Figure7(d, intervals int) (string, error) {
-	acts, pool, err := LowBandwidthPair(d, intervals)
+	acts, _, err := LowBandwidthPair(d, intervals)
 	if err != nil {
 		return "", err
-	}
-	if !pool.Balanced() {
-		return "", fmt.Errorf("sched: figure 7 buffer accounting unbalanced")
 	}
 	// cell[t][disk] collects lines.
 	cells := make([][][]string, intervals+1)

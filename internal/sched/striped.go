@@ -313,7 +313,7 @@ func (t *stripedTech) degradedScan() {
 	e := t.eng
 	for _, f32 := range e.faultedDisks {
 		f := int(f32)
-		down, _ := e.diskFaulted(f)
+		down := e.diskFault[f]&downBit != 0
 		v := t.vdiskOf(f)
 		owner := t.vbusy[v]
 		if owner == freeSlot {
@@ -433,7 +433,7 @@ func (t *stripedTech) playable(obj int) bool {
 		return true
 	}
 	for _, f := range e.faultedDisks {
-		if e.diskDown[f] && footprintHits(p.First, t.cfg.Degree(obj), int(f), t.cfg.K, t.cfg.D, t.cfg.Subobjects) {
+		if e.diskFault[f]&downBit != 0 && footprintHits(p.First, t.cfg.Degree(obj), int(f), t.cfg.K, t.cfg.D, t.cfg.Subobjects) {
 			return false
 		}
 	}

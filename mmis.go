@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/mmsim/staggered/internal/analytic"
-	"github.com/mmsim/staggered/internal/buffer"
 	"github.com/mmsim/staggered/internal/core"
 	"github.com/mmsim/staggered/internal/diskmodel"
 	"github.com/mmsim/staggered/internal/media"
@@ -162,7 +161,7 @@ func MinimumBufferBytes(bDisk, tSwitch, tSector float64) (float64, error) {
 	if !(bDisk >= 0 && tSwitch >= 0 && tSector >= 0) {
 		return 0, fmt.Errorf("mmis: buffer arguments (%v, %v, %v) must be non-negative", bDisk, tSwitch, tSector)
 	}
-	return buffer.MinimumBytes(bDisk, tSwitch, tSector), nil
+	return analytic.MinimumBufferBytes(bDisk, tSwitch, tSector), nil
 }
 
 // UniqueDisksUsed returns how many distinct disks an object touches

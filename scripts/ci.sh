@@ -19,6 +19,19 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== cited tests: every Test, Benchmark and Fuzz name README.md, DESIGN.md and EXPERIMENTS.md cite is declared in a _test.go file (CHANGES.md and ROADMAP.md are history and plan, and exempt)"
+declared=$(find . -path ./.bench_build -prune -o -name '*_test.go' -print | xargs sed -nE 's/^func ((Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(.*/\1/p')
+missing=""
+for name in $(grep -ohE '\b(Test|Benchmark|Fuzz)[A-Z0-9][A-Za-z0-9_]*' README.md DESIGN.md EXPERIMENTS.md | sort -u); do
+	if ! printf '%s\n' "$declared" | grep -qxF "$name"; then
+		missing="$missing $name"
+	fi
+done
+if [ -n "$missing" ]; then
+	echo "citation step: cited but declared in no _test.go file:$missing"
+	exit 1
+fi
+
 echo "== inlining: the admission hot helpers, the request queue's list operations, the popularity draw's bucket search, the per-request table probes and the per-arrival tier and residency-word reads stay inlinable (DESIGN.md §8)"
 inlined=$(go build -gcflags=-m ./internal/sched 2>&1 | sed -n 's/.*: can inline //p')
 for fn in '(*stripedTech).setVBusy' '(*stripedTech).vdiskOf' '(*stripedTech).windowFree' \
