@@ -29,6 +29,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -115,12 +116,10 @@ func run() (code int) {
 
 	// Every run gets the fault plan, eviction pressure, memory tier and
 	// workload flags; unset, they leave the paper's setup as it is.
-	var plan *fault.Plan
-	if *faultsFlag != "" {
-		if plan, err = fault.Parse(*faultsFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			return 2
-		}
+	plan, err := parseFaults(*faultsFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		return 2
 	}
 	tier := &cache.Spec{BudgetBytes: int64(*cacheMB) << 20, BatchWindow: *batchWindow}
 	edit := func(cfg *sched.Config) {
@@ -220,6 +219,22 @@ func runClusterGrid(serversFlag, dispatchFlag string, seed uint64, csv bool) int
 		fmt.Print(experiment.RenderE20(points))
 	}
 	return 0
+}
+
+// parseFaults parses the -faults plan.  Only the paper sweep reads
+// it, and that runs no cluster, so server: clauses are a usage error.
+func parseFaults(s string) (*fault.Plan, error) {
+	if s == "" {
+		return nil, nil
+	}
+	plan, err := fault.Parse(s)
+	if err != nil {
+		return nil, err
+	}
+	if _, srv := plan.SplitServerScope(); !srv.Empty() {
+		return nil, errors.New("server: faults need a cluster (ssim -servers > 1); no sweep with -faults runs one")
+	}
+	return plan, nil
 }
 
 // modeFlags names the flags each mode reads.

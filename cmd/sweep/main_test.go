@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -44,6 +45,28 @@ func TestUnreadFlagsPerMode(t *testing.T) {
 		}
 		if got := unreadFlags(mode, tc.set); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: unread %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestParseFaults pins that a -faults plan with server: clauses is a
+// usage error naming the cluster it needs: no sweep that reads -faults
+// runs one, so such a plan would otherwise reach a member engine and
+// fail there.  Disk and tertiary plans parse as before.
+func TestParseFaults(t *testing.T) {
+	for _, tc := range []struct {
+		faults string
+		err    string // substring of the error, "" for none
+	}{
+		{"", ""},
+		{"fail:7@600; slow:3@100-400; tert@0-200", ""},
+		{"server:0@100-200", "ssim -servers > 1"},
+		{"fail:7@600; server:1@2000", "ssim -servers > 1"},
+		{"bogus", "fault"},
+	} {
+		_, err := parseFaults(tc.faults)
+		if tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+			t.Errorf("parseFaults(%q) error %v, want one containing %q", tc.faults, err, tc.err)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 )
 
 // Store is the storage allocator for a staggered-striped disk farm.
@@ -25,9 +27,12 @@ type Store struct {
 }
 
 // footShape is the cached footprint shape of one object geometry.
+// Once Preload has built it, the shape's difference list, pairs
+// (offset, step) pairs, follows counts' length in its capacity; see
+// diffSteps.
 type footShape struct {
-	m, n   int
-	counts []int32
+	m, n, pairs int32
+	counts      []int32
 }
 
 // placedRec is the packed per-object placement record.  First/M/N are
@@ -112,27 +117,54 @@ func (s *Store) Used(d int) int { return int(s.used[d]) }
 func (s *Store) FreeFragments() int { return s.free }
 
 // shape returns the footprint shape of an object with degree m and n
-// subobjects: the number of its fragments on each disk of the window
-// of (N−1)·K + M consecutive ring positions (capped at D) that starts
-// at its first disk.  Fragment i of subobject s sits at window offset
-// (s·K + i) mod D.  The shape depends only on (D, K, m, n), so it is
-// counted once per geometry and kept in a short list searched
-// linearly; m and n must be valid for the layout (see NewPlacement).
-func (s *Store) shape(m, n int) []int32 {
-	for _, sh := range s.shapes {
-		if sh.m == m && sh.n == n {
-			return sh.counts
+// subobjects, whose counts are the number of its fragments on each
+// disk of the window of (N−1)·K + M consecutive ring positions (capped
+// at D) that starts at its first disk.  Fragment i of subobject s sits
+// at window offset (s·K + i) mod D.  The shape depends only on (D, K,
+// m, n), so it is counted once per geometry and kept in a short list
+// searched linearly; m and n must be valid for the layout (see
+// NewPlacement).
+func (s *Store) shape(m, n int) *footShape {
+	for i := range s.shapes {
+		if sh := &s.shapes[i]; int(sh.m) == m && int(sh.n) == n {
+			return sh
 		}
 	}
 	d, k := s.layout.D, s.layout.K
-	counts := make([]int32, min((n-1)*k+m, d))
+	w := min((n-1)*k+m, d)
+	// Grown from nil, the slice's capacity is its allocation's whole
+	// size class; diffSteps keeps the difference list in that slack.
+	counts := slices.Grow([]int32(nil), w)[:w]
 	for sub := 0; sub < n; sub++ {
 		for i := 0; i < m; i++ {
 			counts[(sub*k+i)%d]++
 		}
 	}
-	s.shapes = append(s.shapes, footShape{m: m, n: n, counts: counts})
-	return counts
+	s.shapes = append(s.shapes, footShape{m: int32(m), n: int32(n), counts: counts})
+	return &s.shapes[len(s.shapes)-1]
+}
+
+// diffSteps returns the shape's difference list as (offset, step)
+// pairs: a step at every window offset where the count changes, the
+// last one at the window's end back to zero.  Two steps when K = M;
+// the ramps at the window's ends add more when K < M, and the gaps one
+// pair a subobject when K > M.  The list lives in the counts slice's
+// spare capacity; only a list longer than the slack allocates, and
+// then counts moves with it.
+func (sh *footShape) diffSteps() []int32 {
+	w := len(sh.counts)
+	if sh.pairs == 0 {
+		buf, prev := sh.counts, int32(0)
+		for off, c := range sh.counts {
+			if c != prev {
+				buf = append(buf, int32(off), c-prev)
+				prev = c
+			}
+		}
+		buf = append(buf, int32(w), -prev)
+		sh.counts, sh.pairs = buf[:w], int32(len(buf)-w)/2
+	}
+	return sh.counts[w : w+2*int(sh.pairs)]
 }
 
 // fits reports whether the footprint shape sh anchored at disk first
@@ -206,7 +238,7 @@ func (s *Store) PlaceAt(id, first, m, n int) (Placement, error) {
 	if _, err := NewPlacement(s.layout, first, m, n); err != nil {
 		return Placement{}, err
 	}
-	sh := s.shape(m, n)
+	sh := s.shape(m, n).counts
 	if !s.fits(sh, first) {
 		return Placement{}, fmt.Errorf("core: object %d (%d fragments) does not fit starting at disk %d",
 			id, n*m, first)
@@ -230,7 +262,7 @@ func (s *Store) Place(id, m, n int) (Placement, error) {
 	if _, err := NewPlacement(s.layout, 0, m, n); err != nil {
 		return Placement{}, err
 	}
-	sh := s.shape(m, n)
+	sh := s.shape(m, n).counts
 	d, k := s.layout.D, s.layout.K
 	// Ring packing: the preferred start is just past the previous
 	// object's footprint, keeping starts on the k-grid so that
@@ -252,13 +284,103 @@ func (s *Store) Place(id, m, n int) (Placement, error) {
 	return Placement{}, fmt.Errorf("core: no start disk can hold object %d (%d fragments)", id, n*m)
 }
 
+// Preload places the objects ids in order, each with degree
+// degree(id) and n subobjects, exactly as successive Place calls
+// would, and returns how many it placed: like such a loop it stops at
+// the first object that cannot be placed.
+//
+// On an empty store it plans the ids at the starts the ring cursor
+// gives them, adding each footprint's difference list to used in
+// place, and then checks every disk once in one prefix pass.  used
+// only grows during a preload, so if every disk fits at the end, every
+// object's first Place probe would have fitted, and the store is the
+// one the Place loop builds.  If a disk overflows, or the store is not
+// empty, it runs the Place loop instead.  It allocates nothing but the
+// shape cache's per-geometry entries.
+func (s *Store) Preload(ids []int, degree func(id int) int, n int) (placed int) {
+	if s.count == 0 && s.preloadAll(ids, degree, n) {
+		return s.count
+	}
+	for _, id := range ids {
+		if _, err := s.Place(id, degree(id), n); err != nil {
+			break
+		}
+		placed++
+	}
+	return placed
+}
+
+// preloadAll plans the prefix of ids before the first one that Place's
+// id and geometry checks refuse, at successive cursor starts, on an
+// empty store.  It commits the plan and reports true if every disk
+// fits; otherwise it restores the empty store and reports false.
+func (s *Store) preloadAll(ids []int, degree func(id int) int, n int) bool {
+	d, k := s.layout.D, s.layout.K
+	cursor, free := s.cursor, s.free
+	// The footprints' sum bounds every disk's count, so below
+	// MaxInt32 the wrapping int32 prefix sums are exact.
+	limit, total, planned := min(free, math.MaxInt32), 0, 0
+	for _, id := range ids {
+		m := 0
+		if uint(id) < uint(len(s.placed)) && !s.Resident(id) {
+			m = degree(id)
+		}
+		if m < 1 || m > d || n < 1 {
+			break
+		}
+		if total += n * m; total > limit {
+			break
+		}
+		first := s.cursor
+		s.addSteps(s.shape(m, n), first)
+		s.placed[id] = placedRec{first: int32(first), m: int32(m), n: int32(n)}
+		s.resident[id>>6] |= 1 << uint(id&63)
+		s.cursor = (first + (n-1)*k + m) % d
+		planned++
+	}
+	fits := total <= limit
+	for i, run := 0, int32(0); fits && i < d; i++ {
+		run += s.used[i]
+		s.used[i] = run
+		fits = int(run) <= s.capacity
+	}
+	if !fits {
+		// The store was empty, so every table but the shapes was zero.
+		clear(s.used)
+		clear(s.placed)
+		clear(s.resident)
+		s.cursor = cursor
+		return false
+	}
+	s.count, s.free = planned, free-total
+	return true
+}
+
+// addSteps adds the difference list of shape sh anchored at disk first
+// to used, read as a difference array over the ring: steps past the
+// ring's end wrap to disk 0, where a window that wraps also adds its
+// count at disk 0.
+func (s *Store) addSteps(sh *footShape, first int) {
+	d, used, steps := len(s.used), s.used, sh.diffSteps()
+	for i := 0; i+1 < len(steps); i += 2 {
+		if p := first + int(steps[i]); p < d {
+			used[p] += steps[i+1]
+		} else if p > d {
+			used[p-d] += steps[i+1]
+		}
+	}
+	if first+len(sh.counts) > d {
+		used[0] += sh.counts[d-first]
+	}
+}
+
 // Evict removes object id and frees its space.
 func (s *Store) Evict(id int) error {
 	if !s.Resident(id) {
 		return fmt.Errorf("core: object %d not placed", id)
 	}
 	r := s.placed[id]
-	s.apply(s.shape(int(r.m), int(r.n)), int(r.first), int(r.n)*int(r.m), -1)
+	s.apply(s.shape(int(r.m), int(r.n)).counts, int(r.first), int(r.n)*int(r.m), -1)
 	s.placed[id] = placedRec{}
 	s.resident[id>>6] &^= 1 << uint(id&63)
 	s.count--

@@ -1,5 +1,7 @@
 package sched
 
+import "github.com/mmsim/staggered/internal/core"
+
 // AdmissionWork is a snapshot of an engine's admission work counters,
 // for tests outside the package.
 type AdmissionWork struct {
@@ -73,4 +75,23 @@ func shiftSeq(st *stripedTech, margin uint64) {
 		x.seq[s] = n
 		n++
 	}
+}
+
+// PreloadedStore returns the striped technique's store and the ids its
+// bind offered the preload, in order, for comparison with a store that
+// places the same ids one Place at a time.
+func (e *Engine) PreloadedStore() (*core.Store, []int) {
+	st := e.tech.(*stripedTech)
+	return st.store, st.preloadIDs()
+}
+
+// ReadyFIFO returns the first disk and degree of object id's ready
+// FIFO; ok is false when the object has none.
+func (e *Engine) ReadyFIFO(id int) (first, degree int, ok bool) {
+	st := e.tech.(*stripedTech)
+	if st.fifo[id] < 0 {
+		return 0, 0, false
+	}
+	f := st.idx.fifos[st.fifo[id]]
+	return int(f.first), int(f.degree), true
 }

@@ -197,29 +197,17 @@ func (t *stripedTech) bind(e *Engine) error {
 		}
 		t.waitBits = make([]uint64, len(t.freeBits))
 	}
-	preload := cfg.PreloadTop
-	if preload == 0 {
-		preload = cfg.DefaultPreload()
-	}
 	// Best-effort fill: with strides whose footprints have ramps
 	// (k < M and short objects) the farm cannot always be packed to
 	// the last fragment, so preloading stops at the first object that
 	// no longer fits — exactly what on-demand materialization would
 	// have produced.  Reserve sizes the store tables for the catalog
-	// first; Place refuses ids outside it.
-	// A cluster member preloads its assigned set instead, the
-	// cluster's replicas spread across members by Zipf rank.
+	// first; Preload refuses ids outside it.
 	t.store.Reserve(cfg.Objects)
-	ids := e.preload
-	if !e.member {
-		ids = e.gen.TopObjects(preload)
-	}
-	for _, id := range ids {
-		p, err := t.store.Place(id, cfg.Degree(id), cfg.Subobjects)
-		if err != nil {
-			break
-		}
-		t.fifo[id] = t.idx.fifoOf(p.First, p.M)
+	ids := t.preloadIDs()
+	for _, id := range ids[:t.store.Preload(ids, cfg.Degree, cfg.Subobjects)] {
+		first, _ := t.store.FirstDisk(id)
+		t.fifo[id] = t.idx.fifoOf(first, cfg.Degree(id))
 	}
 	// The preloaded catalog's FIFOs exist from the start, so a run that
 	// stages nothing allocates no index state while it steps.
@@ -227,6 +215,21 @@ func (t *stripedTech) bind(e *Engine) error {
 	t.idx.live = make([]int32, 0, n)
 	t.cands = make([]uint64, 0, n)
 	return nil
+}
+
+// preloadIDs returns the objects bind preloads, in order: the
+// PreloadTop (by default as many as fit) most popular objects, or a
+// cluster member's assigned set, the cluster's replicas spread across
+// members by Zipf rank.
+func (t *stripedTech) preloadIDs() []int {
+	if t.eng.member {
+		return t.eng.preload
+	}
+	preload := t.cfg.PreloadTop
+	if preload == 0 {
+		preload = t.cfg.DefaultPreload()
+	}
+	return t.eng.gen.TopObjects(preload)
 }
 
 func (t *stripedTech) name() string { return StripingTechniqueName(t.cfg) }

@@ -108,6 +108,9 @@ go test -run '^$' -fuzz FuzzDiscreteSample -fuzztime 10s ./internal/rng
 echo "== fuzz: Store placement against the FragmentsPerDisk oracle (Used, FreeFragments and every PlaceAt/Place verdict)"
 go test -run '^$' -fuzz FuzzStorePlace -fuzztime 10s ./internal/core
 
+echo "== fuzz: one-pass Preload against the per-object Place loop (same count and whole store: used, free, placements, residency, cursor; duplicates, out-of-range ids, invalid and mixed geometries)"
+go test -run '^$' -fuzz FuzzStorePreload -fuzztime 10s ./internal/core
+
 echo "== fuzz: memory-tier registries, slot table against the dense per-object tables (same returns and follower order, a slot for exactly the objects with registry state, a residency callback for every pin and unpin)"
 go test -run '^$' -fuzz FuzzTierRegistry -fuzztime 10s ./internal/cache
 
