@@ -210,9 +210,9 @@ func renderSeedReplication() (string, error) {
 	return b.String(), nil
 }
 
-// renderDESCrossCheck prints the displays the process-oriented model
-// (sched.RunDESValidation) and the interval-quantized striped engine
-// complete in the same quick-scale configurations.
+// renderDESCrossCheck prints the displays the station-and-scheduler
+// cross-check model (sched.RunDESValidation) and the interval-quantized
+// striped engine complete in the same quick-scale configurations.
 func renderDESCrossCheck() (string, error) {
 	means, stations := []float64{5, 10, 20}, []int{1, 8, 16, 32, 64}
 	rows := make([][]string, len(means)*len(stations))

@@ -6,10 +6,9 @@ import (
 
 	"github.com/mmsim/staggered/internal/diskmodel"
 	"github.com/mmsim/staggered/internal/rng"
-	"github.com/mmsim/staggered/internal/sim"
 )
 
-// MicroConfig drives the event-level (CSIM-style) validation model:
+// MicroConfig drives the event-level validation model:
 // one display of N subobjects over M disks, with every seek,
 // rotational latency, and media transfer simulated individually.  It
 // exists to justify the interval quantization used by the throughput
@@ -61,14 +60,13 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 		interval = cfg.Disk.ServiceTime(cfg.FragmentBytes)
 	}
 
-	k := sim.New()
+	// The disks never interact: each read depends only on its own
+	// disk's stream, so each disk runs its N reads as one loop.
 	src := rng.NewSource(cfg.Seed)
 	var (
 		hiccups   int
 		readSum   float64
 		readMax   float64
-		reads     int
-		busy      float64
 		fragCyls  = cfg.Disk.CylinderCrossings(cfg.FragmentBytes) + 1
 		transfer  = cfg.Disk.TransferTime(cfg.FragmentBytes)
 		crossSeek = float64(cfg.Disk.CylinderCrossings(cfg.FragmentBytes)) * cfg.Disk.SeekMin
@@ -76,50 +74,36 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 	for m := 0; m < cfg.M; m++ {
 		stream := src.StreamN("disk", m)
 		pos := stream.Intn(cfg.Disk.Cylinders)
-		k.Spawn(fmt.Sprintf("disk-%d", m), func(p *sim.Process) {
-			for s := 0; s < cfg.N; s++ {
-				// The head repositions to the fragment's cylinder.  In
-				// the macro model consecutive fragments of an object
-				// sit on consecutive cylinders, but between displays
-				// the disk serves other requests, so each interval
-				// begins with a random-distance seek (the paper's
-				// T_switch budget covers the worst case).
-				target := stream.Intn(cfg.Disk.Cylinders - fragCyls)
-				dist := target - pos
-				if dist < 0 {
-					dist = -dist
-				}
-				pos = target + fragCyls - 1
-				seek := cfg.Disk.SeekTime(dist)
-				latency := stream.Uniform(0, cfg.Disk.LatencyMax)
-				io := seek + latency + crossSeek + transfer
-				p.Hold(sim.Time(io))
-				readSum += io
-				reads++
-				if io > readMax {
-					readMax = io
-				}
-				busy += io
-				if io > interval+1e-12 {
-					hiccups++
-				}
-				// Wait out the rest of the interval (synchronized
-				// activation at interval boundaries).
-				next := sim.Time(float64(s+1) * interval)
-				if next > p.Now() {
-					p.Hold(next - p.Now())
-				}
+		for s := 0; s < cfg.N; s++ {
+			// The head repositions to the fragment's cylinder.  In the
+			// macro model consecutive fragments of an object sit on
+			// consecutive cylinders, but between displays the disk
+			// serves other requests, so each interval begins with a
+			// random-distance seek (the paper's T_switch budget covers
+			// the worst case).
+			target := stream.Intn(cfg.Disk.Cylinders - fragCyls)
+			dist := target - pos
+			if dist < 0 {
+				dist = -dist
 			}
-		})
+			pos = target + fragCyls - 1
+			seek := cfg.Disk.SeekTime(dist)
+			latency := stream.Uniform(0, cfg.Disk.LatencyMax)
+			io := seek + latency + crossSeek + transfer
+			readSum += io
+			readMax = max(readMax, io)
+			if io > interval+1e-12 {
+				hiccups++
+			}
+		}
 	}
-	k.Run(sim.Infinity)
 	total := float64(cfg.N) * interval * float64(cfg.M)
 	res := MicroResult{
 		IntervalSeconds: interval,
 		Hiccups:         hiccups,
-		MeanReadSeconds: readSum / float64(reads),
+		MeanReadSeconds: readSum / float64(cfg.M*cfg.N),
 		MaxReadSeconds:  readMax,
-		DiskUtilization: busy / total,
+		DiskUtilization: readSum / total,
 	}
 	return res, nil
 }

@@ -66,7 +66,7 @@ go test -short -race ./...
 echo "== go test (full suites: goldens, E18, fault integration)"
 go test ./...
 
-echo "== golden dumps (49-config sweep + staggered strides + Algorithm 1 pin + degraded mode), the DES cross-check over its 15-point grid, and the reproduction artifact (every EXPERIMENTS.md table, full-scale Figure 8 and Table 4 included), byte-identical"
+echo "== golden dumps (49-config sweep + staggered strides + Algorithm 1 pin + degraded mode), the DES cross-check over its 15-point grid against both engine builds, and the reproduction artifact (every EXPERIMENTS.md table, full-scale Figure 8 and Table 4 included), byte-identical"
 # Every named test must report --- PASS: a renamed or deleted test
 # would otherwise drop out of the -run regex silently.
 golden() {
@@ -83,7 +83,8 @@ golden() {
 		fi
 	done
 }
-golden ./internal/sched TestGoldenSweep TestGoldenStaggered TestGoldenAlgorithm1 TestGoldenFaults TestDESValidationAgreesWithIntervalEngine
+golden ./internal/sched TestGoldenSweep TestGoldenStaggered TestGoldenAlgorithm1 TestGoldenFaults TestDESValidationAgreesWithIntervalEngine \
+	TestDESValidationAgreesWithGenericEngine
 golden ./internal/experiment TestReproduction TestReproductionSectionsDocumented
 
 echo "== examples: each program's stdout equals its pinned examples/<name>/output.txt (the examples are the facade's only callers)"
