@@ -8,8 +8,8 @@
 // The admission policy follows the interval-caching line of the
 // multicast-prefix VoD literature (Jayarekha & Nair): a reference may
 // displace colder prefixes only when the newcomer's decayed request
-// rate beats the victim's, so one-time references never churn the hot
-// set.
+// rate beats the victim's, so a one-time reference displaces only a
+// resident whose decayed rate has fallen below one fresh reference.
 //
 // The tier itself is pure bookkeeping — it never touches engine state.
 // The engine consults it from its single interval loop, so no method
@@ -71,12 +71,27 @@ type Pending struct {
 // evicts, and the leader/follower/pending registries for multicast
 // stream sharing.  All methods run on the engine's interval goroutine.
 //
-// Replacement is popularity-weighted: each reference adds one unit to
-// an exponentially decayed per-object score (half-life of one display
-// length), the victim is the coldest resident by decayed request rate,
-// and a newcomer must out-score it to displace it.  This is the
-// interval-caching admission of Jayarekha & Nair: bursty one-time
-// traffic decays away instead of flushing the Zipf head.
+// Replacement is popularity-weighted, by forward decay (Cormode,
+// Shkapenyuk, Srivastava and Xu, ICDE 2009).  A reference at interval
+// t adds 2^((t−L)/h) to the object's score S, against a landmark
+// interval L and a half-life h of one display length, so
+// S·2^(−(now−L)/h) is the object's reference count decayed to now.
+// Every score decays by that same factor, so comparing S values
+// compares every object at one instant: the victim is the coldest
+// resident by today's decayed request rate, and a newcomer must
+// out-score it to displace it.  This is the interval-caching admission
+// of Jayarekha & Nair: bursty one-time traffic decays away instead of
+// flushing the Zipf head.  One reference's weight is computed once per
+// interval.  The residents live in a binary min-heap on (S, id), ties
+// on the lower id; a reference only raises S, so touching a resident
+// sifts it down, and the victim is the top.
+//
+// Once (now−L)/h passes rescaleAt, every score is scaled down by an
+// exact power of two (math.Ldexp) and L advanced to match.  That keeps
+// every comparison except where a score underflows: scores of objects
+// left unreferenced for about a thousand half-lives lose precision and
+// then reach zero, where they tie, and a tie goes to the lower id as
+// any tie on S does.
 //
 // Only objects with a live leader, a follower or a pending request
 // have registry state, a small share of the catalog at any instant, so
@@ -90,13 +105,15 @@ type Tier struct {
 	degrees     []int // object -> degree of declustering; nil: every object has degree m
 	m           int
 	prefixBytes []int64 // degree -> pinned prefix size in bytes
-	resident    []bool
-	residents   []int // resident object ids, order-free (victim ties on id)
+	pos         []int32 // object -> index into heap, -1 when not resident
+	heap        []int32 // resident ids, a binary min-heap on (score, id)
 	used        int64
 
-	score    []float64 // object -> decayed reference count
-	last     []int32   // object -> interval of the last reference, -1 = never
+	score    []float64 // object -> forward-decayed score S
+	landmark float64   // L, in intervals
 	halfLife float64
+	wAt      int     // interval w was computed for, -1 = none
+	w        float64 // one reference's weight at wAt: 2^((wAt−L)/h)
 
 	// changed, when set, is called with each object whose residency
 	// just flipped (a pin, an eviction, a Flush).
@@ -106,6 +123,11 @@ type Tier struct {
 	slots []registry // claimed and released slots
 	free  []int32    // released slots, reused last-in first-out
 }
+
+// rescaleAt is how many half-lives past the landmark a reference's
+// weight may reach before the scores are rescaled: 2^512 leaves ample
+// float64 headroom for sums of many such weights.
+const rescaleAt = 512
 
 // registry is one object's multicast state: the newest in-flight disk
 // stream (the leader), the stations sharing it, and the requests
@@ -138,17 +160,17 @@ func NewTier(spec *Spec, objects, prefixLen int, degrees []int, m int, bytesOf f
 		degrees:     degrees,
 		m:           m,
 		prefixBytes: make([]int64, maxDegree+1),
-		resident:    make([]bool, objects),
+		pos:         make([]int32, objects),
 		score:       make([]float64, objects),
-		last:        make([]int32, objects),
 		halfLife:    halfLife,
+		wAt:         -1,
 		slot:        make([]int32, objects),
 	}
 	for d := range t.prefixBytes {
 		t.prefixBytes[d] = bytesOf(d)
 	}
-	for id := range t.last {
-		t.last[id] = -1
+	for id := range t.pos {
+		t.pos[id] = -1
 		t.slot[id] = -1
 	}
 	return t
@@ -158,7 +180,7 @@ func NewTier(spec *Spec, objects, prefixLen int, degrees []int, m int, bytesOf f
 func (t *Tier) PrefixLen() int { return t.prefixLen }
 
 // Resident reports whether obj's prefix is pinned right now.
-func (t *Tier) Resident(obj int) bool { return t.resident[obj] }
+func (t *Tier) Resident(obj int) bool { return t.pos[obj] >= 0 }
 
 // Bytes returns obj's prefix footprint.
 func (t *Tier) Bytes(obj int) int64 {
@@ -172,7 +194,7 @@ func (t *Tier) Bytes(obj int) int64 {
 func (t *Tier) Used() int64 { return t.used }
 
 // ResidentCount returns the number of pinned prefixes.
-func (t *Tier) ResidentCount() int { return len(t.residents) }
+func (t *Tier) ResidentCount() int { return len(t.heap) }
 
 // OnResidencyChange registers fn to be called with each object whose
 // residency flips from now on: when Reference pins or evicts its
@@ -182,11 +204,19 @@ func (t *Tier) OnResidencyChange(fn func(obj int)) { t.changed = fn }
 // Reference records one request for obj at the given interval and
 // runs the interval-caching admission: the reference warms obj's
 // score, and the prefix is pinned if it fits the budget — evicting
-// colder prefixes only while obj out-scores each victim, so one-timers
-// never displace the hot set.
+// colder prefixes only while obj out-scores each victim, so a
+// one-timer displaces only a resident whose decayed score is below one
+// fresh reference.
 func (t *Tier) Reference(obj, now int) {
-	t.touched(obj, now)
-	if t.spec.BudgetBytes <= 0 || t.resident[obj] {
+	if now != t.wAt {
+		t.weigh(now)
+	}
+	t.score[obj] += t.w
+	if t.spec.BudgetBytes <= 0 {
+		return
+	}
+	if i := t.pos[obj]; i >= 0 {
+		t.down(int(i))
 		return
 	}
 	need := t.Bytes(obj)
@@ -198,54 +228,132 @@ func (t *Tier) Reference(obj, now int) {
 		if victim < 0 || t.score[obj] <= t.score[victim] {
 			return
 		}
-		t.evict(victim)
+		t.evict()
 	}
-	t.resident[obj] = true
-	t.residents = append(t.residents, obj)
+	t.heap = append(t.heap, int32(obj))
+	t.up(len(t.heap) - 1)
 	t.used += need
 	if t.changed != nil {
 		t.changed(obj)
 	}
 }
 
-// touched adds one reference at interval now to obj's decayed score.
-func (t *Tier) touched(obj, now int) {
-	if t.last[obj] < 0 {
-		t.score[obj] = 1
-	} else {
-		gap := float64(now - int(t.last[obj]))
-		t.score[obj] = 1 + t.score[obj]*math.Exp2(-gap/t.halfLife)
+// weigh sets w to one reference's weight at interval now.  Past
+// rescaleAt half-lives from the landmark it first scales every score
+// by 2^−k, for k the whole half-lives elapsed, and advances the
+// landmark by k half-lives; scores that underflow may tie, so the heap
+// is rebuilt.
+func (t *Tier) weigh(now int) {
+	x := (float64(now) - t.landmark) / t.halfLife
+	if x > rescaleAt {
+		k := math.Floor(x)
+		for id, s := range t.score {
+			t.score[id] = math.Ldexp(s, -int(k))
+		}
+		t.landmark += k * t.halfLife
+		x = (float64(now) - t.landmark) / t.halfLife
+		for i := len(t.heap)/2 - 1; i >= 0; i-- {
+			t.down(i)
+		}
 	}
-	t.last[obj] = int32(now)
+	t.wAt, t.w = now, math.Exp2(x)
 }
 
 // victim returns the coldest resident (ties on the lowest id), or -1
 // when nothing is resident.
 func (t *Tier) victim() int {
-	victim, best := -1, math.Inf(1)
-	for _, id := range t.residents {
-		s := t.score[id]
-		if s < best || (s == best && (victim < 0 || id < victim)) {
-			victim, best = id, s
-		}
+	if len(t.heap) == 0 {
+		return -1
 	}
-	return victim
+	return int(t.heap[0])
 }
 
-func (t *Tier) evict(obj int) {
-	t.resident[obj] = false
-	for i, id := range t.residents {
-		if id == obj {
-			last := len(t.residents) - 1
-			t.residents[i] = t.residents[last]
-			t.residents = t.residents[:last]
+// evict unpins the victim, the heap's top.
+func (t *Tier) evict() {
+	obj := t.heap[0]
+	last := len(t.heap) - 1
+	t.heap[0] = t.heap[last]
+	t.heap = t.heap[:last]
+	t.pos[obj] = -1
+	if last > 0 {
+		t.down(0)
+	}
+	t.used -= t.Bytes(int(obj))
+	if t.changed != nil {
+		t.changed(int(obj))
+	}
+}
+
+// before orders the heap: the lower score first, ties on the lower id.
+func (t *Tier) before(a, b int32) bool {
+	sa, sb := t.score[a], t.score[b]
+	return sa < sb || sa == sb && a < b
+}
+
+// up moves the heap entry at i toward the root to its place.
+func (t *Tier) up(i int) {
+	h := t.heap
+	id := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !t.before(id, h[p]) {
 			break
 		}
+		h[i] = h[p]
+		t.pos[h[i]] = int32(i)
+		i = p
 	}
-	t.used -= t.Bytes(obj)
-	if t.changed != nil {
-		t.changed(obj)
+	h[i] = id
+	t.pos[id] = int32(i)
+}
+
+// down moves the heap entry at i toward the leaves to its place.
+func (t *Tier) down(i int) {
+	h := t.heap
+	id := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && t.before(h[r], h[c]) {
+			c = r
+		}
+		if !t.before(h[c], id) {
+			break
+		}
+		h[i] = h[c]
+		t.pos[h[i]] = int32(i)
+		i = c
 	}
+	h[i] = id
+	t.pos[id] = int32(i)
+}
+
+// Check reports the first broken invariant of the resident set, or
+// nil: the heap is ordered on (score, id), the position table names
+// exactly the heap's residents at their heap indices, and Used is the
+// sum of their prefix bytes.  It costs O(objects); tests run it.
+func (t *Tier) Check() error {
+	var used int64
+	for i, id := range t.heap {
+		if t.pos[id] != int32(i) {
+			return fmt.Errorf("cache: heap entry %d is object %d, whose position is %d", i, id, t.pos[id])
+		}
+		if p := (i - 1) / 2; i > 0 && t.before(id, t.heap[p]) {
+			return fmt.Errorf("cache: object %d (score %g) sits below object %d (score %g)", id, t.score[id], t.heap[p], t.score[t.heap[p]])
+		}
+		used += t.Bytes(int(id))
+	}
+	for id, i := range t.pos {
+		if i >= int32(len(t.heap)) || i >= 0 && t.heap[i] != int32(id) {
+			return fmt.Errorf("cache: object %d has position %d in a heap of %d", id, i, len(t.heap))
+		}
+	}
+	if used != t.used {
+		return fmt.Errorf("cache: %d bytes used, the residents hold %d", t.used, used)
+	}
+	return nil
 }
 
 // claim returns obj's registry, claiming a slot for it (the most
@@ -290,7 +398,7 @@ func (t *Tier) AttachGap(obj, now, window int) (int, bool) {
 	}
 	r := &t.slots[i]
 	gap := now - int(r.start)
-	if gap < 1 || gap < int(r.tmax) || gap > window || gap > t.prefixLen || !t.resident[obj] {
+	if gap < 1 || gap < int(r.tmax) || gap > window || gap > t.prefixLen || t.pos[obj] < 0 {
 		return 0, false
 	}
 	return gap, true
@@ -380,16 +488,17 @@ func (t *Tier) PendingObjects(buf []int) []int {
 }
 
 // Flush resets the tier to its built state: no residents, no leaders,
-// no followers, no pending batches, and no popularity scores — the RAM
-// contents of a server that just power-cycled.
+// no followers, no pending batches, no popularity scores and the
+// landmark back at interval 0 — the RAM contents of a server that just
+// power-cycled.
 func (t *Tier) Flush() {
-	for _, obj := range t.residents {
-		t.resident[obj] = false
+	for _, obj := range t.heap {
+		t.pos[obj] = -1
 		if t.changed != nil {
-			t.changed(obj)
+			t.changed(int(obj))
 		}
 	}
-	t.residents = t.residents[:0]
+	t.heap = t.heap[:0]
 	t.used = 0
 	for obj, i := range t.slot {
 		if i >= 0 {
@@ -400,9 +509,9 @@ func (t *Tier) Flush() {
 			t.free = append(t.free, i)
 			t.slot[obj] = -1
 		}
-		t.score[obj] = 0
-		t.last[obj] = -1
 	}
+	clear(t.score)
+	t.landmark, t.wAt = 0, -1
 }
 
 // AddPending batches a request behind obj's queued leader request; it

@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func testSpec() *Spec {
 	return &Spec{BudgetBytes: 100, BatchWindow: 8}
@@ -46,15 +49,17 @@ func TestSpecValidate(t *testing.T) {
 func TestAdmissionRespectsBudget(t *testing.T) {
 	tr := NewTier(testSpec(), 8, 4, nil, 1, flatBytes, 30)
 	tr.Reference(0, 0)
+	tr.Reference(1, 0)
+	tr.Reference(0, 1)
 	tr.Reference(1, 1)
 	if !tr.Resident(0) || !tr.Resident(1) {
 		t.Fatal("first two objects should pin (80 <= 100)")
 	}
-	// A third 40-byte prefix does not fit, and a single cold reference
-	// must not displace warmer residents under the popularity policy.
+	// A third 40-byte prefix does not fit, and a single reference must
+	// not displace residents referenced twice, only just before it.
 	tr.Reference(2, 2)
 	if tr.Resident(2) {
-		t.Fatal("one-time reference must not displace residents")
+		t.Fatal("one reference must not displace residents referenced twice")
 	}
 	if tr.Used() != 80 || tr.ResidentCount() != 2 {
 		t.Fatalf("used=%d residents=%d, want 80/2", tr.Used(), tr.ResidentCount())
@@ -65,9 +70,9 @@ func TestPopularityDisplacesColdest(t *testing.T) {
 	tr := NewTier(testSpec(), 8, 4, nil, 1, flatBytes, 30)
 	tr.Reference(0, 0)
 	tr.Reference(1, 1)
-	// Heat object 2 past object 0's score; it should evict the coldest
-	// resident (object 0 and 1 tie on one touch; lowest score wins, and
-	// object 0's touch decayed longer).
+	// Heat object 2; it should evict the coldest resident.  Objects 0
+	// and 1 hold one reference each, and object 0's is the older, so
+	// decayed to now it is the colder.
 	tr.Reference(2, 2)
 	tr.Reference(2, 3)
 	tr.Reference(2, 4)
@@ -79,6 +84,70 @@ func TestPopularityDisplacesColdest(t *testing.T) {
 	}
 	if !tr.Resident(1) {
 		t.Fatal("object 1 should survive")
+	}
+}
+
+// TestStaleResidentLosesToNewcomer pins that residents are compared at
+// one instant: a resident referenced five times and then left idle for
+// 20 half-lives is colder today than a newcomer referenced once, and
+// colder than a resident referenced once just now.
+func TestStaleResidentLosesToNewcomer(t *testing.T) {
+	const h = 30
+	tr := NewTier(testSpec(), 8, 4, nil, 1, flatBytes, h)
+	for i := 0; i < 5; i++ {
+		tr.Reference(0, i)
+	}
+	idle := 4 + 20*h
+	tr.Reference(1, idle-4)
+	if !tr.Resident(0) || !tr.Resident(1) {
+		t.Fatal("first two objects should pin (80 <= 100)")
+	}
+	tr.Reference(2, idle)
+	if tr.Resident(0) || !tr.Resident(1) || !tr.Resident(2) {
+		t.Fatalf("resident 0,1,2 = %v,%v,%v, want false,true,true: the stale resident must be the victim",
+			tr.Resident(0), tr.Resident(1), tr.Resident(2))
+	}
+}
+
+// TestForwardDecayMatchesDirectSum pins the forward-decayed score
+// against its definition: S·2^(−(now−L)/h) is Σ 2^((t_i−now)/h) over
+// the object's references t_i, within 1e-12 relative, across several
+// rescales of the landmark.
+func TestForwardDecayMatchesDirectSum(t *testing.T) {
+	const h = 5
+	tr := NewTier(testSpec(), 3, 4, nil, 1, flatBytes, h)
+	refs := make([][]int, 3)
+	rescales := 0
+	for now := 0; now < 8*rescaleAt*h; now += 3 {
+		obj := now % 3
+		if now%21 == 0 {
+			continue // leave gaps, so the objects' histories differ
+		}
+		land := tr.landmark
+		tr.Reference(obj, now)
+		refs[obj] = append(refs[obj], now)
+		if tr.landmark != land {
+			rescales++
+		}
+		for id, ts := range refs {
+			if len(ts) == 0 {
+				continue
+			}
+			want := 0.0
+			for _, ti := range ts {
+				want += math.Exp2(float64(ti-now) / h)
+			}
+			got := tr.score[id] * math.Exp2(-(float64(now)-tr.landmark)/h)
+			if math.Abs(got-want) > 1e-12*want {
+				t.Fatalf("interval %d, object %d: decayed score %v, direct sum %v", now, id, got, want)
+			}
+		}
+	}
+	if rescales < 2 {
+		t.Fatalf("%d rescales over the run, want at least 2", rescales)
+	}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -203,9 +272,10 @@ func TestFlush(t *testing.T) {
 	if buf, ok := tr.DetachIfLeader(0, 7, 6, nil); ok || len(buf) != 0 {
 		t.Fatalf("after Flush: leader still live, detach got %v,%v", buf, ok)
 	}
-	// Two references heat object 2 to score 2.  With the pre-flush
-	// scores object 0 (five references) would outlast object 1; from a
-	// cold start both score 1 and the tie evicts object 0.
+	// Object 2's references out-score one reference an interval older.
+	// With the pre-flush scores object 0 (five references) would outlast
+	// object 1; from a cold start both hold one reference at interval 5,
+	// and the tie evicts the lower id, object 0.
 	tr.Reference(2, 6)
 	tr.Reference(2, 6)
 	if tr.Resident(0) || !tr.Resident(1) || !tr.Resident(2) {

@@ -6,10 +6,13 @@ import (
 	"testing"
 )
 
-// denseTier is the reference the slot table is checked against: the
-// tier with one leader, follower and pending entry per object, and a
-// per-object prefix-bytes table.  Its admission and registry semantics
-// are the Tier's, written over dense tables.
+// denseTier is the reference the Tier is checked against: the tier
+// with one leader, follower and pending entry per object, a per-object
+// prefix-bytes table, and a victim found by a linear scan over the
+// residents on (score, id).  Its scores are the Tier's forward-decayed
+// sums, landmark rescales included, each weight computed afresh per
+// reference; its admission and registry semantics are the Tier's,
+// written over dense tables.
 type denseTier struct {
 	spec      Spec
 	prefixLen int
@@ -18,7 +21,7 @@ type denseTier struct {
 	residents []int
 	used      int64
 	score     []float64
-	last      []int32
+	landmark  float64
 	halfLife  float64
 
 	leaderStation, leaderStart, leaderEnd, leaderTmax []int32
@@ -31,26 +34,39 @@ func newDenseTier(spec *Spec, objects, prefixLen int, bytesOf func(int) int64, h
 	t := &denseTier{
 		spec: *spec, prefixLen: prefixLen, halfLife: halfLife,
 		bytes: make([]int64, objects), resident: make([]bool, objects),
-		score: make([]float64, objects), last: make([]int32, objects),
+		score:         make([]float64, objects),
 		leaderStation: make([]int32, objects), leaderStart: make([]int32, objects),
 		leaderEnd: make([]int32, objects), leaderTmax: make([]int32, objects),
 		followers: make([][]int32, objects), pending: make([][]Pending, objects),
 	}
 	for id := range t.bytes {
 		t.bytes[id] = bytesOf(id)
-		t.last[id] = -1
 	}
 	return t
 }
 
-func (t *denseTier) Reference(obj, now int) {
-	if t.last[obj] < 0 {
-		t.score[obj] = 1
-	} else {
-		gap := float64(now - int(t.last[obj]))
-		t.score[obj] = 1 + t.score[obj]*math.Exp2(-gap/t.halfLife)
+// victim returns the resident with the lowest (score, id), or -1.
+func (t *denseTier) victim() int {
+	victim, best := -1, math.Inf(1)
+	for _, id := range t.residents {
+		if s := t.score[id]; s < best || (s == best && (victim < 0 || id < victim)) {
+			victim, best = id, s
+		}
 	}
-	t.last[obj] = int32(now)
+	return victim
+}
+
+func (t *denseTier) Reference(obj, now int) {
+	x := (float64(now) - t.landmark) / t.halfLife
+	if x > rescaleAt {
+		k := math.Floor(x)
+		for id, s := range t.score {
+			t.score[id] = math.Ldexp(s, -int(k))
+		}
+		t.landmark += k * t.halfLife
+		x = (float64(now) - t.landmark) / t.halfLife
+	}
+	t.score[obj] += math.Exp2(x)
 	if t.spec.BudgetBytes <= 0 || t.resident[obj] {
 		return
 	}
@@ -59,12 +75,7 @@ func (t *denseTier) Reference(obj, now int) {
 		return
 	}
 	for t.used+need > t.spec.BudgetBytes {
-		victim, best := -1, math.Inf(1)
-		for _, id := range t.residents {
-			if s := t.score[id]; s < best || (s == best && (victim < 0 || id < victim)) {
-				victim, best = id, s
-			}
-		}
+		victim := t.victim()
 		if victim < 0 || t.score[obj] <= t.score[victim] {
 			return
 		}
@@ -154,8 +165,8 @@ func (t *denseTier) Flush() {
 		t.followers[obj] = t.followers[obj][:0]
 		t.pending[obj] = t.pending[obj][:0]
 		t.score[obj] = 0
-		t.last[obj] = -1
 	}
+	t.landmark = 0
 }
 
 // live reports whether obj has registry state in the dense tier: a
@@ -165,14 +176,18 @@ func (t *denseTier) live(obj int) bool {
 }
 
 // FuzzTierRegistry runs random sequences of the tier's calls on the
-// slot-table Tier and on denseTier side by side, with a clock that
-// retires each leader at its end the way the engine's follower ring
-// does (EndLeader).  Every return must match, follower order included;
-// after every call both tiers must hold the same pins, the same leader,
-// followers and pending batch for every object, and the Tier must hold
-// a claimed slot for exactly the objects with registry state, so the
-// live slot count never exceeds them.  The residency callback must
-// fire for every pin and unpin, and only then.
+// Tier and on denseTier side by side, with a clock that retires each
+// leader at its end the way the engine's follower ring does
+// (EndLeader) and that now and then jumps hundreds of half-lives, past
+// the rescale bound.  Every return must match, follower order
+// included; after every call both tiers must hold the same scores, the
+// same victim, the same pins, the same leader, followers and pending
+// batch for every object, and the Tier must hold a claimed slot for
+// exactly the objects with registry state, so the live slot count
+// never exceeds them.  The Tier's own invariants (Check: heap order,
+// position table, residents, bytes used) must hold after every call.
+// The residency callback must fire for every pin and unpin, and only
+// then.
 func FuzzTierRegistry(f *testing.F) {
 	f.Add(uint8(6), uint16(100), []byte{0, 1, 0, 1, 1, 3, 2, 1, 4, 2, 1, 5, 9, 0, 3, 3, 1, 0, 4, 1, 7})
 	f.Add(uint8(3), uint16(30), []byte{5, 2, 1, 5, 2, 2, 1, 2, 0, 6, 2, 0, 7, 0, 0, 9, 1, 9, 8, 0, 0, 5, 1, 1})
@@ -184,6 +199,20 @@ func FuzzTierRegistry(f *testing.F) {
 	// A pending request keeps object 2's slot through a follower
 	// removal, a leader's end and a detach that find nothing else.
 	f.Add(uint8(5), uint16(0), []byte{5, 2, 1, 3, 2, 1, 1, 2, 0, 9, 2, 3, 4, 2, 0, 7, 0, 0})
+	// Equal scores: objects 0 and 3 (20 bytes each of a 40-byte budget)
+	// and object 1 (40 bytes) are referenced in one interval, so their
+	// scores tie, and object 1's first reference is refused against the
+	// victim, object 0.  Its second evicts both.  An interval on,
+	// objects 0 and 3 come back with equal scores, with object 0, the
+	// lower id, on top; a second reference sifts object 0 below object
+	// 3, and object 1's next reference evicts object 3 and is then
+	// refused by object 0.
+	f.Add(uint8(3), uint16(40), []byte{0, 0, 0, 0, 3, 0, 0, 1, 0, 0, 1, 0, 9, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 1, 0})
+	// Rescale crossings: a jump of 640 half-lives rescales at the next
+	// reference, where the resident with one old reference loses to one
+	// fresh one; a jump of 1280 more underflows every old score to
+	// zero, where the tie evicts the lower id first.
+	f.Add(uint8(3), uint16(60), []byte{0, 0, 0, 0, 0, 0, 0, 3, 0, 9, 0, 247, 0, 1, 0, 9, 0, 255, 0, 2, 0, 9, 0, 255, 0, 0, 0, 0, 3, 0, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, objects uint8, budget uint16, ops []byte) {
 		n := 1 + int(objects)%16
 		spec := &Spec{BudgetBytes: int64(budget), BatchWindow: 6}
@@ -254,7 +283,11 @@ func FuzzTierRegistry(f *testing.F) {
 				tr.Flush()
 				ref.Flush()
 			case 9:
-				now += 1 + arg%4
+				if arg >= 240 {
+					now += (arg - 239) * 400 // 80 to 1280 half-lives
+				} else {
+					now += 1 + arg%4
+				}
 				kept := ends[:0]
 				for _, le := range ends {
 					if le.end <= now {
@@ -272,8 +305,17 @@ func FuzzTierRegistry(f *testing.F) {
 					t.Fatalf("op %d: AttachGap(%d, %d, %d) = %d, %v; dense %d, %v", i/3, obj, now, arg%8, g, gok, w, wok)
 				}
 			}
+			if err := tr.Check(); err != nil {
+				t.Fatalf("op %d: %v", i/3, err)
+			}
 			if tr.Used() != ref.used || tr.ResidentCount() != len(ref.residents) {
 				t.Fatalf("op %d: used %d, %d residents; dense %d, %d", i/3, tr.Used(), tr.ResidentCount(), ref.used, len(ref.residents))
+			}
+			if v, w := tr.victim(), ref.victim(); v != w {
+				t.Fatalf("op %d: victim %d; dense %d", i/3, v, w)
+			}
+			if !slices.Equal(tr.score, ref.score) {
+				t.Fatalf("op %d: scores %v; dense %v", i/3, tr.score, ref.score)
 			}
 			live := 0
 			for id := 0; id < n; id++ {

@@ -30,6 +30,9 @@ func arrivalsIn(s *Sim, from, to int) int {
 //   - each member took exactly the injections the dispatch ledger
 //     routed to it (its Requests + OpenRejected grow with Routed);
 //   - a dead member holds no queued request and no display in delivery;
+//   - every live member's memory tier keeps its invariants
+//     (Engine.CheckCache: victim-heap order, position table, bytes
+//     used);
 //   - the residency words equal every member's HoldsObject for every
 //     object (also just before and just after every heal pass).
 //
@@ -91,9 +94,13 @@ func checkRounds(tb testing.TB, s *Sim) []sched.Tracer {
 					t, i, in-injected[i], s.routed[i]-routed[i])
 			}
 			injected[i], routed[i] = in, s.routed[i]
-			if e.Dead() && (e.QueuedRequests() != 0 || e.ActiveDisplays() != 0) {
-				tb.Fatalf("round %d: dead member %d holds %d queued, %d active",
-					t, i, e.QueuedRequests(), e.ActiveDisplays())
+			if e.Dead() {
+				if e.QueuedRequests() != 0 || e.ActiveDisplays() != 0 {
+					tb.Fatalf("round %d: dead member %d holds %d queued, %d active",
+						t, i, e.QueuedRequests(), e.ActiveDisplays())
+				}
+			} else if err := e.CheckCache(); err != nil {
+				tb.Fatalf("round %d: member %d: %v", t, i, err)
 			}
 		}
 	}

@@ -44,6 +44,16 @@ func (e *Engine) bindCache() {
 	e.batchAnchor = make([]int32, cfg.Objects)
 }
 
+// CheckCache reports the first broken invariant of the memory tier's
+// resident set (cache.Tier.Check), or nil, as it does without a tier.
+// It costs O(objects); tests run it between steps.
+func (e *Engine) CheckCache() error {
+	if e.cache == nil {
+		return nil
+	}
+	return e.cache.Check()
+}
+
 // tryCacheServe intercepts a newly drawn reference before it joins the
 // disk queue.  Every reference warms the cache (admission may pin the
 // prefix); with batching on, the request then either attaches to the

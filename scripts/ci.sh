@@ -49,11 +49,12 @@ fi
 # The per-request enqueue and cold-request paths: residency probe, LFU
 # touch, and the tertiary queue's dedup test and enqueue, each over a
 # table sized once at build.
-# The memory tier's per-arrival reads: the pin test and the follower
-# attach test through the slot index.
+# The memory tier's per-arrival reads: the pin test (a heap-position
+# read), the follower attach test through the slot index, and the
+# victim, the top of the resident heap.
 inlined=$(go build -gcflags=-m ./internal/core ./internal/policy ./internal/tertiary ./internal/cache 2>&1 | sed -n 's/.*: can inline //p')
 for fn in '(*Store).Resident' '(*LFU).Touch' '(*Manager).Pending' '(*Manager).Request' \
-	'(*Tier).Resident' '(*Tier).AttachGap'; do
+	'(*Tier).Resident' '(*Tier).AttachGap' '(*Tier).victim'; do
 	if ! printf '%s\n' "$inlined" | grep -qxF "$fn"; then
 		echo "inlining step: go build -gcflags=-m no longer reports 'can inline $fn'"
 		exit 1
@@ -112,7 +113,7 @@ go test -run '^$' -fuzz FuzzStorePlace -fuzztime 10s ./internal/core
 echo "== fuzz: one-pass Preload against the per-object Place loop (same count and whole store: used, free, placements, residency, cursor; duplicates, out-of-range ids, invalid and mixed geometries)"
 go test -run '^$' -fuzz FuzzStorePreload -fuzztime 10s ./internal/core
 
-echo "== fuzz: memory-tier registries, slot table against the dense per-object tables (same returns and follower order, a slot for exactly the objects with registry state, a residency callback for every pin and unpin)"
+echo "== fuzz: memory tier against the dense reference: victim heap against a linear scan over (forward-decayed score, id) across landmark rescales (same scores, victims, pins and refusals; heap order, position table and bytes used after every call), slot table against the dense per-object tables (same returns and follower order, a slot for exactly the objects with registry state, a residency callback for every pin and unpin)"
 go test -run '^$' -fuzz FuzzTierRegistry -fuzztime 10s ./internal/cache
 
 echo "== fuzz: fault-plan parser (plan or error, never a panic or a runaway allocation)"
