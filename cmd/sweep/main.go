@@ -20,7 +20,7 @@
 //	sweep -faults 'fail:7@600'    # inject a fault plan into every run
 //	sweep -servers 1,2,4 -dispatch popularity  # custom cluster grid (EXPERIMENTS.md E20)
 //	sweep -cachemb 256 -batchwindow 8   # memory tier on every run (DESIGN.md §12)
-//	sweep -zipf 0.7 -arrivals 6000      # open Zipf workload instead of the closed loop
+//	sweep -zipf 0.7 -arrivals 6000      # open Zipf workload, each run a 1-server cluster
 //
 // The flags select one of four modes: -list-techniques, the cluster
 // grid (-servers), a scale-mode trajectory (-scale 10x and up), or the
@@ -69,7 +69,7 @@ func run() (code int) {
 	cacheMB := flag.Int("cachemb", 0, "prefix-cache RAM budget in MB (0 = no prefix cache; DESIGN.md §12)")
 	batchWindow := flag.Int("batchwindow", 0, "multicast batch window in intervals (0 = no batching)")
 	zipfSkew := flag.Float64("zipf", 0, "Zipf popularity skew theta (0 = paper's geometric distribution)")
-	arrivals := flag.Float64("arrivals", 0, "open Poisson arrivals per hour (0 = closed loop)")
+	arrivals := flag.Float64("arrivals", 0, "open Poisson arrivals per hour, each run a 1-server cluster (0 = closed loop)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -222,7 +222,8 @@ func runClusterGrid(serversFlag, dispatchFlag string, seed uint64, csv bool) int
 }
 
 // parseFaults parses the -faults plan.  Only the paper sweep reads
-// it, and that runs no cluster, so server: clauses are a usage error.
+// it, and that runs no server plan (an open point is a 1-member
+// cluster without one), so server: clauses are a usage error.
 func parseFaults(s string) (*fault.Plan, error) {
 	if s == "" {
 		return nil, nil
@@ -232,7 +233,7 @@ func parseFaults(s string) (*fault.Plan, error) {
 		return nil, err
 	}
 	if _, srv := plan.SplitServerScope(); !srv.Empty() {
-		return nil, errors.New("server: faults need a cluster (ssim -servers > 1); no sweep with -faults runs one")
+		return nil, errors.New("server: faults need a server plan, which only ssim -arrivals > 0 runs; no sweep executes one")
 	}
 	return plan, nil
 }

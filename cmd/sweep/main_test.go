@@ -50,9 +50,10 @@ func TestUnreadFlagsPerMode(t *testing.T) {
 }
 
 // TestParseFaults pins that a -faults plan with server: clauses is a
-// usage error naming the cluster it needs: no sweep that reads -faults
-// runs one, so such a plan would otherwise reach a member engine and
-// fail there.  Disk and tertiary plans parse as before.
+// usage error naming the ssim run that executes one: no sweep runs a
+// server plan (an open sweep point is a 1-member cluster without one),
+// so such a plan would otherwise reach a member engine and fail there.
+// Disk and tertiary plans parse as before.
 func TestParseFaults(t *testing.T) {
 	for _, tc := range []struct {
 		faults string
@@ -60,8 +61,8 @@ func TestParseFaults(t *testing.T) {
 	}{
 		{"", ""},
 		{"fail:7@600; slow:3@100-400; tert@0-200", ""},
-		{"server:0@100-200", "ssim -servers > 1"},
-		{"fail:7@600; server:1@2000", "ssim -servers > 1"},
+		{"server:0@100-200", "ssim -arrivals > 0"},
+		{"fail:7@600; server:1@2000", "ssim -arrivals > 0"},
 		{"bogus", "fault"},
 	} {
 		_, err := parseFaults(tc.faults)

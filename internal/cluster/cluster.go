@@ -312,6 +312,29 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
+// SetTracer installs f, which must not be nil, on every member
+// (Engine.SetTracer): f sees each member's events with the member's
+// index.  Call it before Run; without it no member traces.
+func (s *Sim) SetTracer(f func(member int, ev sched.Event)) {
+	for i, e := range s.engines {
+		e.SetTracer(func(ev sched.Event) { f(i, ev) })
+	}
+}
+
+// Starvation returns the first member's starvation diagnosis
+// (Engine.Starvation: materializations abandoned at the Place retry
+// cap, warm-up included), naming the member, or nil.  Run does not
+// fail on starvation; a caller that should, as Engine.RunChecked does,
+// asks here after it.
+func (s *Sim) Starvation() error {
+	for i, e := range s.engines {
+		if err := e.Starvation(); err != nil {
+			return fmt.Errorf("cluster: server %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // load is the dispatch policies' congestion signal for one member:
 // displays in delivery plus references waiting in the disk queue.
 func (s *Sim) load(i int) int {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/mmsim/staggered/internal/cache"
-	"github.com/mmsim/staggered/internal/sched"
 )
 
 // E19 — displays/hour and startup latency vs cache size (DESIGN.md
@@ -42,21 +41,21 @@ type E19Point struct {
 }
 
 // E19Run executes one cell: the quick geometry driven by an open
-// Zipf(skew) Poisson stream, with the memory tier sized by budgetMB
-// and window (both 0 = disk-only baseline).  Starvation during the
-// overdriven warm-up is tolerated — saturation is the point here, so
-// the row reports whatever the farm actually delivered.
+// Zipf(skew) Poisson stream, a 1-member cluster, with the memory tier
+// sized by budgetMB and window (both 0 = disk-only baseline).
+// Starvation during the overdriven warm-up is tolerated — saturation
+// is the point here, so the row reports whatever the farm actually
+// delivered.
 func E19Run(skew float64, budgetMB, window int, seed uint64) (E19Point, error) {
 	cfg := BaseConfig(Quick, 256, 20, seed)
 	cfg.ZipfSkew = skew
 	cfg.ArrivalsPerHour = e19ArrivalsPerHour
 	cfg.EvictionPressure = true
 	cfg.Cache = &cache.Spec{BudgetBytes: int64(budgetMB) << 20, BatchWindow: window}
-	e, _, err := sched.NewEngineFor(TechStriped, cfg, 0)
+	res, err := Run(TechStriped, 0, cfg)
 	if err != nil {
 		return E19Point{}, fmt.Errorf("e19 skew=%v mb=%d w=%d: %w", skew, budgetMB, window, err)
 	}
-	res := e.Run()
 	return E19Point{
 		Skew:            skew,
 		BudgetMB:        budgetMB,

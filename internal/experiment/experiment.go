@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/mmsim/staggered/internal/cluster"
 	"github.com/mmsim/staggered/internal/metrics"
 	"github.com/mmsim/staggered/internal/sched"
 	"github.com/mmsim/staggered/internal/tertiary"
@@ -179,17 +180,35 @@ func Sweep(scale Scale, means []float64, stations []int, seed uint64, specs []Te
 		if edit != nil {
 			edit(&cfg)
 		}
-		e, _, err := sched.NewEngineFor(specs[t].Key, cfg, specs[t].Stride)
-		if err != nil {
-			return err
-		}
-		p.Runs[t] = e.Run()
-		return nil
+		var err error
+		p.Runs[t], err = Run(specs[t].Key, specs[t].Stride, cfg)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return byMean, nil
+}
+
+// Run runs one configuration under the technique key at stride: the
+// closed loop on a standalone engine, and an open workload
+// (ArrivalsPerHour > 0) as a 1-member cluster, whose driver draws the
+// arrivals — no engine draws its own.  An open run returns the
+// cluster's Aggregate.
+func Run(key string, stride int, cfg sched.Config) (sched.Result, error) {
+	if cfg.ArrivalsPerHour > 0 {
+		sim, err := cluster.New(cluster.Config{Servers: 1, Technique: key, Stride: stride, Base: cfg})
+		if err != nil {
+			return sched.Result{}, err
+		}
+		res, err := sim.Run()
+		return res.Aggregate, err
+	}
+	e, _, err := sched.NewEngineFor(key, cfg, stride)
+	if err != nil {
+		return sched.Result{}, err
+	}
+	return e.Run(), nil
 }
 
 // seriesName maps a sweep label to its figure-legend name: the

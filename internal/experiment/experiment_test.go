@@ -8,6 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/mmsim/staggered/internal/cache"
+	"github.com/mmsim/staggered/internal/cluster"
+	"github.com/mmsim/staggered/internal/sched"
 	"github.com/mmsim/staggered/internal/tertiary"
 	"github.com/mmsim/staggered/internal/workload"
 )
@@ -238,5 +241,42 @@ func TestTertiaryLayoutAblation(t *testing.T) {
 	if matched.ThroughputDisplays <= seq.ThroughputDisplays {
 		t.Fatalf("matched layout (%v/hr) not above sequential (%v/hr)",
 			matched.ThroughputDisplays, seq.ThroughputDisplays)
+	}
+}
+
+// TestSweepOpenPointIsOneMemberCluster pins that an open sweep point
+// (ArrivalsPerHour > 0) is exactly the Aggregate of a 1-member cluster
+// on the same configuration, for a technique at its default stride and
+// one at an explicit stride: the sweep draws no arrivals of its own.
+func TestSweepOpenPointIsOneMemberCluster(t *testing.T) {
+	edit := func(cfg *sched.Config) {
+		cfg.ZipfSkew = 0.7
+		cfg.ArrivalsPerHour = 6000
+		cfg.EvictionPressure = true // room to stage at k < M on the exact-fit farm
+		cfg.Cache = &cache.Spec{BudgetBytes: 256 << 20, BatchWindow: 8}
+	}
+	specs := []TechSpec{{Key: TechStriped}, {Key: TechStaggered, Stride: 2}}
+	byMean, err := Sweep(Quick, []float64{20}, []int{32}, 3, specs, edit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range specs {
+		cfg := BaseConfig(Quick, 32, 20, 3)
+		edit(&cfg)
+		sim, err := cluster.New(cluster.Config{Servers: 1, Technique: spec.Key, Stride: spec.Stride, Base: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := byMean[20][0].Runs[i]
+		if !reflect.DeepEqual(got, res.Aggregate) {
+			t.Errorf("%s: sweep point %+v, 1-member cluster %+v", spec.Label(), got, res.Aggregate)
+		}
+		if got.Requests == 0 || got.BatchedFollowers == 0 {
+			t.Errorf("%s: open point served nothing through the tier: %+v", spec.Label(), got)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -170,11 +171,14 @@ type admissionCase struct {
 	key    string // striped or staggered
 	stride int
 	// member builds a cluster member fed by InjectArrival, with preload
-	// as its assigned objects.
+	// as its assigned objects: two arrivals per interval, or, when
+	// perHour is positive, a Poisson stream of perHour arrivals per
+	// hour (an open workload, which only a driver draws).
 	member  bool
 	preload []int
+	perHour float64
 	// killAt > 0 kills the engine before that interval and revives it
-	// at reviveAt (open arrivals only).
+	// at reviveAt (members only).
 	killAt, reviveAt int
 	// seqMargin > 0 shifts the ready index's sequence numbers to
 	// seqMargin below the span the candidate keys can pack (shiftSeq),
@@ -184,7 +188,7 @@ type admissionCase struct {
 }
 
 func (c admissionCase) String() string {
-	return fmt.Sprintf("%s k=%d member=%v kill=%d/%d %+v", c.key, c.stride, c.member, c.killAt, c.reviveAt, c.cfg)
+	return fmt.Sprintf("%s k=%d member=%v/%v kill=%d/%d %+v", c.key, c.stride, c.member, c.perHour, c.killAt, c.reviveAt, c.cfg)
 }
 
 // admissionCaseFrom maps bytes to a small admission case: a farm of a
@@ -247,12 +251,19 @@ func admissionCaseFrom(data []byte) admissionCase {
 	horizon := cfg.WarmupIntervals + cfg.MeasureIntervals
 	switch b.next() % 3 {
 	case 1:
-		cfg.ArrivalsPerHour = float64(1+b.next()%40) * 500
+		// The open workload: the most popular objects preloaded, as a
+		// 1-member cluster places them.
+		c.member = true
+		c.perHour = float64(1+b.next()%40) * 500
+		c.preload = make([]int, cfg.DefaultPreload())
+		for i := range c.preload {
+			c.preload[i] = i
+		}
 	case 2:
 		c.member = true
 		c.preload = []int{b.next() % objects, b.next() % objects, b.next() % objects}
 	}
-	if (c.member || cfg.ArrivalsPerHour > 0) && flags&64 != 0 {
+	if c.member && flags&64 != 0 {
 		c.killAt = cfg.WarmupIntervals + 1 + b.next()%(cfg.MeasureIntervals/2)
 		c.reviveAt = c.killAt + b.next()%32
 	}
@@ -350,6 +361,26 @@ func runAdmissionCase(t testing.TB, c admissionCase, oracle func(*stripedTech)) 
 		lastSeq = st.idx.nextSeq
 	}
 	arrivals := rng.NewSource(cfg.Seed).Stream("admission-test")
+	nextAt := math.Inf(1)
+	if c.perHour > 0 {
+		nextAt = arrivals.Exp(3600 / c.perHour)
+	}
+	// inject feeds a member the arrivals of the interval about to step;
+	// a dead member refuses them, and they are lost.
+	inject := func() {
+		if !c.member {
+			return
+		}
+		if c.perHour == 0 {
+			for i := 0; i < 2; i++ {
+				e.InjectArrival(arrivals.Intn(cfg.Objects))
+			}
+			return
+		}
+		for ; nextAt < float64(e.now+1)*e.dt; nextAt += arrivals.Exp(3600 / c.perHour) {
+			e.InjectArrival(arrivals.Intn(cfg.Objects))
+		}
+	}
 	horizon := cfg.WarmupIntervals + cfg.MeasureIntervals
 	e.Prime()
 	for e.now < horizon {
@@ -363,6 +394,9 @@ func runAdmissionCase(t testing.TB, c admissionCase, oracle func(*stripedTech)) 
 			}
 			run.orphans = append([]int{}, rep.Orphans...)
 			for e.now < c.reviveAt {
+				if c.perHour > 0 {
+					inject()
+				}
 				e.StepOne()
 			}
 			if err := e.Revive(); err != nil {
@@ -370,11 +404,7 @@ func runAdmissionCase(t testing.TB, c admissionCase, oracle func(*stripedTech)) 
 			}
 			continue
 		}
-		if c.member {
-			for i := 0; i < 2; i++ {
-				e.InjectArrival(arrivals.Intn(cfg.Objects))
-			}
-		}
+		inject()
 		e.StepOne()
 	}
 	run.res = e.Snapshot()

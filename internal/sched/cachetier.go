@@ -1,18 +1,12 @@
 package sched
 
-import (
-	"math"
-
-	"github.com/mmsim/staggered/internal/cache"
-	"github.com/mmsim/staggered/internal/rng"
-)
+import "github.com/mmsim/staggered/internal/cache"
 
 // This file is the engine half of the memory tier (DESIGN.md §12): the
 // hooks that route requests through the prefix cache and the
-// multicast/batching registries, follower display lifecycle, and the
-// open Poisson arrival process that the cache experiments drive the
-// engine with.  Requests only reach the cache through the record and
-// admit paths of the interval loop.
+// multicast/batching registries, and the follower display lifecycle.
+// Requests only reach the cache through the record and admit paths of
+// the interval loop.
 
 // followerRef identifies one scheduled follower completion on the
 // follower ring; gen stales entries whose follower was detached or
@@ -228,55 +222,5 @@ func (e *Engine) cacheStagingAborted(object int) {
 		// Already counted in requests at original arrival — this is the
 		// queueing tail of record, not a new reference.
 		e.queueRequest(int(p.Station), object, int(p.Arrived), "follower detached")
-	}
-}
-
-// openArrivals drives the engine as an open system: a Poisson stream
-// of requests at ArrivalsPerHour, each occupying an idle station for
-// its display.  Arrivals that find every station busy are rejected —
-// the open-system analogue of queueing delay in the closed loop.
-type openArrivals struct {
-	stream  rng.Stream
-	idle    []int32 // LIFO pool of idle stations
-	nextAt  float64 // seconds of the next arrival
-	meanGap float64 // mean seconds between arrivals
-
-	rejected      int // window counter
-	rejectedTotal int
-}
-
-func newOpenArrivals(cfg Config) *openArrivals {
-	o := &openArrivals{}
-	// LIFO init in reverse so station 0 serves the first arrival.
-	o.idle = make([]int32, cfg.Stations)
-	for i := range o.idle {
-		o.idle[i] = int32(cfg.Stations - 1 - i)
-	}
-	if cfg.ArrivalsPerHour == 0 {
-		// A cluster member: the cluster injects arrivals
-		// (Engine.InjectArrival); the engine's own stream never fires.
-		o.nextAt = math.Inf(1)
-		return o
-	}
-	o.meanGap = 3600 / cfg.ArrivalsPerHour
-	o.stream = *rng.NewSource(cfg.Seed).Stream("arrivals")
-	o.nextAt = o.stream.Exp(o.meanGap)
-	return o
-}
-
-// drawArrivals admits every arrival due within the current interval.
-func (e *Engine) drawArrivals() {
-	o := e.open
-	limit := float64(e.now+1) * e.dt
-	for o.nextAt < limit {
-		if n := len(o.idle); n > 0 {
-			s := o.idle[n-1]
-			o.idle = o.idle[:n-1]
-			e.enqueue(int(s))
-		} else {
-			o.rejected++
-			o.rejectedTotal++
-		}
-		o.nextAt += o.stream.Exp(o.meanGap)
 	}
 }

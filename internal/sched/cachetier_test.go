@@ -111,31 +111,6 @@ func TestCacheDeterministic(t *testing.T) {
 	}
 }
 
-// TestCacheOpenArrivalsDeterministic repeats the determinism check for
-// the open-system workload the cache experiments use (Poisson arrivals
-// + Zipf popularity), where the idle-station pool and the arrival
-// stream are additional state that must replay exactly.
-func TestCacheOpenArrivalsDeterministic(t *testing.T) {
-	run := func() Result {
-		cfg := smallConfig(64, 20)
-		cfg.ZipfSkew = 0.7
-		cfg.ArrivalsPerHour = 6000
-		cfg.Cache = cacheSpec()
-		e, err := NewEngine(cfg, &stripedTech{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e.Run()
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("same config, different open-arrivals results:\n  first:  %+v\n  second: %+v", a, b)
-	}
-	if a.BatchedFollowers == 0 {
-		t.Error("open Zipf workload produced no batched followers; the determinism check exercised nothing")
-	}
-}
-
 // checkCacheConservation asserts the closed-loop station accounting
 // with the tier on: every station is queued, in a display, in a
 // follower display, or batched pending — and lifetime admissions
@@ -147,7 +122,7 @@ func checkCacheConservation(t *testing.T, e *Engine) {
 		t.Errorf("admission conservation violated: admitted %d != completed %d + aborted %d + active %d + followers %d",
 			got, e.completedTotal, e.abortedTotal, active, e.activeFollowers)
 	}
-	if e.open == nil {
+	if !e.member {
 		total := e.QueuedRequests() + active + e.activeFollowers + e.pendingFollowers
 		if total != e.cfg.Stations {
 			t.Errorf("station conservation violated: queue %d + active %d + followers %d + pending %d != stations %d",
@@ -244,27 +219,5 @@ func TestCacheBeatsDisabled(t *testing.T) {
 	}
 	if rate := cachedRes.CacheHitRate(); rate <= 0 || rate > 1 {
 		t.Errorf("cache hit rate %v out of range", rate)
-	}
-}
-
-// TestOpenArrivalsDiskOnly pins the open-system workload without the
-// tier: arrivals must balance stations and rejections, and the zero
-// cache counters prove open mode alone doesn't touch the tier path.
-func TestOpenArrivalsDiskOnly(t *testing.T) {
-	cfg := smallConfig(16, 20)
-	cfg.ArrivalsPerHour = 20000 // deliberately overdriven: must reject
-	e, err := NewEngine(cfg, &stripedTech{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.Run()
-	if res.OpenRejected == 0 {
-		t.Error("overdriven open system rejected nothing")
-	}
-	if res.Displays == 0 {
-		t.Error("open system completed nothing")
-	}
-	if res.ServedFromCache != 0 || res.BatchedFollowers != 0 {
-		t.Errorf("open mode without a cache spec touched the tier: %+v", res)
 	}
 }

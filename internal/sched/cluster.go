@@ -14,17 +14,15 @@ import (
 // NewMember builds a cluster member running this technique on cfg.
 // The member draws nothing of its own — the cluster routes its shared
 // arrival stream in through InjectArrival and flips its shared draw,
-// so cfg.ArrivalsPerHour and cfg.ZipfFlipInterval must be zero, and
-// the member builds no per-station streams — and it pre-places
+// so cfg.ArrivalsPerHour (ErrOwnArrivals, as for every engine) and
+// cfg.ZipfFlipInterval must be zero, and the member builds no
+// per-station streams — and it pre-places
 // exactly the preload objects (best-effort, in slice order) instead
 // of the most popular ones; an empty preload leaves the farm cold.
 // dist is the cluster's object popularity over cfg's catalog
 // (Config.Popularity), which the member reads and never copies, so
 // every member shares one.
 func (ti TechniqueInfo) NewMember(cfg Config, dist *rng.Discrete, preload []int) (*Engine, error) {
-	if cfg.ArrivalsPerHour != 0 {
-		return nil, fmt.Errorf("sched: a cluster member draws no arrivals of its own (ArrivalsPerHour %v)", cfg.ArrivalsPerHour)
-	}
 	if cfg.ZipfFlipInterval != 0 {
 		return nil, fmt.Errorf("sched: a cluster member draws nothing to flip (ZipfFlipInterval %d); the cluster flips its shared draw", cfg.ZipfFlipInterval)
 	}
@@ -48,15 +46,6 @@ func (e *Engine) ActiveDisplays() int {
 // QueuedRequests returns the number of admitted references still
 // waiting in the disk queue.
 func (e *Engine) QueuedRequests() int { return e.queue.n }
-
-// IdleStations returns how many stations an open-workload engine has
-// free; a closed-loop engine (every station always cycling) reports 0.
-func (e *Engine) IdleStations() int {
-	if e.open == nil {
-		return 0
-	}
-	return len(e.open.idle)
-}
 
 // HoldsObject reports whether the object is playable here right now —
 // fully materialized on disk, or its prefix pinned in the cache tier.
@@ -83,7 +72,7 @@ func (e *Engine) HoldsObject(id int) bool {
 // ErrInjectDead and an object outside the catalog ErrInjectObject,
 // and none of them is changed.
 func (e *Engine) InjectArrival(object int) (bool, error) {
-	if e.open == nil {
+	if !e.member {
 		return false, ErrInjectClosedLoop
 	}
 	if e.dead {
@@ -92,14 +81,13 @@ func (e *Engine) InjectArrival(object int) (bool, error) {
 	if object < 0 || object >= e.cfg.Objects {
 		return false, fmt.Errorf("%w: object %d of %d", ErrInjectObject, object, e.cfg.Objects)
 	}
-	n := len(e.open.idle)
+	n := len(e.idle)
 	if n == 0 {
-		e.open.rejected++
-		e.open.rejectedTotal++
+		e.openRejected++
 		return false, nil
 	}
-	s := int(e.open.idle[n-1])
-	e.open.idle = e.open.idle[:n-1]
+	s := int(e.idle[n-1])
+	e.idle = e.idle[:n-1]
 	e.stn.Take(s)
 	e.record(s, object)
 	return true, nil

@@ -105,12 +105,13 @@ type Config struct {
 
 	// ArrivalsPerHour selects the workload.  Zero is the paper's
 	// closed system with zero think time: a station issues its next
-	// request the moment its display ends.  A positive rate switches to
-	// an open one: requests arrive in a Poisson stream at this rate and
-	// each occupies an idle station for its display; arrivals finding
-	// no idle station are counted as OpenRejected.  A cluster member
-	// (TechniqueInfo.NewMember) keeps it zero and is fed by the
-	// cluster's shared stream instead.
+	// request the moment its display ends.  A positive rate is an open
+	// one, and only cluster.New reads it: its driver draws a Poisson
+	// stream at this rate and injects each arrival into a member, where
+	// it occupies an idle station for its display; arrivals finding no
+	// idle station are counted as OpenRejected.  Every engine build
+	// refuses a positive rate (ErrOwnArrivals); a standalone open run
+	// is a 1-member cluster.
 	ArrivalsPerHour float64
 
 	// ZipfFlipInterval, when positive, rotates the object-popularity

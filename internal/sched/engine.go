@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+
 	"github.com/mmsim/staggered/internal/cache"
 	"github.com/mmsim/staggered/internal/fault"
 	"github.com/mmsim/staggered/internal/metrics"
@@ -138,9 +140,14 @@ type Engine struct {
 	// member marks a cluster member (TechniqueInfo.NewMember): its
 	// arrivals come only through InjectArrival, so it has no
 	// generator (gen is nil), and its technique preloads exactly
-	// preload instead of the most popular objects.
-	member  bool
-	preload []int
+	// preload instead of the most popular objects.  Its stations wait
+	// in idle, a LIFO pool, between displays; openRejected counts the
+	// window's arrivals that found the pool empty.  A standalone
+	// engine is the paper's closed loop and keeps both zero.
+	member       bool
+	preload      []int
+	idle         []int32
+	openRejected int
 
 	primed bool // Prime has run: stations seeded
 
@@ -175,10 +182,6 @@ type Engine struct {
 	batchAnchor      []int32 // object -> arrival interval anchoring the open batch
 	detachBuf        []int32
 	pendingBuf       []cache.Pending
-
-	// Open arrivals: a Poisson stream or a member's injected ones
-	// (nil = the paper's closed loop).
-	open *openArrivals
 
 	// The cluster's residency words, in which a member keeps bit
 	// resBit of every object it holds (ShareResidency); nil on a
@@ -243,10 +246,15 @@ func NewEngine(cfg Config, tech Technique) (*Engine, error) {
 // newEngine builds a standalone engine, which draws its stations'
 // references from the popularity cfg describes, or, when member is
 // true, a cluster member that reads the given popularity dist, draws
-// nothing and preloads the given set.
+// nothing and preloads the given set.  Neither draws open arrivals:
+// only the cluster driver does, so a positive ArrivalsPerHour is
+// refused with ErrOwnArrivals.
 func newEngine(cfg Config, tech Technique, member bool, dist *rng.Discrete, preload []int) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.ArrivalsPerHour > 0 {
+		return nil, fmt.Errorf("%w (ArrivalsPerHour %v)", ErrOwnArrivals, cfg.ArrivalsPerHour)
 	}
 	e := &Engine{
 		cfg:     cfg,
@@ -261,7 +269,13 @@ func newEngine(cfg Config, tech Technique, member bool, dist *rng.Discrete, prel
 		pinned:  make([]int32, cfg.Objects),
 		dt:      cfg.IntervalSeconds(),
 	}
-	if !member {
+	if member {
+		// LIFO in reverse so station 0 serves the first arrival.
+		e.idle = make([]int32, cfg.Stations)
+		for i := range e.idle {
+			e.idle[i] = int32(cfg.Stations - 1 - i)
+		}
+	} else {
 		var err error
 		if e.dist, err = cfg.Popularity(); err != nil {
 			return nil, err
@@ -278,9 +292,6 @@ func newEngine(cfg Config, tech Technique, member bool, dist *rng.Discrete, prel
 	}
 	if cfg.Cache.Enabled() {
 		e.bindCache()
-	}
-	if cfg.ArrivalsPerHour > 0 || member {
-		e.open = newOpenArrivals(cfg)
 	}
 	if err := tech.bind(e); err != nil {
 		return nil, err
@@ -326,19 +337,19 @@ func (e *Engine) queueRequest(s, obj, at int, note string) {
 	e.tech.onEnqueue(int32(s))
 }
 
-// reissue frees station s after its display.  In the open system the
-// station goes idle and waits for the next arrival; in the paper's
+// reissue frees station s after its display.  A member's station
+// goes idle and waits for the next injected arrival; in the paper's
 // closed loop it issues its next request at once (zero think time).
 func (e *Engine) reissue(s int) {
-	if e.open != nil {
-		e.open.idle = append(e.open.idle, int32(s))
+	if e.member {
+		e.idle = append(e.idle, int32(s))
 		return
 	}
 	e.enqueue(s)
 }
 
-// step advances the simulation by one interval: arrivals, then the
-// technique's policy work (claim endings, tertiary progress,
+// step advances the simulation by one interval: faults and follower
+// completions, then the technique's policy work (claim endings, tertiary progress,
 // admissions, end-of-interval work), then the busy integral — the
 // same event order CSIM's process scheduling yields for this model.
 func (e *Engine) step() {
@@ -352,9 +363,6 @@ func (e *Engine) step() {
 	}
 	if e.cache != nil {
 		e.finishFollowers()
-	}
-	if e.open != nil {
-		e.drawArrivals()
 	}
 	e.busyArea += float64(e.tech.interval())
 	e.now++
@@ -527,7 +535,7 @@ func (e *Engine) Prime() {
 		return
 	}
 	e.primed = true
-	if e.open == nil {
+	if !e.member {
 		for s := 0; s < e.cfg.Stations; s++ {
 			e.enqueue(s)
 		}
@@ -574,9 +582,7 @@ func (e *Engine) ResetWindow() {
 	e.requests, e.degHiccups, e.aborted, e.rejectedDeg, e.starved = 0, 0, 0, 0, 0
 	e.orphaned = 0
 	e.servedCache, e.batchedFollowers, e.cacheHitBytes = 0, 0, 0
-	if e.open != nil {
-		e.open.rejected = 0
-	}
+	e.openRejected = 0
 }
 
 // Run executes warm-up and measurement and returns the statistics.
@@ -611,7 +617,7 @@ func (e *Engine) Snapshot() Result {
 		tertBusy = float64(e.tertBusy) / float64(meas)
 		diskBusy = e.busyArea / (float64(meas) * float64(e.cfg.D))
 	}
-	res := Result{
+	return Result{
 		Technique:       e.techName,
 		Stations:        e.cfg.Stations,
 		DistMean:        e.cfg.DistMean,
@@ -636,13 +642,10 @@ func (e *Engine) Snapshot() Result {
 		ServedFromCache:  e.servedCache,
 		BatchedFollowers: e.batchedFollowers,
 		CacheHitBytes:    e.cacheHitBytes,
+		OpenRejected:     e.openRejected,
 
 		Latency: e.latency,
 	}
-	if e.open != nil {
-		res.OpenRejected = e.open.rejected
-	}
-	return res
 }
 
 // RunChecked is Run with loud failure modes: a second invocation
@@ -658,14 +661,22 @@ func (e *Engine) RunChecked() (Result, error) {
 		return Result{}, ErrAlreadyRun
 	}
 	res := e.Run()
-	if e.starvedTotal > 0 {
-		return res, &StarvationError{
-			Technique: e.techName,
-			K:         e.cfg.K,
-			M:         e.cfg.M,
-			Starved:   e.starvedTotal,
-			Displays:  res.Displays,
-		}
+	return res, e.Starvation()
+}
+
+// Starvation returns a *StarvationError when any materialization,
+// warm-up included, was abandoned at the Place retry cap, and nil
+// otherwise: RunChecked's check, for drivers that step the engine
+// themselves.
+func (e *Engine) Starvation() error {
+	if e.starvedTotal == 0 {
+		return nil
 	}
-	return res, nil
+	return &StarvationError{
+		Technique: e.techName,
+		K:         e.cfg.K,
+		M:         e.cfg.M,
+		Starved:   e.starvedTotal,
+		Displays:  e.completed,
+	}
 }

@@ -5,6 +5,13 @@ import (
 	"fmt"
 )
 
+// ErrOwnArrivals refuses an engine build whose Config has a positive
+// ArrivalsPerHour: an engine draws no open arrivals of its own.  Run
+// an open workload through cluster.New, whose driver draws the Poisson
+// stream and injects it into members (a standalone open run is a
+// 1-member cluster).
+var ErrOwnArrivals = errors.New("sched: an engine draws no open arrivals; run ArrivalsPerHour > 0 through cluster.New")
+
 // ErrAlreadyRun is returned by RunChecked when the engine has already
 // been run (or primed and stepped): an Engine is single-use, and a
 // cluster driver retrying a member must build a fresh one instead.

@@ -95,3 +95,12 @@ func (e *Engine) ReadyFIFO(id int) (first, degree int, ok bool) {
 	f := st.idx.fifos[st.fifo[id]]
 	return int(f.first), int(f.degree), true
 }
+
+// The helpers the open-workload tests share with this package's own.
+// Those tests run through cluster.New, the one driver that draws open
+// arrivals, which a package cluster imports cannot import back.
+var (
+	SmallConfig     = smallConfig
+	CacheSpec       = cacheSpec
+	CheckGoldenDump = checkGoldenDump
+)

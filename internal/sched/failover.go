@@ -26,8 +26,8 @@ type KillReport struct {
 // display aborts through the fault path, the request queue and the
 // batch registries drain into the report's orphan list, the tertiary
 // device drops its work, and until Revive StepOne only advances the
-// clock.  Requires a live, open-workload engine (a cluster
-// member or ArrivalsPerHour > 0): in the closed loop an aborted station
+// clock.  Requires a live cluster member (TechniqueInfo.NewMember):
+// in the closed loop an aborted station
 // reissues immediately and the drain below could never terminate.  A
 // dead engine returns ErrKillDead, a closed-loop one ErrKillClosedLoop,
 // and neither is changed.
@@ -35,7 +35,7 @@ func (e *Engine) Kill() (KillReport, error) {
 	if e.dead {
 		return KillReport{}, ErrKillDead
 	}
-	if e.open == nil {
+	if !e.member {
 		return KillReport{}, ErrKillClosedLoop
 	}
 	var rep KillReport

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/mmsim/staggered/internal/cache"
@@ -71,7 +72,9 @@ func fuzzConfig(data []byte) (cfg Config, member *fuzzMember) {
 	}
 	cfg.MaxStartup = b.next() % 16
 	cfg.PlaceRetryLimit = b.next()%8 - 1
-	// Arrival mode: 0 and 1 the closed loop, 2 Poisson, 3 a member.
+	// Arrival mode: 0 and 1 the closed loop, 2 a Poisson rate (which
+	// every engine build refuses: only the cluster driver draws open
+	// arrivals), 3 a member.
 	switch mode, v := b.next()%4, b.next(); mode {
 	case 2:
 		cfg.ArrivalsPerHour = float64(v%32) * 500
@@ -167,7 +170,8 @@ func runFuzzCase(t *testing.T, e *Engine, m *fuzzMember) {
 // a cluster member fed injected traffic and killed and revived once —
 // never a panic, a hang, a hiccup, a cache over its budget or a display
 // ledger out of balance after any interval, whether or not a
-// materialization starves.
+// materialization starves.  A build fails with ErrOwnArrivals exactly
+// when the configuration has a positive arrival rate.
 func FuzzEngineConfig(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{49, 5, 5, 60, 40, 30, 16, 40, 1, 100, 200, 1, 0})
@@ -199,6 +203,9 @@ func FuzzEngineConfig(f *testing.F) {
 				e, err = newMember(ti, norm, member.preload)
 			} else {
 				e, err = ti.New(norm)
+			}
+			if refused, open := errors.Is(err, ErrOwnArrivals), norm.ArrivalsPerHour > 0; refused != open {
+				t.Fatalf("%s: ArrivalsPerHour %v built with error %v", ti.Key, norm.ArrivalsPerHour, err)
 			}
 			if err != nil {
 				continue

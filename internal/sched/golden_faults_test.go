@@ -1,4 +1,4 @@
-package sched
+package sched_test
 
 import (
 	"flag"
@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"github.com/mmsim/staggered/internal/cache"
+	"github.com/mmsim/staggered/internal/experiment"
 	"github.com/mmsim/staggered/internal/fault"
+	"github.com/mmsim/staggered/internal/sched"
 )
 
 // Golden pin for degraded mode: the full Result, degraded-mode
@@ -16,7 +18,10 @@ import (
 // tertiary outage and a wear process, each with and without the memory
 // tier (prefix cache and batching under open Zipf arrivals).  The
 // fault-free goldens cannot see the admission refusals, aborts and
-// degraded hiccups; this dump does.  Regenerate with:
+// degraded hiccups; this dump does.  Each entry runs through
+// experiment.Run: a closed-loop entry on a standalone engine, an open
+// (-cache) entry as a 1-member cluster, whose driver draws the
+// arrivals.  Regenerate with:
 //
 //	go test ./internal/sched -run TestGoldenFaults -update-golden-faults
 
@@ -27,11 +32,11 @@ type faultGoldenConfig struct {
 	name   string
 	key    string
 	stride int
-	cfg    Config
+	cfg    sched.Config
 }
 
 func faultGoldenConfigs() []faultGoldenConfig {
-	base := smallConfig(16, 10)
+	base := sched.SmallConfig(16, 10)
 	warm, horizon := base.WarmupIntervals, base.WarmupIntervals+base.MeasureIntervals
 	wearDisks := []int{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
 	plans := []struct {
@@ -79,11 +84,10 @@ func TestGoldenFaults(t *testing.T) {
 	var b strings.Builder
 	var rejected, aborted, degraded, followers int
 	for _, gc := range faultGoldenConfigs() {
-		e, _, err := NewEngineFor(gc.key, gc.cfg, gc.stride)
+		r, err := experiment.Run(gc.key, gc.stride, gc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", gc.name, err)
 		}
-		r := e.Run()
 		if r.Displays == 0 {
 			t.Fatalf("%s: no displays, the run pins nothing", gc.name)
 		}
@@ -99,5 +103,5 @@ func TestGoldenFaults(t *testing.T) {
 		t.Fatalf("weak pin: %d rejections, %d aborts, %d degraded hiccups, %d batched followers",
 			rejected, aborted, degraded, followers)
 	}
-	checkGoldenDump(t, "golden_faults.txt", b.String(), *updateGoldenFaults, "update-golden-faults")
+	sched.CheckGoldenDump(t, "golden_faults.txt", b.String(), *updateGoldenFaults, "update-golden-faults")
 }

@@ -90,6 +90,35 @@ func TestNewMemberRejectsOwnArrivals(t *testing.T) {
 	}
 }
 
+// TestBuildRefusesOwnArrivals pins that no engine build draws open
+// arrivals: NewEngine, NewEngineFor and NewMember all refuse a positive
+// ArrivalsPerHour with ErrOwnArrivals, which names cluster.New, the one
+// driver that draws them; at rate zero all three build.
+func TestBuildRefusesOwnArrivals(t *testing.T) {
+	ti, _ := TechniqueByKey("striped")
+	builds := map[string]func(Config) (*Engine, error){
+		"NewEngine": func(cfg Config) (*Engine, error) { return NewEngine(cfg, &stripedTech{}) },
+		"NewEngineFor": func(cfg Config) (*Engine, error) {
+			e, _, err := NewEngineFor("striped", cfg, 0)
+			return e, err
+		},
+		"NewMember": func(cfg Config) (*Engine, error) { return newMember(ti, cfg, nil) },
+	}
+	for name, build := range builds {
+		cfg := smallConfig(8, 10)
+		if _, err := build(cfg); err != nil {
+			t.Fatalf("%s: closed config refused: %v", name, err)
+		}
+		cfg.ArrivalsPerHour = 3000
+		_, err := build(cfg)
+		if !errors.Is(err, ErrOwnArrivals) {
+			t.Errorf("%s: ArrivalsPerHour 3000 gave error %v, want ErrOwnArrivals", name, err)
+		} else if !strings.Contains(err.Error(), "cluster.New") {
+			t.Errorf("%s: error %q does not name cluster.New", name, err)
+		}
+	}
+}
+
 // TestNewMemberPreloadsExactly pins that a member pre-places exactly
 // its assigned objects: an empty assignment leaves the farm cold
 // instead of falling back to the standalone engine's most-popular
@@ -230,11 +259,7 @@ func TestInjectArrivalMisuse(t *testing.T) {
 	}
 	// state is what an injection changes.
 	state := func(e *Engine) [6]int {
-		rejected := -1
-		if e.open != nil {
-			rejected = e.open.rejectedTotal
-		}
-		return [6]int{e.requests, e.QueuedRequests(), e.IdleStations(), e.stn.TotalIssued(), rejected, e.Now()}
+		return [6]int{e.requests, e.QueuedRequests(), len(e.idle), e.stn.TotalIssued(), e.openRejected, e.Now()}
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -67,7 +67,7 @@ go test -short -race ./...
 echo "== go test (full suites: goldens, E18, fault integration)"
 go test ./...
 
-echo "== golden dumps (49-config sweep + staggered strides + Algorithm 1 pin + degraded mode), the DES cross-check over its 15-point grid against both engine builds, and the reproduction artifact (every EXPERIMENTS.md table, full-scale Figure 8 and Table 4 included), byte-identical"
+echo "== golden dumps (49-config sweep + staggered strides + Algorithm 1 pin + degraded mode, whose 12 -cache entries TestGoldenFaults runs as 1-member clusters through the driver), the DES cross-check over its 15-point grid against both engine builds, and the reproduction artifact (every EXPERIMENTS.md table, full-scale Figure 8 and Table 4 included), byte-identical"
 # Every named test must report --- PASS: a renamed or deleted test
 # would otherwise drop out of the -run regex silently.
 golden() {
@@ -134,8 +134,11 @@ go test -run '^$' -fuzz FuzzClusterPlan -fuzztime 10s ./internal/cluster
 echo "== 100x scale trajectory under the race detector (points run one after another)"
 go run -race ./cmd/sweep -scale 100x -csv
 
-echo "== cache-enabled quick sweep under the race detector (memory tier + open Zipf arrivals)"
+echo "== cache-enabled quick sweep under the race detector (memory tier + open Zipf arrivals, each point a 1-member cluster whose driver draws them)"
 go run -race ./cmd/sweep -scale quick -technique striped -stations 64 -dist 20 -zipf 0.7 -arrivals 6000 -cachemb 256 -batchwindow 8 -csv
+
+echo "== lone-member open run under the race detector: a server: plan and member-tagged -trace on ssim's default 1-server cluster"
+go run -race ./cmd/ssim -scale quick -zipf 0.7 -arrivals 6000 -cachemb 256 -batchwindow 8 -faults 'server:0@2100-2400' -trace 5 >/dev/null
 
 echo "== 1- and 2-server cluster quick sweep per dispatch policy, under the race detector (a 1-member cluster steps the same lockstep rounds as a fleet)"
 for policy in roundrobin leastloaded popularity; do
