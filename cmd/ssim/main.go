@@ -101,6 +101,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "ssim: %s need -arrivals > 0\n", strings.Join(bad, ", "))
 		return 2
 	}
+	if *dispatch != "" && !slices.Contains(cluster.Policies(), *dispatch) {
+		fmt.Fprintf(stderr, "ssim: unknown dispatch policy %q (have %v)\n", *dispatch, cluster.Policies())
+		return 2
+	}
 
 	scale := experiment.Full
 	if *scaleFlag == "quick" {
@@ -209,13 +213,14 @@ func exitCode(stderr io.Writer, err error) int {
 // of its members, and prints the merged aggregate followed by one row
 // per member (DESIGN.md §13), with the failover and healing ledgers
 // when a server plan ran (DESIGN.md §14).  ccfg.Base is the
-// technique's normalized configuration.  Like RunChecked, it exits 1
-// when any member starved.
+// technique's normalized configuration.  A configuration cluster.New
+// refuses exits 1, as one the engine build refuses does; like
+// RunChecked, it exits 1 when any member starved.
 func runCluster(stdout, stderr io.Writer, ccfg cluster.Config, trace int) int {
 	sim, err := cluster.New(ccfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "ssim: %v\n", err)
-		return 2
+		return 1
 	}
 	if trace > 0 {
 		sim.SetTracer(eventPrinter(stdout, trace, true))

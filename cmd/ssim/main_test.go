@@ -134,3 +134,22 @@ func TestClusterStarvationExit(t *testing.T) {
 		t.Errorf("starving run printed no report:\n%s", out)
 	}
 }
+
+// TestConfigErrorExitCode pins that a configuration the build refuses
+// exits 1 whichever workload builds it, the engine of a closed-loop
+// run or cluster.New of an open one, while a flag value outside its
+// set, an unknown -dispatch included, is a usage error (exit 2).
+func TestConfigErrorExitCode(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-scale", "quick", "-faults", "fail:99@100"}, 1},
+		{[]string{"-scale", "quick", "-faults", "fail:99@100", "-arrivals", "6000"}, 1},
+		{[]string{"-scale", "quick", "-arrivals", "6000", "-dispatch", "nearest"}, 2},
+	} {
+		if code, _, errOut := runSsim(tc.args...); code != tc.want {
+			t.Errorf("ssim %s: exit %d, want %d (stderr %q)", strings.Join(tc.args, " "), code, tc.want, errOut)
+		}
+	}
+}

@@ -23,7 +23,6 @@ import (
 	"github.com/mmsim/staggered/internal/fault"
 	"github.com/mmsim/staggered/internal/rng"
 	"github.com/mmsim/staggered/internal/sched"
-	"github.com/mmsim/staggered/internal/workload"
 )
 
 // Config describes one cluster run.
@@ -46,10 +45,10 @@ type Config struct {
 	// member individually, while the workload fields describe the
 	// cluster as a whole: ArrivalsPerHour (required positive) is the
 	// cluster-wide offered load (the shared Poisson stream this
-	// driver owns and dispatches), ZipfSkew/DistMean shape the shared
-	// object draw, and ZipfFlipInterval flips that shared draw.
-	// Base.Seed seeds the cluster streams; member engine i runs under
-	// the split seed rng.NewStream(Seed, i+1).
+	// driver owns and dispatches), and ZipfSkew/DistMean shape the
+	// shared object draw, which FlipAt churns.  Base.Seed seeds the
+	// cluster streams; member engine i runs under the split seed
+	// rng.NewStream(Seed, i+1).
 	Base sched.Config
 
 	// ServerFaults optionally gives each member its own fault plan
@@ -86,6 +85,14 @@ type Config struct {
 	// cumulative completed-display count every that many intervals of
 	// the shared clock — the recovery curves of experiment E21.
 	SampleIntervals int
+
+	// FlipAt, when positive, is the interval at which popularity
+	// churns: from that round on the shared object draw is rotated by
+	// half the catalog, so the distribution's hot head lands on what
+	// were median objects and the old head goes cold — the scenario the
+	// cache tier's popularity decay and the popularity dispatch must
+	// re-converge under (DESIGN.md §12).  0 never flips.
+	FlipAt int
 }
 
 // Sample is one point of the cluster's recovery curve: the cumulative
@@ -159,7 +166,7 @@ type Sim struct {
 	arrStream rng.Stream
 	objStream rng.Stream
 	dist      *rng.Discrete
-	remap     []int // popularity-churn rotation, nil until the flip
+	rotate    int // popularity-churn offset: half the catalog once FlipAt fired, else 0
 	nextAt    float64
 	meanGap   float64
 
@@ -260,6 +267,9 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.SampleIntervals < 0 {
 		return nil, fmt.Errorf("cluster: SampleIntervals must be non-negative")
 	}
+	if cfg.FlipAt < 0 {
+		return nil, fmt.Errorf("cluster: FlipAt must be non-negative")
+	}
 
 	if base.ArrivalsPerHour <= 0 {
 		return nil, fmt.Errorf("cluster: need an open workload (Base.ArrivalsPerHour > 0)")
@@ -294,7 +304,6 @@ func New(cfg Config) (*Sim, error) {
 		// never perturbs the existing ones.
 		scfg.Seed = rng.NewStream(base.Seed, uint64(i+1)).Uint64()
 		scfg.ArrivalsPerHour = 0
-		scfg.ZipfFlipInterval = 0 // the flip applies to the cluster's shared draw
 		scfg.Faults = base.Faults
 		if i < len(cfg.ServerFaults) {
 			scfg.Faults = cfg.ServerFaults[i]
@@ -346,14 +355,15 @@ func (s *Sim) dead(i int) bool { return s.engines[i].Dead() }
 
 // deliverArrivals dispatches every cluster arrival strictly before
 // limit (seconds) to a member chosen by the policy, drawing each object
-// from the shared popularity distribution through the churn rotation
-// once the flip has fired.  An arrival that finds every member dead is
-// lost and counted.  An error is a member refusing the injection.
+// from the shared popularity distribution, rotated by half the catalog
+// once the churn flip has fired.  An arrival that finds every member
+// dead is lost and counted.  An error is a member refusing the
+// injection.
 func (s *Sim) deliverArrivals(limit float64) error {
 	for s.nextAt < limit {
 		obj := s.dist.Sample(&s.objStream)
-		if s.remap != nil {
-			obj = s.remap[obj]
+		if s.rotate != 0 {
+			obj = (obj + s.rotate) % s.dist.Len()
 		}
 		target := s.pick(obj)
 		if target < 0 {
@@ -544,8 +554,8 @@ func (s *Sim) Run() (Result, error) {
 		}
 		// The churn flip rotates the shared draw before the round's
 		// arrivals are routed.
-		if t > 0 && t == s.cfg.Base.ZipfFlipInterval {
-			s.remap = workload.RotateHalf(s.remap, s.dist.Len())
+		if t > 0 && t == s.cfg.FlipAt {
+			s.rotate = (s.dist.Len() + 1) / 2
 		}
 		if err := s.deliverArrivals(float64(t+1) * s.dt); err != nil {
 			return Result{}, err

@@ -44,10 +44,11 @@ func parsePolicy(key string) (policy, error) {
 
 // pick routes one arrival referencing obj to a member under the Sim's
 // policy, between rounds.  Every policy skips dead members, counting
-// the re-route in failedOver when the member it would naturally have
-// chosen is dead; with every member dead pick returns -1 and the
-// caller counts the arrival lost.  On a cluster with no server fault
-// plan nothing is ever dead and the failover branches never fire.
+// in failedOver a re-route to a live member when the one it would
+// naturally have chosen is dead; with every member dead pick returns
+// -1 and the caller counts the arrival lost.  On a cluster with no
+// server fault plan nothing is ever dead and the failover branches
+// never fire.
 func (s *Sim) pick(obj int) int {
 	switch s.policy {
 	case roundRobin:
@@ -58,11 +59,12 @@ func (s *Sim) pick(obj int) int {
 			return i
 		}
 		// The cursor's natural target is dead: re-route to the next live
-		// member in rotation.  The cursor still advances by one, so the
-		// rotation resumes where it left off once the member restarts.
-		s.failedOver++
+		// member in rotation, counted only when there is one.  The cursor
+		// still advances by one, so the rotation resumes where it left
+		// off once the member restarts.
 		for k := 1; k < n; k++ {
 			if j := (i + k) % n; !s.dead(j) {
+				s.failedOver++
 				return j
 			}
 		}

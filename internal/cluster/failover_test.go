@@ -313,7 +313,7 @@ func TestResidencyWordPicks(t *testing.T) {
 // TestLoneMemberOutage kills the only member of a one-member cluster.
 // A fleet of one steps the same rounds as any fleet: checkRounds holds
 // after every round, and each arrival of the outage finds nobody live
-// and is counted lost, under every policy.
+// and is counted lost, never re-routed, under every policy.
 func TestLoneMemberOutage(t *testing.T) {
 	const down, up = 500, 700
 	for _, dispatch := range Policies() {
@@ -336,6 +336,9 @@ func TestLoneMemberOutage(t *testing.T) {
 			}
 			if res.LostArrivals != dark {
 				t.Errorf("%d arrivals fell in the outage, %d counted lost", dark, res.LostArrivals)
+			}
+			if res.FailedOver != 0 {
+				t.Errorf("%d dispatches counted re-routed with no live member to take them", res.FailedOver)
 			}
 			if res.Aggregate.Displays == 0 {
 				t.Error("the member delivered no displays around its outage")

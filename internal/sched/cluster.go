@@ -12,20 +12,16 @@ import (
 )
 
 // NewMember builds a cluster member running this technique on cfg.
-// The member draws nothing of its own — the cluster routes its shared
-// arrival stream in through InjectArrival and flips its shared draw,
-// so cfg.ArrivalsPerHour (ErrOwnArrivals, as for every engine) and
-// cfg.ZipfFlipInterval must be zero, and the member builds no
-// per-station streams — and it pre-places
-// exactly the preload objects (best-effort, in slice order) instead
-// of the most popular ones; an empty preload leaves the farm cold.
-// dist is the cluster's object popularity over cfg's catalog
-// (Config.Popularity), which the member reads and never copies, so
-// every member shares one.
+// The member draws nothing of its own — the cluster draws every
+// arrival and its object, churn included, and routes it in through
+// InjectArrival, so cfg.ArrivalsPerHour must be zero (ErrOwnArrivals,
+// as for every engine) and the member builds no per-station streams —
+// and it pre-places exactly the preload objects (best-effort, in slice
+// order) instead of the most popular ones; an empty preload leaves the
+// farm cold.  dist is the cluster's object popularity over cfg's
+// catalog (Config.Popularity), which the member reads and never
+// copies, so every member shares one.
 func (ti TechniqueInfo) NewMember(cfg Config, dist *rng.Discrete, preload []int) (*Engine, error) {
-	if cfg.ZipfFlipInterval != 0 {
-		return nil, fmt.Errorf("sched: a cluster member draws nothing to flip (ZipfFlipInterval %d); the cluster flips its shared draw", cfg.ZipfFlipInterval)
-	}
 	if dist == nil || dist.Len() != cfg.Objects {
 		return nil, fmt.Errorf("sched: a cluster member needs the cluster's popularity over its %d objects", cfg.Objects)
 	}

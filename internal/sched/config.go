@@ -113,15 +113,6 @@ type Config struct {
 	// refuses a positive rate (ErrOwnArrivals); a standalone open run
 	// is a 1-member cluster.
 	ArrivalsPerHour float64
-
-	// ZipfFlipInterval, when positive, rotates the object-popularity
-	// mapping by half the catalog at that absolute interval
-	// (workload.Generator.FlipHalf): the hot head of the Zipf
-	// distribution moves to previously cold objects mid-run, the
-	// popularity-churn scenario the cache tier and the cluster's
-	// popularity dispatch must re-converge under.  0 (the golden
-	// configuration) never flips.
-	ZipfFlipInterval int
 }
 
 // DefaultPlaceRetryLimit is the materialization retry cap a zero
@@ -195,8 +186,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sched: zipf skew must be non-negative and finite")
 	case !(c.ArrivalsPerHour >= 0) || math.IsInf(c.ArrivalsPerHour, 1):
 		return fmt.Errorf("sched: arrival rate must be non-negative and finite")
-	case c.ZipfFlipInterval < 0:
-		return fmt.Errorf("sched: zipf flip interval must be non-negative")
 	}
 	if err := c.Faults.Validate(c.D); err != nil {
 		return err

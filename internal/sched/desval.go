@@ -75,7 +75,7 @@ func RunDESValidation(cfg Config) (int, error) {
 		return 0, err
 	}
 	if cfg.Degrees != nil || !cfg.Faults.Empty() || cfg.ZipfSkew != 0 || cfg.ArrivalsPerHour != 0 || cfg.Cache.Enabled() ||
-		cfg.ZipfFlipInterval != 0 || cfg.K != cfg.M || cfg.EvictionPressure {
+		cfg.K != cfg.M || cfg.EvictionPressure {
 		return 0, fmt.Errorf("sched: DES validation model supports the base Figure 8 configuration only")
 	}
 	layout, err := core.NewLayout(cfg.D, cfg.K)

@@ -70,7 +70,6 @@ func TestDESValidationRejectsUnsupported(t *testing.T) {
 		"zipf":       func(c *Config) { c.ZipfSkew = 1.1 },
 		"open":       func(c *Config) { c.ArrivalsPerHour = 3000 },
 		"cache":      func(c *Config) { c.Cache = cacheSpec() },
-		"zipf flip":  func(c *Config) { c.ZipfFlipInterval = 100 },
 		"no station": func(c *Config) { c.Stations = 0 },
 		"stride":     func(c *Config) { c.K = 1 },
 		"pressure":   func(c *Config) { c.EvictionPressure = true },

@@ -64,3 +64,52 @@ func TestVDRDeterministic(t *testing.T) {
 		})
 	}
 }
+
+// TestRunCheckedAlreadyRun pins the double-Run contract: RunChecked
+// on an engine that has already run (or was primed and stepped)
+// returns ErrAlreadyRun instead of panicking, and Prime is idempotent
+// — priming twice must not double-seed the stations.
+func TestRunCheckedAlreadyRun(t *testing.T) {
+	cfg := smallConfig(4, 10)
+	cfg.WarmupIntervals, cfg.MeasureIntervals = 10, 50
+
+	e, err := NewEngine(cfg, &stripedTech{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunChecked(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunChecked(); err != ErrAlreadyRun {
+		t.Fatalf("second RunChecked returned %v, want ErrAlreadyRun", err)
+	}
+
+	// Prime idempotence: a double-primed engine steps identically to a
+	// Run (seeding stations twice would panic the workload layer).
+	a, err := NewEngine(cfg, &stripedTech{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Prime()
+	a.Prime()
+	for a.Now() < cfg.WarmupIntervals {
+		a.StepOne()
+	}
+	a.ResetWindow()
+	for a.HasPendingWork() {
+		a.StepOne()
+	}
+	got := a.Snapshot()
+	a.Close()
+	if _, err := a.RunChecked(); err != ErrAlreadyRun {
+		t.Fatalf("RunChecked after stepping returned %v, want ErrAlreadyRun", err)
+	}
+
+	b, err := NewEngine(cfg, &stripedTech{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := b.Run(); got != want {
+		t.Fatalf("primitive-driven run diverged from Run():\n got %+v\nwant %+v", got, want)
+	}
+}

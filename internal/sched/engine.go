@@ -353,11 +353,6 @@ func (e *Engine) reissue(s int) {
 // admissions, end-of-interval work), then the busy integral — the
 // same event order CSIM's process scheduling yields for this model.
 func (e *Engine) step() {
-	if e.cfg.ZipfFlipInterval > 0 && e.now == e.cfg.ZipfFlipInterval {
-		// Popularity churn: rotate the catalog's rank→object mapping
-		// before this interval draws anything.
-		e.gen.FlipHalf()
-	}
 	if e.faultEvents != nil {
 		e.applyFaults()
 	}

@@ -82,7 +82,7 @@ func fuzzConfig(data []byte) (cfg Config, member *fuzzMember) {
 		member = &fuzzMember{preload: preload}
 	}
 	cfg.ZipfSkew = float64(b.next()%16) / 8
-	cfg.ZipfFlipInterval = b.next() % 200
+	b.next() // the churn flip's byte, unused, kept so seeds keep their meaning
 	if c := b.next(); c != 0 {
 		cfg.Cache = &cache.Spec{
 			BudgetBytes: int64(c%16) << 22,

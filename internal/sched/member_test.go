@@ -74,19 +74,13 @@ func TestNewMemberRejectsOutOfRangePreload(t *testing.T) {
 }
 
 // TestNewMemberRejectsOwnArrivals pins that a member draws nothing of
-// its own: the cluster feeds it through InjectArrival, and flips the
-// popularity of its own shared draw.
+// its own: the cluster feeds it through InjectArrival.
 func TestNewMemberRejectsOwnArrivals(t *testing.T) {
 	cfg := smallConfig(8, 10)
 	cfg.ArrivalsPerHour = 3000
 	ti, _ := TechniqueByKey("striped")
 	if _, err := newMember(ti, cfg, nil); err == nil {
 		t.Error("member with its own Poisson stream accepted")
-	}
-	cfg.ArrivalsPerHour = 0
-	cfg.ZipfSkew, cfg.ZipfFlipInterval = 1.1, 5
-	if _, err := newMember(ti, cfg, nil); err == nil {
-		t.Error("member with a popularity flip of its own accepted")
 	}
 }
 

@@ -43,10 +43,6 @@ func MeanLabel(mean float64) string {
 type Generator struct {
 	dist    *rng.Discrete
 	streams []rng.Stream
-	// remap translates a drawn popularity rank to an object id; nil
-	// (the usual case, and every golden configuration) is the identity.
-	// FlipHalf installs a rotation to model popularity churn.
-	remap []int
 }
 
 // NewGenerator builds a generator for the given number of stations
@@ -77,40 +73,7 @@ func NewGeneratorDist(src *rng.Source, dist *rng.Discrete, stations int) (*Gener
 }
 
 // Draw returns the next object reference of the given station.
-func (g *Generator) Draw(station int) int {
-	id := g.dist.Sample(&g.streams[station])
-	if g.remap != nil {
-		id = g.remap[id]
-	}
-	return id
-}
-
-// FlipHalf rotates the popularity mapping by half the catalog: after
-// the flip, the distribution's hottest rank draws what used to be the
-// median object and the old hot head goes cold — the popularity-churn
-// event the cache tier and the cluster's popularity dispatch must
-// re-converge under.  Calls compose (two flips of an even catalog
-// restore the identity).  Draw pays one nil check until the first
-// flip, so un-flipped runs are untouched.
-func (g *Generator) FlipHalf() { g.remap = RotateHalf(g.remap, g.dist.Len()) }
-
-// RotateHalf rotates a rank → object mapping over a catalog of n
-// objects by half the catalog and returns it; a nil remap stands for
-// the identity and is allocated on the first call.  It is the one
-// popularity-churn rotation: FlipHalf applies it to a generator's
-// per-station draws, and the cluster to its shared draw.
-func RotateHalf(remap []int, n int) []int {
-	if remap == nil {
-		remap = make([]int, n)
-		for i := range remap {
-			remap[i] = i
-		}
-	}
-	for i := range remap {
-		remap[i] = (remap[i] + (n+1)/2) % n
-	}
-	return remap
-}
+func (g *Generator) Draw(station int) int { return g.dist.Sample(&g.streams[station]) }
 
 // TopObjects returns the ids of the n most popular objects (which,
 // with a monotone geometric distribution, are simply 0..n-1).

@@ -32,7 +32,7 @@ if [ -n "$missing" ]; then
 	exit 1
 fi
 
-echo "== inlining: the admission hot helpers, the request queue's list operations, the popularity draw's bucket search, the per-request table probes and the per-arrival tier and residency-word reads stay inlinable (DESIGN.md §8)"
+echo "== inlining: the admission hot helpers, the request queue's list operations, the popularity draw and its bucket search, the per-request table probes and the per-arrival tier and residency-word reads stay inlinable (DESIGN.md §8)"
 inlined=$(go build -gcflags=-m ./internal/sched 2>&1 | sed -n 's/.*: can inline //p')
 for fn in '(*stripedTech).setVBusy' '(*stripedTech).vdiskOf' '(*stripedTech).windowFree' \
 	'(*readyIndex).push' '(*readyIndex).popHead' '(*requestQueue).push' '(*requestQueue).unlink' \
@@ -44,6 +44,12 @@ for fn in '(*stripedTech).setVBusy' '(*stripedTech).vdiskOf' '(*stripedTech).win
 done
 if ! go build -gcflags=-m ./internal/rng 2>&1 | grep -qF 'can inline (*Discrete).index'; then
 	echo "inlining step: go build -gcflags=-m no longer reports 'can inline (*Discrete).index'"
+	exit 1
+fi
+# A closed-loop station's draw: one sample of the popularity
+# distribution on the station's own stream.
+if ! go build -gcflags=-m ./internal/workload 2>&1 | grep -qF 'can inline (*Generator).Draw'; then
+	echo "inlining step: go build -gcflags=-m no longer reports 'can inline (*Generator).Draw'"
 	exit 1
 fi
 # The per-request enqueue and cold-request paths: residency probe, LFU
