@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/mmsim/staggered/internal/cache"
 	"github.com/mmsim/staggered/internal/fault"
 	"github.com/mmsim/staggered/internal/sched"
 	"github.com/mmsim/staggered/internal/tertiary"
@@ -159,75 +158,6 @@ func TestPopularityChurnReconverges(t *testing.T) {
 	churnTP := churned.Aggregate.Throughput()
 	if churnTP < 0.85*calmTP {
 		t.Errorf("throughput under churn = %.1f/hr, want ≥ 85%% of calm %.1f/hr", churnTP, calmTP)
-	}
-}
-
-// churnWindow is the paired churn test's window length, in intervals.
-const churnWindow = 200
-
-// churnHitRates runs a 1-member cluster whose farm holds the whole
-// catalog (no materialization noise) with a prefix cache sized for the
-// Zipf hot head, and returns the cache hit rate of each churnWindow-
-// interval window of the measurement, read at the round's end.
-func churnHitRates(t *testing.T, seed uint64, flipAt int) []float64 {
-	t.Helper()
-	base := quickBase(64, seed)
-	base.CapacityFragments = 120 // 40 slots: every object stays resident
-	base.ZipfSkew = 1.1
-	base.ArrivalsPerHour = 10000
-	base.Cache = &cache.Spec{BudgetBytes: 256 << 20}
-	base.MeasureIntervals = 10 * churnWindow
-	sim, err := New(Config{Servers: 1, Base: base, FlipAt: flipAt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rates []float64
-	var served, requests int
-	sim.stepCheck = func(round int, at checkPoint) {
-		if at != roundEnd || round < base.WarmupIntervals || (round+1-base.WarmupIntervals)%churnWindow != 0 {
-			return
-		}
-		r := sim.engines[0].Snapshot()
-		rates = append(rates, float64(r.ServedFromCache-served)/float64(r.Requests-requests))
-		served, requests = r.ServedFromCache, r.Requests
-	}
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return rates
-}
-
-// TestChurnDipsThenReconverges is the paired popularity-churn test:
-// each seed runs with and without FlipAt, which rotates the shared
-// draw as window 4 of 10 opens.  Before the flip the two runs are one
-// run, window for window.  In the flip's window the hot head sits on
-// objects the cache does not hold, so the hit rate drops at least 0.1
-// below the unflipped run's (seeds 1–8 read 0.22–0.43 against
-// 0.48–0.69).  The dip is over within that window: once the
-// popularity-decay cache has re-converged, the run is the unflipped
-// one under a relabelling of the catalog, so every later window reads
-// the unflipped run's rate to two decimals.
-func TestChurnDipsThenReconverges(t *testing.T) {
-	const flipWindow = 4
-	flipAt := quickBase(0, 0).WarmupIntervals + flipWindow*churnWindow
-	for seed := uint64(1); seed <= 8; seed++ {
-		calm := churnHitRates(t, seed, 0)
-		churned := churnHitRates(t, seed, flipAt)
-		if len(calm) != 10 || len(churned) != 10 {
-			t.Fatalf("seed %d: %d and %d windows, want 10", seed, len(calm), len(churned))
-		}
-		if !reflect.DeepEqual(churned[:flipWindow], calm[:flipWindow]) {
-			t.Errorf("seed %d: windows before the flip differ: %.3f, unflipped %.3f", seed, churned, calm)
-		}
-		if churned[flipWindow] > calm[flipWindow]-0.1 {
-			t.Errorf("seed %d: the flip did not bite: hit rate %.3f in its window, unflipped %.3f",
-				seed, churned[flipWindow], calm[flipWindow])
-		}
-		for w := flipWindow + 1; w < len(calm); w++ {
-			if math.Abs(churned[w]-calm[w]) >= 0.005 {
-				t.Errorf("seed %d: window %d read %.3f, unflipped %.3f: no re-convergence", seed, w, churned[w], calm[w])
-			}
-		}
 	}
 }
 
