@@ -135,6 +135,28 @@ func TestClusterStarvationExit(t *testing.T) {
 	}
 }
 
+// TestStarvationAdviceUnderPressure pins that the starvation diagnosis
+// advises only what the run did not already use: the open staggered
+// k=1 run on the quick farm still starves under -pressure (DESIGN.md
+// §10), and then no longer advises enabling it, while its closed-loop
+// counterpart is rescued (exit 0).
+func TestStarvationAdviceUnderPressure(t *testing.T) {
+	args := []string{"-scale", "quick", "-technique", "staggered", "-stride", "1", "-pressure"}
+	code, _, errOut := runSsim(append(args, "-arrivals", "6000", "-stations", "256")...)
+	if code != 1 || !strings.Contains(errOut, "materializations starved") {
+		t.Fatalf("open run under -pressure: exit %d, stderr %q", code, errOut)
+	}
+	if strings.Contains(errOut, "EvictionPressure") || !strings.Contains(errOut, "raise capacity or use k >= M") {
+		t.Errorf("the diagnosis of a run under -pressure advises it: %q", errOut)
+	}
+	if code, _, errOut := runSsim(args...); code != 0 {
+		t.Errorf("closed loop under -pressure: exit %d, stderr %q", code, errOut)
+	}
+	if _, _, errOut := runSsim("-scale", "quick", "-technique", "staggered", "-stride", "1", "-arrivals", "6000", "-stations", "256"); !strings.Contains(errOut, "enable EvictionPressure") {
+		t.Errorf("the diagnosis of a run without -pressure does not advise it: %q", errOut)
+	}
+}
+
 // TestConfigErrorExitCode pins that a configuration the build refuses
 // exits 1 whichever workload builds it, the engine of a closed-loop
 // run or cluster.New of an open one, while a flag value outside its

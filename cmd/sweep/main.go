@@ -183,11 +183,20 @@ func run() (code int) {
 		}
 	}
 	if starved > 0 {
-		fmt.Fprintf(os.Stderr,
-			"sweep: warning: %d materializations starved at the Place retry cap — throughput for those configurations is not meaningful (raise capacity, add -pressure, or use k >= M; see DESIGN.md §10)\n",
-			starved)
+		fmt.Fprint(os.Stderr, starvationWarning(starved, *pressure))
 	}
 	return 0
+}
+
+// starvationWarning is the stderr line of a sweep whose runs starved
+// materializations, advising only the remedies it did not already use.
+func starvationWarning(starved int, pressure bool) string {
+	advice := "raise capacity, add -pressure, or use k >= M"
+	if pressure {
+		advice = "raise capacity or use k >= M"
+	}
+	return fmt.Sprintf("sweep: warning: %d materializations starved at the Place retry cap — throughput for those configurations is not meaningful (%s; see DESIGN.md §10)\n",
+		starved, advice)
 }
 
 // runClusterGrid runs the E20 cluster-scaling grid: the fleet sizes of

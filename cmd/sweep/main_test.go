@@ -49,6 +49,17 @@ func TestUnreadFlagsPerMode(t *testing.T) {
 	}
 }
 
+// TestStarvationWarning pins that the starvation warning advises
+// -pressure only to a sweep that ran without it.
+func TestStarvationWarning(t *testing.T) {
+	if w := starvationWarning(2, false); !strings.Contains(w, "2 materializations starved") || !strings.Contains(w, "add -pressure") {
+		t.Errorf("warning without -pressure: %q", w)
+	}
+	if w := starvationWarning(2, true); strings.Contains(w, "-pressure") || !strings.Contains(w, "raise capacity or use k >= M") {
+		t.Errorf("warning under -pressure: %q", w)
+	}
+}
+
 // TestParseFaults pins that a -faults plan with server: clauses is a
 // usage error naming the ssim run that executes one: no sweep runs a
 // server plan (an open sweep point is a 1-member cluster without one),

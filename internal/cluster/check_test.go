@@ -68,19 +68,19 @@ func checkRounds(tb testing.TB, s *Sim) []sched.Tracer {
 			return
 		}
 		rounds++
-		if s.orphaned != s.reAdmitted+s.reAdmitDropped {
+		if s.out.OrphanedRequests != s.out.ReAdmitted+s.out.ReAdmitDropped {
 			tb.Fatalf("round %d: %d orphaned != %d re-admitted + %d dropped",
-				t, s.orphaned, s.reAdmitted, s.reAdmitDropped)
+				t, s.out.OrphanedRequests, s.out.ReAdmitted, s.out.ReAdmitDropped)
 		}
 		want := 0
 		for limit := float64(t+1) * s.dt; next < limit; next += shadow.Exp(s.meanGap) {
 			want++
 		}
-		if got := s.lostArrivals - lost + s.delivered - delivered; got != want {
+		if got := s.out.LostArrivals - lost + s.delivered - delivered; got != want {
 			tb.Fatalf("round %d: %d arrivals due, %d delivered + %d lost",
-				t, want, s.delivered-delivered, s.lostArrivals-lost)
+				t, want, s.delivered-delivered, s.out.LostArrivals-lost)
 		}
-		lost, delivered = s.lostArrivals, s.delivered
+		lost, delivered = s.out.LostArrivals, s.delivered
 		if t == warm {
 			// The round opened every window: both ledgers restarted.
 			clear(routed)
@@ -89,11 +89,11 @@ func checkRounds(tb testing.TB, s *Sim) []sched.Tracer {
 		for i, e := range s.engines {
 			r := e.Snapshot()
 			in := r.Requests + r.OpenRejected
-			if in-injected[i] != s.routed[i]-routed[i] {
+			if in-injected[i] != s.out.Routed[i]-routed[i] {
 				tb.Fatalf("round %d: member %d took %d injections, ledger routed it %d",
-					t, i, in-injected[i], s.routed[i]-routed[i])
+					t, i, in-injected[i], s.out.Routed[i]-routed[i])
 			}
-			injected[i], routed[i] = in, s.routed[i]
+			injected[i], routed[i] = in, s.out.Routed[i]
 			if e.Dead() {
 				if e.QueuedRequests() != 0 || e.ActiveDisplays() != 0 {
 					tb.Fatalf("round %d: dead member %d holds %d queued, %d active",
@@ -187,7 +187,7 @@ func checkHeal(tb testing.TB, s *Sim) (func(t int, at checkPoint), []sched.Trace
 	healed := 0
 	return func(t int, at checkPoint) {
 		if at == beforeHeal {
-			inPass, events, healed = true, events[:0], s.healed
+			inPass, events, healed = true, events[:0], s.out.HealedReplicas
 			live = live[:0]
 			for i := range s.engines {
 				live = append(live, !s.dead(i))
@@ -222,7 +222,7 @@ func checkHeal(tb testing.TB, s *Sim) (func(t int, at checkPoint), []sched.Trace
 				tb.Fatalf("round %d: member %d does not hold object %d after the pass adopted it", t, k.member, k.obj)
 			}
 		}
-		if got := s.healed - healed; got != adoptions {
+		if got := s.out.HealedReplicas - healed; got != adoptions {
 			tb.Fatalf("round %d: the heal pass counted %d healed replicas for %d adoptions", t, got, adoptions)
 		}
 	}, trace

@@ -170,27 +170,21 @@ type Sim struct {
 	nextAt    float64
 	meanGap   float64
 
-	// Dispatch counters (reset at the warm-up boundary).
-	routed     []int
-	noHolder   int
-	failedOver int
-
-	// Server-failover state (DESIGN.md §14).  The conservation
-	// counters (orphaned, reAdmitted, reAdmitDropped, healed) are
+	// out holds the ledgers Run returns, counted in place.  The
+	// dispatch counters (Routed, NoHolder, FailedOver) are reset at the
+	// warm-up boundary; the failover ledgers (DESIGN.md §14) are
 	// lifetime, never window-reset: the chaos harness asserts
-	// orphaned == reAdmitted + reAdmitDropped over the whole run.
-	serverEvents   []fault.Event // not yet applied, in time order
-	assignments    [][]int       // build-time replica table, the healing source
-	orphaned       int
-	reAdmitted     int
-	reAdmitDropped int
-	lostArrivals   int
-	delivered      int // fresh arrivals handed to a member, lifetime
-	healed         int
-	healQueue      []healEntry
-	healStart      int // interval of the kill that opened the episode
-	redistribute   int // longest heal episode, in intervals
-	samples        []Sample
+	// OrphanedRequests == ReAdmitted + ReAdmitDropped over the whole
+	// run.  Run fills in the members' Results.
+	out Result
+
+	// Server-failover state (DESIGN.md §14).
+	serverEvents []fault.Event // not yet applied, in time order
+	assignments  [][]int       // build-time replica table, the healing source
+	delivered    int           // fresh arrivals handed to a member, lifetime
+	healQueue    []healEntry
+	healStart    int // interval of the kill that opened the episode
+	redistribute int // longest heal episode, in intervals
 
 	// stepCheck, when set, runs just before and just after every heal
 	// pass and after every round: the tests' continuous invariant
@@ -317,7 +311,7 @@ func New(cfg Config) (*Sim, error) {
 		}
 		s.engines[i] = e
 	}
-	s.routed = make([]int, cfg.Servers)
+	s.out.Routed = make([]int, cfg.Servers)
 	return s, nil
 }
 
@@ -367,10 +361,10 @@ func (s *Sim) deliverArrivals(limit float64) error {
 		}
 		target := s.pick(obj)
 		if target < 0 {
-			s.lostArrivals++
+			s.out.LostArrivals++
 		} else {
 			s.delivered++
-			s.routed[target]++
+			s.out.Routed[target]++
 			if _, err := s.engines[target].InjectArrival(obj); err != nil {
 				return fmt.Errorf("cluster: arrival on server %d: %w", target, err)
 			}
@@ -407,22 +401,22 @@ func (s *Sim) killServer(i int) error {
 	if err != nil {
 		return fmt.Errorf("cluster: kill server %d: %w", i, err)
 	}
-	s.orphaned += len(rep.Orphans)
+	s.out.OrphanedRequests += len(rep.Orphans)
 	for _, obj := range rep.Orphans {
 		target := s.pick(obj)
 		if target < 0 {
-			s.reAdmitDropped++
+			s.out.ReAdmitDropped++
 			continue
 		}
-		s.routed[target]++
+		s.out.Routed[target]++
 		ok, err := s.engines[target].InjectArrival(obj)
 		if err != nil {
 			return fmt.Errorf("cluster: re-admit on server %d: %w", target, err)
 		}
 		if ok {
-			s.reAdmitted++
+			s.out.ReAdmitted++
 		} else {
-			s.reAdmitDropped++
+			s.out.ReAdmitDropped++
 		}
 	}
 	if s.cfg.HealBudget > 0 {
@@ -490,7 +484,7 @@ func (s *Sim) healPass(now int) {
 		if !s.engines[target].AdoptObject(h.obj) {
 			break // no room anywhere useful this window; retry next
 		}
-		s.healed++
+		s.out.HealedReplicas++
 		budget--
 		s.healQueue = s.healQueue[1:]
 	}
@@ -515,7 +509,7 @@ func (s *Sim) takeSample(t int) {
 	for _, e := range s.engines {
 		sum += e.CompletedDisplays()
 	}
-	s.samples = append(s.samples, Sample{Seconds: float64(t) * s.dt, Displays: sum})
+	s.out.Samples = append(s.out.Samples, Sample{Seconds: float64(t) * s.dt, Displays: sum})
 }
 
 // Run executes the cluster to its horizon and returns the merged
@@ -541,8 +535,8 @@ func (s *Sim) Run() (Result, error) {
 			for _, e := range s.engines {
 				e.ResetWindow()
 			}
-			clear(s.routed)
-			s.noHolder, s.failedOver = 0, 0
+			clear(s.out.Routed)
+			s.out.NoHolder, s.out.FailedOver = 0, 0
 		}
 		if t > 0 && s.cfg.SampleIntervals > 0 && t%s.cfg.SampleIntervals == 0 {
 			s.takeSample(t)
@@ -565,20 +559,10 @@ func (s *Sim) Run() (Result, error) {
 		}
 		s.check(t, roundEnd)
 	}
-	res := Result{
-		Servers:             make([]sched.Result, len(s.engines)),
-		Dispatch:            Policies()[s.policy],
-		Routed:              s.routed,
-		NoHolder:            s.noHolder,
-		FailedOver:          s.failedOver,
-		OrphanedRequests:    s.orphaned,
-		ReAdmitted:          s.reAdmitted,
-		ReAdmitDropped:      s.reAdmitDropped,
-		LostArrivals:        s.lostArrivals,
-		HealedReplicas:      s.healed,
-		RedistributeSeconds: float64(s.redistribute) * s.dt,
-		Samples:             s.samples,
-	}
+	res := s.out
+	res.Dispatch = Policies()[s.policy]
+	res.RedistributeSeconds = float64(s.redistribute) * s.dt
+	res.Servers = make([]sched.Result, len(s.engines))
 	for i, e := range s.engines {
 		res.Servers[i] = e.Snapshot()
 	}

@@ -64,7 +64,7 @@ func (s *Sim) pick(obj int) int {
 		// off once the member restarts.
 		for k := 1; k < n; k++ {
 			if j := (i + k) % n; !s.dead(j) {
-				s.failedOver++
+				s.out.FailedOver++
 				return j
 			}
 		}
@@ -77,7 +77,7 @@ func (s *Sim) pick(obj int) int {
 		// a drained corpse that happens to report zero load.
 		target := s.leastLoaded(obj, false)
 		if target >= 0 {
-			s.noHolder++
+			s.out.NoHolder++
 		}
 		return target
 	}
@@ -114,7 +114,7 @@ func (s *Sim) leastLoaded(obj int, holders bool) int {
 		}
 	}
 	if best >= 0 && bestAll != best {
-		s.failedOver++
+		s.out.FailedOver++
 	}
 	if s.pickCheck != nil {
 		s.pickCheck(obj, holders, best)

@@ -44,8 +44,8 @@ func TestDispatchSkipsDeadMembers(t *testing.T) {
 	if got := sim.pick(obj); got != 0 {
 		t.Fatalf("live holder: pick = %d, want 0", got)
 	}
-	if sim.noHolder != 0 || sim.failedOver != 0 {
-		t.Fatalf("clean pick counted noHolder %d, failedOver %d", sim.noHolder, sim.failedOver)
+	if sim.out.NoHolder != 0 || sim.out.FailedOver != 0 {
+		t.Fatalf("clean pick counted noHolder %d, failedOver %d", sim.out.NoHolder, sim.out.FailedOver)
 	}
 
 	if _, err := sim.engines[0].Kill(); err != nil {
@@ -54,8 +54,8 @@ func TestDispatchSkipsDeadMembers(t *testing.T) {
 	if got := sim.pick(obj); got != 1 {
 		t.Fatalf("dead holder: pick = %d, want live member 1", got)
 	}
-	if sim.noHolder != 1 {
-		t.Fatalf("dead-holder fallback counted noHolder %d, want 1", sim.noHolder)
+	if sim.out.NoHolder != 1 {
+		t.Fatalf("dead-holder fallback counted noHolder %d, want 1", sim.out.NoHolder)
 	}
 
 	for _, p := range []policy{roundRobin, leastLoaded} {
@@ -64,22 +64,22 @@ func TestDispatchSkipsDeadMembers(t *testing.T) {
 			t.Fatalf("%s with member 0 dead: pick = %d, want 1", Policies()[p], got)
 		}
 	}
-	if sim.failedOver == 0 {
+	if sim.out.FailedOver == 0 {
 		t.Fatal("no policy counted a failover off the dead member")
 	}
 
 	if _, err := sim.engines[1].Kill(); err != nil {
 		t.Fatal(err)
 	}
-	noHolder := sim.noHolder
+	noHolder := sim.out.NoHolder
 	for _, p := range []policy{roundRobin, leastLoaded, popularity} {
 		sim.policy = p
 		if got := sim.pick(obj); got != -1 {
 			t.Fatalf("%s with every member dead: pick = %d, want -1", Policies()[p], got)
 		}
 	}
-	if sim.noHolder != noHolder {
-		t.Fatalf("a lost arrival counted as a no-holder fallback: %d -> %d", noHolder, sim.noHolder)
+	if sim.out.NoHolder != noHolder {
+		t.Fatalf("a lost arrival counted as a no-holder fallback: %d -> %d", noHolder, sim.out.NoHolder)
 	}
 }
 

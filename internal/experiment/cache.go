@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/mmsim/staggered/internal/cache"
+	"github.com/mmsim/staggered/internal/sched"
 )
 
 // E19 — displays/hour and startup latency vs cache size (DESIGN.md
@@ -23,21 +24,13 @@ import (
 // have demand to convert.
 const e19ArrivalsPerHour = 6000
 
-// E19Point is one cell of the sweep.
+// E19Point is one cell of the sweep: its coordinates and the run's
+// Result.
 type E19Point struct {
-	Skew            float64 `json:"zipf_skew"`
-	BudgetMB        int     `json:"cache_mb"`
-	WindowIntervals int     `json:"batch_window"`
-
-	DisplaysPerHour    float64 `json:"displays_per_hour"`
-	StartupMeanSeconds float64 `json:"startup_mean_seconds"`
-	HitRate            float64 `json:"cache_hit_rate"`
-
-	Displays         int   `json:"displays"`
-	ServedFromCache  int   `json:"served_from_cache"`
-	BatchedFollowers int   `json:"batched_followers"`
-	CacheHitBytes    int64 `json:"cache_hit_bytes"`
-	OpenRejected     int   `json:"open_rejected"`
+	Skew            float64
+	BudgetMB        int
+	WindowIntervals int
+	Result          sched.Result
 }
 
 // E19Run executes one cell: the quick geometry driven by an open
@@ -56,21 +49,7 @@ func E19Run(skew float64, budgetMB, window int, seed uint64) (E19Point, error) {
 	if err != nil {
 		return E19Point{}, fmt.Errorf("e19 skew=%v mb=%d w=%d: %w", skew, budgetMB, window, err)
 	}
-	return E19Point{
-		Skew:            skew,
-		BudgetMB:        budgetMB,
-		WindowIntervals: window,
-
-		DisplaysPerHour:    res.Throughput(),
-		StartupMeanSeconds: res.Latency.Mean(),
-		HitRate:            res.CacheHitRate(),
-
-		Displays:         res.Displays,
-		ServedFromCache:  res.ServedFromCache,
-		BatchedFollowers: res.BatchedFollowers,
-		CacheHitBytes:    res.CacheHitBytes,
-		OpenRejected:     res.OpenRejected,
-	}, nil
+	return E19Point{Skew: skew, BudgetMB: budgetMB, WindowIntervals: window, Result: res}, nil
 }
 
 // E19 runs the full sweep sequentially (24 quick runs; deterministic
@@ -101,10 +80,11 @@ func E19Render(points []E19Point) string {
 	fmt.Fprintf(&b, "%6s %9s %7s %12s %10s %8s %10s %10s %9s\n",
 		"skew", "cache_mb", "window", "per_hour", "startup_s", "hitrate", "followers", "cache_gb", "rejected")
 	for _, p := range points {
+		r := p.Result
 		fmt.Fprintf(&b, "%6.1f %9d %7d %12.1f %10.3f %8.3f %10d %10.2f %9d\n",
-			p.Skew, p.BudgetMB, p.WindowIntervals, p.DisplaysPerHour,
-			p.StartupMeanSeconds, p.HitRate, p.BatchedFollowers,
-			float64(p.CacheHitBytes)/(1<<30), p.OpenRejected)
+			p.Skew, p.BudgetMB, p.WindowIntervals, r.Throughput(),
+			r.Latency.Mean(), r.CacheHitRate(), r.BatchedFollowers,
+			float64(r.CacheHitBytes)/(1<<30), r.OpenRejected)
 	}
 	return b.String()
 }

@@ -16,18 +16,18 @@ func TestE19BeatsDiskCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached.DisplaysPerHour <= baseline.DisplaysPerHour {
+	if cached.Result.Throughput() <= baseline.Result.Throughput() {
 		t.Errorf("cached %0.1f/hour did not beat disk-only %0.1f/hour",
-			cached.DisplaysPerHour, baseline.DisplaysPerHour)
+			cached.Result.Throughput(), baseline.Result.Throughput())
 	}
-	if cached.HitRate <= 0 {
+	if cached.Result.CacheHitRate() <= 0 {
 		t.Error("cached run reports zero hit rate")
 	}
-	if cached.StartupMeanSeconds >= baseline.StartupMeanSeconds {
+	if cached.Result.Latency.Mean() >= baseline.Result.Latency.Mean() {
 		t.Errorf("cached startup %0.1fs not below disk-only %0.1fs",
-			cached.StartupMeanSeconds, baseline.StartupMeanSeconds)
+			cached.Result.Latency.Mean(), baseline.Result.Latency.Mean())
 	}
-	if baseline.ServedFromCache != 0 || baseline.CacheHitBytes != 0 {
+	if baseline.Result.ServedFromCache != 0 || baseline.Result.CacheHitBytes != 0 {
 		t.Errorf("disk-only baseline touched the cache: %+v", baseline)
 	}
 }

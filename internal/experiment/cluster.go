@@ -30,21 +30,18 @@ const E20ArrivalsPerServer = 4000.0
 const E20ZipfTheta = 1.1
 
 // ClusterPoint is one E20 measurement: one fleet size under one
-// dispatch policy.
+// dispatch policy, and the cluster run's Result.  Its table reports
+// the aggregate displays per hour, the tertiary stagings across the
+// fleet (the cost object-blind dispatch pays on the cold tail), the
+// arrivals refused for want of an idle station, and the popularity
+// dispatches that found no holder.
 type ClusterPoint struct {
-	Servers int     `json:"servers"`
-	Policy  string  `json:"policy"`
-	PerHour float64 `json:"displays_per_hour"`
-	// ScaleVsOne is PerHour over the same policy's 1-server PerHour.
-	ScaleVsOne float64 `json:"scale_vs_one,omitempty"`
-	// Materializations counts tertiary stagings across the fleet in
-	// the window — the cost object-blind dispatch pays on the cold
-	// tail.
-	Materializations int `json:"materializations"`
-	// Rejected counts arrivals refused for want of an idle station.
-	Rejected int `json:"rejected"`
-	// NoHolder counts popularity dispatches that found no holder.
-	NoHolder int `json:"no_holder,omitempty"`
+	Servers int
+	Policy  string
+	// ScaleVsOne is the aggregate throughput over the same policy's
+	// 1-server throughput.
+	ScaleVsOne float64
+	Result     cluster.Result
 }
 
 // E20Config builds the cluster configuration of one E20 point: quick
@@ -72,14 +69,7 @@ func RunE20Point(servers int, policy string, seed uint64) (ClusterPoint, error) 
 	if err != nil {
 		return ClusterPoint{}, fmt.Errorf("e20 %d×%s: %w", servers, policy, err)
 	}
-	return ClusterPoint{
-		Servers:          servers,
-		Policy:           policy,
-		PerHour:          res.Aggregate.Throughput(),
-		Materializations: res.Aggregate.Materializa,
-		Rejected:         res.Aggregate.OpenRejected,
-		NoHolder:         res.NoHolder,
-	}, nil
+	return ClusterPoint{Servers: servers, Policy: policy, Result: res}, nil
 }
 
 // E20 runs the full servers × policy grid.
@@ -103,9 +93,10 @@ func E20Grid(servers []int, policies []string, seed uint64) ([]ClusterPoint, err
 	}
 
 	for i := range points {
-		base := points[i-i%len(servers)] // the policy's smallest-fleet point
-		if base.PerHour > 0 {
-			points[i].ScaleVsOne = points[i].PerHour / base.PerHour
+		// The policy's smallest-fleet point.
+		base := points[i-i%len(servers)].Result.Aggregate.Throughput()
+		if base > 0 {
+			points[i].ScaleVsOne = points[i].Result.Aggregate.Throughput() / base
 		}
 	}
 	return points, nil
@@ -125,14 +116,15 @@ func e20Table(points []ClusterPoint) *metrics.Table {
 		"servers", "policy", "displays_per_hour", "scale_vs_one", "materializations", "rejected", "no_holder",
 	}}
 	for _, p := range points {
+		agg := p.Result.Aggregate
 		tbl.AddRow(
 			fmt.Sprintf("%d", p.Servers),
 			p.Policy,
-			fmt.Sprintf("%.1f", p.PerHour),
+			fmt.Sprintf("%.1f", agg.Throughput()),
 			fmt.Sprintf("%.2fx", p.ScaleVsOne),
-			fmt.Sprintf("%d", p.Materializations),
-			fmt.Sprintf("%d", p.Rejected),
-			fmt.Sprintf("%d", p.NoHolder),
+			fmt.Sprintf("%d", agg.Materializa),
+			fmt.Sprintf("%d", agg.OpenRejected),
+			fmt.Sprintf("%d", p.Result.NoHolder),
 		)
 	}
 	return tbl

@@ -19,7 +19,7 @@ func TestE20ClusterScaling(t *testing.T) {
 	byKey := make(map[string]ClusterPoint, len(points))
 	for _, p := range points {
 		byKey[key(p.Servers, p.Policy)] = p
-		if p.PerHour <= 0 {
+		if p.Result.Aggregate.Throughput() <= 0 {
 			t.Fatalf("%d×%s delivered no throughput", p.Servers, p.Policy)
 		}
 	}
@@ -30,9 +30,9 @@ func TestE20ClusterScaling(t *testing.T) {
 	}
 	for _, n := range E20Servers[1:] {
 		rr, pop := byKey[key(n, "roundrobin")], byKey[key(n, "popularity")]
-		if pop.PerHour <= rr.PerHour {
+		if pop.Result.Aggregate.Throughput() <= rr.Result.Aggregate.Throughput() {
 			t.Errorf("%d servers: popularity %.1f/hr does not beat roundrobin %.1f/hr",
-				n, pop.PerHour, rr.PerHour)
+				n, pop.Result.Aggregate.Throughput(), rr.Result.Aggregate.Throughput())
 		}
 	}
 }

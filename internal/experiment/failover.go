@@ -41,32 +41,19 @@ const E21HealBudget = 2
 const E21SampleIntervals = 150
 
 // FailoverPoint is one E21 measurement: one dispatch policy at one
-// replica depth, with one member killed mid-window.
+// replica depth, with one member killed mid-window, and the cluster
+// run's Result, whose failover ledgers the table reports.
 type FailoverPoint struct {
-	Policy string `json:"policy"`
-	Depth  int    `json:"replica_depth"`
+	Policy string
+	Depth  int
 	// PreKillPerHour and PostKillPerHour are the cluster throughput
 	// rates before the kill and after the survivors settle, from the
 	// recovery curve.
-	PreKillPerHour  float64 `json:"pre_kill_per_hour"`
-	PostKillPerHour float64 `json:"post_kill_per_hour"`
+	PreKillPerHour  float64
+	PostKillPerHour float64
 	// Recovery is PostKillPerHour over PreKillPerHour.
-	Recovery float64 `json:"recovery"`
-	// FailedOver counts dispatches re-routed off the dead member.
-	FailedOver int `json:"failed_over"`
-	// Orphaned / ReAdmitted / Dropped are the kill-drain conservation
-	// counters: Orphaned == ReAdmitted + Dropped always.
-	Orphaned   int `json:"orphaned"`
-	ReAdmitted int `json:"readmitted"`
-	Dropped    int `json:"dropped"`
-	// Lost counts fresh arrivals that found every member dead (0 here —
-	// three members always survive).
-	Lost int `json:"lost"`
-	// NoHolder counts popularity fallbacks (no live holder).
-	NoHolder int `json:"no_holder,omitempty"`
-	// Healed and RedistributeSeconds summarize the healing pass.
-	Healed              int     `json:"healed"`
-	RedistributeSeconds float64 `json:"redistribute_seconds"`
+	Recovery float64
+	Result   cluster.Result
 }
 
 // e21Points is the policy × depth grid: leastloaded as the
@@ -127,18 +114,11 @@ func RunE21Point(policy string, depth int, seed uint64) (FailoverPoint, error) {
 	pre := sampleRate(res.Samples, warmS, killS)
 	post := sampleRate(res.Samples, killS+(endS-killS)/2, endS)
 	p := FailoverPoint{
-		Policy:              policy,
-		Depth:               depth,
-		PreKillPerHour:      pre * 3600,
-		PostKillPerHour:     post * 3600,
-		FailedOver:          res.FailedOver,
-		Orphaned:            res.OrphanedRequests,
-		ReAdmitted:          res.ReAdmitted,
-		Dropped:             res.ReAdmitDropped,
-		Lost:                res.LostArrivals,
-		NoHolder:            res.NoHolder,
-		Healed:              res.HealedReplicas,
-		RedistributeSeconds: res.RedistributeSeconds,
+		Policy:          policy,
+		Depth:           depth,
+		PreKillPerHour:  pre * 3600,
+		PostKillPerHour: post * 3600,
+		Result:          res,
 	}
 	if pre > 0 {
 		p.Recovery = post / pre
@@ -191,19 +171,20 @@ func RenderE21(points []FailoverPoint) string {
 		"failed_over", "orphaned", "readmitted", "dropped", "no_holder", "healed", "redistribute_s",
 	}}
 	for _, p := range points {
+		r := p.Result
 		tbl.AddRow(
 			p.Policy,
 			fmt.Sprintf("%d", p.Depth),
 			fmt.Sprintf("%.1f", p.PreKillPerHour),
 			fmt.Sprintf("%.1f", p.PostKillPerHour),
 			fmt.Sprintf("%.2f", p.Recovery),
-			fmt.Sprintf("%d", p.FailedOver),
-			fmt.Sprintf("%d", p.Orphaned),
-			fmt.Sprintf("%d", p.ReAdmitted),
-			fmt.Sprintf("%d", p.Dropped),
-			fmt.Sprintf("%d", p.NoHolder),
-			fmt.Sprintf("%d", p.Healed),
-			fmt.Sprintf("%.1f", p.RedistributeSeconds),
+			fmt.Sprintf("%d", r.FailedOver),
+			fmt.Sprintf("%d", r.OrphanedRequests),
+			fmt.Sprintf("%d", r.ReAdmitted),
+			fmt.Sprintf("%d", r.ReAdmitDropped),
+			fmt.Sprintf("%d", r.NoHolder),
+			fmt.Sprintf("%d", r.HealedReplicas),
+			fmt.Sprintf("%.1f", r.RedistributeSeconds),
 		)
 	}
 	return fmt.Sprintf("E21: server failover, %d servers, member %d killed mid-window (Zipf θ=%.1f)\n",

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -30,14 +31,15 @@ func TestE21FailoverRecovery(t *testing.T) {
 		// Conservation: the kill drained some requests, and every one of
 		// them is accounted for.  Three members survive the whole run, so
 		// nothing is ever lost outright.
-		if p.Orphaned != p.ReAdmitted+p.Dropped {
+		r := p.Result
+		if r.OrphanedRequests != r.ReAdmitted+r.ReAdmitDropped {
 			t.Errorf("%s×d%d: orphan conservation violated: %d orphaned != %d readmitted + %d dropped",
-				p.Policy, p.Depth, p.Orphaned, p.ReAdmitted, p.Dropped)
+				p.Policy, p.Depth, r.OrphanedRequests, r.ReAdmitted, r.ReAdmitDropped)
 		}
-		if p.Lost != 0 {
-			t.Errorf("%s×d%d: %d arrivals lost with 3 live members", p.Policy, p.Depth, p.Lost)
+		if r.LostArrivals != 0 {
+			t.Errorf("%s×d%d: %d arrivals lost with 3 live members", p.Policy, p.Depth, r.LostArrivals)
 		}
-		if p.FailedOver <= 0 {
+		if r.FailedOver <= 0 {
 			t.Errorf("%s×d%d: no dispatch ever failed over off the dead member", p.Policy, p.Depth)
 		}
 	}
@@ -64,7 +66,7 @@ func TestE21Deterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same seed, different failover results:\n  first:  %+v\n  second: %+v", a, b)
 	}
 }

@@ -33,21 +33,21 @@ func ScaleConfig(factor int, seed uint64) sched.Config {
 // ScalePoint is one scale-sweep measurement: how much wall-clock one
 // engine run costs at a given model size.
 type ScalePoint struct {
-	Factor       int     `json:"factor"`
-	D            int     `json:"disks"`
-	Stations     int     `json:"stations"`
-	Displays     int     `json:"displays"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	Intervals    int     `json:"intervals"`
-	IntervalsSec float64 `json:"intervals_per_second"`
+	Factor       int
+	D            int
+	Stations     int
+	Displays     int
+	WallSeconds  float64
+	Intervals    int
+	IntervalsSec float64
 	// NsPerDisplay is wall-clock nanoseconds divided by displays
 	// completed: the cost per unit of simulated work, compared across
 	// factors.
-	NsPerDisplay float64 `json:"ns_per_display,omitempty"`
+	NsPerDisplay float64
 	// HeapAllocBytes is the live heap right after the run — the
 	// Store/placement-table footprint that dominates at 1000x,
 	// measured before it can be compacted away.
-	HeapAllocBytes uint64 `json:"heap_alloc_bytes,omitempty"`
+	HeapAllocBytes uint64
 }
 
 // RunScalePoint executes one striped run at the given factor and

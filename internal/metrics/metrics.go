@@ -96,7 +96,7 @@ type Run struct {
 	Displays        int // completed displays in the measurement window
 	Materializa     int // completed materializations in the window
 	Replications    int // completed replications (VDR only)
-	Hiccups         int // delivery continuity violations (must be 0)
+	Hiccups         int // delivery continuity violations over the whole run, warm-up included (must be 0)
 	Coalescings     int // Algorithm 2 invocations
 	TertiaryBusy    float64
 	DiskBusy        float64 // mean busy disks (fraction of D)

@@ -64,8 +64,8 @@ func (e *Engine) tryCacheServe(s, obj int) bool {
 		return false
 	}
 	if _, ok := e.cache.AttachGap(obj, e.now, window); ok {
-		e.servedCache++
-		e.cacheHitBytes += e.cache.Bytes(obj)
+		e.win.ServedFromCache++
+		e.win.CacheHitBytes += e.cache.Bytes(obj)
 		e.startFollower(s, obj, e.now+e.cfg.Subobjects, 0)
 		return true
 	}
@@ -87,9 +87,9 @@ func (e *Engine) startFollower(st, obj, endAt, latIntervals int) {
 	e.activeFollowers++
 	e.followers.add(e.now, endAt, followerRef{station: int32(st), gen: e.followerGen[st]})
 	e.cache.AddFollower(obj, int32(st))
-	e.batchedFollowers++
+	e.win.BatchedFollowers++
 	e.admittedTotal++
-	e.latency.Add(float64(latIntervals) * e.dt)
+	e.win.Latency.Add(float64(latIntervals) * e.dt)
 	e.emit(EvAdmit, obj, st, "follower")
 }
 
@@ -102,7 +102,7 @@ func (e *Engine) noteAdmit(s int32, tmax int) {
 	e.admittedTotal++
 	obj, wait := int(e.queue.node[s].obj), e.now-int(e.queue.node[s].at)
 	if e.cache == nil {
-		e.latency.Add(float64(wait) * e.dt)
+		e.win.Latency.Add(float64(wait) * e.dt)
 		return
 	}
 	res := e.cache.Resident(obj)
@@ -110,13 +110,13 @@ func (e *Engine) noteAdmit(s int32, tmax int) {
 	if res {
 		// The pinned prefix plays while the disk streams start: up to
 		// PrefixLen intervals of queueing are invisible to the viewer.
-		e.servedCache++
-		e.cacheHitBytes += e.cache.Bytes(obj)
+		e.win.ServedFromCache++
+		e.win.CacheHitBytes += e.cache.Bytes(obj)
 		if lat -= e.cache.PrefixLen(); lat < 0 {
 			lat = 0
 		}
 	}
-	e.latency.Add(float64(lat) * e.dt)
+	e.win.Latency.Add(float64(lat) * e.dt)
 	if e.cfg.Cache.BatchWindow <= 0 {
 		return // without batching nothing attaches to a leader
 	}
@@ -128,8 +128,8 @@ func (e *Engine) noteAdmit(s int32, tmax int) {
 		e.pendingFollowers--
 		plat := e.now - int(p.Arrived)
 		if res {
-			e.servedCache++
-			e.cacheHitBytes += e.cache.Bytes(obj)
+			e.win.ServedFromCache++
+			e.win.CacheHitBytes += e.cache.Bytes(obj)
 			if plat -= e.cache.PrefixLen(); plat < 0 {
 				plat = 0
 			}
@@ -155,10 +155,7 @@ func (e *Engine) finishFollowers() {
 		e.activeFollowers--
 		obj := int(e.followerObj[st])
 		e.cache.RemoveFollower(obj, st)
-		e.completed++
-		e.completedTotal++
-		e.stn.Complete(int(st))
-		e.emit(EvComplete, obj, int(st), "follower")
+		e.countComplete(int(st), obj, "follower")
 		e.reissue(int(st))
 	}
 }
@@ -186,7 +183,7 @@ func (e *Engine) abortFollower(st int32) {
 	e.followerGen[st]++
 	e.followerActive[st] = false
 	e.activeFollowers--
-	e.aborted++
+	e.win.AbortedDisplays++
 	e.abortedTotal++
 	e.endUnserved(int(st), EvAbort, int(e.followerObj[st]), "follower")
 }
@@ -197,7 +194,7 @@ func (e *Engine) rejectPending(object int) {
 	e.pendingBuf = e.cache.TakePending(object, e.pendingBuf[:0])
 	for _, p := range e.pendingBuf {
 		e.pendingFollowers--
-		e.rejectedDeg++
+		e.win.RejectedDegraded++
 		e.endUnserved(int(p.Station), EvReject, object, "follower")
 	}
 }

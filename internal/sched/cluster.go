@@ -79,7 +79,7 @@ func (e *Engine) InjectArrival(object int) (bool, error) {
 	}
 	n := len(e.idle)
 	if n == 0 {
-		e.openRejected++
+		e.win.OpenRejected++
 		return false, nil
 	}
 	s := int(e.idle[n-1])

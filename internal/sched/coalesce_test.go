@@ -266,7 +266,7 @@ func TestCoalescedRescheduleOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := e.Run()
-	if e.coalescings == 0 {
+	if e.win.Coalescings == 0 {
 		t.Fatal("config never coalesced a stream; the stale-release path was not exercised")
 	}
 	if res.Hiccups != 0 {

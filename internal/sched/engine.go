@@ -5,7 +5,6 @@ import (
 
 	"github.com/mmsim/staggered/internal/cache"
 	"github.com/mmsim/staggered/internal/fault"
-	"github.com/mmsim/staggered/internal/metrics"
 	"github.com/mmsim/staggered/internal/policy"
 	"github.com/mmsim/staggered/internal/rng"
 	"github.com/mmsim/staggered/internal/tertiary"
@@ -141,13 +140,12 @@ type Engine struct {
 	// arrivals come only through InjectArrival, so it has no
 	// generator (gen is nil), and its technique preloads exactly
 	// preload instead of the most popular objects.  Its stations wait
-	// in idle, a LIFO pool, between displays; openRejected counts the
+	// in idle, a LIFO pool, between displays; OpenRejected counts the
 	// window's arrivals that found the pool empty.  A standalone
 	// engine is the paper's closed loop and keeps both zero.
-	member       bool
-	preload      []int
-	idle         []int32
-	openRejected int
+	member  bool
+	preload []int
+	idle    []int32
 
 	primed bool // Prime has run: stations seeded
 
@@ -198,23 +196,14 @@ type Engine struct {
 	faultedDisks []int32 // sorted disks with any bit: the active set of the degraded scans
 	tertDown     bool
 
-	// Counters (window handling in Run).
-	completed    int
-	materialized int
-	coalescings  int
-	replications int
-	hiccups      int
-	latency      metrics.Tally // admission latencies in seconds
-	busyArea     float64       // disk-busy integral in disk·intervals
-	tertBusy     int           // tertiary-busy intervals
-
-	// Degraded-mode window counters.
-	requests    int
-	degHiccups  int
-	aborted     int
-	orphaned    int // of aborted: drained by a whole-server Kill
-	rejectedDeg int
-	starved     int
+	// win holds the measurement window's counters, declared once in
+	// Result: the code counts straight into their fields, ResetWindow
+	// zeroes the whole struct, and Snapshot fills in the fields it
+	// derives (the busy ratios, the window lengths, UniqueResidents,
+	// Hiccups), which stay zero here.
+	win      Result
+	busyArea float64 // disk-busy integral in disk·intervals
+	tertBusy int     // tertiary-busy intervals
 
 	// Server-failover state (DESIGN.md §14).  All zero on a run that is
 	// never killed, and Snapshot's normalization then reduces to the
@@ -222,14 +211,10 @@ type Engine struct {
 	dead         bool
 	deadMeasured int // measured intervals stepped while dead
 
-	// Cache-tier window counters.
-	servedCache      int
-	batchedFollowers int
-	cacheHitBytes    int64
-
 	// Lifetime counters (never window-reset): the chaos harness's
-	// conservation invariant and RunChecked's starvation check must see
-	// warm-up activity too.
+	// conservation invariant, RunChecked's starvation check and the
+	// hiccup count Snapshot reports must see warm-up activity too.
+	hiccups        int
 	admittedTotal  int
 	completedTotal int
 	abortedTotal   int
@@ -314,7 +299,7 @@ func (e *Engine) enqueue(s int) {
 // engine: the cache tier's chance to serve it, then the queue.  It is
 // the tail of enqueue and of InjectArrival.
 func (e *Engine) record(s, obj int) {
-	e.requests++
+	e.win.Requests++
 	if e.cache != nil {
 		if e.tryCacheServe(s, obj) {
 			return
@@ -468,11 +453,21 @@ func (e *Engine) endUnserved(s int, kind EventKind, obj int, note string) {
 	e.reissue(s)
 }
 
+// countComplete ends station s's display of obj as a completion: it
+// is counted, traced with note, and the station is freed.  The caller
+// reissues the station.
+func (e *Engine) countComplete(s, obj int, note string) {
+	e.win.Displays++
+	e.completedTotal++
+	e.emit(EvComplete, obj, s, note)
+	e.stn.Complete(s)
+}
+
 // countAbort ends station s's display without counting a completion:
 // the display was killed by a fault.  The station rejoins the closed
 // loop through the usual reissue path.
 func (e *Engine) countAbort(s, object int) {
-	e.aborted++
+	e.win.AbortedDisplays++
 	e.abortedTotal++
 	e.endUnserved(s, EvAbort, object, "")
 	if e.cache != nil {
@@ -495,7 +490,7 @@ func (e *Engine) flushRejects() {
 	for _, s := range e.rejectBuf {
 		obj := int(e.queue.node[s].obj)
 		e.pinned[obj]--
-		e.rejectedDeg++
+		e.win.RejectedDegraded++
 		e.endUnserved(int(s), EvReject, obj, "")
 		if e.cache != nil && e.pinned[obj] == 0 {
 			e.rejectPending(obj)
@@ -507,7 +502,7 @@ func (e *Engine) flushRejects() {
 // countStarved records a materialization abandoned at the Place retry
 // cap.
 func (e *Engine) countStarved(object int) {
-	e.starved++
+	e.win.StarvedMaterializations++
 	e.starvedTotal++
 	e.emit(EvStarve, object, -1, "")
 	e.cacheStagingAborted(object)
@@ -571,13 +566,8 @@ func (e *Engine) StepOne() {
 // boundary; windowed callers (churn re-convergence tests, cluster
 // drivers) may call it repeatedly to carve a run into segments.
 func (e *Engine) ResetWindow() {
-	e.completed, e.materialized, e.coalescings, e.replications = 0, 0, 0, 0
-	e.latency = metrics.Tally{}
+	e.win = Result{}
 	e.busyArea, e.tertBusy = 0, 0
-	e.requests, e.degHiccups, e.aborted, e.rejectedDeg, e.starved = 0, 0, 0, 0, 0
-	e.orphaned = 0
-	e.servedCache, e.batchedFollowers, e.cacheHitBytes = 0, 0, 0
-	e.openRejected = 0
 }
 
 // Run executes warm-up and measurement and returns the statistics.
@@ -596,51 +586,32 @@ func (e *Engine) Run() Result {
 	return e.Snapshot()
 }
 
-// Snapshot assembles a Result from the window counters as they stand.
-// The ratio fields normalize by the full measurement window, so a
-// Snapshot taken mid-run (or over a shorter ResetWindow segment)
-// reports exact counts but pro-rated utilizations.  A member that
-// spent part of the window dead (Kill/Revive) normalizes by the
-// measured intervals it did not step dead, so cluster merges — which
-// weight busy ratios by MeasureSeconds — do not dilute a survivor's
-// utilization with a corpse's zeros; with no dead span the divisor is
-// exactly MeasureIntervals, byte-identical to the pinned goldens.
+// Snapshot assembles a Result from the window counters as they stand,
+// filling in the fields it derives; Hiccups counts the whole run,
+// warm-up included.  The ratio fields normalize by the full
+// measurement window, so a Snapshot taken mid-run (or over a shorter
+// ResetWindow segment) reports exact counts but pro-rated
+// utilizations.  A member that spent part of the window dead
+// (Kill/Revive) normalizes by the measured intervals it did not step
+// dead, so cluster merges — which weight busy ratios by
+// MeasureSeconds — do not dilute a survivor's utilization with a
+// corpse's zeros; with no dead span the divisor is exactly
+// MeasureIntervals, byte-identical to the pinned goldens.
 func (e *Engine) Snapshot() Result {
 	meas := e.cfg.MeasureIntervals - e.deadMeasured
-	tertBusy, diskBusy := 0.0, 0.0
+	r := e.win
+	r.Technique = e.techName
+	r.Stations = e.cfg.Stations
+	r.DistMean = e.cfg.DistMean
+	r.WarmupSeconds = float64(e.cfg.WarmupIntervals) * e.dt
+	r.MeasureSeconds = float64(meas) * e.dt
 	if meas > 0 {
-		tertBusy = float64(e.tertBusy) / float64(meas)
-		diskBusy = e.busyArea / (float64(meas) * float64(e.cfg.D))
+		r.TertiaryBusy = float64(e.tertBusy) / float64(meas)
+		r.DiskBusy = e.busyArea / (float64(meas) * float64(e.cfg.D))
 	}
-	return Result{
-		Technique:       e.techName,
-		Stations:        e.cfg.Stations,
-		DistMean:        e.cfg.DistMean,
-		WarmupSeconds:   float64(e.cfg.WarmupIntervals) * e.dt,
-		MeasureSeconds:  float64(meas) * e.dt,
-		Displays:        e.completed,
-		Materializa:     e.materialized,
-		Replications:    e.replications,
-		Hiccups:         e.hiccups,
-		Coalescings:     e.coalescings,
-		TertiaryBusy:    tertBusy,
-		DiskBusy:        diskBusy,
-		UniqueResidents: e.tech.uniqueResidents(),
-
-		Requests:                e.requests,
-		DegradedHiccups:         e.degHiccups,
-		AbortedDisplays:         e.aborted,
-		OrphanedDisplays:        e.orphaned,
-		RejectedDegraded:        e.rejectedDeg,
-		StarvedMaterializations: e.starved,
-
-		ServedFromCache:  e.servedCache,
-		BatchedFollowers: e.batchedFollowers,
-		CacheHitBytes:    e.cacheHitBytes,
-		OpenRejected:     e.openRejected,
-
-		Latency: e.latency,
-	}
+	r.UniqueResidents = e.tech.uniqueResidents()
+	r.Hiccups = e.hiccups
+	return r
 }
 
 // RunChecked is Run with loud failure modes: a second invocation
@@ -672,6 +643,7 @@ func (e *Engine) Starvation() error {
 		K:         e.cfg.K,
 		M:         e.cfg.M,
 		Starved:   e.starvedTotal,
-		Displays:  e.completed,
+		Displays:  e.win.Displays,
+		Pressure:  e.cfg.EvictionPressure,
 	}
 }

@@ -47,11 +47,17 @@ var (
 type StarvationError struct {
 	Technique string
 	K, M      int
-	Starved   int // materializations abandoned over the whole run
-	Displays  int // displays completed in the measurement window
+	Starved   int  // materializations abandoned over the whole run
+	Displays  int  // displays completed in the measurement window
+	Pressure  bool // the run had Config.EvictionPressure on
 }
 
+// Error advises only the remedies the run did not already use.
 func (e *StarvationError) Error() string {
-	return fmt.Sprintf("sched: %s (M=%d): %d materializations starved at the Place retry cap (%d displays completed); the farm cannot fit the working set — raise capacity, enable EvictionPressure, or use k >= M",
-		e.Technique, e.M, e.Starved, e.Displays)
+	advice := "raise capacity, enable EvictionPressure, or use k >= M"
+	if e.Pressure {
+		advice = "raise capacity or use k >= M"
+	}
+	return fmt.Sprintf("sched: %s (M=%d): %d materializations starved at the Place retry cap (%d displays completed); the farm cannot fit the working set — %s",
+		e.Technique, e.M, e.Starved, e.Displays, advice)
 }

@@ -26,7 +26,7 @@ func (e *Engine) AdmissionWork() AdmissionWork {
 		FIFOs:    st.work.fifos,
 		Indexed:  st.work.indexed,
 		Admitted: e.admittedTotal,
-		Requests: e.requests,
+		Requests: e.win.Requests,
 		Busy:     st.busy,
 	}
 }

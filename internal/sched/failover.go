@@ -51,7 +51,7 @@ func (e *Engine) Kill() (KillReport, error) {
 		}
 	}
 	rep.Aborted = e.abortedTotal - before
-	e.orphaned += rep.Aborted
+	e.win.OrphanedDisplays += rep.Aborted
 	// Queued requests never started: their stations free up here and
 	// their objects go to the cluster for re-admission, FIFO.
 	for s := e.queue.head; s >= 0; s = e.queue.head {

@@ -253,7 +253,7 @@ func TestInjectArrivalMisuse(t *testing.T) {
 	}
 	// state is what an injection changes.
 	state := func(e *Engine) [6]int {
-		return [6]int{e.requests, e.QueuedRequests(), len(e.idle), e.stn.TotalIssued(), e.openRejected, e.Now()}
+		return [6]int{e.win.Requests, e.QueuedRequests(), len(e.idle), e.stn.TotalIssued(), e.win.OpenRejected, e.Now()}
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -340,7 +340,7 @@ func (t *stripedTech) degradedScan() {
 		}
 		t.dDegAt[d] = int32(e.now)
 		t.dDeg[d]++
-		e.degHiccups++
+		e.win.DegradedHiccups++
 		if down && int(t.dDeg[d]) > faultHiccupLimit {
 			t.abortDisplay(d)
 		}
@@ -545,11 +545,8 @@ func (t *stripedTech) finishDue() {
 			}
 			t.dDone[d] = true
 			t.active--
-			e.completed++
-			e.completedTotal++
-			e.emit(EvComplete, int(t.dObject[d]), int(t.dStation[d]), "")
 			t.byObject[t.dObject[d]]--
-			e.stn.Complete(int(t.dStation[d]))
+			e.countComplete(int(t.dStation[d]), int(t.dObject[d]), "")
 			reissue = append(reissue, int(t.dStation[d]))
 			// Contiguous displays are unreachable once completed (they
 			// have no release entries, and their streams never wait on a
@@ -728,7 +725,7 @@ func (t *stripedTech) finishMaterialization() {
 	if _, err := e.tman.Finish(); err != nil {
 		e.hiccups++
 	}
-	e.materialized++
+	e.win.Materializa++
 }
 
 // makeRoom evicts least-frequently-accessed evictable objects until
@@ -1027,7 +1024,7 @@ func (t *stripedTech) moveStream(d int32, i, ideal int) {
 	t.setVBusy(ideal, d)
 	t.sVdisk[si] = int32(ideal)
 	t.sT[si] = tmax
-	e.coalescings++
+	e.win.Coalescings++
 	t.cwork.moves++
 	if e.tracer != nil {
 		e.emit(EvCoalesce, int(t.dObject[d]), int(t.dStation[d]), fmt.Sprintf("fragment %d", i))

@@ -243,7 +243,7 @@ func (t *vdrTech) degradedScan() {
 		}
 		switch t.job[c] {
 		case jobDisplay:
-			e.degHiccups++
+			e.win.DegradedHiccups++
 			if bad {
 				t.jobDegraded[c]++
 				if t.jobDegraded[c] > faultHiccupLimit {
@@ -329,7 +329,7 @@ func (t *vdrTech) adoptObject(id int) bool {
 		return false
 	}
 	t.eng.syncHeld(id)
-	t.eng.replications++
+	t.eng.win.Replications++
 	t.eng.emit(EvMatEnd, id, -1, "healed")
 	return true
 }
@@ -402,10 +402,7 @@ func (t *vdrTech) finishDue() {
 		}
 		switch t.job[c] {
 		case jobDisplay:
-			e.completed++
-			e.completedTotal++
-			e.emit(EvComplete, int(t.jobObject[c]), int(t.station[c]), "")
-			e.stn.Complete(int(t.station[c]))
+			e.countComplete(int(t.station[c]), int(t.jobObject[c]), "")
 			reissue = append(reissue, int(t.station[c]))
 		case jobMaterialize:
 			e.emit(EvMatEnd, t.matObject, -1, "")
@@ -413,7 +410,7 @@ func (t *vdrTech) finishDue() {
 			if err := t.store.PlaceReplica(t.matObject, c, t.cfg.Subobjects); err != nil {
 				e.hiccups++
 			} else if wasResident {
-				e.replications++
+				e.win.Replications++
 			}
 			e.syncHeld(t.matObject)
 			if t.matFromTman {
@@ -421,7 +418,7 @@ func (t *vdrTech) finishDue() {
 					e.hiccups++
 				}
 			}
-			e.materialized++
+			e.win.Materializa++
 			t.matObject = -1
 			t.matStarted = false
 		}

@@ -19,6 +19,9 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== go vet perfbench (its own module: the root build and vet never compile it)"
+(cd perfbench && go vet ./...)
+
 echo "== cited tests: every Test, Benchmark and Fuzz name README.md, DESIGN.md and EXPERIMENTS.md cite is declared in a _test.go file (CHANGES.md and ROADMAP.md are history and plan, and exempt)"
 declared=$(find . -path ./.bench_build -prune -o -name '*_test.go' -print | xargs sed -nE 's/^func ((Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(.*/\1/p')
 missing=""
