@@ -1,6 +1,9 @@
 package sched
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // This file is the striped family's event-driven admission (DESIGN.md
 // §8, "Event-driven admission"): an interval's scan costs
@@ -33,13 +36,22 @@ type readyIndex struct {
 	fifos   []readyFIFO
 	byFirst []int32
 
-	// live lists the non-empty FIFOs, in no particular order; a FIFO's
-	// pos is its place in it.  The probe walks live, not fifos.
-	live []int32
+	// live lists the non-empty FIFOs, in no particular order, each with
+	// the pair it holds requests of; a FIFO's pos is its place in it.
+	// The probe walks live, not fifos, and reads a FIFO only for its
+	// head when its window is free.
+	live []liveFIFO
 
 	// dirty marks the FIFOs out of step with the queue; the next indexed
 	// scan rebuilds them from e.queue first.
 	dirty bool
+}
+
+// liveFIFO is an entry of the live list: a non-empty FIFO's id and the
+// (first disk, degree) pair it holds requests of, packed so the probe's
+// window test reads nothing else.
+type liveFIFO struct {
+	id, first, degree int32
 }
 
 type readyFIFO struct {
@@ -96,7 +108,7 @@ func (x *readyIndex) push(s, id int32) {
 	x.next[s] = -1
 	if q.tail < 0 {
 		q.head, q.pos = s, int32(len(x.live))
-		x.live = append(x.live, id)
+		x.live = append(x.live, liveFIFO{id: id, first: q.first, degree: q.degree})
 	} else {
 		x.next[q.tail] = s
 	}
@@ -116,7 +128,7 @@ func (x *readyIndex) popHead(id int32) {
 func (x *readyIndex) unlive(q *readyFIFO) {
 	last := x.live[len(x.live)-1]
 	x.live[q.pos] = last
-	x.fifos[last].pos = q.pos
+	x.fifos[last.id].pos = q.pos
 	x.live = x.live[:len(x.live)-1]
 	q.pos = -1
 }
@@ -147,6 +159,7 @@ type admitWork struct {
 	windows int // FIFOs visited whose window was free
 	fifos   int // FIFOs the indexed probe visited, the non-empty ones
 	indexed int // indexed probes run
+	skipped int // indexed probes skipped: no window could be free
 }
 
 // seqSpan bounds nextSeq − seq[queue head] while the ready index is
@@ -157,8 +170,8 @@ const seqSpan = 1 << 32
 // queue from 0, walking it.
 func (t *stripedTech) rebuildIndex() {
 	x := &t.idx
-	for _, id := range x.live {
-		f := &x.fifos[id]
+	for _, l := range x.live {
+		f := &x.fifos[l.id]
 		f.head, f.tail, f.pos = -1, -1, -1
 	}
 	x.live = x.live[:0]
@@ -192,6 +205,9 @@ func (t *stripedTech) admit() {
 	if e.queue.n > 0 && t.cfg.D-t.busy >= t.minDegree {
 		if t.idx.dirty {
 			t.rebuildIndex()
+		}
+		if t.freeRun == runUnknown {
+			t.resolveFreeRun()
 		}
 		// The staggered prefix, then the indexed probe over what the
 		// prefix did not reach.
@@ -281,25 +297,33 @@ func (t *stripedTech) admitPrefix(fragBudget *int) int32 {
 // fragmented fallback is spent or disabled, a busy window stays busy
 // for the rest of the scan, and an admission from a FIFO takes the
 // virtual disk every later entry of the same first disk needs.  A
-// candidate's key is its head's distance from the queue head in
-// sequence numbers, below seqSpan on a clean index, over its FIFO id:
-// one word, sorted as such.
+// window is minDegree or more consecutive virtual disks, so while the
+// farm holds no such run of free disks (freeRun) no head can start and
+// the probe returns before the walk.  A candidate's key is its head's
+// distance from the queue head in sequence numbers, below seqSpan on a
+// clean index, over its FIFO id: one word, put in order by sortKeys.
 func (t *stripedTech) admitIndexed(fragBudget *int) {
+	if t.freeRun == runUnknown {
+		t.resolveFreeRun()
+	}
+	if t.freeRun == runAbsent {
+		t.work.skipped++
+		return
+	}
 	q := &t.eng.queue
 	x := &t.idx
 	free := t.cfg.D - t.busy
 	base := x.seq[q.head]
 	cands := t.cands[:0]
-	for _, id := range x.live {
-		f := &x.fifos[id]
-		if m := int(f.degree); m <= free && t.windowFree(int(f.first), m) {
-			cands = append(cands, (x.seq[f.head]-base)<<32|uint64(id))
+	for _, l := range x.live {
+		if m := int(l.degree); m <= free && t.windowFree(int(l.first), m) {
+			cands = append(cands, (x.seq[x.fifos[l.id].head]-base)<<32|uint64(l.id))
 		}
 	}
 	t.work.fifos += len(x.live)
 	t.work.indexed++
 	t.work.windows += len(cands)
-	slices.Sort(cands)
+	cands, t.spare = sortKeys(cands, t.spare)
 	for _, c := range cands {
 		id := int32(uint32(c))
 		s := x.fifos[id].head
@@ -310,6 +334,111 @@ func (t *stripedTech) admitIndexed(fragBudget *int) {
 		}
 	}
 	t.cands = cands[:0]
+}
+
+// runState caches whether the free bitset holds minDegree consecutive
+// free virtual disks: unknown until resolveFreeRun resolves it, then
+// absent or present until setVBusy frees a disk (absent) or takes one
+// (present).  Absent and present are single bits, so setVBusy forgets
+// one by clearing its bit, without a branch.
+type runState uint8
+
+const (
+	runUnknown runState = 0
+	runAbsent  runState = 1
+	runPresent runState = 2
+)
+
+// resolveFreeRun sets freeRun from the free bitset.  admit calls it
+// before the staggered prefix, whose contiguous tests (tryAdmit) it
+// also spares while the run is absent, and admitIndexed again when the
+// prefix's admissions left it unknown.
+func (t *stripedTech) resolveFreeRun() {
+	t.freeRun = runAbsent
+	if hasFreeRun(t.freeBits, t.cfg.D, t.minDegree) {
+		t.freeRun = runPresent
+	}
+}
+
+// hasFreeRun reports whether the d-bit set free (bit v in word v/64)
+// holds m consecutive set bits circularly, bit d−1 followed by bit 0.
+// It needs 1 ≤ m ≤ d and the bits from d on clear.  A run lies inside
+// one word, or is the leading ones of a word, the full words after it
+// and the trailing ones of the next, or wraps from the last word's
+// leading ones into the first words.
+func hasFreeRun(free []uint64, d, m int) bool {
+	run := 0   // set bits ending at the top of the words so far
+	head := -1 // set bits from bit 0 up to the first clear one, -1 before it
+	for w, word := range free {
+		width := min(64, d-w<<6)
+		low := bits.TrailingZeros64(^word)
+		if low >= width {
+			run += width
+			continue
+		}
+		if head < 0 {
+			head = run + low
+		}
+		if run+low >= m || m <= 64 && runInWord(word, m) {
+			return true
+		}
+		run = bits.LeadingZeros64(^(word << uint(64-width)))
+	}
+	if head < 0 {
+		return d >= m // every bit set
+	}
+	return run+head >= m
+}
+
+// runInWord reports whether x holds m ≤ 64 consecutive set bits.
+func runInWord(x uint64, m int) bool {
+	// Bit i of x stays set while bits i … i+k−1 all are; k doubles.
+	for k := 1; k < m; {
+		s := min(k, m-k)
+		x &= x >> uint(s)
+		k += s
+	}
+	return x != 0
+}
+
+// radixMin is the key count from which sortKeys radix-sorts; below it
+// slices.Sort is faster.
+const radixMin = 64
+
+// sortKeys sorts keys whose high 32 bits are distinct into the order
+// slices.Sort gives.  From radixMin keys on it runs an LSD byte radix
+// over the high 32 bits, one pass per byte their largest value needs,
+// moving the keys between keys and spare.  It returns the sorted keys
+// and the other buffer, to pass as spare next time.
+func sortKeys(keys, spare []uint64) (sorted, rest []uint64) {
+	n := len(keys)
+	if n < radixMin {
+		slices.Sort(keys)
+		return keys, spare
+	}
+	var high uint64
+	for _, k := range keys {
+		high |= k
+	}
+	spare = slices.Grow(spare[:0], n)[:n]
+	for shift := uint(32); shift < 64 && high>>shift != 0; shift += 8 {
+		var at [256]int
+		for _, k := range keys {
+			at[byte(k>>shift)]++
+		}
+		sum := 0
+		for b, c := range at {
+			at[b] = sum
+			sum += c
+		}
+		for _, k := range keys {
+			b := byte(k >> shift)
+			spare[at[b]] = k
+			at[b]++
+		}
+		keys, spare = spare, keys
+	}
+	return keys, spare
 }
 
 // windowFree reports whether the m virtual disks of a contiguous

@@ -22,6 +22,8 @@ import (
 //     of FirstDisk (checkFIFOMap);
 //   - every cold object queued when the scan ran is Pending on the
 //     tertiary device, so a later Request for it would be a no-op;
+//   - unless it is unknown, freeRun says whether minDegree consecutive
+//     virtual disks are free, as freeRunWalk finds;
 //   - the FIFO table's chains, live list and places agree
 //     (checkFIFOTable);
 //   - unless the ready index is marked for a rebuild, the queue spans
@@ -52,6 +54,12 @@ func checkStriped(t testing.TB, e *Engine) {
 	for s := q.head; s >= 0 && s != st.fresh; s = q.node[s].next {
 		if obj := int(q.node[s].obj); st.fifo[obj] < 0 && !e.tman.Pending(obj) {
 			t.Fatalf("interval %d: cold queued object %d (station %d) is not pending on the device", at, obj, s)
+		}
+	}
+	if st.freeRun != runUnknown {
+		if run := freeRunWalk(st.freeBits, st.cfg.D, st.minDegree); (st.freeRun == runPresent) != run {
+			t.Fatalf("interval %d: freeRun is %d (1 absent, 2 present), but a run of %d free virtual disks present is %v",
+				at, st.freeRun, st.minDegree, run)
 		}
 	}
 	x := &st.idx
@@ -124,7 +132,8 @@ func checkFIFOMap(t testing.TB, st *stripedTech, at int) {
 // checkFIFOTable asserts the ready index's table invariants: every
 // FIFO is the one its first disk's chain yields for its degree, and the
 // chains hold every FIFO exactly once; live holds exactly the non-empty
-// FIFOs, and each FIFO's pos inverts it.
+// FIFOs, each with its FIFO's first disk and degree, and each FIFO's
+// pos inverts it.
 func checkFIFOTable(t testing.TB, x *readyIndex, at int) {
 	t.Helper()
 	chained := 0
@@ -153,13 +162,13 @@ func checkFIFOTable(t testing.TB, x *readyIndex, at int) {
 		if (q.head >= 0) != (q.pos >= 0) {
 			t.Fatalf("interval %d: FIFO %d has head %d but place %d in live", at, id, q.head, q.pos)
 		}
-		if q.pos >= 0 && (int(q.pos) >= len(x.live) || x.live[q.pos] != int32(id)) {
-			t.Fatalf("interval %d: FIFO %d has place %d in live, which does not hold it", at, id, q.pos)
+		if q.pos >= 0 && (int(q.pos) >= len(x.live) || x.live[q.pos] != liveFIFO{int32(id), q.first, q.degree}) {
+			t.Fatalf("interval %d: FIFO %d of (%d, %d) has place %d in live, which does not hold it", at, id, q.first, q.degree, q.pos)
 		}
 	}
-	for i, id := range x.live {
-		if x.fifos[id].pos != int32(i) {
-			t.Fatalf("interval %d: live[%d] is FIFO %d, whose place is %d", at, i, id, x.fifos[id].pos)
+	for i, l := range x.live {
+		if x.fifos[l.id].pos != int32(i) {
+			t.Fatalf("interval %d: live[%d] is FIFO %d, whose place is %d", at, i, l.id, x.fifos[l.id].pos)
 		}
 	}
 }
@@ -198,9 +207,19 @@ func (c admissionCase) String() string {
 // tertiary fault plans and a kill, each chosen by the bytes.  Every
 // case validates.
 func admissionCaseFrom(data []byte) admissionCase {
+	return farmCaseFrom(data, farmShape{minD: 8, spanD: 33, maxM: 6})
+}
+
+// farmShape bounds the farm a case draws: D in [minD, minD+spanD) and
+// an object degree of at most maxM.
+type farmShape struct{ minD, spanD, maxM int }
+
+// farmCaseFrom is admissionCaseFrom over the farms of a shape.  The
+// stations scale with the disks beyond 40, so a wide farm keeps a queue.
+func farmCaseFrom(data []byte, shape farmShape) admissionCase {
 	b := fuzzBytes(data)
-	d := 8 + b.next()%33
-	m := 1 + b.next()%min(6, d)
+	d := shape.minD + b.next()%shape.spanD
+	m := 1 + b.next()%min(shape.maxM, d)
 	objects := 4 + b.next()%36
 	sub := 4 + b.next()%17
 	// Room for a third to all of the catalog's fragments: staging,
@@ -217,7 +236,7 @@ func admissionCaseFrom(data []byte) admissionCase {
 		FragmentBytes:     1512000,
 		Tertiary:          tertiary.Table3,
 		TapeLayout:        tertiary.DiskMatched,
-		Stations:          1 + b.next()%48,
+		Stations:          (1 + b.next()%48) * max(1, d/40),
 		DistMean:          float64(3 + b.next()%20),
 		Seed:              uint64(b.next()),
 		WarmupIntervals:   b.next() % 64,

@@ -79,10 +79,12 @@ func admissionWorkPerInterval(t *testing.T, key string, cfg sched.Config) (touch
 
 // TestAdmissionWorkTable3 bounds the indexed probe's work in
 // host-independent units on TestCoalesceWorkTable3's geometry: the
-// FIFOs it visits average fewer than 50 per probe.  The farm's 200
-// preloaded objects each have a FIFO, and about 30 of them hold a
-// request at a time; a probe that walked the whole table would visit
-// 200 in every interval.
+// FIFOs it visits average fewer than 50 per probe, and in at least half
+// of the intervals it visits none, because no run of M free virtual
+// disks, and so no FIFO's window, is free.  The farm's 200 preloaded
+// objects each have a FIFO, and about 30 of them hold a request at a
+// time; a probe that walked the whole table would visit 200 in every
+// interval.
 func TestAdmissionWorkTable3(t *testing.T) {
 	cfg := sched.Table3Config(256, 20, 1)
 	cfg.WarmupIntervals, cfg.MeasureIntervals = 6000, 12000
@@ -92,12 +94,17 @@ func TestAdmissionWorkTable3(t *testing.T) {
 	}
 	e.Run()
 	w := e.AdmissionWork()
-	t.Logf("%d FIFOs visited over %d indexed probes, %d with a free window", w.FIFOs, w.Indexed, w.Windows)
+	intervals := cfg.WarmupIntervals + cfg.MeasureIntervals
+	t.Logf("%d FIFOs visited over %d indexed probes, %d with a free window; %d probes skipped in %d intervals",
+		w.FIFOs, w.Indexed, w.Windows, w.Skipped, intervals)
 	if w.Indexed == 0 {
 		t.Fatal("no indexed probe ran; the bound proves nothing")
 	}
 	if w.FIFOs >= 50*w.Indexed {
 		t.Errorf("%d FIFOs visited over %d indexed probes, not fewer than 50 per probe", w.FIFOs, w.Indexed)
+	}
+	if 2*w.Skipped < intervals {
+		t.Errorf("%d indexed probes skipped in %d intervals, fewer than half", w.Skipped, intervals)
 	}
 }
 

@@ -155,7 +155,8 @@ func (e *Engine) finishFollowers() {
 		e.activeFollowers--
 		obj := int(e.followerObj[st])
 		e.cache.RemoveFollower(obj, st)
-		e.countComplete(int(st), obj, "follower")
+		e.emit(EvComplete, obj, int(st), "follower")
+		e.countComplete(int(st))
 		e.reissue(int(st))
 	}
 }

@@ -453,13 +453,14 @@ func (e *Engine) endUnserved(s int, kind EventKind, obj int, note string) {
 	e.reissue(s)
 }
 
-// countComplete ends station s's display of obj as a completion: it
-// is counted, traced with note, and the station is freed.  The caller
-// reissues the station.
-func (e *Engine) countComplete(s, obj int, note string) {
+// countComplete ends station s's display as a completion: it is
+// counted and the station is freed.  The caller traces it (EvComplete)
+// first and reissues the station after.  Any call, the tracer's
+// included, would cost more than the inliner allows, and the
+// completion loops call this once per display.
+func (e *Engine) countComplete(s int) {
 	e.win.Displays++
 	e.completedTotal++
-	e.emit(EvComplete, obj, s, note)
 	e.stn.Complete(s)
 }
 

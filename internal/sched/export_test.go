@@ -10,6 +10,7 @@ type AdmissionWork struct {
 	Windows  int // ready FIFOs visited with a free window
 	FIFOs    int // FIFOs the indexed probe visited
 	Indexed  int // indexed probes run
+	Skipped  int // indexed probes skipped: no window could be free
 	Admitted int // displays admitted, lifetime
 	Requests int // references recorded in the current window
 	Busy     int // busy virtual disks now
@@ -25,6 +26,7 @@ func (e *Engine) AdmissionWork() AdmissionWork {
 		Windows:  st.work.windows,
 		FIFOs:    st.work.fifos,
 		Indexed:  st.work.indexed,
+		Skipped:  st.work.skipped,
 		Admitted: e.admittedTotal,
 		Requests: e.win.Requests,
 		Busy:     st.busy,

@@ -94,7 +94,13 @@ type stripedTech struct {
 	idx   readyIndex
 	fresh int32
 	cands []uint64 // scratch: FIFO heads to probe, keyed as admitIndexed packs them
+	spare []uint64 // scratch: sortKeys' second buffer, allocated by the first radix sort
 	work  admitWork
+
+	// freeRun caches whether minDegree consecutive virtual disks are
+	// free (admitindex.go): setVBusy forgets a present run when it takes
+	// a disk and an absent one when it frees a disk.
+	freeRun runState
 
 	// fullScan forces scanAdmit in every interval: the oracle the
 	// indexed path is tested against.  Only tests set it.
@@ -212,7 +218,7 @@ func (t *stripedTech) bind(e *Engine) error {
 	// The preloaded catalog's FIFOs exist from the start, so a run that
 	// stages nothing allocates no index state while it steps.
 	n := len(t.idx.fifos)
-	t.idx.live = make([]int32, 0, n)
+	t.idx.live = make([]liveFIFO, 0, n)
 	t.cands = make([]uint64, 0, n)
 	return nil
 }
@@ -474,7 +480,8 @@ func (t *stripedTech) vdiskOf(f int) int {
 
 // setVBusy transfers ownership of virtual disk v and maintains the
 // farm-busy counter and the free bitset — the incremental replacement
-// for the per-interval O(D) occupancy scan.  The owner is a display
+// for the per-interval O(D) occupancy scan — and forgets what freeRun
+// knows when the change can alter it.  The owner is a display
 // slot (or matOwner / freeSlot), so the degraded scan can walk from a
 // faulted physical disk straight to the display it hurts.
 func (t *stripedTech) setVBusy(v int, owner int32) {
@@ -482,9 +489,11 @@ func (t *stripedTech) setVBusy(v int, owner int32) {
 		if owner == freeSlot {
 			t.busy--
 			t.freeBits[v>>6] |= 1 << uint(v&63)
+			t.freeRun &^= runAbsent
 		} else {
 			t.busy++
 			t.freeBits[v>>6] &^= 1 << uint(v&63)
+			t.freeRun &^= runPresent
 		}
 	}
 	t.vbusy[v] = owner
@@ -546,8 +555,10 @@ func (t *stripedTech) finishDue() {
 			t.dDone[d] = true
 			t.active--
 			t.byObject[t.dObject[d]]--
-			e.countComplete(int(t.dStation[d]), int(t.dObject[d]), "")
-			reissue = append(reissue, int(t.dStation[d]))
+			s := int(t.dStation[d])
+			e.emit(EvComplete, int(t.dObject[d]), s, "")
+			e.countComplete(s)
+			reissue = append(reissue, s)
 			// Contiguous displays are unreachable once completed (they
 			// have no release entries, and their streams never wait on a
 			// disk) — recycle the slot.
@@ -840,8 +851,10 @@ func (t *stripedTech) admitEntry(s, id int32, fragBudget *int) entryVerdict {
 // time-fragmented admission (Algorithm 1) for the queue head under
 // the staggered technique.
 func (t *stripedTech) tryAdmit(s int32, first, m int, fragBudget *int) bool {
-	// Contiguous: the M disks of subobject 0 must be free right now.
-	if !t.windowFree(first, m) {
+	// Contiguous: the M disks of subobject 0 must be free right now,
+	// which they cannot be while freeRun knows of no minDegree
+	// consecutive free virtual disks.
+	if t.freeRun == runAbsent || !t.windowFree(first, m) {
 		return t.tryFragmented(s, first, m, fragBudget)
 	}
 	vids := t.vidScratch[:m]

@@ -402,8 +402,10 @@ func (t *vdrTech) finishDue() {
 		}
 		switch t.job[c] {
 		case jobDisplay:
-			e.countComplete(int(t.station[c]), int(t.jobObject[c]), "")
-			reissue = append(reissue, int(t.station[c]))
+			s := int(t.station[c])
+			e.emit(EvComplete, int(t.jobObject[c]), s, "")
+			e.countComplete(s)
+			reissue = append(reissue, s)
 		case jobMaterialize:
 			e.emit(EvMatEnd, t.matObject, -1, "")
 			wasResident := t.store.Resident(t.matObject)

@@ -115,9 +115,18 @@ func (s *Stations) Take(station int) {
 // Complete marks station s idle again (its display finished).
 func (s *Stations) Complete(station int) {
 	if !s.busy[station] {
-		panic(fmt.Sprintf("workload: station %d has no outstanding request", station))
+		panic(idleStation(station))
 	}
 	s.busy[station] = false
+}
+
+// idleStation is the panic of a Complete on a station with no request
+// outstanding.  A panic value that formats itself only when printed
+// keeps Complete within the inliner's budget.
+type idleStation int
+
+func (s idleStation) Error() string {
+	return fmt.Sprintf("workload: station %d has no outstanding request", int(s))
 }
 
 // Busy reports whether station s has a request outstanding.

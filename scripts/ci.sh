@@ -35,11 +35,11 @@ if [ -n "$missing" ]; then
 	exit 1
 fi
 
-echo "== inlining: the admission hot helpers, the request queue's list operations, the popularity draw and its bucket search, the per-request table probes and the per-arrival tier and residency-word reads stay inlinable (DESIGN.md §8)"
+echo "== inlining: the admission hot helpers, the completion count, the request queue's list operations, the popularity draw and its bucket search, the per-request table probes and the per-arrival tier and residency-word reads stay inlinable (DESIGN.md §8)"
 inlined=$(go build -gcflags=-m ./internal/sched 2>&1 | sed -n 's/.*: can inline //p')
 for fn in '(*stripedTech).setVBusy' '(*stripedTech).vdiskOf' '(*stripedTech).windowFree' \
 	'(*readyIndex).push' '(*readyIndex).popHead' '(*requestQueue).push' '(*requestQueue).unlink' \
-	'(*Residency).Words'; do
+	'(*Engine).countComplete' '(*Residency).Words'; do
 	if ! printf '%s\n' "$inlined" | grep -qxF "$fn"; then
 		echo "inlining step: go build -gcflags=-m no longer reports 'can inline $fn'"
 		exit 1
@@ -133,6 +133,9 @@ go test -run '^$' -fuzz FuzzEngineConfig -fuzztime 10s ./internal/sched
 
 echo "== fuzz: striped admission, indexed path against the full queue scan (same admissions and rejections, same Result)"
 go test -run '^$' -fuzz FuzzStripedAdmission -fuzztime 10s ./internal/sched
+
+echo "== fuzz: the admission probe's free-run scan, word-parallel and circular, against a bit-by-bit walk (farms up to 320 disks, runs across word boundaries and the wrap)"
+go test -run '^$' -fuzz FuzzHasFreeRun -fuzztime 10s ./internal/sched
 
 echo "== fuzz: Algorithm 2 coalescing, waiter pass against the scan over every buffering stream (same admissions, moves and completions, same Result)"
 go test -run '^$' -fuzz FuzzCoalesce -fuzztime 10s ./internal/sched
