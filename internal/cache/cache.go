@@ -436,9 +436,13 @@ func (t *Tier) AddFollower(obj int, station int32) {
 }
 
 // RemoveFollower drops a completed follower from obj's share list.
-func (t *Tier) RemoveFollower(obj int, station int32) {
+// joined is the interval the follower joined the list at, or any later
+// one.  Since SetLeader is called at the interval its leader starts
+// and empties the list, a list whose leader started after joined no
+// longer holds the follower, and the call returns without a scan.
+func (t *Tier) RemoveFollower(obj int, station int32, joined int) {
 	i := t.slot[obj]
-	if i < 0 {
+	if i < 0 || int(t.slots[i].start) > joined {
 		return
 	}
 	r := &t.slots[i]

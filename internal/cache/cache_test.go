@@ -196,7 +196,7 @@ func TestDetachIfLeader(t *testing.T) {
 	tr.SetLeader(0, 7, 10, 50, 0)
 	tr.AddFollower(0, 3)
 	tr.AddFollower(0, 5)
-	tr.RemoveFollower(0, 3)
+	tr.RemoveFollower(0, 3, 12)
 	if buf, ok := tr.DetachIfLeader(0, 9, 20, nil); ok || len(buf) != 0 {
 		t.Fatal("non-leader station must not detach")
 	}

@@ -179,7 +179,10 @@ func (t *denseTier) live(obj int) bool {
 // Tier and on denseTier side by side, with a clock that retires each
 // leader at its end the way the engine's follower ring does
 // (EndLeader) and that now and then jumps hundreds of half-lives, past
-// the rescale bound.  Every return must match, follower order
+// the rescale bound.  Leaders register at the current interval, as the
+// engine's do, and a RemoveFollower passes the interval of its
+// station's last AddFollower for the object or one to two later; the
+// dense tier always scans.  Every return must match, follower order
 // included; after every call both tiers must hold the same scores, the
 // same victim, the same pins, the same leader, followers and pending
 // batch for every object, and the Tier must hold a claimed slot for
@@ -232,6 +235,7 @@ func FuzzTierRegistry(f *testing.F) {
 		var gotF, wantF []int32
 		var gotP, wantP []Pending
 		var gotO, wantO []int
+		var joined [16][8]int // (object, station) -> interval of its last AddFollower
 		for i := 0; i+2 < len(ops) && i < 600; i += 3 {
 			op, obj, arg := ops[i]%11, int(ops[i+1])%n, int(ops[i+2])
 			station := int32(arg % 8)
@@ -249,11 +253,12 @@ func FuzzTierRegistry(f *testing.F) {
 			case 2:
 				tr.AddFollower(obj, station)
 				ref.AddFollower(obj, station)
+				joined[obj][station] = now
 			case 3:
 				if fs := ref.followers[obj]; len(fs) > 0 && arg%4 != 0 {
 					station = fs[arg%len(fs)]
 				}
-				tr.RemoveFollower(obj, station)
+				tr.RemoveFollower(obj, station, joined[obj][station]+arg%3)
 				ref.RemoveFollower(obj, station)
 			case 4:
 				if arg%3 != 0 {

@@ -59,6 +59,13 @@ type readyFIFO struct {
 	head, tail    int32 // stations, -1 when empty
 	sameFirst     int32 // next FIFO of the same first disk, -1 at the end
 	pos           int32 // place in live, -1 when empty
+
+	// The refusal lease (leaseHeld): while freeEpoch is epoch, Algorithm
+	// 1's span count refuses every entry of the FIFO before interval
+	// until.  An end past the int32 range wraps below the clock and
+	// never holds.
+	epoch uint32
+	until int32
 }
 
 // newReadyIndex sizes the per-station links and the per-disk chain
@@ -160,6 +167,7 @@ type admitWork struct {
 	fifos   int // FIFOs the indexed probe visited, the non-empty ones
 	indexed int // indexed probes run
 	skipped int // indexed probes skipped: no window could be free
+	leased  int // of prefix: entries a held refusal lease answered
 }
 
 // seqSpan bounds nextSeq − seq[queue head] while the ready index is
@@ -202,6 +210,10 @@ func (t *stripedTech) admit() {
 		return
 	}
 	t.requestCold()
+	if t.freeEpoch < t.epochSeen {
+		t.idx.dropLeases() // wrapped: an old lease could name the epoch again
+	}
+	t.epochSeen = t.freeEpoch
 	if e.queue.n > 0 && t.cfg.D-t.busy >= t.minDegree {
 		if t.idx.dirty {
 			t.rebuildIndex()
@@ -275,20 +287,139 @@ func (t *stripedTech) requestCold() {
 // ends, and returns the station it stopped at, -1 at the end.  Cold
 // entries are passed over: their tertiary requests went out in
 // requestCold.
+//
+// While every disk is up, an entry whose degree fits the free disks and
+// whose FIFO holds a refusal lease, or gets one now (renewLease), is
+// refused without the per-entry path: its window is busy and
+// tryFragmented would spend one attempt on a walk that vdisk.WalkOrbits
+// refuses by its span count, so the entry spends the attempt and
+// nothing else.
 func (t *stripedTech) admitPrefix(fragBudget *int) int32 {
-	q := &t.eng.queue
+	e := t.eng
+	q := &e.queue
 	s := q.head
 	for s >= 0 && *fragBudget > 0 && t.cfg.D-t.busy >= t.minDegree {
 		next := q.node[s].next
 		t.work.touched++
 		t.work.prefix++
-		if id := t.fifo[q.node[s].obj]; id >= 0 && t.admitEntry(s, id, fragBudget) == entryAdmitted {
-			t.idx.remove(s, id)
-			q.unlink(s)
+		if id := t.fifo[q.node[s].obj]; id >= 0 {
+			f := &t.idx.fifos[id]
+			refused := false
+			if e.downCount == 0 && t.cfg.D-t.busy >= int(f.degree) {
+				if refused = t.leaseHeld(f); refused {
+					t.work.leased++
+				} else {
+					refused = t.renewLease(f)
+				}
+			}
+			if refused {
+				*fragBudget--
+			} else if t.admitEntry(s, id, fragBudget) == entryAdmitted {
+				t.idx.remove(s, id)
+				q.unlink(s)
+			}
 		}
 		s = next
 	}
 	return s
+}
+
+// leaseHeld reports whether FIFO f's refusal lease holds this interval:
+// no virtual disk was freed since it was proved, and it has not run
+// out.
+func (t *stripedTech) leaseHeld(f *readyFIFO) bool {
+	return f.epoch == t.freeEpoch && t.eng.now < int(f.until)
+}
+
+// renewLease proves FIFO f's refusal horizon now (refusalHorizon) and
+// stores it as the FIFO's lease.  It reports whether the span count
+// refuses the FIFO's entries in this interval.
+func (t *stripedTech) renewLease(f *readyFIFO) bool {
+	d, m := t.cfg.D, int(f.degree)
+	j := refusalHorizon(t.freeBits, d, t.cfg.K%d, t.vdiskOf(int(f.first)), t.cfg.maxStartup(m), m)
+	if j == 0 {
+		return false
+	}
+	f.epoch, f.until = t.freeEpoch, int32(t.eng.now+j)
+	return true
+}
+
+// dropLeases ends every FIFO's refusal lease.
+func (x *readyIndex) dropLeases() {
+	for i := range x.fifos {
+		x.fifos[i].until = 0
+	}
+}
+
+// refusalHorizon returns for how many intervals from now on, with no
+// virtual disk freed, vdisk.WalkOrbits' span count refuses a display of
+// degree m whose virtual base is base now: 0 when it does not refuse
+// now.  The base moves down by step = K mod d each interval, so the
+// spans of intervals now … now+J−1 lie in [lo − (J−1)·step, lo + n),
+// where lo = base − maxT·step and n = maxT·step + m.  A span inside a
+// stretch below lo + n with fewer than m free positions is refused, and
+// freeing nothing keeps it so.  The walk finds the m-th free position p
+// below lo + n, so every span starting above p is refused; J is kept
+// to spans whose union fits in d positions.  With step 0 the span
+// never moves and any horizon is exact: it is d.  A span longer than d
+// or a maxT the count leaves to the walk (spanShort) gets none.
+func refusalHorizon(free []uint64, d, step, base, maxT, m int) int {
+	if maxT < 0 || maxT >= d {
+		return 0
+	}
+	n := maxT*step + m
+	if n > d {
+		return 0
+	}
+	top := base + m - 1 // lo + n − 1
+	if top >= d {
+		top -= d
+	}
+	depth := freeDepth(free, d, top, m)
+	if depth < n {
+		return 0
+	}
+	if step == 0 {
+		return d
+	}
+	return (depth-n)/step + 1
+}
+
+// freeDepth returns how far below top, walking down circularly, the
+// m-th set bit of the d-bit set free lies (0 when it is top itself),
+// or d when free holds fewer than m set bits.
+func freeDepth(free []uint64, d, top, m int) int {
+	c, p := countDown(free, top, 0, m)
+	if c == m {
+		return top - p
+	}
+	if c2, p := countDown(free, d-1, top+1, m-c); c+c2 == m {
+		return top + d - p
+	}
+	return d
+}
+
+// countDown counts the set bits of free in positions hi down to lo,
+// word by word, until it has need ≥ 1 of them.  It returns the count
+// and, when that is need, the position of the need-th.
+func countDown(free []uint64, hi, lo, need int) (c, p int) {
+	for hi >= lo {
+		start := hi &^ 63
+		w := free[hi>>6] & (^uint64(0) >> uint(63-hi&63))
+		if start < lo {
+			w &= ^uint64(0) << uint(lo-start)
+		}
+		if k := bits.OnesCount64(w); c+k < need {
+			c += k
+			hi = start - 1
+			continue
+		}
+		for ; c < need-1; c++ {
+			w &^= 1 << uint(63-bits.LeadingZeros64(w))
+		}
+		return need, start + 63 - bits.LeadingZeros64(w)
+	}
+	return c, -1
 }
 
 // admitIndexed probes, in queue order, the head of every non-empty FIFO

@@ -11,6 +11,7 @@ import (
 	"github.com/mmsim/staggered/internal/fault"
 	"github.com/mmsim/staggered/internal/rng"
 	"github.com/mmsim/staggered/internal/tertiary"
+	"github.com/mmsim/staggered/internal/vdisk"
 )
 
 // checkStriped asserts, after an interval, the conditions the striped
@@ -24,6 +25,8 @@ import (
 //     tertiary device, so a later Request for it would be a no-op;
 //   - unless it is unknown, freeRun says whether minDegree consecutive
 //     virtual disks are free, as freeRunWalk finds;
+//   - every refusal lease that holds is exact under the present free
+//     set (checkLeases);
 //   - the FIFO table's chains, live list and places agree
 //     (checkFIFOTable);
 //   - unless the ready index is marked for a rebuild, the queue spans
@@ -62,6 +65,7 @@ func checkStriped(t testing.TB, e *Engine) {
 				at, st.freeRun, st.minDegree, run)
 		}
 	}
+	checkLeases(t, st, at)
 	x := &st.idx
 	checkFIFOTable(t, x, at)
 	if x.dirty {
@@ -125,6 +129,45 @@ func checkFIFOMap(t testing.TB, st *stripedTech, at int) {
 		if f := &st.idx.fifos[id]; int(f.first) != first || int(f.degree) != st.cfg.Degree(obj) {
 			t.Fatalf("interval %d: object %d (first disk %d, degree %d) names FIFO %d of (%d, %d)",
 				at, obj, first, st.cfg.Degree(obj), id, f.first, f.degree)
+		}
+	}
+}
+
+// checkLeases asserts every refusal lease of the current free epoch
+// that has not run out by interval at: for each interval u from at to
+// the lease's end, the span Algorithm 1's count reads at u,
+// [base_u − maxT·step, base_u + m) with base_u the FIFO's virtual base
+// at u, holds fewer than m free virtual disks under the present free
+// set.  The spans are counted bit by bit, through prefix sums over two
+// laps of the ring.
+func checkLeases(t testing.TB, st *stripedTech, at int) {
+	t.Helper()
+	d, k := st.cfg.D, st.cfg.K
+	var pre []int // pre[i]: free virtual disks among positions [0, i) mod d
+	for id := range st.idx.fifos {
+		f := &st.idx.fifos[id]
+		if f.epoch != st.freeEpoch || int(f.until) <= at {
+			continue
+		}
+		if pre == nil {
+			pre = make([]int, 2*d+1)
+			for i := 0; i < 2*d; i++ {
+				pre[i+1] = pre[i] + int(st.freeBits[i%d>>6]>>uint(i%d&63)&1)
+			}
+		}
+		m := int(f.degree)
+		maxT, step := st.cfg.maxStartup(m), k%d
+		n := maxT*step + m
+		if maxT < 0 || maxT >= d || n > d {
+			t.Fatalf("interval %d: FIFO %d (first %d, degree %d) holds a lease, but its span of %d positions (maxT %d) is never counted",
+				at, id, f.first, m, n, maxT)
+		}
+		for u := at; u < min(int(f.until), at+d+1); u++ {
+			lo := (vdisk.VirtualAt(int(f.first), u, k, d) - maxT*step + d) % d
+			if c := pre[lo+n] - pre[lo]; c >= m {
+				t.Fatalf("interval %d: FIFO %d (first %d, degree %d) holds a lease to interval %d, but at %d its span from virtual disk %d holds %d free of %d",
+					at, id, f.first, m, f.until, u, lo, c, n)
+			}
 		}
 	}
 }

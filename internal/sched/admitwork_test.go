@@ -77,14 +77,16 @@ func admissionWorkPerInterval(t *testing.T, key string, cfg sched.Config) (touch
 	return float64(sumTouched) / float64(n), float64(sumQueue) / float64(n)
 }
 
-// TestAdmissionWorkTable3 bounds the indexed probe's work in
-// host-independent units on TestCoalesceWorkTable3's geometry: the
-// FIFOs it visits average fewer than 50 per probe, and in at least half
+// TestAdmissionWorkTable3 bounds the admission work in host-independent
+// units on TestCoalesceWorkTable3's geometry.  The FIFOs the indexed
+// probe visits average fewer than 50 per probe, and in at least half
 // of the intervals it visits none, because no run of M free virtual
 // disks, and so no FIFO's window, is free.  The farm's 200 preloaded
 // objects each have a FIFO, and about 30 of them hold a request at a
 // time; a probe that walked the whole table would visit 200 in every
-// interval.
+// interval.  The staggered prefix walks tablePrefix entries, as it did
+// before refusal leases, and held leases answer at least 80% of them
+// without a walk.
 func TestAdmissionWorkTable3(t *testing.T) {
 	cfg := sched.Table3Config(256, 20, 1)
 	cfg.WarmupIntervals, cfg.MeasureIntervals = 6000, 12000
@@ -95,8 +97,8 @@ func TestAdmissionWorkTable3(t *testing.T) {
 	e.Run()
 	w := e.AdmissionWork()
 	intervals := cfg.WarmupIntervals + cfg.MeasureIntervals
-	t.Logf("%d FIFOs visited over %d indexed probes, %d with a free window; %d probes skipped in %d intervals",
-		w.FIFOs, w.Indexed, w.Windows, w.Skipped, intervals)
+	t.Logf("%d FIFOs visited over %d indexed probes, %d with a free window; %d probes skipped in %d intervals; %d of %d prefix entries leased",
+		w.FIFOs, w.Indexed, w.Windows, w.Skipped, intervals, w.Leased, w.Prefix)
 	if w.Indexed == 0 {
 		t.Fatal("no indexed probe ran; the bound proves nothing")
 	}
@@ -106,7 +108,19 @@ func TestAdmissionWorkTable3(t *testing.T) {
 	if 2*w.Skipped < intervals {
 		t.Errorf("%d indexed probes skipped in %d intervals, fewer than half", w.Skipped, intervals)
 	}
+	if w.Prefix != tablePrefix {
+		t.Errorf("the staggered prefix walked %d entries, not %d", w.Prefix, tablePrefix)
+	}
+	if 5*w.Leased < 4*w.Prefix {
+		t.Errorf("refusal leases answered %d of %d prefix entries, fewer than 80%%", w.Leased, w.Prefix)
+	}
 }
+
+// tablePrefix is the count of entries the staggered prefix walks in
+// TestAdmissionWorkTable3's run of 18,000 intervals: the 8 that spend
+// each interval's Algorithm-1 budget, and a few that spend none (cold
+// entries, contiguous admissions).
+const tablePrefix = 144043
 
 // TestCoalesceWorkTable3 bounds Algorithm 2's work in host-independent
 // units on the Table 3 farm near the Figure 8 knee, staggered k=1 over

@@ -154,7 +154,9 @@ func (e *Engine) finishFollowers() {
 		e.followerActive[st] = false
 		e.activeFollowers--
 		obj := int(e.followerObj[st])
-		e.cache.RemoveFollower(obj, st)
+		// The follower joined at e.now − Subobjects (attached), or
+		// boarded its leader's stream Tmax earlier still.
+		e.cache.RemoveFollower(obj, st, e.now-e.cfg.Subobjects)
 		e.emit(EvComplete, obj, int(st), "follower")
 		e.countComplete(int(st))
 		e.reissue(int(st))

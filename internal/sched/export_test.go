@@ -11,6 +11,7 @@ type AdmissionWork struct {
 	FIFOs    int // FIFOs the indexed probe visited
 	Indexed  int // indexed probes run
 	Skipped  int // indexed probes skipped: no window could be free
+	Leased   int // of Prefix: entries a held refusal lease answered
 	Admitted int // displays admitted, lifetime
 	Requests int // references recorded in the current window
 	Busy     int // busy virtual disks now
@@ -27,6 +28,7 @@ func (e *Engine) AdmissionWork() AdmissionWork {
 		FIFOs:    st.work.fifos,
 		Indexed:  st.work.indexed,
 		Skipped:  st.work.skipped,
+		Leased:   st.work.leased,
 		Admitted: e.admittedTotal,
 		Requests: e.win.Requests,
 		Busy:     st.busy,

@@ -102,6 +102,13 @@ type stripedTech struct {
 	// a disk and an absent one when it frees a disk.
 	freeRun runState
 
+	// freeEpoch counts the virtual disks setVBusy has freed: a refusal
+	// lease (admitindex.go) holds only while it is the epoch the lease
+	// was proved at.  epochSeen is its value at the last admit, which
+	// drops every lease once the counter has wrapped.
+	freeEpoch uint32
+	epochSeen uint32
+
 	// fullScan forces scanAdmit in every interval: the oracle the
 	// indexed path is tested against.  Only tests set it.
 	fullScan bool
@@ -480,16 +487,19 @@ func (t *stripedTech) vdiskOf(f int) int {
 
 // setVBusy transfers ownership of virtual disk v and maintains the
 // farm-busy counter and the free bitset — the incremental replacement
-// for the per-interval O(D) occupancy scan — and forgets what freeRun
-// knows when the change can alter it.  The owner is a display
-// slot (or matOwner / freeSlot), so the degraded scan can walk from a
-// faulted physical disk straight to the display it hurts.
+// for the per-interval O(D) occupancy scan — forgets what freeRun
+// knows when the change can alter it, and starts a new free epoch when
+// it frees the disk.  With bind, it is the only writer of freeBits.
+// The owner is a display slot (or matOwner / freeSlot), so the
+// degraded scan can walk from a faulted physical disk straight to the
+// display it hurts.
 func (t *stripedTech) setVBusy(v int, owner int32) {
 	if (t.vbusy[v] == freeSlot) != (owner == freeSlot) {
 		if owner == freeSlot {
 			t.busy--
 			t.freeBits[v>>6] |= 1 << uint(v&63)
 			t.freeRun &^= runAbsent
+			t.freeEpoch++
 		} else {
 			t.busy++
 			t.freeBits[v>>6] &^= 1 << uint(v&63)

@@ -35,9 +35,9 @@ if [ -n "$missing" ]; then
 	exit 1
 fi
 
-echo "== inlining: the admission hot helpers, the completion count, the request queue's list operations, the popularity draw and its bucket search, the per-request table probes and the per-arrival tier and residency-word reads stay inlinable (DESIGN.md §8)"
+echo "== inlining: the admission hot helpers (the refusal-lease test among them), the completion count, the request queue's list operations, the popularity draw and its bucket search, the per-request table probes and the per-arrival tier and residency-word reads stay inlinable (DESIGN.md §8)"
 inlined=$(go build -gcflags=-m ./internal/sched 2>&1 | sed -n 's/.*: can inline //p')
-for fn in '(*stripedTech).setVBusy' '(*stripedTech).vdiskOf' '(*stripedTech).windowFree' \
+for fn in '(*stripedTech).setVBusy' '(*stripedTech).vdiskOf' '(*stripedTech).windowFree' '(*stripedTech).leaseHeld' \
 	'(*readyIndex).push' '(*readyIndex).popHead' '(*requestQueue).push' '(*requestQueue).unlink' \
 	'(*Engine).countComplete' '(*Residency).Words'; do
 	if ! printf '%s\n' "$inlined" | grep -qxF "$fn"; then
@@ -136,6 +136,9 @@ go test -run '^$' -fuzz FuzzStripedAdmission -fuzztime 10s ./internal/sched
 
 echo "== fuzz: the admission probe's free-run scan, word-parallel and circular, against a bit-by-bit walk (farms up to 320 disks, runs across word boundaries and the wrap)"
 go test -run '^$' -fuzz FuzzHasFreeRun -fuzztime 10s ./internal/sched
+
+echo "== fuzz: the staggered prefix's refusal-lease horizon, word-parallel walk against a bit-by-bit union count, every interval of it refused by Algorithm 1 (farms up to 320 disks, unions across the wrap, K ≡ 0 mod D, spans longer than D)"
+go test -run '^$' -fuzz FuzzRefusalLease -fuzztime 10s ./internal/sched
 
 echo "== fuzz: Algorithm 2 coalescing, waiter pass against the scan over every buffering stream (same admissions, moves and completions, same Result)"
 go test -run '^$' -fuzz FuzzCoalesce -fuzztime 10s ./internal/sched
