@@ -7,32 +7,9 @@ import "fmt"
 // k = D an object lives on M disks, so one disk failure damages only
 // the objects stored there; with small strides a long object touches
 // every disk, so one failure damages every object.  This is the
-// classic declustering availability tradeoff; the functions below
-// quantify it for the paper's layouts so a deployment can weigh it
+// classic declustering availability tradeoff; the function below
+// quantifies it for the paper's layouts so a deployment can weigh it
 // against Table 4's throughput gains.
-
-// BlastRadius returns how many of the database's objects lose at
-// least one fragment when a single disk fails, for objects of n
-// subobjects and degree m placed with stride k on d disks, assuming
-// objects start on every residue of the k-grid (the allocator's
-// ring packing).  count is the number of objects in the database.
-func BlastRadius(d, k, m, n, count int) int {
-	if d <= 0 || k <= 0 || m <= 0 || n <= 0 || count < 0 {
-		panic("analytic: non-positive argument")
-	}
-	// An object is hit iff the failed disk is among its UniqueDisksUsed
-	// footprint.  With starts spread uniformly, the expected number of
-	// hit objects is count × footprint/D, capped at count.
-	footprint := UniqueDisksUsed(d, k, m, n)
-	hit := count * footprint / d
-	if count*footprint%d != 0 {
-		hit++
-	}
-	if hit > count {
-		hit = count
-	}
-	return hit
-}
 
 // SurvivingBandwidthFraction returns the fraction of displays that can
 // still be admitted after f disk failures under stride k: a display

@@ -3,42 +3,7 @@ package analytic
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-// TestBlastRadiusExtremes: with k=D an object is pinned to M disks,
-// so a single failure hits only M/D of the database; with k=M on the
-// Table 3 farm every object touches every disk, so one failure hits
-// everything.
-func TestBlastRadiusExtremes(t *testing.T) {
-	const d, m, n, count = 1000, 5, 3000, 200
-	pinned := BlastRadius(d, d, m, n, count)
-	if pinned > count*m/ /* footprint */ d+1 {
-		t.Errorf("k=D blast radius = %d objects, want ~%d", pinned, count*m/d+1)
-	}
-	striped := BlastRadius(d, m, m, n, count)
-	if striped != count {
-		t.Errorf("k=M blast radius = %d objects, want all %d", striped, count)
-	}
-	if pinned >= striped {
-		t.Error("pinning must shrink the blast radius")
-	}
-}
-
-func TestBlastRadiusBounds(t *testing.T) {
-	err := quick.Check(func(dRaw, kRaw, mRaw, nRaw, cRaw uint8) bool {
-		d := int(dRaw%50) + 1
-		k := int(kRaw)%d + 1
-		m := int(mRaw)%d + 1
-		n := int(nRaw%40) + 1
-		count := int(cRaw % 100)
-		b := BlastRadius(d, k, m, n, count)
-		return b >= 0 && b <= count
-	}, &quick.Config{MaxCount: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestSurvivingBandwidthFraction(t *testing.T) {
 	// No failures: everything survives.
@@ -90,46 +55,20 @@ func bruteFootprint(d, k, m, n int) int {
 	return len(used)
 }
 
-// TestBlastRadiusBruteForce sweeps every small geometry and checks
-// BlastRadius against the brute-force footprint: exactly the ceiling
-// of count·footprint/D, capped at count.
-func TestBlastRadiusBruteForce(t *testing.T) {
+// TestSurvivingBandwidthHypergeometric checks, for every small
+// geometry, UniqueDisksUsed against the brute-force footprint and the
+// surviving fraction against the exact probability that a
+// footprint-sized draw avoids every failed disk, for every failure
+// count.
+func TestSurvivingBandwidthHypergeometric(t *testing.T) {
 	for d := 2; d <= 12; d++ {
 		for k := 1; k <= d; k++ {
 			for m := 1; m <= d; m++ {
-				for _, n := range []int{1, 2, 5, 9} {
+				for _, n := range []int{1, 2, 3, 5, 7, 9} {
 					fp := bruteFootprint(d, k, m, n)
 					if got := UniqueDisksUsed(d, k, m, n); got != fp {
 						t.Fatalf("UniqueDisksUsed(%d,%d,%d,%d) = %d, brute force says %d", d, k, m, n, got, fp)
 					}
-					for _, count := range []int{0, 1, 7, 40} {
-						want := count * fp / d
-						if count*fp%d != 0 {
-							want++
-						}
-						if want > count {
-							want = count
-						}
-						if got := BlastRadius(d, k, m, n, count); got != want {
-							t.Fatalf("BlastRadius(%d,%d,%d,%d,%d) = %d, brute force says %d",
-								d, k, m, n, count, got, want)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSurvivingBandwidthHypergeometric checks the surviving fraction
-// against the exact probability that a footprint-sized draw avoids
-// every failed disk, for every failure count of every small geometry.
-func TestSurvivingBandwidthHypergeometric(t *testing.T) {
-	for d := 2; d <= 10; d++ {
-		for k := 1; k <= d; k++ {
-			for m := 1; m <= d; m++ {
-				for _, n := range []int{1, 3, 7} {
-					fp := bruteFootprint(d, k, m, n)
 					prev := 1.0
 					for f := 0; f <= d; f++ {
 						got := SurvivingBandwidthFraction(d, k, m, n, f)

@@ -193,9 +193,6 @@ func (t *Tier) Bytes(obj int) int64 {
 // Used returns the bytes currently pinned.
 func (t *Tier) Used() int64 { return t.used }
 
-// ResidentCount returns the number of pinned prefixes.
-func (t *Tier) ResidentCount() int { return len(t.heap) }
-
 // OnResidencyChange registers fn to be called with each object whose
 // residency flips from now on: when Reference pins or evicts its
 // prefix, and when Flush unpins it.  fn runs after the flip.
@@ -523,14 +520,6 @@ func (t *Tier) Flush() {
 func (t *Tier) AddPending(obj int, station, arrived int32) {
 	r := t.claim(obj)
 	r.pending = append(r.pending, Pending{Station: station, Arrived: arrived})
-}
-
-// PendingCount returns how many requests are batched behind obj.
-func (t *Tier) PendingCount(obj int) int {
-	if i := t.slot[obj]; i >= 0 {
-		return len(t.slots[i].pending)
-	}
-	return 0
 }
 
 // TakePending drains obj's batched requests into buf and returns it.

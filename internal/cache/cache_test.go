@@ -11,6 +11,14 @@ func testSpec() *Spec {
 
 func flatBytes(int) int64 { return 40 }
 
+// pendingCount returns how many requests are batched behind obj.
+func pendingCount(tr *Tier, obj int) int {
+	if i := tr.slot[obj]; i >= 0 {
+		return len(tr.slots[i].pending)
+	}
+	return 0
+}
+
 func TestSpecEnabled(t *testing.T) {
 	var nilSpec *Spec
 	if nilSpec.Enabled() {
@@ -61,8 +69,8 @@ func TestAdmissionRespectsBudget(t *testing.T) {
 	if tr.Resident(2) {
 		t.Fatal("one reference must not displace residents referenced twice")
 	}
-	if tr.Used() != 80 || tr.ResidentCount() != 2 {
-		t.Fatalf("used=%d residents=%d, want 80/2", tr.Used(), tr.ResidentCount())
+	if tr.Used() != 80 || len(tr.heap) != 2 {
+		t.Fatalf("used=%d residents=%d, want 80/2", tr.Used(), len(tr.heap))
 	}
 }
 
@@ -216,14 +224,14 @@ func TestPendingRoundTrip(t *testing.T) {
 	tr := NewTier(testSpec(), 4, 4, nil, 1, flatBytes, 30)
 	tr.AddPending(2, 9, 100)
 	tr.AddPending(2, 11, 101)
-	if tr.PendingCount(2) != 2 {
-		t.Fatalf("pending = %d", tr.PendingCount(2))
+	if pendingCount(tr, 2) != 2 {
+		t.Fatalf("pending = %d", pendingCount(tr, 2))
 	}
 	got := tr.TakePending(2, nil)
 	if len(got) != 2 || got[0] != (Pending{9, 100}) || got[1] != (Pending{11, 101}) {
 		t.Fatalf("TakePending = %v", got)
 	}
-	if tr.PendingCount(2) != 0 {
+	if pendingCount(tr, 2) != 0 {
 		t.Fatal("TakePending must drain")
 	}
 	if got := tr.TakePending(2, got[:0]); len(got) != 0 {
@@ -256,10 +264,10 @@ func TestFlush(t *testing.T) {
 	tr.AddFollower(0, 3)
 	tr.AddPending(1, 9, 4)
 	tr.Flush()
-	if tr.ResidentCount() != 0 || tr.Used() != 0 || tr.Resident(0) || tr.Resident(1) {
-		t.Fatalf("after Flush: residents=%d used=%d, want none", tr.ResidentCount(), tr.Used())
+	if len(tr.heap) != 0 || tr.Used() != 0 || tr.Resident(0) || tr.Resident(1) {
+		t.Fatalf("after Flush: residents=%d used=%d, want none", len(tr.heap), tr.Used())
 	}
-	if objs := tr.PendingObjects(nil); len(objs) != 0 || tr.PendingCount(1) != 0 {
+	if objs := tr.PendingObjects(nil); len(objs) != 0 || pendingCount(tr, 1) != 0 {
 		t.Fatalf("after Flush: pending objects %v", objs)
 	}
 	// Re-pin both prefixes; object 0's leader window would still cover

@@ -313,8 +313,8 @@ func FuzzTierRegistry(f *testing.F) {
 			if err := tr.Check(); err != nil {
 				t.Fatalf("op %d: %v", i/3, err)
 			}
-			if tr.Used() != ref.used || tr.ResidentCount() != len(ref.residents) {
-				t.Fatalf("op %d: used %d, %d residents; dense %d, %d", i/3, tr.Used(), tr.ResidentCount(), ref.used, len(ref.residents))
+			if tr.Used() != ref.used || len(tr.heap) != len(ref.residents) {
+				t.Fatalf("op %d: used %d, %d residents; dense %d, %d", i/3, tr.Used(), len(tr.heap), ref.used, len(ref.residents))
 			}
 			if v, w := tr.victim(), ref.victim(); v != w {
 				t.Fatalf("op %d: victim %d; dense %d", i/3, v, w)
@@ -324,9 +324,9 @@ func FuzzTierRegistry(f *testing.F) {
 			}
 			live := 0
 			for id := 0; id < n; id++ {
-				if tr.Resident(id) != ref.resident[id] || tr.Bytes(id) != ref.bytes[id] || tr.PendingCount(id) != len(ref.pending[id]) {
+				if tr.Resident(id) != ref.resident[id] || tr.Bytes(id) != ref.bytes[id] || pendingCount(tr, id) != len(ref.pending[id]) {
 					t.Fatalf("op %d: object %d resident %v, %d bytes, %d pending; dense %v, %d, %d", i/3, id,
-						tr.Resident(id), tr.Bytes(id), tr.PendingCount(id), ref.resident[id], ref.bytes[id], len(ref.pending[id]))
+						tr.Resident(id), tr.Bytes(id), pendingCount(tr, id), ref.resident[id], ref.bytes[id], len(ref.pending[id]))
 				}
 				if flips[id] != (before[id] != ref.resident[id]) {
 					t.Fatalf("op %d: object %d went from resident %v to %v, the callback fired: %v", i/3, id, before[id], ref.resident[id], flips[id])

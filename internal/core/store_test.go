@@ -215,8 +215,8 @@ func TestVDRStoreReplicaLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Clusters() != 4 {
-		t.Fatalf("clusters = %d, want 4", v.Clusters())
+	if v.clusters != 4 {
+		t.Fatalf("clusters = %d, want 4", v.clusters)
 	}
 	if err := v.PlaceReplica(7, 1, 60); err != nil {
 		t.Fatal(err)

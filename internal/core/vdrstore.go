@@ -57,9 +57,6 @@ func (v *VDRStore) replicasOf(id int) []int {
 	return v.replicas[id]
 }
 
-// Clusters returns R, the number of clusters.
-func (v *VDRStore) Clusters() int { return v.clusters }
-
 // Replicas returns the clusters holding copies of object id, in
 // ascending cluster order.  The caller must not mutate the result.
 func (v *VDRStore) Replicas(id int) []int { return v.replicasOf(id) }

@@ -191,30 +191,3 @@ func (s Spec) seekCoeffs() (a, b, c float64) {
 	a = r1 - b*x1 - c*y1
 	return a, b, c
 }
-
-// SequentialServiceTime returns the per-fragment service time when an
-// object's subobjects are clustered on adjacent cylinders and read in
-// display order — the k = D optimization of §3.2.2: after the initial
-// positioning, each fragment costs only its track-to-track crossings
-// and transfer, not a full T_switch.
-func (s Spec) SequentialServiceTime(fragmentBytes float64) float64 {
-	crossings := float64(s.CylinderCrossings(fragmentBytes)) + 1 // move onto the next fragment's cylinder
-	return crossings*s.SeekMin + s.TransferTime(fragmentBytes)
-}
-
-// SequentialWastedFraction returns the bandwidth lost to positioning
-// under adjacent-cylinder clustering.
-func (s Spec) SequentialWastedFraction(fragmentBytes float64) float64 {
-	crossings := float64(s.CylinderCrossings(fragmentBytes)) + 1
-	return crossings * s.SeekMin / s.SequentialServiceTime(fragmentBytes)
-}
-
-// PinnedLayoutSavings returns how much disk bandwidth the k = D
-// layout saves over the staggered layout for the given fragment size:
-// the difference between the scattered-fragment waste (a full
-// T_switch per fragment) and the clustered waste.  §3.2.2: "saves of
-// less than 10% of the disk bandwidth" at two-cylinder fragments —
-// and §4 shows the saving is not worth the collision delays.
-func (s Spec) PinnedLayoutSavings(fragmentBytes float64) float64 {
-	return s.WastedFraction(fragmentBytes) - s.SequentialWastedFraction(fragmentBytes)
-}

@@ -102,14 +102,6 @@ func NewPlan() *Plan { return &Plan{} }
 // build error, so a caller may skip it.
 func (p *Plan) Empty() bool { return p == nil || len(p.events) == 0 && p.err == nil }
 
-// Len returns the number of scheduled events.
-func (p *Plan) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.events)
-}
-
 // FailDisk schedules a permanent failure of disk at interval at.
 func (p *Plan) FailDisk(disk, at int) *Plan {
 	p.events = append(p.events, Event{At: at, Kind: DiskFail, Disk: disk})

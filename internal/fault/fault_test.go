@@ -9,14 +9,14 @@ import (
 
 func TestEmptyPlan(t *testing.T) {
 	var nilPlan *Plan
-	if !nilPlan.Empty() || nilPlan.Len() != 0 || nilPlan.Events() != nil {
+	if !nilPlan.Empty() || len(nilPlan.Events()) != 0 || nilPlan.Events() != nil {
 		t.Fatal("nil plan should be empty")
 	}
 	if err := nilPlan.Validate(10); err != nil {
 		t.Fatalf("nil plan Validate: %v", err)
 	}
 	p := NewPlan()
-	if !p.Empty() || p.Len() != 0 {
+	if !p.Empty() || len(p.Events()) != 0 {
 		t.Fatal("fresh plan should be empty")
 	}
 	if got, err := Parse("  "); err != nil || !got.Empty() {
@@ -78,8 +78,8 @@ func TestWearInvalidMeanIsAnError(t *testing.T) {
 			}},
 		} {
 			for _, p := range []*Plan{c.build(bad, 10), c.build(50, bad)} {
-				if p.Empty() || p.Len() != 1 {
-					t.Fatalf("%s with mean %v: %d events, empty %v; want the one event before it, not empty", c.name, bad, p.Len(), p.Empty())
+				if p.Empty() || len(p.Events()) != 1 {
+					t.Fatalf("%s with mean %v: %d events, empty %v; want the one event before it, not empty", c.name, bad, len(p.Events()), p.Empty())
 				}
 				member, server := p.SplitServerScope()
 				for what, err := range map[string]error{
@@ -216,8 +216,8 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		evs := p.Events()
-		if len(evs) != p.Len() {
-			t.Fatalf("Events() has %d events, Len() %d", len(evs), p.Len())
+		if len(evs) != len(p.events) {
+			t.Fatalf("Events() has %d events, the plan %d", len(evs), len(p.events))
 		}
 		for i := 1; i < len(evs); i++ {
 			if evs[i].At < evs[i-1].At {
@@ -318,8 +318,8 @@ func TestServerScopeValidationAndSplit(t *testing.T) {
 	if got := server.Events(); !reflect.DeepEqual(got, wantServer) {
 		t.Errorf("server part = %v, want %v", got, wantServer)
 	}
-	if mixed.Len() != 5 {
-		t.Errorf("split mutated the source plan: %d events left", mixed.Len())
+	if len(mixed.Events()) != 5 {
+		t.Errorf("split mutated the source plan: %d events left", len(mixed.Events()))
 	}
 
 	if err := server.ValidateServers(1); err == nil {

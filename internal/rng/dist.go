@@ -3,7 +3,6 @@ package rng
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Discrete draws from an arbitrary finite distribution over 0..n-1 by
@@ -148,22 +147,4 @@ func Zipf(n int, theta float64) (*Discrete, error) {
 		w[i] = 1 / math.Pow(float64(i+1), theta)
 	}
 	return NewDiscrete(w)
-}
-
-// SupportQuantile returns the smallest support size n such that the
-// cumulative probability of the first n indices is at least q.
-func (d *Discrete) SupportQuantile(q float64) int {
-	return sort.SearchFloat64s(d.cum, q) + 1
-}
-
-// UniqueCoverage returns the expected number of distinct indices drawn
-// in k independent samples: sum_i (1 - (1-p_i)^k).  The paper's
-// statement "approximately 100, 200, and 400 unique objects referenced"
-// is checked against this quantity in the tests.
-func (d *Discrete) UniqueCoverage(k int) float64 {
-	u := 0.0
-	for _, p := range d.pmf {
-		u += 1 - math.Pow(1-p, float64(k))
-	}
-	return u
 }

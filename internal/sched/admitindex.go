@@ -291,9 +291,9 @@ func (t *stripedTech) requestCold() {
 // While every disk is up, an entry whose degree fits the free disks and
 // whose FIFO holds a refusal lease, or gets one now (renewLease), is
 // refused without the per-entry path: its window is busy and
-// tryFragmented would spend one attempt on a walk that vdisk.WalkOrbits
-// refuses by its span count, so the entry spends the attempt and
-// nothing else.
+// tryFragmented would spend one attempt on a walk that the span count
+// (refusalHorizon) proves vdisk.WalkOrbits refuses, so the entry spends
+// the attempt and nothing else.
 func (t *stripedTech) admitPrefix(fragBudget *int) int32 {
 	e := t.eng
 	q := &e.queue
@@ -351,18 +351,25 @@ func (x *readyIndex) dropLeases() {
 	}
 }
 
-// refusalHorizon returns for how many intervals from now on, with no
-// virtual disk freed, vdisk.WalkOrbits' span count refuses a display of
-// degree m whose virtual base is base now: 0 when it does not refuse
-// now.  The base moves down by step = K mod d each interval, so the
-// spans of intervals now … now+J−1 lie in [lo − (J−1)·step, lo + n),
-// where lo = base − maxT·step and n = maxT·step + m.  A span inside a
-// stretch below lo + n with fewer than m free positions is refused, and
-// freeing nothing keeps it so.  The walk finds the m-th free position p
-// below lo + n, so every span starting above p is refused; J is kept
-// to spans whose union fits in d positions.  With step 0 the span
-// never moves and any horizon is exact: it is d.  A span longer than d
-// or a maxT the count leaves to the walk (spanShort) gets none.
+// refusalHorizon is Algorithm 1's span count.  Every position
+// vdisk.WalkOrbits can pick for a display of degree m whose virtual
+// base is base lies in the circular span [lo, lo + n), where
+// lo = base − maxT·step, step = K mod d and n = maxT·step + m.  When
+// that span has at most d positions and fewer than m of them are free,
+// some stream must fail, so the walk refuses the display.
+//
+// It returns for how many intervals from now on, with no virtual disk
+// freed, the span count refuses the display: 0 when it does not refuse
+// now.  The base moves down by step each interval, so the spans of
+// intervals now … now+J−1 lie in [lo − (J−1)·step, lo + n).  A span
+// inside a stretch below lo + n with fewer than m free positions is
+// refused, and freeing nothing keeps it so.  The count finds the m-th
+// free position p below lo + n, so every span starting above p is
+// refused; J is kept to spans whose union fits in d positions.  With
+// step 0 the span never moves and any horizon is exact: it is d.  A
+// span longer than d, or a maxT outside [0, d), gets none: it is left
+// to the walk, as are the spans of degraded intervals, where admitPrefix
+// holds no lease.
 func refusalHorizon(free []uint64, d, step, base, maxT, m int) int {
 	if maxT < 0 || maxT >= d {
 		return 0

@@ -121,7 +121,6 @@ type Manager struct {
 	head     int
 	queued   []bool
 	inflight int // object id being materialized, or -1
-	served   int
 }
 
 // NewManager returns an idle manager over object ids [0, n).
@@ -145,15 +144,6 @@ func (m *Manager) Request(id int) bool {
 	m.queue = append(m.queue, id)
 	return true
 }
-
-// Busy reports whether a materialization is in flight.
-func (m *Manager) Busy() bool { return m.inflight >= 0 }
-
-// Inflight returns the object being materialized, or -1.
-func (m *Manager) Inflight() int { return m.inflight }
-
-// QueueLen returns the number of queued (not yet started) requests.
-func (m *Manager) QueueLen() int { return len(m.queue) - m.head }
 
 // StartNext dequeues the oldest request and marks it in flight.  It
 // reports ok=false when the queue is empty or a materialization is
@@ -179,21 +169,16 @@ func (m *Manager) Finish() (id int, err error) {
 	}
 	id = m.inflight
 	m.inflight = -1
-	m.served++
 	return id, nil
 }
 
-// Served returns the number of completed materializations.
-func (m *Manager) Served() int { return m.served }
-
-// Abort drops the in-flight materialization without counting it.
+// Abort drops the in-flight materialization.
 func (m *Manager) Abort() {
 	m.inflight = -1
 }
 
-// Reset drops the in-flight materialization and every queued request,
-// keeping only the served total — the state a server restart after a
-// whole-member kill wants: cold queue, history intact.
+// Reset drops the in-flight materialization and every queued request:
+// the cold queue a server restart after a whole-member kill wants.
 func (m *Manager) Reset() {
 	m.inflight = -1
 	m.queue = m.queue[:0]

@@ -100,7 +100,7 @@ func TestMaterializeSecondsEdgeCases(t *testing.T) {
 
 func TestManagerFCFSAndDedup(t *testing.T) {
 	m := NewManager(100)
-	if m.Busy() || m.QueueLen() != 0 {
+	if m.inflight >= 0 || len(m.queue)-m.head != 0 {
 		t.Fatal("new manager not idle")
 	}
 	if !m.Request(5) {
@@ -112,15 +112,15 @@ func TestManagerFCFSAndDedup(t *testing.T) {
 	if !m.Request(9) || !m.Request(2) {
 		t.Fatal("distinct requests rejected")
 	}
-	if m.QueueLen() != 3 {
-		t.Fatalf("queue length = %d, want 3", m.QueueLen())
+	if n := len(m.queue) - m.head; n != 3 {
+		t.Fatalf("queue length = %d, want 3", n)
 	}
 
 	id, ok := m.StartNext()
 	if !ok || id != 5 {
 		t.Fatalf("StartNext = %d,%v, want 5 (FCFS)", id, ok)
 	}
-	if !m.Busy() || m.Inflight() != 5 {
+	if m.inflight != 5 {
 		t.Fatal("in-flight state wrong")
 	}
 	if m.Request(5) {
@@ -137,9 +137,6 @@ func TestManagerFCFSAndDedup(t *testing.T) {
 	if err != nil || done != 5 {
 		t.Fatalf("Finish = %d,%v", done, err)
 	}
-	if m.Served() != 1 {
-		t.Fatalf("served = %d, want 1", m.Served())
-	}
 	if _, err := m.Finish(); err == nil {
 		t.Fatal("Finish while idle succeeded")
 	}
@@ -149,8 +146,8 @@ func TestManagerFCFSAndDedup(t *testing.T) {
 		t.Fatalf("second StartNext = %d,%v, want 9", id, ok)
 	}
 	m.Abort()
-	if m.Busy() || m.Served() != 1 {
-		t.Fatal("Abort did not reset in-flight without counting")
+	if m.inflight >= 0 {
+		t.Fatal("Abort did not reset in-flight")
 	}
 	id, ok = m.StartNext()
 	if !ok || id != 2 {
@@ -211,8 +208,8 @@ func TestManagerRepeatRequestIsNoOp(t *testing.T) {
 			t.Fatalf("Pending(%d) = false after a no-op Request", id)
 		}
 	}
-	if m.QueueLen() != 3 || m.Inflight() != 4 {
-		t.Fatalf("queue length %d, in flight %d; want 3 and 4", m.QueueLen(), m.Inflight())
+	if n := len(m.queue) - m.head; n != 3 || m.inflight != 4 {
+		t.Fatalf("queue length %d, in flight %d; want 3 and 4", n, m.inflight)
 	}
 	if _, err := m.Finish(); err != nil {
 		t.Fatal(err)

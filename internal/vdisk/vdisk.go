@@ -27,7 +27,6 @@ package vdisk
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 )
 
@@ -211,13 +210,6 @@ func ChooseVirtualDisks(d, k, first, m int, free []int) (Assignment, bool) {
 // orbit); a stream with no free position within it refuses the whole
 // display, since its delay would exceed maxT.
 //
-// Every position the walk can pick lies in the circular span
-// [base − maxT·(k mod d), base + len(z)).  When that span has at most d
-// positions and fewer of them are free than there are streams, some
-// stream must fail, so the walk is refused by a popcount over the
-// span's words before any stream is walked.  The span of the unclamped
-// maxT contains the clamped one, so the count runs before the clamp.
-//
 // On success z[i] is stream i's position and t[i] its delay, for
 // len(z) streams, and tmax is the largest delay.  The caller
 // guarantees d, k > 0, 0 ≤ base < d, len(z) == len(t) ≤ d and a bitset
@@ -225,9 +217,6 @@ func ChooseVirtualDisks(d, k, first, m int, free []int) (Assignment, bool) {
 // bit probes and allocates nothing.
 func WalkOrbits(free []uint64, d, k, base, maxT int, z, t []int) (tmax int, ok bool) {
 	step := k % d
-	if spanShort(free, d, step, base, maxT, len(z)) {
-		return 0, false
-	}
 	if orbit := d / gcd(k, d); maxT > orbit-1 {
 		maxT = orbit - 1
 	}
@@ -250,44 +239,4 @@ next:
 		return 0, false
 	}
 	return tmax, true
-}
-
-// spanShort reports whether the circular span of WalkOrbits' reachable
-// positions, [base − maxT·step, base + m), is at most d positions long
-// and holds fewer than m free ones: a walk of m streams it must refuse.
-// A longer span, or a negative maxT, is never refused here.
-func spanShort(free []uint64, d, step, base, maxT, m int) bool {
-	if maxT < 0 || maxT >= d {
-		return false // left to the walk: with step ≥ 1 the span exceeds d
-	}
-	back := maxT * step
-	n := back + m
-	if n > d {
-		return false
-	}
-	lo := base - back
-	if lo < 0 {
-		lo += d
-	}
-	c := countFree(free, lo, min(lo+n, d), m)
-	if lo+n > d && c < m {
-		c += countFree(free, 0, lo+n-d, m-c)
-	}
-	return c < m
-}
-
-// countFree counts the set bits of free in positions [a, b), stopping
-// once it has need of them.
-func countFree(free []uint64, a, b, need int) int {
-	c := 0
-	for a < b && c < need {
-		end := a&^63 + 64
-		w := free[a>>6] >> uint(a&63)
-		if b < end {
-			w &= 1<<uint(b-a) - 1
-		}
-		c += bits.OnesCount64(w)
-		a = end
-	}
-	return c
 }

@@ -209,20 +209,11 @@ func oracleChoose(d, k, first, m int, free []int) (Assignment, bool) {
 	return a, err == nil
 }
 
-// spanCoverage counts how the walks checkWalkAgainstOracle ran ended:
-// refused by the span count, refused by the walk after the count let
-// them through, and span-count refusals whose span wrapped past the
-// last position of a farm wider than one bitset word.
-type spanCoverage struct {
-	refused, walkFailed, wrapped int
-}
-
 // checkWalkAgainstOracle runs the orbit walk through
 // ChooseVirtualDisks (unbounded) and directly under each bound in
 // maxTs, and reports any difference from the oracle in (ok, Z, T,
-// Tmax), or a span-count verdict that differs from a position-by-
-// position count of the span.  cov, when not nil, counts the outcomes.
-func checkWalkAgainstOracle(cov *spanCoverage, d, k, first, m int, free []int, maxTs ...int) error {
+// Tmax).  walkFailed, when not nil, counts the bounded walks refused.
+func checkWalkAgainstOracle(walkFailed *int, d, k, first, m int, free []int, maxTs ...int) error {
 	want, wantOK := oracleChoose(d, k, first, m, free)
 	got, gotOK := ChooseVirtualDisks(d, k, first, m, free)
 	if gotOK != wantOK || (wantOK && !reflect.DeepEqual(got, want)) {
@@ -243,33 +234,8 @@ func checkWalkAgainstOracle(cov *spanCoverage, d, k, first, m int, free []int, m
 			return fmt.Errorf("WalkOrbits(d=%d,k=%d,first=%d,m=%d,maxT=%d,free=%v) = Z%v T%v Tmax %d ok %v; oracle %+v,%v",
 				d, k, first, m, maxT, free, z, ts, tmax, ok, want, boundOK)
 		}
-		short := spanShort(set, d, k%d, first, maxT, m)
-		span := maxT*(k%d) + m // the reachable positions, when ≤ d
-		if maxT >= 0 && maxT < d && span <= d {
-			n := 0
-			for j := 0; j < span; j++ {
-				p := ((first-maxT*(k%d)+j)%d + d) % d
-				n += int(set[p>>6] >> uint(p&63) & 1)
-			}
-			if short != (n < m) {
-				return fmt.Errorf("spanShort(d=%d,k=%d,first=%d,maxT=%d,m=%d,free=%v) = %v, but the span of %d positions holds %d free",
-					d, k, first, maxT, m, free, short, span, n)
-			}
-		} else if short {
-			return fmt.Errorf("spanShort(d=%d,k=%d,first=%d,maxT=%d,m=%d) refused a span it should leave to the walk",
-				d, k, first, maxT, m)
-		}
-		if cov == nil {
-			continue
-		}
-		switch {
-		case short:
-			cov.refused++
-			if lo := first - maxT*(k%d); d > 64 && (lo < 0 || lo+span > d) {
-				cov.wrapped++
-			}
-		case !ok:
-			cov.walkFailed++
+		if walkFailed != nil && !ok {
+			*walkFailed++
 		}
 	}
 	return nil
@@ -277,7 +243,7 @@ func checkWalkAgainstOracle(cov *spanCoverage, d, k, first, m int, free []int, m
 
 // walkFarms are the farm sizes TestWalkMatchesOracle checks: every
 // size up to one bitset word, then sizes around and past the word
-// boundaries, where the span count splits across words and wraps.
+// boundaries, where an orbit crosses words and wraps.
 var walkFarms = func() []int {
 	var ds []int
 	for d := 1; d <= 64; d++ {
@@ -290,11 +256,10 @@ var walkFarms = func() []int {
 // of small farms (every stride up to 64 disks, gcd(k, D) > 1 included),
 // random free subsets with duplicates, and startup bounds below, at and
 // above one orbit, the walk returns exactly the oracle's (ok, Z, T,
-// Tmax).  It fails unless the span count both refused walks, wrapped
-// multi-word spans among them, and let through walks that then failed.
+// Tmax).  It fails unless some bounded walks were refused.
 func TestWalkMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
-	var cov spanCoverage
+	var walkFailed int
 	for _, d := range walkFarms {
 		strides := d
 		if d > 64 {
@@ -313,24 +278,22 @@ func TestWalkMatchesOracle(t *testing.T) {
 				for i := range free {
 					free[i] = r.IntN(d)
 				}
-				if err := checkWalkAgainstOracle(&cov, d, k, first, m, free,
+				if err := checkWalkAgainstOracle(&walkFailed, d, k, first, m, free,
 					0, orbit/2, orbit-2, orbit-1, orbit, 2*orbit); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
-	t.Logf("span count refused %d walks (%d wrapped past a multi-word farm); %d more failed in the walk",
-		cov.refused, cov.wrapped, cov.walkFailed)
-	if cov.refused == 0 || cov.wrapped == 0 || cov.walkFailed == 0 {
-		t.Fatalf("coverage floor missed: %+v", cov)
+	t.Logf("%d bounded walks refused", walkFailed)
+	if walkFailed == 0 {
+		t.Fatal("coverage floor missed: no bounded walk refused")
 	}
 }
 
 // FuzzChooseVirtualDisks drives the same differential check from fuzz
-// input, on farms of up to 256 disks so the span count's multi-word
-// and wrap-around paths run: geometry bytes plus a free list of one
-// byte per entry.
+// input, on farms of up to 256 disks so multi-word and wrap-around
+// orbits run: geometry bytes plus a free list of one byte per entry.
 func FuzzChooseVirtualDisks(f *testing.F) {
 	f.Add(uint8(8), uint8(1), uint8(0), uint8(2), uint8(16), []byte{1, 6})
 	f.Add(uint8(10), uint8(5), uint8(0), uint8(2), uint8(1), []byte{0, 2, 4})

@@ -110,7 +110,7 @@ for dir in examples/*/; do
 	fi
 done
 
-echo "== fuzz: Algorithm 1 orbit walk, with its span count, against the per-candidate oracle (farms up to 256 disks)"
+echo "== fuzz: Algorithm 1 orbit walk against the per-candidate oracle (farms up to 256 disks)"
 go test -run '^$' -fuzz FuzzChooseVirtualDisks -fuzztime 10s ./internal/vdisk
 
 echo "== fuzz: popularity draws, guide-table search against a binary search of the whole CDF (random draws, every bucket edge and just below it)"
